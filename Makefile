@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-baseline lint-sarif race bench bench-check chaos fuzz-smoke telemetry-smoke datapath-smoke scenario-smoke ci
+.PHONY: all build test vet lint lint-baseline lint-sarif race bench bench-check chaos fuzz-smoke telemetry-smoke scenario-smoke bench-e2e ci
 
 # Hot-path benchmarks recorded by `make bench` (see README.md,
 # "Benchmark ledger"). BENCH_LABEL picks the ledger column. The metrics
@@ -73,12 +73,6 @@ fuzz-smoke:
 telemetry-smoke:
 	bash scripts/telemetry_smoke.sh
 
-# Boot the testbed with streaming forced on (small chunks + read-ahead),
-# scrape /metrics and assert the chunk/byte counters moved — catches a
-# silent fallback to one-shot block RPCs. See DESIGN.md §15.
-datapath-smoke:
-	bash scripts/datapath_smoke.sh
-
 # Run the seeded predictor scenario matrix twice and assert byte-identical
 # output, nonzero aurora_predictor_* telemetry, and that the seasonal
 # predictor's mean per-period SOL is strictly below reactive's on the
@@ -103,5 +97,11 @@ bench-check:
 	$(GO) test -run '^$$' -bench '$(BENCH_METRICS_PATTERN)' -benchtime 100x -benchmem ./internal/metrics >> bench.out
 	$(GO) run ./cmd/benchjson -check $(BENCH_LABEL) -in bench.out -out BENCH_core.json
 	@rm -f bench.out
+
+# The end-to-end ruler (BENCHMARK.json): all four workloads, untraced
+# then traced, reports under bench/out/. See bench/README.md.
+SEED ?= 1
+bench-e2e:
+	bash bench/run.sh $(SEED)
 
 ci: build lint test race

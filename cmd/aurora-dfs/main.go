@@ -212,7 +212,6 @@ func runDataNode(args []string) error {
 		capacity  = fs.Int("capacity", 4096, "max blocks stored")
 		dir       = fs.String("dir", "", "data directory (empty = in-memory)")
 		listen    = fs.String("listen", "127.0.0.1:0", "data listen address")
-		compress  = fs.Bool("compress", true, "gzip replication transfers")
 		telem     = fs.String("telemetry-addr", "", "serve /metrics and pprof on this address (empty = off)")
 		fullEvery = fs.Int("full-report-every", 0, "heartbeats between periodic full block reports (0 = default)")
 	)
@@ -231,13 +230,12 @@ func runDataNode(args []string) error {
 		fmt.Printf("telemetry listening on %s\n", ts.Addr())
 	}
 	dn, err := aurora.StartDataNode(aurora.DataNodeConfig{
-		NameNodeAddr:      *nnAddr,
-		Rack:              *rack,
-		CapacityBlocks:    *capacity,
-		ListenAddr:        *listen,
-		DataDir:           *dir,
-		CompressTransfers: *compress,
-		FullReportEvery:   *fullEvery,
+		NameNodeAddr:    *nnAddr,
+		Rack:            *rack,
+		CapacityBlocks:  *capacity,
+		ListenAddr:      *listen,
+		DataDir:         *dir,
+		FullReportEvery: *fullEvery,
 	})
 	if err != nil {
 		return err
@@ -257,7 +255,7 @@ func clientFlags(name string, args []string, extra func(*flag.FlagSet)) (*aurora
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	nnAddr := fs.String("namenode", "", "namenode control address (required)")
 	blockSize := fs.Int("block-size", 1<<20, "client block split size")
-	chunkSize := fs.Int("chunk-size", 128<<10, "streamed data-path chunk size (0 = one-shot block RPCs)")
+	chunkSize := fs.Int("chunk-size", 128<<10, "data-path chunk size in bytes (<= 0 = library default; DESIGN.md §15)")
 	readAhead := fs.Int("read-ahead", 1, "blocks prefetched beyond the one draining (0 = sequential)")
 	if extra != nil {
 		extra(fs)

@@ -49,7 +49,7 @@
 //     -conc-budget caps its wall time.
 //   - protoconform: checks the MsgType→handler dispatch machine in
 //     internal/dfs against the DESIGN.md §15 frame tables — handler
-//     uniqueness per plane, stream/one-shot separation, per-chunk
+//     uniqueness per plane, stream/control separation, per-chunk
 //     ChunkChecksum verification, §15.4 head-durable store-and-report
 //     ordering, and §15.5 delta→full-report escalation.
 //

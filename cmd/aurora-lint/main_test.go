@@ -238,7 +238,7 @@ func TestRulesOnFixtures(t *testing.T) {
 		{
 			pkg: "internal/dfs/proto",
 			want: []finding{
-				{"internal/dfs/proto/proto.go", 65, analysis.RulePkgDoc,
+				{"internal/dfs/proto/proto.go", 63, analysis.RulePkgDoc,
 					"exported wire-protocol type ChunkFrame lacks a doc comment; document every frame type (DESIGN.md §15)"},
 			},
 		},
@@ -268,24 +268,26 @@ func TestRulesOnFixtures(t *testing.T) {
 		{
 			pkg: "protoconform",
 			want: []finding{
-				{"protoconform/protoconform.go", 18, analysis.RuleProtoConform,
-					"write handler (*node).dispatchLoose never stores the block (no store Put call) before the proto.MsgWriteBlock commit (DESIGN.md §15.4 head-durable contract)"},
-				{"protoconform/protoconform.go", 18, analysis.RuleProtoConform,
-					"write handler (*node).dispatchLoose never reports proto.MsgBlockReceived to the namenode before the proto.MsgWriteBlock commit (DESIGN.md §15.4 head-durable contract)"},
-				{"protoconform/protoconform.go", 23, analysis.RuleProtoConform,
+				{"protoconform/protoconform.go", 17, analysis.RuleProtoConform,
 					"stream-opening proto.MsgWriteBlockStream dispatched by one-shot handler (*node).dispatchLoose; stream openings must go through proto.ServeStreams (DESIGN.md §15.1)"},
-				{"protoconform/protoconform.go", 33, analysis.RuleProtoConform,
-					"dispatcher (*node).dispatchDup handles no case for proto.MsgReadBlock (DESIGN.md §15.1: every request MsgType has exactly one handler)"},
-				{"protoconform/protoconform.go", 34, analysis.RuleProtoConform,
-					"proto.MsgWriteBlock is dispatched more than once (first at protoconform.go:18) (DESIGN.md §15.1: every request MsgType has exactly one handler)"},
-				{"protoconform/protoconform.go", 44, analysis.RuleProtoConform,
+				{"protoconform/protoconform.go", 28, analysis.RuleProtoConform,
+					"write handler (*node).streamLoose never stores the block (no store Put call) before the proto.MsgStreamAck commit (DESIGN.md §15.4 head-durable contract)"},
+				{"protoconform/protoconform.go", 28, analysis.RuleProtoConform,
+					"write handler (*node).streamLoose never reports proto.MsgBlockReceived to the namenode before the proto.MsgStreamAck commit (DESIGN.md §15.4 head-durable contract)"},
+				{"protoconform/protoconform.go", 32, analysis.RuleProtoConform,
+					"control request proto.MsgHeartbeat dispatched by stream handler (*node).streamLoose; it belongs on the request/response plane (DESIGN.md §15.1)"},
+				{"protoconform/protoconform.go", 42, analysis.RuleProtoConform,
+					"dispatcher (*node).streamDup handles no case for proto.MsgReadBlockStream (DESIGN.md §15.1: every request MsgType has exactly one handler)"},
+				{"protoconform/protoconform.go", 43, analysis.RuleProtoConform,
+					"proto.MsgWriteBlockStream is dispatched more than once (first at protoconform.go:28) (DESIGN.md §15.1: every request MsgType has exactly one handler)"},
+				{"protoconform/protoconform.go", 52, analysis.RuleProtoConform,
 					"chunk consumer (*node).recvNoVerify never verifies proto.ChunkChecksum over received chunks (DESIGN.md §15.1: every receiver verifies the per-chunk CRC before accepting)"},
-				{"protoconform/protoconform.go", 61, analysis.RuleProtoConform,
+				{"protoconform/protoconform.go", 69, analysis.RuleProtoConform,
 					"delta reporter (*node).deltaMute never reads the response's FullReport flag; the namenode could never demand a resync (DESIGN.md §15.5)"},
-				{"protoconform/protoconform.go", 61, analysis.RuleProtoConform,
+				{"protoconform/protoconform.go", 69, analysis.RuleProtoConform,
 					"delta reporter (*node).deltaMute never escalates to a full proto.MsgHeartbeat report (DESIGN.md §15.5: digest divergence must trigger a resync)"},
 				// deltaWaved's two findings are //lint:ignore'd.
-				{"protoconform/protoconform.go", 76, analysis.RuleDirective,
+				{"protoconform/protoconform.go", 84, analysis.RuleDirective,
 					"//lint:ignore needs a rule and a reason: //lint:ignore <rule> <why>"},
 			},
 		},
@@ -503,7 +505,7 @@ func TestHeadDurableMutation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read mirror: %v", err)
 	}
-	const reportLine = "\td.noteReceived(req.Block)\n"
+	const reportLine = "\td.noteReceived(open.Block)\n"
 	if !strings.Contains(string(src), reportLine) {
 		t.Fatalf("mirror no longer contains the head-durable report line %q", reportLine)
 	}
@@ -522,7 +524,7 @@ func TestHeadDurableMutation(t *testing.T) {
 	}
 	r.Run()
 
-	const want = "write handler (*DataNode).handleWrite never reports proto.MsgBlockReceived to the namenode before the proto.MsgWriteBlock commit (DESIGN.md §15.4 head-durable contract)"
+	const want = "write handler (*DataNode).handleWriteStream never reports proto.MsgBlockReceived to the namenode before the proto.MsgStreamAck commit (DESIGN.md §15.4 head-durable contract)"
 	found := false
 	for _, d := range r.Diagnostics(map[string]bool{"internal/dfs/datanode": true}) {
 		if d.Rule == analysis.RuleProtoConform && d.Message == want {

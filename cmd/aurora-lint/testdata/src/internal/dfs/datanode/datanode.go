@@ -41,40 +41,8 @@ type DataNode struct {
 	dropped  int
 }
 
-// handle is the one-shot data-plane dispatcher.
-func (d *DataNode) handle(req *proto.Message, payload []byte) (*proto.Message, []byte) {
-	switch req.Type {
-	case proto.MsgWriteBlock:
-		return d.handleWrite(req, payload)
-	case proto.MsgReadBlock:
-		return d.handleRead(req)
-	}
-	return &proto.Message{Type: proto.MsgError}, nil
-}
-
-// handleWrite is §15.4-conformant: store, report, then forward. The
-// mutation test deletes the noteReceived line and expects protoconform
-// to object.
-func (d *DataNode) handleWrite(req *proto.Message, payload []byte) (*proto.Message, []byte) {
-	d.store.Put(req.Block, payload)
-	d.noteReceived(req.Block)
-	if len(req.Targets) > 0 {
-		fwd := &proto.Message{Type: proto.MsgWriteBlock, Block: req.Block, Targets: req.Targets[1:]}
-		d.outbox = append(d.outbox, fwd)
-	}
-	return req, nil
-}
-
-func (d *DataNode) handleRead(req *proto.Message) (*proto.Message, []byte) {
-	payload, ok := d.store.Get(req.Block)
-	if !ok {
-		return &proto.Message{Type: proto.MsgError}, nil
-	}
-	return req, payload
-}
-
 // noteReceived queues the block and reports it upstream; the report is
-// what makes the write path head-durable before any downstream commit.
+// what makes the write path head-durable before the commit.
 func (d *DataNode) noteReceived(block int64) {
 	d.pending = append(d.pending, block)
 	d.reportReceived(block)
@@ -95,8 +63,10 @@ func (d *DataNode) handleStream(open *proto.Message, s proto.BlockStream) error 
 	return errBadStream
 }
 
-// handleWriteStream verifies every chunk CRC, stores and reports the
-// block, and only then acks the stream.
+// handleWriteStream is §15.4-conformant: it verifies every chunk CRC,
+// stores and reports the block, and only then acks the stream. The
+// mutation test deletes the noteReceived line and expects protoconform
+// to object.
 func (d *DataNode) handleWriteStream(open *proto.Message, s proto.BlockStream) error {
 	var buf []byte
 	for {

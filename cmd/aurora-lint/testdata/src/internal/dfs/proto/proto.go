@@ -1,7 +1,7 @@
 // Package proto mirrors the real RPC surface (analyzers match it by
 // path suffix) for the ctxdeadline and protoconform fixtures. It
-// implements a slice of the DESIGN.md §15 frame table: the data plane,
-// the stream plane, and the heartbeat/delta control types.
+// implements a slice of the DESIGN.md §15 frame table: the stream plane
+// and the heartbeat/delta control types.
 package proto
 
 import "time"
@@ -16,8 +16,6 @@ const (
 	MsgHeartbeat        MsgType = "heartbeat"
 	MsgHeartbeatDelta   MsgType = "heartbeat_delta"
 	MsgBlockReceived    MsgType = "block_received"
-	MsgWriteBlock       MsgType = "write_block"
-	MsgReadBlock        MsgType = "read_block"
 	MsgWriteBlockStream MsgType = "write_block_stream"
 	MsgReadBlockStream  MsgType = "read_block_stream"
 	MsgChunk            MsgType = "chunk"

@@ -10,31 +10,39 @@ type node struct {
 	out   []*proto.Message
 }
 
-// dispatchLoose is a one-shot dispatcher that forwards a write without
-// storing or reporting first (§15.4) and claims a stream-opening type
-// on the request/response plane (§15.1).
+// dispatchLoose claims a stream-opening type on the request/response
+// plane (§15.1).
 func (n *node) dispatchLoose(req *proto.Message, payload []byte) (*proto.Message, []byte) {
 	switch req.Type {
-	case proto.MsgWriteBlock:
-		fwd := &proto.Message{Type: proto.MsgWriteBlock, Block: req.Block}
-		n.out = append(n.out, fwd)
-	case proto.MsgReadBlock:
-		return req, n.store[req.Block]
 	case proto.MsgWriteBlockStream:
 		return req, nil
 	}
 	return req, nil
 }
 
-// dispatchDup claims MsgWriteBlock a second time on this package's
-// one-shot plane and handles no read case at all (§15.1 uniqueness and
-// completeness).
-func (n *node) dispatchDup(req *proto.Message, payload []byte) (*proto.Message, []byte) {
-	switch req.Type {
-	case proto.MsgWriteBlock:
-		n.store[req.Block] = payload
+// streamLoose is a stream dispatcher that acks a write without storing
+// or reporting first (§15.4) and claims a control request on the stream
+// plane (§15.1).
+func (n *node) streamLoose(open *proto.Message, s proto.BlockStream) error {
+	switch open.Type {
+	case proto.MsgWriteBlockStream:
+		return s.Send(&proto.Message{Type: proto.MsgStreamAck, Block: open.Block}, nil)
+	case proto.MsgReadBlockStream:
+		return nil
+	case proto.MsgHeartbeat:
+		return nil
 	}
-	return req, nil
+	return nil
+}
+
+// streamDup claims MsgWriteBlockStream a second time on this package's
+// stream plane and handles no read case at all (§15.1 uniqueness and
+// completeness).
+func (n *node) streamDup(open *proto.Message, s proto.BlockStream) {
+	switch open.Type {
+	case proto.MsgWriteBlockStream:
+		n.store[open.Block] = nil
+	}
 }
 
 // recvNoVerify consumes chunk frames without ever verifying the

@@ -71,8 +71,8 @@ var (
 	WithLocalDataNode = client.WithLocalDataNode
 	// WithClientSeed makes replica selection deterministic.
 	WithClientSeed = client.WithSeed
-	// WithChunkSize sets the streamed data-path chunk size in bytes;
-	// n <= 0 falls back to one-shot block RPCs (DESIGN.md §15).
+	// WithChunkSize sets the data-path chunk size in bytes; n <= 0
+	// means the default (DESIGN.md §15).
 	WithChunkSize = client.WithChunkSize
 	// WithReadAhead sets how many blocks Read prefetches beyond the one
 	// currently draining (0 = strictly sequential).

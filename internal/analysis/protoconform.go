@@ -3,14 +3,14 @@
 // DESIGN.md §15 frame tables. The §15 spec is normative prose; this
 // file is its executable form:
 //
-//   - §15.1 every request MsgType has exactly one handler per role, and
+//   - §15.1 every request MsgType has exactly one handler per role;
 //     stream-opening types are only dispatched by stream handlers
-//     (proto.ServeStreams), never the one-shot path;
+//     (proto.ServeStreams) and control requests never are;
 //   - §15.1 every chunk consumer verifies proto.ChunkChecksum before
 //     accepting a chunk, and every chunk producer stamps it;
-//   - §15.4 head-durable ordering: write handlers store the block and
-//     report proto.MsgBlockReceived before the downstream commit (the
-//     forwarded write / the stream ack);
+//   - §15.4 head-durable ordering: the write handler stores the block
+//     and reports proto.MsgBlockReceived before the commit (the stream
+//     ack);
 //   - §15.5 delta escalation: whoever sends proto.MsgHeartbeatDelta
 //     reads the response's FullReport flag and can escalate to a full
 //     proto.MsgHeartbeat; whoever handles the delta can set it.
@@ -38,7 +38,6 @@ var (
 		"MsgRegister", "MsgHeartbeat", "MsgHeartbeatDelta",
 		"MsgBlockReceived", "MsgBlockDeleted",
 	}
-	protoDataRequests   = []string{"MsgWriteBlock", "MsgReadBlock"}
 	protoStreamRequests = []string{"MsgWriteBlockStream", "MsgReadBlockStream"}
 )
 
@@ -252,8 +251,8 @@ func (pc *protoChecker) dispatchesOf(fi *FuncInfo) []*dispSwitch {
 }
 
 // checkDispatch enforces §15.1 handler uniqueness/completeness (P1),
-// stream/one-shot separation (P2), §15.4 head-durable ordering on
-// write cases (P4), and §15.5 delta handling (P5b).
+// stream/control separation (P2), §15.4 head-durable ordering on the
+// write case (P4), and §15.5 delta handling (P5b).
 func (pc *protoChecker) checkDispatch(switches []*dispSwitch) {
 	// Uniqueness is per package and plane: two one-shot dispatchers in
 	// one package both claiming a type is a real conflict; a one-shot
@@ -273,22 +272,13 @@ func (pc *protoChecker) checkDispatch(switches []*dispSwitch) {
 
 		var required []string
 		if ds.stream {
-			required = append(required, protoStreamRequests...)
+			required = protoStreamRequests
 		} else {
-			hasControl, hasData := false, false
 			for _, c := range ds.cases {
 				if inNames(protoControlRequests, c.name) {
-					hasControl = true
+					required = protoControlRequests
+					break
 				}
-				if inNames(protoDataRequests, c.name) {
-					hasData = true
-				}
-			}
-			if hasControl {
-				required = append(required, protoControlRequests...)
-			}
-			if hasData {
-				required = append(required, protoDataRequests...)
 			}
 		}
 
@@ -303,9 +293,9 @@ func (pc *protoChecker) checkDispatch(switches []*dispSwitch) {
 					"stream-opening proto.%s dispatched by one-shot handler %s; stream openings must go through proto.ServeStreams (DESIGN.md §15.1)",
 					c.name, funcInfoName(ds.fi))
 			}
-			if !isStreamType && ds.stream && (inNames(protoControlRequests, c.name) || inNames(protoDataRequests, c.name)) {
+			if ds.stream && inNames(protoControlRequests, c.name) {
 				pc.r.report(c.pos, RuleProtoConform,
-					"one-shot request proto.%s dispatched by stream handler %s; it belongs on the request/response plane (DESIGN.md §15.1)",
+					"control request proto.%s dispatched by stream handler %s; it belongs on the request/response plane (DESIGN.md §15.1)",
 					c.name, funcInfoName(ds.fi))
 			}
 
@@ -320,12 +310,9 @@ func (pc *protoChecker) checkDispatch(switches []*dispSwitch) {
 				}
 			}
 
-			// P4: head-durable ordering on the write paths.
-			if c.name == "MsgWriteBlock" && !ds.stream {
-				pc.checkHeadDurable(ds, c, "MsgWriteBlock")
-			}
+			// P4: head-durable ordering on the write path.
 			if c.name == "MsgWriteBlockStream" && ds.stream {
-				pc.checkHeadDurable(ds, c, "MsgStreamAck")
+				pc.checkHeadDurable(ds, c)
 			}
 
 			// P5b: the delta handler must be able to demand a full report.
@@ -370,12 +357,12 @@ func (pc *protoChecker) caseHandlers(ds *dispSwitch, c dispCase) []*FuncInfo {
 	return out
 }
 
-// checkHeadDurable enforces §15.4 on one write case: the handler that
-// owns the commit anchor (the forwarded MsgWriteBlock literal on the
-// one-shot path, the MsgStreamAck literal on the stream path) must
-// store the block (a Put call) and report proto.MsgBlockReceived, both
-// lexically before the anchor.
-func (pc *protoChecker) checkHeadDurable(ds *dispSwitch, c dispCase, anchorConst string) {
+// checkHeadDurable enforces §15.4 on the write case: the handler that
+// owns the commit anchor (the MsgStreamAck literal) must store the block
+// (a Put call) and report proto.MsgBlockReceived, both lexically before
+// the anchor.
+func (pc *protoChecker) checkHeadDurable(ds *dispSwitch, c dispCase) {
+	const anchorConst = "MsgStreamAck"
 	var h *FuncInfo
 	var anchor token.Pos
 	for _, fi := range pc.caseHandlers(ds, c) {
@@ -385,8 +372,8 @@ func (pc *protoChecker) checkHeadDurable(ds *dispSwitch, c dispCase, anchorConst
 		}
 	}
 	if h == nil {
-		// No commit anchor found: the handler neither forwards nor
-		// acks, so there is no downstream commit to mis-order against.
+		// No commit anchor found: the handler never acks, so there is
+		// no commit to mis-order against.
 		return
 	}
 	putPos := pc.firstPutCall(h)
@@ -668,7 +655,7 @@ func (pc *protoChecker) checkDeltaSender(fi *FuncInfo) {
 }
 
 // funcInfoName renders a function for messages, receiver-qualified
-// with the bare type name ("(*DataNode).handleWrite").
+// with the bare type name ("(*DataNode).handleWriteStream").
 func funcInfoName(fi *FuncInfo) string {
 	sig, ok := fi.Obj.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {

@@ -7,7 +7,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand/v2"
 	"strings"
 	"time"
@@ -26,11 +25,6 @@ var (
 	ErrChecksum  = errors.New("client: checksum mismatch on read")
 )
 
-// checksum matches the datanodes' CRC32C block checksum.
-func checksum(data []byte) uint32 {
-	return crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli))
-}
-
 // Client talks to one namenode. It is safe for concurrent use (it holds
 // no mutable state beyond the RNG used for replica choice, which is
 // guarded).
@@ -47,14 +41,11 @@ type Client struct {
 	retry         retrypolicy.Policy
 	spans         *trace.SpanLog
 
-	// Chunked data path (DESIGN.md §15). chunkSize <= 0 falls back to
-	// one-shot block RPCs; readAhead is how many extra blocks Read keeps
-	// in flight while the current one drains.
-	chunkSize      int
-	readAhead      int
-	openStream     proto.OpenStreamFunc
-	callOverridden bool
-	openOverridden bool
+	// Chunked data path (DESIGN.md §15). readAhead is how many extra
+	// blocks Read keeps in flight while the current one drains.
+	chunkSize  int
+	readAhead  int
+	openStream proto.OpenStreamFunc
 }
 
 // Option configures a Client.
@@ -81,27 +72,24 @@ func WithSeed(seed uint64) Option {
 	return func(c *Client) { c.rng = newLockedRand(seed) }
 }
 
-// WithCall overrides the RPC transport (the fault-injection harness
-// passes an Injector.CallFrom here). Overriding the one-shot transport
-// without also supplying WithOpenStream disables the chunked data path
-// — a stubbed transport cannot carry streams, so block I/O falls back
-// to one-shot RPCs that the stub sees.
+// WithCall overrides the transport of namenode RPCs (the fault-injection
+// harness passes an Injector.CallFrom here). Block bytes never travel
+// on it; see WithOpenStream.
 func WithCall(fn proto.CallFunc) Option {
-	return func(c *Client) { c.call = fn; c.callOverridden = true }
+	return func(c *Client) { c.call = fn }
 }
 
-// WithOpenStream overrides the stream transport used by the chunked
-// data path (the fault-injection harness passes an Injector.StreamFrom
-// here). Setting it re-enables streaming even when WithCall replaced
-// the one-shot transport.
+// WithOpenStream overrides the stream transport that carries every
+// block write and read (the fault-injection harness passes an
+// Injector.StreamFrom here).
 func WithOpenStream(fn proto.OpenStreamFunc) Option {
-	return func(c *Client) { c.openStream = fn; c.openOverridden = true }
+	return func(c *Client) { c.openStream = fn }
 }
 
-// WithChunkSize sets the frame payload size in bytes for streamed
-// block writes and reads (DESIGN.md §15). n <= 0 disables the chunked
-// data path entirely, restoring one-shot MsgWriteBlock/MsgReadBlock
-// exchanges.
+// WithChunkSize sets the frame payload size in bytes for block writes
+// and reads (DESIGN.md §15). n <= 0 means proto.DefaultChunkSize: the
+// sender of every chunk (proto.SendBlock for writes, the datanode for
+// reads) applies the default.
 func WithChunkSize(n int) Option {
 	return func(c *Client) { c.chunkSize = n }
 }
@@ -242,23 +230,15 @@ func (c *Client) writeBlock(path string, chunk []byte) error {
 		return fmt.Errorf("client: namenode returned empty pipeline for block %d", resp.Block)
 	}
 	// Pipeline writes retry under the same policy: block puts are
-	// idempotent (same id, same bytes), so a duplicate is harmless.
+	// idempotent (same id, same bytes), so a duplicate is harmless. The
+	// head forwards chunk i downstream while receiving chunk i+1, so the
+	// client spends ~1 block of bandwidth regardless of the replication
+	// factor and the pipeline depth only adds per-chunk latency.
 	sp := c.spans.Start("client.write_block")
 	sp.Annotate("block", fmt.Sprint(resp.Block))
 	defer sp.End()
 	err = c.retryPolicy().Do(func() error {
-		if c.streaming() {
-			return c.writeBlockStreamed(resp.Block, resp.Pipeline, chunk)
-		}
-		write := &proto.Message{
-			Type:     proto.MsgWriteBlock,
-			Block:    resp.Block,
-			Pipeline: resp.Pipeline[1:],
-			Length:   len(chunk),
-			Checksum: checksum(chunk),
-		}
-		_, _, callErr := c.call(resp.Pipeline[0], write, chunk, c.timeout)
-		return callErr
+		return proto.SendBlock(c.openStream, resp.Pipeline[0], resp.Block, resp.Pipeline[1:], chunk, c.chunkSize, c.timeout)
 	})
 	if err != nil {
 		return fmt.Errorf("client: pipeline head %s: %w", resp.Pipeline[0], err)
@@ -341,32 +321,16 @@ func (c *Client) readBlock(loc proto.BlockLocation) ([]byte, error) {
 	return c.readBlockOrdered(loc, c.rng.perm(len(loc.Addresses)))
 }
 
-// readBlockOrdered tries the block's replicas in the given permutation,
-// dispatching to the chunked stream path when it is enabled.
-func (c *Client) readBlockOrdered(loc proto.BlockLocation, order []int) ([]byte, error) {
-	if len(loc.Addresses) == 0 {
-		return nil, ErrNoReplica
+// ReadBlockFrom streams one block from the replicas listed in loc,
+// trying them in the order given — for callers that have already chosen
+// where to read (a task scheduled next to a replica) and so bypass the
+// client's random replica choice.
+func (c *Client) ReadBlockFrom(loc proto.BlockLocation) ([]byte, error) {
+	order := make([]int, len(loc.Addresses))
+	for i := range order {
+		order[i] = i
 	}
-	if c.streaming() {
-		return c.readBlockStreamed(loc, order)
-	}
-	var lastErr error
-	for _, i := range order {
-		addr := loc.Addresses[i]
-		resp, data, err := c.call(addr, &proto.Message{Type: proto.MsgReadBlock, Block: loc.Block}, nil, c.timeout)
-		if err != nil {
-			lastErr = err
-			metrics.Default.Counter("dfs.client.read_failover").Inc()
-			continue
-		}
-		if resp.Checksum != 0 && checksum(data) != resp.Checksum {
-			// Transfer corrupted the bytes; another replica may be fine.
-			lastErr = fmt.Errorf("%w: block %d from %s", ErrChecksum, loc.Block, addr)
-			continue
-		}
-		return data, nil
-	}
-	return nil, fmt.Errorf("%w: %w", ErrNoReplica, lastErr)
+	return c.readBlockOrdered(loc, order)
 }
 
 // SetReplication changes the file's replication factor at run time — the

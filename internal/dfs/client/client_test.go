@@ -48,18 +48,11 @@ func TestCreateSplitsIntoBlocks(t *testing.T) {
 	var blocks []int // lengths of written chunks
 	var mu sync.Mutex
 
-	dn := startFake(t, func(req *proto.Message, payload []byte) (*proto.Message, []byte) {
-		if req.Type != proto.MsgWriteBlock {
-			return proto.ErrorMessage(errors.New("unexpected")), nil
-		}
-		if checksum(payload) != req.Checksum {
-			return proto.ErrorMessage(errors.New("checksum mismatch")), nil
-		}
+	dn := startStreamFake(t, acceptWrite(t, func(_ *proto.Message, data []byte) {
 		mu.Lock()
-		blocks = append(blocks, len(payload))
+		blocks = append(blocks, len(data))
 		mu.Unlock()
-		return &proto.Message{Type: proto.MsgOK}, nil
-	})
+	}))
 	var nextBlock proto.BlockID
 	nn := startFake(t, func(req *proto.Message, _ []byte) (*proto.Message, []byte) {
 		switch req.Type {
@@ -67,14 +60,12 @@ func TestCreateSplitsIntoBlocks(t *testing.T) {
 			return &proto.Message{Type: proto.MsgOK}, nil
 		case proto.MsgAddBlock:
 			nextBlock++
-			return &proto.Message{Type: proto.MsgOK, Block: nextBlock, Pipeline: []string{dn.srv.Addr()}}, nil
+			return &proto.Message{Type: proto.MsgOK, Block: nextBlock, Pipeline: []string{dn}}, nil
 		default:
 			return proto.ErrorMessage(errors.New("unexpected")), nil
 		}
 	})
-	// WithChunkSize(0) pins the one-shot write path this test scripts;
-	// the streamed path is covered in stream_test.go.
-	c := New(nn.srv.Addr(), WithBlockSize(100), WithSeed(1), WithChunkSize(0))
+	c := New(nn.srv.Addr(), WithBlockSize(100), WithSeed(1), WithChunkSize(64))
 	data := make([]byte, 250) // 100 + 100 + 50
 	if err := c.Create("/f", data, 0); err != nil {
 		t.Fatalf("Create: %v", err)
@@ -101,15 +92,13 @@ func TestCreateEmptyRejected(t *testing.T) {
 func TestReadFailsOverAcrossReplicas(t *testing.T) {
 	good := []byte("good data")
 	deadAddr := "127.0.0.1:1"
-	gooddn := startFake(t, func(req *proto.Message, _ []byte) (*proto.Message, []byte) {
-		return &proto.Message{Type: proto.MsgOK, Block: req.Block, Checksum: checksum(good)}, good
-	})
+	gooddn := startStreamFake(t, serveChunks(good, 0))
 	nn := startFake(t, func(req *proto.Message, _ []byte) (*proto.Message, []byte) {
 		return &proto.Message{Type: proto.MsgOK, Locations: []proto.BlockLocation{
-			{Block: 1, Length: len(good), Addresses: []string{deadAddr, gooddn.srv.Addr()}},
+			{Block: 1, Length: len(good), Addresses: []string{deadAddr, gooddn}},
 		}}, nil
 	})
-	c := New(nn.srv.Addr(), WithSeed(2), WithTimeout(300*time.Millisecond), WithChunkSize(0))
+	c := New(nn.srv.Addr(), WithSeed(2), WithTimeout(300*time.Millisecond))
 	// Whichever order the RNG picks, the dead replica must be skipped.
 	for i := 0; i < 5; i++ {
 		got, err := c.Read("/f")
@@ -124,22 +113,22 @@ func TestReadFailsOverAcrossReplicas(t *testing.T) {
 
 func TestReadRejectsChecksumMismatch(t *testing.T) {
 	bad := []byte("tampered")
-	dn := startFake(t, func(req *proto.Message, _ []byte) (*proto.Message, []byte) {
-		// Returns a checksum that does not match the payload.
-		return &proto.Message{Type: proto.MsgOK, Block: req.Block, Checksum: checksum(bad) + 1}, bad
+	dn := startStreamFake(t, func(open *proto.Message, _ []byte, st proto.BlockStream) {
+		// The chunk's checksum does not match its payload.
+		_ = st.Send(&proto.Message{
+			Type: proto.MsgChunk, Block: open.Block, Eof: true,
+			Length: len(bad), Checksum: proto.ChunkChecksum(bad) + 1,
+		}, bad)
 	})
 	nn := startFake(t, func(req *proto.Message, _ []byte) (*proto.Message, []byte) {
 		return &proto.Message{Type: proto.MsgOK, Locations: []proto.BlockLocation{
-			{Block: 1, Length: len(bad), Addresses: []string{dn.srv.Addr()}},
+			{Block: 1, Length: len(bad), Addresses: []string{dn}},
 		}}, nil
 	})
-	c := New(nn.srv.Addr(), WithSeed(3), WithTimeout(300*time.Millisecond), WithChunkSize(0))
+	c := New(nn.srv.Addr(), WithSeed(3), WithTimeout(300*time.Millisecond))
 	_, err := c.Read("/f")
-	if !errors.Is(err, ErrNoReplica) {
-		t.Fatalf("err = %v, want ErrNoReplica (all replicas bad)", err)
-	}
-	if !errors.Is(err, ErrNoReplica) || err == nil {
-		t.Fatal("expected failure")
+	if !errors.Is(err, ErrNoReplica) || !errors.Is(err, ErrChecksum) {
+		t.Fatalf("err = %v, want ErrNoReplica wrapping ErrChecksum (all replicas bad)", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package client
 
 import (
 	"bytes"
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -11,16 +10,14 @@ import (
 	"aurora/internal/dfs/proto"
 )
 
-// routerFake is a scripted transport for router tests: namenode ops are
-// served from a mutable location table, datanode reads from a per-address
-// content table, and every RPC is counted so cache behaviour is
-// observable.
+// routerFake is a scripted namenode transport for router tests: ops are
+// served from a mutable location table and every RPC is counted so
+// cache behaviour is observable. Block reads go to whatever stream
+// fakes the location table names.
 type routerFake struct {
 	mu        sync.Mutex
 	shards    int
 	locs      map[string][]proto.BlockLocation
-	data      map[string][]byte // datanode addr -> block payload
-	dead      map[string]bool   // datanode addr -> refuse reads
 	infoCalls int
 	locCalls  map[string]int
 }
@@ -29,8 +26,6 @@ func newRouterFake(shards int) *routerFake {
 	return &routerFake{
 		shards:   shards,
 		locs:     make(map[string][]proto.BlockLocation),
-		data:     make(map[string][]byte),
-		dead:     make(map[string]bool),
 		locCalls: make(map[string]int),
 	}
 }
@@ -51,12 +46,6 @@ func (f *routerFake) call(addr string, req *proto.Message, payload []byte, timeo
 			return nil, nil, &proto.RemoteError{Msg: "no such file"}
 		}
 		return &proto.Message{Type: proto.MsgOK, Locations: append([]proto.BlockLocation(nil), locs...)}, nil, nil
-	case proto.MsgReadBlock:
-		if f.dead[addr] {
-			return nil, nil, errors.New("replica down")
-		}
-		d := f.data[addr]
-		return &proto.Message{Type: proto.MsgOK, Block: req.Block, Checksum: checksum(d)}, d, nil
 	default:
 		return nil, nil, &proto.RemoteError{Msg: "unexpected message"}
 	}
@@ -160,9 +149,9 @@ func TestRouterReadRecoversFromStaleShard(t *testing.T) {
 	other := blockInShard(t, 3, shards, 0)
 
 	good := []byte("replicated payload")
-	f.data["dn-fresh"] = good
-	f.dead["dn-stale"] = true
-	f.locs["/hot"] = []proto.BlockLocation{{Block: a, Length: len(good), Addresses: []string{"dn-stale"}}}
+	fresh := startStreamFake(t, serveChunks(good, 0))
+	const stale = "127.0.0.1:1" // nothing listens: the replica moved away
+	f.locs["/hot"] = []proto.BlockLocation{{Block: a, Length: len(good), Addresses: []string{stale}}}
 	f.locs["/same-shard"] = []proto.BlockLocation{{Block: sibling, Addresses: []string{"dn0"}}}
 	f.locs["/other-shard"] = []proto.BlockLocation{{Block: other, Addresses: []string{"dn1"}}}
 	r := newTestRouter(f)
@@ -175,7 +164,7 @@ func TestRouterReadRecoversFromStaleShard(t *testing.T) {
 		}
 	}
 	f.mu.Lock()
-	f.locs["/hot"] = []proto.BlockLocation{{Block: a, Length: len(good), Addresses: []string{"dn-fresh"}}}
+	f.locs["/hot"] = []proto.BlockLocation{{Block: a, Length: len(good), Addresses: []string{fresh}}}
 	f.mu.Unlock()
 
 	got, err := r.Read("/hot")

@@ -9,16 +9,16 @@ import (
 	"aurora/internal/dfs/proto"
 )
 
-// failoverOrder drives one readBlock through a transport where every
-// replica is down, capturing the order the client tried them in.
+// failoverOrder drives one readBlock through a stream transport where
+// every replica is down, capturing the order the client tried them in.
 func failoverOrder(t *testing.T, opts ...Option) []string {
 	t.Helper()
 	var tried []string
-	fake := func(addr string, req *proto.Message, payload []byte, timeout time.Duration) (*proto.Message, []byte, error) {
+	fake := func(addr string, open *proto.Message, timeout time.Duration) (proto.BlockStream, error) {
 		tried = append(tried, addr)
-		return nil, nil, errors.New("replica down")
+		return nil, errors.New("replica down")
 	}
-	c := New("unused:0", append([]Option{WithCall(fake)}, opts...)...)
+	c := New("unused:0", append([]Option{WithOpenStream(fake)}, opts...)...)
 	loc := proto.BlockLocation{Block: 1, Addresses: []string{"dn0", "dn1", "dn2", "dn3", "dn4", "dn5"}}
 	if _, err := c.readBlock(loc); err == nil {
 		t.Fatal("expected readBlock to fail with every replica down")

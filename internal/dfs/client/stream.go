@@ -7,71 +7,15 @@ import (
 	"aurora/internal/metrics"
 )
 
-// streaming reports whether the chunked data path (DESIGN.md §15) is in
-// effect for block I/O. It needs a positive chunk size AND a transport
-// that can actually carry streams: either the real proto.OpenStream
-// default, or an explicit WithOpenStream override. A test that stubbed
-// the one-shot transport with WithCall (and supplied no stream
-// transport) keeps the legacy one-shot path, so the stub still sees
-// every block exchange.
-func (c *Client) streaming() bool {
-	return c.chunkSize > 0 && (c.openOverridden || !c.callOverridden)
-}
-
-// writeBlockStreamed pushes one block to the pipeline head as sequenced
-// chunks and waits for the tail ack relayed back up the chain. The head
-// forwards chunk i downstream while receiving chunk i+1, so the client
-// spends ~1 block of bandwidth regardless of the replication factor and
-// the pipeline depth only adds per-chunk latency, not per-block hops.
-func (c *Client) writeBlockStreamed(block proto.BlockID, pipeline []string, data []byte) error {
-	open := &proto.Message{
-		Type:      proto.MsgWriteBlockStream,
-		Block:     block,
-		Pipeline:  pipeline[1:],
-		Length:    len(data),
-		Checksum:  checksum(data),
-		ChunkSize: c.chunkSize,
+// readBlockOrdered drains one block over chunked read streams, trying
+// its replicas in the given permutation and failing over between them
+// at chunk granularity: bytes already verified stay in the buffer and
+// the next replica is opened at the first missing offset, so a replica
+// lost mid-stream costs only the tail.
+func (c *Client) readBlockOrdered(loc proto.BlockLocation, order []int) ([]byte, error) {
+	if len(loc.Addresses) == 0 {
+		return nil, ErrNoReplica
 	}
-	st, err := c.openStream(pipeline[0], open, c.timeout)
-	if err != nil {
-		return fmt.Errorf("client: pipeline head %s: %w", pipeline[0], err)
-	}
-	defer st.Close()
-	for seq, off := 0, 0; ; seq++ {
-		end := off + c.chunkSize
-		if end > len(data) {
-			end = len(data)
-		}
-		part := data[off:end]
-		msg := &proto.Message{
-			Type: proto.MsgChunk, Block: block,
-			Seq: seq, Offset: off, Eof: end == len(data),
-			Checksum: proto.ChunkChecksum(part),
-		}
-		if err := st.Send(msg, part); err != nil {
-			return fmt.Errorf("client: pipeline head %s: %w", pipeline[0], err)
-		}
-		if msg.Eof {
-			break
-		}
-		off = end
-	}
-	ack, _, err := st.Recv()
-	if err != nil {
-		return fmt.Errorf("client: pipeline head %s: %w", pipeline[0], err)
-	}
-	if ack.Type != proto.MsgStreamAck || ack.Offset != len(data) {
-		return fmt.Errorf("client: block %d stream ack %q at offset %d, want %q at %d",
-			block, ack.Type, ack.Offset, proto.MsgStreamAck, len(data))
-	}
-	return nil
-}
-
-// readBlockStreamed drains one block over chunked read streams, failing
-// over between replicas at chunk granularity: bytes already verified
-// stay in the buffer and the next replica is opened at the first
-// missing offset, so a replica lost mid-stream costs only the tail.
-func (c *Client) readBlockStreamed(loc proto.BlockLocation, order []int) ([]byte, error) {
 	var buf []byte
 	var lastErr error
 	for _, i := range order {
@@ -115,7 +59,10 @@ func (c *Client) streamTail(addr string, block proto.BlockID, buf *[]byte) error
 			return fmt.Errorf("client: block %d chunk at offset %d from %s, want %d", block, msg.Offset, addr, len(*buf))
 		}
 		if *buf == nil && msg.Length > 0 {
-			*buf = make([]byte, 0, msg.Length)
+			// Length is peer-controlled: it sizes only the first
+			// allocation, capped as proto caps frame reads; a longer
+			// block grows as verified bytes arrive.
+			*buf = make([]byte, 0, min(msg.Length, proto.EagerReadBytes))
 		}
 		*buf = append(*buf, chunk...)
 		if msg.Eof {

@@ -58,12 +58,10 @@ func serveChunks(data []byte, dieAfter int) proto.StreamHandler {
 	}
 }
 
-// The streamed write path delivers the block to the pipeline head in
-// chunks and treats the tail ack as the commit signal.
-func TestStreamedWriteDeliversAndCommits(t *testing.T) {
-	var mu sync.Mutex
-	stored := map[proto.BlockID][]byte{}
-	addr := startStreamFake(t, func(open *proto.Message, _ []byte, st proto.BlockStream) {
+// acceptWrite is a pipeline-tail stand-in: it reassembles one write
+// stream, checking every chunk, hands the block to stored and acks.
+func acceptWrite(t *testing.T, stored func(open *proto.Message, data []byte)) proto.StreamHandler {
+	return func(open *proto.Message, _ []byte, st proto.BlockStream) {
 		if open.Type != proto.MsgWriteBlockStream {
 			t.Errorf("opening frame %q, want write stream", open.Type)
 			return
@@ -83,23 +81,40 @@ func TestStreamedWriteDeliversAndCommits(t *testing.T) {
 				break
 			}
 		}
-		mu.Lock()
-		stored[open.Block] = buf
-		mu.Unlock()
+		if len(buf) != open.Length || proto.ChunkChecksum(buf) != open.Checksum {
+			t.Errorf("block %d: %d bytes, opening frame announced %d (or whole-block checksum differs)", open.Block, len(buf), open.Length)
+			return
+		}
+		stored(open, buf)
 		_ = st.Send(&proto.Message{
 			Type: proto.MsgStreamAck, Block: open.Block,
-			Offset: len(buf), Checksum: checksum(buf),
+			Offset: len(buf), Checksum: proto.ChunkChecksum(buf),
 		}, nil)
-	})
-	c := New("unused:0", WithSeed(1), WithChunkSize(64))
+	}
+}
+
+// The write path delivers the block to the pipeline head in chunks and
+// treats the tail ack as the commit signal.
+func TestStreamedWriteDeliversAndCommits(t *testing.T) {
+	var mu sync.Mutex
+	stored := map[proto.BlockID][]byte{}
+	var pipeline []string
+	addr := startStreamFake(t, acceptWrite(t, func(open *proto.Message, data []byte) {
+		mu.Lock()
+		stored[open.Block], pipeline = data, open.Pipeline
+		mu.Unlock()
+	}))
 	data := bytes.Repeat([]byte("streamed write "), 20)
-	if err := c.writeBlockStreamed(7, []string{addr}, data); err != nil {
-		t.Fatalf("writeBlockStreamed: %v", err)
+	if err := proto.SendBlock(proto.OpenStream, addr, 7, []string{"next:1"}, data, 64, time.Second); err != nil {
+		t.Fatalf("SendBlock: %v", err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if !bytes.Equal(stored[7], data) {
 		t.Errorf("stored %d bytes, want %d", len(stored[7]), len(data))
+	}
+	if len(pipeline) != 1 || pipeline[0] != "next:1" {
+		t.Errorf("opening frame pipeline = %v, want [next:1]", pipeline)
 	}
 }
 
@@ -153,23 +168,24 @@ func TestStreamedReadChecksumFailsOver(t *testing.T) {
 	}
 }
 
-// The streaming gate: a stubbed one-shot transport (WithCall) silently
-// disables the chunked path so fake-transport tests keep seeing every
-// block exchange, while an explicit WithOpenStream re-enables it.
-func TestStreamingGate(t *testing.T) {
-	fake := func(string, *proto.Message, []byte, time.Duration) (*proto.Message, []byte, error) {
-		return nil, nil, errors.New("unused")
+// A chunk's Length field is peer-controlled: an absurd announcement must
+// not size the client's buffer (at the parent commit it panicked with
+// "makeslice: cap out of range"); the block is whatever verified bytes
+// actually arrive.
+func TestStreamedReadIgnoresAbsurdAnnouncedLength(t *testing.T) {
+	data := []byte("short block")
+	liar := startStreamFake(t, func(open *proto.Message, _ []byte, st proto.BlockStream) {
+		_ = st.Send(&proto.Message{
+			Type: proto.MsgChunk, Block: open.Block, Eof: true,
+			Length: 1 << 50, Checksum: proto.ChunkChecksum(data),
+		}, data)
+	})
+	c := New("unused:0", WithSeed(1))
+	got, err := c.ReadBlockFrom(proto.BlockLocation{Block: 3, Addresses: []string{liar}})
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("ReadBlockFrom = %q, %v; want %q", got, err, data)
 	}
-	if !New("x:0").streaming() {
-		t.Error("default client must use the chunked data path")
-	}
-	if New("x:0", WithChunkSize(0)).streaming() {
-		t.Error("WithChunkSize(0) must disable streaming")
-	}
-	if New("x:0", WithCall(fake)).streaming() {
-		t.Error("WithCall without a stream transport must disable streaming")
-	}
-	if !New("x:0", WithCall(fake), WithOpenStream(proto.OpenStream)).streaming() {
-		t.Error("WithOpenStream must re-enable streaming alongside WithCall")
+	if cap(got) > proto.EagerReadBytes {
+		t.Errorf("buffer capacity %d follows the announced length, want <= %d", cap(got), proto.EagerReadBytes)
 	}
 }

@@ -36,16 +36,13 @@ type Config struct {
 	// DataDir, when set, persists blocks as files under this directory
 	// (checksummed, crash-safe); empty keeps blocks in memory.
 	DataDir string
-	// CompressTransfers gzips replication transfers between datanodes —
-	// the compression optimization the paper cites for making block
-	// movement overhead acceptable. Client writes are never compressed.
-	CompressTransfers bool
 	// Call overrides the RPC transport (the fault-injection harness
 	// passes an Injector.CallFrom here); nil means proto.Call.
 	Call proto.CallFunc
 	// OpenStream overrides the chunked data-path transport used to
-	// forward pipeline writes downstream (the fault-injection harness
-	// passes an Injector.StreamFrom here); nil means proto.OpenStream.
+	// forward pipeline writes downstream and to send replication
+	// transfers (the fault-injection harness passes an
+	// Injector.StreamFrom here); nil means proto.OpenStream.
 	OpenStream proto.OpenStreamFunc
 	// FullReportEvery is the periodic full-block-report safety net: every
 	// Nth heartbeat carries the complete block list even when the
@@ -248,67 +245,10 @@ func (dn *DataNode) Close() error {
 	return dn.server.Close()
 }
 
-// handle dispatches one data-plane request.
-func (dn *DataNode) handle(req *proto.Message, payload []byte) (*proto.Message, []byte) {
-	switch req.Type {
-	case proto.MsgWriteBlock:
-		return dn.handleWrite(req, payload)
-	case proto.MsgReadBlock:
-		return dn.handleRead(req)
-	default:
-		return proto.ErrorMessage(fmt.Errorf("datanode: unexpected message %q", req.Type)), nil
-	}
-}
-
-// handleWrite verifies, stores and forwards the block down the
-// remaining pipeline, HDFS-style: each node persists its copy before
-// forwarding, and reports the received block to the namenode. Compressed
-// transfers (inter-datanode replication) are decompressed and
-// checksum-verified before storage, so corruption never propagates.
-func (dn *DataNode) handleWrite(req *proto.Message, payload []byte) (*proto.Message, []byte) {
-	data, err := proto.Decompress(payload, req.Encoding)
-	if err != nil {
-		return proto.ErrorMessage(err), nil
-	}
-	if req.Checksum != 0 && Checksum(data) != req.Checksum {
-		return proto.ErrorMessage(fmt.Errorf("%w: block %d on write", ErrCorrupt, req.Block)), nil
-	}
-	if err := dn.store.Put(req.Block, data); err != nil {
-		return proto.ErrorMessage(err), nil
-	}
-	// CONTRACT (DESIGN.md §15, "failure semantics"): the local replica is
-	// durable AND reported to the namenode before the downstream hop is
-	// attempted. A failed pipeline therefore surfaces an error to the
-	// writer while the head already holds a confirmed copy — the write
-	// is not atomic across the pipeline. The reconcile loop sees the
-	// under-replicated block in the confirmed set and repairs the short
-	// pipeline; TestPipelineFailureReconcileRepairs pins this.
-	dn.noteReceived(req.Block)
-	if len(req.Pipeline) > 0 {
-		next := req.Pipeline[0]
-		fwd := &proto.Message{
-			Type:     proto.MsgWriteBlock,
-			Block:    req.Block,
-			Pipeline: req.Pipeline[1:],
-			Length:   len(data),
-			Checksum: req.Checksum,
-		}
-		if _, _, err := dn.call(next, fwd, data, dn.cfg.Timeout); err != nil {
-			return proto.ErrorMessage(fmt.Errorf("datanode: pipeline to %s: %w", next, err)), nil
-		}
-	}
-	return &proto.Message{Type: proto.MsgOK, Block: req.Block, Length: len(data), Checksum: Checksum(data)}, nil
-}
-
-func (dn *DataNode) handleRead(req *proto.Message) (*proto.Message, []byte) {
-	data, err := dn.store.Get(req.Block)
-	if err != nil {
-		if errors.Is(err, ErrCorrupt) {
-			dn.evictCorrupt(req.Block)
-		}
-		return proto.ErrorMessage(err), nil
-	}
-	return &proto.Message{Type: proto.MsgOK, Block: req.Block, Length: len(data), Checksum: Checksum(data)}, data
+// handle answers the request/response plane, which carries nothing on a
+// datanode: block bytes arrive and leave only on streams (handleStream).
+func (dn *DataNode) handle(req *proto.Message, _ []byte) (*proto.Message, []byte) {
+	return proto.ErrorMessage(fmt.Errorf("datanode: unexpected message %q", req.Type)), nil
 }
 
 // evictCorrupt deletes a checksum-failed local replica and reports the
@@ -452,20 +392,12 @@ func (dn *DataNode) execute(cmd proto.Command) {
 			}
 			return // replica unusable; the namenode will reassign
 		}
-		msg := &proto.Message{Type: proto.MsgWriteBlock, Block: cmd.Block, Length: len(data), Checksum: Checksum(data)}
-		wire := data
-		if dn.cfg.CompressTransfers {
-			compressed, encoding, err := proto.Compress(data)
-			if err == nil {
-				wire, msg.Encoding = compressed, encoding
-			}
-		}
-		// Bounded retry: the target may be inside a latency spike or just
-		// recovering. If all attempts fail the namenode re-issues the
-		// command after its inflight TTL.
+		// A write stream with no downstream pipeline. Bounded retry: the
+		// target may be inside a latency spike or just recovering. If all
+		// attempts fail the namenode re-issues the command after its
+		// inflight TTL.
 		err = dn.retryDo("dfs.datanode.replicate_retries", func() error {
-			_, _, callErr := dn.call(cmd.Target, msg, wire, dn.cfg.Timeout)
-			return callErr
+			return proto.SendBlock(dn.open, cmd.Target, cmd.Block, nil, data, proto.DefaultChunkSize, dn.cfg.Timeout)
 		})
 		if err != nil {
 			metrics.Default.Counter("dfs.datanode.replicate_dropped").Inc()
@@ -481,7 +413,7 @@ func (dn *DataNode) execute(cmd proto.Command) {
 // reportReceived tells the namenode a block replica landed here. One
 // attempt only — it runs on the write path, where retry backoff would
 // stall the pipeline ack; a lost report is counted and repaired by the
-// next heartbeat's full block report.
+// next heartbeat's delta report.
 func (dn *DataNode) reportReceived(id proto.BlockID) {
 	if _, _, err := dn.call(dn.cfg.NameNodeAddr, &proto.Message{
 		Type:  proto.MsgBlockReceived,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"aurora/internal/dfs/proto"
+	"aurora/internal/retrypolicy"
 )
 
 // fakeNameNode accepts registrations and records received/deleted block
@@ -19,6 +20,7 @@ type fakeNameNode struct {
 	mu        sync.Mutex
 	nextID    proto.NodeID
 	received  []proto.BlockID
+	reporters []proto.NodeID // reporters[i] sent received[i]
 	deleted   []proto.BlockID
 	cmds      map[proto.NodeID][]proto.Command
 	hbCount   int // full heartbeats
@@ -69,6 +71,7 @@ func (f *fakeNameNode) handle(req *proto.Message, _ []byte) (*proto.Message, []b
 		return resp, nil
 	case proto.MsgBlockReceived:
 		f.received = append(f.received, req.Block)
+		f.reporters = append(f.reporters, req.Node)
 		return nil, nil
 	case proto.MsgBlockDeleted:
 		f.deleted = append(f.deleted, req.Block)
@@ -96,41 +99,19 @@ func (f *fakeNameNode) deletedBlocks() []proto.BlockID {
 	return append([]proto.BlockID(nil), f.deleted...)
 }
 
-func startDN(t *testing.T, nn *fakeNameNode, compress bool) *DataNode {
+func startDN(t *testing.T, nn *fakeNameNode) *DataNode {
 	t.Helper()
 	dn, err := Start(Config{
 		NameNodeAddr:      nn.srv.Addr(),
 		Rack:              0,
 		CapacityBlocks:    16,
 		HeartbeatInterval: 20 * time.Millisecond,
-		CompressTransfers: compress,
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
 	t.Cleanup(func() { _ = dn.Close() })
 	return dn
-}
-
-func writeBlock(t *testing.T, addr string, id proto.BlockID, data []byte, sum uint32, pipeline []string) error {
-	t.Helper()
-	_, _, err := proto.Call(addr, &proto.Message{
-		Type:     proto.MsgWriteBlock,
-		Block:    id,
-		Pipeline: pipeline,
-		Length:   len(data),
-		Checksum: sum,
-	}, data, time.Second)
-	return err
-}
-
-func readBlock(t *testing.T, addr string, id proto.BlockID) ([]byte, uint32, error) {
-	t.Helper()
-	resp, data, err := proto.Call(addr, &proto.Message{Type: proto.MsgReadBlock, Block: id}, nil, time.Second)
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, resp.Checksum, nil
 }
 
 func TestStartValidation(t *testing.T) {
@@ -147,17 +128,17 @@ func TestStartValidation(t *testing.T) {
 
 func TestWriteReadAndReport(t *testing.T) {
 	nn := startFakeNN(t)
-	dn := startDN(t, nn, false)
+	dn := startDN(t, nn)
 	data := []byte("block contents")
-	if err := writeBlock(t, dn.Addr(), 5, data, Checksum(data), nil); err != nil {
+	if _, err := streamWrite(t, dn.Addr(), 5, data, 1<<10, nil, false); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	got, sum, err := readBlock(t, dn.Addr(), 5)
+	got, err := streamRead(t, dn.Addr(), 5, 1<<10, 0)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if !bytes.Equal(got, data) || sum != Checksum(data) {
-		t.Errorf("read = %q (sum %d), want %q (sum %d)", got, sum, data, Checksum(data))
+	if !bytes.Equal(got, data) {
+		t.Errorf("read = %q, want %q", got, data)
 	}
 	// The namenode heard about the block.
 	recv := nn.receivedBlocks()
@@ -171,9 +152,17 @@ func TestWriteReadAndReport(t *testing.T) {
 
 func TestWriteRejectsBadChecksum(t *testing.T) {
 	nn := startFakeNN(t)
-	dn := startDN(t, nn, false)
+	dn := startDN(t, nn)
 	data := []byte("corrupted in flight")
-	if err := writeBlock(t, dn.Addr(), 9, data, Checksum(data)+1, nil); err == nil {
+	st, err := proto.OpenStream(dn.Addr(), &proto.Message{
+		Type: proto.MsgWriteBlockStream, Block: 9,
+		Length: len(data), Checksum: Checksum(data) + 1, ChunkSize: 1 << 10,
+	}, time.Second)
+	if err != nil {
+		t.Fatalf("OpenStream: %v", err)
+	}
+	defer st.Close()
+	if _, err := streamChunks(t, st, data, 1<<10, false); err == nil {
 		t.Fatal("bad-checksum write accepted")
 	}
 	if dn.HasBlock(9) {
@@ -184,63 +173,99 @@ func TestWriteRejectsBadChecksum(t *testing.T) {
 	}
 }
 
-func TestPipelineForwarding(t *testing.T) {
-	nn := startFakeNN(t)
-	dn1 := startDN(t, nn, false)
-	dn2 := startDN(t, nn, false)
-	data := []byte("pipelined")
-	if err := writeBlock(t, dn1.Addr(), 3, data, Checksum(data), []string{dn2.Addr()}); err != nil {
-		t.Fatalf("pipeline write: %v", err)
+// corruptTail flips a byte of a write stream's final chunk after its
+// checksum was stamped — corruption in flight.
+type corruptTail struct{ proto.BlockStream }
+
+func (s corruptTail) Send(msg *proto.Message, payload []byte) error {
+	if msg.Type == proto.MsgChunk && msg.Eof {
+		payload = append([]byte(nil), payload...)
+		payload[0] ^= 0xFF
 	}
-	if !dn1.HasBlock(3) || !dn2.HasBlock(3) {
-		t.Error("pipeline did not deliver to both nodes")
-	}
-	got, _, err := readBlock(t, dn2.Addr(), 3)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Errorf("tail read = %q, %v", got, err)
-	}
+	return s.BlockStream.Send(msg, payload)
 }
 
-func TestPipelineFailureKeepsLocalCopy(t *testing.T) {
+// A replicate command moves the block over a write stream with no
+// downstream pipeline. A chunk corrupted in flight is rejected by the
+// target (nothing stored, nothing reported), the source tries again under
+// its retry policy, and the clean transfer ends with the target itself
+// confirming the replica to the namenode.
+func TestReplicateCommandStreamsAndRetries(t *testing.T) {
 	nn := startFakeNN(t)
-	dn := startDN(t, nn, false)
-	data := []byte("partial pipeline")
-	err := writeBlock(t, dn.Addr(), 4, data, Checksum(data), []string{"127.0.0.1:1"})
-	if err == nil {
-		t.Fatal("pipeline to dead node reported success")
+	dst := startDN(t, nn)
+	var mu sync.Mutex
+	attempts, storedAfterCorrupt := 0, false
+	src, err := Start(Config{
+		NameNodeAddr:      nn.srv.Addr(),
+		CapacityBlocks:    16,
+		HeartbeatInterval: 20 * time.Millisecond,
+		// The target's rejection arrives as a *proto.RemoteError, which
+		// the default classifier leaves to the namenode's re-issue.
+		Retry: retrypolicy.Policy{MaxAttempts: 3, Retryable: func(error) bool { return true }},
+		OpenStream: func(addr string, open *proto.Message, timeout time.Duration) (proto.BlockStream, error) {
+			mu.Lock()
+			attempts++
+			first := attempts == 1
+			if attempts == 2 {
+				storedAfterCorrupt = dst.HasBlock(open.Block)
+			}
+			mu.Unlock()
+			if len(open.Pipeline) != 0 {
+				t.Errorf("replicate opened a stream with pipeline %v, want none", open.Pipeline)
+			}
+			st, err := proto.OpenStream(addr, open, timeout)
+			if err != nil || !first {
+				return st, err
+			}
+			return corruptTail{st}, nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("Start: %v", err)
 	}
-	if !dn.HasBlock(4) {
-		t.Error("local copy dropped on pipeline failure")
-	}
-}
+	t.Cleanup(func() { _ = src.Close() })
 
-func TestReplicateCommandCompresses(t *testing.T) {
-	nn := startFakeNN(t)
-	src := startDN(t, nn, true) // compression on
-	dst := startDN(t, nn, true)
-	data := bytes.Repeat([]byte("compressible "), 500)
-	if err := writeBlock(t, src.Addr(), 11, data, Checksum(data), nil); err != nil {
+	data := bytes.Repeat([]byte("replicated "), 30000) // three default-size chunks
+	if _, err := streamWrite(t, src.Addr(), 11, data, 64<<10, nil, false); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	nn.queue(src.ID(), proto.Command{Kind: proto.CmdReplicate, Block: 11, Target: dst.Addr()})
+	confirmed := func() bool {
+		nn.mu.Lock()
+		defer nn.mu.Unlock()
+		for i, id := range nn.received {
+			if id == 11 && nn.reporters[i] == dst.ID() {
+				return true
+			}
+		}
+		return false
+	}
 	deadline := time.Now().Add(3 * time.Second)
-	for !dst.HasBlock(11) {
+	for !confirmed() {
 		if time.Now().After(deadline) {
-			t.Fatal("replicate command never executed")
+			t.Fatal("target never confirmed the replicated block")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	got, _, err := readBlock(t, dst.Addr(), 11)
+	got, err := streamRead(t, dst.Addr(), 11, 64<<10, 0)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Errorf("replicated data mismatch: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if attempts != 2 {
+		t.Errorf("source opened %d transfer streams, want 2 (corrupt attempt, clean retry)", attempts)
+	}
+	if storedAfterCorrupt {
+		t.Error("target stored the block from the corrupted transfer")
 	}
 }
 
 func TestDeleteCommandReports(t *testing.T) {
 	nn := startFakeNN(t)
-	dn := startDN(t, nn, false)
+	dn := startDN(t, nn)
 	data := []byte("to be deleted")
-	if err := writeBlock(t, dn.Addr(), 13, data, Checksum(data), nil); err != nil {
+	if _, err := streamWrite(t, dn.Addr(), 13, data, 1<<10, nil, false); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	nn.queue(dn.ID(), proto.Command{Kind: proto.CmdDelete, Block: 13})
@@ -262,15 +287,15 @@ func TestDeleteCommandReports(t *testing.T) {
 
 func TestUnknownBlockRead(t *testing.T) {
 	nn := startFakeNN(t)
-	dn := startDN(t, nn, false)
-	if _, _, err := readBlock(t, dn.Addr(), 99); err == nil {
+	dn := startDN(t, nn)
+	if _, err := streamRead(t, dn.Addr(), 99, 1<<10, 0); err == nil {
 		t.Error("read of unknown block succeeded")
 	}
 }
 
 func TestDataNodeCloseIdempotent(t *testing.T) {
 	nn := startFakeNN(t)
-	dn := startDN(t, nn, false)
+	dn := startDN(t, nn)
 	if err := dn.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

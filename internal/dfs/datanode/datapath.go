@@ -31,13 +31,20 @@ func (dn *DataNode) handleStream(open *proto.Message, _ []byte, st proto.BlockSt
 // MsgStreamAck only after its own store succeeded AND its downstream
 // ack arrived.
 //
-// CONTRACT (DESIGN.md §15, "failure semantics"): like the one-shot
-// handleWrite, the local replica is stored durably and reported to the
-// namenode BEFORE the downstream outcome is known. A mid-pipeline
-// failure therefore surfaces an error to the writer while upstream
-// nodes already hold confirmed copies; the reconcile loop repairs the
-// short pipeline from those confirmed replicas.
+// CONTRACT (DESIGN.md §15, "failure semantics"): the local replica is
+// stored durably and reported to the namenode BEFORE the downstream
+// outcome is known. A mid-pipeline failure therefore surfaces an error
+// to the writer while upstream nodes already hold confirmed copies —
+// the write is not atomic across the pipeline. The reconcile loop sees
+// the under-replicated block in the confirmed set and repairs the short
+// pipeline; TestPipelineFailureReconcileRepairs pins this.
 func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream) {
+	// Length is peer-controlled and sizes the receive buffer below.
+	if open.Length < 0 || open.Length > proto.MaxPayloadBytes {
+		//lint:ignore errcheck best effort; peer may be gone
+		_ = st.Send(proto.ErrorMessage(fmt.Errorf("datanode: block %d announced length %d outside [0, %d]", open.Block, open.Length, proto.MaxPayloadBytes)), nil)
+		return
+	}
 	var down proto.BlockStream
 	var downErr error
 	if len(open.Pipeline) > 0 {
@@ -82,6 +89,11 @@ func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream)
 		if msg.Offset != len(buf) {
 			//lint:ignore errcheck best effort; peer may be gone
 			_ = st.Send(proto.ErrorMessage(fmt.Errorf("datanode: block %d chunk %d offset %d, want %d", open.Block, msg.Seq, msg.Offset, len(buf))), nil)
+			return
+		}
+		if end := len(buf) + len(chunk); end > open.Length || (msg.Eof && end != open.Length) {
+			//lint:ignore errcheck best effort; peer may be gone
+			_ = st.Send(proto.ErrorMessage(fmt.Errorf("datanode: block %d chunk %d ends at byte %d (eof=%t), announced length %d", open.Block, msg.Seq, end, msg.Eof, open.Length)), nil)
 			return
 		}
 		buf = append(buf, chunk...)

@@ -92,8 +92,8 @@ func streamRead(t *testing.T, addr string, id proto.BlockID, size, off int) ([]b
 // both nodes and ack only after the tail stored it.
 func TestStreamWritePipeline(t *testing.T) {
 	nn := startFakeNN(t)
-	dn1 := startDN(t, nn, false)
-	dn2 := startDN(t, nn, false)
+	dn1 := startDN(t, nn)
+	dn2 := startDN(t, nn)
 	data := bytes.Repeat([]byte("streamed pipeline "), 100)
 	ack, err := streamWrite(t, dn1.Addr(), 21, data, 256, []string{dn2.Addr()}, false)
 	if err != nil {
@@ -105,7 +105,7 @@ func TestStreamWritePipeline(t *testing.T) {
 	if !dn1.HasBlock(21) || !dn2.HasBlock(21) {
 		t.Error("streamed pipeline did not deliver to both nodes")
 	}
-	got, _, err := readBlock(t, dn2.Addr(), 21)
+	got, err := streamRead(t, dn2.Addr(), 21, 256, 0)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Errorf("tail read mismatch: %v", err)
 	}
@@ -114,12 +114,12 @@ func TestStreamWritePipeline(t *testing.T) {
 // A block smaller than the chunk size rides in a single EOF chunk.
 func TestStreamWriteSingleChunk(t *testing.T) {
 	nn := startFakeNN(t)
-	dn := startDN(t, nn, false)
+	dn := startDN(t, nn)
 	data := []byte("tiny")
 	if _, err := streamWrite(t, dn.Addr(), 22, data, 1<<10, nil, false); err != nil {
 		t.Fatalf("streamWrite: %v", err)
 	}
-	got, _, err := readBlock(t, dn.Addr(), 22)
+	got, err := streamRead(t, dn.Addr(), 22, 1<<10, 0)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Errorf("read = %q, %v; want %q", got, err, data)
 	}
@@ -130,7 +130,7 @@ func TestStreamWriteSingleChunk(t *testing.T) {
 // the chunk size); the receiver must accept it.
 func TestStreamWriteZeroLengthFinalChunk(t *testing.T) {
 	nn := startFakeNN(t)
-	dn := startDN(t, nn, false)
+	dn := startDN(t, nn)
 	data := bytes.Repeat([]byte{0xAB}, 4*256) // exact multiple of the chunk size
 	ack, err := streamWrite(t, dn.Addr(), 23, data, 256, nil, true)
 	if err != nil {
@@ -139,7 +139,7 @@ func TestStreamWriteZeroLengthFinalChunk(t *testing.T) {
 	if ack.Offset != len(data) {
 		t.Fatalf("ack offset = %d, want %d", ack.Offset, len(data))
 	}
-	got, _, err := readBlock(t, dn.Addr(), 23)
+	got, err := streamRead(t, dn.Addr(), 23, 256, 0)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Errorf("read mismatch: %v", err)
 	}
@@ -149,7 +149,7 @@ func TestStreamWriteZeroLengthFinalChunk(t *testing.T) {
 // error frame back, nothing stored, nothing reported.
 func TestStreamWriteChunkChecksumCorruption(t *testing.T) {
 	nn := startFakeNN(t)
-	dn := startDN(t, nn, false)
+	dn := startDN(t, nn)
 	data := bytes.Repeat([]byte("x"), 600)
 	st, err := proto.OpenStream(dn.Addr(), &proto.Message{
 		Type: proto.MsgWriteBlockStream, Block: 24,
@@ -188,12 +188,57 @@ func TestStreamWriteChunkChecksumCorruption(t *testing.T) {
 	}
 }
 
-// Streamed pipeline failure keeps the head-durable contract of the
-// one-shot path: the writer sees an error, but the head node already
-// stored and reported its replica.
+// The opening frame's Length is peer-controlled. At the parent commit a
+// negative or absurd value panicked the whole process ("makeslice: cap
+// out of range" — handler panics are not recovered) and the chunk loop
+// never compared what arrived against it. Each case must now end in an
+// error frame with nothing stored or reported, and the node must live
+// to serve the next write.
+func TestStreamWriteRejectsBadAnnouncedLength(t *testing.T) {
+	nn := startFakeNN(t)
+	dn := startDN(t, nn)
+	data := bytes.Repeat([]byte("y"), 600) // chunks of 256, 256, 88
+	for _, tc := range []struct {
+		name   string
+		length int
+		send   bool // false: the opening frame alone must be refused
+	}{
+		{"negative", -1, false},
+		{"beyond the frame limit", proto.MaxPayloadBytes + 1, false},
+		{"last chunk overruns", len(data) - 1, true},
+		{"eof short of length", len(data) + 1, true},
+	} {
+		st, err := proto.OpenStream(dn.Addr(), &proto.Message{
+			Type: proto.MsgWriteBlockStream, Block: 27,
+			Length: tc.length, Checksum: Checksum(data), ChunkSize: 256,
+		}, time.Second)
+		if err != nil {
+			t.Fatalf("%s: OpenStream: %v", tc.name, err)
+		}
+		if tc.send {
+			_, err = streamChunks(t, st, data, 256, false)
+		} else {
+			_, _, err = st.Recv()
+		}
+		_ = st.Close()
+		var rerr *proto.RemoteError
+		if !errors.As(err, &rerr) {
+			t.Errorf("%s: got %v, want *RemoteError", tc.name, err)
+		}
+		if dn.HasBlock(27) || len(nn.receivedBlocks()) != 0 {
+			t.Errorf("%s: block stored or reported despite the bad length", tc.name)
+		}
+	}
+	if _, err := streamWrite(t, dn.Addr(), 27, data, 256, nil, false); err != nil {
+		t.Fatalf("clean write after the rejected ones: %v", err)
+	}
+}
+
+// Pipeline failure keeps the head-durable contract: the writer sees an
+// error, but the head node already stored and reported its replica.
 func TestStreamWritePipelineFailureKeepsLocalCopy(t *testing.T) {
 	nn := startFakeNN(t)
-	dn := startDN(t, nn, false)
+	dn := startDN(t, nn)
 	data := bytes.Repeat([]byte("partial"), 100)
 	ack, err := streamWrite(t, dn.Addr(), 25, data, 128, []string{"127.0.0.1:1"}, false)
 	if err == nil {
@@ -217,9 +262,9 @@ func TestStreamWritePipelineFailureKeepsLocalCopy(t *testing.T) {
 // replica without refetching bytes it already holds.
 func TestStreamReadResumesAtOffset(t *testing.T) {
 	nn := startFakeNN(t)
-	dn := startDN(t, nn, false)
+	dn := startDN(t, nn)
 	data := bytes.Repeat([]byte("0123456789"), 70)
-	if err := writeBlock(t, dn.Addr(), 26, data, Checksum(data), nil); err != nil {
+	if _, err := streamWrite(t, dn.Addr(), 26, data, 128, nil, false); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	whole, err := streamRead(t, dn.Addr(), 26, 128, 0)
@@ -242,7 +287,7 @@ func TestStreamReadResumesAtOffset(t *testing.T) {
 // report.
 func TestHeartbeatDeltasAndResync(t *testing.T) {
 	nn := startFakeNN(t)
-	dn := startDN(t, nn, false)
+	dn := startDN(t, nn)
 	waitFor := func(what string, ok func() bool) {
 		t.Helper()
 		deadline := time.Now().Add(3 * time.Second)
@@ -266,7 +311,7 @@ func TestHeartbeatDeltasAndResync(t *testing.T) {
 	nn.mu.Unlock()
 
 	data := []byte("delta me")
-	if err := writeBlock(t, dn.Addr(), 30, data, Checksum(data), nil); err != nil {
+	if _, err := streamWrite(t, dn.Addr(), 30, data, 128, nil, false); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	waitFor("block 30 in a delta report", func() bool {

@@ -24,7 +24,7 @@ func callNN(t *testing.T, addr string, req *proto.Message) *proto.Message {
 }
 
 // TestPipelineFailureReconcileRepairs is the regression test for the
-// documented write contract (DESIGN.md §15, datanode.handleWrite): a
+// documented write contract (DESIGN.md §15, datanode.handleWriteStream): a
 // datanode stores and reports its replica durable BEFORE the downstream
 // pipeline hop, so a mid-pipeline failure leaves a "short pipeline" —
 // fewer confirmed replicas than requested — that the writer sees as an
@@ -167,10 +167,9 @@ func TestIncrementalReportDivergenceResync(t *testing.T) {
 	}
 }
 
-// TestStreamedWriteReadEndToEnd drives the default client (chunked data
-// path on) against a real cluster and checks the transfer actually rode
-// the stream counters — the same signal the CI datapath smoke job
-// scrapes from /metrics.
+// TestStreamedWriteReadEndToEnd drives the client against a real cluster
+// and checks the transfer moved the stream counters that /metrics
+// exposes.
 func TestStreamedWriteReadEndToEnd(t *testing.T) {
 	send := metrics.Default.Counter("aurora_stream_chunks", metrics.L("dir", "send"))
 	recv := metrics.Default.Counter("aurora_stream_chunks", metrics.L("dir", "recv"))
@@ -195,7 +194,7 @@ func TestStreamedWriteReadEndToEnd(t *testing.T) {
 		t.Fatalf("round trip mismatch: %d bytes != %d", len(got), len(data))
 	}
 	if send.Value() == sendBefore || recv.Value() == recvBefore {
-		t.Errorf("stream chunk counters did not move (send +%d, recv +%d); data path fell back to one-shot RPCs",
+		t.Errorf("stream chunk counters did not move (send +%d, recv +%d)",
 			send.Value()-sendBefore, recv.Value()-recvBefore)
 	}
 	// 13 KiB in 1 KiB chunks through a 3-deep pipeline plus the read

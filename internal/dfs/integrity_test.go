@@ -67,7 +67,6 @@ func TestDiskBackedDataNodes(t *testing.T) {
 			CapacityBlocks:    64,
 			HeartbeatInterval: 50 * time.Millisecond,
 			DataDir:           t.TempDir(),
-			CompressTransfers: true,
 		})
 		if err != nil {
 			t.Fatalf("datanode.Start: %v", err)
@@ -93,8 +92,8 @@ func TestDiskBackedDataNodes(t *testing.T) {
 	if err := tcNN.WaitConverged(5 * time.Second); err != nil {
 		t.Fatalf("WaitConverged: %v", err)
 	}
-	// Compressed replication transfers must deliver identical bytes:
-	// grow replication so inter-datanode (gzip) transfers happen.
+	// Replication transfers must deliver identical bytes: grow
+	// replication so inter-datanode streamed transfers happen.
 	if err := c.SetReplication("/ondisk", 4); err != nil {
 		t.Fatalf("SetReplication: %v", err)
 	}
@@ -103,10 +102,10 @@ func TestDiskBackedDataNodes(t *testing.T) {
 	}
 	got, err = c.Read("/ondisk")
 	if err != nil {
-		t.Fatalf("Read after compressed replication: %v", err)
+		t.Fatalf("Read after inter-datanode replication: %v", err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatal("compressed replication corrupted data")
+		t.Fatal("inter-datanode replication corrupted data")
 	}
 }
 

@@ -205,6 +205,11 @@ type nodeState struct {
 	// wantFull asks the node for a full block report on its next
 	// heartbeat: set on rejoin, on digest mismatch, and at boot.
 	wantFull bool
+	// fresh holds the blocks this node confirmed by an immediate
+	// MsgBlockReceived since its last heartbeat was applied. A full
+	// report listed before such a block landed cannot name it and must
+	// not be read as "gone": the node's next delta carries the block.
+	fresh map[proto.BlockID]bool
 }
 
 type fileMeta struct {
@@ -244,6 +249,11 @@ type NameNode struct {
 	// inflight replication commands with issue time, to avoid
 	// re-issuing every reconcile tick.
 	inflight map[inflightKey]time.Time
+	// writing holds the allocation time of blocks whose initial pipeline
+	// write may still be under way (file not yet completed); reconcile
+	// leaves them alone for inflightTTL instead of racing the pipeline
+	// with replicate commands for hops that have not confirmed yet.
+	writing map[proto.BlockID]time.Time
 	// moveDurations records issue-to-confirmation latency of completed
 	// replica transfers (Figure 6c of the paper measures exactly this).
 	moveDurations []time.Duration
@@ -298,6 +308,7 @@ func Start(cfg Config) (*NameNode, error) {
 		tombstones:     make(map[proto.BlockID]bool),
 		pendingCmds:    make(map[proto.NodeID][]proto.Command),
 		inflight:       make(map[inflightKey]time.Time),
+		writing:        make(map[proto.BlockID]time.Time),
 		commandsIssued: make(map[proto.CommandKind]int64),
 		clock:          time.Now,
 		stop:           make(chan struct{}),
@@ -504,6 +515,7 @@ func (nn *NameNode) handleRegister(req *proto.Message) (*proto.Message, error) {
 				// Whatever the restarted node still holds must be
 				// re-established from a full baseline, not deltas.
 				node.wantFull = true
+				node.fresh = nil
 				return &proto.Message{Type: proto.MsgOK, Node: node.id}, nil
 			}
 		}
@@ -571,7 +583,8 @@ func (nn *NameNode) buildClusterLocked() error {
 // handleHeartbeat applies a full block report: the authoritative
 // statement of what the node holds. It reconciles confirmations in both
 // directions and clears any pending resync request — after a full
-// report the node's digest is exactly the xor over its reported set.
+// report the node's digest is exactly the xor over its reported set,
+// plus any block that landed while the report was on its way (fresh).
 func (nn *NameNode) handleHeartbeat(req *proto.Message) (*proto.Message, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
@@ -588,10 +601,11 @@ func (nn *NameNode) handleHeartbeat(req *proto.Message) (*proto.Message, error) 
 		nn.confirmLocked(b, node.id)
 	}
 	for b, holders := range nn.confirmed {
-		if holders[node.id] && !reported[b] {
+		if holders[node.id] && !reported[b] && !node.fresh[b] {
 			nn.unconfirmLocked(b, node.id)
 		}
 	}
+	node.fresh = nil
 	node.wantFull = false
 	node.reportGen = req.Gen
 	metrics.Default.Counter("dfs.namenode.report_full").Inc()
@@ -630,6 +644,7 @@ func (nn *NameNode) handleHeartbeatDelta(req *proto.Message) (*proto.Message, er
 	for _, b := range req.Deleted {
 		nn.unconfirmLocked(b, node.id)
 	}
+	node.fresh = nil
 	node.reportGen = req.Gen
 	metrics.Default.Counter("dfs.namenode.report_delta").Inc()
 	resp := &proto.Message{Type: proto.MsgOK, Commands: nn.pendingCmds[node.id]}
@@ -650,10 +665,15 @@ func (nn *NameNode) handleHeartbeatDelta(req *proto.Message) (*proto.Message, er
 func (nn *NameNode) handleBlockReceived(req *proto.Message) (*proto.Message, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	if _, err := nn.nodeLocked(req.Node); err != nil {
+	node, err := nn.nodeLocked(req.Node)
+	if err != nil {
 		return nil, err
 	}
 	nn.confirmLocked(req.Block, req.Node)
+	if node.fresh == nil {
+		node.fresh = make(map[proto.BlockID]bool)
+	}
+	node.fresh[req.Block] = true
 	key := inflightKey{block: req.Block, node: req.Node}
 	if issued, ok := nn.inflight[key]; ok {
 		nn.moveDurations = append(nn.moveDurations, nn.clock().Sub(issued))
@@ -697,6 +717,7 @@ func (nn *NameNode) unconfirmLocked(b proto.BlockID, n proto.NodeID) {
 		return
 	}
 	delete(holders, n)
+	delete(nn.nodes[n].fresh, b)
 	nn.nodes[n].digest ^= proto.BlockDigest(b)
 	if len(holders) == 0 && nn.tombstones[b] {
 		delete(nn.confirmed, b)
@@ -812,6 +833,7 @@ func (nn *NameNode) handleAddBlock(req *proto.Message) (*proto.Message, error) {
 	nn.nextBlock++
 	f.blocks = append(f.blocks, proto.BlockID(id))
 	f.lengths[proto.BlockID(id)] = req.Length
+	nn.writing[proto.BlockID(id)] = nn.clock()
 	nn.markDirtyLocked()
 	pipeline := nn.addrsLocked(nn.placement.Replicas(id))
 	return &proto.Message{Type: proto.MsgOK, Block: proto.BlockID(id), Pipeline: pipeline}, nil
@@ -825,6 +847,11 @@ func (nn *NameNode) handleComplete(req *proto.Message) (*proto.Message, error) {
 		return nil, fmt.Errorf("%w: %s", ErrFileNotFound, req.Path)
 	}
 	f.complete = true
+	// The writer is done: a pipeline that came up short is now
+	// reconcile's to repair.
+	for _, b := range f.blocks {
+		delete(nn.writing, b)
+	}
 	nn.markDirtyLocked()
 	return nil, nil
 }

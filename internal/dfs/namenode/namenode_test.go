@@ -177,6 +177,17 @@ func TestAddBlockAndReconcileIssuesReplication(t *testing.T) {
 	a.heartbeat(blk)
 	b.heartbeat() // b reports empty
 
+	// While the file is open this is what every healthy pipeline write
+	// looks like mid-flight (head confirmed, tail not yet): reconcile
+	// must not race it with a transfer of its own.
+	nn.ReconcileOnce()
+	if cmds := a.heartbeat(blk); len(cmds) != 0 {
+		t.Errorf("reconcile raced the in-flight pipeline write: %v", cmds)
+	}
+	if _, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgCompleteFile, Path: "/f"}, nil, time.Second); err != nil {
+		t.Fatalf("complete: %v", err)
+	}
+
 	nn.ReconcileOnce()
 	// b should be commanded to receive the block from a (a is the only
 	// confirmed holder, so a gets the replicate command).
@@ -271,6 +282,40 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
+// A full report is listed on the datanode and applied here some time
+// later; a block that lands in between is confirmed by its immediate
+// MsgBlockReceived but absent from the list. Reading that as "gone"
+// un-confirmed a replica that exists and made reconcile copy the whole
+// block to the node again. The stale report must leave it alone; only a
+// report listed after the confirmation may remove it.
+func TestStaleFullReportKeepsFreshConfirmation(t *testing.T) {
+	nn := startNN(t, 2, 2)
+	a := registerFake(t, nn, 0, "a:1")
+	registerFake(t, nn, 1, "b:1")
+	if _, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgCreateFile, Path: "/f", Replication: 2}, nil, time.Second); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	resp, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgAddBlock, Path: "/f", Length: 1}, nil, time.Second)
+	if err != nil {
+		t.Fatalf("add block: %v", err)
+	}
+	blk := resp.Block
+	holds := func() bool {
+		nn.mu.Lock()
+		defer nn.mu.Unlock()
+		return nn.confirmed[blk][a.id]
+	}
+	a.received(blk)
+	a.heartbeat() // listed before blk landed
+	if !holds() {
+		t.Fatal("a full report listed before the block landed un-confirmed it")
+	}
+	a.heartbeat() // listed after: the replica really is gone
+	if holds() {
+		t.Error("a later full report without the block left it confirmed")
+	}
+}
+
 func TestMovementStatsTracksDurations(t *testing.T) {
 	nn := startNN(t, 2, 2)
 	a := registerFake(t, nn, 0, "a:1")
@@ -286,6 +331,11 @@ func TestMovementStatsTracksDurations(t *testing.T) {
 	a.received(blk)
 	a.heartbeat(blk)
 	b.heartbeat()
+	// The writer never completes the file; once the allocation is
+	// inflightTTL old reconcile stops waiting for it.
+	nn.mu.Lock()
+	nn.writing[blk] = nn.writing[blk].Add(-inflightTTL)
+	nn.mu.Unlock()
 	nn.ReconcileOnce()
 	a.heartbeat(blk) // collects the replicate command
 	time.Sleep(20 * time.Millisecond)

@@ -231,8 +231,16 @@ func (nn *NameNode) reapTombstonesLocked() {
 // safely replicated.
 func (nn *NameNode) driveConvergenceLocked() {
 	now := nn.clock()
+	for b, allocated := range nn.writing {
+		if now.Sub(allocated) >= inflightTTL {
+			delete(nn.writing, b) // writer stalled or gone: repair what exists
+		}
+	}
 	for _, id := range nn.placement.Blocks() {
 		b := proto.BlockID(id)
+		if _, ok := nn.writing[b]; ok {
+			continue // initial pipeline write in flight
+		}
 		desired := nn.placement.Replicas(id)
 		holders := nn.confirmed[b]
 		desiredSet := make(map[proto.NodeID]bool, len(desired))

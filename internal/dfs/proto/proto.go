@@ -9,11 +9,12 @@
 //	+----------------+----------------+----------------+-----------+
 //
 // Both lengths are big-endian. The header is a Message; the payload
-// carries block bytes for Write/Read block operations and is empty
-// otherwise. Every connection carries one request frame and one response
-// frame (HTTP/1.0-style); this keeps connection state trivial at the
-// cost of a dial per request, which is irrelevant on the loopback
-// testbed the paper's Section VI.B experiment needs.
+// carries block bytes on MsgChunk frames and is empty otherwise. A
+// control connection carries one request frame and one response frame
+// (HTTP/1.0-style); this keeps connection state trivial at the cost of
+// a dial per request, which is irrelevant on the loopback testbed the
+// paper's Section VI.B experiment needs. Block bytes only ever move on
+// a chunked stream (see Stream and DESIGN.md §15).
 package proto
 
 import (
@@ -66,16 +67,15 @@ const (
 	MsgBlockReceived  MsgType = "block_received"
 	MsgBlockDeleted   MsgType = "block_deleted"
 
-	// Client/DataNode -> DataNode, whole-block data plane: one request
-	// frame carrying the full block payload, one response frame.
+	// Retired whole-block write RPC: never sent or handled, declared only
+	// because the frozen bench/wrap.go still names it in a span switch.
 	MsgWriteBlock MsgType = "write_block"
-	MsgReadBlock  MsgType = "read_block"
 
 	// Client/DataNode -> DataNode, chunked streaming data plane. The
 	// opening frame switches the connection into a multi-frame exchange
 	// (see Stream and DESIGN.md §15): a write stream carries MsgChunk
 	// frames downstream and one MsgStreamAck (or MsgError) back; a read
-	// stream answers with one header frame and then MsgChunk frames.
+	// stream answers with MsgChunk frames.
 	MsgWriteBlockStream MsgType = "write_block_stream"
 	MsgReadBlockStream  MsgType = "read_block_stream"
 	MsgChunk            MsgType = "chunk"
@@ -179,8 +179,8 @@ type Message struct {
 	Replication int `json:"replication,omitempty"`
 	MinRacks    int `json:"minRacks,omitempty"`
 
-	// AddBlock / WriteBlock: the replication pipeline (data addresses to
-	// forward to, in order).
+	// AddBlock / WriteBlockStream: the replication pipeline (data
+	// addresses to forward to, in order).
 	Pipeline []string `json:"pipeline,omitempty"`
 
 	// GetLocations response.
@@ -205,16 +205,14 @@ type Message struct {
 	// Fsck response.
 	Health *HealthReport `json:"health,omitempty"`
 
-	// WriteBlock bookkeeping.
+	// Block length in bytes: announced by a write stream's opening frame
+	// and carried on every chunk of a read stream.
 	Length int `json:"length,omitempty"`
-	// Checksum is the CRC32C of the (uncompressed) block payload; zero
-	// means "not supplied". Writers stamp it, every pipeline stage and
-	// every reader verifies it. On a MsgChunk frame it covers that
-	// chunk's payload only; the whole-block checksum travels in the
-	// stream-opening frame (writes) or the header frame (reads).
+	// Checksum is the CRC32C of the block payload; zero means "not
+	// supplied". Writers stamp it and every pipeline stage verifies it.
+	// On a MsgChunk frame it covers that chunk's payload only; the
+	// whole-block checksum travels in a write stream's opening frame.
 	Checksum uint32 `json:"checksum,omitempty"`
-	// Encoding names the payload compression ("" or EncodingGzip).
-	Encoding string `json:"encoding,omitempty"`
 
 	// Chunked streaming (MsgWriteBlockStream/MsgReadBlockStream opening
 	// frames and MsgChunk data frames). Seq numbers chunks from 0 within
@@ -334,17 +332,18 @@ func readFrame(r io.Reader) (*Message, []byte, int, error) {
 	return &msg, payload, len(lens) + len(header) + len(payload), nil
 }
 
-// eagerReadBytes is the largest announced length readExact allocates up
-// front. Typical frames (headers, stream chunks) fit in one exact-size
-// allocation; anything larger grows only as bytes actually arrive.
-const eagerReadBytes = 1 << 20
+// EagerReadBytes is the largest peer-announced length a receiver
+// allocates up front. Typical frames (headers, stream chunks) and
+// default-size blocks fit in one exact-size allocation; anything larger
+// grows only as bytes actually arrive.
+const EagerReadBytes = 1 << 20
 
 // readExact reads exactly n announced bytes. The length prefix is
 // peer-controlled, so it must not size an allocation on its own: a
 // malicious 256 MiB announcement on a connection that then stalls would
 // otherwise pin max-frame memory per connection.
 func readExact(r io.Reader, n uint32) ([]byte, error) {
-	if n <= eagerReadBytes {
+	if n <= EagerReadBytes {
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, err
@@ -352,7 +351,7 @@ func readExact(r io.Reader, n uint32) ([]byte, error) {
 		return buf, nil
 	}
 	var b bytes.Buffer
-	b.Grow(eagerReadBytes)
+	b.Grow(EagerReadBytes)
 	if _, err := io.CopyN(&b, r, int64(n)); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF

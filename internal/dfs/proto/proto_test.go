@@ -13,7 +13,7 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	msg := &Message{
-		Type:     MsgWriteBlock,
+		Type:     MsgWriteBlockStream,
 		Block:    42,
 		Pipeline: []string{"a:1", "b:2"},
 		Length:   3,
@@ -84,7 +84,7 @@ func TestFrameTruncated(t *testing.T) {
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(block int64, path string, payload []byte) bool {
 		var buf bytes.Buffer
-		in := &Message{Type: MsgReadBlock, Block: BlockID(block), Path: path}
+		in := &Message{Type: MsgStatFile, Block: BlockID(block), Path: path}
 		if err := WriteFrame(&buf, in, payload); err != nil {
 			return false
 		}
@@ -124,14 +124,14 @@ func TestCallAndServe(t *testing.T) {
 		t.Fatalf("Listen: %v", err)
 	}
 	srv := Serve(ln, func(req *Message, payload []byte) (*Message, []byte) {
-		if req.Type != MsgReadBlock {
+		if req.Type != MsgStatFile {
 			return ErrorMessage(errors.New("unexpected type")), nil
 		}
 		return &Message{Type: MsgOK, Block: req.Block}, append([]byte("echo:"), payload...)
 	}, time.Second)
 	defer srv.Close()
 
-	resp, payload, err := Call(srv.Addr(), &Message{Type: MsgReadBlock, Block: 7}, []byte("hi"), time.Second)
+	resp, payload, err := Call(srv.Addr(), &Message{Type: MsgStatFile, Block: 7}, []byte("hi"), time.Second)
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}

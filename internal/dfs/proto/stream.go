@@ -44,8 +44,8 @@ type BlockStream interface {
 
 // OpenStreamFunc is the signature of OpenStream. Components take an
 // OpenStreamFunc so the fault-injection harness can interpose on
-// streaming data-path traffic the same way CallFunc interposes on
-// one-shot RPCs; the zero value of any config falls back to OpenStream.
+// data-path traffic the same way CallFunc interposes on control RPCs;
+// the zero value of any config falls back to OpenStream.
 type OpenStreamFunc func(addr string, open *Message, timeout time.Duration) (BlockStream, error)
 
 // Stream is the concrete BlockStream over a net.Conn.
@@ -126,4 +126,54 @@ func OpenStream(addr string, open *Message, timeout time.Duration) (BlockStream,
 		return nil, err
 	}
 	return st, nil
+}
+
+// SendBlock writes one block to addr over a chunked stream: the opening
+// MsgWriteBlockStream frame names the pipeline the receiver forwards to
+// (empty for a single hop), data follows as chunkSize-byte MsgChunk
+// frames (chunkSize <= 0 means DefaultChunkSize), and the call returns
+// once the MsgStreamAck for the whole block has come back. It is the one
+// sender of block bytes: client writes and datanode replication
+// transfers both go through it (DESIGN.md §15.2).
+func SendBlock(open OpenStreamFunc, addr string, block BlockID, pipeline []string, data []byte, chunkSize int, timeout time.Duration) error {
+	if chunkSize <= 0 {
+		chunkSize = DefaultChunkSize
+	}
+	st, err := open(addr, &Message{
+		Type:      MsgWriteBlockStream,
+		Block:     block,
+		Pipeline:  pipeline,
+		Length:    len(data),
+		Checksum:  ChunkChecksum(data),
+		ChunkSize: chunkSize,
+	}, timeout)
+	if err != nil {
+		return err
+	}
+	defer st.Close()
+	for seq, off := 0, 0; ; seq++ {
+		end := min(off+chunkSize, len(data))
+		part := data[off:end]
+		msg := &Message{
+			Type: MsgChunk, Block: block,
+			Seq: seq, Offset: off, Eof: end == len(data),
+			Checksum: ChunkChecksum(part),
+		}
+		if err := st.Send(msg, part); err != nil {
+			return err
+		}
+		if msg.Eof {
+			break
+		}
+		off = end
+	}
+	ack, _, err := st.Recv()
+	if err != nil {
+		return err
+	}
+	if ack.Type != MsgStreamAck || ack.Offset != len(data) {
+		return fmt.Errorf("proto: block %d stream ack %q at offset %d, want %q at %d",
+			block, ack.Type, ack.Offset, MsgStreamAck, len(data))
+	}
+	return nil
 }

@@ -77,13 +77,10 @@ type Setup struct {
 	Predictor string
 }
 
-// auroraPolicy builds the sweep's Aurora policy: the classic single-map
-// optimizer, or the sharded one when the setup asks for partitioning.
+// auroraPolicy builds the sweep's Aurora policy, sharded when the setup
+// asks for partitioning.
 func (s Setup) auroraPolicy(opts core.OptimizerOptions) sim.Policy {
-	if s.Shards > 1 {
-		return &sim.ShardedAuroraPolicy{Shards: s.Shards, Opts: opts}
-	}
-	return &sim.AuroraPolicy{Opts: opts}
+	return &sim.AuroraPolicy{Shards: s.Shards, Opts: opts}
 }
 
 // DefaultSetup returns a laptop-scale rendition of the paper's setup

@@ -61,9 +61,9 @@ type TestbedSetup struct {
 	// 2 keep the classic single-map namenode). Aurora's reconfiguration
 	// then runs one optimizer period per shard concurrently.
 	Shards int
-	// ChunkSize is the streamed data-path frame payload handed to the
-	// client (DESIGN.md §15). Zero keeps the client library default;
-	// negative values disable streaming and restore one-shot block RPCs.
+	// ChunkSize is the data-path frame payload in bytes handed to the
+	// client (DESIGN.md §15). Zero or negative keeps the client library
+	// default.
 	ChunkSize int
 	// ReadAhead is how many blocks the client prefetches beyond the one
 	// currently draining. Zero keeps the client library default.
@@ -245,11 +245,9 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 	// Under fault injection every process routes its RPCs through the
 	// injector; without it they use the plain transport.
 	var inj *faultinject.Injector
-	call := proto.Call
 	taskRetry := retrypolicy.Policy{MaxAttempts: 2} // one location-refresh retry, as before
 	if s.FaultSchedule != nil {
 		inj = faultinject.New(s.FaultSchedule)
-		call = inj.CallFrom(faultinject.External)
 		taskRetry = retrypolicy.Policy{
 			MaxAttempts: 40,
 			BaseDelay:   25 * time.Millisecond,
@@ -304,20 +302,13 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 	}
 
 	// Load the dataset.
-	clientOpts := []client.Option{client.WithBlockSize(s.BlockBytes), client.WithSeed(s.Seed)}
-	if s.ChunkSize != 0 {
-		clientOpts = append(clientOpts, client.WithChunkSize(s.ChunkSize))
-	}
+	clientOpts := []client.Option{client.WithBlockSize(s.BlockBytes), client.WithSeed(s.Seed), client.WithChunkSize(s.ChunkSize)}
 	if s.ReadAhead != 0 {
 		clientOpts = append(clientOpts, client.WithReadAhead(s.ReadAhead))
 	}
 	if inj != nil {
-		// WithCall alone would gate the client back to one-shot block
-		// RPCs (a stubbed transport cannot carry streams); routing the
-		// stream opener through the injector keeps the chunked data path
-		// live under fault injection, matching the chaos gate.
-		clientOpts = append(clientOpts, client.WithCall(call), client.WithRetry(taskRetry),
-			client.WithOpenStream(inj.StreamFrom(faultinject.External)))
+		clientOpts = append(clientOpts, client.WithCall(inj.CallFrom(faultinject.External)),
+			client.WithRetry(taskRetry), client.WithOpenStream(inj.StreamFrom(faultinject.External)))
 	}
 	c := client.New(nn.Addr(), clientOpts...)
 	rng := rand.New(rand.NewPCG(s.Seed, 0xf19))
@@ -375,7 +366,7 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 		return nn.WaitConverged(30 * time.Second)
 	}
 
-	if err := replayWorkload(s, tr, paths, c, nn, &row, reconfigure, call, taskRetry); err != nil {
+	if err := replayWorkload(s, tr, paths, c, nn, &row, reconfigure, taskRetry); err != nil {
 		return row, err
 	}
 	durations, replicates, deletes := nn.MovementStats()
@@ -430,7 +421,7 @@ func (h *tbHeap) Pop() any {
 // concurrency per node. Remote tasks take twice as long, per the paper.
 func replayWorkload(s TestbedSetup, tr *trace.Trace, paths map[trace.FileID]string,
 	c *client.Client, nn *namenode.NameNode, row *TestbedRow, reconfigure func() error,
-	call proto.CallFunc, taskRetry retrypolicy.Policy) error {
+	taskRetry retrypolicy.Policy) error {
 
 	info, err := c.ClusterInfo()
 	if err != nil {
@@ -494,7 +485,7 @@ func replayWorkload(s TestbedSetup, tr *trace.Trace, paths map[trace.FileID]stri
 		if !local && len(tk.loc.Addresses) > 0 {
 			readFrom = tk.loc.Addresses[0]
 		}
-		_, data, err := call(readFrom, &proto.Message{Type: proto.MsgReadBlock, Block: tk.loc.Block}, nil, proto.DefaultTimeout)
+		data, err := c.ReadBlockFrom(proto.BlockLocation{Block: tk.loc.Block, Addresses: []string{readFrom}})
 		if err != nil {
 			readErr := err
 			err = taskRetry.Do(func() error {
@@ -503,15 +494,9 @@ func replayWorkload(s TestbedSetup, tr *trace.Trace, paths map[trace.FileID]stri
 					return lerr
 				}
 				for _, l := range locs {
-					if l.Block != tk.loc.Block {
-						continue
-					}
-					for _, a := range l.Addresses {
-						var e error
-						if _, data, e = call(a, &proto.Message{Type: proto.MsgReadBlock, Block: tk.loc.Block}, nil, proto.DefaultTimeout); e == nil {
-							return nil
-						}
-						readErr = e
+					if l.Block == tk.loc.Block {
+						data, lerr = c.ReadBlockFrom(l)
+						return lerr
 					}
 				}
 				return readErr

@@ -165,8 +165,8 @@ func TestInjectorDropHeartbeatsOnlyBlocksHeartbeats(t *testing.T) {
 	if _, _, err := call(addr, &proto.Message{Type: proto.MsgHeartbeat}, nil, time.Second); !errors.As(err, &injErr) || injErr.Kind != DropHeartbeats {
 		t.Fatalf("heartbeat during drop window: err = %v, want drop-heartbeats InjectedError", err)
 	}
-	if _, _, err := call(addr, &proto.Message{Type: proto.MsgReadBlock}, nil, time.Second); err != nil {
-		t.Fatalf("data call during drop window should pass: %v", err)
+	if _, _, err := call(addr, &proto.Message{Type: proto.MsgBlockReceived}, nil, time.Second); err != nil {
+		t.Fatalf("non-heartbeat call during drop window should pass: %v", err)
 	}
 }
 
@@ -183,7 +183,7 @@ func TestInjectorSlowDelaysCalls(t *testing.T) {
 	<-inj.Done()
 
 	start := time.Now()
-	if _, _, err := inj.CallFrom(External)(addr, &proto.Message{Type: proto.MsgReadBlock}, nil, time.Second); err != nil {
+	if _, _, err := inj.CallFrom(External)(addr, &proto.Message{Type: proto.MsgBlockReceived}, nil, time.Second); err != nil {
 		t.Fatalf("slow call failed: %v", err)
 	}
 	if took := time.Since(start); took < 50*time.Millisecond {

@@ -69,15 +69,35 @@ func (h *HDFSPolicy) Reconfigure(*core.Placement) (Reconfig, error) {
 }
 
 // AuroraPolicy runs the paper's system: Algorithm 4 initial placement and
-// Algorithm 5 periodic optimization.
+// Algorithm 5 periodic optimization. With Shards >= 2 it optimizes the
+// way the namenode's partitioned block map does: each epoch it shards
+// the current layout by block hash, runs one Algorithm 5 period per shard
+// concurrently plus the cross-shard budget rebalance, and replays the
+// resulting layout delta onto the simulator's shared placement. The
+// budget-share state carries across epochs, so the rebalance pass steers
+// budget exactly as the live namenode's does. Initial placement is
+// global either way.
 type AuroraPolicy struct {
-	// Opts configure Algorithm 5. OnOp/OnReplicate/OnEvict observers are
-	// overwritten by the policy for accounting.
+	// Shards is the hash-partition count; values below 2 run one
+	// core.Optimize period over the whole placement.
+	Shards int
+	// Workers bounds the per-shard optimizer concurrency (0 = one per
+	// CPU).
+	Workers int
+	// Opts configure each Algorithm 5 period. OnOp/OnReplicate/OnEvict
+	// observers are overwritten by the policy for accounting.
 	Opts core.OptimizerOptions
+
+	shares []int // cross-shard budget apportionment carried across epochs
 }
 
 // Name implements Policy.
-func (a *AuroraPolicy) Name() string { return "aurora" }
+func (a *AuroraPolicy) Name() string {
+	if a.Shards < 2 {
+		return "aurora"
+	}
+	return fmt.Sprintf("aurora-%dshard", a.Shards)
+}
 
 // PlaceInitial implements Policy.
 func (a *AuroraPolicy) PlaceInitial(p *core.Placement, id core.BlockID, writer topology.MachineID) error {
@@ -95,48 +115,13 @@ func (a *AuroraPolicy) Reconfigure(p *core.Placement) (Reconfig, error) {
 	opts.OnOp = func(o core.Op) { rc.Migrations += o.BlockMovements() }
 	opts.OnReplicate = func(core.BlockID, topology.MachineID, topology.MachineID) { rc.Replications++ }
 	opts.OnEvict = func(core.BlockID, topology.MachineID) { rc.Evictions++ }
-	if _, err := core.Optimize(p, opts); err != nil {
-		return rc, fmt.Errorf("sim: aurora reconfigure: %w", err)
+	if a.Shards < 2 {
+		if _, err := core.Optimize(p, opts); err != nil {
+			return rc, fmt.Errorf("sim: aurora reconfigure: %w", err)
+		}
+		return rc, nil
 	}
-	return rc, nil
-}
 
-// ShardedAuroraPolicy runs Aurora with the namenode's partitioned block
-// map: each epoch it shards the current layout by block hash, runs one
-// Algorithm 5 period per shard concurrently plus the cross-shard budget
-// rebalance, and replays the resulting layout delta onto the simulator's
-// shared placement. The budget-share state carries across epochs, so the
-// rebalance pass steers budget exactly as the live namenode's does.
-type ShardedAuroraPolicy struct {
-	// Shards is the hash-partition count (values below 2 behave like
-	// AuroraPolicy, modulo observer ordering).
-	Shards int
-	// Workers bounds the per-shard optimizer concurrency (0 = one per
-	// CPU).
-	Workers int
-	// Opts configure each shard's Algorithm 5 period. Observers are
-	// overwritten by the policy for accounting.
-	Opts core.OptimizerOptions
-
-	shares []int // cross-shard budget apportionment carried across epochs
-}
-
-// Name implements Policy.
-func (a *ShardedAuroraPolicy) Name() string { return fmt.Sprintf("aurora-%dshard", a.Shards) }
-
-// PlaceInitial implements Policy. Initial placement is global — sharding
-// only partitions the periodic optimization, exactly as in the namenode.
-func (a *ShardedAuroraPolicy) PlaceInitial(p *core.Placement, id core.BlockID, writer topology.MachineID) error {
-	spec, err := p.Spec(id)
-	if err != nil {
-		return err
-	}
-	return core.InitialPlace(p, id, spec.MinReplicas, writer)
-}
-
-// Reconfigure implements Policy.
-func (a *ShardedAuroraPolicy) Reconfigure(p *core.Placement) (Reconfig, error) {
-	var rc Reconfig
 	ids := p.Blocks()
 	specs := make([]core.BlockSpec, 0, len(ids))
 	for _, id := range ids {
@@ -159,11 +144,7 @@ func (a *ShardedAuroraPolicy) Reconfigure(p *core.Placement) (Reconfig, error) {
 	}
 	sp.SetShares(a.shares)
 
-	opts := core.ShardedOptimizerOptions{Workers: a.Workers, Opts: a.Opts}
-	opts.Opts.OnOp = func(o core.Op) { rc.Migrations += o.BlockMovements() }
-	opts.Opts.OnReplicate = func(core.BlockID, topology.MachineID, topology.MachineID) { rc.Replications++ }
-	opts.Opts.OnEvict = func(core.BlockID, topology.MachineID) { rc.Evictions++ }
-	res, err := core.OptimizeSharded(sp, opts)
+	res, err := core.OptimizeSharded(sp, core.ShardedOptimizerOptions{Workers: a.Workers, Opts: opts})
 	if err != nil {
 		return rc, fmt.Errorf("sim: sharded aurora reconfigure: %w", err)
 	}
@@ -249,6 +230,5 @@ func (s *ScarlettPolicy) Reconfigure(p *core.Placement) (Reconfig, error) {
 var (
 	_ Policy = (*HDFSPolicy)(nil)
 	_ Policy = (*AuroraPolicy)(nil)
-	_ Policy = (*ShardedAuroraPolicy)(nil)
 	_ Policy = (*ScarlettPolicy)(nil)
 )
