@@ -252,7 +252,8 @@ func (c *Client) writeBlock(path string, chunk []byte) error {
 // re-homed replicas since they were fetched — Read refetches the
 // block's locations and tries again under the retry policy, so reads
 // issued during a fault window eventually succeed once the namenode
-// re-replicates.
+// re-replicates. The file is assembled in place: one buffer sized from
+// the namenode's block lengths, each block streamed into its own slot.
 func (c *Client) Read(path string) ([]byte, error) {
 	locs, err := c.Locations(path)
 	if err != nil {
@@ -265,34 +266,32 @@ func (c *Client) Read(path string) ([]byte, error) {
 	for i := range locs {
 		orders[i] = c.rng.perm(len(locs[i].Addresses))
 	}
-	blocks := make([][]byte, len(locs))
+	out, slots, err := fileBuffer(locs)
+	if err != nil {
+		return nil, fmt.Errorf("client: read %s: %w", path, err)
+	}
 	errs := make([]error, len(locs))
 	par.ForEach(len(locs), c.readAhead+1, func(i int) {
-		blocks[i], errs[i] = c.readBlockFresh(path, i, locs[i], orders[i])
+		errs[i] = c.readBlockFresh(path, i, locs[i], orders[i], slots[i])
 	})
-	var out []byte
 	for i := range locs {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("client: read %s block %d: %w", path, locs[i].Block, errs[i])
 		}
-		out = append(out, blocks[i]...)
 	}
 	return out, nil
 }
 
-// readBlockFresh reads block idx of the file, refetching its locations
-// between attempts when every known replica fails. order is the
-// pre-drawn replica permutation for the first attempt; retries (whose
-// location set may have changed) draw a fresh one.
-func (c *Client) readBlockFresh(path string, idx int, loc proto.BlockLocation, order []int) ([]byte, error) {
-	var data []byte
-	err := c.retryPolicy().Do(func() error {
-		var readErr error
-		if order != nil && len(order) == len(loc.Addresses) {
-			data, readErr = c.readBlockOrdered(loc, order)
-		} else {
-			data, readErr = c.readBlock(loc)
+// readBlockFresh reads block idx of the file into slot, refetching its
+// locations between attempts when every known replica fails. order is
+// the pre-drawn replica permutation for the first attempt; retries
+// (whose location set may have changed) draw a fresh one.
+func (c *Client) readBlockFresh(path string, idx int, loc proto.BlockLocation, order []int, slot []byte) error {
+	return c.retryPolicy().Do(func() error {
+		if len(order) != len(loc.Addresses) {
+			order = c.rng.perm(len(loc.Addresses))
 		}
+		_, readErr := c.readBlockOrdered(loc, order, slot)
 		order = nil
 		if readErr == nil {
 			return nil
@@ -303,7 +302,6 @@ func (c *Client) readBlockFresh(path string, idx int, loc proto.BlockLocation, o
 		}
 		return readErr
 	})
-	return data, err
 }
 
 // Locations asks the namenode where each block of the file lives. Every
@@ -317,10 +315,6 @@ func (c *Client) Locations(path string) ([]proto.BlockLocation, error) {
 	return resp.Locations, nil
 }
 
-func (c *Client) readBlock(loc proto.BlockLocation) ([]byte, error) {
-	return c.readBlockOrdered(loc, c.rng.perm(len(loc.Addresses)))
-}
-
 // ReadBlockFrom streams one block from the replicas listed in loc,
 // trying them in the order given — for callers that have already chosen
 // where to read (a task scheduled next to a replica) and so bypass the
@@ -330,7 +324,7 @@ func (c *Client) ReadBlockFrom(loc proto.BlockLocation) ([]byte, error) {
 	for i := range order {
 		order[i] = i
 	}
-	return c.readBlockOrdered(loc, order)
+	return c.readBlockOrdered(loc, order, nil)
 }
 
 // SetReplication changes the file's replication factor at run time — the

@@ -150,27 +150,28 @@ func (r *Router) Read(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []byte
+	out, slots, err := fileBuffer(locs)
+	if err != nil {
+		return nil, fmt.Errorf("client: read %s: %w", path, err)
+	}
 	for i := range locs {
-		data, err := r.c.readBlock(locs[i])
-		if err != nil {
-			if s, serr := r.ShardOf(locs[i].Block); serr == nil {
-				r.InvalidateShard(s)
-			}
-			fresh, ferr := r.fetch(path)
-			if ferr != nil {
-				return nil, fmt.Errorf("client: refetch %s after stale read: %w", path, ferr)
-			}
-			if i >= len(fresh) {
-				return nil, fmt.Errorf("client: read %s block %d: file shrank under the cache", path, i)
-			}
-			locs = fresh
-			data, err = r.c.readBlockFresh(path, i, locs[i], nil)
-			if err != nil {
-				return nil, fmt.Errorf("client: read %s block %d: %w", path, locs[i].Block, err)
-			}
+		if _, err := r.c.readBlockOrdered(locs[i], r.c.rng.perm(len(locs[i].Addresses)), slots[i]); err == nil {
+			continue
 		}
-		out = append(out, data...)
+		if s, serr := r.ShardOf(locs[i].Block); serr == nil {
+			r.InvalidateShard(s)
+		}
+		fresh, ferr := r.fetch(path)
+		if ferr != nil {
+			return nil, fmt.Errorf("client: refetch %s after stale read: %w", path, ferr)
+		}
+		if i >= len(fresh) {
+			return nil, fmt.Errorf("client: read %s block %d: file shrank under the cache", path, i)
+		}
+		locs = fresh
+		if err := r.c.readBlockFresh(path, i, locs[i], nil, slots[i]); err != nil {
+			return nil, fmt.Errorf("client: read %s block %d: %w", path, locs[i].Block, err)
+		}
 	}
 	return out, nil
 }

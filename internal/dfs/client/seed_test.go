@@ -9,7 +9,7 @@ import (
 	"aurora/internal/dfs/proto"
 )
 
-// failoverOrder drives one readBlock through a stream transport where
+// failoverOrder drives one block read through a stream transport where
 // every replica is down, capturing the order the client tried them in.
 func failoverOrder(t *testing.T, opts ...Option) []string {
 	t.Helper()
@@ -20,8 +20,8 @@ func failoverOrder(t *testing.T, opts ...Option) []string {
 	}
 	c := New("unused:0", append([]Option{WithOpenStream(fake)}, opts...)...)
 	loc := proto.BlockLocation{Block: 1, Addresses: []string{"dn0", "dn1", "dn2", "dn3", "dn4", "dn5"}}
-	if _, err := c.readBlock(loc); err == nil {
-		t.Fatal("expected readBlock to fail with every replica down")
+	if _, err := c.readBlockOrdered(loc, c.rng.perm(len(loc.Addresses)), nil); err == nil {
+		t.Fatal("expected the read to fail with every replica down")
 	}
 	return tried
 }

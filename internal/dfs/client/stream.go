@@ -7,20 +7,59 @@ import (
 	"aurora/internal/metrics"
 )
 
+// fileBuffer allocates a whole file once, sized from the namenode's
+// per-block lengths, and returns it with one slot per block: the empty,
+// capacity-capped window out[off:off:off+Length] that readBlockOrdered
+// appends the block's verified chunks into. Every byte is thus copied
+// once, from the stream's receive buffer straight to its final place.
+// A length outside [0, proto.MaxPayloadBytes] fails before anything is
+// allocated.
+func fileBuffer(locs []proto.BlockLocation) (out []byte, slots [][]byte, err error) {
+	total := 0
+	for _, loc := range locs {
+		if loc.Length < 0 || loc.Length > proto.MaxPayloadBytes {
+			return nil, nil, fmt.Errorf("client: block %d length %d outside [0, %d]", loc.Block, loc.Length, proto.MaxPayloadBytes)
+		}
+		total += loc.Length
+	}
+	out = make([]byte, total)
+	slots = make([][]byte, len(locs))
+	off := 0
+	for i, loc := range locs {
+		slots[i] = out[off : off : off+loc.Length]
+		off += loc.Length
+	}
+	return out, slots, nil
+}
+
 // readBlockOrdered drains one block over chunked read streams, trying
 // its replicas in the given permutation and failing over between them
 // at chunk granularity: bytes already verified stay in the buffer and
 // the next replica is opened at the first missing offset, so a replica
 // lost mid-stream costs only the tail.
-func (c *Client) readBlockOrdered(loc proto.BlockLocation, order []int) ([]byte, error) {
+//
+// A non-nil slot (from fileBuffer) is where the block lands, and pins
+// its length: a replica that runs past loc.Length or ends short of it
+// fails like any other bad replica. With a nil slot the block is
+// whatever verified bytes arrive, in a buffer of its own.
+func (c *Client) readBlockOrdered(loc proto.BlockLocation, order []int, slot []byte) ([]byte, error) {
 	if len(loc.Addresses) == 0 {
 		return nil, ErrNoReplica
 	}
-	var buf []byte
+	want := -1
+	if slot != nil {
+		if loc.Length != cap(slot) {
+			// Only a refetch can get here: the file was replaced while
+			// it was being read.
+			return nil, fmt.Errorf("client: block %d is now %d bytes, was %d when the read began", loc.Block, loc.Length, cap(slot))
+		}
+		want = loc.Length
+	}
+	buf := slot[:0]
 	var lastErr error
 	for _, i := range order {
 		addr := loc.Addresses[i]
-		err := c.streamTail(addr, loc.Block, &buf)
+		err := c.streamTail(addr, loc.Block, &buf, want)
 		if err == nil {
 			return buf, nil
 		}
@@ -33,8 +72,10 @@ func (c *Client) readBlockOrdered(loc proto.BlockLocation, order []int) ([]byte,
 // streamTail fetches the missing tail of a block (everything past
 // len(*buf)) from one replica, appending only chunks whose checksums
 // verify. On error the buffer keeps every verified byte so the caller
-// can resume on another replica.
-func (c *Client) streamTail(addr string, block proto.BlockID, buf *[]byte) error {
+// can resume on another replica. want is the block's length according
+// to the namenode, or negative when the caller has none to hold the
+// replica to.
+func (c *Client) streamTail(addr string, block proto.BlockID, buf *[]byte, want int) error {
 	open := &proto.Message{
 		Type: proto.MsgReadBlockStream, Block: block,
 		ChunkSize: c.chunkSize, Offset: len(*buf),
@@ -58,12 +99,17 @@ func (c *Client) streamTail(addr string, block proto.BlockID, buf *[]byte) error
 		if msg.Offset != len(*buf) {
 			return fmt.Errorf("client: block %d chunk at offset %d from %s, want %d", block, msg.Offset, addr, len(*buf))
 		}
+		if end := len(*buf) + len(chunk); want >= 0 && (end > want || (msg.Eof && end != want)) {
+			return fmt.Errorf("client: block %d from %s reaches byte %d (eof=%t), the namenode says %d", block, addr, end, msg.Eof, want)
+		}
 		if *buf == nil && msg.Length > 0 {
 			// Length is peer-controlled: it sizes only the first
 			// allocation, capped as proto caps frame reads; a longer
 			// block grows as verified bytes arrive.
 			*buf = make([]byte, 0, min(msg.Length, proto.EagerReadBytes))
 		}
+		// The chunk aliases the stream's receive buffer (valid until the
+		// next Recv); this append is the one copy it gets.
 		*buf = append(*buf, chunk...)
 		if msg.Eof {
 			return nil

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"aurora/internal/dfs/proto"
+	"aurora/internal/metrics"
+	"aurora/internal/retrypolicy"
 )
 
 // startStreamFake runs a proto server whose stream side is scripted and
@@ -134,7 +137,7 @@ func TestStreamedReadResumesOnFailover(t *testing.T) {
 	})
 	c := New("unused:0", WithSeed(1), WithChunkSize(chunk))
 	loc := proto.BlockLocation{Block: 9, Length: len(data), Addresses: []string{flaky, good}}
-	got, err := c.readBlockOrdered(loc, []int{0, 1})
+	got, err := c.readBlockOrdered(loc, []int{0, 1}, nil)
 	if err != nil {
 		t.Fatalf("readBlockOrdered: %v", err)
 	}
@@ -162,7 +165,7 @@ func TestStreamedReadChecksumFailsOver(t *testing.T) {
 	good := startStreamFake(t, serveChunks(data, 0))
 	c := New("unused:0", WithSeed(1), WithChunkSize(128))
 	loc := proto.BlockLocation{Block: 4, Length: len(data), Addresses: []string{corrupt, good}}
-	got, err := c.readBlockOrdered(loc, []int{0, 1})
+	got, err := c.readBlockOrdered(loc, []int{0, 1}, nil)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after corrupt replica: %v (%d bytes)", err, len(got))
 	}
@@ -187,5 +190,122 @@ func TestStreamedReadIgnoresAbsurdAnnouncedLength(t *testing.T) {
 	}
 	if cap(got) > proto.EagerReadBytes {
 		t.Errorf("buffer capacity %d follows the announced length, want <= %d", cap(got), proto.EagerReadBytes)
+	}
+}
+
+// locationsOf is a namenode stand-in that answers every call with one
+// file's block locations.
+func locationsOf(t *testing.T, locs ...proto.BlockLocation) string {
+	t.Helper()
+	return startFake(t, func(*proto.Message, []byte) (*proto.Message, []byte) {
+		return &proto.Message{Type: proto.MsgOK, Locations: locs}, nil
+	}).srv.Addr()
+}
+
+// A replica that disagrees with the namenode about a block's length —
+// it ends early, or keeps going — is a bad replica: the read fails over
+// from the last verified byte instead of returning a file whose length
+// differs from Stat's.
+func TestReadHoldsReplicasToNamenodeLength(t *testing.T) {
+	const chunk = 128
+	data := bytes.Repeat([]byte("agreed length "), 40) // 560 bytes, > 4 chunks
+	for _, tc := range []struct {
+		name     string
+		served   []byte // what the bad replica holds
+		resumeAt int    // first byte the good replica is asked for
+	}{
+		{"short", data[:3*chunk+10], 3 * chunk},
+		{"long", append(bytes.Clone(data), "and then some"...), 4 * chunk},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := startStreamFake(t, serveChunks(tc.served, 0))
+			var mu sync.Mutex
+			resumedAt := -1
+			good := startStreamFake(t, func(open *proto.Message, p []byte, st proto.BlockStream) {
+				mu.Lock()
+				resumedAt = open.Offset
+				mu.Unlock()
+				serveChunks(data, 0)(open, p, st)
+			})
+			c := New("unused:0", WithSeed(1), WithChunkSize(chunk))
+			loc := proto.BlockLocation{Block: 9, Length: len(data), Addresses: []string{bad, good}}
+			_, slots, err := fileBuffer([]proto.BlockLocation{loc})
+			if err != nil {
+				t.Fatalf("fileBuffer: %v", err)
+			}
+			failovers := metrics.Default.Counter("dfs.client.read_failover").Value()
+			got, err := c.readBlockOrdered(loc, []int{0, 1}, slots[0])
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("read after a %s replica = %d bytes, %v; want the %d agreed bytes", tc.name, len(got), err, len(data))
+			}
+			if n := metrics.Default.Counter("dfs.client.read_failover").Value() - failovers; n != 1 {
+				t.Errorf("%d failovers, want 1", n)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if resumedAt != tc.resumeAt {
+				t.Errorf("good replica opened at offset %d, want %d (the last verified byte)", resumedAt, tc.resumeAt)
+			}
+		})
+	}
+
+	// With no replica that agrees, the read fails; it never hands back
+	// short data.
+	short := startStreamFake(t, serveChunks(data[:200], 0))
+	nn := locationsOf(t, proto.BlockLocation{Block: 9, Length: len(data), Addresses: []string{short, short}})
+	c := New(nn, WithSeed(1), WithChunkSize(chunk), WithRetry(retrypolicy.Policy{}))
+	if got, err := c.Read("/f"); !errors.Is(err, ErrNoReplica) || got != nil {
+		t.Fatalf("Read with only short replicas = %d bytes, %v; want ErrNoReplica and no data", len(got), err)
+	}
+}
+
+// The namenode's per-block lengths size the file buffer, so a length no
+// block can have fails the read before anything is allocated or fetched.
+func TestReadRejectsImpossibleBlockLength(t *testing.T) {
+	for _, length := range []int{-1, proto.MaxPayloadBytes + 1} {
+		opened := false
+		c := New(locationsOf(t, proto.BlockLocation{Block: 1, Length: length, Addresses: []string{"dn:1"}}),
+			WithSeed(1), WithOpenStream(func(string, *proto.Message, time.Duration) (proto.BlockStream, error) {
+				opened = true
+				return nil, errors.New("unreachable")
+			}))
+		if _, err := c.Read("/f"); err == nil || opened {
+			t.Errorf("Read with block length %d: err = %v, stream opened = %t; want an error before any stream", length, err, opened)
+		}
+	}
+}
+
+// Read assembles the file in place: one buffer for the whole file, each
+// chunk copied once into it. The budget is the file plus a quarter —
+// room for one receive buffer per stream and the frame headers — where
+// per-chunk, per-block and concatenation copies came to about 4x.
+func TestReadAllocatesTheFileOnce(t *testing.T) {
+	const blocks, blockSize = 4, 1 << 20
+	file := make([]byte, blocks*blockSize)
+	for i := range file {
+		file[i] = byte(i>>8) ^ byte(i)
+	}
+	dn := startStreamFake(t, func(open *proto.Message, p []byte, st proto.BlockStream) {
+		off := int(open.Block) * blockSize
+		serveChunks(file[off:off+blockSize], 0)(open, p, st)
+	})
+	locs := make([]proto.BlockLocation, blocks)
+	for i := range locs {
+		locs[i] = proto.BlockLocation{Block: proto.BlockID(i), Length: blockSize, Addresses: []string{dn}}
+	}
+	c := New(locationsOf(t, locs...), WithSeed(1), WithChunkSize(64<<10), WithReadAhead(0))
+	read := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := c.Read("/f")
+		runtime.ReadMemStats(&after)
+		if err != nil || !bytes.Equal(got, file) {
+			t.Fatalf("Read = %d bytes, %v", len(got), err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	read() // first use of metrics series and the like
+	if got, budget := read(), uint64(len(file)*5/4); got > budget {
+		t.Errorf("reading a %d-byte file allocated %d bytes, budget %d", len(file), got, budget)
 	}
 }

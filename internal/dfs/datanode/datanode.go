@@ -86,6 +86,7 @@ type DataNode struct {
 	id      proto.NodeID
 	server  *proto.Server
 	store   BlockStore
+	free    *blockBufs // block buffers shared with the store (DESIGN.md §15.6)
 	call    proto.CallFunc
 	open    proto.OpenStreamFunc
 	retry   retrypolicy.Policy
@@ -128,15 +129,16 @@ func Start(cfg Config) (*DataNode, error) {
 	if cfg.Retry.Retryable == nil {
 		cfg.Retry.Retryable = transientRPC
 	}
+	free := &blockBufs{}
 	var store BlockStore
 	if cfg.DataDir != "" {
-		ds, err := newDiskStore(cfg.DataDir, cfg.CapacityBlocks)
+		ds, err := newDiskStore(cfg.DataDir, cfg.CapacityBlocks, free)
 		if err != nil {
 			return nil, err
 		}
 		store = ds
 	} else {
-		store = newMemStore(cfg.CapacityBlocks)
+		store = newMemStore(cfg.CapacityBlocks, free)
 	}
 	if cfg.WrapStore != nil {
 		store = cfg.WrapStore(store)
@@ -148,6 +150,7 @@ func Start(cfg Config) (*DataNode, error) {
 	dn := &DataNode{
 		cfg:     cfg,
 		store:   store,
+		free:    free,
 		call:    cfg.Call,
 		open:    cfg.OpenStream,
 		retry:   cfg.Retry,
@@ -402,6 +405,8 @@ func (dn *DataNode) execute(cmd proto.Command) {
 		if err != nil {
 			metrics.Default.Counter("dfs.datanode.replicate_dropped").Inc()
 		}
+		// Get's copy was this command's alone and every send has returned.
+		dn.free.put(data)
 		// The receiving node reports MsgBlockReceived itself.
 	case proto.CmdDelete:
 		if dn.store.Delete(cmd.Block) {

@@ -66,7 +66,12 @@ func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream)
 		}
 	}
 
-	buf := make([]byte, 0, open.Length)
+	// The receive buffer is this handler's alone — chunks are copied in,
+	// the store copies out and downstream gets the chunk, never buf — so
+	// it goes back on the free list once the handler has answered.
+	buf := dn.free.get(open.Length)[:0]
+	defer dn.free.put(buf)
+	var sum uint32 // running CRC32C of buf
 	for {
 		msg, chunk, err := st.Recv()
 		if err != nil {
@@ -97,6 +102,7 @@ func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream)
 			return
 		}
 		buf = append(buf, chunk...)
+		sum = proto.ChecksumUpdate(sum, chunk)
 		if down != nil && downErr == nil {
 			if err := down.Send(msg, chunk); err != nil {
 				// Keep receiving: the local copy must still complete and
@@ -108,7 +114,7 @@ func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream)
 			break
 		}
 	}
-	if open.Checksum != 0 && Checksum(buf) != open.Checksum {
+	if open.Checksum != 0 && sum != open.Checksum {
 		//lint:ignore errcheck best effort; peer may be gone
 		_ = st.Send(proto.ErrorMessage(fmt.Errorf("%w: block %d on streamed write", ErrCorrupt, open.Block)), nil)
 		return
@@ -139,7 +145,7 @@ func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream)
 	//lint:ignore errcheck best effort; peer may be gone
 	_ = st.Send(&proto.Message{
 		Type: proto.MsgStreamAck, Block: open.Block,
-		Offset: len(buf), Checksum: Checksum(buf),
+		Offset: len(buf), Checksum: sum,
 	}, nil)
 }
 
@@ -159,6 +165,9 @@ func (dn *DataNode) handleReadStream(open *proto.Message, st proto.BlockStream) 
 		_ = st.Send(proto.ErrorMessage(err), nil)
 		return
 	}
+	// Get's copy is this handler's alone and every Send below returns
+	// only once the bytes have left it.
+	defer dn.free.put(data)
 	if open.Offset < 0 || open.Offset > len(data) {
 		//lint:ignore errcheck best effort; peer may be gone
 		_ = st.Send(proto.ErrorMessage(fmt.Errorf("datanode: block %d read offset %d out of range (%d bytes)", open.Block, open.Offset, len(data))), nil)

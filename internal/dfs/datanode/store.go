@@ -1,9 +1,10 @@
 package datanode
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -18,7 +19,8 @@ import (
 var ErrCorrupt = errors.New("datanode: block corrupt (checksum mismatch)")
 
 // BlockStore is the datanode's storage engine. Implementations must be
-// safe for concurrent use. Put overwrites; Get returns a private copy.
+// safe for concurrent use. Put overwrites and does not retain data; Get
+// returns a private copy.
 type BlockStore interface {
 	Put(id proto.BlockID, data []byte) error
 	Get(id proto.BlockID) ([]byte, error)
@@ -30,26 +32,28 @@ type BlockStore interface {
 
 // Checksum is the block checksum used end to end: the client stamps it
 // on write, every datanode in the pipeline verifies before storing, and
-// readers verify after transfer (HDFS uses CRC32 the same way).
-func Checksum(data []byte) uint32 {
-	return crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli))
-}
+// readers verify after transfer (HDFS uses CRC32 the same way). It is
+// the same CRC32C the wire protocol stamps on every chunk.
+func Checksum(data []byte) uint32 { return proto.ChunkChecksum(data) }
 
 // memStore keeps replicas in memory with their checksums, verifying on
 // every read so corruption (e.g. a test flipping bytes) surfaces as
 // ErrCorrupt rather than silent bad data.
 type memStore struct {
 	capacity int
+	free     *blockBufs // supplies Get's private copies
 
 	mu     sync.Mutex
 	blocks map[proto.BlockID][]byte
 	sums   map[proto.BlockID]uint32
 }
 
-// newMemStore creates an in-memory store bounded to capacity blocks.
-func newMemStore(capacity int) *memStore {
+// newMemStore creates an in-memory store bounded to capacity blocks
+// whose Get results come from free.
+func newMemStore(capacity int, free *blockBufs) *memStore {
 	return &memStore{
 		capacity: capacity,
+		free:     free,
 		blocks:   make(map[proto.BlockID][]byte),
 		sums:     make(map[proto.BlockID]uint32),
 	}
@@ -70,15 +74,19 @@ func (s *memStore) Put(id proto.BlockID, data []byte) error {
 
 func (s *memStore) Get(id proto.BlockID) ([]byte, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	data, ok := s.blocks[id]
+	sum := s.sums[id]
+	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: block %d", ErrBlockNotFound, id)
 	}
-	if Checksum(data) != s.sums[id] {
+	// Verified and copied outside the lock: a stored slice is never
+	// written in place (Put and corrupt swap in a new one), so readers of
+	// one node do not queue behind each other's CRC and memcpy.
+	if Checksum(data) != sum {
 		return nil, fmt.Errorf("%w: block %d", ErrCorrupt, id)
 	}
-	cp := make([]byte, len(data))
+	cp := s.free.get(len(data))
 	copy(cp, data)
 	return cp, nil
 }
@@ -137,18 +145,19 @@ func (s *memStore) Len() int {
 type diskStore struct {
 	dir      string
 	capacity int
+	free     *blockBufs // supplies Get's read buffers
 
 	mu    sync.Mutex
 	index map[proto.BlockID]struct{}
 }
 
 // newDiskStore opens (or creates) a disk-backed store in dir and indexes
-// any blocks already present.
-func newDiskStore(dir string, capacity int) (*diskStore, error) {
+// any blocks already present. Get reads into buffers from free.
+func newDiskStore(dir string, capacity int, free *blockBufs) (*diskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("datanode: create store dir: %w", err)
 	}
-	s := &diskStore{dir: dir, capacity: capacity, index: make(map[proto.BlockID]struct{})}
+	s := &diskStore{dir: dir, capacity: capacity, free: free, index: make(map[proto.BlockID]struct{})}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("datanode: scan store dir: %w", err)
@@ -180,16 +189,9 @@ func (s *diskStore) Put(id proto.BlockID, data []byte) error {
 	if _, exists := s.index[id]; !exists && len(s.index) >= s.capacity {
 		return fmt.Errorf("%w: %d blocks", ErrStoreFull, len(s.index))
 	}
-	buf := make([]byte, 4+len(data))
-	sum := Checksum(data)
-	buf[0] = byte(sum >> 24)
-	buf[1] = byte(sum >> 16)
-	buf[2] = byte(sum >> 8)
-	buf[3] = byte(sum)
-	copy(buf[4:], data)
 	// Write-then-rename so a crash never leaves a torn block visible.
 	tmp := s.path(id) + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if err := writeBlockFile(tmp, Checksum(data), data); err != nil {
 		return fmt.Errorf("datanode: write block %d: %w", id, err)
 	}
 	if err := os.Rename(tmp, s.path(id)); err != nil {
@@ -199,6 +201,26 @@ func (s *diskStore) Put(id proto.BlockID, data []byte) error {
 	return nil
 }
 
+// writeBlockFile writes a block file — the 4-byte big-endian CRC header,
+// then the body — as two writes, so the block is never copied just to
+// sit behind its header.
+func writeBlockFile(path string, sum uint32, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], sum)
+	_, err = f.Write(hdr[:])
+	if err == nil {
+		_, err = f.Write(data)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 func (s *diskStore) Get(id proto.BlockID) ([]byte, error) {
 	s.mu.Lock()
 	_, ok := s.index[id]
@@ -206,16 +228,27 @@ func (s *diskStore) Get(id proto.BlockID) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: block %d", ErrBlockNotFound, id)
 	}
-	buf, err := os.ReadFile(s.path(id))
+	f, err := os.Open(s.path(id))
 	if err != nil {
 		return nil, fmt.Errorf("datanode: read block %d: %w", id, err)
 	}
-	if len(buf) < 4 {
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("datanode: read block %d: %w", id, err)
+	}
+	if st.Size() < 4 {
 		return nil, fmt.Errorf("%w: block %d truncated", ErrCorrupt, id)
 	}
-	sum := uint32(buf[0])<<24 | uint32(buf[1])<<16 | uint32(buf[2])<<8 | uint32(buf[3])
-	data := buf[4:]
-	if Checksum(data) != sum {
+	var hdr [4]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		return nil, fmt.Errorf("datanode: read block %d: %w", id, err)
+	}
+	data := s.free.get(int(st.Size()) - 4)
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, fmt.Errorf("datanode: read block %d: %w", id, err)
+	}
+	if Checksum(data) != binary.BigEndian.Uint32(hdr[:]) {
 		return nil, fmt.Errorf("%w: block %d", ErrCorrupt, id)
 	}
 	return data, nil

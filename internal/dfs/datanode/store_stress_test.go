@@ -72,11 +72,11 @@ func stressStore(t *testing.T, s BlockStore) {
 }
 
 func TestMemStoreConcurrentStress(t *testing.T) {
-	stressStore(t, newMemStore(64))
+	stressStore(t, newMemStore(64, &blockBufs{}))
 }
 
 func TestDiskStoreConcurrentStress(t *testing.T) {
-	s, err := newDiskStore(t.TempDir(), 64)
+	s, err := newDiskStore(t.TempDir(), 64, &blockBufs{})
 	if err != nil {
 		t.Fatalf("newDiskStore: %v", err)
 	}

@@ -16,12 +16,12 @@ import (
 // tests.
 func stores(t *testing.T, capacity int) map[string]BlockStore {
 	t.Helper()
-	disk, err := newDiskStore(t.TempDir(), capacity)
+	disk, err := newDiskStore(t.TempDir(), capacity, &blockBufs{})
 	if err != nil {
 		t.Fatalf("newDiskStore: %v", err)
 	}
 	return map[string]BlockStore{
-		"mem":  newMemStore(capacity),
+		"mem":  newMemStore(capacity, &blockBufs{}),
 		"disk": disk,
 	}
 }
@@ -135,7 +135,7 @@ func TestStoreList(t *testing.T) {
 
 func TestDiskStoreSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := newDiskStore(dir, 8)
+	s, err := newDiskStore(dir, 8, &blockBufs{})
 	if err != nil {
 		t.Fatalf("newDiskStore: %v", err)
 	}
@@ -146,7 +146,7 @@ func TestDiskStoreSurvivesReopen(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 	// A fresh store over the same directory sees the blocks.
-	s2, err := newDiskStore(dir, 8)
+	s2, err := newDiskStore(dir, 8, &blockBufs{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -170,7 +170,7 @@ func TestDiskStoreIgnoresForeignFiles(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "blk_xyz"), []byte("hi"), 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	s, err := newDiskStore(dir, 8)
+	s, err := newDiskStore(dir, 8, &blockBufs{})
 	if err != nil {
 		t.Fatalf("newDiskStore: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestDiskStoreIgnoresForeignFiles(t *testing.T) {
 
 func TestDiskStoreTruncatedFile(t *testing.T) {
 	dir := t.TempDir()
-	s, err := newDiskStore(dir, 8)
+	s, err := newDiskStore(dir, 8, &blockBufs{})
 	if err != nil {
 		t.Fatalf("newDiskStore: %v", err)
 	}
@@ -199,11 +199,11 @@ func TestDiskStoreTruncatedFile(t *testing.T) {
 
 // Property: both stores round-trip arbitrary payloads identically.
 func TestStoreRoundTripProperty(t *testing.T) {
-	disk, err := newDiskStore(t.TempDir(), 1024)
+	disk, err := newDiskStore(t.TempDir(), 1024, &blockBufs{})
 	if err != nil {
 		t.Fatalf("newDiskStore: %v", err)
 	}
-	mem := newMemStore(1024)
+	mem := newMemStore(1024, &blockBufs{})
 	n := proto.BlockID(0)
 	f := func(data []byte) bool {
 		n++

@@ -3,6 +3,9 @@ package dfs_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"sync"
 	"testing"
 	"time"
 
@@ -201,5 +204,127 @@ func TestStreamedWriteReadEndToEnd(t *testing.T) {
 	// back: far more than one chunk each way.
 	if send.Value()-sendBefore < 8 {
 		t.Errorf("only %d chunks sent; expected a chunked multi-block transfer", send.Value()-sendBefore)
+	}
+}
+
+// pathContent is n bytes of content derived from the path alone, so any
+// goroutine can check any read without sharing the written bytes.
+func pathContent(path string, n int) []byte {
+	h := fnv.New64a()
+	h.Write([]byte(path))
+	x := h.Sum64()
+	out := make([]byte, n)
+	for i := range out {
+		x = x*6364136223846793005 + 1442695040888963407
+		out[i] = byte(x >> 56)
+	}
+	return out
+}
+
+// TestBlockBufferLifetime drives all three sites where a datanode hands
+// a block buffer back to its free list (DESIGN.md §15.6) at once —
+// streamed reads, k=3 pipeline writes and a replicate command — on disk
+// and memory stores, with every byte read checked against its path. A
+// buffer released while someone still reads it would be refilled by a
+// neighbour's block; under -tags invariantdebug it is poisoned on
+// release, so the mistake becomes a checksum failure or wrong bytes here
+// rather than a rare corruption in the field. Run with -race.
+func TestBlockBufferLifetime(t *testing.T) {
+	const nodes, readers, writers, chunk = 4, 8, 2, 1 << 10
+	nn := startNameNodeOnly(t, nodes, 2)
+	for i := 0; i < nodes; i++ {
+		cfg := datanode.Config{
+			NameNodeAddr: nn.Addr(), Rack: i % 2, CapacityBlocks: 256,
+			HeartbeatInterval: 30 * time.Millisecond,
+		}
+		if i < nodes/2 {
+			cfg.DataDir = t.TempDir() // two disk stores, two memory stores
+		}
+		dn, err := datanode.Start(cfg)
+		if err != nil {
+			t.Fatalf("datanode.Start %d: %v", i, err)
+		}
+		t.Cleanup(func() { _ = dn.Close() })
+	}
+	if err := nn.WaitReady(5 * time.Second); err != nil {
+		t.Fatalf("WaitReady: %v", err)
+	}
+	newClient := func(seed uint64) *client.Client {
+		return client.New(nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(seed), client.WithChunkSize(chunk))
+	}
+	// One single-block file per reader, each a different length so a
+	// recycled buffer is re-cut from block to block.
+	readerFile := func(r int) (string, int) { return fmt.Sprintf("/life/r%d", r), 1<<12 - 301*r }
+	c := newClient(1)
+	for r := 0; r < readers; r++ {
+		path, n := readerFile(r)
+		if err := c.Create(path, pathContent(path, n), 3); err != nil {
+			t.Fatalf("Create %s: %v", path, err)
+		}
+	}
+	check := func(c *client.Client, path string, n int) {
+		got, err := c.Read(path)
+		if err != nil {
+			t.Errorf("Read %s: %v", path, err)
+		} else if !bytes.Equal(got, pathContent(path, n)) {
+			t.Errorf("Read %s: wrong bytes", path)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			c := newClient(uint64(100 + r))
+			path, n := readerFile(r)
+			for i := 0; i < 40 && !t.Failed(); i++ {
+				check(c, path, n)
+			}
+		}(r)
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := newClient(uint64(200 + w))
+			for i := 0; i < 10 && !t.Failed(); i++ {
+				path, n := fmt.Sprintf("/life/w%d-%d", w, i), 2*(1<<12)+97*i
+				if err := c.Create(path, pathContent(path, n), 3); err != nil {
+					t.Errorf("Create %s: %v", path, err)
+					return
+				}
+				check(c, path, n)
+			}
+		}(w)
+	}
+	// A fourth replica of the first reader's block can only come from a
+	// replicate command executed by one of its three holders.
+	hot, hotLen := readerFile(0)
+	if err := c.SetReplication(hot, nodes); err != nil {
+		t.Fatalf("SetReplication: %v", err)
+	}
+	wg.Wait()
+	if err := nn.WaitConverged(10 * time.Second); err != nil {
+		t.Fatalf("WaitConverged: %v", err)
+	}
+
+	// Every replica of every reader block, one address at a time: the
+	// replicate target's copy and the pipeline tails' included.
+	for r := 0; r < readers; r++ {
+		path, n := readerFile(r)
+		locs, err := c.Locations(path)
+		if err != nil || len(locs) != 1 {
+			t.Fatalf("Locations %s: %v (%d blocks)", path, err, len(locs))
+		}
+		if path == hot && (len(locs[0].Addresses) != nodes || n != hotLen) {
+			t.Errorf("%s has %d replicas after SetReplication(%d)", hot, len(locs[0].Addresses), nodes)
+		}
+		for _, addr := range locs[0].Addresses {
+			got, err := c.ReadBlockFrom(proto.BlockLocation{Block: locs[0].Block, Length: n, Addresses: []string{addr}})
+			if err != nil || !bytes.Equal(got, pathContent(path, n)) {
+				t.Errorf("%s replica on %s: %v, %d bytes", path, addr, err, len(got))
+			}
+		}
 	}
 }

@@ -30,7 +30,13 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 0, 'n', 'o'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, payload, n, err := readFrame(bytes.NewReader(data))
+		msg, payload, n, err := readFrameInto(bytes.NewReader(data), nil)
+		// A stream's decode into its reused buffer must agree with it.
+		var scratch []byte
+		msgS, payloadS, nS, errS := readFrameInto(bytes.NewReader(data), &scratch)
+		if (err == nil) != (errS == nil) || nS != n || !reflect.DeepEqual(msg, msgS) || !bytes.Equal(payload, payloadS) {
+			t.Fatalf("decode into a reused buffer differs: %d bytes, %v vs %d bytes, %v", nS, errS, n, err)
+		}
 		if err != nil {
 			return
 		}

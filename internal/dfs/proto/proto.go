@@ -296,12 +296,17 @@ func writeFrame(w io.Writer, msg *Message, payload []byte) (int, error) {
 
 // ReadFrame reads one frame written by WriteFrame.
 func ReadFrame(r io.Reader) (*Message, []byte, error) {
-	msg, payload, _, err := readFrame(r)
+	msg, payload, _, err := readFrameInto(r, nil)
 	return msg, payload, err
 }
 
-// readFrame is ReadFrame plus the number of wire bytes consumed.
-func readFrame(r io.Reader) (*Message, []byte, int, error) {
+// readFrameInto is ReadFrame plus the number of wire bytes consumed and
+// an optional caller-owned payload buffer: when scratch is non-nil, a
+// payload of at most EagerReadBytes is read into *scratch (allocated or
+// grown to the payload's size first) and the returned payload aliases
+// it, valid until the caller's next use of scratch. Larger payloads, and
+// every payload under a nil scratch, get a fresh slice.
+func readFrameInto(r io.Reader, scratch *[]byte) (*Message, []byte, int, error) {
 	var lens [8]byte
 	if _, err := io.ReadFull(r, lens[:]); err != nil {
 		return nil, nil, 0, fmt.Errorf("proto: read frame lengths: %w", err)
@@ -323,11 +328,19 @@ func readFrame(r io.Reader) (*Message, []byte, int, error) {
 		return nil, nil, 0, fmt.Errorf("%w: %w", ErrBadFrame, err)
 	}
 	var payload []byte
-	if payloadLen > 0 {
-		payload, err = readExact(r, payloadLen)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("proto: read payload: %w", err)
+	switch {
+	case payloadLen == 0:
+	case scratch != nil && payloadLen <= EagerReadBytes:
+		if uint32(cap(*scratch)) < payloadLen {
+			*scratch = make([]byte, payloadLen)
 		}
+		payload = (*scratch)[:payloadLen]
+		_, err = io.ReadFull(r, payload)
+	default:
+		payload, err = readExact(r, payloadLen)
+	}
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("proto: read payload: %w", err)
 	}
 	return &msg, payload, len(lens) + len(header) + len(payload), nil
 }

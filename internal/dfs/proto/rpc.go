@@ -67,7 +67,7 @@ func callConn(addr string, req *Message, payload []byte, timeout time.Duration) 
 	if err != nil {
 		return nil, nil, wrote, 0, err
 	}
-	resp, respPayload, read, err := readFrame(conn)
+	resp, respPayload, read, err := readFrameInto(conn, nil)
 	if err != nil {
 		return nil, nil, wrote, read, err
 	}

@@ -18,6 +18,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // whole-block sums.
 func ChunkChecksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
+// ChecksumUpdate extends a running CRC32C over a by the bytes b, so
+// ChecksumUpdate(ChunkChecksum(a), b) == ChunkChecksum(a||b). A receiver
+// folds each chunk in as it lands and has the whole-block sum at Eof
+// without a second pass over the block.
+func ChecksumUpdate(sum uint32, b []byte) uint32 { return crc32.Update(sum, castagnoli, b) }
+
 // DefaultChunkSize is the payload size of one MsgChunk frame when the
 // caller does not pick one. 128 KiB keeps per-chunk framing overhead
 // (~100 bytes of JSON header) under 0.1% while still giving the write
@@ -35,7 +41,10 @@ type BlockStream interface {
 	// the whole (arbitrarily large) block transfer.
 	Send(msg *Message, payload []byte) error
 	// Recv reads one frame. A MsgError frame is converted into a
-	// *RemoteError, mirroring Call.
+	// *RemoteError, mirroring Call. The payload is valid only until the
+	// next Recv or Close on this stream — the stream may read the next
+	// frame into the same memory — so a consumer that keeps the bytes
+	// copies them out first (DESIGN.md §15.6).
 	Recv() (*Message, []byte, error)
 	// Close tears down the underlying connection. The peer observes it
 	// as a mid-stream failure.
@@ -52,6 +61,11 @@ type OpenStreamFunc func(addr string, open *Message, timeout time.Duration) (Blo
 type Stream struct {
 	conn    net.Conn
 	timeout time.Duration
+	// scratch is the one payload buffer every Recv reads into: sized by
+	// the first chunk, regrown only if a larger one arrives. It belongs
+	// to this stream alone and is never shared or pooled, so a Close from
+	// another goroutine cannot hand it to a second reader.
+	scratch []byte
 }
 
 // NewStream wraps an established connection in a Stream. The timeout
@@ -85,7 +99,7 @@ func (s *Stream) Recv() (*Message, []byte, error) {
 	if err := s.conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
 		return nil, nil, fmt.Errorf("proto: stream set deadline: %w", err)
 	}
-	msg, payload, n, err := readFrame(s.conn)
+	msg, payload, n, err := readFrameInto(s.conn, &s.scratch)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -232,5 +233,60 @@ func TestBlockSetDigest(t *testing.T) {
 	// detectable with overwhelming probability.
 	if BlockDigest(1)^BlockDigest(2) == 3 {
 		t.Fatal("digest looks like identity, not a mixer")
+	}
+}
+
+// The Recv contract: a payload is good until the next Recv on the same
+// stream, which may read into the same memory. A consumer that copies
+// before calling Recv again gets every chunk intact, and a stream of
+// equal-size chunks costs one payload buffer, not one per chunk.
+func TestStreamRecvReusesPayloadBuffer(t *testing.T) {
+	const chunks, size = 32, 64 << 10
+	want := make([][]byte, chunks)
+	for seq := range want {
+		want[seq] = bytes.Repeat([]byte{byte(seq + 1)}, size)
+	}
+	srv := streamServer(t, func(open *Message, _ []byte, st BlockStream) {
+		for seq := 0; seq < chunks; seq++ {
+			if err := st.Send(&Message{Type: MsgChunk, Seq: seq, Eof: seq == chunks-1}, want[seq]); err != nil {
+				t.Errorf("server Send: %v", err)
+				return
+			}
+		}
+	})
+	st, err := OpenStream(srv.Addr(), &Message{Type: MsgReadBlockStream, Block: 1}, time.Second)
+	if err != nil {
+		t.Fatalf("OpenStream: %v", err)
+	}
+	defer st.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var first, kept []byte
+	for seq := 0; seq < chunks; seq++ {
+		_, payload, err := st.Recv()
+		if err != nil {
+			t.Fatalf("Recv chunk %d: %v", seq, err)
+		}
+		if !bytes.Equal(payload, want[seq]) {
+			t.Fatalf("chunk %d arrived damaged", seq)
+		}
+		switch seq {
+		case 0:
+			first, kept = payload, bytes.Clone(payload)
+		case 1:
+			if &payload[0] != &first[0] {
+				t.Error("second Recv got its own buffer; equal-size chunks should reuse the stream's")
+			}
+			if !bytes.Equal(kept, want[0]) {
+				t.Error("a payload copied out before the next Recv did not survive it")
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// One 64 KiB buffer plus ~1 KiB of header decoding per frame on each
+	// side; one buffer per chunk would be 32x the payload size.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*size {
+		t.Errorf("receiving %d chunks of %d bytes allocated %d bytes, want one payload buffer (<= %d)", chunks, size, got, 4*size)
 	}
 }
