@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-baseline lint-sarif race bench bench-check chaos fuzz-smoke telemetry-smoke scenario-smoke bench-e2e ci
+.PHONY: all build test vet lint race bench bench-check chaos fuzz-smoke telemetry-smoke scenario-smoke bench-e2e ci
 
 # Hot-path benchmarks recorded by `make bench` (see README.md,
 # "Benchmark ledger"). BENCH_LABEL picks the ledger column. The metrics
@@ -24,24 +24,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The project-specific analyzer: one typed whole-module pass running the
-# per-file rules (guarded-by, mutex copies, determinism, float
-# comparison, discarded errors) plus the cross-package analyzers
-# (lock-order, deadline propagation, rng taint, error wrapping, the
-# conc model checker and the §15 protoconform gate). Gated against the
-# committed baseline and the wall-time budgets; see DESIGN.md §11, §16.
+# The project-specific analyzer, after go vet: one typed whole-module
+# pass over thirteen rules, each kept on evidence (a bug it caught or a
+# seeded mutation only it reports; DESIGN.md §11). Any finding fails.
 lint: vet
-	$(GO) run ./cmd/aurora-lint -baseline lint.baseline -timing -budget 10s -conc-budget 3s -stats lint-stats.json ./...
-
-# Regenerate the accepted-findings baseline. Run deliberately and review
-# the diff: every entry grandfathers a finding the gate will then skip.
-lint-baseline:
-	$(GO) run ./cmd/aurora-lint -baseline lint.baseline -write-baseline ./...
-
-# Machine-readable findings for the CI artifact. Always writes
-# lint.sarif; the exit code still reflects non-baseline findings.
-lint-sarif:
-	$(GO) run ./cmd/aurora-lint -format sarif -baseline lint.baseline ./... > lint.sarif
+	$(GO) run ./cmd/aurora-lint ./...
 
 # Race detector with invariant assertions compiled in, so every
 # optimizer period in the stress tests also checks the paper invariants.

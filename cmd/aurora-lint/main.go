@@ -1,11 +1,13 @@
 // Command aurora-lint is the project's static analyzer: a dependency-free
 // correctness gate built on the typed whole-module analysis core in
-// internal/analysis. One parse/type-check pass feeds every rule:
+// internal/analysis. One parse/type-check pass feeds every rule; each
+// rule is in the set because of a real bug it caught or a seeded
+// mutation of this tree that only it reports (DESIGN.md §11 has the
+// table, TestSeededMutations pins it):
 //
 //   - guardedby:   fields declared after a sync.Mutex/RWMutex in the same
 //     field group must not be touched by exported methods without the
 //     lock held; see DESIGN.md "Correctness tooling".
-//   - mutexcopy:   mutex-bearing structs must never be copied by value.
 //   - determinism: packages marked //lint:deterministic may not use
 //     global math/rand or read the wall clock, directly or via timers.
 //   - floatcmp:    packages marked //lint:strictfloat may not compare
@@ -15,65 +17,43 @@
 //     opened for writing.
 //   - pkgdoc:      every package carries a godoc package comment.
 //   - lockorder:   the module-wide mutex acquisition graph must be
-//     acyclic (potential-deadlock detection).
+//     acyclic, and a method may not re-acquire a mutex its own receiver
+//     already holds (potential- and certain-deadlock detection).
 //   - ctxdeadline: RPCs must run under retrypolicy or handle their
 //     error; fire-and-forget calls are flagged.
 //   - rngtaint:    wall-clock/unseeded-RNG values must not flow into
 //     deterministic packages or fault-schedule generation.
 //   - wrapcheck:   errors formatted into fmt.Errorf must use %w so
 //     errors.Is/As and retry classification keep working.
-//
-// Four analyzers run on the interprocedural dataflow layer
-// (internal/analysis/flow), which propagates per-function summaries —
-// allocation effects, goroutines spawned, termination signals, atomics
-// touched, escaping parameters — across packages to a fixpoint:
-//
-//   - allochot:  functions reachable from a //lint:hotpath-annotated
+//   - allochot:    functions reachable from a //lint:hotpath-annotated
 //     root may not heap-allocate; //lint:coldpath <why> prunes
 //     deliberately cold helpers out of reachability.
-//   - atomicmix: a field updated via sync/atomic anywhere may never be
-//     read or written plainly elsewhere.
-//   - goroleak:  every go statement needs a provable termination signal
+//   - goroleak:    every go statement needs a provable termination signal
 //     (context, done channel, WaitGroup, or internal/par).
-//   - globalmut: package-level variables mutated after initialization
-//     are reported as namenode-sharding blockers (ROADMAP #1).
-//
-// Two analyzers audit the concurrency and wire-protocol semantics on
-// top of the flow layer's event skeletons (DESIGN.md §16):
-//
-//   - conc: an explicit-state bounded model checker explores the
-//     interleavings of every goroutine-spawning root and reports
-//     deadlock cycles (including mixed chan+mutex cycles), lost
-//     signals (a send no live goroutine can receive), and stuck
-//     pipelines (a recv/Lock/Wait nothing can ever satisfy).
-//     -conc-budget caps its wall time.
 //   - protoconform: checks the MsgType→handler dispatch machine in
 //     internal/dfs against the DESIGN.md §15 frame tables — handler
 //     uniqueness per plane, stream/control separation, per-chunk
 //     ChunkChecksum verification, §15.4 head-durable store-and-report
 //     ordering, and §15.5 delta→full-report escalation.
 //
-// Intentional exceptions are annotated in place:
+// allochot and goroleak read the interprocedural summaries of
+// internal/analysis/flow (allocation effects, goroutines spawned,
+// termination signals). Malformed //lint: comments are reported under
+// the rule name "directive". Intentional exceptions are annotated in
+// place:
 //
 //	//lint:ignore <rule>[,<rule>] <reason>
 //
 // Usage:
 //
-//	aurora-lint [./...]                      # text findings, exit 1 if any
-//	aurora-lint -format sarif ./...          # SARIF 2.1.0 on stdout
-//	aurora-lint -baseline lint.baseline ./...   # fail only on non-baseline findings
-//	aurora-lint -baseline lint.baseline -write-baseline ./...  # regenerate deliberately
-//	aurora-lint -timing ./...                # per-analyzer wall time on stderr
-//	aurora-lint -budget 10s ./...            # fail if the run exceeds the budget
-//	aurora-lint -conc-budget 3s ./...        # wall-time cap for the conc model checker
-//	aurora-lint -stats lint-stats.json ./... # per-rule finding counts as JSON
+//	aurora-lint [./...]          # text findings, exit 1 if any
+//	aurora-lint -timing ./...    # per-analyzer wall time on stderr
+//	aurora-lint -root DIR ./...  # analyze the module rooted at DIR
 //
-// Exit status: 0 clean (or fully baselined), 1 findings or budget
-// exceeded, 2 usage or load failure.
+// Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -92,23 +72,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	flags := flag.NewFlagSet("aurora-lint", flag.ContinueOnError)
 	flags.SetOutput(stderr)
 	root := flags.String("root", "", "module root (default: walk up from cwd to go.mod)")
-	format := flags.String("format", "text", "output format: text or sarif")
-	baselinePath := flags.String("baseline", "", "baseline file; listed findings are grandfathered, new ones fail")
-	writeBaseline := flags.Bool("write-baseline", false, "regenerate the -baseline file from current findings and exit 0")
 	timing := flags.Bool("timing", false, "print per-pass wall time to stderr")
-	budget := flags.Duration("budget", 0, "fail if the whole run (load through output) exceeds this duration; 0 disables")
-	concBudget := flags.Duration("conc-budget", 0, "wall-time cap for the conc model checker; 0 uses the built-in default")
-	statsPath := flags.String("stats", "", "write per-rule finding counts as JSON to FILE")
 	if err := flags.Parse(args); err != nil {
-		return 2
-	}
-	start := time.Now()
-	if *format != "text" && *format != "sarif" {
-		fmt.Fprintf(stderr, "aurora-lint: unknown -format %q (want text or sarif)\n", *format)
-		return 2
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(stderr, "aurora-lint: -write-baseline needs -baseline FILE")
 		return 2
 	}
 	patterns := flags.Args()
@@ -145,9 +110,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	if *timing {
 		fmt.Fprintf(stderr, "aurora-lint: %-12s %9.1fms\n", "load+facts", ms(time.Since(loadStart)))
 	}
-	if *concBudget > 0 {
-		runner.SetConcBudget(*concBudget)
-	}
 	for _, p := range runner.Passes() {
 		passStart := time.Now()
 		p.Run()
@@ -160,64 +122,15 @@ func run(args []string, stdout, stderr *os.File) int {
 		keep[rel] = true
 	}
 	diags := runner.Diagnostics(keep)
-
-	if *writeBaseline {
-		data := analysis.FormatBaseline(diags, mod.Root)
-		if err := os.WriteFile(*baselinePath, data, 0o644); err != nil {
-			fmt.Fprintln(stderr, "aurora-lint:", err)
-			return 2
+	for _, d := range diags {
+		rel, err := filepath.Rel(mod.Root, d.Pos.Filename)
+		if err == nil {
+			d.Pos.Filename = rel
 		}
-		fmt.Fprintf(stderr, "aurora-lint: wrote %s (%d finding(s) grandfathered)\n", *baselinePath, len(diags))
-		return 0
-	}
-
-	suppressed := 0
-	if *baselinePath != "" {
-		data, err := os.ReadFile(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "aurora-lint:", err)
-			return 2
-		}
-		base, err := analysis.ParseBaseline(data)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		diags, suppressed = analysis.FilterBaseline(diags, base, mod.Root)
-	}
-
-	if *statsPath != "" {
-		if err := writeStats(*statsPath, diags, suppressed); err != nil {
-			fmt.Fprintln(stderr, "aurora-lint:", err)
-			return 2
-		}
-	}
-
-	switch *format {
-	case "sarif":
-		if err := analysis.WriteSARIF(stdout, diags, mod.Root); err != nil {
-			fmt.Fprintln(stderr, "aurora-lint:", err)
-			return 2
-		}
-	default:
-		for _, d := range diags {
-			rel, err := filepath.Rel(mod.Root, d.Pos.Filename)
-			if err == nil {
-				d.Pos.Filename = rel
-			}
-			fmt.Fprintln(stdout, d)
-		}
-	}
-	if suppressed > 0 {
-		fmt.Fprintf(stderr, "aurora-lint: %d baselined finding(s) suppressed\n", suppressed)
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "aurora-lint: %d finding(s)\n", len(diags))
-		return 1
-	}
-	if elapsed := time.Since(start); *budget > 0 && elapsed > *budget {
-		fmt.Fprintf(stderr, "aurora-lint: run took %s, over the -budget of %s\n",
-			elapsed.Round(time.Millisecond), *budget)
 		return 1
 	}
 	return 0
@@ -225,34 +138,6 @@ func run(args []string, stdout, stderr *os.File) int {
 
 // ms renders a duration as fractional milliseconds for -timing output.
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-// lintStats is the -stats JSON artifact: the per-rule finding counts CI
-// uploads so the ratchet trajectory is visible across PRs. Every known
-// rule is present, zero or not, so downstream diffs are stable.
-type lintStats struct {
-	Total     int            `json:"total"`
-	Baselined int            `json:"baselined"`
-	Rules     map[string]int `json:"rules"`
-}
-
-func writeStats(path string, diags []analysis.Diagnostic, baselined int) error {
-	stats := lintStats{
-		Total:     len(diags),
-		Baselined: baselined,
-		Rules:     make(map[string]int, len(analysis.KnownRules)),
-	}
-	for _, rule := range analysis.KnownRules {
-		stats.Rules[rule] = 0
-	}
-	for _, d := range diags {
-		stats.Rules[d.Rule]++
-	}
-	data, err := json.MarshalIndent(stats, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
 
 // findModuleRoot walks up from the working directory to the nearest
 // go.mod.

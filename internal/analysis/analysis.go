@@ -5,8 +5,8 @@
 // package graph, a static call graph and per-function summaries — to a
 // set of analyzers that run off the single load.
 //
-// The split from cmd/aurora-lint (which is now a thin CLI: flags, text
-// and SARIF output, baseline gating) exists so analyzers can reason
+// The split from cmd/aurora-lint (a thin CLI: package patterns in,
+// findings out) exists so analyzers can reason
 // across package boundaries: lock-acquisition order between the
 // controller and its targets, deadline propagation along RPC call
 // paths, and taint flow from wall-clock or unseeded-RNG reads into the
@@ -19,44 +19,41 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
-	"time"
 
 	"aurora/internal/analysis/flow"
 )
 
 // The rules aurora-lint enforces. Each diagnostic names the rule that
-// produced it so //lint:ignore directives and baseline entries can
-// target it precisely.
+// produced it so //lint:ignore directives can target it precisely.
+// DESIGN.md §11 records, per rule, the bug or seeded mutation that
+// keeps it here.
 const (
-	RuleGuardedBy   = "guardedby"   // guarded field accessed without its mutex
-	RuleMutexCopy   = "mutexcopy"   // mutex-bearing struct copied by value
-	RuleDeterminism = "determinism" // global rand / wall clock in deterministic package
-	RuleFloatCmp    = "floatcmp"    // exact ==/!= on floats in strict-float package
-	RuleErrCheck    = "errcheck"    // error result silently discarded
-	RuleDirective   = "directive"   // malformed //lint: directive
-	RulePkgDoc      = "pkgdoc"      // package without a godoc package comment
-	RuleLockOrder   = "lockorder"   // inconsistent cross-package lock acquisition order
-	RuleCtxDeadline = "ctxdeadline" // RPC without retry policy or deadline propagation
-	RuleRngTaint    = "rngtaint"    // wall-clock/RNG taint reaching deterministic code
-	RuleWrapCheck   = "wrapcheck"   // error chain broken at a package boundary
-	RuleAllocHot    = "allochot"    // heap allocation reachable from a //lint:hotpath root
-	RuleAtomicMix   = "atomicmix"   // field mixes sync/atomic with plain access
-	RuleGoroLeak    = "goroleak"    // go statement without a provable termination signal
-	RuleGlobalMut   = "globalmut"   // mutable package-level state (sharding blocker)
-	RuleConc        = "conc"        // model checker: deadlock / lost signal / stuck pipeline
+	RuleGuardedBy    = "guardedby"    // guarded field accessed without its mutex
+	RuleDeterminism  = "determinism"  // global rand / wall clock in deterministic package
+	RuleFloatCmp     = "floatcmp"     // exact ==/!= on floats in strict-float package
+	RuleErrCheck     = "errcheck"     // error result silently discarded
+	RuleDirective    = "directive"    // malformed //lint: directive
+	RulePkgDoc       = "pkgdoc"       // package without a godoc package comment
+	RuleLockOrder    = "lockorder"    // inconsistent lock order, or a same-receiver re-lock
+	RuleCtxDeadline  = "ctxdeadline"  // RPC without retry policy or deadline propagation
+	RuleRngTaint     = "rngtaint"     // wall-clock/RNG taint reaching deterministic code
+	RuleWrapCheck    = "wrapcheck"    // error chain broken at a package boundary
+	RuleAllocHot     = "allochot"     // heap allocation reachable from a //lint:hotpath root
+	RuleGoroLeak     = "goroleak"     // go statement without a provable termination signal
 	RuleProtoConform = "protoconform" // dispatch state machine diverges from DESIGN.md §15
 )
 
 // KnownRules is the registry of valid rule names, used to validate
-// //lint:ignore directives and to emit the SARIF rule table.
+// //lint:ignore directives.
 var KnownRules = []string{
-	RuleGuardedBy, RuleMutexCopy, RuleDeterminism, RuleFloatCmp,
+	RuleGuardedBy, RuleDeterminism, RuleFloatCmp,
 	RuleErrCheck, RuleDirective, RulePkgDoc,
 	RuleLockOrder, RuleCtxDeadline, RuleRngTaint, RuleWrapCheck,
-	RuleAllocHot, RuleAtomicMix, RuleGoroLeak, RuleGlobalMut,
-	RuleConc, RuleProtoConform,
+	RuleAllocHot, RuleGoroLeak, RuleProtoConform,
 }
 
 func knownRule(name string) bool {
@@ -99,11 +96,7 @@ type Runner struct {
 	modes      map[*Package]pkgModes
 	funcDirs   map[token.Pos]string // //lint:hotpath and //lint:coldpath comment positions
 	flowSet    *flow.Set
-	concBudget time.Duration // wall-time cap for the conc model checker (0 = default)
 }
-
-// SetConcBudget caps the model checker's wall time (-conc-budget).
-func (r *Runner) SetConcBudget(d time.Duration) { r.concBudget = d }
 
 // pkgModes is what the //lint: comments of one package declare.
 type pkgModes struct {
@@ -134,12 +127,6 @@ func NewRunner(mod *Module) (*Runner, error) {
 	return r, nil
 }
 
-// Facts exposes the shared fact store (tests and tooling).
-func (r *Runner) Facts() *Facts { return r.facts }
-
-// Packages returns every loaded package, sorted by import path.
-func (r *Runner) Packages() []*Package { return r.pkgs }
-
 // Pass is one named analyzer pass, exposed so the CLI can time each
 // analyzer individually (-timing).
 type Pass struct {
@@ -163,13 +150,12 @@ func (r *Runner) perPkg(check func(*Package), gate func(pkgModes) bool) func() {
 }
 
 // Passes returns every analyzer as a named pass, in execution order. The
-// "flow" pass builds the interprocedural dataflow summaries the three
+// "flow" pass builds the interprocedural dataflow summaries the two
 // passes after it consume; keeping it explicit makes its cost visible
 // under -timing.
 func (r *Runner) Passes() []Pass {
 	return []Pass{
 		{Name: "guardedby", run: r.perPkg(r.checkGuardedBy, nil)},
-		{Name: "mutexcopy", run: r.perPkg(r.checkMutexCopy, nil)},
 		{Name: "determinism", run: r.perPkg(r.checkDeterminism, func(m pkgModes) bool { return m.deterministic })},
 		{Name: "floatcmp", run: r.perPkg(r.checkFloatCmp, func(m pkgModes) bool { return m.strictfloat })},
 		{Name: "errcheck", run: r.perPkg(r.checkErrCheck, nil)},
@@ -180,10 +166,7 @@ func (r *Runner) Passes() []Pass {
 		{Name: "rngtaint", run: r.checkRngTaint},
 		{Name: "flow", run: func() { r.Flow() }},
 		{Name: "allochot", run: r.checkAllocHot},
-		{Name: "atomicmix", run: r.checkAtomicMix},
 		{Name: "goroleak", run: r.checkGoroLeak},
-		{Name: "globalmut", run: r.checkGlobalMut},
-		{Name: "conc", run: r.checkConc},
 		{Name: "protoconform", run: r.checkProtoConform},
 	}
 }
@@ -267,6 +250,13 @@ func (r *Runner) report(pos token.Pos, rule, format string, args ...any) {
 		Rule:    rule,
 		Message: fmt.Sprintf(format, args...),
 	})
+}
+
+// shortPos renders a position as "file.go:NN" for embedding in messages
+// (full paths would make fixture expectations machine-specific).
+func (r *Runner) shortPos(pos token.Pos) string {
+	p := r.mod.Fset.Position(pos)
+	return filepath.Base(p.Filename) + ":" + strconv.Itoa(p.Line)
 }
 
 // scanDirectives interprets //lint: comments: package-mode directives

@@ -115,7 +115,7 @@ func (r *Runner) retryCoverage() *retryCoverage {
 
 	markCovered := func(fi *FuncInfo, arg ast.Expr) bool {
 		changed := false
-		switch arg := unparen(arg).(type) {
+		switch arg := ast.Unparen(arg).(type) {
 		case *ast.FuncLit:
 			if !cov.lits[arg] {
 				cov.lits[arg] = true
@@ -165,7 +165,7 @@ func (r *Runner) retryCoverage() *retryCoverage {
 				}
 				// A wrapper may also call its op parameter from inside
 				// an already-covered closure (Do(func() error { return op() })).
-				if id, ok := unparen(site.Call.Fun).(*ast.Ident); ok && cov.site(site) {
+				if id, ok := ast.Unparen(site.Call.Fun).(*ast.Ident); ok && cov.site(site) {
 					if v, ok := fi.Pkg.Info.Uses[id].(*types.Var); ok {
 						if i := paramIndex(fi, v); i >= 0 {
 							key := paramKey{fn: fi.Obj, idx: i}

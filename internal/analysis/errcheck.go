@@ -109,7 +109,7 @@ func (r *Runner) checkBlankErrAssign(pkg *Package, assign *ast.AssignStmt) {
 	if len(assign.Rhs) != 1 {
 		return
 	}
-	call, ok := unparen(assign.Rhs[0]).(*ast.CallExpr)
+	call, ok := ast.Unparen(assign.Rhs[0]).(*ast.CallExpr)
 	if !ok {
 		return
 	}
@@ -155,11 +155,11 @@ func (r *Runner) checkDeferredFileClose(pkg *Package, fd *ast.FuncDecl) {
 		if !ok || len(assign.Rhs) != 1 || len(assign.Lhs) == 0 {
 			return true
 		}
-		call, ok := unparen(assign.Rhs[0]).(*ast.CallExpr)
+		call, ok := ast.Unparen(assign.Rhs[0]).(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
@@ -199,11 +199,11 @@ func (r *Runner) checkDeferredFileClose(pkg *Package, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		sel, ok := unparen(def.Call.Fun).(*ast.SelectorExpr)
+		sel, ok := ast.Unparen(def.Call.Fun).(*ast.SelectorExpr)
 		if !ok || sel.Sel.Name != "Close" {
 			return true
 		}
-		ident, ok := unparen(sel.X).(*ast.Ident)
+		ident, ok := ast.Unparen(sel.X).(*ast.Ident)
 		if !ok {
 			return true
 		}

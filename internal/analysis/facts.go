@@ -141,7 +141,7 @@ func (f *Facts) collectSites(fi *FuncInfo) {
 // implements the interface. Calls of function values (fields, params)
 // resolve to nil — analyzers that care match those by the value's type.
 func (f *Facts) resolveCallees(pkg *Package, call *ast.CallExpr) []*types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := pkg.Info.Uses[fun].(*types.Func); ok {
 			return []*types.Func{fn}

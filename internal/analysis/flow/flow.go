@@ -1,13 +1,11 @@
 // Package flow is the interprocedural dataflow layer under
 // internal/analysis: a lightweight def-use IR over the already
 // type-checked ASTs. For every declared function it computes a Summary —
-// direct allocation sites, goroutines spawned, termination signals,
-// locks/atomics touched, and which parameters may escape the call frame
+// direct allocation sites, goroutines spawned and termination signals
 // — then propagates the transitive facts (allocation effects, signal
-// reachability, escape flow through call arguments) across the static
-// call graph to a fixpoint, so the analyzers built on top (allochot,
-// goroleak, atomicmix) reason about whole call trees spanning packages,
-// not single bodies.
+// reachability) across the static call graph to a fixpoint, so the
+// analyzers built on top (allochot, goroleak) reason about whole call
+// trees spanning packages, not single bodies.
 //
 // The package deliberately depends only on go/ast and go/types: the
 // caller (internal/analysis) supplies the parsed functions and a callee
@@ -31,19 +29,19 @@ type AllocKind int
 // literals, escaping closures and interface boxing are charged even
 // where the compiler's own escape analysis might stack-allocate them.
 const (
-	AllocMake        AllocKind = iota + 1 // make(map/slice/chan)
-	AllocNew                              // new(T)
-	AllocComposite                        // &T{...}, or a map/slice literal
-	AllocAppend                           // append may grow its backing array
-	AllocCall                             // call into allocating stdlib (fmt, errors, ...)
-	AllocConvert                          // string<->[]byte/[]rune conversion
-	AllocBoxing                           // concrete value boxed into an interface
-	AllocClosure                          // escaping func literal captures its frame
-	AllocMapRange                         // map iteration: hidden iterator, random order
-	AllocGoStmt                           // go statement allocates a goroutine stack
-	AllocDefer                            // defer frame (heap-allocated in loops)
-	AllocStringConcat                     // string + string builds a new string
-	AllocOpaqueCall                       // call through an unresolved function value
+	AllocMake         AllocKind = iota + 1 // make(map/slice/chan)
+	AllocNew                               // new(T)
+	AllocComposite                         // &T{...}, or a map/slice literal
+	AllocAppend                            // append may grow its backing array
+	AllocCall                              // call into allocating stdlib (fmt, errors, ...)
+	AllocConvert                           // string<->[]byte/[]rune conversion
+	AllocBoxing                            // concrete value boxed into an interface
+	AllocClosure                           // escaping func literal captures its frame
+	AllocMapRange                          // map iteration: hidden iterator, random order
+	AllocGoStmt                            // go statement allocates a goroutine stack
+	AllocDefer                             // defer frame (heap-allocated in loops)
+	AllocStringConcat                      // string + string builds a new string
+	AllocOpaqueCall                        // call through an unresolved function value
 )
 
 // String names the allocation class for diagnostics and tests.
@@ -151,16 +149,6 @@ func (sp *Spawn) Signal() Signal {
 	return s
 }
 
-// AtomicOp is one sync/atomic touch of a struct field: either an
-// old-style address call (atomic.AddInt64(&s.f, 1), ByAddress=true) or a
-// method call on an atomic.X-typed field (s.f.Load()).
-type AtomicOp struct {
-	Field     *types.Var
-	Pos       token.Pos
-	Op        string // e.g. "atomic.AddInt64" or "(atomic.Int64).Load"
-	ByAddress bool
-}
-
 // Summary is the per-function node of the dataflow IR.
 type Summary struct {
 	Fn   *types.Func
@@ -180,26 +168,9 @@ type Summary struct {
 	Direct     Signal
 	Transitive Signal
 
-	// ParamEscapes has one entry per parameter (receiver first for
-	// methods): true when the pointed-to value may outlive the call frame
-	// — stored through non-local memory, sent on a channel, returned,
-	// captured by an escaping closure, or passed to a callee position
-	// that itself escapes (propagated to a fixpoint). Non-pointer-like
-	// parameters are always false.
-	ParamEscapes []bool
-
-	// Synchronization facts: atomics touched and mutex fields locked.
-	Atomics []AtomicOp
-	Locks   []*types.Var
-
 	// calls are the deduplicated synchronous static callees (calls under
-	// a go statement excluded) — the edges the fixpoints run over.
+	// a go statement excluded) — the edges the fixpoint runs over.
 	calls []*types.Func
-
-	// escape-graph state (built by buildEscapes, solved by the fixpoint).
-	escParams []types.Object
-	escNodes  map[types.Object]*escNode
-	escaped   map[types.Object]bool
 }
 
 // Func is one input function: its object, declaration and the
@@ -243,7 +214,6 @@ func Build(funcs []Func, resolve func(fn Func, call *ast.CallExpr) []*types.Func
 	}
 	sort.Slice(s.order, func(i, j int) bool { return s.order[i].Decl.Pos() < s.order[j].Decl.Pos() })
 	s.fixpoint()
-	propagateEscapes(s)
 	return s
 }
 
@@ -292,7 +262,6 @@ func (w *walker) run() *Summary {
 	w.walk(w.fn.Decl.Body)
 	w.sum.AllocsTransitive = len(w.sum.Allocs) > 0
 	w.sum.Transitive = w.sum.Direct
-	buildEscapes(w.fn, w.sum, w.set, w.resolve)
 	return w.sum
 }
 
@@ -389,9 +358,6 @@ func (w *walker) walk(n ast.Node) {
 			return true
 		case *ast.CallExpr:
 			w.call(n)
-			return true
-		case *ast.SelectorExpr:
-			w.selector(n)
 			return true
 		}
 		return true
@@ -512,12 +478,7 @@ func (w *walker) noteCallee(call *ast.CallExpr, callee *types.Func) {
 			if callee.Name() == "Done" || callee.Name() == "Err" || callee.Name() == "Deadline" {
 				w.signal(SigContext)
 			}
-		case "sync.Mutex", "sync.RWMutex":
-			if callee.Name() == "Lock" || callee.Name() == "RLock" {
-				w.noteLock(call)
-			}
 		}
-		w.noteAtomicMethod(call, callee, sig)
 	}
 	// Interface methods: a call on a context.Context interface value has
 	// no concrete receiver type above; catch it by package.
@@ -530,72 +491,6 @@ func (w *walker) noteCallee(call *ast.CallExpr, callee *types.Func) {
 		w.seenCall[callee] = true
 		w.sum.calls = append(w.sum.calls, callee)
 	}
-	w.noteAtomicAddr(call, callee)
-}
-
-// noteLock records the mutex field locked by a m.mu.Lock() chain.
-func (w *walker) noteLock(call *ast.CallExpr) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
-		if s, ok := w.fn.Info.Selections[inner]; ok && s.Kind() == types.FieldVal {
-			if v, ok := s.Obj().(*types.Var); ok {
-				w.sum.Locks = append(w.sum.Locks, v)
-			}
-		}
-	}
-}
-
-// noteAtomicAddr records old-style sync/atomic calls whose first
-// argument takes a struct field's address: atomic.AddInt64(&s.f, 1).
-func (w *walker) noteAtomicAddr(call *ast.CallExpr, callee *types.Func) {
-	pkg := callee.Pkg()
-	if pkg == nil || pkg.Path() != "sync/atomic" || len(call.Args) == 0 {
-		return
-	}
-	u, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-	if !ok || u.Op != token.AND {
-		return
-	}
-	if f := w.fieldOf(u.X); f != nil {
-		w.sum.Atomics = append(w.sum.Atomics, AtomicOp{
-			Field: f, Pos: call.Pos(), Op: "atomic." + callee.Name(), ByAddress: true,
-		})
-	}
-}
-
-// noteAtomicMethod records method calls on atomic.X-typed fields
-// (s.f.Load()): intrinsically safe, kept as "atomics touched" facts.
-func (w *walker) noteAtomicMethod(call *ast.CallExpr, callee *types.Func, sig *types.Signature) {
-	name := recvTypeName(sig.Recv().Type())
-	if !strings.HasPrefix(name, "atomic.") {
-		return
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	if f := w.fieldOf(sel.X); f != nil {
-		w.sum.Atomics = append(w.sum.Atomics, AtomicOp{
-			Field: f, Pos: call.Pos(), Op: "(" + name + ")." + callee.Name(),
-		})
-	}
-}
-
-// fieldOf resolves expr to the struct field it selects, or nil.
-func (w *walker) fieldOf(expr ast.Expr) *types.Var {
-	sel, ok := ast.Unparen(expr).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	s, ok := w.fn.Info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	v, _ := s.Obj().(*types.Var)
-	return v
 }
 
 // boxedArgs flags concrete values boxed into interface-typed parameters.
@@ -648,11 +543,6 @@ func (w *walker) boxes(arg ast.Expr, target types.Type) bool {
 	}
 	return !w.isConstant(arg)
 }
-
-// selector flags boxing through plain assignment to interface-typed
-// variables: `var x any = v` and `x = v` are handled by the statement
-// walks below; method values need nothing here. (Retained as a hook.)
-func (w *walker) selector(*ast.SelectorExpr) {}
 
 func (w *walker) typeOf(e ast.Expr) types.Type {
 	if tv, ok := w.fn.Info.Types[e]; ok {

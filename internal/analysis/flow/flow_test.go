@@ -1,8 +1,8 @@
 package flow_test
 
 // These tests pin the per-function summary facts — allocation effects,
-// escaping parameters, spawns and termination signals, atomic field
-// updates — on the flowfix fixture package, independent of the
+// spawns and termination signals — on the flowfix fixture package,
+// independent of the
 // analyzers that consume them. The fixture is parsed and type-checked
 // directly (one file, stdlib imports only), with a static-callee
 // resolver mirroring the one internal/analysis supplies.
@@ -160,30 +160,6 @@ func TestTransitiveAllocs(t *testing.T) {
 	}
 }
 
-func TestParamEscapes(t *testing.T) {
-	tests := []struct {
-		fn   string
-		want map[int]bool // param index (receiver-first for methods) -> escapes
-	}{
-		{"Leak", map[int]bool{0: true}},
-		{"Keep", map[int]bool{0: false}},
-		{"SendsTo", map[int]bool{1: true}}, // p is published through ch
-	}
-	for _, tc := range tests {
-		t.Run(tc.fn, func(t *testing.T) {
-			sum := summary(t, tc.fn)
-			for idx, want := range tc.want {
-				if idx >= len(sum.ParamEscapes) {
-					t.Fatalf("ParamEscapes has %d entries, want index %d", len(sum.ParamEscapes), idx)
-				}
-				if got := sum.ParamEscapes[idx]; got != want {
-					t.Errorf("ParamEscapes[%d] = %v, want %v", idx, got, want)
-				}
-			}
-		})
-	}
-}
-
 func TestSpawnSignals(t *testing.T) {
 	tests := []struct {
 		fn      string
@@ -216,22 +192,5 @@ func TestSpawnSignals(t *testing.T) {
 				t.Errorf("Signal() = %v, missing %v", sig, tc.wantSig)
 			}
 		})
-	}
-}
-
-func TestAtomics(t *testing.T) {
-	sum := summary(t, "Inc")
-	if len(sum.Atomics) != 1 {
-		t.Fatalf("got %d atomic ops, want 1: %+v", len(sum.Atomics), sum.Atomics)
-	}
-	op := sum.Atomics[0]
-	if !op.ByAddress {
-		t.Errorf("ByAddress = false, want true")
-	}
-	if op.Op != "atomic.AddInt64" {
-		t.Errorf("Op = %q, want atomic.AddInt64", op.Op)
-	}
-	if op.Field == nil || op.Field.Name() != "n" {
-		t.Errorf("Field = %v, want n", op.Field)
 	}
 }

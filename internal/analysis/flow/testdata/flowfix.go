@@ -1,12 +1,11 @@
 // Package flowfix is the fixture for the flow summary unit tests: each
 // function exercises exactly one fact the summaries must record —
-// an allocation kind, an escaping parameter, a spawn, a signal.
+// an allocation kind, a spawn, a signal.
 package flowfix
 
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 )
 
 // MakeMap allocates with make.
@@ -48,14 +47,11 @@ func Pure(a, b int) int {
 	return b
 }
 
-// Leak returns its pointer argument: the parameter escapes.
+// Leak returns its pointer argument without allocating.
 func Leak(p *int) *int { return p }
 
 // Keep only reads through its pointer argument.
 func Keep(p *int) int { return *p }
-
-// SendsTo publishes p through the channel: p escapes.
-func SendsTo(ch chan *int, p *int) { ch <- p }
 
 // Spinner spawns a goroutine with no termination signal.
 func Spinner() {
@@ -86,9 +82,3 @@ func (s *Server) loop() { <-s.done }
 
 // Run spawns loop; its termination signal is transitive.
 func (s *Server) Run() { go s.loop() }
-
-// Counter updates its field through sync/atomic by address.
-type Counter struct{ n int64 }
-
-// Inc is the address-style atomic update the summaries must record.
-func (c *Counter) Inc() { atomic.AddInt64(&c.n, 1) }

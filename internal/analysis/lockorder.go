@@ -23,8 +23,12 @@ import (
 // literal and go-statement bodies are skipped (a goroutine does not
 // inherit its spawner's lock set; a closure may run anywhere), branch
 // structure is flattened to source order, and calls through function
-// values are unresolved. Self-edges (L→L) are ignored: re-acquiring
-// the same class is almost always a different instance here.
+// values are unresolved. A self-edge (L→L) is recorded only when both
+// acquisitions go through the method's own receiver — recv.mu locked
+// while recv.mu is held, directly or via recv.method() calls — which is
+// the same instance and, sync mutexes not being reentrant, a certain
+// self-deadlock; re-acquiring the class through any other expression is
+// almost always a different instance and stays ignored.
 
 // lockClass identifies one mutex by declaration: the struct type
 // holding it and the field name ("" for an embedded sync.Mutex).
@@ -49,19 +53,35 @@ type lockEdge struct {
 	pos      token.Pos
 }
 
-// lockCall is a call made while at least one lock was held.
+// heldLock is one entry of the lexically-held set; self marks a lock
+// taken through the enclosing method's own receiver.
+type heldLock struct {
+	class lockClass
+	self  bool
+}
+
+// lockCall is a call made while at least one lock was held; self marks
+// a method call on the enclosing method's own receiver.
 type lockCall struct {
 	callees []*types.Func
-	held    []lockClass
+	held    []heldLock
+	self    bool
 	pos     token.Pos
+}
+
+// acquireSet is what one body takes directly and whom it calls: the
+// seed and the edges of a transitive-acquisition fixpoint.
+type acquireSet struct {
+	locks map[lockClass]bool
+	calls []*types.Func // synchronous static callees
 }
 
 // lockSummary is the per-function result of the body walk.
 type lockSummary struct {
-	acquires map[lockClass]bool // locks this body takes directly
-	edges    []lockEdge         // direct held→acquire orderings
-	calls    []lockCall         // calls under a held lock
-	allCalls []*types.Func      // every synchronous static callee (closure propagation)
+	all   acquireSet // every lock taken, every callee
+	self  acquireSet // ... of which through the method's own receiver
+	edges []lockEdge // direct held→acquire orderings
+	calls []lockCall // calls under a held lock
 }
 
 // checkLockOrder builds the module-wide acquisition graph and reports
@@ -72,29 +92,36 @@ func (r *Runner) checkLockOrder() {
 		sums[fi.Obj] = r.lockWalk(fi)
 	}
 
-	// Transitive acquisition sets over the call graph (fixpoint).
-	trans := make(map[*types.Func]map[lockClass]bool)
-	for fn, s := range sums {
-		set := make(map[lockClass]bool, len(s.acquires))
-		for c := range s.acquires {
-			set[c] = true
+	// Transitive acquisition sets over the call graph (fixpoint): every
+	// class a function may take, and the subset it takes on its own
+	// receiver through a chain of same-receiver method calls.
+	closure := func(pick func(*lockSummary) acquireSet) map[*types.Func]map[lockClass]bool {
+		trans := make(map[*types.Func]map[lockClass]bool)
+		for fn, s := range sums {
+			set := make(map[lockClass]bool)
+			for c := range pick(s).locks {
+				set[c] = true
+			}
+			trans[fn] = set
 		}
-		trans[fn] = set
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fi := range r.facts.FuncList {
-			set := trans[fi.Obj]
-			for _, callee := range sums[fi.Obj].allCalls {
-				for c := range trans[callee] {
-					if !set[c] {
-						set[c] = true
-						changed = true
+		for changed := true; changed; {
+			changed = false
+			for _, fi := range r.facts.FuncList {
+				set := trans[fi.Obj]
+				for _, callee := range pick(sums[fi.Obj]).calls {
+					for c := range trans[callee] {
+						if !set[c] {
+							set[c] = true
+							changed = true
+						}
 					}
 				}
 			}
 		}
+		return trans
 	}
+	trans := closure(func(s *lockSummary) acquireSet { return s.all })
+	selfTrans := closure(func(s *lockSummary) acquireSet { return s.self })
 
 	// Edge set: direct edges plus call edges L→(everything the callee
 	// may acquire). Keep the lexically first witness per ordered pair.
@@ -115,9 +142,12 @@ func (r *Runner) checkLockOrder() {
 		}
 		for _, call := range s.calls {
 			for _, callee := range call.callees {
-				for c := range trans[callee] {
-					for _, held := range call.held {
-						addEdge(held, c, call.pos)
+				for _, held := range call.held {
+					for c := range trans[callee] {
+						addEdge(held.class, c, call.pos)
+					}
+					if call.self && held.self && selfTrans[callee][held.class] {
+						r.reportRelock(call.pos, held.class)
 					}
 				}
 			}
@@ -144,34 +174,42 @@ func (r *Runner) checkLockOrder() {
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].aPos < found[j].aPos })
 	for _, inv := range found {
-		other := r.mod.Fset.Position(inv.bPos)
 		r.report(inv.aPos, RuleLockOrder,
-			"inconsistent lock order: %s acquired while holding %s here, but the reverse order at %s:%d; pick one global acquisition order",
-			inv.b, inv.a, shortFile(other.Filename), other.Line)
+			"inconsistent lock order: %s acquired while holding %s here, but the reverse order at %s; pick one global acquisition order",
+			inv.b, inv.a, r.shortPos(inv.bPos))
 	}
 }
 
-// shortFile trims a path to its final element for stable cross-file
-// references in messages.
-func shortFile(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[i+1:]
-		}
-	}
-	return path
+// reportRelock is the self-edge finding: every site is reported, since
+// each one deadlocks on its own.
+func (r *Runner) reportRelock(pos token.Pos, c lockClass) {
+	r.report(pos, RuleLockOrder,
+		"re-lock: %s is acquired here while the same receiver already holds it; sync mutexes are not reentrant, so this self-deadlocks", c)
 }
 
 // lockWalk scans one function body in source order, tracking the held
 // lock set and recording acquisitions and calls made under it.
 func (r *Runner) lockWalk(fi *FuncInfo) *lockSummary {
-	s := &lockSummary{acquires: make(map[lockClass]bool)}
-	var held []lockClass
+	s := &lockSummary{
+		all:  acquireSet{locks: make(map[lockClass]bool)},
+		self: acquireSet{locks: make(map[lockClass]bool)},
+	}
+	var held []heldLock
 	pkg := fi.Pkg
+
+	// onRecv reports whether e is the enclosing method's receiver.
+	var recv types.Object
+	if fi.Decl.Recv != nil && len(fi.Decl.Recv.List) == 1 && len(fi.Decl.Recv.List[0].Names) == 1 {
+		recv = pkg.Info.Defs[fi.Decl.Recv.List[0].Names[0]]
+	}
+	onRecv := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && recv != nil && pkg.Info.Uses[id] == recv
+	}
 
 	release := func(c lockClass) {
 		for i, h := range held {
-			if h == c {
+			if h.class == c {
 				held = append(held[:i], held[i+1:]...)
 				return
 			}
@@ -188,19 +226,26 @@ func (r *Runner) lockWalk(fi *FuncInfo) *lockSummary {
 			// A deferred Unlock keeps the lock held to the end of the
 			// body; other deferred calls are treated as ordinary calls
 			// under the current held set.
-			if _, op, ok := r.mutexOp(pkg, n.Call); ok && (op == "Unlock" || op == "RUnlock") {
+			if _, _, op, ok := r.mutexOp(pkg, n.Call); ok && (op == "Unlock" || op == "RUnlock") {
 				return false
 			}
 			return true
 		case *ast.CallExpr:
-			if c, op, ok := r.mutexOp(pkg, n); ok {
+			if c, base, op, ok := r.mutexOp(pkg, n); ok {
 				switch op {
 				case "Lock", "RLock":
-					s.acquires[c] = true
-					for _, h := range held {
-						s.edges = append(s.edges, lockEdge{from: h, to: c, pos: n.Pos()})
+					self := onRecv(base)
+					s.all.locks[c] = true
+					if self {
+						s.self.locks[c] = true
 					}
-					held = append(held, c)
+					for _, h := range held {
+						s.edges = append(s.edges, lockEdge{from: h.class, to: c, pos: n.Pos()})
+						if h.class == c && h.self && self {
+							r.reportRelock(n.Pos(), c)
+						}
+					}
+					held = append(held, heldLock{class: c, self: self})
 				case "Unlock", "RUnlock":
 					release(c)
 				}
@@ -208,11 +253,17 @@ func (r *Runner) lockWalk(fi *FuncInfo) *lockSummary {
 			}
 			callees := r.facts.resolveCallees(pkg, n)
 			if len(callees) > 0 {
-				s.allCalls = append(s.allCalls, callees...)
+				s.all.calls = append(s.all.calls, callees...)
+				sel, isSel := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+				self := isSel && onRecv(sel.X)
+				if self {
+					s.self.calls = append(s.self.calls, callees...)
+				}
 				if len(held) > 0 {
 					s.calls = append(s.calls, lockCall{
 						callees: callees,
-						held:    append([]lockClass(nil), held...),
+						held:    append([]heldLock(nil), held...),
+						self:    self,
 						pos:     n.Pos(),
 					})
 				}
@@ -226,44 +277,45 @@ func (r *Runner) lockWalk(fi *FuncInfo) *lockSummary {
 }
 
 // mutexOp recognizes a Lock/RLock/Unlock/RUnlock call on a struct-field
-// or embedded mutex and returns its lock class.
-func (r *Runner) mutexOp(pkg *Package, call *ast.CallExpr) (lockClass, string, bool) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+// or embedded mutex and returns its lock class and the expression of
+// the value that owns the mutex.
+func (r *Runner) mutexOp(pkg *Package, call *ast.CallExpr) (lockClass, ast.Expr, string, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return lockClass{}, "", false
+		return lockClass{}, nil, "", false
 	}
 	op := sel.Sel.Name
 	switch op {
 	case "Lock", "RLock", "Unlock", "RUnlock":
 	default:
-		return lockClass{}, "", false
+		return lockClass{}, nil, "", false
 	}
 	// The method must come from sync.Mutex / sync.RWMutex.
 	obj, ok := pkg.Info.Uses[sel.Sel]
 	if !ok || obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return lockClass{}, "", false
+		return lockClass{}, nil, "", false
 	}
-	switch x := unparen(sel.X).(type) {
+	switch x := ast.Unparen(sel.X).(type) {
 	case *ast.SelectorExpr:
 		// base.field.Lock(): the class is (type of base, field), when
 		// the field really is the mutex.
 		if _, ok := isMutexType(pkg.Info.TypeOf(x)); ok {
 			if named := namedOf(pkg.Info.TypeOf(x.X)); named != nil {
-				return lockClass{typ: named, field: x.Sel.Name}, op, true
+				return lockClass{typ: named, field: x.Sel.Name}, x.X, op, true
 			}
 		}
 		// base.Lock() where base is itself a field of struct type with
 		// an embedded mutex: class is (type of base, embedded).
 		if named := namedOf(pkg.Info.TypeOf(x)); named != nil && hasEmbeddedMutex(named) {
-			return lockClass{typ: named, field: ""}, op, true
+			return lockClass{typ: named, field: ""}, x, op, true
 		}
 	case *ast.Ident:
 		// recv.Lock() via an embedded mutex.
 		if named := namedOf(pkg.Info.TypeOf(x)); named != nil && hasEmbeddedMutex(named) {
-			return lockClass{typ: named, field: ""}, op, true
+			return lockClass{typ: named, field: ""}, x, op, true
 		}
 	}
-	return lockClass{}, "", false
+	return lockClass{}, nil, "", false
 }
 
 // namedOf strips one level of pointer and returns the named type, if

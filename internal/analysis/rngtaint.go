@@ -134,7 +134,7 @@ func (r *Runner) taintOf(pkg *Package, e ast.Expr, tainted map[*types.Func]bool)
 // sourceCall recognizes the primitive taint sources: wall-clock reads
 // and global math/rand draws.
 func (r *Runner) sourceCall(pkg *Package, call *ast.CallExpr) (string, bool) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
@@ -184,7 +184,7 @@ func (r *Runner) checkMapOrderFunc(pkg *Package, fd *ast.FuncDecl) {
 		if !ok || len(call.Args) == 0 {
 			return true
 		}
-		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
@@ -201,11 +201,11 @@ func (r *Runner) checkMapOrderFunc(pkg *Package, fd *ast.FuncDecl) {
 		default:
 			return true
 		}
-		arg := unparen(call.Args[0])
+		arg := ast.Unparen(call.Args[0])
 		// Sorting a subrange (slices.Sort(buf[start:])) still fixes the
 		// order of everything appended this call; unwrap the slice expr.
 		if sl, ok := arg.(*ast.SliceExpr); ok {
-			arg = unparen(sl.X)
+			arg = ast.Unparen(sl.X)
 		}
 		if ident, ok := arg.(*ast.Ident); ok {
 			if obj := pkg.Info.Uses[ident]; obj != nil {
@@ -233,18 +233,18 @@ func (r *Runner) checkMapOrderFunc(pkg *Package, fd *ast.FuncDecl) {
 			if !ok || len(assign.Rhs) != 1 {
 				return true
 			}
-			call, ok := unparen(assign.Rhs[0]).(*ast.CallExpr)
+			call, ok := ast.Unparen(assign.Rhs[0]).(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			fun, ok := unparen(call.Fun).(*ast.Ident)
+			fun, ok := ast.Unparen(call.Fun).(*ast.Ident)
 			if !ok || fun.Name != "append" {
 				return true
 			}
 			if _, isBuiltin := pkg.Info.Uses[fun].(*types.Builtin); !isBuiltin {
 				return true
 			}
-			target, ok := unparen(assign.Lhs[0]).(*ast.Ident)
+			target, ok := ast.Unparen(assign.Lhs[0]).(*ast.Ident)
 			if !ok {
 				return true
 			}

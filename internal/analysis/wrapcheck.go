@@ -24,7 +24,7 @@ func (r *Runner) checkWrapCheck(pkg *Package) {
 			if !ok || len(call.Args) < 2 {
 				return true
 			}
-			sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 			if !ok || sel.Sel.Name != "Errorf" {
 				return true
 			}

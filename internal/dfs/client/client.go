@@ -318,13 +318,18 @@ func (c *Client) Locations(path string) ([]proto.BlockLocation, error) {
 // ReadBlockFrom streams one block from the replicas listed in loc,
 // trying them in the order given — for callers that have already chosen
 // where to read (a task scheduled next to a replica) and so bypass the
-// client's random replica choice.
+// client's random replica choice. loc.Length, as the namenode gave it,
+// sizes the result and is what every replica is held to.
 func (c *Client) ReadBlockFrom(loc proto.BlockLocation) ([]byte, error) {
+	_, slots, err := fileBuffer([]proto.BlockLocation{loc})
+	if err != nil {
+		return nil, err
+	}
 	order := make([]int, len(loc.Addresses))
 	for i := range order {
 		order[i] = i
 	}
-	return c.readBlockOrdered(loc, order, nil)
+	return c.readBlockOrdered(loc, order, slots[0])
 }
 
 // SetReplication changes the file's replication factor at run time — the

@@ -38,28 +38,23 @@ func fileBuffer(locs []proto.BlockLocation) (out []byte, slots [][]byte, err err
 // the next replica is opened at the first missing offset, so a replica
 // lost mid-stream costs only the tail.
 //
-// A non-nil slot (from fileBuffer) is where the block lands, and pins
-// its length: a replica that runs past loc.Length or ends short of it
-// fails like any other bad replica. With a nil slot the block is
-// whatever verified bytes arrive, in a buffer of its own.
+// The slot (from fileBuffer) is where the block lands, and its capacity
+// pins the block's length: a replica that runs past loc.Length or ends
+// short of it fails like any other bad replica.
 func (c *Client) readBlockOrdered(loc proto.BlockLocation, order []int, slot []byte) ([]byte, error) {
 	if len(loc.Addresses) == 0 {
 		return nil, ErrNoReplica
 	}
-	want := -1
-	if slot != nil {
-		if loc.Length != cap(slot) {
-			// Only a refetch can get here: the file was replaced while
-			// it was being read.
-			return nil, fmt.Errorf("client: block %d is now %d bytes, was %d when the read began", loc.Block, loc.Length, cap(slot))
-		}
-		want = loc.Length
+	if loc.Length != cap(slot) {
+		// Only a refetch can get here: the file was replaced while it
+		// was being read.
+		return nil, fmt.Errorf("client: block %d is now %d bytes, was %d when the read began", loc.Block, loc.Length, cap(slot))
 	}
 	buf := slot[:0]
 	var lastErr error
 	for _, i := range order {
 		addr := loc.Addresses[i]
-		err := c.streamTail(addr, loc.Block, &buf, want)
+		err := c.streamTail(addr, loc.Block, &buf)
 		if err == nil {
 			return buf, nil
 		}
@@ -72,10 +67,10 @@ func (c *Client) readBlockOrdered(loc proto.BlockLocation, order []int, slot []b
 // streamTail fetches the missing tail of a block (everything past
 // len(*buf)) from one replica, appending only chunks whose checksums
 // verify. On error the buffer keeps every verified byte so the caller
-// can resume on another replica. want is the block's length according
-// to the namenode, or negative when the caller has none to hold the
-// replica to.
-func (c *Client) streamTail(addr string, block proto.BlockID, buf *[]byte, want int) error {
+// can resume on another replica. cap(*buf) is the block's length
+// according to the namenode, which the replica is held to.
+func (c *Client) streamTail(addr string, block proto.BlockID, buf *[]byte) error {
+	want := cap(*buf)
 	open := &proto.Message{
 		Type: proto.MsgReadBlockStream, Block: block,
 		ChunkSize: c.chunkSize, Offset: len(*buf),
@@ -99,17 +94,11 @@ func (c *Client) streamTail(addr string, block proto.BlockID, buf *[]byte, want 
 		if msg.Offset != len(*buf) {
 			return fmt.Errorf("client: block %d chunk at offset %d from %s, want %d", block, msg.Offset, addr, len(*buf))
 		}
-		if end := len(*buf) + len(chunk); want >= 0 && (end > want || (msg.Eof && end != want)) {
+		if end := len(*buf) + len(chunk); end > want || (msg.Eof && end != want) {
 			return fmt.Errorf("client: block %d from %s reaches byte %d (eof=%t), the namenode says %d", block, addr, end, msg.Eof, want)
 		}
-		if *buf == nil && msg.Length > 0 {
-			// Length is peer-controlled: it sizes only the first
-			// allocation, capped as proto caps frame reads; a longer
-			// block grows as verified bytes arrive.
-			*buf = make([]byte, 0, min(msg.Length, proto.EagerReadBytes))
-		}
 		// The chunk aliases the stream's receive buffer (valid until the
-		// next Recv); this append is the one copy it gets.
+		// next Recv); this append, into the slot, is the one copy it gets.
 		*buf = append(*buf, chunk...)
 		if msg.Eof {
 			return nil

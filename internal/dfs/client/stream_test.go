@@ -137,9 +137,9 @@ func TestStreamedReadResumesOnFailover(t *testing.T) {
 	})
 	c := New("unused:0", WithSeed(1), WithChunkSize(chunk))
 	loc := proto.BlockLocation{Block: 9, Length: len(data), Addresses: []string{flaky, good}}
-	got, err := c.readBlockOrdered(loc, []int{0, 1}, nil)
+	got, err := c.ReadBlockFrom(loc)
 	if err != nil {
-		t.Fatalf("readBlockOrdered: %v", err)
+		t.Fatalf("ReadBlockFrom: %v", err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatalf("reassembled %d bytes, want %d", len(got), len(data))
@@ -165,16 +165,16 @@ func TestStreamedReadChecksumFailsOver(t *testing.T) {
 	good := startStreamFake(t, serveChunks(data, 0))
 	c := New("unused:0", WithSeed(1), WithChunkSize(128))
 	loc := proto.BlockLocation{Block: 4, Length: len(data), Addresses: []string{corrupt, good}}
-	got, err := c.readBlockOrdered(loc, []int{0, 1}, nil)
+	got, err := c.ReadBlockFrom(loc)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after corrupt replica: %v (%d bytes)", err, len(got))
 	}
 }
 
 // A chunk's Length field is peer-controlled: an absurd announcement must
-// not size the client's buffer (at the parent commit it panicked with
-// "makeslice: cap out of range"); the block is whatever verified bytes
-// actually arrive.
+// not size the client's buffer (it once panicked with "makeslice: cap
+// out of range"). The namenode's length sizes it; the announcement is
+// not read at all.
 func TestStreamedReadIgnoresAbsurdAnnouncedLength(t *testing.T) {
 	data := []byte("short block")
 	liar := startStreamFake(t, func(open *proto.Message, _ []byte, st proto.BlockStream) {
@@ -184,12 +184,12 @@ func TestStreamedReadIgnoresAbsurdAnnouncedLength(t *testing.T) {
 		}, data)
 	})
 	c := New("unused:0", WithSeed(1))
-	got, err := c.ReadBlockFrom(proto.BlockLocation{Block: 3, Addresses: []string{liar}})
+	got, err := c.ReadBlockFrom(proto.BlockLocation{Block: 3, Length: len(data), Addresses: []string{liar}})
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("ReadBlockFrom = %q, %v; want %q", got, err, data)
 	}
-	if cap(got) > proto.EagerReadBytes {
-		t.Errorf("buffer capacity %d follows the announced length, want <= %d", cap(got), proto.EagerReadBytes)
+	if cap(got) != len(data) {
+		t.Errorf("buffer capacity %d, want the namenode's length %d", cap(got), len(data))
 	}
 }
 
@@ -205,7 +205,8 @@ func locationsOf(t *testing.T, locs ...proto.BlockLocation) string {
 // A replica that disagrees with the namenode about a block's length —
 // it ends early, or keeps going — is a bad replica: the read fails over
 // from the last verified byte instead of returning a file whose length
-// differs from Stat's.
+// differs from Stat's. Both ways into a block read are held to it: a
+// slot of Client.Read's file buffer, and ReadBlockFrom.
 func TestReadHoldsReplicasToNamenodeLength(t *testing.T) {
 	const chunk = 128
 	data := bytes.Repeat([]byte("agreed length "), 40) // 560 bytes, > 4 chunks
@@ -218,33 +219,45 @@ func TestReadHoldsReplicasToNamenodeLength(t *testing.T) {
 		{"long", append(bytes.Clone(data), "and then some"...), 4 * chunk},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := startStreamFake(t, serveChunks(tc.served, 0))
-			var mu sync.Mutex
-			resumedAt := -1
-			good := startStreamFake(t, func(open *proto.Message, p []byte, st proto.BlockStream) {
-				mu.Lock()
-				resumedAt = open.Offset
-				mu.Unlock()
-				serveChunks(data, 0)(open, p, st)
-			})
-			c := New("unused:0", WithSeed(1), WithChunkSize(chunk))
-			loc := proto.BlockLocation{Block: 9, Length: len(data), Addresses: []string{bad, good}}
-			_, slots, err := fileBuffer([]proto.BlockLocation{loc})
-			if err != nil {
-				t.Fatalf("fileBuffer: %v", err)
-			}
-			failovers := metrics.Default.Counter("dfs.client.read_failover").Value()
-			got, err := c.readBlockOrdered(loc, []int{0, 1}, slots[0])
-			if err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("read after a %s replica = %d bytes, %v; want the %d agreed bytes", tc.name, len(got), err, len(data))
-			}
-			if n := metrics.Default.Counter("dfs.client.read_failover").Value() - failovers; n != 1 {
-				t.Errorf("%d failovers, want 1", n)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if resumedAt != tc.resumeAt {
-				t.Errorf("good replica opened at offset %d, want %d (the last verified byte)", resumedAt, tc.resumeAt)
+			for _, via := range []struct {
+				name string
+				read func(*Client, proto.BlockLocation) ([]byte, error)
+			}{
+				{"slot", func(c *Client, loc proto.BlockLocation) ([]byte, error) {
+					_, slots, err := fileBuffer([]proto.BlockLocation{loc})
+					if err != nil {
+						t.Fatalf("fileBuffer: %v", err)
+					}
+					return c.readBlockOrdered(loc, []int{0, 1}, slots[0])
+				}},
+				{"ReadBlockFrom", (*Client).ReadBlockFrom},
+			} {
+				t.Run(via.name, func(t *testing.T) {
+					bad := startStreamFake(t, serveChunks(tc.served, 0))
+					var mu sync.Mutex
+					resumedAt := -1
+					good := startStreamFake(t, func(open *proto.Message, p []byte, st proto.BlockStream) {
+						mu.Lock()
+						resumedAt = open.Offset
+						mu.Unlock()
+						serveChunks(data, 0)(open, p, st)
+					})
+					c := New("unused:0", WithSeed(1), WithChunkSize(chunk))
+					loc := proto.BlockLocation{Block: 9, Length: len(data), Addresses: []string{bad, good}}
+					failovers := metrics.Default.Counter("dfs.client.read_failover").Value()
+					got, err := via.read(c, loc)
+					if err != nil || !bytes.Equal(got, data) {
+						t.Fatalf("read after a %s replica = %d bytes, %v; want the %d agreed bytes", tc.name, len(got), err, len(data))
+					}
+					if n := metrics.Default.Counter("dfs.client.read_failover").Value() - failovers; n != 1 {
+						t.Errorf("%d failovers, want 1", n)
+					}
+					mu.Lock()
+					defer mu.Unlock()
+					if resumedAt != tc.resumeAt {
+						t.Errorf("good replica opened at offset %d, want %d (the last verified byte)", resumedAt, tc.resumeAt)
+					}
+				})
 			}
 		})
 	}

@@ -708,9 +708,10 @@ func (nn *NameNode) confirmLocked(b proto.BlockID, n proto.NodeID) {
 }
 
 // unconfirmLocked is the inverse of confirmLocked: it removes the
-// holder record, folds the block back out of the node's digest, and
-// reaps the confirmation entry of a fully-vacated tombstoned block.
-// Idempotent like its counterpart.
+// holder record, folds the block back out of the node's digest, drops
+// a delete of that replica still queued for the node, and reaps the
+// confirmation entry of a fully-vacated tombstoned block. Idempotent
+// like its counterpart.
 func (nn *NameNode) unconfirmLocked(b proto.BlockID, n proto.NodeID) {
 	holders, ok := nn.confirmed[b]
 	if !ok || !holders[n] {
@@ -719,6 +720,18 @@ func (nn *NameNode) unconfirmLocked(b proto.BlockID, n proto.NodeID) {
 	delete(holders, n)
 	delete(nn.nodes[n].fresh, b)
 	nn.nodes[n].digest ^= proto.BlockDigest(b)
+	// The node may have been handed this delete already and a reconcile
+	// pass have queued it again before the node's block_deleted arrived
+	// (enqueueLocked de-duplicates only against what is still queued).
+	// With the replica gone the queued copy is stale, and Converged()
+	// may hold from here on, so fsck must not count it as pending.
+	cmds := nn.pendingCmds[n]
+	for i, cmd := range cmds {
+		if cmd.Kind == proto.CmdDelete && cmd.Block == b {
+			nn.pendingCmds[n] = append(cmds[:i], cmds[i+1:]...)
+			break
+		}
+	}
 	if len(holders) == 0 && nn.tombstones[b] {
 		delete(nn.confirmed, b)
 		delete(nn.tombstones, b)

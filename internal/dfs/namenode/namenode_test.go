@@ -351,3 +351,76 @@ func TestMovementStatsTracksDurations(t *testing.T) {
 		t.Errorf("movement duration %v not positive", durations[0])
 	}
 }
+
+// A heartbeat hands a node its queued CmdDelete; a reconcile pass that
+// runs before the node's block_deleted arrives queues the same delete
+// again (the holder is still confirmed and still surplus, and the queue
+// it is de-duplicated against was just emptied). When block_deleted then
+// lands the cluster is converged, so nothing may still be queued: fsck
+// counts PendingCommands against Healthy. The clock is pinned so neither
+// dead detection nor the in-flight TTL can fire however slowly the test
+// runs, and the reconcile ticker is parked so only the explicit passes
+// below run.
+func TestBlockDeletedDropsRequeuedDelete(t *testing.T) {
+	nn, err := Start(Config{
+		ExpectedNodes:      3,
+		Racks:              2,
+		DefaultReplication: 2,
+		DefaultMinRacks:    2,
+		ReconcileInterval:  time.Hour,
+		Seed:               1,
+	})
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	t.Cleanup(func() { _ = nn.Close() })
+	epoch := time.Unix(1_700_000_000, 0)
+	nn.mu.Lock()
+	nn.clock = func() time.Time { return epoch }
+	nn.mu.Unlock()
+
+	dns := []*fakeDN{
+		registerFake(t, nn, 0, "a:1"),
+		registerFake(t, nn, 1, "b:1"),
+		registerFake(t, nn, 0, "c:1"),
+	}
+	if _, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgCreateFile, Path: "/f", Replication: 2}, nil, time.Second); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	resp, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgAddBlock, Path: "/f", Length: 1}, nil, time.Second)
+	if err != nil {
+		t.Fatalf("add block: %v", err)
+	}
+	blk := resp.Block
+	// Every node holds the block, so the one outside the two-node
+	// pipeline is a surplus replica reconcile must delete.
+	var surplus *fakeDN
+	for _, dn := range dns {
+		dn.received(blk)
+		if dn.addr != resp.Pipeline[0] && dn.addr != resp.Pipeline[1] {
+			surplus = dn
+		}
+	}
+	if _, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgCompleteFile, Path: "/f"}, nil, time.Second); err != nil {
+		t.Fatalf("complete: %v", err)
+	}
+
+	nn.ReconcileOnce()
+	cmds := surplus.heartbeat(blk)
+	if len(cmds) != 1 || cmds[0].Kind != proto.CmdDelete || cmds[0].Block != blk {
+		t.Fatalf("surplus holder got %v, want one delete of block %d", cmds, blk)
+	}
+	nn.ReconcileOnce() // before block_deleted: the delete is queued again
+	if nn.Converged() {
+		t.Fatal("converged while the surplus replica is still confirmed")
+	}
+	if _, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgBlockDeleted, Node: surplus.id, Block: blk}, nil, time.Second); err != nil {
+		t.Fatalf("block deleted: %v", err)
+	}
+	if !nn.Converged() {
+		t.Fatal("not converged after the surplus replica was deleted")
+	}
+	if h := nn.Health(); h.PendingCommands != 0 || !h.Healthy {
+		t.Errorf("converged but fsck reports %d pending command(s), healthy=%v", h.PendingCommands, h.Healthy)
+	}
+}

@@ -485,7 +485,7 @@ func replayWorkload(s TestbedSetup, tr *trace.Trace, paths map[trace.FileID]stri
 		if !local && len(tk.loc.Addresses) > 0 {
 			readFrom = tk.loc.Addresses[0]
 		}
-		data, err := c.ReadBlockFrom(proto.BlockLocation{Block: tk.loc.Block, Addresses: []string{readFrom}})
+		data, err := c.ReadBlockFrom(proto.BlockLocation{Block: tk.loc.Block, Length: tk.loc.Length, Addresses: []string{readFrom}})
 		if err != nil {
 			readErr := err
 			err = taskRetry.Do(func() error {

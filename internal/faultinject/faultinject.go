@@ -217,17 +217,6 @@ type Injector struct {
 // Option configures an Injector.
 type Option func(*Injector)
 
-// WithBaseCall overrides the underlying transport (default proto.Call).
-func WithBaseCall(fn proto.CallFunc) Option {
-	return func(inj *Injector) { inj.base = fn }
-}
-
-// WithBaseOpenStream overrides the underlying stream transport used by
-// StreamFrom (default proto.OpenStream).
-func WithBaseOpenStream(fn proto.OpenStreamFunc) Option {
-	return func(inj *Injector) { inj.baseOpen = fn }
-}
-
 // WithSpanLog records one span per fault window (crash→recover) and per
 // instantaneous fault into l.
 func WithSpanLog(l *trace.SpanLog) Option {

@@ -1,26 +1,9 @@
 package loadindex
 
-// Shard-level load summaries. A sharded placement keeps one load vector
-// per shard (each shard's Placement owns its own Index); the cross-shard
-// rebalance pass and the telemetry exporters need the aggregated view —
-// per-machine load summed across shards — without walking any per-block
-// state. These helpers are the whole "summary" contract: plain vectors,
-// deterministic accumulation order, no allocation beyond the destination.
-
-// Accumulate adds src elementwise into dst and returns dst. When dst is
-// shorter than src it is grown (with append) to len(src); extra dst
-// entries beyond len(src) are left untouched. Accumulating shard load
-// vectors in shard order is deterministic: float addition happens in the
-// same sequence every run.
-func Accumulate(dst, src []float64) []float64 {
-	for len(dst) < len(src) {
-		dst = append(dst, 0)
-	}
-	for i, v := range src {
-		dst[i] += v
-	}
-	return dst
-}
+// Shard-level load summaries: the max/mean statistics the cross-shard
+// rebalance pass and the telemetry exporters compute over per-shard
+// cost vectors, without walking any per-block state and without
+// allocating.
 
 // MaxMean returns the maximum and arithmetic mean of v. An empty vector
 // reports (0, 0).

@@ -1,12 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Counter is a monotonically increasing event count, safe for
 // concurrent use. The DFS layer uses counters to expose fault and
@@ -18,10 +12,12 @@ type Counter struct {
 }
 
 // Inc adds one.
+//
 //lint:hotpath
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n (negative deltas are ignored; counters never decrease).
+//
 //lint:hotpath
 func (c *Counter) Add(n int64) {
 	if n > 0 {
@@ -31,67 +27,6 @@ func (c *Counter) Add(n int64) {
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// CounterSet is a named registry of counters. Counter lookups memoize,
-// so hot paths can call Counter(name) repeatedly or cache the pointer.
-type CounterSet struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-}
-
-// NewCounterSet creates an empty registry.
-func NewCounterSet() *CounterSet {
-	return &CounterSet{counters: make(map[string]*Counter)}
-}
-
-// Counter returns the counter registered under name, creating it at
-// zero on first use.
-func (s *CounterSet) Counter(name string) *Counter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.counters[name]
-	if !ok {
-		c = &Counter{}
-		s.counters[name] = c
-	}
-	return c
-}
-
-// Snapshot returns a copy of every counter's current value.
-func (s *CounterSet) Snapshot() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.counters))
-	for name, c := range s.counters {
-		out[name] = c.Value()
-	}
-	return out
-}
-
-// Reset zeroes the registry (tests isolate themselves with this).
-func (s *CounterSet) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.counters = make(map[string]*Counter)
-}
-
-// String renders the non-zero counters sorted by name, one per line —
-// the format the testbed CLI prints after a chaos run.
-func (s *CounterSet) String() string {
-	snap := s.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name, v := range snap {
-		if v != 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, name := range names {
-		fmt.Fprintf(&b, "%-40s %d\n", name, snap[name])
-	}
-	return b.String()
-}
 
 // Default is the process-wide registry the DFS layer and the telemetry
 // endpoint report into. Legacy counter names are dot-separated, lowest
@@ -105,5 +40,4 @@ func (s *CounterSet) String() string {
 // threading a handle through each constructor, and the registry is
 // internally synchronized. Namenode sharding (ROADMAP #1) shards
 // placement state, not metrics.
-//lint:ignore globalmut deliberate process-wide registry; internally synchronized, not placement state
 var Default = NewRegistry()

@@ -72,7 +72,6 @@ var Default = Policy{
 // repeatable, locked so concurrent retries are safe. Jitter only
 // de-synchronizes timing; it never changes control flow, so a fixed
 // seed is not a determinism hazard.
-//lint:ignore globalmut deliberate: mutex-guarded shared jitter RNG, timing-only state
 var jitterSrc = struct {
 	mu  sync.Mutex
 	rng *rand.Rand

@@ -100,16 +100,6 @@ func (s *Slots) Release(m topology.MachineID) {
 	s.total++
 }
 
-// PickLocal returns the best node-local machine (a holder of block with
-// a free slot), or NoMachine when none exists. It is the fast path the
-// delay scheduler probes before falling back to Pick.
-func PickLocal(p *core.Placement, s *Slots, block core.BlockID) topology.MachineID {
-	if s.TotalFree() == 0 {
-		return topology.NoMachine
-	}
-	return bestOf(s, p.Replicas(block))
-}
-
 // Pick chooses the machine for a task reading `block`, preferring
 // node-local over rack-local over remote placements. Within a level, the
 // machine with the most free slots wins (ties to the lowest ID) so load
