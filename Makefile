@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race bench bench-check chaos fuzz-smoke telemetry-smoke scenario-smoke bench-e2e ci
+.PHONY: all build test vet lint race bench bench-check chaos fuzz-smoke telemetry-smoke scenario-smoke bench-e2e bench-smoke-e2e ci
 
 # Hot-path benchmarks recorded by `make bench` (see README.md,
 # "Benchmark ledger"). BENCH_LABEL picks the ledger column. The metrics
@@ -93,5 +93,12 @@ bench-check:
 SEED ?= 1
 bench-e2e:
 	bash bench/run.sh $(SEED)
+
+# Two 2-second aurora-bench workloads as a correctness gate, no timing
+# assertion: each run reboots the in-process cluster five times on
+# kernel-assigned ports and ends in the oracle; it must exit 0 with no
+# failed operation (scripts/e2e_smoke.sh, DESIGN.md §15.7).
+bench-smoke-e2e:
+	bash scripts/e2e_smoke.sh
 
 ci: build lint test race

@@ -430,9 +430,9 @@ var seededMutations = []mutation{
 	{
 		name: "dropped Close error", rule: analysis.RuleErrCheck,
 		file: "internal/dfs/proto/stream.go",
-		old:  "\tif err := s.conn.Close(); err != nil {\n\t\treturn fmt.Errorf(\"proto: stream close: %w\", err)\n\t}\n\treturn nil\n",
-		new:  "\ts.conn.Close()\n\treturn nil\n",
-		at:   []string{"\ts.conn.Close()\n"},
+		old:  "\tif err := conn.Close(); err != nil {\n\t\treturn fmt.Errorf(\"proto: stream close: %w\", err)\n\t}\n\treturn nil\n",
+		new:  "\tconn.Close()\n\treturn nil\n",
+		at:   []string{"\tconn.Close()\n\treturn nil\n"},
 	},
 	{
 		name: "misspelt directive", rule: analysis.RuleDirective,

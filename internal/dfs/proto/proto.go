@@ -10,11 +10,14 @@
 //
 // Both lengths are big-endian. The header is a Message; the payload
 // carries block bytes on MsgChunk frames and is empty otherwise. A
-// control connection carries one request frame and one response frame
-// (HTTP/1.0-style); this keeps connection state trivial at the cost of
-// a dial per request, which is irrelevant on the loopback testbed the
-// paper's Section VI.B experiment needs. Block bytes only ever move on
-// a chunked stream (see Stream and DESIGN.md §15).
+// connection carries a sequence of exchanges, one at a time: a control
+// request frame answered by one response frame (Call), or a chunked
+// stream that moves block bytes (see Stream and DESIGN.md §15). Between
+// exchanges the client keeps the connection in a process-wide idle pool
+// keyed by address and the server waits on it for the next request, so
+// steady traffic to a peer dials once, not once per message; only an
+// exchange that ran to its protocol end leaves a connection reusable
+// (DESIGN.md §15.7).
 package proto
 
 import (
@@ -24,6 +27,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"sync"
 )
 
 // Limits protecting against malformed frames.
@@ -264,8 +269,27 @@ func WriteFrame(w io.Writer, msg *Message, payload []byte) error {
 	return err
 }
 
+// frameLensBytes is the size of the two-length prefix of every frame.
+const frameLensBytes = 8
+
+// frameBuf is the scratch one writeFrame call assembles its frame in:
+// head holds the length prefix and the JSON header back to back, and vec
+// and bufs are the two-element vector (head, payload) handed to the
+// writer, kept here so building it allocates nothing.
+type frameBuf struct {
+	head []byte
+	vec  [2][]byte
+	bufs net.Buffers
+}
+
+var frameBufs = sync.Pool{New: func() any { return new(frameBuf) }}
+
 // writeFrame is WriteFrame plus the number of wire bytes written, so the
-// RPC layer can account header and payload bytes together.
+// RPC layer can account header and payload bytes together. The frame
+// leaves in one write: prefix and header share a buffer, and a payload
+// rides along as the second element of a net.Buffers (one writev on a
+// TCP connection), so a TCP_NODELAY socket sends one segment train per
+// frame instead of three.
 func writeFrame(w io.Writer, msg *Message, payload []byte) (int, error) {
 	header, err := json.Marshal(msg)
 	if err != nil {
@@ -277,21 +301,23 @@ func writeFrame(w io.Writer, msg *Message, payload []byte) (int, error) {
 	if len(payload) > MaxPayloadBytes {
 		return 0, fmt.Errorf("%w: payload %d bytes", ErrFrameTooLarge, len(payload))
 	}
-	var lens [8]byte
-	binary.BigEndian.PutUint32(lens[0:4], uint32(len(header)))
-	binary.BigEndian.PutUint32(lens[4:8], uint32(len(payload)))
-	if _, err := w.Write(lens[:]); err != nil {
-		return 0, fmt.Errorf("proto: write frame lengths: %w", err)
+	fb := frameBufs.Get().(*frameBuf)
+	defer frameBufs.Put(fb)
+	fb.head = binary.BigEndian.AppendUint32(fb.head[:0], uint32(len(header)))
+	fb.head = binary.BigEndian.AppendUint32(fb.head, uint32(len(payload)))
+	fb.head = append(fb.head, header...)
+	if len(payload) == 0 {
+		_, err = w.Write(fb.head)
+	} else {
+		fb.vec = [2][]byte{fb.head, payload}
+		fb.bufs = fb.vec[:]
+		_, err = fb.bufs.WriteTo(w)
+		fb.vec, fb.bufs = [2][]byte{}, nil // do not pin the caller's payload in the pool
 	}
-	if _, err := w.Write(header); err != nil {
-		return 0, fmt.Errorf("proto: write header: %w", err)
+	if err != nil {
+		return 0, fmt.Errorf("proto: write frame: %w", err)
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return 0, fmt.Errorf("proto: write payload: %w", err)
-		}
-	}
-	return len(lens) + len(header) + len(payload), nil
+	return len(fb.head) + len(payload), nil
 }
 
 // ReadFrame reads one frame written by WriteFrame.
@@ -307,10 +333,18 @@ func ReadFrame(r io.Reader) (*Message, []byte, error) {
 // it, valid until the caller's next use of scratch. Larger payloads, and
 // every payload under a nil scratch, get a fresh slice.
 func readFrameInto(r io.Reader, scratch *[]byte) (*Message, []byte, int, error) {
-	var lens [8]byte
+	var lens [frameLensBytes]byte
 	if _, err := io.ReadFull(r, lens[:]); err != nil {
 		return nil, nil, 0, fmt.Errorf("proto: read frame lengths: %w", err)
 	}
+	return readFrameBody(r, lens, scratch)
+}
+
+// readFrameBody reads the rest of a frame whose length prefix the caller
+// has already read. The transport reads the prefix itself where the wait
+// for it means something: a server idling between requests, and a Call
+// that may redial only while no response byte has arrived.
+func readFrameBody(r io.Reader, lens [frameLensBytes]byte, scratch *[]byte) (*Message, []byte, int, error) {
 	headerLen := binary.BigEndian.Uint32(lens[0:4])
 	payloadLen := binary.BigEndian.Uint32(lens[4:8])
 	if headerLen > MaxHeaderBytes {

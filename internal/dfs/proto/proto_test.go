@@ -2,6 +2,8 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"net"
 	"strings"
@@ -31,6 +33,53 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(gotPayload, payload) {
 		t.Errorf("payload = %v, want %v", gotPayload, payload)
+	}
+}
+
+// writeLog records each Write it receives.
+type writeLog struct{ writes [][]byte }
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, bytes.Clone(p))
+	return len(p), nil
+}
+
+// The frame layout is fixed — two big-endian lengths, the JSON header,
+// the payload — and the length prefix never travels in a write of its
+// own: prefix and header leave together, and the payload is the only
+// other piece (the second element of one writev on a TCP connection).
+func TestWriteFrameLayoutAndWriteCount(t *testing.T) {
+	msg := &Message{Type: MsgChunk, Block: 42, Seq: 3, Offset: 384, Eof: true, Checksum: 77}
+	header, err := json.Marshal(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range [][]byte{nil, []byte("block bytes")} {
+		var lens [8]byte
+		binary.BigEndian.PutUint32(lens[0:4], uint32(len(header)))
+		binary.BigEndian.PutUint32(lens[4:8], uint32(len(payload)))
+		wantHead := append(lens[:], header...)
+
+		var w writeLog
+		n, err := writeFrame(&w, msg, payload)
+		if err != nil {
+			t.Fatalf("writeFrame: %v", err)
+		}
+		if n != len(wantHead)+len(payload) {
+			t.Errorf("writeFrame reported %d wire bytes, want %d", n, len(wantHead)+len(payload))
+		}
+		want := [][]byte{wantHead}
+		if len(payload) > 0 {
+			want = append(want, payload)
+		}
+		if len(w.writes) != len(want) {
+			t.Fatalf("frame with %d payload bytes left in %d writes, want %d", len(payload), len(w.writes), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(w.writes[i], want[i]) {
+				t.Errorf("write %d = %q, want %q", i, w.writes[i], want[i])
+			}
+		}
 	}
 }
 

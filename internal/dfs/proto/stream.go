@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net"
+	"sync"
 	"time"
 
 	"aurora/internal/metrics"
@@ -34,7 +35,8 @@ const DefaultChunkSize = 128 << 10
 // bidirectional sequence of frames on a single connection, opened by a
 // MsgWriteBlockStream or MsgReadBlockStream frame and carried as
 // MsgChunk / MsgStreamAck frames (DESIGN.md §15). Implementations are
-// not safe for concurrent use; each stream belongs to one goroutine.
+// not safe for concurrent Send or Recv; each stream belongs to one
+// goroutine, though Close may come from another.
 type BlockStream interface {
 	// Send writes one frame. Each Send refreshes the connection
 	// deadline, so the timeout bounds per-frame progress rather than
@@ -46,8 +48,8 @@ type BlockStream interface {
 	// frame into the same memory — so a consumer that keeps the bytes
 	// copies them out first (DESIGN.md §15.6).
 	Recv() (*Message, []byte, error)
-	// Close tears down the underlying connection. The peer observes it
-	// as a mid-stream failure.
+	// Close ends the caller's use of the stream. Before the exchange
+	// has run to its end the peer observes it as a mid-stream failure.
 	Close() error
 }
 
@@ -57,19 +59,48 @@ type BlockStream interface {
 // the zero value of any config falls back to OpenStream.
 type OpenStreamFunc func(addr string, open *Message, timeout time.Duration) (BlockStream, error)
 
+// streamPhase is where an exchange stands in its protocol (DESIGN.md
+// §15.7). Only phaseDone leaves the connection fit for another
+// exchange, and phaseBroken is final.
+type streamPhase uint8
+
+const (
+	phaseBroken streamPhase = iota // failed, off-protocol, or not tracked (NewStream)
+	phaseChunks                    // chunks flowing, Eof not yet seen
+	phaseAck                       // write stream: Eof chunk passed, MsgStreamAck owed
+	phaseDone                      // the terminal frame passed; nothing is owed or unread
+)
+
 // Stream is the concrete BlockStream over a net.Conn.
 type Stream struct {
-	conn    net.Conn
 	timeout time.Duration
 	// scratch is the one payload buffer every Recv reads into: sized by
 	// the first chunk, regrown only if a larger one arrives. It belongs
 	// to this stream alone and is never shared or pooled, so a Close from
 	// another goroutine cannot hand it to a second reader.
 	scratch []byte
+	// addr is where Close releases the connection to: the pool key of a
+	// stream OpenStream made, empty on the serving side, whose
+	// connection goes back to its Server's request loop instead.
+	addr string
+	// write says the exchange is a write stream (an ack follows the Eof
+	// chunk); sender says this end is the one sending the chunks.
+	write, sender bool
+
+	// mu makes Close safe against a concurrent Send or Recv: conn is nil
+	// once Close (or the Server) has taken the connection away, busy
+	// counts the Send/Recv calls in flight, and phase follows the frames
+	// that have passed. A connection is reused only if it was taken at
+	// phaseDone with nothing in flight.
+	mu    sync.Mutex
+	conn  net.Conn
+	busy  int
+	phase streamPhase
 }
 
 // NewStream wraps an established connection in a Stream. The timeout
 // bounds each individual frame exchange (zero means DefaultTimeout).
+// The connection is the caller's: Close closes it.
 func NewStream(conn net.Conn, timeout time.Duration) *Stream {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
@@ -77,12 +108,76 @@ func NewStream(conn net.Conn, timeout time.Duration) *Stream {
 	return &Stream{conn: conn, timeout: timeout}
 }
 
+// newStream is the stream behind an opening frame of type kind, on the
+// opening end (opener) or the serving one; its protocol progress is
+// tracked so the connection can be reused after a clean end.
+func newStream(conn net.Conn, timeout time.Duration, kind MsgType, opener bool) *Stream {
+	st := NewStream(conn, timeout)
+	st.write = kind == MsgWriteBlockStream
+	st.sender = st.write == opener
+	st.phase = phaseChunks
+	return st
+}
+
+// begin claims the connection for one Send or Recv.
+func (s *Stream) begin() (net.Conn, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.conn == nil {
+		return nil, fmt.Errorf("proto: stream: %w", net.ErrClosed)
+	}
+	s.busy++
+	return s.conn, nil
+}
+
+// end records the outcome of one Send (sent) or Recv: the exchange
+// stays on protocol only while chunks flow from the sender up to one
+// Eof chunk, followed on a write stream by one MsgStreamAck the other
+// way. An I/O error, a MsgError frame or any other frame breaks it.
+func (s *Stream) end(sent bool, msg *Message, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.busy--
+	next := phaseBroken
+	switch {
+	case err != nil:
+	case msg.Type == MsgChunk && s.phase == phaseChunks && sent == s.sender:
+		switch {
+		case !msg.Eof:
+			next = phaseChunks
+		case s.write:
+			next = phaseAck
+		default:
+			next = phaseDone
+		}
+	case msg.Type == MsgStreamAck && s.phase == phaseAck && sent != s.sender:
+		next = phaseDone
+	}
+	s.phase = next
+}
+
+// detach takes the connection away from the stream — at most once; later
+// calls get nil — and reports whether it is fit for another exchange.
+func (s *Stream) detach() (conn net.Conn, clean bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	conn, s.conn = s.conn, nil
+	return conn, s.phase == phaseDone && s.busy == 0
+}
+
 // Send implements BlockStream.
 func (s *Stream) Send(msg *Message, payload []byte) error {
-	if err := s.conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
-		return fmt.Errorf("proto: stream set deadline: %w", err)
+	conn, err := s.begin()
+	if err != nil {
+		return err
 	}
-	n, err := writeFrame(s.conn, msg, payload)
+	var n int
+	if err = conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
+		err = fmt.Errorf("proto: stream set deadline: %w", err)
+	} else {
+		n, err = writeFrame(conn, msg, payload)
+	}
+	s.end(true, msg, err)
 	if err != nil {
 		return err
 	}
@@ -96,10 +191,19 @@ func (s *Stream) Send(msg *Message, payload []byte) error {
 
 // Recv implements BlockStream.
 func (s *Stream) Recv() (*Message, []byte, error) {
-	if err := s.conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
-		return nil, nil, fmt.Errorf("proto: stream set deadline: %w", err)
+	conn, err := s.begin()
+	if err != nil {
+		return nil, nil, err
 	}
-	msg, payload, n, err := readFrameInto(s.conn, &s.scratch)
+	var msg *Message
+	var payload []byte
+	var n int
+	if err = conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
+		err = fmt.Errorf("proto: stream set deadline: %w", err)
+	} else {
+		msg, payload, n, err = readFrameInto(conn, &s.scratch)
+	}
+	s.end(false, msg, err)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -114,31 +218,49 @@ func (s *Stream) Recv() (*Message, []byte, error) {
 	return msg, payload, nil
 }
 
-// Close implements BlockStream.
+// Close implements BlockStream. It is idempotent and may race a Send or
+// Recv. The first Close takes the connection from the stream: if the
+// exchange had run to its protocol end — the Eof chunk passed, and on a
+// write stream the MsgStreamAck after it — with no call in flight, the
+// connection goes back to the idle pool for the next Call or OpenStream
+// to the same address; in every other case (an I/O error, a MsgError
+// frame, a Close before the end, a stream made by NewStream) it is
+// closed, which the peer observes as a mid-stream failure.
 func (s *Stream) Close() error {
-	if err := s.conn.Close(); err != nil {
+	conn, clean := s.detach()
+	if conn == nil {
+		return nil
+	}
+	if clean && s.addr != "" {
+		idlePool.put(s.addr, conn)
+		return nil
+	}
+	if err := conn.Close(); err != nil {
 		return fmt.Errorf("proto: stream close: %w", err)
 	}
 	return nil
 }
 
-// OpenStream dials addr, sends the opening frame and returns the live
-// stream. The caller owns the stream and must Close it. The timeout
-// bounds the dial and then each subsequent frame exchange.
+// OpenStream sends the opening frame to addr — on a pooled connection
+// when a usable one exists, a fresh dial otherwise (DESIGN.md §15.7) —
+// and returns the live stream. The caller owns the stream and must
+// Close it. The timeout bounds the connect plus opening frame and then
+// each subsequent frame exchange.
 func OpenStream(addr string, open *Message, timeout time.Duration) (BlockStream, error) {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	conn, err := dialTimeout("tcp", addr, timeout)
+	conn, _, err := connect(addr, time.Now().Add(timeout))
 	if err != nil {
-		return nil, fmt.Errorf("proto: dial %s: %w", addr, err)
+		return nil, err
 	}
-	st := NewStream(conn, timeout)
-	if err := st.Send(open, nil); err != nil {
-		//lint:ignore errcheck already failing; Send error is the one to report
+	if _, err := writeFrame(conn, open, nil); err != nil {
+		//lint:ignore errcheck already failing; the write error is the one to report
 		_ = conn.Close()
 		return nil, err
 	}
+	st := newStream(conn, timeout, open.Type, true)
+	st.addr = addr
 	return st, nil
 }
 

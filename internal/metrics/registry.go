@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -24,6 +25,20 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 func SeriesID(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
+	}
+	if len(labels) == 1 {
+		// The shape of nearly every hot-path lookup (type=, dir=,
+		// event=): nothing to sort, and %q on a string is strconv's
+		// quoting, appended here without fmt's detour.
+		l := labels[0]
+		b := make([]byte, 0, len(name)+len(l.Key)+len(l.Value)+len(`{=""}`))
+		b = append(b, name...)
+		b = append(b, '{')
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, l.Value)
+		b = append(b, '}')
+		return string(b)
 	}
 	ls := make([]Label, len(labels))
 	copy(ls, labels)

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -153,6 +154,28 @@ func TestRegistrySeriesIdentity(t *testing.T) {
 	// Memoized instruments are stable pointers.
 	if r.Gauge("g") != r.Gauge("g") || r.Histogram("h") != r.Histogram("h") {
 		t.Fatal("repeat lookups returned different instruments")
+	}
+}
+
+// The single-label fast path of SeriesID must render exactly what the
+// general path's %s=%q does, whatever the value needs escaped: series
+// keys are compared as strings, so one differing byte would split a
+// series in two.
+func TestSeriesIDSingleLabelMatchesGeneralForm(t *testing.T) {
+	for _, v := range []string{
+		"", "read_block", `say "hi"`, `back\slash`, "tab\there", "new\nline",
+		"héllo wörld", "日本語", "\x00\x7f", "bad utf8 \xff\xfe", "\u2028 sep", `{k="v"}`,
+		strings.Repeat("long", 64),
+	} {
+		want := fmt.Sprintf("%s{%s=%q}", "aurora_rpc_errors", "type", v)
+		if got := SeriesID("aurora_rpc_errors", []Label{L("type", v)}); got != want {
+			t.Errorf("SeriesID with value %q = %s, want %s", v, got, want)
+		}
+	}
+	// And the general path agrees with itself on a padded label set, so
+	// the reference above is the format, not a coincidence.
+	if got, want := SeriesID("m", []Label{L("b", "2"), L("a", `"`)}), `m{a="\"",b="2"}`; got != want {
+		t.Errorf("two-label SeriesID = %s, want %s", got, want)
 	}
 }
 

@@ -82,7 +82,19 @@ printf '%s\n' "$metrics" | grep -q '^aurora_machine_load{' \
 printf '%s\n' "$metrics" | grep -q '^aurora_rpc_latency_seconds_bucket{' \
     || fail "per-RPC latency histograms missing from /metrics"
 
+# Keep-alive transport (DESIGN.md §15.7): the run's RPCs and streams
+# must mostly ride pooled connections.
+conns() {
+    printf '%s\n' "$metrics" | sed -n "s/^aurora_rpc_conns_total{event=\"$1\"} //p"
+}
+dials=$(conns dial)
+reuses=$(conns reuse)
+[ -n "$dials" ] && [ -n "$reuses" ] \
+    || fail "aurora_rpc_conns_total{event=dial|reuse} missing from /metrics"
+[ "$reuses" -gt "$dials" ] \
+    || fail "connections reused ($reuses) not above connections dialed ($dials)"
+
 curl -fsS "http://$addr/healthz" >/dev/null || fail "/healthz not serving"
 
 lines=$(printf '%s\n' "$metrics" | wc -l)
-echo "telemetry-smoke: OK — scraped $lines series lines from $addr"
+echo "telemetry-smoke: OK — scraped $lines series lines from $addr ($reuses connections reused, $dials dialed)"
