@@ -40,12 +40,16 @@ race:
 # replica); no block may be lost and the same seed must reproduce the
 # same fault log. Runs twice: against the classic namenode and against a
 # 4-shard partitioned block map (recovery must be shard-count-
-# independent). See DESIGN.md §10. The buffer-lifetime test rides along:
-# the same build poisons every recycled block buffer on release, so a
-# use-after-release on the data path fails here (DESIGN.md §15.6).
+# independent). See DESIGN.md §10. Then ten runs without -race: the
+# detector's slowdown changes which interleavings occur, and the
+# collapsed-rack-spread failure (ROADMAP gap b) only ever showed without
+# it. The buffer-lifetime test rides along: the same build poisons every
+# recycled block buffer on release, so a use-after-release on the data
+# path fails here (DESIGN.md §15.6).
 chaos:
 	$(GO) test -race -tags invariantdebug -run '^TestChaosCrashRecoverNoDataLoss$$' -v ./internal/dfs/
 	AURORA_CHAOS_SHARDS=4 $(GO) test -race -tags invariantdebug -count=1 -run '^TestChaosCrashRecoverNoDataLoss$$' -v ./internal/dfs/
+	$(GO) test -tags invariantdebug -count=10 -run '^TestChaosCrashRecoverNoDataLoss$$' ./internal/dfs/
 	$(GO) test -race -tags invariantdebug -count=3 -run '^TestBlockBufferLifetime$$' ./internal/dfs/
 
 # Short native-fuzz smoke over the checked-in corpora: the wire-frame

@@ -264,7 +264,7 @@ func (q *evictionQueue) evictOne(p *core.Placement) bool {
 			continue
 		}
 		for _, m := range p.Replicas(id) {
-			if !replicaRemovalKeepsSpread(p, id, m, spec.MinRacks) {
+			if !p.RemovalKeepsSpread(id, m) {
 				continue
 			}
 			if p.RemoveReplica(id, m) == nil {
@@ -273,26 +273,6 @@ func (q *evictionQueue) evictOne(p *core.Placement) bool {
 		}
 	}
 	return false
-}
-
-// replicaRemovalKeepsSpread reports whether removing block id's replica
-// on m keeps the block across at least minRacks racks.
-func replicaRemovalKeepsSpread(p *core.Placement, id core.BlockID, m topology.MachineID, minRacks int) bool {
-	rack, err := p.Cluster().RackOf(m)
-	if err != nil {
-		return false
-	}
-	inRack := 0
-	spread := p.RackSpread(id)
-	for _, holder := range p.Replicas(id) {
-		if r, err := p.Cluster().RackOf(holder); err == nil && r == rack {
-			inRack++
-		}
-	}
-	if inRack == 1 {
-		spread--
-	}
-	return spread >= minRacks
 }
 
 // leastLoadedEligible returns the least-loaded machine that can host a

@@ -40,7 +40,7 @@ func InitialPlaceRandomized(p *Placement, id BlockID, k int, rng *rand.Rand) err
 			if err != nil {
 				return err
 			}
-			if blockInRack(p, id, r) && p.RackSpread(id)+k-p.ReplicaCount(id)-1 < spec.MinRacks {
+			if p.InRack(id, r) && p.RackSpread(id)+k-p.ReplicaCount(id)-1 < spec.MinRacks {
 				continue
 			}
 		}

@@ -49,7 +49,7 @@ func InitialPlace(p *Placement, id BlockID, k int, writer topology.MachineID) er
 	if placed == 0 {
 		m := writer
 		if m == topology.NoMachine || !canHost(p, id, m) {
-			m = leastLoadedHost(p, id, racksByLoad(p), nil)
+			m = leastLoadedHost(p, id, racksByLoad(p), nil, nil)
 		}
 		if m == topology.NoMachine {
 			return fmt.Errorf("%w: no machine can host block %d", ErrMachineFull, id)
@@ -63,8 +63,8 @@ func InitialPlace(p *Placement, id BlockID, k int, writer topology.MachineID) er
 	// Establish rack spread: one replica in each of the next
 	// least-loaded racks until ρ racks hold the block.
 	for p.RackSpread(id) < rho && placed < k {
-		m := leastLoadedHost(p, id, racksByLoad(p), func(r topology.RackID) bool {
-			return blockInRack(p, id, r) // skip racks already holding it
+		m := leastLoadedHost(p, id, racksByLoad(p), nil, func(r topology.RackID) bool {
+			return p.InRack(id, r) // skip racks already holding it
 		})
 		if m == topology.NoMachine {
 			break // cannot widen spread; fall through to fill remaining
@@ -78,12 +78,12 @@ func InitialPlace(p *Placement, id BlockID, k int, writer topology.MachineID) er
 	// Fill the remaining replicas inside the chosen racks, least-loaded
 	// machines first.
 	for placed < k {
-		m := leastLoadedHost(p, id, racksByLoad(p), func(r topology.RackID) bool {
-			return !blockInRack(p, id, r) // only racks already holding it
+		m := leastLoadedHost(p, id, racksByLoad(p), nil, func(r topology.RackID) bool {
+			return !p.InRack(id, r) // only racks already holding it
 		})
 		if m == topology.NoMachine {
 			// Chosen racks exhausted: fall back to anywhere.
-			m = leastLoadedHost(p, id, racksByLoad(p), nil)
+			m = leastLoadedHost(p, id, racksByLoad(p), nil, nil)
 		}
 		if m == topology.NoMachine {
 			return fmt.Errorf("%w: cluster cannot host %d replicas of block %d", ErrMachineFull, k, id)
@@ -102,16 +102,6 @@ func canHost(p *Placement, id BlockID, m topology.MachineID) bool {
 		return false
 	}
 	return p.FreeCapacity(m) > 0
-}
-
-// blockInRack reports whether any machine in rack r holds block id.
-func blockInRack(p *Placement, id BlockID, r topology.RackID) bool {
-	for _, m := range p.Replicas(id) {
-		if rack, err := p.Cluster().RackOf(m); err == nil && rack == r {
-			return true
-		}
-	}
-	return false
 }
 
 // racksByLoad returns rack IDs ordered by ascending total load, breaking
@@ -137,9 +127,10 @@ func racksByLoad(p *Placement) []topology.RackID {
 
 // leastLoadedHost scans racks in the given order (skipping racks where
 // skipRack returns true) and returns the least-loaded machine that can
-// host block id, or NoMachine. Ties break by stored replica count, then
-// machine ID, so zero-popularity placement degrades to disk balancing.
-func leastLoadedHost(p *Placement, id BlockID, racks []topology.RackID, skipRack func(topology.RackID) bool) topology.MachineID {
+// host block id and that eligible admits (nil admits all), or NoMachine.
+// Ties break by stored replica count, then machine ID, so
+// zero-popularity placement degrades to disk balancing.
+func leastLoadedHost(p *Placement, id BlockID, racks []topology.RackID, eligible func(topology.MachineID) bool, skipRack func(topology.RackID) bool) topology.MachineID {
 	for _, r := range racks {
 		if skipRack != nil && skipRack(r) {
 			continue
@@ -151,7 +142,7 @@ func leastLoadedHost(p *Placement, id BlockID, racks []topology.RackID, skipRack
 		best := topology.NoMachine
 		bestLoad := 0.0
 		for _, m := range ms {
-			if !canHost(p, id, m) {
+			if !canHost(p, id, m) || (eligible != nil && !eligible(m)) {
 				continue
 			}
 			load := p.Load(m)

@@ -198,7 +198,7 @@ func replicateOnce(p *Placement, id BlockID, eq *evictQueue, opts *OptimizerOpti
 			return false
 		}
 	}
-	dest := replicaDestination(p, id)
+	dest := p.ReplicaDestination(id, nil)
 	if dest == topology.NoMachine {
 		// Lazy deletion (Section V): reclaim space by dropping the
 		// coldest surplus replica from a machine that could actually
@@ -206,7 +206,7 @@ func replicateOnce(p *Placement, id BlockID, eq *evictQueue, opts *OptimizerOpti
 		if !evictSurplus(p, eq, id, opts, res) {
 			return false
 		}
-		dest = replicaDestination(p, id)
+		dest = p.ReplicaDestination(id, nil)
 		if dest == topology.NoMachine {
 			return false
 		}
@@ -221,23 +221,27 @@ func replicateOnce(p *Placement, id BlockID, eq *evictQueue, opts *OptimizerOpti
 	return true
 }
 
-// replicaDestination picks where a new replica of block id should go:
-// the least-loaded machine in the least-loaded rack, preferring racks
-// that widen the block's spread while it is below MinRacks.
-func replicaDestination(p *Placement, id BlockID) topology.MachineID {
-	spec, err := p.Spec(id)
-	if err != nil {
+// ReplicaDestination picks where a new replica of block id should go
+// among the machines eligible admits (nil admits every machine with
+// room): the least-loaded machine in the least-loaded rack, preferring
+// racks that widen the block's spread while it is below MinRacks. It is
+// the one destination scan the optimizer and the namenode's repair share;
+// callers that know more than the topology (liveness, draining, quotas)
+// say so through eligible.
+func (p *Placement) ReplicaDestination(id BlockID, eligible func(topology.MachineID) bool) topology.MachineID {
+	b, ok := p.blocks[id]
+	if !ok {
 		return topology.NoMachine
 	}
 	racks := racksByLoad(p)
-	if p.RackSpread(id) < spec.MinRacks {
-		if m := leastLoadedHost(p, id, racks, func(r topology.RackID) bool {
-			return blockInRack(p, id, r)
+	if len(b.rackCount) < b.spec.MinRacks {
+		if m := leastLoadedHost(p, id, racks, eligible, func(r topology.RackID) bool {
+			return p.InRack(id, r)
 		}); m != topology.NoMachine {
 			return m
 		}
 	}
-	return leastLoadedHost(p, id, racks, nil)
+	return leastLoadedHost(p, id, racks, eligible, nil)
 }
 
 // replicaSource picks which existing holder a copy would stream from:
@@ -276,7 +280,7 @@ func evictSurplus(p *Placement, eq *evictQueue, forBlock BlockID, opts *Optimize
 			if p.HasReplica(forBlock, m) {
 				continue // freeing this slot would not help forBlock
 			}
-			if !removalKeepsSpread(p, id, m, spec.MinRacks) {
+			if !p.RemovalKeepsSpread(id, m) {
 				continue
 			}
 			if err := p.RemoveReplica(id, m); err != nil {
@@ -318,23 +322,4 @@ func appendReplicasByLoadDescending(p *Placement, id BlockID, buf []topology.Mac
 		return ms[a] < ms[b]
 	})
 	return buf
-}
-
-// removalKeepsSpread reports whether removing block id's replica on m
-// keeps the block across at least minRacks racks. The per-rack replica
-// counts the placement already maintains answer this in O(1).
-func removalKeepsSpread(p *Placement, id BlockID, m topology.MachineID, minRacks int) bool {
-	rack, err := p.Cluster().RackOf(m)
-	if err != nil {
-		return false
-	}
-	b, ok := p.blocks[id]
-	if !ok {
-		return false
-	}
-	spread := len(b.rackCount)
-	if b.rackCount[rack] == 1 {
-		spread--
-	}
-	return spread >= minRacks
 }

@@ -259,6 +259,26 @@ func (p *Placement) SetPopularity(id BlockID, popularity float64) error {
 	return nil
 }
 
+// SetMinReplicas changes block id's node-level floor k_low, as when a
+// file's replication factor is changed at run time. It moves no replica.
+func (p *Placement) SetMinReplicas(id BlockID, k int) error {
+	b, ok := p.blocks[id]
+	if !ok {
+		return fmt.Errorf("%w: block %d", ErrUnknownBlock, id)
+	}
+	s := b.spec
+	s.MinReplicas = k
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	if k > p.cluster.NumMachines() {
+		return fmt.Errorf("%w: block %d requires %d replicas, cluster has %d machines",
+			ErrBadSpec, id, k, p.cluster.NumMachines())
+	}
+	b.spec = s
+	return nil
+}
+
 // Spec returns the spec of block id.
 func (p *Placement) Spec(id BlockID) (BlockSpec, error) {
 	b, ok := p.blocks[id]
@@ -625,6 +645,28 @@ func (p *Placement) RackSpread(id BlockID) int {
 		return 0
 	}
 	return len(b.rackCount)
+}
+
+// InRack reports whether any replica of block id sits in rack r.
+func (p *Placement) InRack(id BlockID, r topology.RackID) bool {
+	b, ok := p.blocks[id]
+	return ok && b.rackCount[r] > 0
+}
+
+// RemovalKeepsSpread reports whether block id would still span its own
+// MinRacks racks without its replica on m. It is the one place that
+// decides this — for the optimizer's evictions, the baselines' and the
+// namenode's — and the per-rack replica counts answer it in O(1).
+func (p *Placement) RemovalKeepsSpread(id BlockID, m topology.MachineID) bool {
+	b, ok := p.blocks[id]
+	if !ok || !b.hasHolder(m) {
+		return false
+	}
+	spread := len(b.rackCount)
+	if b.rackCount[p.cluster.MustMachine(m).Rack] == 1 {
+		spread--
+	}
+	return spread >= b.spec.MinRacks
 }
 
 // PerReplicaPopularity returns p_i = P_i / k_i for block id (zero if

@@ -413,8 +413,8 @@ func TestRandomOperationsKeepInvariants(t *testing.T) {
 			specs = append(specs, BlockSpec{
 				ID:          BlockID(i),
 				Popularity:  float64(rng.IntN(20) + 1),
-				MinReplicas: 1,
-				MinRacks:    1,
+				MinReplicas: 1 + i%3,
+				MinRacks:    1 + i%3,
 			})
 		}
 		p, err := NewPlacement(cl, specs)
@@ -441,6 +441,23 @@ func TestRandomOperationsKeepInvariants(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Logf("Validate: %v", err)
 			return false
+		}
+		// RemovalKeepsSpread must agree with a from-scratch rack recount
+		// of the block's other holders, for holders and non-holders alike.
+		for _, s := range specs {
+			for _, m := range machines {
+				racks := make(map[topology.RackID]bool)
+				for _, h := range p.Replicas(s.ID) {
+					if h != m {
+						racks[cl.MustMachine(h).Rack] = true
+					}
+				}
+				want := p.HasReplica(s.ID, m) && len(racks) >= s.MinRacks
+				if got := p.RemovalKeepsSpread(s.ID, m); got != want {
+					t.Logf("RemovalKeepsSpread(%d, %d) = %v, recount of %v says %v", s.ID, m, got, p.Replicas(s.ID), want)
+					return false
+				}
+			}
 		}
 		// Total machine load must equal the sum of placed popularities.
 		var wantTotal float64

@@ -226,15 +226,6 @@ func (sp *ShardedPlacement) GlobalCost() float64 {
 	return max
 }
 
-// ShardCosts appends each shard's local objective λ_s (its own maximum
-// machine load) in shard order.
-func (sp *ShardedPlacement) ShardCosts(buf []float64) []float64 {
-	for _, p := range sp.shards {
-		buf = append(buf, p.Cost())
-	}
-	return buf
-}
-
 // Shares returns the stored cross-shard budget apportionment (nil before
 // the first optimized period).
 func (sp *ShardedPlacement) Shares() []int {

@@ -25,22 +25,12 @@ func (sp *ShardedPlacement) Replicas(id BlockID) []topology.MachineID {
 // ReplicaCount returns k_i for block id (zero for unknown blocks).
 func (sp *ShardedPlacement) ReplicaCount(id BlockID) int { return sp.For(id).ReplicaCount(id) }
 
-// HasReplica reports whether block id has a replica on machine m.
-func (sp *ShardedPlacement) HasReplica(id BlockID, m topology.MachineID) bool {
-	return sp.For(id).HasReplica(id, m)
-}
-
 // RackSpread reports how many distinct racks hold block id.
 func (sp *ShardedPlacement) RackSpread(id BlockID) int { return sp.For(id).RackSpread(id) }
 
 // AddReplica adds a replica of block id on machine m in its shard.
 func (sp *ShardedPlacement) AddReplica(id BlockID, m topology.MachineID) error {
 	return sp.For(id).AddReplica(id, m)
-}
-
-// RemoveReplica removes block id's replica from machine m in its shard.
-func (sp *ShardedPlacement) RemoveReplica(id BlockID, m topology.MachineID) error {
-	return sp.For(id).RemoveReplica(id, m)
 }
 
 // SetPopularity updates block id's popularity in its shard.
@@ -91,21 +81,13 @@ func (sp *ShardedPlacement) Load(m topology.MachineID) float64 {
 
 // FreeCapacity reports machine m's residual physical capacity: its base
 // capacity minus replicas stored across all shards. Individual shards
-// additionally enforce their own quota (see shardQuota); use CanHost to
-// check both at once.
+// additionally enforce their own quota (see shardQuota), which the
+// owning Placement checks on every add.
 func (sp *ShardedPlacement) FreeCapacity(m topology.MachineID) int {
 	if len(sp.shards) == 1 {
 		return sp.shards[0].FreeCapacity(m)
 	}
 	return sp.base.MustMachine(m).Capacity - sp.Used(m)
-}
-
-// CanHost reports whether machine m can accept a new replica of block
-// id: the machine has physical capacity left and block id's shard has
-// quota headroom on it. With one shard both conditions are the same
-// plain capacity check.
-func (sp *ShardedPlacement) CanHost(id BlockID, m topology.MachineID) bool {
-	return sp.For(id).FreeCapacity(m) > 0 && sp.FreeCapacity(m) > 0
 }
 
 // CheckFeasible verifies the paper's feasibility constraints shard by

@@ -15,7 +15,6 @@ import (
 	"aurora/internal/metrics"
 	"aurora/internal/par"
 	"aurora/internal/retrypolicy"
-	"aurora/internal/trace"
 )
 
 // Errors returned by the client.
@@ -39,7 +38,6 @@ type Client struct {
 	rng           *lockedRand
 	call          proto.CallFunc
 	retry         retrypolicy.Policy
-	spans         *trace.SpanLog
 
 	// Chunked data path (DESIGN.md §15). readAhead is how many extra
 	// blocks Read keeps in flight while the current one drains.
@@ -110,11 +108,6 @@ func WithRetry(p retrypolicy.Policy) Option {
 	return func(c *Client) { c.retry = p }
 }
 
-// WithSpanLog records one span per client operation into l.
-func WithSpanLog(l *trace.SpanLog) Option {
-	return func(c *Client) { c.spans = l }
-}
-
 // New creates a client for the namenode at addr.
 func New(namenodeAddr string, opts ...Option) *Client {
 	c := &Client{
@@ -175,18 +168,13 @@ func (c *Client) retryPolicy() retrypolicy.Policy {
 // the failed attempt did not reach the namenode — true for injected
 // faults (which fail at the caller) and refused connections; a response
 // lost in flight can surface a duplicate-application error instead.
-func (c *Client) callNN(op string, req *proto.Message) (*proto.Message, error) {
-	sp := c.spans.Start("client." + op)
-	defer sp.End()
+func (c *Client) callNN(req *proto.Message) (*proto.Message, error) {
 	var resp *proto.Message
 	err := c.retryPolicy().Do(func() error {
 		var callErr error
 		resp, _, callErr = c.call(c.namenode, req, nil, c.timeout)
 		return callErr
 	})
-	if err != nil {
-		sp.Annotate("err", err.Error())
-	}
 	return resp, err
 }
 
@@ -198,7 +186,7 @@ func (c *Client) Create(path string, data []byte, replication int) error {
 		return ErrEmptyFile
 	}
 	req := &proto.Message{Type: proto.MsgCreateFile, Path: path, Replication: replication}
-	if _, err := c.callNN("create", req); err != nil {
+	if _, err := c.callNN(req); err != nil {
 		return fmt.Errorf("client: create %s: %w", path, err)
 	}
 	for off := 0; off < len(data); off += c.blockSize {
@@ -210,14 +198,14 @@ func (c *Client) Create(path string, data []byte, replication int) error {
 			return fmt.Errorf("client: write %s block at %d: %w", path, off, err)
 		}
 	}
-	if _, err := c.callNN("complete", &proto.Message{Type: proto.MsgCompleteFile, Path: path}); err != nil {
+	if _, err := c.callNN(&proto.Message{Type: proto.MsgCompleteFile, Path: path}); err != nil {
 		return fmt.Errorf("client: complete %s: %w", path, err)
 	}
 	return nil
 }
 
 func (c *Client) writeBlock(path string, chunk []byte) error {
-	resp, err := c.callNN("add_block", &proto.Message{
+	resp, err := c.callNN(&proto.Message{
 		Type:     proto.MsgAddBlock,
 		Path:     path,
 		Length:   len(chunk),
@@ -234,9 +222,6 @@ func (c *Client) writeBlock(path string, chunk []byte) error {
 	// head forwards chunk i downstream while receiving chunk i+1, so the
 	// client spends ~1 block of bandwidth regardless of the replication
 	// factor and the pipeline depth only adds per-chunk latency.
-	sp := c.spans.Start("client.write_block")
-	sp.Annotate("block", fmt.Sprint(resp.Block))
-	defer sp.End()
 	err = c.retryPolicy().Do(func() error {
 		return proto.SendBlock(c.openStream, resp.Pipeline[0], resp.Block, resp.Pipeline[1:], chunk, c.chunkSize, c.timeout)
 	})
@@ -308,7 +293,7 @@ func (c *Client) readBlockFresh(path string, idx int, loc proto.BlockLocation, o
 // call counts as one access in the namenode's usage monitor, exactly as
 // Aurora's BlockMap instrumentation counts accesses in the prototype.
 func (c *Client) Locations(path string) ([]proto.BlockLocation, error) {
-	resp, err := c.callNN("locations", &proto.Message{Type: proto.MsgGetLocations, Path: path})
+	resp, err := c.callNN(&proto.Message{Type: proto.MsgGetLocations, Path: path})
 	if err != nil {
 		return nil, fmt.Errorf("client: locations %s: %w", path, err)
 	}
@@ -335,7 +320,7 @@ func (c *Client) ReadBlockFrom(loc proto.BlockLocation) ([]byte, error) {
 // SetReplication changes the file's replication factor at run time — the
 // HDFS API Aurora drives for dynamic replication.
 func (c *Client) SetReplication(path string, k int) error {
-	_, err := c.callNN("set_replication", &proto.Message{
+	_, err := c.callNN(&proto.Message{
 		Type:        proto.MsgSetRepl,
 		Path:        path,
 		Replication: k,
@@ -348,7 +333,7 @@ func (c *Client) SetReplication(path string, k int) error {
 
 // Delete removes the file; replicas are reaped lazily by the namenode.
 func (c *Client) Delete(path string) error {
-	if _, err := c.callNN("delete", &proto.Message{Type: proto.MsgDeleteFile, Path: path}); err != nil {
+	if _, err := c.callNN(&proto.Message{Type: proto.MsgDeleteFile, Path: path}); err != nil {
 		return fmt.Errorf("client: delete %s: %w", path, err)
 	}
 	return nil
@@ -356,7 +341,7 @@ func (c *Client) Delete(path string) error {
 
 // List returns metadata for all files.
 func (c *Client) List() ([]proto.FileInfo, error) {
-	resp, err := c.callNN("list", &proto.Message{Type: proto.MsgListFiles})
+	resp, err := c.callNN(&proto.Message{Type: proto.MsgListFiles})
 	if err != nil {
 		return nil, fmt.Errorf("client: list: %w", err)
 	}
@@ -365,7 +350,7 @@ func (c *Client) List() ([]proto.FileInfo, error) {
 
 // Stat returns metadata for one file.
 func (c *Client) Stat(path string) (proto.FileInfo, error) {
-	resp, err := c.callNN("stat", &proto.Message{Type: proto.MsgStatFile, Path: path})
+	resp, err := c.callNN(&proto.Message{Type: proto.MsgStatFile, Path: path})
 	if err != nil {
 		return proto.FileInfo{}, fmt.Errorf("client: stat %s: %w", path, err)
 	}
@@ -378,7 +363,7 @@ func (c *Client) Stat(path string) (proto.FileInfo, error) {
 // Fsck returns the namenode's health report: desired-versus-confirmed
 // replica accounting and the reconcile backlog.
 func (c *Client) Fsck() (proto.HealthReport, error) {
-	resp, err := c.callNN("fsck", &proto.Message{Type: proto.MsgFsck})
+	resp, err := c.callNN(&proto.Message{Type: proto.MsgFsck})
 	if err != nil {
 		return proto.HealthReport{}, fmt.Errorf("client: fsck: %w", err)
 	}
@@ -392,7 +377,7 @@ func (c *Client) Fsck() (proto.HealthReport, error) {
 // ClusterInfo until it reports Decommissioned before stopping the
 // process.
 func (c *Client) Decommission(node proto.NodeID) error {
-	if _, err := c.callNN("decommission", &proto.Message{Type: proto.MsgDecommission, Node: node}); err != nil {
+	if _, err := c.callNN(&proto.Message{Type: proto.MsgDecommission, Node: node}); err != nil {
 		return fmt.Errorf("client: decommission node %d: %w", node, err)
 	}
 	return nil
@@ -400,7 +385,7 @@ func (c *Client) Decommission(node proto.NodeID) error {
 
 // ClusterInfo returns per-datanode state.
 func (c *Client) ClusterInfo() ([]proto.NodeInfo, error) {
-	resp, err := c.callNN("cluster_info", &proto.Message{Type: proto.MsgClusterInfo})
+	resp, err := c.callNN(&proto.Message{Type: proto.MsgClusterInfo})
 	if err != nil {
 		return nil, fmt.Errorf("client: cluster info: %w", err)
 	}

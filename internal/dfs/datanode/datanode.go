@@ -335,8 +335,7 @@ func (dn *DataNode) heartbeatOnce() {
 		metrics.Default.Counter("dfs.datanode.report_full").Inc()
 	} else {
 		digest := proto.BlockSetDigest(dn.store.List())
-		var gen uint64
-		snap, gen = dn.tracker.take()
+		snap = dn.tracker.take()
 		received := make([]proto.BlockID, 0, len(snap))
 		var deleted []proto.BlockID
 		for id, present := range snap {
@@ -350,7 +349,7 @@ func (dn *DataNode) heartbeatOnce() {
 		sortBlockIDs(deleted)
 		req = &proto.Message{
 			Type: proto.MsgHeartbeatDelta, Node: dn.id,
-			Gen: gen, Digest: digest, Received: received, Deleted: deleted,
+			Digest: digest, Received: received, Deleted: deleted,
 		}
 		metrics.Default.Counter("dfs.datanode.report_delta").Inc()
 	}

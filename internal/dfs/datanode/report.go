@@ -16,7 +16,6 @@ import (
 type reportTracker struct {
 	mu        sync.Mutex
 	pending   map[proto.BlockID]bool
-	gen       uint64
 	forceFull bool
 	sinceFull int
 }
@@ -64,7 +63,6 @@ func (rt *reportTracker) fullAcked() {
 	rt.mu.Lock()
 	rt.forceFull = false
 	rt.sinceFull = 0
-	rt.gen++
 	rt.mu.Unlock()
 }
 
@@ -76,16 +74,14 @@ func (rt *reportTracker) forceFullNext() {
 	rt.mu.Unlock()
 }
 
-// take drains the pending delta for one heartbeat and advances the
-// report generation.
-func (rt *reportTracker) take() (map[proto.BlockID]bool, uint64) {
+// take drains the pending delta for one heartbeat.
+func (rt *reportTracker) take() map[proto.BlockID]bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	snap := rt.pending
 	rt.pending = make(map[proto.BlockID]bool)
-	rt.gen++
 	rt.sinceFull++
-	return snap, rt.gen
+	return snap
 }
 
 // restore merges an undelivered snapshot back into pending without

@@ -73,10 +73,10 @@ func (nn *NameNode) WaitDecommissioned(id proto.NodeID, timeout time.Duration) e
 	return fmt.Errorf("namenode: node %d not decommissioned after %v", id, timeout)
 }
 
-// drainLocked advances every draining node: desired replicas on the node
-// get replacements elsewhere, are released once the block is safe
-// without them, and the node flips to decommissioned when empty. Runs
-// from the reconcile loop.
+// drainLocked advances every draining node: desired copies on the node
+// are released once the block is safe without them, and the node flips
+// to decommissioned when empty. Runs from the reconcile loop, after the
+// heal pass has given those blocks replacement homes.
 func (nn *NameNode) drainLocked() {
 	for _, node := range nn.nodes {
 		if !node.draining || node.decommissioned || !node.alive {
@@ -84,7 +84,7 @@ func (nn *NameNode) drainLocked() {
 		}
 		m := topology.MachineID(node.id)
 		for _, id := range nn.placement.BlocksOn(m) {
-			nn.drainBlockLocked(id, node)
+			nn.releaseDrainedLocked(id, m)
 		}
 		// Decommissioned once the node neither is desired to hold
 		// anything nor physically holds anything.
@@ -94,54 +94,28 @@ func (nn *NameNode) drainLocked() {
 	}
 }
 
-// drainBlockLocked moves one desired replica off a draining node: first
-// ensure enough healthy (live, non-draining, confirmed-eventually)
-// replicas exist elsewhere with the required rack spread, then drop the
-// draining one from the desired state so reconciliation deletes the
-// physical copy.
-func (nn *NameNode) drainBlockLocked(id core.BlockID, node *nodeState) {
-	m := topology.MachineID(node.id)
-	spec, err := nn.placement.Spec(id)
-	if err != nil {
+// releaseDrainedLocked drops draining machine m's copy of block id from
+// the desired state — make-before-break, the ordering a drain adds to
+// healLocked: heal chose the replacements, and this waits until
+// MinReplicas copies are confirmed on healthy machines and the spread
+// holds without m. The convergence pass then deletes the physical copy.
+func (nn *NameNode) releaseDrainedLocked(id core.BlockID, m topology.MachineID) {
+	p := nn.placement.For(id)
+	spec, err := p.Spec(id)
+	if err != nil || !p.RemovalKeepsSpread(id, m) {
 		return
 	}
-	healthy := 0
-	healthyConfirmed := 0
-	racks := make(map[topology.RackID]bool)
-	for _, h := range nn.placement.Replicas(id) {
-		if h == m {
-			continue
-		}
-		hn := nn.nodes[h]
-		if !hn.alive || hn.draining {
-			continue
-		}
-		healthy++
-		if nn.confirmed[proto.BlockID(id)][hn.id] {
-			healthyConfirmed++
-		}
-		if r, err := nn.cluster.RackOf(h); err == nil {
-			racks[r] = true
+	confirmed := 0
+	for _, h := range p.Replicas(id) {
+		if hn := nn.nodes[h]; hn.alive && !hn.draining && nn.confirmed[proto.BlockID(id)][hn.id] {
+			confirmed++
 		}
 	}
-	if healthy < spec.MinReplicas || len(racks) < spec.MinRacks {
-		// Not yet safe: add a replacement home (prefers new racks while
-		// spread is short). chooseAliveTargetLocked skips draining
-		// nodes, so replacements never land on a departing machine.
-		if t, ok := nn.chooseAliveTargetLocked(id); ok {
-			//lint:ignore errcheck best effort: the next reconcile tick retries if the add fails
-			_ = nn.placement.AddReplica(id, t)
-			nn.markDirtyLocked()
-		}
-		return
-	}
-	if healthyConfirmed < spec.MinReplicas {
+	if confirmed < spec.MinReplicas {
 		return // replacements chosen but data not copied yet; wait
 	}
-	// Safe: release the draining replica from the desired state. The
-	// convergence pass deletes the physical copy.
-	//lint:ignore errcheck the draining replica provably exists; removal cannot fail
-	_ = nn.placement.RemoveReplica(id, m)
+	//lint:ignore errcheck m was just enumerated from BlocksOn; removal cannot fail
+	_ = p.RemoveReplica(id, m)
 	nn.markDirtyLocked()
 }
 

@@ -1,0 +1,228 @@
+package namenode
+
+import (
+	"testing"
+	"time"
+
+	"aurora/internal/core"
+	"aurora/internal/dfs/proto"
+	"aurora/internal/topology"
+)
+
+// healCluster is a 2-rack × 2-node namenode with fake datanodes, a parked
+// reconcile ticker and an injected clock, so liveness changes only when
+// the test says so. Nodes 0 and 2 sit in rack 0, nodes 1 and 3 in rack 1.
+type healCluster struct {
+	t   *testing.T
+	nn  *NameNode
+	dns []*fakeDN
+	now time.Time // guarded by nn.mu
+}
+
+func startHealCluster(t *testing.T) *healCluster {
+	t.Helper()
+	nn, err := Start(Config{
+		ExpectedNodes:      4,
+		Racks:              2,
+		DefaultReplication: 2,
+		DefaultMinRacks:    2,
+		DeadTimeout:        time.Second,
+		ReconcileInterval:  time.Hour,
+		Seed:               1,
+	})
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	t.Cleanup(func() { _ = nn.Close() })
+	hc := &healCluster{t: t, nn: nn, now: time.Unix(1_700_000_000, 0)}
+	nn.mu.Lock()
+	nn.clock = func() time.Time { return hc.now }
+	nn.mu.Unlock()
+	for i, addr := range []string{"a:1", "b:1", "c:1", "d:1"} {
+		hc.dns = append(hc.dns, registerFake(t, nn, i%2, addr))
+	}
+	return hc
+}
+
+// writeBlock creates a complete one-block file at replication 2 and has
+// every pipeline node confirm the block.
+func (hc *healCluster) writeBlock() core.BlockID {
+	hc.t.Helper()
+	call := func(m *proto.Message) *proto.Message {
+		resp, _, err := proto.Call(hc.nn.Addr(), m, nil, time.Second)
+		if err != nil {
+			hc.t.Fatalf("%s: %v", m.Type, err)
+		}
+		return resp
+	}
+	call(&proto.Message{Type: proto.MsgCreateFile, Path: "/f", Replication: 2})
+	resp := call(&proto.Message{Type: proto.MsgAddBlock, Path: "/f", Length: 1})
+	for _, dn := range hc.dns {
+		for _, addr := range resp.Pipeline {
+			if dn.addr == addr {
+				dn.received(resp.Block)
+			}
+		}
+	}
+	call(&proto.Message{Type: proto.MsgCompleteFile, Path: "/f"})
+	return core.BlockID(resp.Block)
+}
+
+// outage lets DeadTimeout pass with every node but the listed ones
+// heartbeating, then reconciles: the listed nodes are declared dead.
+func (hc *healCluster) outage(silent ...*fakeDN) {
+	hc.t.Helper()
+	hc.nn.mu.Lock()
+	hc.now = hc.now.Add(2 * time.Second)
+	hc.nn.mu.Unlock()
+	for _, dn := range hc.dns {
+		dark := false
+		for _, s := range silent {
+			dark = dark || s == dn
+		}
+		if !dark {
+			dn.heartbeat(hc.holds(dn)...)
+		}
+	}
+	hc.nn.ReconcileOnce()
+}
+
+// holds lists what the namenode has confirmed on dn, so a fake full
+// report restates it instead of retracting it.
+func (hc *healCluster) holds(dn *fakeDN) []proto.BlockID {
+	hc.nn.mu.Lock()
+	defer hc.nn.mu.Unlock()
+	var out []proto.BlockID
+	for b, holders := range hc.nn.confirmed {
+		if holders[dn.id] {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+func (hc *healCluster) desired(id core.BlockID) (replicas []topology.MachineID, spread int) {
+	hc.nn.mu.Lock()
+	defer hc.nn.mu.Unlock()
+	return hc.nn.placement.Replicas(id), hc.nn.placement.RackSpread(id)
+}
+
+// nonHolders lists the nodes outside block id's desired set.
+func (hc *healCluster) nonHolders(id core.BlockID) []*fakeDN {
+	replicas, _ := hc.desired(id)
+	var out []*fakeDN
+	for _, dn := range hc.dns {
+		held := false
+		for _, m := range replicas {
+			held = held || proto.NodeID(m) == dn.id
+		}
+		if !held {
+			out = append(out, dn)
+		}
+	}
+	return out
+}
+
+// A rack outage collapses a block's desired set onto the surviving rack;
+// once the rack is back, one reconcile pass must spread it over both racks
+// again at exactly k replicas. Every top-up loop used to be "count < k",
+// so the collapsed set was final and fsck stayed under-spread forever.
+func TestRackSpreadReturnsWithTheRack(t *testing.T) {
+	hc := startHealCluster(t)
+	id := hc.writeBlock()
+	if replicas, spread := hc.desired(id); len(replicas) != 2 || spread != 2 {
+		t.Fatalf("initial desired set %v spans %d racks, want 2 replicas over 2 racks", replicas, spread)
+	}
+
+	hc.outage(hc.dns[1], hc.dns[3]) // rack 1 goes dark
+	replicas, spread := hc.desired(id)
+	if len(replicas) != 2 || spread != 1 {
+		t.Fatalf("during the outage desired set %v spans %d racks, want 2 replicas in rack 0", replicas, spread)
+	}
+	for _, m := range replicas {
+		if m%2 != 0 {
+			t.Fatalf("desired replica on dead machine %d during the outage: %v", m, replicas)
+		}
+	}
+
+	for _, dn := range hc.dns { // rack 1 heartbeats again
+		dn.heartbeat(hc.holds(dn)...)
+	}
+	hc.dns[1].received(proto.BlockID(id)) // a copy that survived the outage in rack 1
+	if h := hc.nn.Health(); h.Healthy {
+		t.Errorf("fsck healthy on a surviving surplus copy while the desired set spans one rack: %+v", h)
+	}
+	hc.nn.ReconcileOnce()
+	if replicas, spread := hc.desired(id); len(replicas) != 2 || spread != 2 {
+		t.Errorf("after the rack returned desired set %v spans %d racks, want exactly 2 replicas over 2 racks", replicas, spread)
+	}
+}
+
+// set_replication 2→3 must pick the healthy non-holder: widening used to
+// go through core.InitialPlace, which knows only the static topology,
+// where a dead or draining machine is as good as any (and, once its
+// replicas were stripped, the emptiest).
+func TestSetReplicationSkipsUnhealthyNodes(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		unhealthy func(hc *healCluster, dn *fakeDN)
+	}{
+		{"dead", func(hc *healCluster, victim *fakeDN) { hc.outage(victim) }},
+		{"draining", func(hc *healCluster, victim *fakeDN) {
+			if err := hc.nn.Decommission(victim.id); err != nil {
+				hc.t.Fatalf("Decommission: %v", err)
+			}
+		}},
+	} {
+		for victim := 0; victim < 2; victim++ {
+			hc := startHealCluster(t)
+			id := hc.writeBlock()
+			bad := hc.nonHolders(id)[victim]
+			tc.unhealthy(hc, bad)
+			if _, _, err := proto.Call(hc.nn.Addr(), &proto.Message{
+				Type: proto.MsgSetRepl, Path: "/f", Replication: 3,
+			}, nil, time.Second); err != nil {
+				t.Fatalf("%s: set_replication: %v", tc.name, err)
+			}
+			replicas, _ := hc.desired(id)
+			if len(replicas) != 3 {
+				t.Errorf("%s: desired set %v after set_replication 3, want 3 replicas", tc.name, replicas)
+			}
+			for _, m := range replicas {
+				if proto.NodeID(m) == bad.id {
+					t.Errorf("%s: set_replication named %s node %d: %v", tc.name, tc.name, bad.id, replicas)
+				}
+			}
+		}
+	}
+}
+
+// An external rebalancer sees the static topology; what it puts on a dead
+// machine must be re-homed before WithPlacement returns.
+func TestWithPlacementRehomesOffDeadMachine(t *testing.T) {
+	hc := startHealCluster(t)
+	id := hc.writeBlock()
+	spare := hc.nonHolders(id)
+	dead, live := spare[0], spare[1]
+	hc.outage(dead)
+
+	if err := hc.nn.WithPlacement(false, func(p *core.Placement) error {
+		return p.AddReplica(id, topology.MachineID(dead.id))
+	}); err != nil {
+		t.Fatalf("WithPlacement: %v", err)
+	}
+	replicas, _ := hc.desired(id)
+	if len(replicas) != 3 {
+		t.Errorf("desired set %v, want the added replica re-homed (3 replicas)", replicas)
+	}
+	rehomed := false
+	for _, m := range replicas {
+		if proto.NodeID(m) == dead.id {
+			t.Errorf("desired replica left on dead machine %d: %v", dead.id, replicas)
+		}
+		rehomed = rehomed || proto.NodeID(m) == live.id
+	}
+	if !rehomed {
+		t.Errorf("added replica not re-homed on the one healthy spare %d: %v", live.id, replicas)
+	}
+}

@@ -200,8 +200,6 @@ type nodeState struct {
 	// confirm/unconfirm so comparing it against an incremental report's
 	// digest costs O(1), never a set scan (DESIGN.md §15).
 	digest uint64
-	// reportGen is the generation of the last delta report applied.
-	reportGen uint64
 	// wantFull asks the node for a full block report on its next
 	// heartbeat: set on rejoin, on digest mismatch, and at boot.
 	wantFull bool
@@ -607,7 +605,6 @@ func (nn *NameNode) handleHeartbeat(req *proto.Message) (*proto.Message, error) 
 	}
 	node.fresh = nil
 	node.wantFull = false
-	node.reportGen = req.Gen
 	metrics.Default.Counter("dfs.namenode.report_full").Inc()
 	cmds := nn.pendingCmds[node.id]
 	delete(nn.pendingCmds, node.id)
@@ -645,7 +642,6 @@ func (nn *NameNode) handleHeartbeatDelta(req *proto.Message) (*proto.Message, er
 		nn.unconfirmLocked(b, node.id)
 	}
 	node.fresh = nil
-	node.reportGen = req.Gen
 	metrics.Default.Counter("dfs.namenode.report_delta").Inc()
 	resp := &proto.Message{Type: proto.MsgOK, Commands: nn.pendingCmds[node.id]}
 	delete(nn.pendingCmds, node.id)
@@ -829,15 +825,9 @@ func (nn *NameNode) handleAddBlock(req *proto.Message) (*proto.Message, error) {
 		_ = nn.placement.DeleteBlock(id)
 		return nil, fmt.Errorf("namenode: place block: %w", err)
 	}
-	// The placer is topology-only: strip any replicas it put on dead or
-	// draining machines and re-home them on healthy ones.
-	for _, m := range nn.placement.Replicas(id) {
-		if node := nn.nodes[m]; !node.alive || node.draining {
-			//lint:ignore errcheck the replica was just enumerated; removal cannot fail
-			_ = nn.placement.RemoveReplica(id, m)
-		}
-	}
-	nn.ensureAliveDesiredLocked(id, f.replication)
+	// The placer is topology-only: re-home whatever it put on dead or
+	// draining machines.
+	nn.healLocked(id, f.replication)
 	if nn.placement.ReplicaCount(id) == 0 {
 		//lint:ignore errcheck rollback of the block added above; the outer error is reported
 		_ = nn.placement.DeleteBlock(id)
@@ -940,67 +930,21 @@ func (nn *NameNode) handleSetReplication(req *proto.Message) (*proto.Message, er
 	if k < f.minRacks || k < 1 {
 		return nil, fmt.Errorf("%w: replication %d below minimum", ErrBadRequest, k)
 	}
+	if k > len(nn.nodes) {
+		return nil, fmt.Errorf("%w: replication %d exceeds the cluster's %d nodes", ErrBadRequest, k, len(nn.nodes))
+	}
 	f.replication = k
 	for _, b := range f.blocks {
 		id := core.BlockID(b)
-		cur := nn.placement.ReplicaCount(id)
-		switch {
-		case cur < k:
-			if err := core.InitialPlace(nn.placement.For(id), id, k, topology.NoMachine); err != nil {
-				return nil, fmt.Errorf("namenode: widen replication: %w", err)
-			}
-		case cur > k:
-			nn.shrinkLocked(id, k, f.minRacks)
+		// The new factor is the block's floor from here on — for fsck, the
+		// optimizer and every later heal — and heal resizes to it.
+		if err := nn.placement.For(id).SetMinReplicas(id, k); err != nil {
+			return nil, fmt.Errorf("namenode: set replication: %w", err)
 		}
+		nn.healLocked(id, k)
 	}
 	nn.markDirtyLocked()
 	return nil, nil
-}
-
-// shrinkLocked removes desired replicas of block id down to k, dropping
-// the most loaded holders first while preserving rack spread.
-func (nn *NameNode) shrinkLocked(id core.BlockID, k, minRacks int) {
-	for nn.placement.ReplicaCount(id) > k {
-		holders := nn.placement.Replicas(id)
-		sort.Slice(holders, func(a, b int) bool {
-			la, lb := nn.placement.Load(holders[a]), nn.placement.Load(holders[b])
-			if la != lb {
-				return la > lb
-			}
-			return holders[a] < holders[b]
-		})
-		removed := false
-		for _, m := range holders {
-			if err := nn.tryRemoveKeepingSpread(id, m, minRacks); err == nil {
-				removed = true
-				break
-			}
-		}
-		if !removed {
-			return
-		}
-	}
-}
-
-func (nn *NameNode) tryRemoveKeepingSpread(id core.BlockID, m topology.MachineID, minRacks int) error {
-	rack, err := nn.cluster.RackOf(m)
-	if err != nil {
-		return err
-	}
-	inRack := 0
-	for _, h := range nn.placement.Replicas(id) {
-		if r, err := nn.cluster.RackOf(h); err == nil && r == rack {
-			inRack++
-		}
-	}
-	spread := nn.placement.RackSpread(id)
-	if inRack == 1 {
-		spread--
-	}
-	if spread < minRacks {
-		return fmt.Errorf("namenode: removal would break rack spread")
-	}
-	return nn.placement.RemoveReplica(id, m)
 }
 
 func (nn *NameNode) handleDelete(req *proto.Message) (*proto.Message, error) {

@@ -2,14 +2,12 @@ package namenode
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
 	"aurora/internal/core"
 	"aurora/internal/dfs/proto"
 	"aurora/internal/invariant"
-	"aurora/internal/loadindex"
 	"aurora/internal/metrics"
 	"aurora/internal/popularity"
 	"aurora/internal/telemetry"
@@ -60,6 +58,7 @@ func (nn *NameNode) ReconcileOnce() {
 		return
 	}
 	nn.detectDeadLocked()
+	nn.healUnhealthyLocked()
 	nn.drainLocked()
 	nn.reapTombstonesLocked()
 	nn.driveConvergenceLocked()
@@ -91,10 +90,10 @@ func (nn *NameNode) exportLoadTelemetryLocked() {
 	telemetry.ExportHotspots(metrics.Default, snap)
 }
 
-// detectDeadLocked marks silent datanodes dead and removes their
-// replicas from the desired placement so re-replication kicks in — the
-// fault-tolerance behaviour HDFS implements and the paper's reliability
-// constraints assume.
+// detectDeadLocked marks silent datanodes dead and forgets what they
+// were confirmed to hold; the heal pass that follows re-homes their
+// desired replicas — the fault-tolerance behaviour HDFS implements and
+// the paper's reliability constraints assume.
 func (nn *NameNode) detectDeadLocked() {
 	now := nn.clock()
 	for _, node := range nn.nodes {
@@ -104,11 +103,6 @@ func (nn *NameNode) detectDeadLocked() {
 		node.alive = false
 		nn.markDirtyLocked()
 		metrics.Default.Counter("dfs.namenode.dead_detected").Inc()
-		m := topology.MachineID(node.id)
-		for _, id := range nn.placement.BlocksOn(m) {
-			//lint:ignore errcheck the replica was just enumerated from BlocksOn; removal cannot fail
-			_ = nn.placement.RemoveReplica(id, m)
-		}
 		for _, holders := range nn.confirmed {
 			delete(holders, node.id)
 		}
@@ -118,94 +112,122 @@ func (nn *NameNode) detectDeadLocked() {
 		node.digest = 0
 		node.wantFull = true
 		delete(nn.pendingCmds, node.id)
-		// Under-replicated blocks get new desired homes immediately —
-		// on live machines only (the dead machine is still part of the
-		// static topology and must be excluded explicitly).
-		for _, id := range nn.placement.Blocks() {
-			spec, err := nn.placement.Spec(id)
-			if err != nil {
-				continue
-			}
-			if nn.placement.ReplicaCount(id) < spec.MinReplicas {
-				nn.ensureAliveDesiredLocked(id, spec.MinReplicas)
-			}
-		}
 	}
 }
 
-// ensureAliveDesiredLocked strips desired replicas off dead machines and
-// tops the desired count back up to k using live machines, preferring
-// racks that restore the block's spread, then the least-loaded machine.
-func (nn *NameNode) ensureAliveDesiredLocked(id core.BlockID, k int) {
-	for _, m := range nn.placement.Replicas(id) {
-		if !nn.nodes[m].alive {
-			//lint:ignore errcheck the replica was just enumerated; removal cannot fail
-			_ = nn.placement.RemoveReplica(id, m)
+// keepSize is healLocked's k for callers that re-home a block without
+// resizing it: as many replicas as it has off draining machines, and at
+// least its MinReplicas.
+const keepSize = 0
+
+// healLocked is the one way the namenode re-homes a block's desired
+// replicas, whatever made it necessary — a machine died or is draining,
+// the file's replication factor changed, or a placer, optimizer or
+// external rebalancer that knows only the static topology put a replica
+// somewhere unhealthy. The block ends up with k desired replicas on
+// healthy machines over its MinRacks racks, as far as capacity allows
+// (DESIGN.md §10.3):
+//
+//   - replicas on dead machines are dropped, and on draining machines
+//     that hold no confirmed copy (a departing machine gets no new data);
+//   - confirmed copies on draining machines are set aside for the rest of
+//     the step: they stay desired until drainLocked releases them, but
+//     count toward neither k nor the spread, so their replacements are
+//     chosen now;
+//   - replicas are added on healthy machines (alive, not draining, with
+//     physical room; the shard's quota is core's own check) while the
+//     block is short of k replicas or of MinRacks racks — when only racks
+//     are short, only in a rack it is not in yet;
+//   - while it has more than k, the most-loaded holder whose removal
+//     keeps the spread is dropped.
+//
+// Which machine gains or loses a replica is core's decision; this
+// function only says which machines are healthy. It reports whether the
+// desired set changed.
+func (nn *NameNode) healLocked(id core.BlockID, k int) bool {
+	p := nn.placement.For(id)
+	spec, err := p.Spec(id)
+	if err != nil {
+		return false
+	}
+	changed := false
+	holders := p.Replicas(id)
+	var parked []topology.MachineID
+	for _, m := range holders {
+		node := nn.nodes[m]
+		if node.alive && !node.draining {
+			continue
+		}
+		//lint:ignore errcheck the replica was just enumerated; removal cannot fail
+		_ = p.RemoveReplica(id, m)
+		if node.alive && nn.confirmed[proto.BlockID(id)][node.id] {
+			parked = append(parked, m)
+		} else {
+			changed = true
 		}
 	}
-	// Draining machines keep their existing replicas (the drain path
-	// migrates them safely) but never receive new desired replicas;
-	// chooseAliveTargetLocked enforces that below.
-	for nn.placement.ReplicaCount(id) < k {
-		m, ok := nn.chooseAliveTargetLocked(id)
-		if !ok {
-			return // no live machine can host; retried next reconcile
+	if k == keepSize {
+		k = max(len(holders)-len(parked), spec.MinReplicas)
+	}
+	for {
+		short := p.ReplicaCount(id) < k
+		if !short && p.RackSpread(id) >= spec.MinRacks {
+			break
 		}
-		if err := nn.placement.AddReplica(id, m); err != nil {
-			return
+		m := p.ReplicaDestination(id, func(m topology.MachineID) bool {
+			node := nn.nodes[m]
+			return node.alive && !node.draining && nn.placement.FreeCapacity(m) > 0 &&
+				(short || !p.InRack(id, nn.cluster.MustMachine(m).Rack))
+		})
+		if m == topology.NoMachine || p.AddReplica(id, m) != nil {
+			break // no healthy machine has room; the next reconcile pass retries
 		}
+		changed = true
+	}
+	for p.ReplicaCount(id) > k {
+		drop := topology.NoMachine
+		for _, m := range p.Replicas(id) {
+			if p.RemovalKeepsSpread(id, m) && (drop == topology.NoMachine || p.Load(m) > p.Load(drop)) {
+				drop = m
+			}
+		}
+		if drop == topology.NoMachine {
+			break
+		}
+		//lint:ignore errcheck the replica was just enumerated; removal cannot fail
+		_ = p.RemoveReplica(id, drop)
+		changed = true
+	}
+	for _, m := range parked {
+		//lint:ignore errcheck the slot was freed above and nothing is added on a draining machine
+		_ = p.AddReplica(id, m)
+	}
+	if changed {
 		nn.markDirtyLocked()
 	}
+	return changed
 }
 
-// chooseAliveTargetLocked picks a live machine with capacity that does
-// not hold block id, preferring new racks while the spread requirement
-// is unmet, then lowest load (ties by fewest blocks, then ID).
-func (nn *NameNode) chooseAliveTargetLocked(id core.BlockID) (topology.MachineID, bool) {
-	spec, err := nn.placement.Spec(id)
-	if err != nil {
-		return topology.NoMachine, false
-	}
-	heldRacks := make(map[topology.RackID]bool)
-	for _, m := range nn.placement.Replicas(id) {
-		if r, err := nn.cluster.RackOf(m); err == nil {
-			heldRacks[r] = true
+// healUnhealthyLocked re-homes every block with a desired replica on a
+// dead or draining machine and reports how many it changed. It is the
+// shared post-pass of everything that can leave one there — dead
+// detection, a drain, and an optimizer period or external rebalancer
+// working over the static topology, where a crashed machine looks
+// attractively empty — and it does no per-block work while every machine
+// is healthy.
+func (nn *NameNode) healUnhealthyLocked() int {
+	healed := 0
+	for _, node := range nn.nodes {
+		if node.alive && !node.draining {
+			continue
+		}
+		for _, id := range nn.placement.BlocksOn(topology.MachineID(node.id)) {
+			if nn.healLocked(id, keepSize) {
+				healed++
+			}
 		}
 	}
-	needSpread := nn.placement.RackSpread(id) < spec.MinRacks
-	pick := func(newRackOnly bool) topology.MachineID {
-		best := topology.NoMachine
-		bestLoad := 0.0
-		for _, node := range nn.nodes {
-			if !node.alive || node.draining {
-				continue
-			}
-			m := topology.MachineID(node.id)
-			if nn.placement.HasReplica(id, m) || !nn.placement.CanHost(id, m) {
-				continue
-			}
-			if newRackOnly {
-				if r, err := nn.cluster.RackOf(m); err != nil || heldRacks[r] {
-					continue
-				}
-			}
-			load := nn.placement.Load(m)
-			if best == topology.NoMachine || load < bestLoad ||
-				(load == bestLoad && nn.placement.Used(m) < nn.placement.Used(best)) {
-				best, bestLoad = m, load
-			}
-		}
-		return best
-	}
-	if needSpread {
-		if m := pick(true); m != topology.NoMachine {
-			return m, true
-		}
-	}
-	if m := pick(false); m != topology.NoMachine {
-		return m, true
-	}
-	return topology.NoMachine, false
+	return healed
 }
 
 // reapTombstonesLocked deletes replicas of removed blocks.
@@ -240,6 +262,12 @@ func (nn *NameNode) driveConvergenceLocked() {
 		b := proto.BlockID(id)
 		if _, ok := nn.writing[b]; ok {
 			continue // initial pipeline write in flight
+		}
+		if !nn.placement.For(id).Feasible(id) {
+			// Short of replicas or racks because none were to be had when
+			// it was last healed: try again, so the count returns when
+			// capacity does and the spread when the rack does.
+			nn.healLocked(id, keepSize)
 		}
 		desired := nn.placement.Replicas(id)
 		holders := nn.confirmed[b]
@@ -338,6 +366,8 @@ func (nn *NameNode) MovementStats() (durations []time.Duration, replicates, dele
 // optimizer uses OptimizeNow). On a sharded namenode fn runs once per
 // shard, in shard order — each invocation sees one partition of the
 // block map; with one shard the behaviour is exactly the unsharded one.
+// fn sees the static topology; replicas it leaves on dead or draining
+// machines are re-homed before WithPlacement returns.
 func (nn *NameNode) WithPlacement(refreshPopularity bool, fn func(*core.Placement) error) error {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
@@ -354,6 +384,7 @@ func (nn *NameNode) WithPlacement(refreshPopularity bool, fn func(*core.Placemen
 			return err
 		}
 	}
+	nn.healUnhealthyLocked()
 	nn.markDirtyLocked()
 	return nil
 }
@@ -432,7 +463,10 @@ func (nn *NameNode) OptimizeNow(opts core.OptimizerOptions) (core.OptimizeResult
 	telemetry.ExportShardedOptimizePeriod(metrics.Default, res, time.Since(start))
 	telemetry.ExportMachineLoads(metrics.Default, nn.placement.AppendLoads(nil))
 	telemetry.ExportHotspots(metrics.Default, snap)
-	nn.repairDeadDesiredLocked()
+	// The optimizer works over the static topology, so a period during a
+	// fault window runs normally and this pass re-homes what it put on
+	// dead or draining machines, before the debug invariant assert.
+	metrics.Default.Counter("dfs.namenode.optimize_repairs").Add(int64(nn.healUnhealthyLocked()))
 	nn.markDirtyLocked()
 	if assertAfter {
 		for i := 0; i < nn.placement.NumShards(); i++ {
@@ -442,25 +476,6 @@ func (nn *NameNode) OptimizeNow(opts core.OptimizerOptions) (core.OptimizeResult
 		}
 	}
 	return agg, nil
-}
-
-// repairDeadDesiredLocked strips desired replicas sitting on dead
-// machines and re-homes them on live ones. The optimizer works over the
-// static topology, where a crashed machine looks attractively empty —
-// so an optimization period during a fault window runs normally and
-// this pass repairs its output instead of the period aborting. Runs
-// after core.Optimize and before the debug invariant assert.
-func (nn *NameNode) repairDeadDesiredLocked() {
-	for _, id := range nn.placement.Blocks() {
-		k := nn.placement.ReplicaCount(id)
-		for _, m := range nn.placement.Replicas(id) {
-			if node := nn.nodes[m]; node == nil || !node.alive {
-				nn.ensureAliveDesiredLocked(id, k)
-				metrics.Default.Counter("dfs.namenode.optimize_repairs").Inc()
-				break
-			}
-		}
-	}
 }
 
 // PopularitySnapshot returns the usage monitors' current per-block
@@ -483,21 +498,6 @@ func (nn *NameNode) PlacementClone() (*core.Placement, error) {
 		return nil, ErrNotReady
 	}
 	return nn.placement.Merge()
-}
-
-// ShardImbalance reports max/mean over the shards' local objectives —
-// the cross-shard balance statistic (1 when perfectly even or
-// unsharded).
-func (nn *NameNode) ShardImbalance() (float64, error) {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	if !nn.ready {
-		return 0, ErrNotReady
-	}
-	if nn.placement.NumShards() == 1 {
-		return 1, nil
-	}
-	return loadindex.Imbalance(nn.placement.ShardCosts(nil)), nil
 }
 
 // Converged reports whether every desired replica is confirmed and no
@@ -539,23 +539,10 @@ func (nn *NameNode) WaitConverged(timeout time.Duration) error {
 	return fmt.Errorf("namenode: not converged after %v", timeout)
 }
 
-// BlockReplicaAddrs lists the data addresses currently confirmed to hold
-// block b, sorted, for tests and tooling.
-func (nn *NameNode) BlockReplicaAddrs(b proto.BlockID) []string {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	var out []string
-	for n := range nn.confirmed[b] {
-		out = append(out, nn.nodes[n].addr)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Health builds the fsck report: desired-versus-confirmed replica
 // accounting per block plus the reconcile backlog. Healthy means every
 // block meets its fault-tolerance requirements with confirmed replicas
-// and nothing is pending.
+// and in its desired set, and nothing is pending.
 func (nn *NameNode) Health() proto.HealthReport {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
@@ -566,7 +553,8 @@ func (nn *NameNode) Health() proto.HealthReport {
 	}
 	for _, id := range nn.placement.Blocks() {
 		h.Blocks++
-		h.DesiredReplicas += nn.placement.ReplicaCount(id)
+		desired := nn.placement.ReplicaCount(id)
+		h.DesiredReplicas += desired
 		holders := nn.confirmed[proto.BlockID(id)]
 		spec, err := nn.placement.Spec(id)
 		if err != nil {
@@ -584,10 +572,13 @@ func (nn *NameNode) Health() proto.HealthReport {
 			}
 		}
 		h.ConfirmedReplicas += confirmedLive
-		if confirmedLive < spec.MinReplicas {
+		// The desired set counts too: surplus confirmed copies can cover
+		// for a desired set that is still short, and would be deleted as
+		// soon as it converged.
+		if confirmedLive < spec.MinReplicas || desired < spec.MinReplicas {
 			h.UnderReplicatedBlocks++
 		}
-		if len(racks) < spec.MinRacks {
+		if len(racks) < spec.MinRacks || nn.placement.RackSpread(id) < spec.MinRacks {
 			h.UnderSpreadBlocks++
 		}
 	}

@@ -19,7 +19,7 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	seed(&Message{Type: MsgHeartbeat, Node: NodeID(1), Gen: 7, Digest: 0x9e3779b97f4a7c15}, nil)
+	seed(&Message{Type: MsgHeartbeat, Node: NodeID(1), Digest: 0x9e3779b97f4a7c15}, nil)
 	seed(&Message{Type: MsgWriteBlockStream, Block: 42, Pipeline: []string{"a", "b"}}, []byte("block-bytes"))
 	seed(&Message{Type: MsgChunk, Seq: 3, Eof: true}, bytes.Repeat([]byte{0xab}, 512))
 	// Announced lengths the data can't back: 1 GiB payload, no bytes.

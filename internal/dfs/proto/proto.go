@@ -230,12 +230,11 @@ type Message struct {
 	Offset    int  `json:"offset,omitempty"`
 
 	// Incremental block reports (MsgHeartbeat/MsgHeartbeatDelta and
-	// their responses). Gen counts acknowledged reports from this
-	// datanode; Digest is the xor-of-hashes set digest of the blocks the
-	// node holds (BlockSetDigest); Received/Deleted are the deltas since
-	// the last acknowledged report; FullReport on a heartbeat response
-	// asks the datanode to send a full MsgHeartbeat next tick.
-	Gen        uint64    `json:"gen,omitempty"`
+	// their responses). Digest is the xor-of-hashes set digest of the
+	// blocks the node holds (BlockSetDigest); Received/Deleted are the
+	// deltas since the last acknowledged report; FullReport on a
+	// heartbeat response asks the datanode to send a full MsgHeartbeat
+	// next tick.
 	Digest     uint64    `json:"digest,omitempty"`
 	Received   []BlockID `json:"received,omitempty"`
 	Deleted    []BlockID `json:"deleted,omitempty"`

@@ -35,7 +35,6 @@ import (
 
 	"aurora/internal/dfs/proto"
 	"aurora/internal/metrics"
-	"aurora/internal/trace"
 )
 
 // External is the caller ID for processes that are not datanodes (DFS
@@ -199,13 +198,11 @@ type Injector struct {
 	schedule Schedule
 	base     proto.CallFunc
 	baseOpen proto.OpenStreamFunc
-	spans    *trace.SpanLog
 
 	mu         sync.Mutex
 	nodes      map[int]*nodeState
 	addrToNode map[string]int
 	corrupters map[int]func(proto.BlockID) error
-	crashSpans map[int]*trace.ActiveSpan
 	log        []string
 	started    bool
 	stopped    bool
@@ -214,19 +211,10 @@ type Injector struct {
 	done chan struct{}
 }
 
-// Option configures an Injector.
-type Option func(*Injector)
-
-// WithSpanLog records one span per fault window (crash→recover) and per
-// instantaneous fault into l.
-func WithSpanLog(l *trace.SpanLog) Option {
-	return func(inj *Injector) { inj.spans = l }
-}
-
 // New prepares an injector for the given schedule. Register every
 // datanode with RegisterNode, hand each process its CallFrom transport,
 // then Start the clock.
-func New(schedule Schedule, opts ...Option) *Injector {
+func New(schedule Schedule) *Injector {
 	sorted := make(Schedule, len(schedule))
 	copy(sorted, schedule)
 	sorted.Sort()
@@ -237,12 +225,8 @@ func New(schedule Schedule, opts ...Option) *Injector {
 		nodes:      make(map[int]*nodeState),
 		addrToNode: make(map[string]int),
 		corrupters: make(map[int]func(proto.BlockID) error),
-		crashSpans: make(map[int]*trace.ActiveSpan),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(inj)
 	}
 	return inj
 }
@@ -344,7 +328,7 @@ func (inj *Injector) run(t0 time.Time) {
 	}
 }
 
-// apply executes one event: update fault state, log, count, span.
+// apply executes one event: update fault state, log, count.
 func (inj *Injector) apply(ev Event) {
 	now := time.Now()
 	var corrupter func(proto.BlockID) error
@@ -357,29 +341,15 @@ func (inj *Injector) apply(ev Event) {
 	switch ev.Kind {
 	case Crash:
 		st.crashed = true
-		if inj.spans != nil && inj.crashSpans[ev.Node] == nil {
-			sp := inj.spans.Start("fault.crash")
-			sp.Annotate("node", fmt.Sprint(ev.Node))
-			sp.Annotate("t", fmt.Sprintf("+%v", ev.At))
-			inj.crashSpans[ev.Node] = sp
-		}
 	case Recover:
 		st.crashed = false
-		if sp := inj.crashSpans[ev.Node]; sp != nil {
-			sp.Annotate("recovered", fmt.Sprintf("+%v", ev.At))
-			sp.End()
-			delete(inj.crashSpans, ev.Node)
-		}
 	case Slow:
 		st.slowUntil = now.Add(ev.Dur)
 		st.slowLatency = ev.Latency
-		inj.instantSpan(ev)
 	case DropHeartbeats:
 		st.dropHBUntil = now.Add(ev.Dur)
-		inj.instantSpan(ev)
 	case Corrupt:
 		corrupter = inj.corrupters[ev.Node]
-		inj.instantSpan(ev)
 	}
 	inj.log = append(inj.log, ev.String())
 	inj.mu.Unlock()
@@ -391,21 +361,6 @@ func (inj *Injector) apply(ev Event) {
 			metrics.Default.Counter("faultinject.corrupt_miss").Inc()
 		}
 	}
-}
-
-// instantSpan records a closed span for a windowed or one-shot fault.
-// Caller holds inj.mu.
-func (inj *Injector) instantSpan(ev Event) {
-	if inj.spans == nil {
-		return
-	}
-	sp := inj.spans.Start("fault." + string(ev.Kind))
-	sp.Annotate("node", fmt.Sprint(ev.Node))
-	sp.Annotate("t", fmt.Sprintf("+%v", ev.At))
-	if ev.Dur > 0 {
-		sp.Annotate("dur", ev.Dur.String())
-	}
-	sp.End()
 }
 
 // CallFrom returns the RPC transport for the process with the given

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"aurora/internal/dfs/proto"
-	"aurora/internal/trace"
 )
 
 func TestRandomScheduleDeterministic(t *testing.T) {
@@ -101,11 +100,10 @@ func TestInjectorCrashAndRecover(t *testing.T) {
 	addr, stop := echoServer(t)
 	defer stop()
 
-	spans := trace.NewSpanLog()
 	inj := New(Schedule{
 		{At: 0, Kind: Crash, Node: 1},
 		{At: 60 * time.Millisecond, Kind: Recover, Node: 1},
-	}, WithSpanLog(spans))
+	})
 	inj.RegisterNode(1, addr)
 	if err := inj.Start(); err != nil {
 		t.Fatal(err)
@@ -140,11 +138,6 @@ func TestInjectorCrashAndRecover(t *testing.T) {
 	wantLog := []string{"t=+0s crash node=1", "t=+60ms recover node=1"}
 	if got := inj.Log(); !reflect.DeepEqual(got, wantLog) {
 		t.Fatalf("Log = %v, want %v", got, wantLog)
-	}
-	// The crash window is one span, closed at recover.
-	sps := spans.Spans()
-	if len(sps) != 1 || sps[0].Name != "fault.crash" || sps[0].End == 0 {
-		t.Fatalf("spans = %+v, want one closed fault.crash span", sps)
 	}
 }
 

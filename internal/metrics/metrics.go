@@ -1,6 +1,7 @@
 // Package metrics provides the small statistics toolkit used by the
-// simulator, the experiments harness and the benchmarks: empirical CDFs,
-// fixed-width histograms, load-imbalance measures and summary statistics.
+// experiments harness and the benchmarks — quantiles, empirical CDFs and
+// Jain's fairness index — beside the live instruments (counters, gauges,
+// log-bucket histograms and the registry that names them).
 //
 // Everything here is deterministic and allocation-conscious; the
 // experiment harness calls these on every epoch of multi-day simulated
@@ -12,62 +13,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // ErrEmpty is returned by statistics that are undefined on empty data.
 var ErrEmpty = errors.New("metrics: empty sample")
-
-// Summary holds the usual moments and order statistics of a sample.
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Stddev float64
-	P50    float64
-	P90    float64
-	P99    float64
-}
-
-// Summarize computes a Summary of xs. It returns ErrEmpty for an empty
-// sample. xs is not modified.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-
-	// Two-pass variance: the textbook E[X²]−E[X]² form cancels
-	// catastrophically when the mean dwarfs the spread (nanosecond
-	// latencies around 1e8 with microsecond jitter lose every
-	// significant digit of the variance), so sum squared deviations from
-	// the mean instead.
-	var sum float64
-	for _, x := range sorted {
-		sum += x
-	}
-	n := float64(len(sorted))
-	mean := sum / n
-	var sumSqDev float64
-	for _, x := range sorted {
-		d := x - mean
-		sumSqDev += d * d
-	}
-	variance := sumSqDev / n
-	return Summary{
-		N:      len(sorted),
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Mean:   mean,
-		Stddev: math.Sqrt(variance),
-		P50:    quantileSorted(sorted, 0.50),
-		P90:    quantileSorted(sorted, 0.90),
-		P99:    quantileSorted(sorted, 0.99),
-	}, nil
-}
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. xs is not modified.
@@ -139,114 +88,6 @@ func (c *CDF) Inverse(p float64) float64 {
 // N reports the sample size.
 func (c *CDF) N() int { return len(c.sorted) }
 
-// Points returns (x, P(X<=x)) pairs at each distinct sample value, the
-// series a plot of the CDF needs. The slices are fresh.
-func (c *CDF) Points() (xs, ps []float64) {
-	for i := 0; i < len(c.sorted); i++ {
-		// skip to the last occurrence of a run of equal values
-		if i+1 < len(c.sorted) && c.sorted[i+1] == c.sorted[i] {
-			continue
-		}
-		xs = append(xs, c.sorted[i])
-		ps = append(ps, float64(i+1)/float64(len(c.sorted)))
-	}
-	return xs, ps
-}
-
-// Histogram is a fixed-width bucket histogram over [min, max). Values
-// outside the range are clamped into the first/last bucket so totals are
-// preserved.
-type Histogram struct {
-	min, max float64
-	width    float64
-	counts   []int
-	total    int
-}
-
-// NewHistogram creates a histogram with the given bucket count over
-// [min, max).
-func NewHistogram(min, max float64, buckets int) (*Histogram, error) {
-	if buckets <= 0 {
-		return nil, fmt.Errorf("metrics: bucket count %d must be positive", buckets)
-	}
-	if !(min < max) {
-		return nil, fmt.Errorf("metrics: invalid histogram range [%v, %v)", min, max)
-	}
-	return &Histogram{
-		min:    min,
-		max:    max,
-		width:  (max - min) / float64(buckets),
-		counts: make([]int, buckets),
-	}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.min) / h.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i]++
-	h.total++
-}
-
-// Total reports the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Counts returns a copy of the per-bucket counts.
-func (h *Histogram) Counts() []int {
-	out := make([]int, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
-// BucketBounds returns the [lo, hi) bounds of bucket i.
-func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
-	lo = h.min + float64(i)*h.width
-	return lo, lo + h.width
-}
-
-// Imbalance measures of a machine-load vector. The paper reports machine
-// load CDFs and the max load (the optimization objective λ); downstream
-// code also wants compact scalars.
-
-// MaxLoad returns max(xs), the λ objective.
-func MaxLoad(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// ImbalanceRatio returns max/mean of the load vector, 1.0 meaning perfect
-// balance. A zero mean yields 0 (an empty cluster is trivially balanced).
-func ImbalanceRatio(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var sum, max float64
-	for _, x := range xs {
-		sum += x
-		if x > max {
-			max = x
-		}
-	}
-	mean := sum / float64(len(xs))
-	if mean == 0 {
-		return 0, nil
-	}
-	return max / mean, nil
-}
-
 // JainFairness returns Jain's fairness index (Σx)² / (n·Σx²) of the load
 // vector: 1.0 is perfectly balanced, 1/n is maximally skewed. An all-zero
 // vector is defined as perfectly fair (1.0).
@@ -263,28 +104,4 @@ func JainFairness(xs []float64) (float64, error) {
 		return 1.0, nil
 	}
 	return sum * sum / (float64(len(xs)) * sumSq), nil
-}
-
-// CoefficientOfVariation returns stddev/mean of the load vector; 0 means
-// perfect balance. A zero mean yields 0.
-func CoefficientOfVariation(xs []float64) (float64, error) {
-	s, err := Summarize(xs)
-	if err != nil {
-		return 0, err
-	}
-	if s.Mean == 0 {
-		return 0, nil
-	}
-	return s.Stddev / s.Mean, nil
-}
-
-// RenderCDF renders an ASCII sketch of a CDF at the given quantiles,
-// used by the CLI tools to show paper-figure panels in the terminal.
-func RenderCDF(name string, c *CDF, quantiles []float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (n=%d)\n", name, c.N())
-	for _, q := range quantiles {
-		fmt.Fprintf(&b, "  p%-5.3g %12.3f\n", q*100, c.Inverse(q))
-	}
-	return b.String()
 }

