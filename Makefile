@@ -68,7 +68,7 @@ telemetry-smoke:
 	bash scripts/telemetry_smoke.sh
 
 # Run the seeded predictor scenario matrix twice and assert byte-identical
-# output, nonzero aurora_predictor_* telemetry, and that the seasonal
+# output and metric dumps, nonzero aurora_predictor_* telemetry, and that the seasonal
 # predictor's mean per-period SOL is strictly below reactive's on the
 # diurnal and flashcrowd scenarios. See DESIGN.md §17.
 scenario-smoke:

@@ -176,10 +176,74 @@ func (c *Controller) record(res core.OptimizeResult, err error) {
 	}
 }
 
+// Forecaster is the forecast step of every Aurora period (Section V): it
+// turns the usage monitor's window W into the block popularities
+// Algorithm 5 then optimizes against — the window itself when reactive,
+// a predictor's forecast of the next window otherwise. The namenode, the
+// simulator and StandaloneTarget each run their periods through one. It
+// reads no clock and takes no lock: the caller serializes Apply with
+// every other writer of the placement. The zero Forecaster is reactive.
+type Forecaster struct {
+	pred popularity.Predictor[core.BlockID] // nil when reactive
+	last map[core.BlockID]float64           // the forecast the next window scores
+}
+
+// Score rates the forecast a period ran under against the window it
+// forecast (popularity.WeightedAbsError, and popularity.TopKOverlap at
+// popularity.DefaultTopK). Scored is false when there was no forecast:
+// reactive, or the first period.
+type Score struct {
+	WAE, TopK float64
+	Scored    bool
+}
+
+// NewForecaster builds a forecaster by predictor name: one of
+// popularity.Names(), or a reactive name (see popularity.IsReactive).
+func NewForecaster(name string, opts popularity.PredictorOptions) (*Forecaster, error) {
+	if popularity.IsReactive(name) {
+		return &Forecaster{}, nil
+	}
+	pred, err := popularity.New[core.BlockID](name, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Forecaster{pred: pred}, nil
+}
+
+// Apply runs one period's forecast step: it scores the outstanding
+// forecast against window, feeds window to the predictor, and writes the
+// new forecast (reactive: window) into every block of every shard of sp.
+// A block the forecast does not name gets popularity 0.
+func (f *Forecaster) Apply(sp *core.ShardedPlacement, window map[core.BlockID]int64) (Score, error) {
+	var s Score
+	pop := func(id core.BlockID) float64 { return float64(window[id]) }
+	if f.pred != nil {
+		if f.last != nil {
+			s = Score{
+				WAE:    popularity.WeightedAbsError(f.last, window),
+				TopK:   popularity.TopKOverlap(f.last, window, popularity.DefaultTopK),
+				Scored: true,
+			}
+		}
+		f.pred.Observe(window)
+		f.last = f.pred.Predict()
+		pop = func(id core.BlockID) float64 { return f.last[id] }
+	}
+	for i := 0; i < sp.NumShards(); i++ {
+		p := sp.Shard(i)
+		for _, id := range p.Blocks() {
+			if err := p.SetPopularity(id, pop(id)); err != nil {
+				return s, err
+			}
+		}
+	}
+	return s, nil
+}
+
 // StandaloneTarget adapts a bare placement plus usage monitor into a
 // Target, for embedding Aurora in systems that are not the mini-DFS: the
 // caller records block accesses and the controller periodically refreshes
-// popularities and optimizes.
+// popularities (reactively) and optimizes.
 type StandaloneTarget struct {
 	// monitor is internally synchronized and clock is immutable after
 	// construction, so neither sits in the mutex-guarded group.
@@ -187,7 +251,8 @@ type StandaloneTarget struct {
 	clock   func() int64
 
 	mu        sync.Mutex
-	placement *core.Placement
+	placement *core.ShardedPlacement // the one-shard view of the wrapped placement
+	forecast  Forecaster
 }
 
 // NewStandaloneTarget wraps placement with a usage monitor whose sliding
@@ -203,7 +268,7 @@ func NewStandaloneTarget(p *core.Placement, bucketLen int64, windowBuckets int, 
 	if err != nil {
 		return nil, err
 	}
-	return &StandaloneTarget{placement: p, monitor: mon, clock: clock}, nil
+	return &StandaloneTarget{placement: core.SingleShard(p), monitor: mon, clock: clock}, nil
 }
 
 // RecordAccess registers one access of block id at the current clock.
@@ -217,25 +282,24 @@ func (t *StandaloneTarget) OptimizeNow(opts core.OptimizerOptions) (core.Optimiz
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	snap := t.monitor.Snapshot(t.clock())
-	for _, id := range t.placement.Blocks() {
-		if err := t.placement.SetPopularity(id, float64(snap[id])); err != nil {
-			return core.OptimizeResult{}, err
-		}
+	if _, err := t.forecast.Apply(t.placement, snap); err != nil {
+		return core.OptimizeResult{}, err
 	}
 	assertAfter := invariant.Enabled && t.placement.CheckFeasible() == nil
 	start := time.Now()
-	res, err := core.Optimize(t.placement, opts)
-	if err == nil {
-		telemetry.ExportOptimizePeriod(metrics.Default, res, time.Since(start))
-		telemetry.ExportMachineLoads(metrics.Default, t.placement.Loads())
-		telemetry.ExportHotspots(metrics.Default, snap)
+	res, err := core.OptimizeSharded(t.placement, core.ShardedOptimizerOptions{Opts: opts})
+	if err != nil {
+		return core.OptimizeResult{}, err
 	}
-	if err == nil && assertAfter {
-		if verr := invariant.CheckPlacement(t.placement); verr != nil {
-			return res, fmt.Errorf("aurora: post-optimize %w", verr)
+	telemetry.ExportShardedOptimizePeriod(metrics.Default, res, time.Since(start))
+	telemetry.ExportMachineLoads(metrics.Default, t.placement.AppendLoads(nil))
+	telemetry.ExportHotspots(metrics.Default, snap)
+	if assertAfter {
+		if verr := invariant.CheckPlacement(t.placement.Shard(0)); verr != nil {
+			return res.PerShard[0], fmt.Errorf("aurora: post-optimize %w", verr)
 		}
 	}
-	return res, err
+	return res.PerShard[0], nil
 }
 
 // WithPlacement runs fn on the wrapped placement under the target's
@@ -243,7 +307,7 @@ func (t *StandaloneTarget) OptimizeNow(opts core.OptimizerOptions) (core.Optimiz
 func (t *StandaloneTarget) WithPlacement(fn func(*core.Placement) error) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return fn(t.placement)
+	return fn(t.placement.Shard(0))
 }
 
 var _ Target = (*StandaloneTarget)(nil)

@@ -116,15 +116,14 @@ func NewShardedPlacement(base *topology.Cluster, shards int, specs []BlockSpec) 
 	if shards < 1 {
 		shards = 1
 	}
-	sp := &ShardedPlacement{base: base}
 	if shards == 1 {
 		p, err := NewPlacement(base, specs)
 		if err != nil {
 			return nil, err
 		}
-		sp.shards = []*Placement{p}
-		return sp, nil
+		return SingleShard(p), nil
 	}
+	sp := &ShardedPlacement{base: base}
 	qc, err := shardCluster(base, shards)
 	if err != nil {
 		return nil, fmt.Errorf("core: shard cluster: %w", err)
@@ -143,6 +142,12 @@ func NewShardedPlacement(base *topology.Cluster, shards int, specs []BlockSpec) 
 		sp.shards[i] = p
 	}
 	return sp, nil
+}
+
+// SingleShard is the one-shard view of p, without a copy: the view's
+// only shard is p itself, so a write through either is seen by both.
+func SingleShard(p *Placement) *ShardedPlacement {
+	return &ShardedPlacement{base: p.Cluster(), shards: []*Placement{p}}
 }
 
 // NumShards reports the shard count.

@@ -206,7 +206,7 @@ func TestWithPlacementRehomesOffDeadMachine(t *testing.T) {
 	dead, live := spare[0], spare[1]
 	hc.outage(dead)
 
-	if err := hc.nn.WithPlacement(false, func(p *core.Placement) error {
+	if err := hc.nn.WithPlacement(func(p *core.Placement) error {
 		return p.AddReplica(id, topology.MachineID(dead.id))
 	}); err != nil {
 		t.Fatalf("WithPlacement: %v", err)

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"aurora/internal/aurora"
 	"aurora/internal/baseline"
 	"aurora/internal/core"
 	"aurora/internal/dfs/proto"
@@ -116,17 +117,19 @@ type Config struct {
 	// CheckpointInterval defaults to 30s.
 	CheckpointInterval time.Duration
 	// Shards partitions the block map into this many hash shards, each
-	// owning its own usage-monitor window and optimizer state; OptimizeNow
-	// runs the per-shard Algorithm-5 periods concurrently. Values below 2
-	// keep the single-shard path, bit-identical to the unsharded
-	// namenode. A loaded fsimage's recorded shard count overrides this:
-	// the partitioning must match the persisted placement.
+	// owning its own optimizer state; OptimizeNow runs the per-shard
+	// Algorithm-5 periods concurrently. Shards split the block map and
+	// the optimizer, not the usage monitor or the forecaster: there is
+	// one of each whatever the count, so the popularities the optimizer
+	// reads do not depend on it. Values below 2 keep the single-shard
+	// path, bit-identical to the unsharded namenode. A loaded fsimage's
+	// recorded shard count overrides this: the partitioning must match
+	// the persisted placement.
 	Shards int
 	// Predictor selects the popularity forecaster the optimizer runs
 	// under: one of popularity.Names(), or a reactive name ("",
-	// "reactive") for raw window counts. Each shard's monitor gets its
-	// own predictor instance; per-period prediction-error series are
-	// exported as aurora_predictor_* metrics.
+	// "reactive") for raw window counts. Per-period prediction-error
+	// series are exported as aurora_predictor_* metrics.
 	Predictor string
 }
 
@@ -266,15 +269,15 @@ type NameNode struct {
 	// regression test and operators.
 	fsSaves int64
 
-	// monitors hold one usage-monitor window per shard; a block's
-	// accesses are recorded in its hash shard's monitor.
-	monitors []*popularity.Monitor[core.BlockID]
-	// preds, when non-nil, hold one popularity forecaster per shard
-	// (cfg.Predictor); lastPred remembers each shard's outstanding
-	// forecast so the next refresh can score it against the realized
-	// window.
-	preds    []popularity.Predictor[core.BlockID]
-	lastPred []map[core.BlockID]float64
+	// monitor is the usage-monitor window every block's accesses are
+	// recorded in. Observers (telemetry, PopularitySnapshot) read it with
+	// Peek: a scrape must never advance or prune it, or the counts the
+	// optimizer reads would depend on scrape frequency. Only the
+	// consuming path, refreshPopularityLocked, calls Snapshot.
+	monitor *popularity.Monitor[core.BlockID]
+	// forecast turns each period's window into block popularities
+	// (cfg.Predictor).
+	forecast *aurora.Forecaster
 	clock    func() time.Time
 
 	stop chan struct{}
@@ -294,6 +297,14 @@ func Start(cfg Config) (*NameNode, error) {
 		}
 		cfg.Placer = placer
 	}
+	mon, err := popularity.NewMonitor[core.BlockID](int64(cfg.WindowBucket), cfg.WindowBuckets)
+	if err != nil {
+		return nil, err
+	}
+	forecast, err := aurora.NewForecaster(cfg.Predictor, popularity.PredictorOptions{})
+	if err != nil {
+		return nil, err
+	}
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("namenode: listen: %w", err)
@@ -308,6 +319,8 @@ func Start(cfg Config) (*NameNode, error) {
 		inflight:       make(map[inflightKey]time.Time),
 		writing:        make(map[proto.BlockID]time.Time),
 		commandsIssued: make(map[proto.CommandKind]int64),
+		monitor:        mon,
+		forecast:       forecast,
 		clock:          time.Now,
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
@@ -323,31 +336,6 @@ func Start(cfg Config) (*NameNode, error) {
 			//lint:ignore errcheck best effort: the stat error is what matters
 			_ = ln.Close()
 			return nil, fmt.Errorf("namenode: stat fsimage: %w", statErr)
-		}
-	}
-	// Monitors are sized after the fsimage load: a loaded image may pin
-	// a different shard count than the config asked for.
-	nn.monitors = make([]*popularity.Monitor[core.BlockID], nn.cfg.Shards)
-	for i := range nn.monitors {
-		mon, err := popularity.NewMonitor[core.BlockID](int64(cfg.WindowBucket), cfg.WindowBuckets)
-		if err != nil {
-			//lint:ignore errcheck best effort: the monitor error is what matters
-			_ = ln.Close()
-			return nil, err
-		}
-		nn.monitors[i] = mon
-	}
-	if !popularity.IsReactive(cfg.Predictor) {
-		nn.preds = make([]popularity.Predictor[core.BlockID], nn.cfg.Shards)
-		nn.lastPred = make([]map[core.BlockID]float64, nn.cfg.Shards)
-		for i := range nn.preds {
-			pred, err := popularity.New[core.BlockID](cfg.Predictor, popularity.PredictorOptions{})
-			if err != nil {
-				//lint:ignore errcheck best effort: the predictor error is what matters
-				_ = ln.Close()
-				return nil, err
-			}
-			nn.preds[i] = pred
 		}
 	}
 	nn.server = proto.Serve(ln, nn.handle, cfg.Timeout)
@@ -399,32 +387,6 @@ func (nn *NameNode) Shards() int { return nn.cfg.Shards }
 // markDirtyLocked flags that persisted metadata diverged from the
 // on-disk checkpoint.
 func (nn *NameNode) markDirtyLocked() { nn.dirty = true }
-
-// monitorFor returns the usage monitor owning block id's shard.
-func (nn *NameNode) monitorFor(id core.BlockID) *popularity.Monitor[core.BlockID] {
-	return nn.monitors[core.ShardOf(id, len(nn.monitors))]
-}
-
-// peekSnapshotLocked merges the per-shard monitor windows into one map,
-// read-only. Shards hold disjoint block sets, so the merge is a plain
-// union. All exporter/observer paths (telemetry, PopularitySnapshot)
-// use this Peek-based view: a scrape must never advance or prune
-// monitor state, or the counts the optimizer reads would depend on
-// scrape frequency. Pruning happens only on the consuming path,
-// refreshPopularityLocked.
-func (nn *NameNode) peekSnapshotLocked() map[core.BlockID]int64 {
-	now := nn.clock().UnixNano()
-	if len(nn.monitors) == 1 {
-		return nn.monitors[0].Peek(now)
-	}
-	merged := make(map[core.BlockID]int64)
-	for _, mon := range nn.monitors {
-		for id, v := range mon.Peek(now) {
-			merged[id] = v
-		}
-	}
-	return merged
-}
 
 // Ready reports whether all expected datanodes have registered.
 func (nn *NameNode) Ready() bool {
@@ -869,7 +831,7 @@ func (nn *NameNode) handleGetLocations(req *proto.Message) (*proto.Message, erro
 	now := nn.clock().UnixNano()
 	locs := make([]proto.BlockLocation, 0, len(f.blocks))
 	for _, b := range f.blocks {
-		nn.monitorFor(core.BlockID(b)).Record(core.BlockID(b), now)
+		nn.monitor.Record(core.BlockID(b), now)
 		locs = append(locs, proto.BlockLocation{
 			Block:     b,
 			Length:    f.lengths[b],
@@ -958,7 +920,7 @@ func (nn *NameNode) handleDelete(req *proto.Message) (*proto.Message, error) {
 		//lint:ignore errcheck idempotent delete; tombstones cover already-gone blocks
 		_ = nn.placement.DeleteBlock(core.BlockID(b))
 		nn.tombstones[b] = true
-		nn.monitorFor(core.BlockID(b)).Forget(core.BlockID(b))
+		nn.monitor.Forget(core.BlockID(b))
 	}
 	delete(nn.files, req.Path)
 	nn.markDirtyLocked()

@@ -123,7 +123,7 @@ func TestNotReadyErrors(t *testing.T) {
 	if _, err := nn.PlacementClone(); !errors.Is(err, ErrNotReady) {
 		t.Errorf("PlacementClone err = %v, want ErrNotReady", err)
 	}
-	if err := nn.WithPlacement(false, func(*core.Placement) error { return nil }); !errors.Is(err, ErrNotReady) {
+	if err := nn.WithPlacement(func(*core.Placement) error { return nil }); !errors.Is(err, ErrNotReady) {
 		t.Errorf("WithPlacement err = %v, want ErrNotReady", err)
 	}
 	if err := nn.WaitReady(30 * time.Millisecond); err == nil {

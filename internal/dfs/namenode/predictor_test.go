@@ -1,16 +1,22 @@
 package namenode
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
 	"aurora/internal/core"
+	"aurora/internal/dfs/proto"
+	"aurora/internal/metrics"
+	"aurora/internal/telemetry"
 )
 
 // Regression for scrape-mutates-state: telemetry read paths
 // (PopularitySnapshot, the reconcile loop's load export) must never
-// advance or prune the usage monitors, no matter how often they run —
+// advance or prune the usage monitor, no matter how often they run —
 // the counts the optimizer consumes may not depend on scrape frequency.
 func TestTelemetryScrapesNeverChangeMonitorState(t *testing.T) {
 	nn := startNN(t, 1, 1)
@@ -19,19 +25,12 @@ func TestTelemetryScrapesNeverChangeMonitorState(t *testing.T) {
 	// Seed accesses, including one key already outside the window so a
 	// pruning pass would visibly shrink Len.
 	for b := core.BlockID(1); b <= 5; b++ {
-		nn.monitorFor(b).RecordN(b, now, int64(b)*3)
+		nn.monitor.RecordN(b, now, int64(b)*3)
 	}
 	stale := core.BlockID(99)
-	nn.monitorFor(stale).Record(stale, now-10*int64(nn.cfg.WindowBucket)*int64(nn.cfg.WindowBuckets))
+	nn.monitor.Record(stale, now-10*int64(nn.cfg.WindowBucket)*int64(nn.cfg.WindowBuckets))
 
-	lenOf := func() int {
-		total := 0
-		for _, mon := range nn.monitors {
-			total += mon.Len()
-		}
-		return total
-	}
-	lenBefore := lenOf()
+	lenBefore := nn.monitor.Len()
 	first := nn.PopularitySnapshot()
 	if len(first) != 5 {
 		t.Fatalf("snapshot = %v, want 5 live keys", first)
@@ -42,7 +41,7 @@ func TestTelemetryScrapesNeverChangeMonitorState(t *testing.T) {
 		}
 		nn.ReconcileOnce() // runs the telemetry export path
 	}
-	if got := lenOf(); got != lenBefore {
+	if got := nn.monitor.Len(); got != lenBefore {
 		t.Fatalf("monitor Len changed %d -> %d under repeated scrapes", lenBefore, got)
 	}
 	// The consuming path still prunes: one popularity refresh drops the
@@ -53,52 +52,165 @@ func TestTelemetryScrapesNeverChangeMonitorState(t *testing.T) {
 		t.Fatal(err)
 	}
 	nn.mu.Unlock()
-	if got := lenOf(); got != lenBefore-1 {
+	if got := nn.monitor.Len(); got != lenBefore-1 {
 		t.Fatalf("Len after consuming refresh = %d, want %d (stale key pruned)", got, lenBefore-1)
 	}
 }
 
-// A predictor-enabled namenode must build one forecaster per shard,
-// feed forecasts into the placement on refresh, and reject unknown
-// predictor names at startup.
-func TestNameNodePredictorWiring(t *testing.T) {
-	if _, err := Start(Config{ExpectedNodes: 1, Predictor: "bogus"}); err == nil {
-		t.Fatal("unknown predictor accepted")
-	}
+// forecastCluster is a 2-rack × 2-node namenode with fake datanodes, a
+// parked reconcile ticker and an injected clock, holding files /f0../fN
+// of one block each.
+type forecastCluster struct {
+	t      *testing.T
+	nn     *NameNode
+	blocks []core.BlockID // blocks[i] is /f<i>'s block
+	now    time.Time      // guarded by nn.mu
+}
+
+func startForecastCluster(t *testing.T, shards int, predictor string, files int) *forecastCluster {
+	t.Helper()
 	nn, err := Start(Config{
-		ExpectedNodes:      1,
-		Racks:              1,
-		DefaultReplication: 1,
-		DefaultMinRacks:    1,
-		DeadTimeout:        500 * time.Millisecond,
-		ReconcileInterval:  10 * time.Millisecond,
+		ExpectedNodes:      4,
+		Racks:              2,
+		DefaultReplication: 2,
+		DefaultMinRacks:    2,
+		DeadTimeout:        24 * time.Hour,
+		ReconcileInterval:  time.Hour,
 		Seed:               1,
-		Shards:             2,
-		Predictor:          "seasonal",
+		Shards:             shards,
+		Predictor:          predictor,
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
 	t.Cleanup(func() { _ = nn.Close() })
-	registerFake(t, nn, 0, "127.0.0.1:19002")
-	if len(nn.preds) != 2 {
-		t.Fatalf("preds per shard = %d, want 2", len(nn.preds))
-	}
-	now := nn.clock().UnixNano()
-	for b := core.BlockID(1); b <= 8; b++ {
-		nn.monitorFor(b).RecordN(b, now, 10)
-	}
+	fc := &forecastCluster{t: t, nn: nn, now: time.Unix(1_700_000_000, 0)}
 	nn.mu.Lock()
-	err = nn.refreshPopularityLocked()
+	nn.clock = func() time.Time { return fc.now }
 	nn.mu.Unlock()
+	for i, addr := range []string{"a:1", "b:1", "c:1", "d:1"} {
+		registerFake(t, nn, i%2, addr)
+	}
+	for i := 0; i < files; i++ {
+		path := fmt.Sprintf("/f%d", i)
+		fc.call(&proto.Message{Type: proto.MsgCreateFile, Path: path})
+		resp := fc.call(&proto.Message{Type: proto.MsgAddBlock, Path: path, Length: 1})
+		fc.blocks = append(fc.blocks, core.BlockID(resp.Block))
+	}
+	return fc
+}
+
+func (fc *forecastCluster) call(m *proto.Message) *proto.Message {
+	fc.t.Helper()
+	resp, _, err := proto.Call(fc.nn.Addr(), m, nil, time.Second)
 	if err != nil {
-		t.Fatalf("refresh: %v", err)
+		fc.t.Fatalf("%s: %v", m.Type, err)
 	}
-	var forecasts int
-	for i := range nn.lastPred {
-		forecasts += len(nn.lastPred[i])
+	return resp
+}
+
+// period reads file i reads(i) times, then moves the clock one window
+// bucket on, so every window mixes two periods' reads.
+func (fc *forecastCluster) period(reads func(i int) int) {
+	fc.t.Helper()
+	for i := range fc.blocks {
+		for r := 0; r < reads(i); r++ {
+			fc.call(&proto.Message{Type: proto.MsgGetLocations, Path: fmt.Sprintf("/f%d", i)})
+		}
 	}
-	if forecasts != 8 {
-		t.Fatalf("outstanding forecasts = %d, want 8", forecasts)
+	fc.nn.mu.Lock()
+	fc.now = fc.now.Add(fc.nn.cfg.WindowBucket)
+	fc.nn.mu.Unlock()
+}
+
+// refresh runs one period's forecast step and returns every block's
+// popularity, in block order.
+func (fc *forecastCluster) refresh() []float64 {
+	fc.t.Helper()
+	fc.nn.mu.Lock()
+	defer fc.nn.mu.Unlock()
+	if err := fc.nn.refreshPopularityLocked(); err != nil {
+		fc.t.Fatalf("refresh: %v", err)
+	}
+	pops := make([]float64, len(fc.blocks))
+	for i, id := range fc.blocks {
+		spec, err := fc.nn.placement.Spec(id)
+		if err != nil {
+			fc.t.Fatalf("Spec(%d): %v", id, err)
+		}
+		pops[i] = spec.Popularity
+	}
+	return pops
+}
+
+// A predictor-enabled namenode must feed its forecasts into the
+// placement on refresh, and reject unknown predictor names at startup.
+func TestNameNodePredictorWiring(t *testing.T) {
+	if _, err := Start(Config{ExpectedNodes: 1, Predictor: "bogus"}); err == nil {
+		t.Fatal("unknown predictor accepted")
+	}
+	fc := startForecastCluster(t, 2, "seasonal", 8)
+	fc.period(func(int) int { return 3 })
+	// A seasonal predictor's first forecast is the window it observed.
+	for i, pop := range fc.refresh() {
+		if pop != 3 {
+			t.Errorf("block %d forecast popularity = %v, want 3", fc.blocks[i], pop)
+		}
+	}
+}
+
+// Shards split the block map and the optimizer, not the monitor or the
+// forecaster: the same reads must give every block bit-identical
+// popularity at any shard count. A namenode that trained one ranker per
+// shard forecast from a model fitted to its shard's keys only.
+func TestForecastIndependentOfShardCount(t *testing.T) {
+	for _, predictor := range []string{"ranker", "seasonal"} {
+		one := startForecastCluster(t, 1, predictor, 24)
+		four := startForecastCluster(t, 4, predictor, 24)
+		for p := 0; p < 4; p++ {
+			reads := func(i int) int { return (i*7+p*5)%6 + i%3 }
+			one.period(reads)
+			four.period(reads)
+			a, b := one.refresh(), four.refresh()
+			for i := range a {
+				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+					t.Errorf("%s, period %d: block %d popularity %v with 1 shard, %v with 4",
+						predictor, p, one.blocks[i], a[i], b[i])
+				}
+			}
+		}
+	}
+}
+
+// The machine-load and hotspot gauges have one writer, the reconcile
+// pass, and mean window loads. An optimizer period under a predictor
+// places by forecast loads and must not overwrite them.
+func TestOptimizeNowLeavesLoadGaugesToReconcile(t *testing.T) {
+	fc := startForecastCluster(t, 1, "ewma", 6)
+	fc.period(func(i int) int { return 1 + i })
+	if _, err := fc.nn.OptimizeNow(core.OptimizerOptions{RackAware: true}); err != nil {
+		t.Fatalf("OptimizeNow: %v", err)
+	}
+	fc.period(func(i int) int { return 6 - i }) // the EWMA forecast now trails the window
+	fc.nn.ReconcileOnce()
+	read := func() []float64 {
+		reg := metrics.Default
+		vals := []float64{reg.Gauge("aurora_machine_load_max").Value()}
+		for m := 0; m < 4; m++ {
+			vals = append(vals, reg.Gauge("aurora_machine_load", metrics.L("machine", strconv.Itoa(m))).Value())
+		}
+		for r := 0; r < telemetry.HotspotRanks; r++ {
+			rank := metrics.L("rank", strconv.Itoa(r))
+			vals = append(vals, reg.Gauge("aurora_hotspot_popularity", rank).Value(),
+				reg.Gauge("aurora_hotspot_block", rank).Value())
+		}
+		return vals
+	}
+	reconciled := read()
+	if _, err := fc.nn.OptimizeNow(core.OptimizerOptions{RackAware: true}); err != nil {
+		t.Fatalf("OptimizeNow: %v", err)
+	}
+	if got := read(); !reflect.DeepEqual(got, reconciled) {
+		t.Errorf("OptimizeNow rewrote the load/hotspot gauges:\n got %v\nwant %v (as reconcile wrote them)", got, reconciled)
 	}
 }

@@ -2,14 +2,12 @@ package namenode
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"aurora/internal/core"
 	"aurora/internal/dfs/proto"
 	"aurora/internal/invariant"
 	"aurora/internal/metrics"
-	"aurora/internal/popularity"
 	"aurora/internal/telemetry"
 	"aurora/internal/topology"
 )
@@ -66,13 +64,14 @@ func (nn *NameNode) ReconcileOnce() {
 }
 
 // exportLoadTelemetryLocked publishes per-machine load and hotspot
-// gauges from the usage monitor's current counts. Loads are computed on
-// the side (Σ popularity_i/k_i over each machine's replicas, the
-// paper's load definition) rather than via SetPopularity, so refreshing
-// telemetry never perturbs the placement state the optimizer and
-// reconcile decisions read.
+// gauges from the usage monitor's current counts; it is those gauges'
+// only writer, so they always mean window loads, never forecast ones.
+// Loads are computed on the side (Σ popularity_i/k_i over each machine's
+// replicas, the paper's load definition) rather than via SetPopularity,
+// so refreshing telemetry never perturbs the placement state the
+// optimizer and reconcile decisions read.
 func (nn *NameNode) exportLoadTelemetryLocked() {
-	snap := nn.peekSnapshotLocked()
+	snap := nn.monitor.Peek(nn.clock().UnixNano())
 	loads := make([]float64, nn.cluster.NumMachines())
 	for _, id := range nn.placement.Blocks() {
 		k := nn.placement.ReplicaCount(id)
@@ -359,25 +358,23 @@ func (nn *NameNode) MovementStats() (durations []time.Duration, replicates, dele
 	return durations, nn.commandsIssued[proto.CmdReplicate], nn.commandsIssued[proto.CmdDelete]
 }
 
-// WithPlacement runs fn against the live desired placement under the
-// namenode lock, optionally refreshing block popularities from the usage
-// monitor first. It is the integration point for external rebalancers
-// (the Scarlett baseline in the testbed experiment uses it; Aurora's own
+// WithPlacement refreshes block popularities from the usage monitor,
+// then runs fn against the live desired placement under the namenode
+// lock. It is the integration point for external rebalancers (the
+// Scarlett baseline in the testbed experiment uses it; Aurora's own
 // optimizer uses OptimizeNow). On a sharded namenode fn runs once per
 // shard, in shard order — each invocation sees one partition of the
 // block map; with one shard the behaviour is exactly the unsharded one.
 // fn sees the static topology; replicas it leaves on dead or draining
 // machines are re-homed before WithPlacement returns.
-func (nn *NameNode) WithPlacement(refreshPopularity bool, fn func(*core.Placement) error) error {
+func (nn *NameNode) WithPlacement(fn func(*core.Placement) error) error {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	if !nn.ready {
 		return ErrNotReady
 	}
-	if refreshPopularity {
-		if err := nn.refreshPopularityLocked(); err != nil {
-			return err
-		}
+	if err := nn.refreshPopularityLocked(); err != nil {
+		return err
 	}
 	for i := 0; i < nn.placement.NumShards(); i++ {
 		if err := fn(nn.placement.Shard(i)); err != nil {
@@ -389,45 +386,23 @@ func (nn *NameNode) WithPlacement(refreshPopularity bool, fn func(*core.Placemen
 	return nil
 }
 
-// refreshPopularityLocked feeds each shard's usage-monitor window into
-// its placement's block popularities — raw counts when reactive, the
-// per-shard predictor's forecast when cfg.Predictor is set. This is the
-// one consuming path allowed to call Monitor.Snapshot (and so to prune
-// expired keys); with a predictor it also scores the shard's previous
-// forecast against the realized window and exports the error series.
+// refreshPopularityLocked is the period's forecast step: the usage
+// monitor's window, through the forecaster, into every block's
+// popularity. It is the one consuming path allowed to call
+// Monitor.Snapshot (and so to prune expired keys); with a predictor it
+// also exports the score of the previous forecast.
 func (nn *NameNode) refreshPopularityLocked() error {
-	now := nn.clock().UnixNano()
-	for i, mon := range nn.monitors {
-		snap := mon.Snapshot(now)
-		vals := make(map[core.BlockID]float64, len(snap))
-		for id, v := range snap {
-			vals[id] = float64(v)
-		}
-		if nn.preds != nil {
-			if prev := nn.lastPred[i]; prev != nil {
-				telemetry.ExportPredictionError(metrics.Default,
-					popularity.WeightedAbsError(prev, snap),
-					popularity.TopKOverlap(prev, snap, popularity.DefaultTopK),
-					metrics.L("predictor", nn.cfg.Predictor),
-					metrics.L("shard", strconv.Itoa(i)))
-			}
-			nn.preds[i].Observe(snap)
-			vals = nn.preds[i].Predict()
-			nn.lastPred[i] = vals
-		}
-		p := nn.placement.Shard(i)
-		for _, id := range p.Blocks() {
-			if err := p.SetPopularity(id, vals[id]); err != nil {
-				return err
-			}
-		}
+	score, err := nn.forecast.Apply(nn.placement, nn.monitor.Snapshot(nn.clock().UnixNano()))
+	if score.Scored {
+		telemetry.ExportPredictionError(metrics.Default, score.WAE, score.TopK,
+			metrics.L("predictor", nn.cfg.Predictor))
 	}
-	return nil
+	return err
 }
 
 // OptimizeNow runs one Aurora optimization period (Algorithm 5) against
 // the live metadata: block popularities are refreshed from the usage
-// monitors, each shard's period runs concurrently over the bounded
+// monitor, each shard's period runs concurrently over the bounded
 // worker pool, a cross-shard rebalance pass migrates replication budget
 // between shards, and the reconcile loop carries the resulting copies
 // and deletions to the datanodes. The returned report aggregates the
@@ -441,7 +416,6 @@ func (nn *NameNode) OptimizeNow(opts core.OptimizerOptions) (core.OptimizeResult
 	if err := nn.refreshPopularityLocked(); err != nil {
 		return core.OptimizeResult{}, err
 	}
-	snap := nn.peekSnapshotLocked()
 	// In debug builds, a feasible placement must stay feasible through
 	// the optimizer: assert the paper invariants after the run.
 	assertAfter := invariant.Enabled && nn.placement.CheckFeasible() == nil
@@ -461,8 +435,6 @@ func (nn *NameNode) OptimizeNow(opts core.OptimizerOptions) (core.OptimizeResult
 		return agg, fmt.Errorf("namenode: optimize: %w", err)
 	}
 	telemetry.ExportShardedOptimizePeriod(metrics.Default, res, time.Since(start))
-	telemetry.ExportMachineLoads(metrics.Default, nn.placement.AppendLoads(nil))
-	telemetry.ExportHotspots(metrics.Default, snap)
 	// The optimizer works over the static topology, so a period during a
 	// fault window runs normally and this pass re-homes what it put on
 	// dead or draining machines, before the debug invariant assert.
@@ -478,14 +450,13 @@ func (nn *NameNode) OptimizeNow(opts core.OptimizerOptions) (core.OptimizeResult
 	return agg, nil
 }
 
-// PopularitySnapshot returns the usage monitors' current per-block
-// counts, merged across shards. It is a read-only observer: calling it
-// any number of times never advances, prunes or otherwise changes
-// monitor state.
+// PopularitySnapshot returns the usage monitor's current per-block
+// counts. It is a read-only observer: calling it any number of times
+// never advances, prunes or otherwise changes monitor state.
 func (nn *NameNode) PopularitySnapshot() map[core.BlockID]int64 {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	return nn.peekSnapshotLocked()
+	return nn.monitor.Peek(nn.clock().UnixNano())
 }
 
 // PlacementClone returns a deep copy of the desired placement for

@@ -340,7 +340,7 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 	reconfigure := func() error {
 		switch system {
 		case "Scarlett":
-			if err := nn.WithPlacement(true, func(p *core.Placement) error {
+			if err := nn.WithPlacement(func(p *core.Placement) error {
 				_, err := scarlett.Rebalance(p)
 				return err
 			}); err != nil {

@@ -185,15 +185,11 @@ func (s ScenarioSetup) runCell(cl *topology.Cluster, tr *trace.Trace, scenario, 
 		MaxReplicationMoves: 20000,
 		MaxSearchIterations: s.MaxSearchIterations,
 	}}
-	predName := predictor
-	if popularity.IsReactive(predName) {
-		predName = ""
-	}
 	res, err := sim.Run(sim.Config{
 		Cluster:         cl,
 		Trace:           tr,
 		Policy:          pol,
-		Predictor:       predName,
+		Predictor:       predictor,
 		PredictorSeason: s.PeriodHours,
 	})
 	if err != nil {

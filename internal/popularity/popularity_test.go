@@ -244,7 +244,7 @@ func TestEWMADecaysAbsentKeys(t *testing.T) {
 	}
 }
 
-func TestEWMAAlphaOneTracksExactly(t *testing.T) {
+func TestEWMAOfAlphaOneTracksExactly(t *testing.T) {
 	e, err := NewEWMA[string](1)
 	if err != nil {
 		t.Fatalf("NewEWMA: %v", err)

@@ -369,17 +369,25 @@ func maxFloat(xs []float64) float64 {
 // sum(|pred - actual|) over the union of keys, normalized by the total
 // realized popularity: 0 is a perfect forecast, 1 means the error mass
 // equals the workload itself. Normalizing by max(1, sum(actual)) keeps
-// quiet periods from dividing by zero.
-func WeightedAbsError[K comparable](pred map[K]float64, actual map[K]int64) float64 {
-	var errSum, total float64
-	for k, a := range actual {
-		errSum += math.Abs(pred[k] - float64(a))
-		total += float64(a)
+// quiet periods from dividing by zero. Keys are summed in sorted order,
+// like the ranker's training pass, so the result does not depend on map
+// iteration order down to the last bit.
+func WeightedAbsError[K cmp.Ordered](pred map[K]float64, actual map[K]int64) float64 {
+	keys := make([]K, 0, len(pred)+len(actual))
+	for k := range actual {
+		keys = append(keys, k)
 	}
-	for k, p := range pred {
+	for k := range pred {
 		if _, ok := actual[k]; !ok {
-			errSum += math.Abs(p)
+			keys = append(keys, k)
 		}
+	}
+	slices.Sort(keys)
+	var errSum, total float64
+	for _, k := range keys {
+		a := float64(actual[k])
+		errSum += math.Abs(pred[k] - a)
+		total += a
 	}
 	return errSum / math.Max(1, total)
 }

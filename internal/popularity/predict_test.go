@@ -477,6 +477,33 @@ func TestWeightedAbsError(t *testing.T) {
 	}
 }
 
+// Float addition is not associative: summing in map order made the last
+// bits of one score change from call to call, and with them the exported
+// aurora_predictor_wae series of a seeded run. The sum must follow key
+// order.
+func TestWeightedAbsErrorIsBitStable(t *testing.T) {
+	pred := make(map[int]float64)
+	actual := make(map[int]int64)
+	for k := 0; k < 5000; k++ {
+		pred[k] = float64(k%97) / 7
+		if k%3 != 0 {
+			actual[k+1000] = int64(k % 89)
+		}
+	}
+	var errSum, total float64
+	for k := 0; k < 6000; k++ {
+		a := float64(actual[k])
+		errSum += math.Abs(pred[k] - a)
+		total += a
+	}
+	want := errSum / total
+	for i := 0; i < 20; i++ {
+		if got := WeightedAbsError(pred, actual); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: WeightedAbsError = %v, want %v (key-order sum)", i, got, want)
+		}
+	}
+}
+
 func TestTopKOverlap(t *testing.T) {
 	pred := map[int]float64{1: 100, 2: 90, 3: 80, 4: 1}
 	actual := map[int]int64{1: 50, 2: 40, 9: 30, 4: 2}

@@ -73,21 +73,6 @@ func TestRunRejectsUnknownPredictor(t *testing.T) {
 	}
 }
 
-// The legacy EWMAAlpha knob must keep selecting the EWMA predictor.
-func TestEWMAAlphaBackCompat(t *testing.T) {
-	cfg := Config{EWMAAlpha: 0.5}
-	if got := cfg.predictorName(); got != popularity.NameEWMA {
-		t.Errorf("predictorName = %q, want ewma", got)
-	}
-	cfg = Config{Predictor: "seasonal", EWMAAlpha: 0.5}
-	if got := cfg.predictorName(); got != popularity.NameSeasonal {
-		t.Errorf("predictorName = %q, want seasonal (explicit wins)", got)
-	}
-	if got := (Config{}).predictorName(); got != "" {
-		t.Errorf("predictorName = %q, want empty", got)
-	}
-}
-
 // RealizedSOL must be recorded on every reconfigured epoch, and the
 // whole run must be replayable: same config, same epoch series.
 func TestRealizedSOLSeriesDeterministic(t *testing.T) {

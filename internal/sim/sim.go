@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 
+	"aurora/internal/aurora"
 	"aurora/internal/core"
 	"aurora/internal/par"
 	"aurora/internal/popularity"
@@ -33,14 +34,6 @@ type Config struct {
 	// running ~2x faster than remote ones.
 	RackLocalSlowdown float64
 	RemoteSlowdown    float64
-	// EWMAAlpha, when positive, smooths the popularity fed to the policy
-	// with an exponentially weighted moving average across epochs
-	// instead of the raw window counts. The paper found historical
-	// values sufficient (Section V), so 0 (off) is the default; the
-	// knob exists for burstier workloads. Kept for back-compat: it is
-	// shorthand for Predictor = "ewma" with this alpha, and also feeds
-	// the alpha used by the seasonal predictor's level estimate.
-	EWMAAlpha float64
 	// Predictor selects the popularity forecaster fed to the policy at
 	// each Algorithm-5 period: one of popularity.Names(), or a reactive
 	// name ("", "reactive", ...) for raw window counts.
@@ -83,26 +76,10 @@ func (c Config) withDefaults() (Config, error) {
 	if c.RackLocalSlowdown < 1 || c.RemoteSlowdown < c.RackLocalSlowdown {
 		return c, fmt.Errorf("%w: slowdowns must satisfy 1 <= rack <= remote", ErrBadSimConfig)
 	}
-	if c.EWMAAlpha < 0 || c.EWMAAlpha > 1 {
-		return c, fmt.Errorf("%w: EWMAAlpha %v outside [0,1]", ErrBadSimConfig, c.EWMAAlpha)
-	}
 	if c.PredictorSeason < 0 {
 		return c, fmt.Errorf("%w: PredictorSeason %d", ErrBadSimConfig, c.PredictorSeason)
 	}
 	return c, nil
-}
-
-// predictorName resolves the effective predictor: the Predictor field,
-// or "ewma" when only the legacy EWMAAlpha knob is set. Empty means
-// reactive.
-func (c Config) predictorName() string {
-	if popularity.IsReactive(c.Predictor) {
-		if c.EWMAAlpha > 0 {
-			return popularity.NameEWMA
-		}
-		return ""
-	}
-	return c.Predictor
 }
 
 // EpochStats aggregates one reconfiguration period.
@@ -126,16 +103,12 @@ type EpochStats struct {
 	// popularity, not what the cluster actually experienced.
 	RealizedSOL float64
 	// PredWAE and PredTopK score the forecast this epoch ran under
-	// against the realized window (popularity.WeightedAbsError and
-	// popularity.TopKOverlap with K=20). PredScored marks epochs where
-	// a forecast existed to score.
+	// against the realized window (aurora.Score). PredScored marks
+	// epochs where a forecast existed to score.
 	PredWAE    float64
 	PredTopK   float64
 	PredScored bool
 }
-
-// PredTopKK is the hot-set size used for EpochStats.PredTopK.
-const PredTopKK = popularity.DefaultTopK
 
 // JobStat records one job's lifetime.
 type JobStat struct {
@@ -499,27 +472,20 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	var pred popularity.Predictor[core.BlockID]
-	if name := cfg.predictorName(); name != "" {
-		pred, err = popularity.New[core.BlockID](name, popularity.PredictorOptions{
-			Alpha:  cfg.EWMAAlpha,
-			Season: cfg.PredictorSeason,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sim: predictor: %w", err)
-		}
-		res.Predictor = name
-	} else {
+	forecast, err := aurora.NewForecaster(cfg.Predictor, popularity.PredictorOptions{Season: cfg.PredictorSeason})
+	if err != nil {
+		return nil, fmt.Errorf("sim: predictor: %w", err)
+	}
+	res.Predictor = cfg.Predictor
+	if popularity.IsReactive(cfg.Predictor) {
 		res.Predictor = "reactive"
 	}
-	var lastPred map[core.BlockID]float64
-	havePred := false
+	view := core.SingleShard(pl)
 	refreshAndReconfigure := func() error {
 		snap := mon.Snapshot(now)
 		// Score the epoch that just closed against what it actually
 		// saw: load the realized window counts and record the objective
-		// of the placement that served it, plus the error of the
-		// forecast it ran under.
+		// of the placement that served it.
 		for _, id := range pl.Blocks() {
 			if err := pl.SetPopularity(id, float64(snap[id])); err != nil {
 				return err
@@ -527,23 +493,13 @@ func Run(cfg Config) (*Result, error) {
 		}
 		epochStats.Reconfigured = true
 		epochStats.RealizedSOL = pl.Cost()
-		if havePred {
-			epochStats.PredWAE = popularity.WeightedAbsError(lastPred, snap)
-			epochStats.PredTopK = popularity.TopKOverlap(lastPred, snap, PredTopKK)
-			epochStats.PredScored = true
+		// Then score the forecast the epoch ran under and hand the
+		// policy the next one instead of the trailing window.
+		score, err := forecast.Apply(view, snap)
+		if err != nil {
+			return err
 		}
-		// Then forecast the next epoch and hand the policy the
-		// prediction instead of the trailing window.
-		if pred != nil {
-			pred.Observe(snap)
-			lastPred = pred.Predict()
-			havePred = true
-			for _, id := range pl.Blocks() {
-				if err := pl.SetPopularity(id, lastPred[id]); err != nil {
-					return err
-				}
-			}
-		}
+		epochStats.PredWAE, epochStats.PredTopK, epochStats.PredScored = score.WAE, score.TopK, score.Scored
 		rc, err := cfg.Policy.Reconfigure(pl)
 		if err != nil {
 			return err

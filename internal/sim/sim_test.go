@@ -6,6 +6,7 @@ import (
 
 	"aurora/internal/baseline"
 	"aurora/internal/core"
+	"aurora/internal/popularity"
 	"aurora/internal/topology"
 	"aurora/internal/trace"
 )
@@ -272,20 +273,14 @@ func TestRunWithEWMAPredictor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run raw: %v", err)
 	}
-	smoothed, err := Run(Config{Cluster: cl, Trace: tr, Policy: auroraPolicy(budget), EWMAAlpha: 0.5})
+	smoothed, err := Run(Config{Cluster: cl, Trace: tr, Policy: auroraPolicy(budget), Predictor: popularity.NameEWMA})
 	if err != nil {
 		t.Fatalf("Run ewma: %v", err)
 	}
+	// The smoothed run must stay feasible (Run checks) and complete the
+	// same work; exact locality differences are workload-dependent.
 	if smoothed.TotalTasks() != raw.TotalTasks() {
 		t.Errorf("task counts differ: %d vs %d", smoothed.TotalTasks(), raw.TotalTasks())
-	}
-	// The smoothed run must stay feasible and deterministic; exact
-	// locality differences are workload-dependent.
-	if _, err := Run(Config{Cluster: cl, Trace: tr, Policy: auroraPolicy(budget), EWMAAlpha: 1.5}); !errors.Is(err, ErrBadSimConfig) {
-		t.Errorf("alpha 1.5 accepted")
-	}
-	if _, err := Run(Config{Cluster: cl, Trace: tr, Policy: auroraPolicy(budget), EWMAAlpha: -0.1}); !errors.Is(err, ErrBadSimConfig) {
-		t.Errorf("alpha -0.1 accepted")
 	}
 }
 

@@ -12,14 +12,18 @@ import (
 // HotspotRanks is how many of the hottest blocks get a per-rank gauge.
 const HotspotRanks = 5
 
-// ExportOptimizePeriod publishes one optimizer period into the
-// registry. The series map onto the paper's quantities: SOL is the
-// solution cost λ = max_m Σ_i p_i·x_im/k_i (InitialCost before the
-// local search, FinalCost after ε-admissible termination), Iterations
-// is how many operations Algorithm 1/2 performed before no admissible
-// operation remained, and the per-kind counters split those into
-// Move/Swap/RackMove/RackSwap.
-func ExportOptimizePeriod(reg *metrics.Registry, res core.OptimizeResult, wall time.Duration) {
+// ExportShardedOptimizePeriod publishes one optimizer period — every
+// live period is a sharded one, with one shard when unsharded. The
+// unlabeled aggregate series map onto the paper's quantities: SOL is the
+// solution cost λ = max_m Σ_i p_i·x_im/k_i across shards (InitialCost
+// before the local search, FinalCost after ε-admissible termination),
+// Iterations is how many operations Algorithm 1/2 performed before no
+// admissible operation remained, and the per-kind counters split those
+// into Move/Swap/RackMove/RackSwap. Then come per-shard SOL/iteration/
+// wall-time series labeled with the shard index, the cross-shard
+// imbalance gauge (max/mean over the shards' local objectives λ_s) and
+// each shard's replication-budget share after the rebalance pass.
+func ExportShardedOptimizePeriod(reg *metrics.Registry, res core.ShardedOptimizeResult, wall time.Duration) {
 	reg.Counter("aurora_optimizer_periods").Inc()
 	reg.Gauge("aurora_optimizer_sol").Set(res.Search.FinalCost)
 	reg.Gauge("aurora_optimizer_sol_before").Set(res.Search.InitialCost)
@@ -32,22 +36,6 @@ func ExportOptimizePeriod(reg *metrics.Registry, res core.OptimizeResult, wall t
 	reg.Counter("aurora_optimizer_replications").Add(int64(res.Replications))
 	reg.Counter("aurora_optimizer_evictions").Add(int64(res.Evictions))
 	reg.Histogram("aurora_optimizer_wall_seconds").Observe(wall.Seconds())
-}
-
-// ExportShardedOptimizePeriod publishes one sharded optimizer period:
-// the aggregate series via ExportOptimizePeriod (so unsharded
-// dashboards and alerts keep working — FinalCost there is the global λ
-// across shards), per-shard SOL/iteration/wall-time series labeled with
-// the shard index, the cross-shard imbalance gauge (max/mean over the
-// shards' local objectives λ_s) and each shard's replication-budget
-// share after the rebalance pass.
-func ExportShardedOptimizePeriod(reg *metrics.Registry, res core.ShardedOptimizeResult, wall time.Duration) {
-	agg := core.OptimizeResult{
-		Replications: res.Replications,
-		Evictions:    res.Evictions,
-		Search:       res.Search,
-	}
-	ExportOptimizePeriod(reg, agg, wall)
 	reg.Gauge("aurora_shard_imbalance").Set(res.Imbalance)
 	for i, r := range res.PerShard {
 		shard := metrics.L("shard", strconv.Itoa(i))
@@ -69,8 +57,8 @@ func ExportShardedOptimizePeriod(reg *metrics.Registry, res core.ShardedOptimize
 // hot-set overlap of the forecast the period ran under versus the
 // realized window counts (popularity.WeightedAbsError /
 // popularity.TopKOverlap). Callers label the series with the predictor
-// name (and shard, when sharded); the period counter makes "is the
-// forecaster alive at all" a one-series alert.
+// name (and scenario, in the simulator's matrix); the period counter
+// makes "is the forecaster alive at all" a one-series alert.
 func ExportPredictionError(reg *metrics.Registry, wae, topK float64, labels ...metrics.Label) {
 	reg.Counter("aurora_predictor_periods", labels...).Inc()
 	reg.Gauge("aurora_predictor_wae", labels...).Set(wae)

@@ -147,11 +147,11 @@ func TestParsePromRejectsGarbage(t *testing.T) {
 	}
 }
 
-// The optimizer exporter maps an OptimizeResult onto the SOL/iteration
+// The optimizer exporter maps a period's result onto the SOL/iteration
 // series the smoke test and dashboards read.
 func TestExportOptimizePeriod(t *testing.T) {
 	reg := metrics.NewRegistry()
-	res := core.OptimizeResult{
+	res := core.ShardedOptimizeResult{
 		Search: core.SearchResult{
 			InitialCost: 10.5,
 			FinalCost:   4.25,
@@ -165,8 +165,8 @@ func TestExportOptimizePeriod(t *testing.T) {
 		Replications: 2,
 		Evictions:    1,
 	}
-	ExportOptimizePeriod(reg, res, 50*time.Millisecond)
-	ExportOptimizePeriod(reg, res, 50*time.Millisecond)
+	ExportShardedOptimizePeriod(reg, res, 50*time.Millisecond)
+	ExportShardedOptimizePeriod(reg, res, 50*time.Millisecond)
 
 	if got := reg.Gauge("aurora_optimizer_sol").Value(); got != 4.25 {
 		t.Errorf("sol = %v, want 4.25", got)

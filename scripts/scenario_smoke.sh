@@ -3,7 +3,8 @@
 #
 # Runs the seeded flashcrowd+diurnal sweep (reactive vs seasonal) twice
 # and asserts three things:
-#   1. determinism — the two runs' stdout is byte-identical;
+#   1. determinism — the two runs' stdout and metric dumps are
+#      byte-identical;
 #   2. telemetry  — the exported aurora_predictor_* series are present
 #      and nonzero in the Prometheus dump;
 #   3. the paper claim — the seasonal predictor's mean per-period SOL is
@@ -46,6 +47,8 @@ grep -v '^metrics written to ' "$dir/run1.txt" >"$dir/run1.stable"
 grep -v '^metrics written to ' "$dir/run2.txt" >"$dir/run2.stable"
 diff -u "$dir/run1.stable" "$dir/run2.stable" \
     || fail "matrix output is not byte-identical across runs"
+cmp "$dir/metrics1.prom" "$dir/metrics2.prom" \
+    || fail "metrics dump is not byte-identical across runs"
 
 # 2. Prediction-error telemetry exported and nonzero.
 grep -q '^aurora_predictor_periods_total{' "$dir/metrics1.prom" \
