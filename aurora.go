@@ -8,30 +8,22 @@
 //   - The placement algorithms (Section III/IV of the paper): the
 //     BP-Node and BP-Rack local searches (Algorithms 1-2), the optimal
 //     Rep-Factor solver (Algorithm 3), greedy initial placement
-//     (Algorithm 4) and the periodic optimizer (Algorithm 5), all
-//     operating on a Placement over a Cluster.
+//     (Algorithm 4) and the periodic optimizer (Algorithm 5, Optimize —
+//     the one optimizer entry point), all operating on a Placement over
+//     a Cluster.
 //
-//   - The Aurora framework (Section V): a usage monitor plus a periodic
-//     Controller that re-optimizes a live system each reconfiguration
-//     period.
+//   - The Aurora framework (Section V): a periodic Controller that runs
+//     one optimizer period per reconfiguration interval against a
+//     Target — the namenode, whose usage monitor supplies the
+//     popularities.
 //
 //   - A mini distributed file system (namenode/datanode/client over
 //     TCP), the substrate equivalent of the paper's HDFS prototype, with
-//     replica placement as a pluggable policy and an Aurora balancer
-//     built in. See dfs.go.
+//     replica placement as a pluggable policy and the Aurora optimizer
+//     built in; NameNodeConfig.Shards partitions its block map. See
+//     dfs.go.
 //
-// Quick start:
-//
-//	cluster, _ := aurora.UniformCluster(13, 65, 400, 14)
-//	p, _ := aurora.NewPlacement(cluster, specs)
-//	for _, s := range specs {
-//		_ = aurora.PlaceBlock(p, s.ID, s.MinReplicas, aurora.NoMachine)
-//	}
-//	res, _ := aurora.Optimize(p, aurora.OptimizerOptions{
-//		Epsilon:           0.1,
-//		RackAware:         true,
-//		ReplicationBudget: budget,
-//	})
+// The runnable examples walk each layer: go test -run Example -v .
 package aurora
 
 import (
@@ -66,20 +58,9 @@ type (
 	OptimizeResult = core.OptimizeResult
 	// RepFactorResult reports an Algorithm 3 run.
 	RepFactorResult = core.RepFactorResult
-	// ShardedPlacement partitions the block map into hash shards, each a
-	// full Placement with its own optimizer state; distinct shards may be
-	// mutated concurrently.
-	ShardedPlacement = core.ShardedPlacement
-	// ShardedOptimizerOptions configure one sharded Algorithm 5 period.
-	ShardedOptimizerOptions = core.ShardedOptimizerOptions
-	// ShardedOptimizeResult reports one sharded period, including the
-	// cross-shard imbalance and budget shares.
-	ShardedOptimizeResult = core.ShardedOptimizeResult
 
 	// Cluster is the immutable machine/rack topology.
 	Cluster = topology.Cluster
-	// ClusterBuilder assembles heterogeneous clusters.
-	ClusterBuilder = topology.Builder
 	// MachineID identifies a machine.
 	MachineID = topology.MachineID
 	// RackID identifies a rack.
@@ -93,9 +74,6 @@ type (
 	ControllerStats = framework.Stats
 	// Target is anything the Controller can optimize.
 	Target = framework.Target
-	// StandaloneTarget adapts a bare Placement plus usage monitor into a
-	// Target for embedding Aurora outside the bundled DFS.
-	StandaloneTarget = framework.StandaloneTarget
 )
 
 // Operation kinds (Sections III.A and III.B).
@@ -154,34 +132,6 @@ func Optimize(p *Placement, opts OptimizerOptions) (OptimizeResult, error) {
 	return core.Optimize(p, opts)
 }
 
-// NewShardedPlacement creates an empty sharded placement over the
-// cluster: the block map is partitioned into `shards` hash shards (1
-// reproduces the unsharded Placement bit-for-bit) and the specs are
-// routed to their shards.
-func NewShardedPlacement(cluster *Cluster, shards int, specs []BlockSpec) (*ShardedPlacement, error) {
-	return core.NewShardedPlacement(cluster, shards, specs)
-}
-
-// OptimizeSharded runs one Algorithm 5 period per shard concurrently,
-// then a cross-shard rebalance pass that migrates replication budget
-// between shards using only shard-level load summaries.
-func OptimizeSharded(sp *ShardedPlacement, opts ShardedOptimizerOptions) (ShardedOptimizeResult, error) {
-	return core.OptimizeSharded(sp, opts)
-}
-
-// ShardOf maps a block to its shard index under `shards`-way hash
-// partitioning — the routing rule shard-aware clients share with the
-// namenode.
-func ShardOf(id BlockID, shards int) int {
-	return core.ShardOf(id, shards)
-}
-
-// ExactOptimal brute-forces the optimal objective on small instances —
-// the reference the tests verify the approximation guarantees against.
-func ExactOptimal(cluster *Cluster, specs []BlockSpec, factors map[BlockID]int) (float64, error) {
-	return core.ExactOptimal(cluster, specs, factors)
-}
-
 // LowerBound returns a valid lower bound on the optimal maximum load.
 func LowerBound(cluster *Cluster, specs []BlockSpec, factors map[BlockID]int) float64 {
 	return core.LowerBound(cluster, specs, factors)
@@ -190,12 +140,4 @@ func LowerBound(cluster *Cluster, specs []BlockSpec, factors map[BlockID]int) fl
 // NewController starts a periodic optimizer over the target.
 func NewController(target Target, cfg ControllerConfig) (*Controller, error) {
 	return framework.NewController(target, cfg)
-}
-
-// NewStandaloneTarget wraps a placement with a usage monitor so a
-// Controller can drive it. bucketLen and windowBuckets define the
-// sliding window W in ticks of the supplied clock (nil = wall-clock
-// nanoseconds).
-func NewStandaloneTarget(p *Placement, bucketLen int64, windowBuckets int, clock func() int64) (*StandaloneTarget, error) {
-	return framework.NewStandaloneTarget(p, bucketLen, windowBuckets, clock)
 }

@@ -56,24 +56,29 @@ func TestPublicAPIAlgorithms(t *testing.T) {
 		t.Errorf("BalanceRacks = %+v, %v", sr, err)
 	}
 
-	opt, err := aurora.ExactOptimal(cluster, specs[:2], nil)
-	if err != nil {
-		t.Fatalf("ExactOptimal: %v", err)
-	}
-	if lb := aurora.LowerBound(cluster, specs[:2], nil); lb > opt {
-		t.Errorf("LowerBound %v exceeds OPT %v", lb, opt)
+	if lb := aurora.LowerBound(cluster, specs, res.Targets); lb > p.Cost() {
+		t.Errorf("LowerBound %v exceeds the optimized max load %v", lb, p.Cost())
 	}
 }
 
-// TestPublicAPIController drives the framework layer over a standalone
-// placement.
+// placementTarget is the smallest Target a library user can write: one
+// Algorithm 5 period over a bare placement whose popularities the user
+// maintains.
+type placementTarget struct{ p *aurora.Placement }
+
+func (t placementTarget) OptimizeNow(opts aurora.OptimizerOptions) (aurora.OptimizeResult, error) {
+	return aurora.Optimize(t.p, opts)
+}
+
+// TestPublicAPIController drives the framework layer over a
+// user-implemented Target.
 func TestPublicAPIController(t *testing.T) {
 	cluster, err := aurora.UniformCluster(2, 2, 20, 2)
 	if err != nil {
 		t.Fatalf("UniformCluster: %v", err)
 	}
 	specs := []aurora.BlockSpec{
-		{ID: 1, MinReplicas: 2, MinRacks: 2},
+		{ID: 1, Popularity: 20, MinReplicas: 2, MinRacks: 2},
 		{ID: 2, MinReplicas: 2, MinRacks: 2},
 	}
 	p, err := aurora.NewPlacement(cluster, specs)
@@ -85,15 +90,7 @@ func TestPublicAPIController(t *testing.T) {
 			t.Fatalf("PlaceBlock: %v", err)
 		}
 	}
-	var now int64
-	target, err := aurora.NewStandaloneTarget(p, 10, 2, func() int64 { return now })
-	if err != nil {
-		t.Fatalf("NewStandaloneTarget: %v", err)
-	}
-	for i := 0; i < 20; i++ {
-		target.RecordAccess(1)
-	}
-	ctl, err := aurora.NewController(target, aurora.ControllerConfig{
+	ctl, err := aurora.NewController(placementTarget{p}, aurora.ControllerConfig{
 		Period: time.Hour,
 		Options: aurora.OptimizerOptions{
 			RackAware:         true,

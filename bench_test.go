@@ -100,29 +100,29 @@ func BenchmarkFig6Locality(b *testing.B) {
 
 // buildRandomPlacement creates a placement with Zipf-like popularity on
 // random machines — the adversarial start the searches are measured on.
-func buildRandomPlacement(b *testing.B, machines, blocks int) (*aurora.Cluster, []aurora.BlockSpec, *aurora.Placement) {
+func buildRandomPlacement(b *testing.B, machines, blocks int) (*topology.Cluster, []core.BlockSpec, *core.Placement) {
 	return buildRandomPlacementCap(b, machines, blocks, blocks)
 }
 
 // buildRandomPlacementCap allows a tight per-machine capacity, which is
 // what makes Swap operations necessary (Theorem 2's capacity case).
-func buildRandomPlacementCap(b *testing.B, machines, blocks, capacity int) (*aurora.Cluster, []aurora.BlockSpec, *aurora.Placement) {
+func buildRandomPlacementCap(b *testing.B, machines, blocks, capacity int) (*topology.Cluster, []core.BlockSpec, *core.Placement) {
 	b.Helper()
-	cluster, err := aurora.UniformCluster(4, machines/4, capacity, 8)
+	cluster, err := topology.Uniform(4, machines/4, capacity, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(9, 9))
-	specs := make([]aurora.BlockSpec, blocks)
+	specs := make([]core.BlockSpec, blocks)
 	for i := range specs {
-		specs[i] = aurora.BlockSpec{
-			ID:          aurora.BlockID(i + 1),
+		specs[i] = core.BlockSpec{
+			ID:          core.BlockID(i + 1),
 			Popularity:  1000 / float64(i+1),
 			MinReplicas: 3,
 			MinRacks:    2,
 		}
 	}
-	p, err := aurora.NewPlacement(cluster, specs)
+	p, err := core.NewPlacement(cluster, specs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -203,10 +203,10 @@ func BenchmarkLocalSearchRack(b *testing.B) {
 // BenchmarkRepFactor measures Algorithm 3 at the paper's scale: 16000
 // blocks, budget 48000+70000, K=20000.
 func BenchmarkRepFactor(b *testing.B) {
-	specs := make([]aurora.BlockSpec, 16000)
+	specs := make([]core.BlockSpec, 16000)
 	for i := range specs {
-		specs[i] = aurora.BlockSpec{
-			ID:          aurora.BlockID(i + 1),
+		specs[i] = core.BlockSpec{
+			ID:          core.BlockID(i + 1),
 			Popularity:  100000 / float64(i+1),
 			MinReplicas: 3,
 			MinRacks:    2,
@@ -214,7 +214,7 @@ func BenchmarkRepFactor(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := aurora.ReplicationFactors(specs, 48000+70000, 845, 20000)
+		res, err := core.ComputeReplicationFactors(specs, 48000+70000, 845, 20000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -225,23 +225,23 @@ func BenchmarkRepFactor(b *testing.B) {
 // BenchmarkInitialPlacement measures Algorithm 4 placing 1000 blocks on
 // an 845-machine cluster.
 func BenchmarkInitialPlacement(b *testing.B) {
-	cluster, err := aurora.UniformCluster(13, 65, 200, 14)
+	cluster, err := topology.Uniform(13, 65, 200, 14)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		specs := make([]aurora.BlockSpec, 1000)
+		specs := make([]core.BlockSpec, 1000)
 		for j := range specs {
-			specs[j] = aurora.BlockSpec{ID: aurora.BlockID(j + 1), Popularity: float64(j), MinReplicas: 3, MinRacks: 2}
+			specs[j] = core.BlockSpec{ID: core.BlockID(j + 1), Popularity: float64(j), MinReplicas: 3, MinRacks: 2}
 		}
-		p, err := aurora.NewPlacement(cluster, specs)
+		p, err := core.NewPlacement(cluster, specs)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
 		for _, s := range specs {
-			if err := aurora.PlaceBlock(p, s.ID, 3, aurora.NoMachine); err != nil {
+			if err := core.InitialPlace(p, s.ID, 3, topology.NoMachine); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -261,7 +261,7 @@ func BenchmarkOptimizePeriod(b *testing.B) {
 				b.StopTimer()
 				p := base.Clone()
 				b.StartTimer()
-				if _, err := aurora.Optimize(p, aurora.OptimizerOptions{
+				if _, err := core.Optimize(p, core.OptimizerOptions{
 					Epsilon:             0.1,
 					RackAware:           true,
 					ReplicationBudget:   budget,
@@ -295,14 +295,14 @@ func BenchmarkOptimizePeriodSharded(b *testing.B) {
 	)
 	perRack := machines / racks
 	capacity := 3*blocks/machines + 60 // replica mass plus slack for replication
-	cluster, err := aurora.UniformCluster(racks, machines/racks, capacity, 8)
+	cluster, err := topology.Uniform(racks, machines/racks, capacity, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	specs := make([]aurora.BlockSpec, blocks)
+	specs := make([]core.BlockSpec, blocks)
 	for i := range specs {
-		specs[i] = aurora.BlockSpec{
-			ID:          aurora.BlockID(i + 1),
+		specs[i] = core.BlockSpec{
+			ID:          core.BlockID(i + 1),
 			Popularity:  1000 / float64(i+1),
 			MinReplicas: 3,
 			MinRacks:    2,
@@ -310,14 +310,14 @@ func BenchmarkOptimizePeriodSharded(b *testing.B) {
 	}
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("10000x1M/shards=%d", shards), func(b *testing.B) {
-			base, err := aurora.NewShardedPlacement(cluster, shards, specs)
+			base, err := core.NewShardedPlacement(cluster, shards, specs)
 			if err != nil {
 				b.Fatal(err)
 			}
 			for i, s := range specs {
 				m1 := i % machines
 				for _, m := range []int{m1, (m1 + perRack) % machines, (m1 + 2*perRack) % machines} {
-					if err := base.AddReplica(s.ID, aurora.MachineID(m)); err != nil {
+					if err := base.AddReplica(s.ID, topology.MachineID(m)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -329,8 +329,8 @@ func BenchmarkOptimizePeriodSharded(b *testing.B) {
 				b.StopTimer()
 				sp := base.Clone()
 				b.StartTimer()
-				res, err := aurora.OptimizeSharded(sp, aurora.ShardedOptimizerOptions{
-					Opts: aurora.OptimizerOptions{
+				res, err := core.OptimizeSharded(sp, core.ShardedOptimizerOptions{
+					Opts: core.OptimizerOptions{
 						Epsilon:             0.1,
 						RackAware:           true,
 						ReplicationBudget:   budget,
@@ -438,14 +438,14 @@ func BenchmarkAblationRepFactor(b *testing.B) {
 // Algorithm 4 against random placement, and how many local-search
 // operations each needs to converge.
 func BenchmarkAblationInitialPlacement(b *testing.B) {
-	cluster, err := aurora.UniformCluster(4, 10, 2000, 8)
+	cluster, err := topology.Uniform(4, 10, 2000, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	specs := make([]aurora.BlockSpec, 2000)
+	specs := make([]core.BlockSpec, 2000)
 	for i := range specs {
-		specs[i] = aurora.BlockSpec{
-			ID:          aurora.BlockID(i + 1),
+		specs[i] = core.BlockSpec{
+			ID:          core.BlockID(i + 1),
 			Popularity:  1000 / float64(i+1),
 			MinReplicas: 3,
 			MinRacks:    2,
@@ -453,12 +453,12 @@ func BenchmarkAblationInitialPlacement(b *testing.B) {
 	}
 	b.Run("algorithm4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p, err := aurora.NewPlacement(cluster, specs)
+			p, err := core.NewPlacement(cluster, specs)
 			if err != nil {
 				b.Fatal(err)
 			}
 			for _, s := range specs {
-				if err := aurora.PlaceBlock(p, s.ID, 3, aurora.NoMachine); err != nil {
+				if err := core.InitialPlace(p, s.ID, 3, topology.NoMachine); err != nil {
 					b.Fatal(err)
 				}
 			}

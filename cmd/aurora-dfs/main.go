@@ -207,13 +207,12 @@ func (t budgetTarget) OptimizeNow(opts aurora.OptimizerOptions) (aurora.Optimize
 func runDataNode(args []string) error {
 	fs := flag.NewFlagSet("datanode", flag.ContinueOnError)
 	var (
-		nnAddr    = fs.String("namenode", "", "namenode control address (required)")
-		rack      = fs.Int("rack", 0, "rack this node lives in")
-		capacity  = fs.Int("capacity", 4096, "max blocks stored")
-		dir       = fs.String("dir", "", "data directory (empty = in-memory)")
-		listen    = fs.String("listen", "127.0.0.1:0", "data listen address")
-		telem     = fs.String("telemetry-addr", "", "serve /metrics and pprof on this address (empty = off)")
-		fullEvery = fs.Int("full-report-every", 0, "heartbeats between periodic full block reports (0 = default)")
+		nnAddr   = fs.String("namenode", "", "namenode control address (required)")
+		rack     = fs.Int("rack", 0, "rack this node lives in")
+		capacity = fs.Int("capacity", 4096, "max blocks stored")
+		dir      = fs.String("dir", "", "data directory (empty = in-memory)")
+		listen   = fs.String("listen", "127.0.0.1:0", "data listen address")
+		telem    = fs.String("telemetry-addr", "", "serve /metrics and pprof on this address (empty = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -230,12 +229,11 @@ func runDataNode(args []string) error {
 		fmt.Printf("telemetry listening on %s\n", ts.Addr())
 	}
 	dn, err := aurora.StartDataNode(aurora.DataNodeConfig{
-		NameNodeAddr:    *nnAddr,
-		Rack:            *rack,
-		CapacityBlocks:  *capacity,
-		ListenAddr:      *listen,
-		DataDir:         *dir,
-		FullReportEvery: *fullEvery,
+		NameNodeAddr:   *nnAddr,
+		Rack:           *rack,
+		CapacityBlocks: *capacity,
+		ListenAddr:     *listen,
+		DataDir:        *dir,
 	})
 	if err != nil {
 		return err
@@ -255,8 +253,6 @@ func clientFlags(name string, args []string, extra func(*flag.FlagSet)) (*aurora
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	nnAddr := fs.String("namenode", "", "namenode control address (required)")
 	blockSize := fs.Int("block-size", 1<<20, "client block split size")
-	chunkSize := fs.Int("chunk-size", 128<<10, "data-path chunk size in bytes (<= 0 = library default; DESIGN.md §15)")
-	readAhead := fs.Int("read-ahead", 1, "blocks prefetched beyond the one draining (0 = sequential)")
 	if extra != nil {
 		extra(fs)
 	}
@@ -268,8 +264,6 @@ func clientFlags(name string, args []string, extra func(*flag.FlagSet)) (*aurora
 	}
 	c := aurora.NewFSClient(*nnAddr,
 		aurora.WithBlockSize(*blockSize),
-		aurora.WithChunkSize(*chunkSize),
-		aurora.WithReadAhead(*readAhead),
 		aurora.WithClientTimeout(30*time.Second))
 	return c, fs, nil
 }

@@ -37,9 +37,6 @@ func run(args []string) error {
 		faultSeed = fs.Uint64("fault-seed", 1, `seed for -fault-schedule=random`)
 		telemAddr = fs.String("telemetry-addr", "", "serve /metrics and pprof on this address for the duration of the run (empty = off, port 0 = pick a free port)")
 		linger    = fs.Duration("telemetry-linger", 0, "keep the telemetry endpoint up this long after the run finishes (so one-shot scrapers can read final metrics)")
-		chunk     = fs.Int("chunk-size", 0, "data-path chunk size in bytes (<= 0 = client default; DESIGN.md §15)")
-		readAhead = fs.Int("read-ahead", 0, "blocks the client prefetches beyond the one draining (0 = client default)")
-		fullEvery = fs.Int("full-report-every", 0, "heartbeats between periodic full block reports (0 = datanode default)")
 		predictor = fs.String("predictor", "", "namenode popularity forecaster: historical | ewma | seasonal | ranker (empty = reactive window counts)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -61,9 +58,6 @@ func run(args []string) error {
 	setup.Jobs = *jobs
 	setup.Epsilon = *epsilon
 	setup.Shards = *shards
-	setup.ChunkSize = *chunk
-	setup.ReadAhead = *readAhead
-	setup.FullReportEvery = *fullEvery
 	setup.Predictor = *predictor
 	if *faultSpec != "" {
 		sch, err := buildFaultSchedule(*faultSpec, *faultSeed, *nodes)

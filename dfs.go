@@ -10,10 +10,10 @@ import (
 // The mini distributed file system: the substrate equivalent of the
 // paper's HDFS prototype. A NameNode owns metadata and desired
 // placement, DataNodes store replicas and heartbeat, and a FSClient
-// writes/reads files. Replica placement is pluggable (HDFSPlacer random
-// default, AuroraPlacer for Algorithm 4), and NameNode.OptimizeNow is
-// the Aurora balancer entry point — wire it to a Controller for periodic
-// optimization.
+// writes/reads files. Replica placement is pluggable (a seeded random
+// HDFS placer by default, AuroraPlacer for Algorithm 4), and
+// NameNode.OptimizeNow is the Aurora balancer entry point — wire it to a
+// Controller for periodic optimization.
 type (
 	// NameNode is the metadata service.
 	NameNode = namenode.NameNode
@@ -23,8 +23,6 @@ type (
 	Placer = namenode.Placer
 	// AuroraPlacer is Algorithm 4 initial placement.
 	AuroraPlacer = namenode.AuroraPlacer
-	// HDFSPlacer is the default random policy.
-	HDFSPlacer = namenode.HDFSPlacer
 
 	// DataNode is a storage node.
 	DataNode = datanode.DataNode
@@ -66,9 +64,6 @@ var (
 	WithBlockSize = client.WithBlockSize
 	// WithClientTimeout overrides the client's per-RPC timeout.
 	WithClientTimeout = client.WithTimeout
-	// WithLocalDataNode marks the client as colocated with a datanode so
-	// written blocks land locally first.
-	WithLocalDataNode = client.WithLocalDataNode
 	// WithClientSeed makes replica selection deterministic.
 	WithClientSeed = client.WithSeed
 	// WithChunkSize sets the data-path chunk size in bytes; n <= 0
@@ -78,7 +73,3 @@ var (
 	// currently draining (0 = strictly sequential).
 	WithReadAhead = client.WithReadAhead
 )
-
-// NewHDFSPlacer builds the default random placer with a deterministic
-// seed.
-func NewHDFSPlacer(seed uint64) (*HDFSPlacer, error) { return namenode.NewHDFSPlacer(seed) }

@@ -173,6 +173,106 @@ func ExampleReplicationFactors() {
 	// objective (max per-replica popularity): 10
 }
 
+// ExampleBalanceNodes shows Algorithm 1 unwinding an adversarial
+// placement to within the paper's factor 2 of the optimum, measured
+// against LowerBound.
+func ExampleBalanceNodes() {
+	cluster, _ := aurora.UniformCluster(1, 4, 20, 4)
+	var specs []aurora.BlockSpec
+	for i := 1; i <= 8; i++ {
+		specs = append(specs, aurora.BlockSpec{
+			ID:          aurora.BlockID(i),
+			Popularity:  float64(80 / i),
+			MinReplicas: 2,
+			MinRacks:    1,
+		})
+	}
+	p, _ := aurora.NewPlacement(cluster, specs)
+	// Adversarial start: every block on machines 0 and 1.
+	for _, s := range specs {
+		_ = p.AddReplica(s.ID, 0)
+		_ = p.AddReplica(s.ID, 1)
+	}
+
+	res, _ := aurora.BalanceNodes(p, aurora.SearchOptions{})
+	lb := aurora.LowerBound(cluster, specs, nil)
+
+	fmt.Printf("cost: %.0f -> %.0f\n", res.InitialCost, res.FinalCost)
+	fmt.Printf("lower bound: %.0f\n", lb)
+	fmt.Printf("within 2x of the lower bound: %v\n", res.FinalCost <= 2*lb)
+	// Output:
+	// cost: 108 -> 55
+	// lower bound: 54
+	// within 2x of the lower bound: true
+}
+
+// ExampleNewController runs Aurora on a loopback mini-DFS: one file is
+// read hot, the controller runs one period over the namenode, and the
+// hot file's blocks pick up the spare replication budget.
+func ExampleNewController() {
+	nn, stop, err := exampleCluster(6)
+	if err != nil {
+		panic(err)
+	}
+	defer stop()
+
+	// One soon-to-be-hot file and nine cold ones, four blocks each.
+	c := aurora.NewFSClient(nn.Addr(), aurora.WithBlockSize(32<<10), aurora.WithClientSeed(7))
+	payload := make([]byte, 4*(32<<10))
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	if err := c.Create("/data/hot", payload, 3); err != nil {
+		panic(err)
+	}
+	for i := 0; i < 9; i++ {
+		if err := c.Create(fmt.Sprintf("/data/cold%d", i), payload, 3); err != nil {
+			panic(err)
+		}
+	}
+	if err := nn.WaitConverged(10 * time.Second); err != nil {
+		panic(err)
+	}
+	// Every read counts as an access in the namenode's usage monitor.
+	for i := 0; i < 50; i++ {
+		if _, err := c.Read("/data/hot"); err != nil {
+			panic(err)
+		}
+	}
+
+	// The budget allows 12 replicas beyond the 3x minimum: exactly enough
+	// to double the hot file's four blocks, since Algorithm 3 spends every
+	// spare replica on the hottest per-replica popularity.
+	ctl, err := aurora.NewController(nn, aurora.ControllerConfig{
+		Period: time.Hour, // the example drives the one period itself
+		Options: aurora.OptimizerOptions{
+			Epsilon:           0.1,
+			RackAware:         true,
+			ReplicationBudget: 10*4*3 + 12,
+		},
+	})
+	if err != nil {
+		panic(err)
+	}
+	defer ctl.Close()
+	res, err := ctl.RunOnce()
+	if err != nil {
+		panic(err)
+	}
+	if err := nn.WaitConverged(15 * time.Second); err != nil {
+		panic(err)
+	}
+	hot, _ := c.Locations("/data/hot")
+	cold, _ := c.Locations("/data/cold0")
+	fmt.Printf("hot blocks: %d replicas\n", len(hot[0].Addresses))
+	fmt.Printf("cold blocks: %d replicas\n", len(cold[0].Addresses))
+	fmt.Printf("replications: %d\n", res.Replications)
+	// Output:
+	// hot blocks: 6 replicas
+	// cold blocks: 3 replicas
+	// replications: 12
+}
+
 // ExampleBalanceRacks shows the local search repairing an adversarial
 // placement while honouring rack-level fault tolerance.
 func ExampleBalanceRacks() {

@@ -1,8 +1,7 @@
-// Package aurora wires the Section V framework together: a usage monitor
-// feeding block popularity, the block placement controller (Algorithm 4)
-// and the placement optimizer (Algorithm 5) running once per
-// reconfiguration period against a target system — the mini-DFS namenode
-// or a standalone placement.
+// Package aurora wires the Section V framework together: the forecast
+// step that turns the usage monitor's window into block popularity, and
+// the Controller that runs the placement optimizer (Algorithm 5) once
+// per reconfiguration period against a Target — the mini-DFS namenode.
 package aurora
 
 import (
@@ -12,16 +11,13 @@ import (
 	"time"
 
 	"aurora/internal/core"
-	"aurora/internal/invariant"
 	"aurora/internal/metrics"
 	"aurora/internal/popularity"
 	"aurora/internal/retrypolicy"
-	"aurora/internal/telemetry"
 )
 
-// Target is anything the periodic controller can optimize: the mini-DFS
-// namenode implements it natively, and StandaloneTarget adapts a bare
-// placement for library users.
+// Target is anything the periodic controller can optimize; the mini-DFS
+// namenode implements it.
 type Target interface {
 	OptimizeNow(core.OptimizerOptions) (core.OptimizeResult, error)
 }
@@ -179,8 +175,8 @@ func (c *Controller) record(res core.OptimizeResult, err error) {
 // Forecaster is the forecast step of every Aurora period (Section V): it
 // turns the usage monitor's window W into the block popularities
 // Algorithm 5 then optimizes against — the window itself when reactive,
-// a predictor's forecast of the next window otherwise. The namenode, the
-// simulator and StandaloneTarget each run their periods through one. It
+// a predictor's forecast of the next window otherwise. The namenode and
+// the simulator each run their periods through one. It
 // reads no clock and takes no lock: the caller serializes Apply with
 // every other writer of the placement. The zero Forecaster is reactive.
 type Forecaster struct {
@@ -239,75 +235,3 @@ func (f *Forecaster) Apply(sp *core.ShardedPlacement, window map[core.BlockID]in
 	}
 	return s, nil
 }
-
-// StandaloneTarget adapts a bare placement plus usage monitor into a
-// Target, for embedding Aurora in systems that are not the mini-DFS: the
-// caller records block accesses and the controller periodically refreshes
-// popularities (reactively) and optimizes.
-type StandaloneTarget struct {
-	// monitor is internally synchronized and clock is immutable after
-	// construction, so neither sits in the mutex-guarded group.
-	monitor *popularity.Monitor[core.BlockID]
-	clock   func() int64
-
-	mu        sync.Mutex
-	placement *core.ShardedPlacement // the one-shard view of the wrapped placement
-	forecast  Forecaster
-}
-
-// NewStandaloneTarget wraps placement with a usage monitor whose sliding
-// window spans windowBuckets*bucketLen ticks of the given clock.
-func NewStandaloneTarget(p *core.Placement, bucketLen int64, windowBuckets int, clock func() int64) (*StandaloneTarget, error) {
-	if p == nil {
-		return nil, errors.New("aurora: nil placement")
-	}
-	if clock == nil {
-		clock = func() int64 { return time.Now().UnixNano() }
-	}
-	mon, err := popularity.NewMonitor[core.BlockID](bucketLen, windowBuckets)
-	if err != nil {
-		return nil, err
-	}
-	return &StandaloneTarget{placement: core.SingleShard(p), monitor: mon, clock: clock}, nil
-}
-
-// RecordAccess registers one access of block id at the current clock.
-func (t *StandaloneTarget) RecordAccess(id core.BlockID) {
-	t.monitor.Record(id, t.clock())
-}
-
-// OptimizeNow implements Target: refresh popularities and run one
-// Algorithm 5 period.
-func (t *StandaloneTarget) OptimizeNow(opts core.OptimizerOptions) (core.OptimizeResult, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	snap := t.monitor.Snapshot(t.clock())
-	if _, err := t.forecast.Apply(t.placement, snap); err != nil {
-		return core.OptimizeResult{}, err
-	}
-	assertAfter := invariant.Enabled && t.placement.CheckFeasible() == nil
-	start := time.Now()
-	res, err := core.OptimizeSharded(t.placement, core.ShardedOptimizerOptions{Opts: opts})
-	if err != nil {
-		return core.OptimizeResult{}, err
-	}
-	telemetry.ExportShardedOptimizePeriod(metrics.Default, res, time.Since(start))
-	telemetry.ExportMachineLoads(metrics.Default, t.placement.AppendLoads(nil))
-	telemetry.ExportHotspots(metrics.Default, snap)
-	if assertAfter {
-		if verr := invariant.CheckPlacement(t.placement.Shard(0)); verr != nil {
-			return res.PerShard[0], fmt.Errorf("aurora: post-optimize %w", verr)
-		}
-	}
-	return res.PerShard[0], nil
-}
-
-// WithPlacement runs fn on the wrapped placement under the target's
-// lock, for reads and writes that must not race the optimizer.
-func (t *StandaloneTarget) WithPlacement(fn func(*core.Placement) error) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return fn(t.placement.Shard(0))
-}
-
-var _ Target = (*StandaloneTarget)(nil)

@@ -2,12 +2,12 @@ package aurora
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"aurora/internal/core"
-	"aurora/internal/topology"
 )
 
 // fakeTarget counts optimizations and can fail on demand.
@@ -97,72 +97,58 @@ func TestControllerCloseIdempotent(t *testing.T) {
 	}
 }
 
-func TestStandaloneTargetEndToEnd(t *testing.T) {
-	cl, err := topology.Uniform(2, 3, 20, 2)
+// TestControllerRunOnceRacesTicker races manual RunOnce calls from
+// several goroutines against the controller's own 1 ms ticker. Under
+// -race this guards the Stats/backoff bookkeeping; afterwards every
+// OptimizeNow the target saw must be counted as exactly one period.
+func TestControllerRunOnceRacesTicker(t *testing.T) {
+	const goroutines, tickerPeriods = 4, 3
+	ft := &fakeTarget{}
+	c, err := NewController(ft, Config{Period: time.Millisecond})
 	if err != nil {
-		t.Fatalf("Uniform: %v", err)
+		t.Fatalf("NewController: %v", err)
 	}
-	specs := []core.BlockSpec{
-		{ID: 1, MinReplicas: 3, MinRacks: 2},
-		{ID: 2, MinReplicas: 3, MinRacks: 2},
+	var manual atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := c.RunOnce(); err != nil {
+					t.Errorf("RunOnce: %v", err)
+					return
+				}
+				_ = c.Stats()
+				manual.Add(1)
+			}
+		}()
 	}
-	p, err := core.NewPlacement(cl, specs)
-	if err != nil {
-		t.Fatalf("NewPlacement: %v", err)
+	// Up to one call per goroutine is counted by the target but not yet
+	// by manual, so this gap guarantees tickerPeriods ticker-driven calls.
+	deadline := time.Now().Add(10 * time.Second)
+	for ft.calls.Load()-manual.Load() < tickerPeriods+goroutines && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
-	for _, s := range specs {
-		if err := core.InitialPlace(p, s.ID, 3, topology.NoMachine); err != nil {
-			t.Fatalf("InitialPlace: %v", err)
-		}
+	close(stop)
+	wg.Wait()
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	var now int64
-	st, err := NewStandaloneTarget(p, 100, 2, func() int64 { return now })
-	if err != nil {
-		t.Fatalf("NewStandaloneTarget: %v", err)
+	st, calls := c.Stats(), ft.calls.Load()
+	if int64(st.Periods) != calls {
+		t.Errorf("Stats().Periods = %d, target saw %d OptimizeNow calls", st.Periods, calls)
 	}
-	// Block 1 is hot.
-	for i := 0; i < 50; i++ {
-		st.RecordAccess(1)
+	if ticks := calls - manual.Load(); ticks < tickerPeriods {
+		t.Errorf("ticker ran %d periods among the manual ones, want >= %d", ticks, tickerPeriods)
 	}
-	st.RecordAccess(2)
-	now = 50
-	res, err := st.OptimizeNow(core.OptimizerOptions{
-		RackAware:         true,
-		ReplicationBudget: 10, // 6 minimum + 4 spare
-	})
-	if err != nil {
-		t.Fatalf("OptimizeNow: %v", err)
-	}
-	if res.Replications == 0 {
-		t.Error("no replications for the hot block")
-	}
-	if err := st.WithPlacement(func(p *core.Placement) error {
-		if p.ReplicaCount(1) <= p.ReplicaCount(2) {
-			t.Errorf("hot block replicas %d <= cold %d", p.ReplicaCount(1), p.ReplicaCount(2))
-		}
-		return p.Validate()
-	}); err != nil {
-		t.Errorf("WithPlacement: %v", err)
-	}
-}
-
-func TestStandaloneTargetValidation(t *testing.T) {
-	if _, err := NewStandaloneTarget(nil, 100, 2, nil); err == nil {
-		t.Error("nil placement accepted")
-	}
-	cl, err := topology.Uniform(1, 1, 5, 1)
-	if err != nil {
-		t.Fatalf("Uniform: %v", err)
-	}
-	p, err := core.NewPlacement(cl, nil)
-	if err != nil {
-		t.Fatalf("NewPlacement: %v", err)
-	}
-	if _, err := NewStandaloneTarget(p, 0, 2, nil); err == nil {
-		t.Error("zero bucket length accepted")
-	}
-	// nil clock defaults to wall time.
-	if _, err := NewStandaloneTarget(p, 100, 2, nil); err != nil {
-		t.Errorf("nil clock rejected: %v", err)
+	if st.Errors != 0 {
+		t.Errorf("Stats().Errors = %d, want 0", st.Errors)
 	}
 }

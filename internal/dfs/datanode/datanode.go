@@ -44,11 +44,6 @@ type Config struct {
 	// transfers (the fault-injection harness passes an
 	// Injector.StreamFrom here); nil means proto.OpenStream.
 	OpenStream proto.OpenStreamFunc
-	// FullReportEvery is the periodic full-block-report safety net: every
-	// Nth heartbeat carries the complete block list even when the
-	// namenode has not requested one. Between fulls, heartbeats carry
-	// only deltas (DESIGN.md §15). Zero means DefaultFullReportEvery.
-	FullReportEvery int
 	// Retry is the backoff policy for registration and replication
 	// transfers; the zero value means retrypolicy.Default.
 	Retry retrypolicy.Policy
@@ -74,11 +69,6 @@ var (
 	ErrStoreFull     = errors.New("datanode: store at capacity")
 	ErrClosed        = errors.New("datanode: closed")
 )
-
-// DefaultFullReportEvery is the default heartbeat cadence of the
-// periodic full block report: with 200ms heartbeats one full report
-// every ~13s, matching the reconcile loop's tolerance for divergence.
-const DefaultFullReportEvery = 64
 
 // DataNode is a running storage node.
 type DataNode struct {
@@ -119,9 +109,6 @@ func Start(cfg Config) (*DataNode, error) {
 	}
 	if cfg.OpenStream == nil {
 		cfg.OpenStream = proto.OpenStream
-	}
-	if cfg.FullReportEvery <= 0 {
-		cfg.FullReportEvery = DefaultFullReportEvery
 	}
 	if cfg.Retry.MaxAttempts == 0 && cfg.Retry.BaseDelay == 0 {
 		cfg.Retry = retrypolicy.Default
@@ -319,13 +306,13 @@ func (dn *DataNode) heartbeatLoop() {
 // MsgHeartbeatDelta carrying only blocks received/deleted since the
 // last acknowledged report plus an xor-digest of the full local set;
 // a full MsgHeartbeat report goes out on boot, when the namenode asks
-// for one (digest mismatch or rejoin), and every FullReportEvery
+// for one (digest mismatch or rejoin), and every fullReportEvery
 // heartbeats as a safety net. Wire cost is O(changed blocks) instead
 // of O(all blocks) per tick (DESIGN.md §15).
 func (dn *DataNode) heartbeatOnce() {
 	var req *proto.Message
 	var snap map[proto.BlockID]bool
-	full := dn.tracker.needFull(dn.cfg.FullReportEvery)
+	full := dn.tracker.needFull()
 	if full {
 		// Clear pending before listing: anything that lands after the
 		// clear is either in the list (a duplicate delta next tick is

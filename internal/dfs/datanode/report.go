@@ -38,13 +38,20 @@ func (rt *reportTracker) noteDeleted(id proto.BlockID) {
 	rt.mu.Unlock()
 }
 
+// fullReportEvery is the periodic full-block-report safety net: every
+// Nth heartbeat carries the complete block list even when the namenode
+// has not requested one; between fulls, heartbeats carry only deltas
+// (DESIGN.md §15). With 200ms heartbeats that is one full report every
+// ~13s, matching the reconcile loop's tolerance for divergence.
+const fullReportEvery = 64
+
 // needFull reports whether the next heartbeat must carry a full block
 // report: forced (boot, namenode resync request) or the periodic
-// safety net every `every` heartbeats.
-func (rt *reportTracker) needFull(every int) bool {
+// safety net every fullReportEvery heartbeats.
+func (rt *reportTracker) needFull() bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.forceFull || (every > 0 && rt.sinceFull >= every)
+	return rt.forceFull || rt.sinceFull >= fullReportEvery
 }
 
 // beginFull clears the pending delta ahead of building a full report.

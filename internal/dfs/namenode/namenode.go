@@ -47,22 +47,22 @@ type Placer interface {
 	Place(p *core.Placement, id core.BlockID, k int, writer topology.MachineID) error
 }
 
-// HDFSPlacer is the default random policy (Section II).
-type HDFSPlacer struct {
+// hdfsPlacer is the default random policy (Section II).
+type hdfsPlacer struct {
 	policy *baseline.HDFSPolicy
 }
 
-// NewHDFSPlacer builds the random placer with a deterministic seed.
-func NewHDFSPlacer(seed uint64) (*HDFSPlacer, error) {
+// newHDFSPlacer builds the random placer with a deterministic seed.
+func newHDFSPlacer(seed uint64) (*hdfsPlacer, error) {
 	pol, err := baseline.NewHDFSPolicy(rand.New(rand.NewPCG(seed, seed^0xfeed)))
 	if err != nil {
 		return nil, err
 	}
-	return &HDFSPlacer{policy: pol}, nil
+	return &hdfsPlacer{policy: pol}, nil
 }
 
 // Place implements Placer.
-func (h *HDFSPlacer) Place(p *core.Placement, id core.BlockID, k int, writer topology.MachineID) error {
+func (h *hdfsPlacer) Place(p *core.Placement, id core.BlockID, k int, writer topology.MachineID) error {
 	return h.policy.Place(p, id, k, writer)
 }
 
@@ -291,7 +291,7 @@ func Start(cfg Config) (*NameNode, error) {
 		return nil, err
 	}
 	if cfg.Placer == nil {
-		placer, err := NewHDFSPlacer(cfg.Seed)
+		placer, err := newHDFSPlacer(cfg.Seed)
 		if err != nil {
 			return nil, err
 		}

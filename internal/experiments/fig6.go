@@ -61,16 +61,6 @@ type TestbedSetup struct {
 	// 2 keep the classic single-map namenode). Aurora's reconfiguration
 	// then runs one optimizer period per shard concurrently.
 	Shards int
-	// ChunkSize is the data-path frame payload in bytes handed to the
-	// client (DESIGN.md §15). Zero or negative keeps the client library
-	// default.
-	ChunkSize int
-	// ReadAhead is how many blocks the client prefetches beyond the one
-	// currently draining. Zero keeps the client library default.
-	ReadAhead int
-	// FullReportEvery is the datanode periodic full-block-report cadence
-	// in heartbeats. Zero keeps the datanode library default.
-	FullReportEvery int
 	// Predictor selects each system's namenode popularity forecaster
 	// (see popularity.Names); empty/reactive keeps raw window counts.
 	Predictor string
@@ -169,47 +159,6 @@ func Fig6(s TestbedSetup) (*Fig6Result, error) {
 	return res, nil
 }
 
-// Fig6Cell is one (epsilon, trial) cell of the testbed sweep grid.
-type Fig6Cell struct {
-	Epsilon float64
-	Trial   int
-	Seed    uint64
-	Result  *Fig6Result
-}
-
-// Fig6Grid sweeps the testbed experiment over an epsilon x trial grid,
-// running up to `workers` cells concurrently (0 = one per CPU). Each
-// cell derives a distinct trial seed from base.Seed, keeps its three
-// systems serial (cell-internal Workers is forced to 1, so grid
-// parallelism is only across fully independent clusters), and writes
-// into its own slot: the returned cells are ordered epsilon-major
-// (index e*trials + t) regardless of worker count.
-func Fig6Grid(base TestbedSetup, epsilons []float64, trials, workers int) ([]Fig6Cell, error) {
-	if len(epsilons) == 0 || trials <= 0 {
-		return nil, fmt.Errorf("%w: fig6 grid needs epsilons and trials", ErrBadSetup)
-	}
-	cells := make([]Fig6Cell, len(epsilons)*trials)
-	errs := make([]error, len(cells))
-	par.ForEach(len(cells), workers, func(i int) {
-		e, t := i/trials, i%trials
-		s := base
-		s.Epsilon = epsilons[e]
-		// Distinct, well-spread trial seeds (golden-ratio stride).
-		s.Seed = base.Seed + uint64(t)*0x9e3779b97f4a7c15
-		s.Workers = 1
-		res, err := Fig6(s)
-		if err != nil {
-			errs[i] = fmt.Errorf("experiments: fig6 grid eps=%.2f trial %d: %w", s.Epsilon, t, err)
-			return
-		}
-		cells[i] = Fig6Cell{Epsilon: s.Epsilon, Trial: t, Seed: s.Seed, Result: res}
-	})
-	if err := par.FirstError(errs); err != nil {
-		return nil, err
-	}
-	return cells, nil
-}
-
 // runTestbedSystem spins up a real cluster, loads the dataset, replays
 // the workload in virtual time (with real block reads on the data path)
 // and reconfigures at every epoch according to the system under test.
@@ -272,7 +221,6 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 			Rack:              i % s.Racks,
 			CapacityBlocks:    capacity,
 			HeartbeatInterval: 30 * time.Millisecond,
-			FullReportEvery:   s.FullReportEvery,
 		}
 		if inj != nil {
 			cfg.Call = inj.CallFrom(i)
@@ -302,10 +250,7 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 	}
 
 	// Load the dataset.
-	clientOpts := []client.Option{client.WithBlockSize(s.BlockBytes), client.WithSeed(s.Seed), client.WithChunkSize(s.ChunkSize)}
-	if s.ReadAhead != 0 {
-		clientOpts = append(clientOpts, client.WithReadAhead(s.ReadAhead))
-	}
+	clientOpts := []client.Option{client.WithBlockSize(s.BlockBytes), client.WithSeed(s.Seed)}
 	if inj != nil {
 		clientOpts = append(clientOpts, client.WithCall(inj.CallFrom(faultinject.External)),
 			client.WithRetry(taskRetry), client.WithOpenStream(inj.StreamFrom(faultinject.External)))

@@ -52,47 +52,3 @@ func TestFigSweepParallelMatchesSerial(t *testing.T) {
 		})
 	}
 }
-
-// Fig6Grid runs real TCP clusters per cell; keep it out of -short but
-// verify the grid shape, seed derivation and cell independence.
-func TestFig6GridShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig6 grid spins up real TCP clusters; skipped in -short")
-	}
-	base := DefaultTestbedSetup(5)
-	base.Files = 8
-	base.Jobs = 60
-	cells, err := Fig6Grid(base, []float64{0.3, 0.8}, 2, 2)
-	if err != nil {
-		t.Fatalf("Fig6Grid: %v", err)
-	}
-	if len(cells) != 4 {
-		t.Fatalf("cells = %d, want 4", len(cells))
-	}
-	for i, c := range cells {
-		e, tr := i/2, i%2
-		if c.Epsilon != []float64{0.3, 0.8}[e] || c.Trial != tr {
-			t.Errorf("cell %d = (eps %v, trial %d), want (eps %v, trial %d)",
-				i, c.Epsilon, c.Trial, []float64{0.3, 0.8}[e], tr)
-		}
-		wantSeed := base.Seed + uint64(tr)*0x9e3779b97f4a7c15
-		if c.Seed != wantSeed {
-			t.Errorf("cell %d seed = %d, want %d", i, c.Seed, wantSeed)
-		}
-		if c.Result == nil || len(c.Result.Rows) != 3 {
-			t.Errorf("cell %d result malformed: %+v", i, c.Result)
-			continue
-		}
-		for _, row := range c.Result.Rows {
-			if row.LocalTasks+row.RemoteTasks == 0 {
-				t.Errorf("cell %d system %s executed no tasks", i, row.System)
-			}
-		}
-	}
-	if _, err := Fig6Grid(base, nil, 2, 1); err == nil {
-		t.Error("empty epsilon grid accepted")
-	}
-	if _, err := Fig6Grid(base, []float64{0.5}, 0, 1); err == nil {
-		t.Error("zero trials accepted")
-	}
-}

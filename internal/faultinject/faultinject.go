@@ -181,9 +181,6 @@ func (e *InjectedError) Error() string {
 	return fmt.Sprintf("faultinject: %s node=%d", e.Kind, e.Node)
 }
 
-// ErrNotRunning is returned by Start when the injector is misused.
-var ErrNotRunning = errors.New("faultinject: injector not started")
-
 // nodeState is the injector's per-node fault state.
 type nodeState struct {
 	crashed     bool

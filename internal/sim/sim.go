@@ -13,7 +13,6 @@ import (
 
 	"aurora/internal/aurora"
 	"aurora/internal/core"
-	"aurora/internal/par"
 	"aurora/internal/popularity"
 	"aurora/internal/sched"
 	"aurora/internal/topology"
@@ -263,26 +262,6 @@ func (h completionHeap) peek() (int64, bool) {
 		return 0, false
 	}
 	return h[0].at, true
-}
-
-// RunMany executes independent simulation configs with up to `workers`
-// concurrent runs (0 = one per CPU, 1 = serial on the calling
-// goroutine). Results and errors are slotted by config index, so the
-// output is identical to running the configs serially in order — each
-// Run builds its own placement, monitor and scheduler from its config.
-// The caller must give each config its own Policy value (policies carry
-// per-run state such as RNGs); clusters and traces may be shared, they
-// are only read.
-func RunMany(cfgs []Config, workers int) ([]*Result, error) {
-	results := make([]*Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-	par.ForEach(len(cfgs), workers, func(i int) {
-		results[i], errs[i] = Run(cfgs[i])
-	})
-	if err := par.FirstError(errs); err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // Run executes the simulation to completion (all jobs finished) and

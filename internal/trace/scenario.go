@@ -41,19 +41,19 @@ func ScenarioNames() []string {
 
 // ScenarioConfig parameterizes a named scenario.
 type ScenarioConfig struct {
-	Seed uint64 `json:"seed"`
+	Seed uint64
 	// Files is the number of distinct files (split into scenario-specific
 	// groups).
-	Files int `json:"files"`
+	Files int
 	// Hours is the trace length; runs should span at least three periods
 	// so seasonal predictors have history to learn from.
-	Hours int `json:"hours"`
+	Hours int
 	// JobsPerHour is the time-averaged total arrival rate.
-	JobsPerHour float64 `json:"jobsPerHour"`
+	JobsPerHour float64
 	// PeriodHours is the scenario's repeating period (the "day" of the
 	// diurnal cycle, the recurrence interval of the flash crowd).
 	// Default 24.
-	PeriodHours int `json:"periodHours"`
+	PeriodHours int
 }
 
 func (c ScenarioConfig) withDefaults() ScenarioConfig {

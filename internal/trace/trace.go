@@ -1,5 +1,5 @@
-// Package trace generates and serializes synthetic MapReduce-style
-// workload traces with long-tailed file popularity.
+// Package trace generates synthetic MapReduce-style workload traces
+// with long-tailed file popularity.
 //
 // The paper evaluates Aurora with proprietary traces (Yahoo! S3 grid logs
 // and Facebook SWIM). Those traces enter the algorithms only as (block,
@@ -53,32 +53,32 @@ type Trace struct {
 
 // Config parameterizes generation.
 type Config struct {
-	Seed uint64 `json:"seed"`
+	Seed uint64
 	// Files is the number of distinct files.
-	Files int `json:"files"`
+	Files int
 	// MeanBlocksPerFile sets the geometric block-count distribution
 	// (paper setup: 8).
-	MeanBlocksPerFile float64 `json:"meanBlocksPerFile"`
+	MeanBlocksPerFile float64
 	// ZipfS > 1 is the popularity skew exponent; production MapReduce
 	// file popularity is long-tailed (~1.1-1.5).
-	ZipfS float64 `json:"zipfS"`
+	ZipfS float64
 	// JobsPerHour is the Poisson arrival rate.
-	JobsPerHour float64 `json:"jobsPerHour"`
+	JobsPerHour float64
 	// Hours is the trace length.
-	Hours int `json:"hours"`
+	Hours int
 	// MeanTaskDurationTicks is the mean local map-task duration
 	// (exponentially distributed, floor 1 tick).
-	MeanTaskDurationTicks float64 `json:"meanTaskDurationTicks"`
+	MeanTaskDurationTicks float64
 	// ChurnPerHour is the fraction of the file-popularity ranking that
 	// reshuffles each hour (0 = static popularity, 1 = full reshuffle).
-	ChurnPerHour float64 `json:"churnPerHour"`
+	ChurnPerHour float64
 	// Replication defaults for the generated blocks.
-	MinReplicas int `json:"minReplicas"`
-	MinRacks    int `json:"minRacks"`
+	MinReplicas int
+	MinRacks    int
 	// Scenario records which named scenario generator produced the
 	// trace (empty for the plain Zipf/Poisson generator); see
 	// GenerateScenario.
-	Scenario string `json:"scenario,omitempty"`
+	Scenario string
 }
 
 // Errors returned by generation.

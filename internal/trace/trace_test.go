@@ -1,11 +1,9 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -215,56 +213,6 @@ func TestAccessCounts(t *testing.T) {
 	}
 	if total != want {
 		t.Errorf("total accesses = %d, want %d", total, want)
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	tr, err := Generate(validConfig())
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if got.Config != tr.Config {
-		t.Errorf("config mismatch: %+v vs %+v", got.Config, tr.Config)
-	}
-	if len(got.Files) != len(tr.Files) || len(got.Jobs) != len(tr.Jobs) {
-		t.Fatalf("shape mismatch after round trip")
-	}
-	for i := range tr.Jobs {
-		a, b := tr.Jobs[i], got.Jobs[i]
-		if a.ID != b.ID || a.Arrival != b.Arrival || a.File != b.File || a.TaskDuration != b.TaskDuration {
-			t.Fatalf("job %d mismatch: %+v vs %+v", i, a, b)
-		}
-		if len(a.Blocks) != len(b.Blocks) {
-			t.Fatalf("job %d block list mismatch", i)
-		}
-	}
-}
-
-func TestReadErrors(t *testing.T) {
-	tests := []struct {
-		name  string
-		input string
-	}{
-		{"empty", ""},
-		{"no header", `{"type":"file","file":1,"blocks":[1]}` + "\n"},
-		{"garbage", "not json\n"},
-		{"unknown type", `{"type":"header","config":{"seed":1,"files":1,"meanBlocksPerFile":1,"zipfS":1.1,"jobsPerHour":1,"hours":1,"meanTaskDurationTicks":1,"churnPerHour":0,"minReplicas":3,"minRacks":2}}` + "\n" + `{"type":"bogus"}` + "\n"},
-		{"job before file", `{"type":"header","config":{"seed":1,"files":1,"meanBlocksPerFile":1,"zipfS":1.1,"jobsPerHour":1,"hours":1,"meanTaskDurationTicks":1,"churnPerHour":0,"minReplicas":3,"minRacks":2}}` + "\n" + `{"type":"job","job":1,"arrival":5,"jobFile":9}` + "\n"},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Read(strings.NewReader(tt.input)); !errors.Is(err, ErrBadFormat) {
-				t.Errorf("Read err = %v, want ErrBadFormat", err)
-			}
-		})
 	}
 }
 
