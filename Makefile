@@ -6,7 +6,7 @@ GO ?= go
 # "Benchmark ledger"). BENCH_LABEL picks the ledger column. The metrics
 # record path (//lint:hotpath roots) is benched separately so its
 # allocs/op rows — expected 0 — sit in the same ledger.
-BENCH_PATTERN ?= ^(BenchmarkLocalSearchNode|BenchmarkLocalSearchRack|BenchmarkOptimizePeriod|BenchmarkOptimizePeriodSharded|BenchmarkDataPathThroughput)$$
+BENCH_PATTERN ?= ^(BenchmarkLocalSearchNode|BenchmarkLocalSearchRack|BenchmarkOptimizePeriod|BenchmarkOptimizePeriodSharded|BenchmarkDataPathThroughput|BenchmarkFrameListReply)$$
 BENCH_METRICS_PATTERN ?= ^(BenchmarkLogHistogramObserve|BenchmarkGaugeAdd|BenchmarkRegistryCounterLookupInc)$$
 BENCH_LABEL ?= after
 
@@ -56,8 +56,10 @@ chaos:
 # decoder, the xor-splitmix64 digest algebra and the report-tracker
 # merge each fuzz for a few seconds, so decoder panics and merge
 # regressions surface here without a long campaign. See DESIGN.md §15.
+# The frame corpus holds a 17 kB list_files reply; minimizing a mutation
+# of it under the default 60 s budget would stall the whole smoke.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s ./internal/dfs/proto
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/dfs/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzDigestMerge$$' -fuzztime 5s ./internal/dfs/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzTrackerMerge$$' -fuzztime 5s ./internal/dfs/datanode
 

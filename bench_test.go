@@ -8,6 +8,7 @@
 package aurora_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"aurora"
 	"aurora/internal/baseline"
 	"aurora/internal/core"
+	"aurora/internal/dfs/proto"
 	"aurora/internal/experiments"
 	"aurora/internal/popularity"
 	"aurora/internal/sim"
@@ -665,6 +667,38 @@ func BenchmarkDataPathThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
+	}
+}
+
+// BenchmarkFrameListReply encodes and decodes a 1 000-entry list_files
+// reply, the largest header the metadata path moves (DESIGN.md §15.1).
+// allocs/op rides the ratchet: one string for all the paths, the file
+// list and the Message on decode; nothing per entry.
+func BenchmarkFrameListReply(b *testing.B) {
+	files := make([]proto.FileInfo, 1000)
+	for i := range files {
+		files[i] = proto.FileInfo{Path: fmt.Sprintf("/meta/f%05d", i), Blocks: 1, Length: 512, Replication: 3, Complete: true}
+	}
+	msg := &proto.Message{Type: proto.MsgOK, Files: files}
+	var buf bytes.Buffer
+	roundTrip := func() {
+		buf.Reset()
+		if err := proto.WriteFrame(&buf, msg, nil); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(buf.Len()))
+		got, _, err := proto.ReadFrame(&buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(got.Files) != len(files) {
+			b.Fatalf("decoded %d files, want %d", len(got.Files), len(files))
+		}
+	}
+	roundTrip() // warm the frame buffers out of the allocation count
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"aurora/internal/dfs/client"
 	"aurora/internal/dfs/datanode"
+	"aurora/internal/dfs/namenode"
 	"aurora/internal/dfs/proto"
 	"aurora/internal/metrics"
 )
@@ -105,8 +106,15 @@ func TestPipelineFailureReconcileRepairs(t *testing.T) {
 // dropping one confirmation, the bookkeeping shape a lost delta leaves
 // behind — the next delta heartbeat must trigger a full-report resync
 // that restores agreement.
+//
+// The reconcile loop is parked for the whole test. Left running, its
+// heal step could re-replicate the unconfirmed block onto the victim
+// before the victim's next heartbeat; that delta's received=[b] then
+// re-confirms the block with a matching digest and no resync ever fires.
+// The digest resync is the repair path this test pins, so it must be the
+// only one.
 func TestIncrementalReportDivergenceResync(t *testing.T) {
-	tc := startCluster(t, 4, 2, nil)
+	tc := startCluster(t, 4, 2, nil, func(c *namenode.Config) { c.ReconcileInterval = time.Hour })
 	c := client.New(tc.nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(11))
 	if err := c.Create("/diverge", payload(700, 7), 3); err != nil {
 		t.Fatalf("Create: %v", err)

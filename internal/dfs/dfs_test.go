@@ -44,9 +44,11 @@ func startNameNodeOnly(t *testing.T, nodes, racks int) *namenode.NameNode {
 	return nn
 }
 
-func startCluster(t *testing.T, nodes, racks int, placer namenode.Placer) *testCluster {
+// startCluster boots a namenode and nodes datanodes; tune, if given,
+// adjusts the namenode's config before it starts.
+func startCluster(t *testing.T, nodes, racks int, placer namenode.Placer, tune ...func(*namenode.Config)) *testCluster {
 	t.Helper()
-	nn, err := namenode.Start(namenode.Config{
+	cfg := namenode.Config{
 		ExpectedNodes:      nodes,
 		Racks:              racks,
 		DefaultReplication: 3,
@@ -58,7 +60,11 @@ func startCluster(t *testing.T, nodes, racks int, placer namenode.Placer) *testC
 		WindowBuckets:      2,
 		Placer:             placer,
 		Seed:               7,
-	})
+	}
+	for _, f := range tune {
+		f(&cfg)
+	}
+	nn, err := namenode.Start(cfg)
 	if err != nil {
 		t.Fatalf("namenode.Start: %v", err)
 	}

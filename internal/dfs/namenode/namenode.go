@@ -983,5 +983,5 @@ func (nn *NameNode) handleClusterInfo() (*proto.Message, error) {
 			Decommissioned: n.decommissioned,
 		})
 	}
-	return &proto.Message{Type: proto.MsgOK, Nodes: nodes, Shards: nn.cfg.Shards}, nil
+	return &proto.Message{Type: proto.MsgOK, Nodes: nodes}, nil
 }

@@ -1,14 +1,15 @@
 // Package proto defines the wire protocol of the mini distributed file
-// system: length-prefixed JSON control frames with an optional raw binary
-// payload for block data.
+// system: length-prefixed binary frames, a Message header with an
+// optional raw payload for block data.
 //
 // Frame layout:
 //
 //	+----------------+----------------+----------------+-----------+
-//	| header len u32 | payload len u32| header (JSON)  | payload   |
+//	| header len u32 | payload len u32| header         | payload   |
 //	+----------------+----------------+----------------+-----------+
 //
-// Both lengths are big-endian. The header is a Message; the payload
+// Both lengths are big-endian. The header is a Message in the binary
+// encoding of codec.go (a type byte, a field mask, varints); the payload
 // carries block bytes on MsgChunk frames and is empty otherwise. A
 // connection carries a sequence of exchanges, one at a time: a control
 // request frame answered by one response frame (Call), or a chunked
@@ -23,17 +24,17 @@ package proto
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 )
 
 // Limits protecting against malformed frames.
 const (
-	MaxHeaderBytes  = 1 << 20   // 1 MiB of JSON header
+	MaxHeaderBytes  = 1 << 20   // 1 MiB of encoded header
 	MaxPayloadBytes = 256 << 20 // 256 MiB block payload
 )
 
@@ -172,6 +173,8 @@ type NodeInfo struct {
 
 // Message is the wire header. A single struct with optional fields keeps
 // the codec trivial; the Type field says which fields are meaningful.
+// The json tags are not the wire format: their omitempty states each
+// field's presence rule, which the binary codec follows (codec.go).
 type Message struct {
 	Type MsgType `json:"type"`
 
@@ -199,13 +202,9 @@ type Message struct {
 	Blocks   []BlockID `json:"blocks,omitempty"`
 	Commands []Command `json:"commands,omitempty"`
 
-	// ListFiles / StatFile / ClusterInfo responses. Shards is the
-	// namenode's block-map shard count (ClusterInfo only; 0 on old
-	// namenodes means unsharded), which shard-aware clients use to route
-	// their location caches.
-	Files  []FileInfo `json:"files,omitempty"`
-	Nodes  []NodeInfo `json:"nodes,omitempty"`
-	Shards int        `json:"shards,omitempty"`
+	// ListFiles / StatFile / ClusterInfo responses.
+	Files []FileInfo `json:"files,omitempty"`
+	Nodes []NodeInfo `json:"nodes,omitempty"`
 
 	// Fsck response.
 	Health *HealthReport `json:"health,omitempty"`
@@ -271,10 +270,11 @@ func WriteFrame(w io.Writer, msg *Message, payload []byte) error {
 // frameLensBytes is the size of the two-length prefix of every frame.
 const frameLensBytes = 8
 
-// frameBuf is the scratch one writeFrame call assembles its frame in:
-// head holds the length prefix and the JSON header back to back, and vec
-// and bufs are the two-element vector (head, payload) handed to the
-// writer, kept here so building it allocates nothing.
+// frameBuf is the scratch one frame is assembled or read in: head holds
+// a written frame's length prefix and header back to back, or a read
+// frame's header, and vec and bufs are the two-element vector (head,
+// payload) handed to the writer, kept here so building it allocates
+// nothing.
 type frameBuf struct {
 	head []byte
 	vec  [2][]byte
@@ -290,21 +290,22 @@ var frameBufs = sync.Pool{New: func() any { return new(frameBuf) }}
 // TCP connection), so a TCP_NODELAY socket sends one segment train per
 // frame instead of three.
 func writeFrame(w io.Writer, msg *Message, payload []byte) (int, error) {
-	header, err := json.Marshal(msg)
-	if err != nil {
-		return 0, fmt.Errorf("proto: marshal header: %w", err)
-	}
-	if len(header) > MaxHeaderBytes {
-		return 0, fmt.Errorf("%w: header %d bytes", ErrFrameTooLarge, len(header))
-	}
 	if len(payload) > MaxPayloadBytes {
 		return 0, fmt.Errorf("%w: payload %d bytes", ErrFrameTooLarge, len(payload))
 	}
 	fb := frameBufs.Get().(*frameBuf)
 	defer frameBufs.Put(fb)
-	fb.head = binary.BigEndian.AppendUint32(fb.head[:0], uint32(len(header)))
-	fb.head = binary.BigEndian.AppendUint32(fb.head, uint32(len(payload)))
-	fb.head = append(fb.head, header...)
+	head, err := appendHeader(append(fb.head[:0], make([]byte, frameLensBytes)...), msg)
+	fb.head = head
+	if err != nil {
+		return 0, err
+	}
+	headerLen := len(head) - frameLensBytes
+	if headerLen > MaxHeaderBytes {
+		return 0, fmt.Errorf("%w: header %d bytes", ErrFrameTooLarge, headerLen)
+	}
+	binary.BigEndian.PutUint32(head[0:4], uint32(headerLen))
+	binary.BigEndian.PutUint32(head[4:8], uint32(len(payload)))
 	if len(payload) == 0 {
 		_, err = w.Write(fb.head)
 	} else {
@@ -352,14 +353,11 @@ func readFrameBody(r io.Reader, lens [frameLensBytes]byte, scratch *[]byte) (*Me
 	if payloadLen > MaxPayloadBytes {
 		return nil, nil, 0, fmt.Errorf("%w: payload %d bytes", ErrFrameTooLarge, payloadLen)
 	}
-	header, err := readExact(r, headerLen)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("proto: read header: %w", err)
-	}
 	var msg Message
-	if err := json.Unmarshal(header, &msg); err != nil {
-		return nil, nil, 0, fmt.Errorf("%w: %w", ErrBadFrame, err)
+	if err := readHeader(r, headerLen, &msg); err != nil {
+		return nil, nil, 0, err
 	}
+	var err error
 	var payload []byte
 	switch {
 	case payloadLen == 0:
@@ -375,7 +373,20 @@ func readFrameBody(r io.Reader, lens [frameLensBytes]byte, scratch *[]byte) (*Me
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("proto: read payload: %w", err)
 	}
-	return &msg, payload, len(lens) + len(header) + len(payload), nil
+	return &msg, payload, len(lens) + int(headerLen) + len(payload), nil
+}
+
+// readHeader reads an n-byte header into pooled scratch and decodes it
+// into m. The decoded Message copies out every byte it keeps, so the
+// scratch goes back to the pool at once.
+func readHeader(r io.Reader, n uint32, m *Message) error {
+	fb := frameBufs.Get().(*frameBuf)
+	defer frameBufs.Put(fb)
+	fb.head = slices.Grow(fb.head[:0], int(n))[:n]
+	if _, err := io.ReadFull(r, fb.head); err != nil {
+		return fmt.Errorf("proto: read header: %w", err)
+	}
+	return decodeHeader(fb.head, m)
 }
 
 // EagerReadBytes is the largest peer-announced length a receiver

@@ -3,7 +3,6 @@ package proto
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"net"
 	"strings"
@@ -44,15 +43,19 @@ func (w *writeLog) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// The frame layout is fixed — two big-endian lengths, the JSON header,
+// The frame layout is fixed — two big-endian lengths, the binary header,
 // the payload — and the length prefix never travels in a write of its
 // own: prefix and header leave together, and the payload is the only
 // other piece (the second element of one writev on a TCP connection).
 func TestWriteFrameLayoutAndWriteCount(t *testing.T) {
 	msg := &Message{Type: MsgChunk, Block: 42, Seq: 3, Offset: 384, Eof: true, Checksum: 77}
-	header, err := json.Marshal(msg)
-	if err != nil {
-		t.Fatal(err)
+	header := []byte{
+		19,                     // type code of MsgChunk
+		0x82, 0x80, 0xb8, 0x01, // mask: Block, Checksum, Seq, Eof, Offset (bits 1, 17, 18, 19, 21)
+		84,         // Block 42, zigzag
+		77,         // Checksum 77, uvarint
+		6,          // Seq 3, zigzag
+		0x80, 0x06, // Offset 384, zigzag 768
 	}
 	for _, payload := range [][]byte{nil, []byte("block bytes")} {
 		var lens [8]byte

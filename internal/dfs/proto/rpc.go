@@ -27,7 +27,7 @@ type CallFunc func(addr string, req *Message, payload []byte, timeout time.Durat
 // *RemoteError). The timeout bounds the whole exchange, dial included.
 // Every call records per-RPC-type latency and wire-size histograms and
 // an in-flight gauge into metrics.Default. Wire sizes count the full
-// frame (length prefix + JSON header + payload), so header-heavy RPCs
+// frame (length prefix + header + payload), so header-heavy RPCs
 // like block reports are measured honestly.
 func Call(addr string, req *Message, payload []byte, timeout time.Duration) (*Message, []byte, error) {
 	typ := metrics.L("type", string(req.Type))

@@ -27,8 +27,9 @@ func ChecksumUpdate(sum uint32, b []byte) uint32 { return crc32.Update(sum, cast
 
 // DefaultChunkSize is the payload size of one MsgChunk frame when the
 // caller does not pick one. 128 KiB keeps per-chunk framing overhead
-// (~100 bytes of JSON header) under 0.1% while still giving the write
-// pipeline enough chunks per block to overlap hops.
+// (8 bytes of lengths and a ~20-byte header) far under 0.1% while
+// still giving the write pipeline enough chunks per block to overlap
+// hops.
 const DefaultChunkSize = 128 << 10
 
 // BlockStream is one side of a chunked data-path exchange: an ordered,
