@@ -702,6 +702,50 @@ func BenchmarkFrameListReply(b *testing.B) {
 	}
 }
 
+// BenchmarkNameNodeListFiles measures one list_files call, client to
+// namenode and back over loopback TCP, on a 1 000-file namespace of
+// one-block files — meta_small's listing. The namenode walks its
+// path-ordered index under its lock (DESIGN.md §9). Datanodes are fake
+// registrations and the reconcile loop is parked, so allocs/op (on the
+// ratchet) counts the call alone.
+func BenchmarkNameNodeListFiles(b *testing.B) {
+	nn, err := aurora.StartNameNode(aurora.NameNodeConfig{
+		ExpectedNodes:     3,
+		Racks:             2,
+		DeadTimeout:       time.Hour,
+		ReconcileInterval: time.Hour,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer nn.Close()
+	call := func(m *proto.Message) *proto.Message {
+		resp, _, err := proto.Call(nn.Addr(), m, nil, time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return resp
+	}
+	for i := 0; i < 3; i++ {
+		call(&proto.Message{Type: proto.MsgRegister, DataAddr: fmt.Sprintf("dn%d:1", i), Rack: i % 2, Capacity: 4096})
+	}
+	const files = 1000
+	for i := 0; i < files; i++ {
+		path := fmt.Sprintf("/meta/f%05d", i)
+		call(&proto.Message{Type: proto.MsgCreateFile, Path: path})
+		call(&proto.Message{Type: proto.MsgAddBlock, Path: path, Length: 512})
+	}
+	list := &proto.Message{Type: proto.MsgListFiles}
+	call(list) // warm the pooled connection out of the allocation count
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := call(list); len(got.Files) != files {
+			b.Fatalf("listed %d files, want %d", len(got.Files), files)
+		}
+	}
+}
+
 // BenchmarkAblationReplicationOnRead compares Aurora against Aurora with
 // the paper's future-work replication-on-read extension and against the
 // DARE baseline, under the same budget.

@@ -339,7 +339,7 @@ func (c *Client) Delete(path string) error {
 	return nil
 }
 
-// List returns metadata for all files.
+// List returns metadata for all files, in path order.
 func (c *Client) List() ([]proto.FileInfo, error) {
 	resp, err := c.callNN(&proto.Message{Type: proto.MsgListFiles})
 	if err != nil {

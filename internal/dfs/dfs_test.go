@@ -294,19 +294,32 @@ func TestListFiles(t *testing.T) {
 			t.Fatalf("Create: %v", err)
 		}
 	}
-	files, err := c.List()
-	if err != nil {
-		t.Fatalf("List: %v", err)
-	}
-	if len(files) != 3 {
-		t.Fatalf("List = %d files, want 3", len(files))
-	}
-	for i, f := range files {
-		want := fmt.Sprintf("/d/f%d", i)
-		if f.Path != want {
-			t.Errorf("file %d path = %s, want %s (sorted)", i, f.Path, want)
+	checkList := func(want ...string) {
+		t.Helper()
+		files, err := c.List()
+		if err != nil {
+			t.Fatalf("List: %v", err)
+		}
+		if len(files) != len(want) {
+			t.Fatalf("List = %d files, want %d", len(files), len(want))
+		}
+		for i, f := range files {
+			if f.Path != want[i] {
+				t.Errorf("file %d path = %s, want %s (sorted)", i, f.Path, want[i])
+			}
 		}
 	}
+	checkList("/d/f0", "/d/f1", "/d/f2")
+	// A deleted path leaves the listing, and re-created it returns to
+	// its place in path order.
+	if err := c.Delete("/d/f1"); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	checkList("/d/f0", "/d/f2")
+	if err := c.Create("/d/f1", payload(64, 9), 2); err != nil {
+		t.Fatalf("re-Create: %v", err)
+	}
+	checkList("/d/f0", "/d/f1", "/d/f2")
 }
 
 func TestOptimizeNowRebalancesHotBlocks(t *testing.T) {

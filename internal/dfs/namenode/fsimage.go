@@ -129,19 +129,15 @@ func (nn *NameNode) buildFsImageLocked() (*fsImage, error) {
 			Draining: n.draining && !n.decommissioned,
 		})
 	}
-	for _, path := range sortedFilePathsLocked(nn.files) {
-		f := nn.files[path]
-		ff := fsImageFile{
+	for _, f := range nn.order {
+		img.Files = append(img.Files, fsImageFile{
 			Path:        f.path,
 			Blocks:      append([]proto.BlockID(nil), f.blocks...),
+			Lengths:     append([]int(nil), f.lengths...),
 			Replication: f.replication,
 			MinRacks:    f.minRacks,
 			Complete:    f.complete,
-		}
-		for _, b := range f.blocks {
-			ff.Lengths = append(ff.Lengths, f.lengths[b])
-		}
-		img.Files = append(img.Files, ff)
+		})
 	}
 	for _, id := range nn.placement.Blocks() {
 		spec, err := nn.placement.Spec(id)
@@ -231,35 +227,21 @@ func (nn *NameNode) loadFsImage(path string) error {
 		if len(ff.Lengths) != len(ff.Blocks) {
 			return fmt.Errorf("%w: file %s lengths mismatch", ErrBadFsImage, ff.Path)
 		}
-		f := &fileMeta{
+		// A second entry for a path would orphan the first one's blocks
+		// and list the path twice.
+		if _, dup := nn.files[ff.Path]; dup {
+			return fmt.Errorf("%w: duplicate file %s", ErrBadFsImage, ff.Path)
+		}
+		nn.insertFileLocked(&fileMeta{
 			path:        ff.Path,
-			blocks:      append([]proto.BlockID(nil), ff.Blocks...),
-			lengths:     make(map[proto.BlockID]int, len(ff.Blocks)),
+			blocks:      ff.Blocks,
+			lengths:     ff.Lengths,
 			replication: ff.Replication,
 			minRacks:    ff.MinRacks,
 			complete:    ff.Complete,
-		}
-		for i, b := range ff.Blocks {
-			f.lengths[b] = ff.Lengths[i]
-		}
-		nn.files[ff.Path] = f
+		})
 	}
 	nn.nextBlock = img.NextBlock
 	nn.ready = true
 	return nil
-}
-
-// sortedFilePathsLocked returns file paths in ascending order for
-// deterministic checkpoints.
-func sortedFilePathsLocked(files map[string]*fileMeta) []string {
-	out := make([]string, 0, len(files))
-	for p := range files {
-		out = append(out, p)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort; file tables are small
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package namenode
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -158,6 +159,50 @@ func TestFsImageSaveCoalescing(t *testing.T) {
 		if _, _, err := proto.Call(nn2.Addr(), &proto.Message{Type: proto.MsgStatFile, Path: p}, nil, time.Second); err != nil {
 			t.Errorf("stat %s after restart: %v", p, err)
 		}
+	}
+}
+
+// TestFsImageRejectsDuplicatePath: two image entries for one path used
+// to load as "last one wins", leaving the first entry's blocks in the
+// desired placement with no file to own or reap them. The loader must
+// refuse the image instead.
+func TestFsImageRejectsDuplicatePath(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "img.json")
+	nn := startNN(t, 2, 2)
+	registerFake(t, nn, 0, "a:1")
+	registerFake(t, nn, 1, "b:1")
+	for _, p := range []string{"/f", "/g"} {
+		if _, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgCreateFile, Path: p}, nil, time.Second); err != nil {
+			t.Fatalf("create %s: %v", p, err)
+		}
+		if _, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgAddBlock, Path: p, Length: 9}, nil, time.Second); err != nil {
+			t.Fatalf("add block %s: %v", p, err)
+		}
+	}
+	if err := nn.SaveFsImage(path); err != nil {
+		t.Fatalf("SaveFsImage: %v", err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	var img fsImage
+	if err := json.Unmarshal(raw, &img); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if len(img.Files) != 2 {
+		t.Fatalf("image has %d files, want 2", len(img.Files))
+	}
+	img.Files[1].Path = img.Files[0].Path
+	if err := writeFsImage(path, &img); err != nil {
+		t.Fatalf("writeFsImage: %v", err)
+	}
+	nn2, err := Start(Config{ExpectedNodes: 1, Racks: 2, FsImagePath: path})
+	if err == nil {
+		_ = nn2.Close()
+	}
+	if !errors.Is(err, ErrBadFsImage) {
+		t.Errorf("duplicate path err = %v, want ErrBadFsImage", err)
 	}
 }
 

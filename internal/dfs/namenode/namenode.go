@@ -18,7 +18,9 @@ import (
 	"math/rand/v2"
 	"net"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -214,9 +216,11 @@ type nodeState struct {
 }
 
 type fileMeta struct {
-	path        string
-	blocks      []proto.BlockID
-	lengths     map[proto.BlockID]int
+	path   string
+	blocks []proto.BlockID
+	// lengths[i] is the byte length of blocks[i], the layout the fsimage
+	// stores.
+	lengths     []int
 	replication int
 	minRacks    int
 	complete    bool
@@ -239,6 +243,9 @@ type NameNode struct {
 	cluster   *topology.Cluster
 	placement *core.ShardedPlacement
 	files     map[string]*fileMeta
+	// order holds the same files ascending by path, so list_files and the
+	// fsimage walk it instead of sorting the namespace (DESIGN.md §9).
+	order     []*fileMeta
 	nextBlock proto.BlockID
 	// confirmed[b] is the set of nodes that actually hold block b
 	// according to block reports.
@@ -738,12 +745,11 @@ func (nn *NameNode) handleCreate(req *proto.Message) (*proto.Message, error) {
 	if minRacks > nn.cfg.Racks {
 		minRacks = nn.cfg.Racks
 	}
-	nn.files[req.Path] = &fileMeta{
+	nn.insertFileLocked(&fileMeta{
 		path:        req.Path,
-		lengths:     make(map[proto.BlockID]int),
 		replication: repl,
 		minRacks:    minRacks,
-	}
+	})
 	nn.markDirtyLocked()
 	return nil, nil
 }
@@ -797,7 +803,7 @@ func (nn *NameNode) handleAddBlock(req *proto.Message) (*proto.Message, error) {
 	}
 	nn.nextBlock++
 	f.blocks = append(f.blocks, proto.BlockID(id))
-	f.lengths[proto.BlockID(id)] = req.Length
+	f.lengths = append(f.lengths, req.Length)
 	nn.writing[proto.BlockID(id)] = nn.clock()
 	nn.markDirtyLocked()
 	pipeline := nn.addrsLocked(nn.placement.Replicas(id))
@@ -830,11 +836,11 @@ func (nn *NameNode) handleGetLocations(req *proto.Message) (*proto.Message, erro
 	}
 	now := nn.clock().UnixNano()
 	locs := make([]proto.BlockLocation, 0, len(f.blocks))
-	for _, b := range f.blocks {
+	for i, b := range f.blocks {
 		nn.monitor.Record(core.BlockID(b), now)
 		locs = append(locs, proto.BlockLocation{
 			Block:     b,
-			Length:    f.lengths[b],
+			Length:    f.lengths[i],
 			Addresses: nn.readAddrsLocked(b),
 		})
 	}
@@ -922,19 +928,39 @@ func (nn *NameNode) handleDelete(req *proto.Message) (*proto.Message, error) {
 		nn.tombstones[b] = true
 		nn.monitor.Forget(core.BlockID(b))
 	}
-	delete(nn.files, req.Path)
+	nn.removeFileLocked(req.Path)
 	nn.markDirtyLocked()
 	return nil, nil
 }
 
+// insertFileLocked adds f to the namespace: the map by path and the
+// path-ordered index at its binary-search position. The caller has
+// checked that the path is free.
+func (nn *NameNode) insertFileLocked(f *fileMeta) {
+	i, _ := slices.BinarySearchFunc(nn.order, f.path, comparePath)
+	nn.order = slices.Insert(nn.order, i, f)
+	nn.files[f.path] = f
+}
+
+// removeFileLocked drops path from the map and the path-ordered index.
+func (nn *NameNode) removeFileLocked(path string) {
+	if i, ok := slices.BinarySearchFunc(nn.order, path, comparePath); ok {
+		nn.order = slices.Delete(nn.order, i, i+1)
+	}
+	delete(nn.files, path)
+}
+
+func comparePath(f *fileMeta, path string) int { return strings.Compare(f.path, path) }
+
+// handleList replies with every file in path order: a walk of the
+// index, no sort.
 func (nn *NameNode) handleList() (*proto.Message, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	files := make([]proto.FileInfo, 0, len(nn.files))
-	for _, f := range nn.files {
-		files = append(files, nn.fileInfoLocked(f))
+	files := make([]proto.FileInfo, len(nn.order))
+	for i, f := range nn.order {
+		files[i] = nn.fileInfoLocked(f)
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].Path < files[j].Path })
 	return &proto.Message{Type: proto.MsgOK, Files: files}, nil
 }
 
@@ -951,8 +977,8 @@ func (nn *NameNode) handleStat(req *proto.Message) (*proto.Message, error) {
 
 func (nn *NameNode) fileInfoLocked(f *fileMeta) proto.FileInfo {
 	var length int64
-	for _, b := range f.blocks {
-		length += int64(f.lengths[b])
+	for _, n := range f.lengths {
+		length += int64(n)
 	}
 	return proto.FileInfo{
 		Path:        f.path,

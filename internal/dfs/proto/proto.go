@@ -202,7 +202,8 @@ type Message struct {
 	Blocks   []BlockID `json:"blocks,omitempty"`
 	Commands []Command `json:"commands,omitempty"`
 
-	// ListFiles / StatFile / ClusterInfo responses.
+	// ListFiles / StatFile / ClusterInfo responses. A ListFiles reply
+	// holds every file, in path order.
 	Files []FileInfo `json:"files,omitempty"`
 	Nodes []NodeInfo `json:"nodes,omitempty"`
 
