@@ -116,8 +116,11 @@ func replicatePhase(p *Placement, opts *OptimizerOptions, res *OptimizeResult) e
 		need int
 		heat float64
 	}
+	// Collected in ID order: floatEq is not transitive, so the sort's
+	// result depends on its input order.
 	var deficits []deficit
-	for id, target := range rf.Factors {
+	for _, id := range sortedTargetIDs(rf.Factors) {
+		target := rf.Factors[id]
 		cur := p.ReplicaCount(id)
 		if cur < target {
 			deficits = append(deficits, deficit{id: id, need: target - cur, heat: p.PerReplicaPopularity(id)})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -266,5 +267,39 @@ func TestOptimizeIdempotentWhenConverged(t *testing.T) {
 	}
 	if second.Search.Iterations != 0 {
 		t.Errorf("second period performed %d search ops", second.Search.Iterations)
+	}
+}
+
+// TestOptimizeDeterministicUnderNearTies pins Algorithm 3's replication
+// phase to its input, not to map iteration order. The popularities form
+// a chain in which neighbours are floatEq but the ends are not, so the
+// tolerance comparators are not transitive: a sort or heap fed in map
+// order would copy replicas in a run-dependent sequence.
+func TestOptimizeDeterministicUnderNearTies(t *testing.T) {
+	cl := mustCluster(t, 2, 4, 60)
+	const n = 48
+	specs := make([]BlockSpec, n)
+	for i := range specs {
+		specs[i] = spec(BlockID(i+1), 3*(1+float64(i)*0.7e-9), 2, 1)
+	}
+	base := rackRandomPlacement(t, cl, specs, rand.New(rand.NewPCG(34, 34)))
+	distinct := make(map[string]int)
+	for run := 0; run < 20; run++ {
+		p := base.Clone()
+		var log []byte
+		_, err := Optimize(p, OptimizerOptions{
+			RackAware:         true,
+			ReplicationBudget: 2*n + 12,
+			OnReplicate: func(id BlockID, src, dst topology.MachineID) {
+				log = fmt.Appendf(log, "%d:%d->%d ", id, src, dst)
+			},
+		})
+		if err != nil {
+			t.Fatalf("Optimize: %v", err)
+		}
+		distinct[string(log)]++
+	}
+	if len(distinct) != 1 {
+		t.Fatalf("20 identical runs produced %d distinct replication logs", len(distinct))
 	}
 }

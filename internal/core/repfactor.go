@@ -78,9 +78,12 @@ func ComputeReplicationFactors(specs []BlockSpec, budget, maxPerBlock, maxIterat
 	// Lazy heaps: entries are revalidated against the current factor on
 	// pop. inc orders blocks by P/k descending (who most deserves a new
 	// replica); dec orders blocks by P/(k-1) ascending (cheapest donor).
+	// Pushed in specs order: floatEq is not transitive, so the heap's pop
+	// order depends on its push order.
 	inc := &repHeap{max: true}
 	dec := &repHeap{max: false}
-	for id, k := range factors {
+	for _, s := range specs {
+		id, k := s.ID, factors[s.ID]
 		heap.Push(inc, repEntry{id: id, k: k, key: perReplica(pop[id], k)})
 		if k > low[id] {
 			heap.Push(dec, repEntry{id: id, k: k, key: perReplica(pop[id], k-1)})
