@@ -70,9 +70,9 @@ telemetry-smoke:
 	bash scripts/telemetry_smoke.sh
 
 # Run the seeded predictor scenario matrix twice and assert byte-identical
-# output and metric dumps, nonzero aurora_predictor_* telemetry, and that the seasonal
-# predictor's mean per-period SOL is strictly below reactive's on the
-# diurnal and flashcrowd scenarios. See DESIGN.md §17.
+# output and metric dumps, nonzero aurora_predictor_* telemetry, and that the ewma
+# and seasonal forecasters' mean per-period SOL are each strictly below
+# reactive's on the diurnal and flashcrowd scenarios. See DESIGN.md §17.
 scenario-smoke:
 	bash scripts/scenario_smoke.sh
 

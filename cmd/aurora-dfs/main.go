@@ -107,7 +107,7 @@ func runNameNode(args []string) error {
 		shards  = fs.Int("shards", 1, "partition the block map into this many hash shards; the optimizer runs one concurrent period per shard (1 = classic single-map namenode)")
 		fsimage = fs.String("fsimage", "", "metadata checkpoint path (load on start, save periodically and on shutdown)")
 		telem   = fs.String("telemetry-addr", "", "serve /metrics and pprof on this address (empty = off)")
-		pred    = fs.String("predictor", "", "popularity forecaster feeding the optimizer: historical | ewma | seasonal | ranker (empty = reactive window counts)")
+		pred    = fs.String("predictor", "", "popularity forecaster feeding the optimizer: ewma | seasonal (empty = reactive window counts)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -8,7 +8,7 @@
 //	aurora-sim -experiment fig4            # Case 2: BP-Rack
 //	aurora-sim -experiment fig5            # Case 3: BP-Replicate vs Scarlett
 //	aurora-sim -experiment all -scale paper -seed 7
-//	aurora-sim -experiment scenarios -scenarios diurnal,flashcrowd -predictors reactive,seasonal
+//	aurora-sim -experiment scenarios -scenarios diurnal,flashcrowd -predictors reactive,ewma,seasonal
 //
 // -scale default is a laptop-sized rendition of the paper's setup;
 // -scale paper uses the full 845-machine / 13-rack configuration (slow).
@@ -49,9 +49,9 @@ func run(args []string, out io.Writer) error {
 		files      = fs.Int("files", 0, "override file count (0 = scale default)")
 		jobsPerHr  = fs.Float64("jobs-per-hour", 0, "override job arrival rate (0 = scale default)")
 		shards     = fs.Int("shards", 1, "shard the Aurora policy's block map; each epoch optimizes shards concurrently (1 = unsharded)")
-		predictor  = fs.String("predictor", "", "popularity forecaster for the figure experiments: historical | ewma | seasonal | ranker (empty = reactive window counts)")
+		predictor  = fs.String("predictor", "", "popularity forecaster for the figure experiments: ewma | seasonal (empty = reactive window counts)")
 		scenarios  = fs.String("scenarios", "", "comma-separated scenario list for -experiment scenarios (empty = all: "+strings.Join(trace.ScenarioNames(), ",")+")")
-		predictors = fs.String("predictors", "", "comma-separated predictor list for -experiment scenarios, may include \"reactive\" (empty = reactive,seasonal,ranker)")
+		predictors = fs.String("predictors", "", "comma-separated predictor list for -experiment scenarios, may include \"reactive\" (empty = reactive,ewma,seasonal)")
 		periodHrs  = fs.Int("period-hours", 0, "scenario repeat period and seasonal season length in hours (0 = default)")
 		metricsOut = fs.String("metrics-out", "", "write the scenario matrix's telemetry (aurora_predictor_*) to this file in Prometheus text format")
 		timing     = fs.Bool("timing", true, "print wall-clock timing lines (disable for byte-identical output across runs)")

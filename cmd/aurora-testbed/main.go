@@ -37,7 +37,7 @@ func run(args []string) error {
 		faultSeed = fs.Uint64("fault-seed", 1, `seed for -fault-schedule=random`)
 		telemAddr = fs.String("telemetry-addr", "", "serve /metrics and pprof on this address for the duration of the run (empty = off, port 0 = pick a free port)")
 		linger    = fs.Duration("telemetry-linger", 0, "keep the telemetry endpoint up this long after the run finishes (so one-shot scrapers can read final metrics)")
-		predictor = fs.String("predictor", "", "namenode popularity forecaster: historical | ewma | seasonal | ranker (empty = reactive window counts)")
+		predictor = fs.String("predictor", "", "namenode popularity forecaster: ewma | seasonal (empty = reactive window counts)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

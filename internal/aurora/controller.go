@@ -180,7 +180,7 @@ func (c *Controller) record(res core.OptimizeResult, err error) {
 // reads no clock and takes no lock: the caller serializes Apply with
 // every other writer of the placement. The zero Forecaster is reactive.
 type Forecaster struct {
-	pred popularity.Predictor[core.BlockID] // nil when reactive
+	pred *popularity.Seasonal[core.BlockID] // nil when reactive
 	last map[core.BlockID]float64           // the forecast the next window scores
 }
 
@@ -193,8 +193,8 @@ type Score struct {
 	Scored    bool
 }
 
-// NewForecaster builds a forecaster by predictor name: one of
-// popularity.Names(), or a reactive name (see popularity.IsReactive).
+// NewForecaster builds a forecaster by predictor name: "ewma",
+// "seasonal", or a reactive name (see popularity.New and IsReactive).
 func NewForecaster(name string, opts popularity.PredictorOptions) (*Forecaster, error) {
 	if popularity.IsReactive(name) {
 		return &Forecaster{}, nil

@@ -129,8 +129,8 @@ type Config struct {
 	// the persisted placement.
 	Shards int
 	// Predictor selects the popularity forecaster the optimizer runs
-	// under: one of popularity.Names(), or a reactive name ("",
-	// "reactive") for raw window counts. Per-period prediction-error
+	// under: "ewma" or "seasonal" (see popularity.New), or "" /
+	// "reactive" for raw window counts. Per-period prediction-error
 	// series are exported as aurora_predictor_* metrics.
 	Predictor string
 }

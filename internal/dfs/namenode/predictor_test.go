@@ -161,10 +161,10 @@ func TestNameNodePredictorWiring(t *testing.T) {
 
 // Shards split the block map and the optimizer, not the monitor or the
 // forecaster: the same reads must give every block bit-identical
-// popularity at any shard count. A namenode that trained one ranker per
-// shard forecast from a model fitted to its shard's keys only.
+// popularity at any shard count: one forecaster per namenode, never one
+// per shard fed only its shard's keys.
 func TestForecastIndependentOfShardCount(t *testing.T) {
-	for _, predictor := range []string{"ranker", "seasonal"} {
+	for _, predictor := range []string{"ewma", "seasonal"} {
 		one := startForecastCluster(t, 1, predictor, 24)
 		four := startForecastCluster(t, 4, predictor, 24)
 		for p := 0; p < 4; p++ {

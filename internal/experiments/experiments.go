@@ -73,7 +73,8 @@ type Setup struct {
 	// Baseline policies are unaffected.
 	Shards int
 	// Predictor selects the popularity forecaster every row runs under
-	// (see popularity.Names); empty/reactive keeps raw window counts.
+	// ("ewma" or "seasonal", see popularity.New); empty/reactive keeps
+	// raw window counts.
 	Predictor string
 }
 

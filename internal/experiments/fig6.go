@@ -62,7 +62,8 @@ type TestbedSetup struct {
 	// then runs one optimizer period per shard concurrently.
 	Shards int
 	// Predictor selects each system's namenode popularity forecaster
-	// (see popularity.Names); empty/reactive keeps raw window counts.
+	// ("ewma" or "seasonal", see popularity.New); empty/reactive keeps
+	// raw window counts.
 	Predictor string
 }
 

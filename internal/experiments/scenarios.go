@@ -79,7 +79,7 @@ func DefaultScenarioSetup(seed uint64) ScenarioSetup {
 		BudgetExtraBlocks:   1200,
 		MaxSearchIterations: 50000,
 		Scenarios:           trace.ScenarioNames(),
-		Predictors:          []string{ReactiveName, popularity.NameSeasonal, popularity.NameRanker},
+		Predictors:          []string{ReactiveName, popularity.NameEWMA, popularity.NameSeasonal},
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package popularity implements Aurora's usage monitor: per-block access
-// counting over a sliding time window W, plus simple popularity
-// predictors.
+// counting over a sliding time window W, plus the forecaster that turns
+// one window into the next period's predicted popularity.
 //
 // Following Section V of the paper, block popularity is "the number of
 // accesses of a block within a sliding time window W". The monitor tracks
@@ -234,106 +234,3 @@ func (c *cell) sumAt(to int64, numBuckets int) int64 {
 	}
 	return total
 }
-
-// Predictor forecasts next-period popularity from observed snapshots. The
-// paper found historical values sufficient ("we found using the
-// historical value is sufficient"), so Historical is the default; EWMA is
-// provided for smoother workloads.
-type Predictor[K comparable] interface {
-	// Observe feeds the popularity snapshot for the period that just
-	// ended.
-	Observe(snapshot map[K]int64)
-	// Predict returns the forecast popularity for every known key.
-	Predict() map[K]float64
-}
-
-// Historical predicts next-period popularity as exactly the last observed
-// value.
-type Historical[K comparable] struct {
-	last map[K]int64
-}
-
-// NewHistorical creates a Historical predictor.
-func NewHistorical[K comparable]() *Historical[K] {
-	return &Historical[K]{last: make(map[K]int64)}
-}
-
-// Observe implements Predictor.
-func (h *Historical[K]) Observe(snapshot map[K]int64) {
-	h.last = make(map[K]int64, len(snapshot))
-	for k, v := range snapshot {
-		h.last[k] = v
-	}
-}
-
-// Predict implements Predictor.
-func (h *Historical[K]) Predict() map[K]float64 {
-	out := make(map[K]float64, len(h.last))
-	for k, v := range h.last {
-		out[k] = float64(v)
-	}
-	return out
-}
-
-// EWMA predicts popularity with an exponentially weighted moving average:
-// p <- alpha*observed + (1-alpha)*p. Keys absent from a snapshot decay
-// toward zero and are dropped below a small threshold.
-type EWMA[K comparable] struct {
-	alpha float64
-	est   map[K]float64
-}
-
-// NewEWMA creates an EWMA predictor; alpha must be in (0, 1].
-func NewEWMA[K comparable](alpha float64) (*EWMA[K], error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("popularity: alpha %v out of (0,1]", alpha)
-	}
-	return &EWMA[K]{alpha: alpha, est: make(map[K]float64)}, nil
-}
-
-// Observe implements Predictor.
-func (e *EWMA[K]) Observe(snapshot map[K]int64) {
-	const epsilon = 1e-6
-	for k, est := range e.est {
-		obs := float64(snapshot[k]) // zero if absent
-		next := e.alpha*obs + (1-e.alpha)*est
-		if next < epsilon {
-			delete(e.est, k)
-			continue
-		}
-		e.est[k] = next
-	}
-	for k, v := range snapshot {
-		if _, ok := e.est[k]; !ok {
-			// First observation: seed the estimate at the observed value
-			// itself. Seeding at alpha*v (the recurrence with an implicit
-			// prior of 0) underestimates a brand-new hot key by 1/alpha
-			// for the first ~1/alpha periods — exactly the flash-crowd
-			// onset prediction exists to catch. The observed value is the
-			// best available estimate when there is no history at all;
-			// the recurrence takes over from the second observation.
-			e.est[k] = float64(v)
-		}
-	}
-}
-
-// Len reports the number of keys currently estimated. It is the
-// observable for the bounded-memory guarantee: keys absent from
-// snapshots decay toward zero and are dropped below a small threshold,
-// so the estimate map tracks the live working set instead of every key
-// ever observed.
-func (e *EWMA[K]) Len() int { return len(e.est) }
-
-// Predict implements Predictor.
-func (e *EWMA[K]) Predict() map[K]float64 {
-	out := make(map[K]float64, len(e.est))
-	for k, v := range e.est {
-		out[k] = v
-	}
-	return out
-}
-
-var (
-	_ Predictor[int] = (*Historical[int])(nil)
-	_ Predictor[int] = (*EWMA[int])(nil)
-)

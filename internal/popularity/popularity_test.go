@@ -186,41 +186,26 @@ func TestPopularityBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestHistoricalPredictor(t *testing.T) {
-	h := NewHistorical[string]()
-	if got := h.Predict(); len(got) != 0 {
-		t.Errorf("Predict before Observe = %v, want empty", got)
+// mustEWMA builds the "ewma" forecaster: the one-phase Seasonal.
+func mustEWMA[K comparable](t *testing.T, alpha float64) *Seasonal[K] {
+	t.Helper()
+	e, err := New[K](NameEWMA, PredictorOptions{Alpha: alpha})
+	if err != nil {
+		t.Fatalf("New(ewma): %v", err)
 	}
-	h.Observe(map[string]int64{"a": 10, "b": 3})
-	got := h.Predict()
-	if got["a"] != 10 || got["b"] != 3 {
-		t.Errorf("Predict = %v, want a:10 b:3", got)
-	}
-	// New observation replaces, not merges.
-	h.Observe(map[string]int64{"a": 4})
-	got = h.Predict()
-	if got["a"] != 4 {
-		t.Errorf("Predict[a] = %v, want 4", got["a"])
-	}
-	if _, ok := got["b"]; ok {
-		t.Errorf("Predict retained stale key b: %v", got)
-	}
+	return e
 }
 
 func TestEWMAErrors(t *testing.T) {
-	if _, err := NewEWMA[int](0); err == nil {
-		t.Error("alpha=0 accepted")
-	}
-	if _, err := NewEWMA[int](1.5); err == nil {
-		t.Error("alpha=1.5 accepted")
+	for _, alpha := range []float64{-0.5, 1.5} {
+		if _, err := New[int](NameEWMA, PredictorOptions{Alpha: alpha}); err == nil {
+			t.Errorf("alpha=%v accepted", alpha)
+		}
 	}
 }
 
 func TestEWMAConvergesToConstant(t *testing.T) {
-	e, err := NewEWMA[string](0.5)
-	if err != nil {
-		t.Fatalf("NewEWMA: %v", err)
-	}
+	e := mustEWMA[string](t, 0.5)
 	for i := 0; i < 30; i++ {
 		e.Observe(map[string]int64{"a": 100})
 	}
@@ -231,10 +216,7 @@ func TestEWMAConvergesToConstant(t *testing.T) {
 }
 
 func TestEWMADecaysAbsentKeys(t *testing.T) {
-	e, err := NewEWMA[string](0.5)
-	if err != nil {
-		t.Fatalf("NewEWMA: %v", err)
-	}
+	e := mustEWMA[string](t, 0.5)
 	e.Observe(map[string]int64{"a": 8})
 	for i := 0; i < 50; i++ {
 		e.Observe(map[string]int64{})
@@ -245,10 +227,7 @@ func TestEWMADecaysAbsentKeys(t *testing.T) {
 }
 
 func TestEWMAOfAlphaOneTracksExactly(t *testing.T) {
-	e, err := NewEWMA[string](1)
-	if err != nil {
-		t.Fatalf("NewEWMA: %v", err)
-	}
+	e := mustEWMA[string](t, 1)
 	e.Observe(map[string]int64{"a": 5})
 	e.Observe(map[string]int64{"a": 9})
 	if got := e.Predict()["a"]; got != 9 {
@@ -261,10 +240,7 @@ func TestEWMAOfAlphaOneTracksExactly(t *testing.T) {
 // estimate map shrinks back to the live working set instead of retaining
 // every key ever observed.
 func TestEWMAMapShrinksAfterKeysDisappear(t *testing.T) {
-	e, err := NewEWMA[int](0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := mustEWMA[int](t, 0.5)
 	wide := make(map[int]int64, 200)
 	for i := 0; i < 200; i++ {
 		wide[i] = 10

@@ -14,10 +14,7 @@ import (
 // keys by 1/alpha for ~1/alpha periods.
 func TestEWMAColdStartReachesSteadyStateInOneObservation(t *testing.T) {
 	const alpha = 0.25
-	e, err := NewEWMA[string](alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := mustEWMA[string](t, alpha)
 	e.Observe(map[string]int64{"new-hot": 400})
 	first := e.Predict()["new-hot"]
 	if math.Abs(first-400) > 1e-9 {
@@ -265,33 +262,68 @@ func TestMonitorMatchesReferenceModel(t *testing.T) {
 }
 
 func TestPredictorRegistry(t *testing.T) {
-	for _, name := range Names() {
+	for _, name := range []string{NameEWMA, NameSeasonal, "SEASONAL", " ewma "} {
 		p, err := New[int](name, PredictorOptions{})
 		if err != nil || p == nil {
 			t.Errorf("New(%q) = %v, %v", name, p, err)
 		}
+		if IsReactive(name) {
+			t.Errorf("IsReactive(%q) = true, want false", name)
+		}
 	}
-	if _, err := New[int]("SEASONAL", PredictorOptions{}); err != nil {
-		t.Errorf("case-insensitive lookup failed: %v", err)
+	// The rejected forecasters and the retired reactive spellings.
+	for _, name := range []string{"bogus", "ranker", "historical", "none", "off"} {
+		if _, err := New[int](name, PredictorOptions{}); err == nil {
+			t.Errorf("New(%q) accepted", name)
+		}
+		if IsReactive(name) {
+			t.Errorf("IsReactive(%q) = true, want false", name)
+		}
 	}
-	if _, err := New[int]("bogus", PredictorOptions{}); err == nil {
-		t.Error("unknown predictor accepted")
-	}
-	for _, name := range []string{"", "reactive", "none", "off", "Reactive"} {
+	for _, name := range []string{"", "reactive", "Reactive"} {
 		if !IsReactive(name) {
 			t.Errorf("IsReactive(%q) = false, want true", name)
 		}
 	}
-	for _, name := range Names() {
-		if IsReactive(name) {
-			t.Errorf("IsReactive(%q) = true, want false", name)
+}
+
+// "ewma" is the one-phase Seasonal, and that must be the plain EWMA bit
+// for bit: level p <- alpha*obs + (1-alpha)*p, seeded at the first
+// observation, dropped below 1e-6.
+func TestEWMAMatchesRecurrence(t *testing.T) {
+	const alpha = 0.3
+	e := mustEWMA[int](t, alpha)
+	ref := map[int]float64{}
+	rng := rand.New(rand.NewPCG(7, 7))
+	for tick := 0; tick < 200; tick++ {
+		snap := map[int]int64{}
+		for k := 0; k < 30; k++ {
+			if rng.IntN(3) == 0 {
+				snap[k] = 1 + rng.Int64N(1000)
+			}
+		}
+		for k, p := range ref {
+			if next := alpha*float64(snap[k]) + (1-alpha)*p; next < 1e-6 {
+				delete(ref, k)
+			} else {
+				ref[k] = next
+			}
+		}
+		for k, v := range snap {
+			if _, ok := ref[k]; !ok {
+				ref[k] = float64(v)
+			}
+		}
+		e.Observe(snap)
+		if got := e.Predict(); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("tick %d: ewma forecast %v, want recurrence %v", tick, got, ref)
 		}
 	}
 }
 
 func TestSeasonalErrors(t *testing.T) {
-	if _, err := NewSeasonal[int](1, 0.5); err == nil {
-		t.Error("season=1 accepted")
+	if _, err := NewSeasonal[int](0, 0.5); err == nil {
+		t.Error("season=0 accepted")
 	}
 	if _, err := NewSeasonal[int](24, 0); err == nil {
 		t.Error("alpha=0 accepted")
@@ -312,10 +344,7 @@ func TestSeasonalLearnsSquareWaveAndBeatsEWMA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ew, err := NewEWMA[string](0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ew := mustEWMA[string](t, 0.5)
 	val := func(tick int) int64 {
 		if tick%season < season/2 {
 			return hi
@@ -370,94 +399,6 @@ func TestSeasonalDropsDecayedKeys(t *testing.T) {
 	}
 	if got := s.Len(); got != 0 {
 		t.Fatalf("Len after decay = %d, want 0", got)
-	}
-}
-
-func TestRankerErrors(t *testing.T) {
-	if _, err := NewRanker[int](0); err == nil {
-		t.Error("lr=0 accepted")
-	}
-	if _, err := NewRanker[int](2); err == nil {
-		t.Error("lr=2 accepted")
-	}
-}
-
-// Before any training the ranker starts as the Historical predictor.
-func TestRankerStartsAsHistorical(t *testing.T) {
-	r, err := NewRanker[string](0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Observe(map[string]int64{"a": 12, "b": 3})
-	got := r.Predict()
-	if got["a"] != 12 || got["b"] != 3 {
-		t.Fatalf("initial Predict = %v, want a:12 b:3", got)
-	}
-}
-
-// On a linear ramp the ranker must learn a positive delta weight and
-// forecast ahead of the last value, beating Historical's one-period lag.
-func TestRankerLearnsRisingTrend(t *testing.T) {
-	r, err := NewRanker[string](0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tick := 0; tick < 200; tick++ {
-		r.Observe(map[string]int64{"k": int64(10 + 5*tick)})
-	}
-	last := float64(10 + 5*199)
-	next := last + 5
-	got := r.Predict()["k"]
-	histErr := math.Abs(last - next)  // Historical always lags by one step
-	rankErr := math.Abs(got - next)
-	if rankErr >= histErr {
-		t.Fatalf("ranker forecast %v (err %v) no better than historical (err %v) on a ramp", got, rankErr, histErr)
-	}
-}
-
-// Determinism: two rankers fed the same snapshots (built in different
-// map insertion orders) must end with identical weights and forecasts.
-func TestRankerDeterministic(t *testing.T) {
-	build := func(reverse bool) *Ranker[int] {
-		r, err := NewRanker[int](0.15)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for tick := 0; tick < 60; tick++ {
-			snap := map[int]int64{}
-			if reverse {
-				for k := 19; k >= 0; k-- {
-					snap[k] = int64((k*7+tick*3)%50 + 1)
-				}
-			} else {
-				for k := 0; k < 20; k++ {
-					snap[k] = int64((k*7+tick*3)%50 + 1)
-				}
-			}
-			r.Observe(snap)
-		}
-		return r
-	}
-	a, b := build(false), build(true)
-	if !reflect.DeepEqual(a.Weights(), b.Weights()) {
-		t.Fatalf("weights diverged: %v vs %v", a.Weights(), b.Weights())
-	}
-	if !reflect.DeepEqual(a.Predict(), b.Predict()) {
-		t.Fatal("forecasts diverged for identical observation sequences")
-	}
-}
-
-func TestRankerDropsDeadKeys(t *testing.T) {
-	r, err := NewRanker[int](0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Observe(map[int]int64{1: 10, 2: 20})
-	for i := 0; i < rankerHist + 1; i++ {
-		r.Observe(map[int]int64{2: 20})
-	}
-	if got := r.Len(); got != 1 {
-		t.Fatalf("Len = %d, want 1 (dead key kept)", got)
 	}
 }
 

@@ -20,7 +20,7 @@ func scenarioTrace(t *testing.T, name string, seed uint64) *trace.Trace {
 	return tr
 }
 
-// Every registered predictor (plus the reactive baseline) must drive a
+// Every forecaster (plus the reactive baseline) must drive a
 // full run to completion with identical task totals — forecasting only
 // moves replicas, it never gains or loses work.
 func TestRunWithEachPredictor(t *testing.T) {
@@ -34,7 +34,7 @@ func TestRunWithEachPredictor(t *testing.T) {
 	if base.Predictor != "reactive" {
 		t.Errorf("Predictor = %q, want reactive", base.Predictor)
 	}
-	for _, name := range popularity.Names() {
+	for _, name := range []string{popularity.NameEWMA, popularity.NameSeasonal} {
 		res, err := Run(Config{
 			Cluster: cl, Trace: tr, Policy: auroraPolicy(budget),
 			Predictor: name, PredictorSeason: 4,
@@ -64,11 +64,12 @@ func TestRunWithEachPredictor(t *testing.T) {
 func TestRunRejectsUnknownPredictor(t *testing.T) {
 	cl := smallCluster(t)
 	tr := smallTrace(t, 9, 20, 3, 60)
-	_, err := Run(Config{Cluster: cl, Trace: tr, Policy: auroraPolicy(tr.NumBlocks()*3), Predictor: "bogus"})
-	if err == nil {
-		t.Fatal("unknown predictor accepted")
+	for _, name := range []string{"bogus", "ranker", "historical", "none", "off"} {
+		if _, err := Run(Config{Cluster: cl, Trace: tr, Policy: auroraPolicy(tr.NumBlocks() * 3), Predictor: name}); err == nil {
+			t.Errorf("predictor %q accepted", name)
+		}
 	}
-	if _, err := Run(Config{Cluster: cl, Trace: tr, Policy: auroraPolicy(tr.NumBlocks()*3), PredictorSeason: -1}); !errors.Is(err, ErrBadSimConfig) {
+	if _, err := Run(Config{Cluster: cl, Trace: tr, Policy: auroraPolicy(tr.NumBlocks() * 3), PredictorSeason: -1}); !errors.Is(err, ErrBadSimConfig) {
 		t.Errorf("PredictorSeason=-1 err = %v, want ErrBadSimConfig", err)
 	}
 }

@@ -34,8 +34,8 @@ type Config struct {
 	RackLocalSlowdown float64
 	RemoteSlowdown    float64
 	// Predictor selects the popularity forecaster fed to the policy at
-	// each Algorithm-5 period: one of popularity.Names(), or a reactive
-	// name ("", "reactive", ...) for raw window counts.
+	// each Algorithm-5 period: "ewma" or "seasonal" (see popularity.New),
+	// or "" / "reactive" for raw window counts.
 	Predictor string
 	// PredictorSeason is the seasonal predictor's season length in
 	// epochs (0 = popularity default of 24). Set it to the workload's

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # scenario_smoke.sh — CI smoke test for the predictor scenario matrix.
 #
-# Runs the seeded flashcrowd+diurnal sweep (reactive vs seasonal) twice
-# and asserts three things:
+# Runs the seeded flashcrowd+diurnal sweep (reactive vs ewma vs seasonal)
+# twice and asserts three things:
 #   1. determinism — the two runs' stdout and metric dumps are
 #      byte-identical;
 #   2. telemetry  — the exported aurora_predictor_* series are present
 #      and nonzero in the Prometheus dump;
-#   3. the paper claim — the seasonal predictor's mean per-period SOL is
-#      STRICTLY lower than reactive's on both scenarios.
+#   3. the paper claim — each forecaster's (ewma's and seasonal's) mean
+#      per-period SOL is STRICTLY lower than reactive's on both scenarios.
 # See DESIGN.md §17 and `make scenario-smoke`.
 set -euo pipefail
 
@@ -27,7 +27,7 @@ go build -o "$bin" ./cmd/aurora-sim
 run_matrix() {
     "$bin" -experiment scenarios \
         -scenarios diurnal,flashcrowd \
-        -predictors reactive,seasonal \
+        -predictors reactive,ewma,seasonal \
         -seed 42 -files 60 -hours 24 -jobs-per-hour 600 -period-hours 6 \
         -metrics-out "$1"
 }
@@ -62,18 +62,20 @@ awk '/^aurora_predictor_wae\{/ { if ($NF + 0 > 0) found = 1 } END { exit !found 
 grep -q '^aurora_predictor_topk_overlap{' "$dir/metrics1.prom" \
     || fail "aurora_predictor_topk_overlap missing from metrics dump"
 
-# 3. Seasonal strictly beats reactive mean SOL on both scenarios.
+# 3. Each forecaster strictly beats reactive mean SOL on both scenarios.
 sol() {
     sed -n "s/^cell scenario=$1 predictor=$2 mean_sol=\([0-9.]*\).*/\1/p" "$dir/run1.txt"
 }
 for scenario in diurnal flashcrowd; do
     reactive=$(sol "$scenario" reactive)
-    seasonal=$(sol "$scenario" seasonal)
-    [ -n "$reactive" ] && [ -n "$seasonal" ] \
-        || fail "missing cell line for scenario $scenario"
-    awk -v s="$seasonal" -v r="$reactive" 'BEGIN { exit !(s + 0 < r + 0) }' \
-        || fail "$scenario: seasonal mean SOL $seasonal not strictly below reactive $reactive"
-    echo "scenario-smoke: $scenario seasonal SOL $seasonal < reactive $reactive"
+    [ -n "$reactive" ] || fail "missing reactive cell line for scenario $scenario"
+    for predictor in ewma seasonal; do
+        got=$(sol "$scenario" "$predictor")
+        [ -n "$got" ] || fail "missing $predictor cell line for scenario $scenario"
+        awk -v s="$got" -v r="$reactive" 'BEGIN { exit !(s + 0 < r + 0) }' \
+            || fail "$scenario: $predictor mean SOL $got not strictly below reactive $reactive"
+        echo "scenario-smoke: $scenario $predictor SOL $got < reactive $reactive"
+    done
 done
 
-echo "scenario-smoke: OK — deterministic matrix, nonzero predictor telemetry, seasonal beats reactive"
+echo "scenario-smoke: OK — deterministic matrix, nonzero predictor telemetry, ewma and seasonal beat reactive"
