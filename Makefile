@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race bench bench-check chaos fuzz-smoke telemetry-smoke scenario-smoke bench-e2e bench-smoke-e2e ci
+.PHONY: all build test vet lint race bench bench-check chaos fuzz-smoke telemetry-smoke scenario-smoke bench-e2e bench-smoke-e2e loc ci
 
 # Hot-path benchmarks recorded by `make bench` (see README.md,
 # "Benchmark ledger"). BENCH_LABEL picks the ledger column. The metrics
@@ -106,5 +106,12 @@ bench-e2e:
 # failed operation (scripts/e2e_smoke.sh, DESIGN.md §15.7).
 bench-smoke-e2e:
 	bash scripts/e2e_smoke.sh
+
+# Go line counts, non-test then _test.go, outside bench/ and testdata/:
+# the ruler behind ROADMAP.md's "Size" figures.
+LOC_FIND = find . -name '*.go' -not -path './bench/*' -not -path '*/testdata/*'
+loc:
+	@echo "non-test $$($(LOC_FIND) -not -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "test     $$($(LOC_FIND) -name '*_test.go' -exec cat {} + | wc -l)"
 
 ci: build lint test race

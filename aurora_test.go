@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aurora"
+	"aurora/internal/dfs"
 )
 
 // TestPublicAPIAlgorithms walks the algorithm layer exactly as the
@@ -111,34 +112,21 @@ func TestPublicAPIController(t *testing.T) {
 
 // TestPublicAPIFileSystem drives the DFS layer end to end.
 func TestPublicAPIFileSystem(t *testing.T) {
-	nn, err := aurora.StartNameNode(aurora.NameNodeConfig{
-		ExpectedNodes:     4,
-		Racks:             2,
-		BlockSize:         1 << 12,
-		ReconcileInterval: 25 * time.Millisecond,
-		Placer:            aurora.AuroraPlacer{},
+	cl, err := dfs.Start(dfs.Spec{
+		Nodes: 4,
+		NameNode: aurora.NameNodeConfig{
+			Racks:             2,
+			BlockSize:         1 << 12,
+			ReconcileInterval: 25 * time.Millisecond,
+			Placer:            aurora.AuroraPlacer{},
+		},
+		DataNode: aurora.DataNodeConfig{CapacityBlocks: 128, HeartbeatInterval: 50 * time.Millisecond},
 	})
 	if err != nil {
-		t.Fatalf("StartNameNode: %v", err)
+		t.Fatalf("dfs.Start: %v", err)
 	}
-	defer nn.Close()
-	var dns []*aurora.DataNode
-	for i := 0; i < 4; i++ {
-		dn, err := aurora.StartDataNode(aurora.DataNodeConfig{
-			NameNodeAddr:      nn.Addr(),
-			Rack:              i % 2,
-			CapacityBlocks:    128,
-			HeartbeatInterval: 50 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("StartDataNode: %v", err)
-		}
-		defer dn.Close()
-		dns = append(dns, dn)
-	}
-	if err := nn.WaitReady(5 * time.Second); err != nil {
-		t.Fatalf("WaitReady: %v", err)
-	}
+	defer cl.Close()
+	nn := cl.NameNode
 	c := aurora.NewFSClient(nn.Addr(), aurora.WithBlockSize(1<<12), aurora.WithClientSeed(1))
 	data := bytes.Repeat([]byte("aurora"), 1000)
 	if err := c.Create("/pub", data, 3); err != nil {

@@ -17,6 +17,7 @@ import (
 	"aurora"
 	"aurora/internal/baseline"
 	"aurora/internal/core"
+	"aurora/internal/dfs"
 	"aurora/internal/dfs/proto"
 	"aurora/internal/experiments"
 	"aurora/internal/popularity"
@@ -556,34 +557,25 @@ func BenchmarkTraceGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkDFSWriteRead measures the mini-DFS data path: a 16-block file
-// written through replication pipelines and read back, over real TCP.
-func BenchmarkDFSWriteRead(b *testing.B) {
-	nn, err := aurora.StartNameNode(aurora.NameNodeConfig{
-		ExpectedNodes:     4,
-		Racks:             2,
-		BlockSize:         64 << 10,
-		ReconcileInterval: 50 * time.Millisecond,
+// startBenchCluster boots the data-path benchmarks' loopback cluster:
+// 4 datanodes over 2 racks. It closes when the benchmark run ends.
+func startBenchCluster(b *testing.B, blockSize int) *aurora.NameNode {
+	c, err := dfs.Start(dfs.Spec{
+		Nodes:    4,
+		NameNode: aurora.NameNodeConfig{Racks: 2, BlockSize: blockSize, ReconcileInterval: 50 * time.Millisecond},
+		DataNode: aurora.DataNodeConfig{CapacityBlocks: 4096, HeartbeatInterval: 100 * time.Millisecond},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer nn.Close()
-	for i := 0; i < 4; i++ {
-		dn, err := aurora.StartDataNode(aurora.DataNodeConfig{
-			NameNodeAddr:      nn.Addr(),
-			Rack:              i % 2,
-			CapacityBlocks:    4096,
-			HeartbeatInterval: 100 * time.Millisecond,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer dn.Close()
-	}
-	if err := nn.WaitReady(5 * time.Second); err != nil {
-		b.Fatal(err)
-	}
+	b.Cleanup(func() { _ = c.Close() })
+	return c.NameNode
+}
+
+// BenchmarkDFSWriteRead measures the mini-DFS data path: a 16-block file
+// written through replication pipelines and read back, over real TCP.
+func BenchmarkDFSWriteRead(b *testing.B) {
+	nn := startBenchCluster(b, 64<<10)
 	c := aurora.NewFSClient(nn.Addr(), aurora.WithBlockSize(64<<10), aurora.WithClientSeed(1))
 	data := make([]byte, 16*(64<<10))
 	for i := range data {
@@ -613,31 +605,7 @@ func BenchmarkDFSWriteRead(b *testing.B) {
 // of read-ahead. The MB/s figure is the headline; allocs/op rides the
 // ratchet so the per-chunk framing stays allocation-lean.
 func BenchmarkDataPathThroughput(b *testing.B) {
-	nn, err := aurora.StartNameNode(aurora.NameNodeConfig{
-		ExpectedNodes:     4,
-		Racks:             2,
-		BlockSize:         256 << 10,
-		ReconcileInterval: 50 * time.Millisecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer nn.Close()
-	for i := 0; i < 4; i++ {
-		dn, err := aurora.StartDataNode(aurora.DataNodeConfig{
-			NameNodeAddr:      nn.Addr(),
-			Rack:              i % 2,
-			CapacityBlocks:    4096,
-			HeartbeatInterval: 100 * time.Millisecond,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer dn.Close()
-	}
-	if err := nn.WaitReady(5 * time.Second); err != nil {
-		b.Fatal(err)
-	}
+	nn := startBenchCluster(b, 256<<10)
 	c := aurora.NewFSClient(nn.Addr(),
 		aurora.WithBlockSize(256<<10),
 		aurora.WithClientSeed(1),

@@ -142,16 +142,9 @@ func runNameNode(args []string) error {
 
 	var ctl *aurora.Controller
 	if *optim > 0 {
-		opts := aurora.OptimizerOptions{Epsilon: *epsilon, RackAware: true}
-		if *extra > 0 {
-			// The budget is resolved lazily per period against the
-			// current dataset by wrapping the target.
-			opts.ReplicationBudget = -1 // sentinel replaced below
-		}
-		target := budgetTarget{nn: nn, extra: *extra, base: opts}
-		ctl, err = aurora.NewController(target, aurora.ControllerConfig{
+		ctl, err = aurora.NewController(budgetTarget{nn: nn, extra: *extra}, aurora.ControllerConfig{
 			Period:  *optim,
-			Options: opts,
+			Options: aurora.OptimizerOptions{Epsilon: *epsilon, RackAware: true},
 			OnPeriod: func(res aurora.OptimizeResult, err error) {
 				if err != nil {
 					fmt.Printf("optimize: %v\n", err)
@@ -180,7 +173,6 @@ func runNameNode(args []string) error {
 type budgetTarget struct {
 	nn    *aurora.NameNode
 	extra int
-	base  aurora.OptimizerOptions
 }
 
 func (t budgetTarget) OptimizeNow(opts aurora.OptimizerOptions) (aurora.OptimizeResult, error) {

@@ -8,39 +8,28 @@ import (
 	"time"
 
 	"aurora"
+	"aurora/internal/dfs"
 )
 
 // startTestCluster brings up an in-process namenode plus datanodes so
 // the CLI client subcommands can be exercised end to end.
 func startTestCluster(t *testing.T, nodes int) *aurora.NameNode {
 	t.Helper()
-	nn, err := aurora.StartNameNode(aurora.NameNodeConfig{
-		ExpectedNodes:     nodes,
-		Racks:             2,
-		BlockSize:         1 << 12,
-		ReconcileInterval: 25 * time.Millisecond,
-		Placer:            aurora.AuroraPlacer{},
+	c, err := dfs.Start(dfs.Spec{
+		Nodes: nodes,
+		NameNode: aurora.NameNodeConfig{
+			Racks:             2,
+			BlockSize:         1 << 12,
+			ReconcileInterval: 25 * time.Millisecond,
+			Placer:            aurora.AuroraPlacer{},
+		},
+		DataNode: aurora.DataNodeConfig{CapacityBlocks: 128, HeartbeatInterval: 50 * time.Millisecond},
 	})
 	if err != nil {
-		t.Fatalf("StartNameNode: %v", err)
+		t.Fatalf("dfs.Start: %v", err)
 	}
-	t.Cleanup(func() { _ = nn.Close() })
-	for i := 0; i < nodes; i++ {
-		dn, err := aurora.StartDataNode(aurora.DataNodeConfig{
-			NameNodeAddr:      nn.Addr(),
-			Rack:              i % 2,
-			CapacityBlocks:    128,
-			HeartbeatInterval: 50 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("StartDataNode: %v", err)
-		}
-		t.Cleanup(func() { _ = dn.Close() })
-	}
-	if err := nn.WaitReady(5 * time.Second); err != nil {
-		t.Fatalf("WaitReady: %v", err)
-	}
-	return nn
+	t.Cleanup(func() { _ = c.Close() })
+	return c.NameNode
 }
 
 func TestCLIPutGetLsStatRm(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"aurora"
+	"aurora/internal/dfs"
 )
 
 // ExampleOptimize runs one full Algorithm 5 period over a small skewed
@@ -45,39 +46,15 @@ func ExampleOptimize() {
 // exampleCluster boots a small loopback mini-DFS for the data-path
 // examples and returns the namenode plus a teardown closure.
 func exampleCluster(nodes int) (*aurora.NameNode, func(), error) {
-	nn, err := aurora.StartNameNode(aurora.NameNodeConfig{
-		ExpectedNodes:     nodes,
-		Racks:             2,
-		BlockSize:         32 << 10,
-		ReconcileInterval: 25 * time.Millisecond,
+	c, err := dfs.Start(dfs.Spec{
+		Nodes:    nodes,
+		NameNode: aurora.NameNodeConfig{Racks: 2, BlockSize: 32 << 10, ReconcileInterval: 25 * time.Millisecond},
+		DataNode: aurora.DataNodeConfig{CapacityBlocks: 256, HeartbeatInterval: 50 * time.Millisecond},
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	closers := []func(){func() { nn.Close() }}
-	stop := func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-	}
-	for i := 0; i < nodes; i++ {
-		dn, err := aurora.StartDataNode(aurora.DataNodeConfig{
-			NameNodeAddr:      nn.Addr(),
-			Rack:              i % 2,
-			CapacityBlocks:    256,
-			HeartbeatInterval: 50 * time.Millisecond,
-		})
-		if err != nil {
-			stop()
-			return nil, nil, err
-		}
-		closers = append(closers, func() { dn.Close() })
-	}
-	if err := nn.WaitReady(10 * time.Second); err != nil {
-		stop()
-		return nil, nil, err
-	}
-	return nn, stop, nil
+	return c.NameNode, func() { _ = c.Close() }, nil
 }
 
 // ExampleNewFSClient writes and reads a file over the streamed data

@@ -11,10 +11,8 @@ import (
 	"time"
 
 	"aurora/internal/core"
+	"aurora/internal/dfs"
 	"aurora/internal/dfs/client"
-	"aurora/internal/dfs/datanode"
-	"aurora/internal/dfs/namenode"
-	"aurora/internal/dfs/proto"
 	"aurora/internal/faultinject"
 	"aurora/internal/invariant"
 	"aurora/internal/metrics"
@@ -79,61 +77,22 @@ func chaosSchedule(t *testing.T, seed uint64, nodes int) faultinject.Schedule {
 // and a placement that satisfies the paper invariants.
 func chaosRun(t *testing.T, seed uint64) []string {
 	t.Helper()
-	const nodes, racks = 6, 2
+	const nodes = 6
 	sch := chaosSchedule(t, seed, nodes)
 	inj := faultinject.New(sch)
 
-	nn, err := namenode.Start(namenode.Config{
-		ExpectedNodes:      nodes,
-		Racks:              racks,
-		DefaultReplication: 3,
-		DefaultMinRacks:    2,
-		BlockSize:          1 << 12,
-		DeadTimeout:        400 * time.Millisecond,
-		ReconcileInterval:  25 * time.Millisecond,
-		Seed:               7,
-		Shards:             chaosShards(),
-	})
-	if err != nil {
-		t.Fatalf("namenode.Start: %v", err)
-	}
-	defer nn.Close()
-	var dns []*datanode.DataNode
-	for i := 0; i < nodes; i++ {
-		dn, err := datanode.Start(datanode.Config{
-			NameNodeAddr:      nn.Addr(),
-			Rack:              i % racks,
-			CapacityBlocks:    512,
-			HeartbeatInterval: 50 * time.Millisecond,
-			Call:              inj.CallFrom(i),
-			OpenStream:        inj.StreamFrom(i),
-			Retry: retrypolicy.Policy{
-				MaxAttempts: 3,
-				BaseDelay:   25 * time.Millisecond,
-				MaxDelay:    100 * time.Millisecond,
-				Multiplier:  2,
-			},
-		})
-		if err != nil {
-			t.Fatalf("datanode.Start %d: %v", i, err)
+	tc := startCluster(t, nodes, func(s *dfs.Spec) {
+		s.NameNode.DeadTimeout = 400 * time.Millisecond
+		s.NameNode.Shards = chaosShards()
+		s.DataNode.Retry = retrypolicy.Policy{
+			MaxAttempts: 3,
+			BaseDelay:   25 * time.Millisecond,
+			MaxDelay:    100 * time.Millisecond,
+			Multiplier:  2,
 		}
-		defer dn.Close()
-		dns = append(dns, dn)
-		inj.RegisterNode(i, dn.Addr())
-		inj.RegisterCorrupter(i, func(id proto.BlockID) error {
-			if id == 0 {
-				blocks := dn.Blocks()
-				if len(blocks) == 0 {
-					return fmt.Errorf("node stores no blocks")
-				}
-				id = blocks[0]
-			}
-			return dn.CorruptBlock(id)
-		})
-	}
-	if err := nn.WaitReady(5 * time.Second); err != nil {
-		t.Fatalf("WaitReady: %v", err)
-	}
+		s.Faults = inj
+	})
+	nn := tc.NameNode
 
 	// The chunked data path runs under chaos too: the stream transport
 	// goes through the injector so crashes tear transfers at frame
@@ -239,9 +198,9 @@ func chaosRun(t *testing.T, seed uint64) []string {
 		t.Errorf("telemetry: aurora_optimizer_sol = %v after an optimizer period, want > 0", sol)
 	}
 
-	for _, dn := range dns {
-		_ = dn.Close()
-	}
+	// Tear down now, not at test end: the second same-seed run must not
+	// run beside this cluster.
+	_ = tc.Close()
 	return inj.Log()
 }
 

@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"aurora/internal/dfs"
 	"aurora/internal/dfs/client"
 	"aurora/internal/dfs/datanode"
-	"aurora/internal/dfs/namenode"
 	"aurora/internal/dfs/proto"
 	"aurora/internal/metrics"
 )
@@ -34,8 +34,8 @@ func callNN(t *testing.T, addr string, req *proto.Message) *proto.Message {
 // fewer confirmed replicas than requested — that the writer sees as an
 // error but the reconcile loop repairs from the confirmed copies.
 func TestPipelineFailureReconcileRepairs(t *testing.T) {
-	tc := startCluster(t, 4, 2, nil)
-	nnAddr := tc.nn.Addr()
+	tc := startCluster(t, 4)
+	nnAddr := tc.NameNode.Addr()
 	data := payload(1200, 14)
 
 	callNN(t, nnAddr, &proto.Message{Type: proto.MsgCreateFile, Path: "/short", Replication: 3})
@@ -114,12 +114,12 @@ func TestPipelineFailureReconcileRepairs(t *testing.T) {
 // The digest resync is the repair path this test pins, so it must be the
 // only one.
 func TestIncrementalReportDivergenceResync(t *testing.T) {
-	tc := startCluster(t, 4, 2, nil, func(c *namenode.Config) { c.ReconcileInterval = time.Hour })
-	c := client.New(tc.nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(11))
+	tc := startCluster(t, 4, func(s *dfs.Spec) { s.NameNode.ReconcileInterval = time.Hour })
+	c := client.New(tc.NameNode.Addr(), client.WithBlockSize(1<<12), client.WithSeed(11))
 	if err := c.Create("/diverge", payload(700, 7), 3); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if err := tc.nn.WaitConverged(5 * time.Second); err != nil {
+	if err := tc.NameNode.WaitConverged(5 * time.Second); err != nil {
 		t.Fatalf("WaitConverged: %v", err)
 	}
 	locs, err := c.Locations("/diverge")
@@ -160,7 +160,7 @@ func TestIncrementalReportDivergenceResync(t *testing.T) {
 
 	// Forget one confirmation namenode-side. The datanode still holds
 	// the block, so its next digest cannot match.
-	tc.nn.DropConfirmation(locs[0].Block, victim)
+	tc.NameNode.DropConfirmation(locs[0].Block, victim)
 
 	deadline = time.Now().Add(5 * time.Second)
 	for resyncs.Value() == resyncBefore || fulls.Value() == fullBefore {
@@ -170,7 +170,7 @@ func TestIncrementalReportDivergenceResync(t *testing.T) {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	if err := tc.nn.WaitConverged(10 * time.Second); err != nil {
+	if err := tc.NameNode.WaitConverged(10 * time.Second); err != nil {
 		t.Fatalf("WaitConverged after resync: %v", err)
 	}
 	if got, err := c.Read("/diverge"); err != nil || len(got) != 700 {
@@ -186,8 +186,8 @@ func TestStreamedWriteReadEndToEnd(t *testing.T) {
 	recv := metrics.Default.Counter("aurora_stream_chunks", metrics.L("dir", "recv"))
 	sendBefore, recvBefore := send.Value(), recv.Value()
 
-	tc := startCluster(t, 4, 2, nil)
-	c := client.New(tc.nn.Addr(),
+	tc := startCluster(t, 4)
+	c := client.New(tc.NameNode.Addr(),
 		client.WithBlockSize(1<<12),
 		client.WithSeed(12),
 		client.WithChunkSize(1<<10), // 4 chunks per block
@@ -239,24 +239,14 @@ func pathContent(path string, n int) []byte {
 // rather than a rare corruption in the field. Run with -race.
 func TestBlockBufferLifetime(t *testing.T) {
 	const nodes, readers, writers, chunk = 4, 8, 2, 1 << 10
-	nn := startNameNodeOnly(t, nodes, 2)
-	for i := 0; i < nodes; i++ {
-		cfg := datanode.Config{
-			NameNodeAddr: nn.Addr(), Rack: i % 2, CapacityBlocks: 256,
-			HeartbeatInterval: 30 * time.Millisecond,
+	nn := startCluster(t, nodes, func(s *dfs.Spec) {
+		s.DataNode = datanode.Config{CapacityBlocks: 256, HeartbeatInterval: 30 * time.Millisecond}
+		s.PerNode = func(i int, cfg *datanode.Config) {
+			if i < nodes/2 {
+				cfg.DataDir = t.TempDir() // two disk stores, two memory stores
+			}
 		}
-		if i < nodes/2 {
-			cfg.DataDir = t.TempDir() // two disk stores, two memory stores
-		}
-		dn, err := datanode.Start(cfg)
-		if err != nil {
-			t.Fatalf("datanode.Start %d: %v", i, err)
-		}
-		t.Cleanup(func() { _ = dn.Close() })
-	}
-	if err := nn.WaitReady(5 * time.Second); err != nil {
-		t.Fatalf("WaitReady: %v", err)
-	}
+	}).NameNode
 	newClient := func(seed uint64) *client.Client {
 		return client.New(nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(seed), client.WithChunkSize(chunk))
 	}

@@ -6,93 +6,89 @@ package dfs_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
+	"os"
+	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
 	"aurora/internal/core"
+	"aurora/internal/dfs"
 	"aurora/internal/dfs/client"
 	"aurora/internal/dfs/datanode"
 	"aurora/internal/dfs/namenode"
 	"aurora/internal/dfs/proto"
 )
 
-// testCluster is a running namenode + datanodes on loopback.
-type testCluster struct {
-	nn  *namenode.NameNode
-	dns []*datanode.DataNode
-}
-
-// startNameNodeOnly launches just the namenode; the caller brings its
-// own datanodes (e.g. disk-backed ones).
-func startNameNodeOnly(t *testing.T, nodes, racks int) *namenode.NameNode {
+// startCluster boots a namenode and nodes datanodes over two racks with
+// the tests' compressed timeouts; tune, if given, adjusts the spec before
+// it starts. The cluster closes when the test ends.
+func startCluster(t *testing.T, nodes int, tune ...func(*dfs.Spec)) *dfs.Cluster {
 	t.Helper()
-	nn, err := namenode.Start(namenode.Config{
-		ExpectedNodes:      nodes,
-		Racks:              racks,
-		DefaultReplication: 3,
-		DefaultMinRacks:    2,
-		BlockSize:          1 << 12,
-		DeadTimeout:        1500 * time.Millisecond,
-		ReconcileInterval:  25 * time.Millisecond,
-		Seed:               7,
-	})
-	if err != nil {
-		t.Fatalf("namenode.Start: %v", err)
-	}
-	t.Cleanup(func() { _ = nn.Close() })
-	return nn
-}
-
-// startCluster boots a namenode and nodes datanodes; tune, if given,
-// adjusts the namenode's config before it starts.
-func startCluster(t *testing.T, nodes, racks int, placer namenode.Placer, tune ...func(*namenode.Config)) *testCluster {
-	t.Helper()
-	cfg := namenode.Config{
-		ExpectedNodes:      nodes,
-		Racks:              racks,
-		DefaultReplication: 3,
-		DefaultMinRacks:    2,
-		BlockSize:          1 << 12,
-		DeadTimeout:        1500 * time.Millisecond,
-		ReconcileInterval:  25 * time.Millisecond,
-		WindowBucket:       time.Minute,
-		WindowBuckets:      2,
-		Placer:             placer,
-		Seed:               7,
+	s := dfs.Spec{
+		Nodes: nodes,
+		NameNode: namenode.Config{
+			Racks:              2,
+			DefaultReplication: 3,
+			DefaultMinRacks:    2,
+			BlockSize:          1 << 12,
+			DeadTimeout:        1500 * time.Millisecond,
+			ReconcileInterval:  25 * time.Millisecond,
+			Seed:               7,
+		},
+		DataNode: datanode.Config{CapacityBlocks: 512, HeartbeatInterval: 50 * time.Millisecond},
 	}
 	for _, f := range tune {
-		f(&cfg)
+		f(&s)
 	}
-	nn, err := namenode.Start(cfg)
+	c, err := dfs.Start(s)
 	if err != nil {
-		t.Fatalf("namenode.Start: %v", err)
+		t.Fatalf("dfs.Start: %v", err)
 	}
-	tc := &testCluster{nn: nn}
-	t.Cleanup(func() { tc.close() })
-	for i := 0; i < nodes; i++ {
-		dn, err := datanode.Start(datanode.Config{
-			NameNodeAddr:      nn.Addr(),
-			Rack:              i % racks,
-			CapacityBlocks:    512,
-			HeartbeatInterval: 50 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("datanode.Start %d: %v", i, err)
-		}
-		tc.dns = append(tc.dns, dn)
-	}
-	if err := nn.WaitReady(5 * time.Second); err != nil {
-		t.Fatalf("WaitReady: %v", err)
-	}
-	return tc
+	t.Cleanup(func() { _ = c.Close() })
+	return c
 }
 
-func (tc *testCluster) close() {
-	for _, dn := range tc.dns {
-		_ = dn.Close()
+// TestStartFailureClosesCluster fails the third datanode's boot (its
+// data directory is a regular file): Start must return that error and
+// leave neither the namenode nor the first two datanodes listening.
+func TestStartFailureClosesCluster(t *testing.T) {
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	_ = tc.nn.Close()
+	var addrs []string
+	_, err := dfs.Start(dfs.Spec{
+		Nodes:    4,
+		NameNode: namenode.Config{Racks: 2},
+		DataNode: datanode.Config{CapacityBlocks: 8},
+		PerNode: func(i int, cfg *datanode.Config) {
+			if i != 2 {
+				return
+			}
+			cfg.DataDir = notDir
+			nodes, err := client.New(cfg.NameNodeAddr).ClusterInfo()
+			if err != nil || len(nodes) != 2 {
+				t.Errorf("ClusterInfo before node 2 = %v, %v; want nodes 0 and 1", nodes, err)
+			}
+			addrs = append(addrs, cfg.NameNodeAddr)
+			for _, n := range nodes {
+				addrs = append(addrs, n.Addr)
+			}
+		},
+	})
+	if !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("Start = %v, want node 2's ENOTDIR", err)
+	}
+	for _, a := range addrs {
+		if conn, err := net.DialTimeout("tcp", a, time.Second); err == nil {
+			_ = conn.Close()
+			t.Errorf("%s still accepts connections after a failed Start", a)
+		}
+	}
 }
 
 func payload(n int, tag byte) []byte {
@@ -104,8 +100,8 @@ func payload(n int, tag byte) []byte {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	tc := startCluster(t, 6, 2, nil)
-	c := client.New(tc.nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(1))
+	tc := startCluster(t, 6)
+	c := client.New(tc.NameNode.Addr(), client.WithBlockSize(1<<12), client.WithSeed(1))
 
 	data := payload(3*(1<<12)+100, 3) // 4 blocks: 3 full + 1 partial
 	if err := c.Create("/a/file1", data, 0); err != nil {
@@ -125,18 +121,18 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if info.Blocks != 4 || info.Length != int64(len(data)) || !info.Complete {
 		t.Errorf("Stat = %+v, want 4 blocks, %d bytes, complete", info, len(data))
 	}
-	if err := tc.nn.WaitConverged(5 * time.Second); err != nil {
+	if err := tc.NameNode.WaitConverged(5 * time.Second); err != nil {
 		t.Errorf("WaitConverged: %v", err)
 	}
 }
 
 func TestReplicationFactorAndRackSpread(t *testing.T) {
-	tc := startCluster(t, 6, 2, nil)
-	c := client.New(tc.nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(2))
+	tc := startCluster(t, 6)
+	c := client.New(tc.NameNode.Addr(), client.WithBlockSize(1<<12), client.WithSeed(2))
 	if err := c.Create("/f", payload(100, 1), 3); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if err := tc.nn.WaitConverged(5 * time.Second); err != nil {
+	if err := tc.NameNode.WaitConverged(5 * time.Second); err != nil {
 		t.Fatalf("WaitConverged: %v", err)
 	}
 	locs, err := c.Locations("/f")
@@ -150,7 +146,7 @@ func TestReplicationFactorAndRackSpread(t *testing.T) {
 		t.Errorf("replicas = %d, want 3", got)
 	}
 	// Rack spread: replicas must span both racks.
-	p, err := tc.nn.PlacementClone()
+	p, err := tc.NameNode.PlacementClone()
 	if err != nil {
 		t.Fatalf("PlacementClone: %v", err)
 	}
@@ -160,15 +156,15 @@ func TestReplicationFactorAndRackSpread(t *testing.T) {
 }
 
 func TestSetReplicationGrowsAndShrinks(t *testing.T) {
-	tc := startCluster(t, 6, 2, nil)
-	c := client.New(tc.nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(3))
+	tc := startCluster(t, 6)
+	c := client.New(tc.NameNode.Addr(), client.WithBlockSize(1<<12), client.WithSeed(3))
 	if err := c.Create("/hot", payload(64, 2), 3); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	if err := c.SetReplication("/hot", 5); err != nil {
 		t.Fatalf("SetReplication up: %v", err)
 	}
-	if err := tc.nn.WaitConverged(5 * time.Second); err != nil {
+	if err := tc.NameNode.WaitConverged(5 * time.Second); err != nil {
 		t.Fatalf("WaitConverged after grow: %v", err)
 	}
 	locs, err := c.Locations("/hot")
@@ -181,7 +177,7 @@ func TestSetReplicationGrowsAndShrinks(t *testing.T) {
 	if err := c.SetReplication("/hot", 2); err != nil {
 		t.Fatalf("SetReplication down: %v", err)
 	}
-	if err := tc.nn.WaitConverged(5 * time.Second); err != nil {
+	if err := tc.NameNode.WaitConverged(5 * time.Second); err != nil {
 		t.Fatalf("WaitConverged after shrink: %v", err)
 	}
 	locs, err = c.Locations("/hot")
@@ -198,13 +194,13 @@ func TestSetReplicationGrowsAndShrinks(t *testing.T) {
 }
 
 func TestDataNodeFailureTriggersReReplication(t *testing.T) {
-	tc := startCluster(t, 6, 2, nil)
-	c := client.New(tc.nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(4))
+	tc := startCluster(t, 6)
+	c := client.New(tc.NameNode.Addr(), client.WithBlockSize(1<<12), client.WithSeed(4))
 	data := payload(2000, 5)
 	if err := c.Create("/durable", data, 3); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if err := tc.nn.WaitConverged(5 * time.Second); err != nil {
+	if err := tc.NameNode.WaitConverged(5 * time.Second); err != nil {
 		t.Fatalf("WaitConverged: %v", err)
 	}
 	// Kill a datanode that holds the block.
@@ -214,7 +210,7 @@ func TestDataNodeFailureTriggersReReplication(t *testing.T) {
 	}
 	victimAddr := locs[0].Addresses[0]
 	killed := false
-	for _, dn := range tc.dns {
+	for _, dn := range tc.DataNodes {
 		if dn.Addr() == victimAddr {
 			if err := dn.Close(); err != nil {
 				t.Fatalf("Close victim: %v", err)
@@ -256,12 +252,12 @@ func TestDataNodeFailureTriggersReReplication(t *testing.T) {
 }
 
 func TestDeleteReapsReplicas(t *testing.T) {
-	tc := startCluster(t, 4, 2, nil)
-	c := client.New(tc.nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(5))
+	tc := startCluster(t, 4)
+	c := client.New(tc.NameNode.Addr(), client.WithBlockSize(1<<12), client.WithSeed(5))
 	if err := c.Create("/tmp1", payload(300, 6), 2); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if err := tc.nn.WaitConverged(5 * time.Second); err != nil {
+	if err := tc.NameNode.WaitConverged(5 * time.Second); err != nil {
 		t.Fatalf("WaitConverged: %v", err)
 	}
 	if err := c.Delete("/tmp1"); err != nil {
@@ -270,7 +266,7 @@ func TestDeleteReapsReplicas(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		total := 0
-		for _, dn := range tc.dns {
+		for _, dn := range tc.DataNodes {
 			total += dn.NumBlocks()
 		}
 		if total == 0 {
@@ -287,8 +283,8 @@ func TestDeleteReapsReplicas(t *testing.T) {
 }
 
 func TestListFiles(t *testing.T) {
-	tc := startCluster(t, 4, 2, nil)
-	c := client.New(tc.nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(6))
+	tc := startCluster(t, 4)
+	c := client.New(tc.NameNode.Addr(), client.WithBlockSize(1<<12), client.WithSeed(6))
 	for i := 0; i < 3; i++ {
 		if err := c.Create(fmt.Sprintf("/d/f%d", i), payload(128, byte(i)), 2); err != nil {
 			t.Fatalf("Create: %v", err)
@@ -323,15 +319,15 @@ func TestListFiles(t *testing.T) {
 }
 
 func TestOptimizeNowRebalancesHotBlocks(t *testing.T) {
-	tc := startCluster(t, 6, 2, nil)
-	c := client.New(tc.nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(7))
+	tc := startCluster(t, 6)
+	c := client.New(tc.NameNode.Addr(), client.WithBlockSize(1<<12), client.WithSeed(7))
 	if err := c.Create("/hotfile", payload(1<<12, 9), 3); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	if err := c.Create("/coldfile", payload(1<<12, 10), 3); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if err := tc.nn.WaitConverged(5 * time.Second); err != nil {
+	if err := tc.NameNode.WaitConverged(5 * time.Second); err != nil {
 		t.Fatalf("WaitConverged: %v", err)
 	}
 	// Drive popularity: read the hot file many times.
@@ -340,11 +336,11 @@ func TestOptimizeNowRebalancesHotBlocks(t *testing.T) {
 			t.Fatalf("Read: %v", err)
 		}
 	}
-	snap := tc.nn.PopularitySnapshot()
+	snap := tc.NameNode.PopularitySnapshot()
 	if len(snap) == 0 {
 		t.Fatal("usage monitor recorded no accesses")
 	}
-	res, err := tc.nn.OptimizeNow(core.OptimizerOptions{
+	res, err := tc.NameNode.OptimizeNow(core.OptimizerOptions{
 		Epsilon:           0.1,
 		RackAware:         true,
 		ReplicationBudget: 6 + 4, // 2 files x 3 replicas + headroom
@@ -355,7 +351,7 @@ func TestOptimizeNowRebalancesHotBlocks(t *testing.T) {
 	if res.Replications == 0 {
 		t.Error("optimizer performed no replications for the hot block")
 	}
-	if err := tc.nn.WaitConverged(10 * time.Second); err != nil {
+	if err := tc.NameNode.WaitConverged(10 * time.Second); err != nil {
 		t.Fatalf("WaitConverged after optimize: %v", err)
 	}
 	// The hot block must now have more live replicas than the cold one.
@@ -378,16 +374,16 @@ func TestOptimizeNowRebalancesHotBlocks(t *testing.T) {
 }
 
 func TestAuroraPlacerWriterLocal(t *testing.T) {
-	tc := startCluster(t, 6, 2, namenode.AuroraPlacer{})
-	writerDN := tc.dns[2]
-	c := client.New(tc.nn.Addr(),
+	tc := startCluster(t, 6, func(s *dfs.Spec) { s.NameNode.Placer = namenode.AuroraPlacer{} })
+	writerDN := tc.DataNodes[2]
+	c := client.New(tc.NameNode.Addr(),
 		client.WithBlockSize(1<<12),
 		client.WithSeed(8),
 		client.WithLocalDataNode(writerDN.Addr()))
 	if err := c.Create("/task-output", payload(256, 11), 3); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if err := tc.nn.WaitConverged(5 * time.Second); err != nil {
+	if err := tc.NameNode.WaitConverged(5 * time.Second); err != nil {
 		t.Fatalf("WaitConverged: %v", err)
 	}
 	locs, err := c.Locations("/task-output")
@@ -409,8 +405,8 @@ func TestAuroraPlacerWriterLocal(t *testing.T) {
 }
 
 func TestClientErrors(t *testing.T) {
-	tc := startCluster(t, 4, 2, nil)
-	c := client.New(tc.nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(9))
+	tc := startCluster(t, 4)
+	c := client.New(tc.NameNode.Addr(), client.WithBlockSize(1<<12), client.WithSeed(9))
 	if err := c.Create("/x", nil, 0); err == nil {
 		t.Error("empty create succeeded")
 	}
@@ -435,8 +431,8 @@ func TestClientErrors(t *testing.T) {
 }
 
 func TestClusterInfo(t *testing.T) {
-	tc := startCluster(t, 4, 2, nil)
-	c := client.New(tc.nn.Addr(), client.WithSeed(10))
+	tc := startCluster(t, 4)
+	c := client.New(tc.NameNode.Addr(), client.WithSeed(10))
 	nodes, err := c.ClusterInfo()
 	if err != nil {
 		t.Fatalf("ClusterInfo: %v", err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"aurora/internal/dfs"
 	"aurora/internal/dfs/client"
 	"aurora/internal/dfs/datanode"
 	"aurora/internal/dfs/namenode"
@@ -15,13 +16,13 @@ import (
 // TestClientFailsOverFromCorruptReplica flips bytes on one replica and
 // verifies the client's checksum check routes around it.
 func TestClientFailsOverFromCorruptReplica(t *testing.T) {
-	tc := startCluster(t, 4, 2, nil)
-	c := client.New(tc.nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(31))
+	tc := startCluster(t, 4)
+	c := client.New(tc.NameNode.Addr(), client.WithBlockSize(1<<12), client.WithSeed(31))
 	data := payload(2048, 13)
 	if err := c.Create("/checked", data, 3); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if err := tc.nn.WaitConverged(5 * time.Second); err != nil {
+	if err := tc.NameNode.WaitConverged(5 * time.Second); err != nil {
 		t.Fatalf("WaitConverged: %v", err)
 	}
 	locs, err := c.Locations("/checked")
@@ -31,7 +32,7 @@ func TestClientFailsOverFromCorruptReplica(t *testing.T) {
 	block := locs[0].Block
 	// Corrupt the replica on every datanode except one.
 	intact := 0
-	for _, dn := range tc.dns {
+	for _, dn := range tc.DataNodes {
 		if !dn.HasBlock(block) {
 			continue
 		}
@@ -58,25 +59,10 @@ func TestClientFailsOverFromCorruptReplica(t *testing.T) {
 
 // TestDiskBackedDataNodes runs a whole cluster on disk-backed stores.
 func TestDiskBackedDataNodes(t *testing.T) {
-	tcNN := startNameNodeOnly(t, 4, 2)
-	var dns []*datanode.DataNode
-	for i := 0; i < 4; i++ {
-		dn, err := datanode.Start(datanode.Config{
-			NameNodeAddr:      tcNN.Addr(),
-			Rack:              i % 2,
-			CapacityBlocks:    64,
-			HeartbeatInterval: 50 * time.Millisecond,
-			DataDir:           t.TempDir(),
-		})
-		if err != nil {
-			t.Fatalf("datanode.Start: %v", err)
-		}
-		t.Cleanup(func() { _ = dn.Close() })
-		dns = append(dns, dn)
-	}
-	if err := tcNN.WaitReady(5 * time.Second); err != nil {
-		t.Fatalf("WaitReady: %v", err)
-	}
+	tcNN := startCluster(t, 4, func(s *dfs.Spec) {
+		s.DataNode.CapacityBlocks = 64
+		s.PerNode = func(_ int, cfg *datanode.Config) { cfg.DataDir = t.TempDir() }
+	}).NameNode
 	c := client.New(tcNN.Addr(), client.WithBlockSize(1<<12), client.WithSeed(32))
 	data := payload(3*(1<<12), 17)
 	if err := c.Create("/ondisk", data, 3); err != nil {
@@ -112,8 +98,8 @@ func TestDiskBackedDataNodes(t *testing.T) {
 // TestFsckHealthReport exercises the health report across states: fresh
 // cluster, converged dataset, and a degraded cluster after a node death.
 func TestFsckHealthReport(t *testing.T) {
-	tc := startCluster(t, 4, 2, nil)
-	c := client.New(tc.nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(33))
+	tc := startCluster(t, 4)
+	c := client.New(tc.NameNode.Addr(), client.WithBlockSize(1<<12), client.WithSeed(33))
 	h, err := c.Fsck()
 	if err != nil {
 		t.Fatalf("Fsck: %v", err)
@@ -124,7 +110,7 @@ func TestFsckHealthReport(t *testing.T) {
 	if err := c.Create("/health", payload(2*(1<<12), 21), 3); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if err := tc.nn.WaitConverged(5 * time.Second); err != nil {
+	if err := tc.NameNode.WaitConverged(5 * time.Second); err != nil {
 		t.Fatalf("WaitConverged: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -145,7 +131,7 @@ func TestFsckHealthReport(t *testing.T) {
 		t.Errorf("converged health = %+v, want 1 file / 2 blocks / 6+6 replicas", h)
 	}
 	// Kill a node: the report must show degradation until repair.
-	if err := tc.dns[0].Close(); err != nil {
+	if err := tc.DataNodes[0].Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	sawDead := false
@@ -169,18 +155,18 @@ func TestFsckHealthReport(t *testing.T) {
 // TestGracefulDecommission drains a datanode: data stays available
 // throughout, fault tolerance never dips, and the node empties out.
 func TestGracefulDecommission(t *testing.T) {
-	tc := startCluster(t, 5, 2, nil)
-	c := client.New(tc.nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(41))
+	tc := startCluster(t, 5)
+	c := client.New(tc.NameNode.Addr(), client.WithBlockSize(1<<12), client.WithSeed(41))
 	data := payload(4*(1<<12), 23)
 	if err := c.Create("/drain", data, 3); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if err := tc.nn.WaitConverged(5 * time.Second); err != nil {
+	if err := tc.NameNode.WaitConverged(5 * time.Second); err != nil {
 		t.Fatalf("WaitConverged: %v", err)
 	}
 	// Pick a datanode that actually holds replicas.
 	victim := -1
-	for i, dn := range tc.dns {
+	for i, dn := range tc.DataNodes {
 		if dn.NumBlocks() > 0 {
 			victim = i
 			break
@@ -189,7 +175,7 @@ func TestGracefulDecommission(t *testing.T) {
 	if victim == -1 {
 		t.Fatal("no datanode holds blocks")
 	}
-	dn := tc.dns[victim]
+	dn := tc.DataNodes[victim]
 	if err := c.Decommission(dn.ID()); err != nil {
 		t.Fatalf("Decommission: %v", err)
 	}
@@ -209,7 +195,7 @@ func TestGracefulDecommission(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 		}
 	}()
-	if err := tc.nn.WaitDecommissioned(dn.ID(), 15*time.Second); err != nil {
+	if err := tc.NameNode.WaitDecommissioned(dn.ID(), 15*time.Second); err != nil {
 		t.Fatalf("WaitDecommissioned: %v", err)
 	}
 	select {
@@ -234,7 +220,7 @@ func TestGracefulDecommission(t *testing.T) {
 		t.Errorf("node %d not reported decommissioned: %+v", dn.ID(), nodes[dn.ID()])
 	}
 	// Fault tolerance fully restored on the remaining nodes.
-	if err := tc.nn.WaitConverged(5 * time.Second); err != nil {
+	if err := tc.NameNode.WaitConverged(5 * time.Second); err != nil {
 		t.Fatalf("WaitConverged after drain: %v", err)
 	}
 	locs, err := c.Locations("/drain")
@@ -269,15 +255,15 @@ func TestGracefulDecommission(t *testing.T) {
 // TestDecommissionRefusedWhenImpossible rejects drains that would leave
 // too few machines for the replication factor.
 func TestDecommissionRefusedWhenImpossible(t *testing.T) {
-	tc := startCluster(t, 3, 2, nil) // 3 nodes, k=3: no node can leave
-	c := client.New(tc.nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(43))
+	tc := startCluster(t, 3) // 3 nodes, k=3: no node can leave
+	c := client.New(tc.NameNode.Addr(), client.WithBlockSize(1<<12), client.WithSeed(43))
 	if err := c.Create("/pinned", payload(1<<12, 31), 3); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if err := tc.nn.WaitConverged(5 * time.Second); err != nil {
+	if err := tc.NameNode.WaitConverged(5 * time.Second); err != nil {
 		t.Fatalf("WaitConverged: %v", err)
 	}
-	if err := c.Decommission(tc.dns[0].ID()); err == nil {
+	if err := c.Decommission(tc.DataNodes[0].ID()); err == nil {
 		t.Error("impossible decommission accepted")
 	}
 }
@@ -286,38 +272,17 @@ func TestDecommissionRefusedWhenImpossible(t *testing.T) {
 // address: it rejoins under its old identity and its surviving blocks
 // re-confirm from the block report.
 func TestDataNodeRestartRejoins(t *testing.T) {
-	nn := startNameNodeOnly(t, 4, 2)
 	dir := t.TempDir()
-	fixedAddr := ""
-	var dns []*datanode.DataNode
-	for i := 0; i < 4; i++ {
-		cfg := datanode.Config{
-			NameNodeAddr:      nn.Addr(),
-			Rack:              i % 2,
-			CapacityBlocks:    64,
-			HeartbeatInterval: 40 * time.Millisecond,
-		}
-		if i == 0 {
-			cfg.DataDir = dir
-			cfg.ListenAddr = "127.0.0.1:0"
-		}
-		dn, err := datanode.Start(cfg)
-		if err != nil {
-			t.Fatalf("Start: %v", err)
-		}
-		dns = append(dns, dn)
-		if i == 0 {
-			fixedAddr = dn.Addr()
-		}
-	}
-	t.Cleanup(func() {
-		for _, dn := range dns {
-			_ = dn.Close()
+	tc := startCluster(t, 4, func(s *dfs.Spec) {
+		s.DataNode = datanode.Config{CapacityBlocks: 64, HeartbeatInterval: 40 * time.Millisecond}
+		s.PerNode = func(i int, cfg *datanode.Config) {
+			if i == 0 {
+				cfg.DataDir = dir
+			}
 		}
 	})
-	if err := nn.WaitReady(5 * time.Second); err != nil {
-		t.Fatalf("WaitReady: %v", err)
-	}
+	nn := tc.NameNode
+	fixedAddr := tc.DataNodes[0].Addr()
 	c := client.New(nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(44))
 	data := payload(2*(1<<12), 37)
 	if err := c.Create("/survivor", data, 3); err != nil {
@@ -326,11 +291,11 @@ func TestDataNodeRestartRejoins(t *testing.T) {
 	if err := nn.WaitConverged(5 * time.Second); err != nil {
 		t.Fatalf("WaitConverged: %v", err)
 	}
-	stored := dns[0].NumBlocks()
+	stored := tc.DataNodes[0].NumBlocks()
 
 	// Restart node 0 quickly on the same address with the same disk.
-	oldID := dns[0].ID()
-	if err := dns[0].Close(); err != nil {
+	oldID := tc.DataNodes[0].ID()
+	if err := tc.DataNodes[0].Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	reborn, err := datanode.Start(datanode.Config{
@@ -344,7 +309,7 @@ func TestDataNodeRestartRejoins(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	dns[0] = reborn
+	tc.DataNodes[0] = reborn
 	if reborn.ID() != oldID {
 		t.Errorf("rejoined with ID %d, want old identity %d", reborn.ID(), oldID)
 	}
@@ -374,46 +339,15 @@ func TestDataNodeRestartRejoins(t *testing.T) {
 // picks them back up, and all files remain readable.
 func TestNameNodeRestartWithFsImage(t *testing.T) {
 	fsimage := filepath.Join(t.TempDir(), "fsimage.json")
-	// The namenode listens on a fixed port so the blindly-heartbeating
-	// datanodes can find the restarted instance.
-	fixed := "127.0.0.1:29870"
-	nn, err := namenode.Start(namenode.Config{
-		ExpectedNodes:      4,
-		Racks:              2,
-		DefaultReplication: 3,
-		DefaultMinRacks:    2,
-		BlockSize:          1 << 12,
-		DeadTimeout:        2 * time.Second,
-		ReconcileInterval:  25 * time.Millisecond,
-		FsImagePath:        fsimage,
-		ListenAddr:         fixed,
-		Seed:               7,
+	tc := startCluster(t, 4, func(s *dfs.Spec) {
+		s.NameNode.DeadTimeout = 2 * time.Second
+		s.NameNode.FsImagePath = fsimage
+		s.DataNode.CapacityBlocks = 64
 	})
-	if err != nil {
-		t.Fatalf("namenode.Start fixed: %v", err)
-	}
-	var dns []*datanode.DataNode
-	for i := 0; i < 4; i++ {
-		dn, err := datanode.Start(datanode.Config{
-			NameNodeAddr:      fixed,
-			Rack:              i % 2,
-			CapacityBlocks:    64,
-			HeartbeatInterval: 50 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("datanode.Start: %v", err)
-		}
-		dns = append(dns, dn)
-	}
-	t.Cleanup(func() {
-		for _, dn := range dns {
-			_ = dn.Close()
-		}
-	})
-	if err := nn.WaitReady(5 * time.Second); err != nil {
-		t.Fatalf("WaitReady: %v", err)
-	}
-	c := client.New(fixed, client.WithBlockSize(1<<12), client.WithSeed(55))
+	// The restarted namenode takes over this one's address so the
+	// blindly-heartbeating datanodes find it.
+	nn, addr := tc.NameNode, tc.NameNode.Addr()
+	c := client.New(addr, client.WithBlockSize(1<<12), client.WithSeed(55))
 	data := payload(3*(1<<12), 47)
 	if err := c.Create("/persist/me", data, 3); err != nil {
 		t.Fatalf("Create: %v", err)
@@ -425,7 +359,7 @@ func TestNameNodeRestartWithFsImage(t *testing.T) {
 	if err := nn.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	// Restart on the same port from the checkpoint.
+	// Restart on the same address from the checkpoint.
 	nn2, err := namenode.Start(namenode.Config{
 		ExpectedNodes:     99, // overwritten by the fsimage
 		Racks:             2,
@@ -433,7 +367,7 @@ func TestNameNodeRestartWithFsImage(t *testing.T) {
 		DeadTimeout:       2 * time.Second,
 		ReconcileInterval: 25 * time.Millisecond,
 		FsImagePath:       fsimage,
-		ListenAddr:        fixed,
+		ListenAddr:        addr,
 		Seed:              7,
 	})
 	if err != nil {

@@ -19,7 +19,7 @@ import (
 // block map, the datanode stores, and the post-optimize invariant
 // assertions all at once.
 func TestParallelClientsUnderOptimizerStress(t *testing.T) {
-	tc := startCluster(t, 6, 2, nil)
+	tc := startCluster(t, 6)
 
 	stop := make(chan struct{})
 	var churn sync.WaitGroup
@@ -34,8 +34,8 @@ func TestParallelClientsUnderOptimizerStress(t *testing.T) {
 			}
 			// Failures here surface through the invariant check below and
 			// the clients' reads; an occasional busy error is fine.
-			_, _ = tc.nn.OptimizeNow(core.OptimizerOptions{Epsilon: 0.1, RackAware: true})
-			tc.nn.ReconcileOnce()
+			_, _ = tc.NameNode.OptimizeNow(core.OptimizerOptions{Epsilon: 0.1, RackAware: true})
+			tc.NameNode.ReconcileOnce()
 			time.Sleep(5 * time.Millisecond)
 		}
 	}()
@@ -46,7 +46,7 @@ func TestParallelClientsUnderOptimizerStress(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := client.New(tc.nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(uint64(w)+100))
+			c := client.New(tc.NameNode.Addr(), client.WithBlockSize(1<<12), client.WithSeed(uint64(w)+100))
 			path := fmt.Sprintf("/stress/f%d", w)
 			data := payload(2*(1<<12)+17*w, byte(w+1))
 			if err := c.Create(path, data, 0); err != nil {
@@ -78,10 +78,10 @@ func TestParallelClientsUnderOptimizerStress(t *testing.T) {
 	close(stop)
 	churn.Wait()
 
-	if err := tc.nn.WaitConverged(10 * time.Second); err != nil {
+	if err := tc.NameNode.WaitConverged(10 * time.Second); err != nil {
 		t.Errorf("WaitConverged: %v", err)
 	}
-	c := client.New(tc.nn.Addr(), client.WithSeed(999))
+	c := client.New(tc.NameNode.Addr(), client.WithSeed(999))
 	rep, err := c.Fsck()
 	if err != nil {
 		t.Fatalf("Fsck: %v", err)

@@ -12,6 +12,7 @@ import (
 
 	"aurora/internal/baseline"
 	"aurora/internal/core"
+	"aurora/internal/dfs"
 	"aurora/internal/dfs/client"
 	"aurora/internal/dfs/datanode"
 	"aurora/internal/dfs/namenode"
@@ -171,27 +172,6 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 		placer = namenode.AuroraPlacer{}
 	} // others use the default HDFS random placer
 
-	nn, err := namenode.Start(namenode.Config{
-		ExpectedNodes:      s.Nodes,
-		Racks:              s.Racks,
-		DefaultReplication: 3,
-		DefaultMinRacks:    2,
-		BlockSize:          s.BlockBytes,
-		SlotsPerNode:       s.SlotsPerNode,
-		DeadTimeout:        5 * time.Second,
-		ReconcileInterval:  15 * time.Millisecond,
-		WindowBucket:       time.Minute,
-		WindowBuckets:      5,
-		Placer:             placer,
-		Seed:               s.Seed,
-		Shards:             s.Shards,
-		Predictor:          s.Predictor,
-	})
-	if err != nil {
-		return row, err
-	}
-	defer nn.Close()
-
 	// Under fault injection every process routes its RPCs through the
 	// injector; without it they use the plain transport.
 	var inj *faultinject.Injector
@@ -208,47 +188,34 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 		defer inj.Stop()
 	}
 
-	capacity := (tr.NumBlocks()*3+s.BudgetExtraBlocks)*2/s.Nodes + 8
-	var dns []*datanode.DataNode
-	defer func() {
-		for _, dn := range dns {
-			//lint:ignore errcheck teardown; nodes may already be stopped by fault injection
-			_ = dn.Close()
-		}
-	}()
-	for i := 0; i < s.Nodes; i++ {
-		cfg := datanode.Config{
-			NameNodeAddr:      nn.Addr(),
-			Rack:              i % s.Racks,
-			CapacityBlocks:    capacity,
+	cl, err := dfs.Start(dfs.Spec{
+		Nodes: s.Nodes,
+		NameNode: namenode.Config{
+			Racks:              s.Racks,
+			DefaultReplication: 3,
+			DefaultMinRacks:    2,
+			BlockSize:          s.BlockBytes,
+			SlotsPerNode:       s.SlotsPerNode,
+			DeadTimeout:        5 * time.Second,
+			ReconcileInterval:  15 * time.Millisecond,
+			WindowBucket:       time.Minute,
+			WindowBuckets:      5,
+			Placer:             placer,
+			Seed:               s.Seed,
+			Shards:             s.Shards,
+			Predictor:          s.Predictor,
+		},
+		DataNode: datanode.Config{
+			CapacityBlocks:    (tr.NumBlocks()*3+s.BudgetExtraBlocks)*2/s.Nodes + 8,
 			HeartbeatInterval: 30 * time.Millisecond,
-		}
-		if inj != nil {
-			cfg.Call = inj.CallFrom(i)
-			cfg.OpenStream = inj.StreamFrom(i)
-		}
-		dn, err := datanode.Start(cfg)
-		if err != nil {
-			return row, err
-		}
-		dns = append(dns, dn)
-		if inj != nil {
-			inj.RegisterNode(i, dn.Addr())
-			inj.RegisterCorrupter(i, func(id proto.BlockID) error {
-				if id == 0 {
-					blocks := dn.Blocks()
-					if len(blocks) == 0 {
-						return fmt.Errorf("experiments: node stores no blocks to corrupt")
-					}
-					id = blocks[0]
-				}
-				return dn.CorruptBlock(id)
-			})
-		}
-	}
-	if err := nn.WaitReady(10 * time.Second); err != nil {
+		},
+		Faults: inj,
+	})
+	if err != nil {
 		return row, err
 	}
+	defer cl.Close()
+	nn := cl.NameNode
 
 	// Load the dataset.
 	clientOpts := []client.Option{client.WithBlockSize(s.BlockBytes), client.WithSeed(s.Seed)}
