@@ -206,7 +206,7 @@ func TestRulesOnFixtures(t *testing.T) {
 		{
 			pkg: "internal/dfs/proto",
 			want: []finding{
-				{"internal/dfs/proto/proto.go", 63, analysis.RulePkgDoc,
+				{"internal/dfs/proto/proto.go", 66, analysis.RulePkgDoc,
 					"exported wire-protocol type ChunkFrame lacks a doc comment; document every frame type (DESIGN.md §15)"},
 			},
 		},
@@ -227,12 +227,14 @@ func TestRulesOnFixtures(t *testing.T) {
 					"proto.MsgWriteBlockStream is dispatched more than once (first at protoconform.go:28) (DESIGN.md §15.1: every request MsgType has exactly one handler)"},
 				{"protoconform/protoconform.go", 52, analysis.RuleProtoConform,
 					"chunk consumer (*node).recvNoVerify never verifies proto.ChunkChecksum over received chunks (DESIGN.md §15.1: every receiver verifies the per-chunk CRC before accepting)"},
-				{"protoconform/protoconform.go", 69, analysis.RuleProtoConform,
+				{"protoconform/protoconform.go", 71, analysis.RuleProtoConform,
+					"chunk consumer (*node).recvIntoNoVerify never verifies proto.ChunkChecksum over received chunks (DESIGN.md §15.1: every receiver verifies the per-chunk CRC before accepting)"},
+				{"protoconform/protoconform.go", 89, analysis.RuleProtoConform,
 					"delta reporter (*node).deltaMute never reads the response's FullReport flag; the namenode could never demand a resync (DESIGN.md §15.5)"},
-				{"protoconform/protoconform.go", 69, analysis.RuleProtoConform,
+				{"protoconform/protoconform.go", 89, analysis.RuleProtoConform,
 					"delta reporter (*node).deltaMute never escalates to a full proto.MsgHeartbeat report (DESIGN.md §15.5: digest divergence must trigger a resync)"},
 				// deltaWaved's two findings are //lint:ignore'd.
-				{"protoconform/protoconform.go", 84, analysis.RuleDirective,
+				{"protoconform/protoconform.go", 104, analysis.RuleDirective,
 					"//lint:ignore needs a rule and a reason: //lint:ignore <rule> <why>"},
 			},
 		},

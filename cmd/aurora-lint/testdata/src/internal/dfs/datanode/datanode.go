@@ -68,9 +68,9 @@ func (d *DataNode) handleStream(open *proto.Message, s proto.BlockStream) error 
 // mutation test deletes the noteReceived line and expects protoconform
 // to object.
 func (d *DataNode) handleWriteStream(open *proto.Message, s proto.BlockStream) error {
-	var buf []byte
+	buf := make([]byte, 0, 1<<10)
 	for {
-		m, payload, err := s.Recv()
+		m, payload, err := s.RecvInto(buf)
 		if err != nil {
 			return err
 		}
@@ -80,7 +80,7 @@ func (d *DataNode) handleWriteStream(open *proto.Message, s proto.BlockStream) e
 		if proto.ChunkChecksum(payload) != m.Checksum {
 			return errBadStream
 		}
-		buf = append(buf, payload...)
+		buf = buf[:len(buf)+len(payload)]
 		if m.Eof {
 			break
 		}

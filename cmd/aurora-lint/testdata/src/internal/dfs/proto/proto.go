@@ -49,6 +49,9 @@ type BlockStream interface {
 	Send(m *Message, payload []byte) error
 	// Recv reads the next frame.
 	Recv() (*Message, []byte, error)
+	// RecvInto reads the next frame, its payload into buf's spare
+	// capacity when it fits.
+	RecvInto(buf []byte) (*Message, []byte, error)
 }
 
 // ChunkChecksum is the per-chunk CRC every chunk frame carries.

@@ -63,6 +63,26 @@ func (n *node) recvNoVerify(open *proto.Message, s proto.BlockStream) error {
 	}
 }
 
+// recvIntoNoVerify receives chunk frames straight into the block
+// buffer and keeps them unverified (§15.1).
+func (n *node) recvIntoNoVerify(open *proto.Message, s proto.BlockStream) error {
+	buf := make([]byte, 0, 1<<10)
+	for {
+		m, payload, err := s.RecvInto(buf)
+		if err != nil {
+			return err
+		}
+		if m.Type != proto.MsgChunk {
+			return nil
+		}
+		buf = buf[:len(buf)+len(payload)]
+		if m.Eof {
+			n.store[open.Block] = buf
+			return nil
+		}
+	}
+}
+
 // deltaMute builds heartbeat deltas but never reads the response's
 // FullReport flag and never escalates to a full report (§15.5).
 func (n *node) deltaMute() {

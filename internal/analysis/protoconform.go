@@ -555,8 +555,8 @@ func (pc *protoChecker) setsFullReport(fi *FuncInfo, visiting map[*FuncInfo]bool
 }
 
 // checkChunkPaths enforces §15.1 per-chunk integrity (P3): a function
-// that consumes chunk frames (BlockStream.Recv plus a MsgChunk type
-// test) or produces them (a MsgChunk literal) must call
+// that consumes chunk frames (BlockStream.Recv or RecvInto plus a
+// MsgChunk type test) or produces them (a MsgChunk literal) must call
 // proto.ChunkChecksum.
 func (pc *protoChecker) checkChunkPaths(fi *FuncInfo) {
 	if fi.Decl == nil || fi.Decl.Body == nil || fi.Pkg.Types == pc.w.pkg {
@@ -576,7 +576,7 @@ func (pc *protoChecker) checkChunkPaths(fi *FuncInfo) {
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Recv" {
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && (sel.Sel.Name == "Recv" || sel.Sel.Name == "RecvInto") {
 				if tv, ok := info.Types[sel.X]; ok && pc.w.isStream(tv.Type) && !recvPos.IsValid() {
 					recvPos = n.Pos()
 				}

@@ -10,8 +10,8 @@ import (
 // fileBuffer allocates a whole file once, sized from the namenode's
 // per-block lengths, and returns it with one slot per block: the empty,
 // capacity-capped window out[off:off:off+Length] that readBlockOrdered
-// appends the block's verified chunks into. Every byte is thus copied
-// once, from the stream's receive buffer straight to its final place.
+// receives the block's chunks into. Every byte is thus read from the
+// connection straight to its final place, with no copy.
 // A length outside [0, proto.MaxPayloadBytes] fails before anything is
 // allocated.
 func fileBuffer(locs []proto.BlockLocation) (out []byte, slots [][]byte, err error) {
@@ -65,10 +65,10 @@ func (c *Client) readBlockOrdered(loc proto.BlockLocation, order []int, slot []b
 }
 
 // streamTail fetches the missing tail of a block (everything past
-// len(*buf)) from one replica, appending only chunks whose checksums
-// verify. On error the buffer keeps every verified byte so the caller
-// can resume on another replica. cap(*buf) is the block's length
-// according to the namenode, which the replica is held to.
+// len(*buf)) from one replica, extending the buffer only over chunks
+// whose checksums verify. On error the buffer keeps every verified byte
+// so the caller can resume on another replica. cap(*buf) is the block's
+// length according to the namenode, which the replica is held to.
 func (c *Client) streamTail(addr string, block proto.BlockID, buf *[]byte) error {
 	want := cap(*buf)
 	open := &proto.Message{
@@ -81,7 +81,9 @@ func (c *Client) streamTail(addr string, block proto.BlockID, buf *[]byte) error
 	}
 	defer st.Close()
 	for {
-		msg, chunk, err := st.Recv()
+		// A chunk that fits the slot lands in it, at the first missing
+		// byte; one that does not is refused below.
+		msg, chunk, err := st.RecvInto(*buf)
 		if err != nil {
 			return err
 		}
@@ -97,9 +99,7 @@ func (c *Client) streamTail(addr string, block proto.BlockID, buf *[]byte) error
 		if end := len(*buf) + len(chunk); end > want || (msg.Eof && end != want) {
 			return fmt.Errorf("client: block %d from %s reaches byte %d (eof=%t), the namenode says %d", block, addr, end, msg.Eof, want)
 		}
-		// The chunk aliases the stream's receive buffer (valid until the
-		// next Recv); this append, into the slot, is the one copy it gets.
-		*buf = append(*buf, chunk...)
+		*buf = (*buf)[:len(*buf)+len(chunk)] // chunk is the slot's next bytes
 		if msg.Eof {
 			return nil
 		}

@@ -66,14 +66,21 @@ func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream)
 		}
 	}
 
-	// The receive buffer is this handler's alone — chunks are copied in,
-	// the store copies out and downstream gets the chunk, never buf — so
-	// it goes back on the free list once the handler has answered.
-	buf := dn.free.get(open.Length)[:0]
-	defer dn.free.put(buf)
+	// Chunks are read off the connection straight into the block buffer:
+	// its capacity is exactly the announced length, so every chunk the
+	// checks below accept fitted its spare capacity and RecvInto put it
+	// at buf[len(buf):]. A successful Put takes the buffer; until then it
+	// is this handler's, and goes back on the free list if Put fails or
+	// never runs.
+	buf := dn.free.getExact(open.Length)[:0]
+	defer func() {
+		if buf != nil {
+			dn.free.put(buf)
+		}
+	}()
 	var sum uint32 // running CRC32C of buf
 	for {
-		msg, chunk, err := st.Recv()
+		msg, chunk, err := st.RecvInto(buf)
 		if err != nil {
 			// Upstream died mid-stream: no complete block to keep.
 			metrics.Default.Counter("dfs.datanode.stream_write_aborted").Inc()
@@ -101,8 +108,8 @@ func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream)
 			_ = st.Send(proto.ErrorMessage(fmt.Errorf("datanode: block %d chunk %d ends at byte %d (eof=%t), announced length %d", open.Block, msg.Seq, end, msg.Eof, open.Length)), nil)
 			return
 		}
-		buf = append(buf, chunk...)
-		sum = proto.ChecksumUpdate(sum, chunk)
+		buf = buf[:len(buf)+len(chunk)] // chunk is buf's next bytes
+		sum = proto.ChecksumCombine(sum, msg.Checksum, len(chunk))
 		if down != nil && downErr == nil {
 			if err := down.Send(msg, chunk); err != nil {
 				// Keep receiving: the local copy must still complete and
@@ -124,6 +131,7 @@ func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream)
 		_ = st.Send(proto.ErrorMessage(err), nil)
 		return
 	}
+	buf = nil // the store's now
 	// Durable + reported before the downstream ack is consulted — see
 	// the contract above.
 	dn.noteReceived(open.Block)
@@ -145,7 +153,7 @@ func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream)
 	//lint:ignore errcheck best effort; peer may be gone
 	_ = st.Send(&proto.Message{
 		Type: proto.MsgStreamAck, Block: open.Block,
-		Offset: len(buf), Checksum: sum,
+		Offset: open.Length, Checksum: sum,
 	}, nil)
 }
 

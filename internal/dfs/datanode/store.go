@@ -19,8 +19,10 @@ import (
 var ErrCorrupt = errors.New("datanode: block corrupt (checksum mismatch)")
 
 // BlockStore is the datanode's storage engine. Implementations must be
-// safe for concurrent use. Put overwrites and does not retain data; Get
-// returns a private copy.
+// safe for concurrent use. Put overwrites; a successful Put takes
+// ownership of data — the store may keep the slice or recycle it, so
+// the caller must not touch it again — while a failed one leaves it the
+// caller's. Get returns a private copy.
 type BlockStore interface {
 	Put(id proto.BlockID, data []byte) error
 	Get(id proto.BlockID) ([]byte, error)
@@ -38,18 +40,21 @@ func Checksum(data []byte) uint32 { return proto.ChunkChecksum(data) }
 
 // memStore keeps replicas in memory with their checksums, verifying on
 // every read so corruption (e.g. a test flipping bytes) surfaces as
-// ErrCorrupt rather than silent bad data.
+// ErrCorrupt rather than silent bad data. A replica is the very buffer
+// Put was given; a replaced or deleted one goes back to the free list.
 type memStore struct {
 	capacity int
-	free     *blockBufs // supplies Get's private copies
+	free     *blockBufs // supplies Get's private copies, takes back dropped replicas
 
-	mu     sync.Mutex
+	// mu is held for reading while Get verifies and copies a replica, so
+	// Put and Delete cannot recycle a buffer a Get is still reading.
+	mu     sync.RWMutex
 	blocks map[proto.BlockID][]byte
 	sums   map[proto.BlockID]uint32
 }
 
 // newMemStore creates an in-memory store bounded to capacity blocks
-// whose Get results come from free.
+// that draws on and recycles into free.
 func newMemStore(capacity int, free *blockBufs) *memStore {
 	return &memStore{
 		capacity: capacity,
@@ -60,30 +65,28 @@ func newMemStore(capacity int, free *blockBufs) *memStore {
 }
 
 func (s *memStore) Put(id proto.BlockID, data []byte) error {
+	sum := Checksum(data)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.blocks[id]; !exists && len(s.blocks) >= s.capacity {
-		return fmt.Errorf("%w: %d blocks", ErrStoreFull, len(s.blocks))
+	old, exists := s.blocks[id]
+	if n := len(s.blocks); !exists && n >= s.capacity {
+		s.mu.Unlock()
+		return fmt.Errorf("%w: %d blocks", ErrStoreFull, n)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.blocks[id] = cp
-	s.sums[id] = Checksum(cp)
+	s.blocks[id] = data
+	s.sums[id] = sum
+	s.mu.Unlock()
+	s.free.put(old)
 	return nil
 }
 
 func (s *memStore) Get(id proto.BlockID) ([]byte, error) {
-	s.mu.Lock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	data, ok := s.blocks[id]
-	sum := s.sums[id]
-	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: block %d", ErrBlockNotFound, id)
 	}
-	// Verified and copied outside the lock: a stored slice is never
-	// written in place (Put and corrupt swap in a new one), so readers of
-	// one node do not queue behind each other's CRC and memcpy.
-	if Checksum(data) != sum {
+	if Checksum(data) != s.sums[id] {
 		return nil, fmt.Errorf("%w: block %d", ErrCorrupt, id)
 	}
 	cp := s.free.get(len(data))
@@ -96,36 +99,37 @@ func (s *memStore) Get(id proto.BlockID) ([]byte, error) {
 func (s *memStore) corrupt(id proto.BlockID, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.blocks[id]; !ok {
+	old, ok := s.blocks[id]
+	if !ok {
 		return fmt.Errorf("%w: block %d", ErrBlockNotFound, id)
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	s.blocks[id] = cp // s.sums[id] intentionally left stale
+	s.free.put(old)
 	return nil
 }
 
 func (s *memStore) Delete(id proto.BlockID) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.blocks[id]; !ok {
-		return false
-	}
+	data, ok := s.blocks[id]
 	delete(s.blocks, id)
 	delete(s.sums, id)
-	return true
+	s.mu.Unlock()
+	s.free.put(data)
+	return ok
 }
 
 func (s *memStore) Has(id proto.BlockID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	_, ok := s.blocks[id]
 	return ok
 }
 
 func (s *memStore) List() []proto.BlockID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := make([]proto.BlockID, 0, len(s.blocks))
 	for id := range s.blocks {
 		out = append(out, id)
@@ -134,8 +138,8 @@ func (s *memStore) List() []proto.BlockID {
 }
 
 func (s *memStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return len(s.blocks)
 }
 
@@ -145,14 +149,15 @@ func (s *memStore) Len() int {
 type diskStore struct {
 	dir      string
 	capacity int
-	free     *blockBufs // supplies Get's read buffers
+	free     *blockBufs // supplies Get's read buffers, takes back Put's
 
 	mu    sync.Mutex
 	index map[proto.BlockID]struct{}
 }
 
 // newDiskStore opens (or creates) a disk-backed store in dir and indexes
-// any blocks already present. Get reads into buffers from free.
+// any blocks already present. Get reads into buffers from free, and a
+// successful Put hands its written buffer back to it.
 func newDiskStore(dir string, capacity int, free *blockBufs) (*diskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("datanode: create store dir: %w", err)
@@ -198,6 +203,7 @@ func (s *diskStore) Put(id proto.BlockID, data []byte) error {
 		return fmt.Errorf("datanode: commit block %d: %w", id, err)
 	}
 	s.index[id] = struct{}{}
+	s.free.put(data) // the file holds the block now
 	return nil
 }
 

@@ -30,7 +30,8 @@ func TestStorePutGetDelete(t *testing.T) {
 	for name, s := range stores(t, 4) {
 		t.Run(name, func(t *testing.T) {
 			data := []byte("hello blocks")
-			if err := s.Put(1, data); err != nil {
+			// Put takes the slice it is given; the test keeps its own.
+			if err := s.Put(1, bytes.Clone(data)); err != nil {
 				t.Fatalf("Put: %v", err)
 			}
 			got, err := s.Get(1)
@@ -208,7 +209,7 @@ func TestStoreRoundTripProperty(t *testing.T) {
 	f := func(data []byte) bool {
 		n++
 		for _, s := range []BlockStore{mem, disk} {
-			if err := s.Put(n, data); err != nil {
+			if err := s.Put(n, bytes.Clone(data)); err != nil {
 				return false
 			}
 			got, err := s.Get(n)

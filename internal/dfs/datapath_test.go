@@ -229,24 +229,26 @@ func pathContent(path string, n int) []byte {
 	return out
 }
 
-// TestBlockBufferLifetime drives all three sites where a datanode hands
-// a block buffer back to its free list (DESIGN.md §15.6) at once —
-// streamed reads, k=3 pipeline writes and a replicate command — on disk
-// and memory stores, with every byte read checked against its path. A
-// buffer released while someone still reads it would be refilled by a
-// neighbour's block; under -tags invariantdebug it is poisoned on
-// release, so the mistake becomes a checksum failure or wrong bytes here
-// rather than a rare corruption in the field. Run with -race.
+// TestBlockBufferLifetime drives every site where a datanode hands a
+// block buffer back to its free list (DESIGN.md §15.6) at once —
+// streamed reads, k=3 pipeline writes, a replicate command, and deletes
+// racing reads of the deleted block — on disk and memory stores, with
+// every byte read checked against its path. A buffer released while
+// someone still reads it would be refilled by a neighbour's block; under
+// -tags invariantdebug it is poisoned on release, so the mistake becomes
+// a checksum failure or wrong bytes here rather than a rare corruption
+// in the field. Run with -race.
 func TestBlockBufferLifetime(t *testing.T) {
-	const nodes, readers, writers, chunk = 4, 8, 2, 1 << 10
-	nn := startCluster(t, nodes, func(s *dfs.Spec) {
+	const nodes, readers, writers, churns, chunk = 4, 8, 2, 24, 1 << 10
+	tc := startCluster(t, nodes, func(s *dfs.Spec) {
 		s.DataNode = datanode.Config{CapacityBlocks: 256, HeartbeatInterval: 30 * time.Millisecond}
 		s.PerNode = func(i int, cfg *datanode.Config) {
 			if i < nodes/2 {
 				cfg.DataDir = t.TempDir() // two disk stores, two memory stores
 			}
 		}
-	}).NameNode
+	})
+	nn := tc.NameNode
 	newClient := func(seed uint64) *client.Client {
 		return client.New(nn.Addr(), client.WithBlockSize(1<<12), client.WithSeed(seed), client.WithChunkSize(chunk))
 	}
@@ -296,6 +298,63 @@ func TestBlockBufferLifetime(t *testing.T) {
 			}
 		}(w)
 	}
+	// Churn: a block on every node is read replica by replica, without
+	// pause, while its file is deleted, until no node holds it any more —
+	// so each store's Delete runs against Gets of the very block it
+	// drops. A read may fail once its replica is gone; one that succeeds
+	// must be exact.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c := newClient(300)
+		for i := 0; i < churns && !t.Failed(); i++ {
+			path, n := fmt.Sprintf("/life/c%d", i), 1<<12-97*i
+			want := pathContent(path, n)
+			if err := c.Create(path, want, nodes); err != nil {
+				t.Errorf("Create %s: %v", path, err)
+				return
+			}
+			locs, err := c.Locations(path)
+			if err != nil || len(locs) != 1 {
+				t.Errorf("Locations %s: %v (%d blocks)", path, err, len(locs))
+				return
+			}
+			block := locs[0].Block
+			stop := make(chan struct{})
+			var hammers sync.WaitGroup
+			for j, addr := range locs[0].Addresses {
+				hammers.Add(1)
+				go func(rc *client.Client, loc proto.BlockLocation) {
+					defer hammers.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if got, err := rc.ReadBlockFrom(loc); err == nil && !bytes.Equal(got, want) {
+							t.Errorf("%s replica on %s: wrong bytes while it was deleted", path, loc.Addresses[0])
+							return
+						}
+					}
+				}(newClient(uint64(400+j)), proto.BlockLocation{Block: block, Length: n, Addresses: []string{addr}})
+			}
+			if err := c.Delete(path); err != nil {
+				t.Errorf("Delete %s: %v", path, err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				held := false
+				for _, dn := range tc.DataNodes {
+					held = held || dn.HasBlock(block)
+				}
+				if !held {
+					break
+				}
+			}
+			close(stop)
+			hammers.Wait()
+		}
+	}()
 	// A fourth replica of the first reader's block can only come from a
 	// replicate command executed by one of its three holders.
 	hot, hotLen := readerFile(0)

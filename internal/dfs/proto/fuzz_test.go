@@ -33,12 +33,22 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frame(codeOf(msgTypes[:], MsgOK), hasFiles, 0xff, 0xff, 0xff, 0x7f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, payload, n, err := readFrameInto(bytes.NewReader(data), nil)
-		// A stream's decode into its reused buffer must agree with it.
+		msg, payload, n, err := readFrameInto(bytes.NewReader(data), nil, nil)
+		// A stream's decode into its reused buffer must agree with it,
+		// and so must a RecvInto's decode into the spare capacity of a
+		// destination — which must then hold the payload in place.
 		var scratch []byte
-		msgS, payloadS, nS, errS := readFrameInto(bytes.NewReader(data), &scratch)
+		msgS, payloadS, nS, errS := readFrameInto(bytes.NewReader(data), nil, &scratch)
 		if (err == nil) != (errS == nil) || nS != n || !reflect.DeepEqual(msg, msgS) || !bytes.Equal(payload, payloadS) {
 			t.Fatalf("decode into a reused buffer differs: %d bytes, %v vs %d bytes, %v", nS, errS, n, err)
+		}
+		dst := make([]byte, 3, 3+len(data))
+		msgD, payloadD, nD, errD := readFrameInto(bytes.NewReader(data), dst, &scratch)
+		if (err == nil) != (errD == nil) || nD != n || !reflect.DeepEqual(msg, msgD) || !bytes.Equal(payload, payloadD) {
+			t.Fatalf("decode into a destination differs: %d bytes, %v vs %d bytes, %v", nD, errD, n, err)
+		}
+		if len(payloadD) > 0 && &payloadD[0] != &dst[:cap(dst)][len(dst)] {
+			t.Fatalf("a %d-byte payload that fits the destination was not read into it", len(payloadD))
 		}
 		if err != nil {
 			return

@@ -323,29 +323,31 @@ func writeFrame(w io.Writer, msg *Message, payload []byte) (int, error) {
 
 // ReadFrame reads one frame written by WriteFrame.
 func ReadFrame(r io.Reader) (*Message, []byte, error) {
-	msg, payload, _, err := readFrameInto(r, nil)
+	msg, payload, _, err := readFrameInto(r, nil, nil)
 	return msg, payload, err
 }
 
 // readFrameInto is ReadFrame plus the number of wire bytes consumed and
-// an optional caller-owned payload buffer: when scratch is non-nil, a
-// payload of at most EagerReadBytes is read into *scratch (allocated or
-// grown to the payload's size first) and the returned payload aliases
-// it, valid until the caller's next use of scratch. Larger payloads, and
-// every payload under a nil scratch, get a fresh slice.
-func readFrameInto(r io.Reader, scratch *[]byte) (*Message, []byte, int, error) {
+// the payload destinations of readFrameBody.
+func readFrameInto(r io.Reader, dst []byte, scratch *[]byte) (*Message, []byte, int, error) {
 	var lens [frameLensBytes]byte
 	if _, err := io.ReadFull(r, lens[:]); err != nil {
 		return nil, nil, 0, fmt.Errorf("proto: read frame lengths: %w", err)
 	}
-	return readFrameBody(r, lens, scratch)
+	return readFrameBody(r, lens, dst, scratch)
 }
 
 // readFrameBody reads the rest of a frame whose length prefix the caller
 // has already read. The transport reads the prefix itself where the wait
 // for it means something: a server idling between requests, and a Call
 // that may redial only while no response byte has arrived.
-func readFrameBody(r io.Reader, lens [frameLensBytes]byte, scratch *[]byte) (*Message, []byte, int, error) {
+//
+// The payload lands in the first place that holds it: dst's spare
+// capacity (the returned payload is dst[len(dst):len(dst)+n]); else,
+// when scratch is non-nil and the payload is at most EagerReadBytes,
+// *scratch, allocated or grown to the payload's size first (valid until
+// the caller's next use of scratch); else a fresh slice.
+func readFrameBody(r io.Reader, lens [frameLensBytes]byte, dst []byte, scratch *[]byte) (*Message, []byte, int, error) {
 	headerLen := binary.BigEndian.Uint32(lens[0:4])
 	payloadLen := binary.BigEndian.Uint32(lens[4:8])
 	if headerLen > MaxHeaderBytes {
@@ -362,6 +364,9 @@ func readFrameBody(r io.Reader, lens [frameLensBytes]byte, scratch *[]byte) (*Me
 	var payload []byte
 	switch {
 	case payloadLen == 0:
+	case cap(dst)-len(dst) >= int(payloadLen):
+		payload = dst[len(dst) : len(dst)+int(payloadLen)]
+		_, err = io.ReadFull(r, payload)
 	case scratch != nil && payloadLen <= EagerReadBytes:
 		if uint32(cap(*scratch)) < payloadLen {
 			*scratch = make([]byte, payloadLen)

@@ -105,7 +105,7 @@ func exchange(conn net.Conn, req *Message, payload []byte) (resp *Message, respP
 	if n, err := io.ReadFull(conn, lens[:]); err != nil {
 		return nil, nil, wrote, n, fmt.Errorf("proto: read frame lengths: %w", err)
 	}
-	resp, respPayload, read, err = readFrameBody(conn, lens, nil)
+	resp, respPayload, read, err = readFrameBody(conn, lens, nil, nil)
 	if err != nil {
 		return nil, nil, wrote, frameLensBytes, err
 	}
@@ -256,7 +256,7 @@ func (s *Server) serveRequest(conn net.Conn, h Handler, wait time.Duration) bool
 	if err := conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
 		return false
 	}
-	req, payload, _, err := readFrameBody(conn, lens, nil)
+	req, payload, _, err := readFrameBody(conn, lens, nil, nil)
 	if err != nil {
 		return false // peer vanished or sent garbage; nothing to answer
 	}

@@ -19,11 +19,62 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // whole-block sums.
 func ChunkChecksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
-// ChecksumUpdate extends a running CRC32C over a by the bytes b, so
-// ChecksumUpdate(ChunkChecksum(a), b) == ChunkChecksum(a||b). A receiver
-// folds each chunk in as it lands and has the whole-block sum at Eof
-// without a second pass over the block.
-func ChecksumUpdate(sum uint32, b []byte) uint32 { return crc32.Update(sum, castagnoli, b) }
+// ChecksumCombine returns ChunkChecksum(a‖b) from sumA =
+// ChunkChecksum(a), sumB = ChunkChecksum(b) and lenB = len(b), without
+// touching a byte of either: a CRC is linear over GF(2), so the sum of
+// a‖b is sumA shifted past lenB zero bytes — multiplied by x^(8·lenB)
+// mod P — xor sumB (the pre- and post-inversions cancel in the xor). A
+// receiver folds in each chunk sum it has already verified and has the
+// whole-block sum at Eof with no second pass over the block; a sender
+// derives the opening frame's block sum from its chunk sums.
+func ChecksumCombine(sumA, sumB uint32, lenB int) uint32 {
+	return multModP(xPow8n(lenB), sumA) ^ sumB
+}
+
+// castagnoliPoly is the CRC32C polynomial in the reflected bit order the
+// crc32 package computes in: bit 31 is the x^0 coefficient.
+const castagnoliPoly = 0x82f63b78
+
+// multModP returns a(x)·b(x) mod P(x) for reflected a, b; a must be
+// non-zero.
+func multModP(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; ; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+			if a&(m-1) == 0 {
+				return p
+			}
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ castagnoliPoly
+		} else {
+			b >>= 1
+		}
+	}
+}
+
+// x2n[k] is x^(2^k) mod P, reflected.
+var x2n = func() (t [32]uint32) {
+	p := uint32(1) << 30 // x^1
+	for k := range t {
+		t[k] = p
+		p = multModP(p, p)
+	}
+	return t
+}()
+
+// xPow8n returns x^(8·n) mod P, reflected: the factor that shifts a CRC
+// past n zero bytes. It walks n's bits, so it costs O(log n) products.
+func xPow8n(n int) uint32 {
+	p := uint32(1) << 31 // x^0
+	for k := 3; n > 0; n, k = n>>1, k+1 {
+		if n&1 != 0 {
+			p = multModP(x2n[k&31], p)
+		}
+	}
+	return p
+}
 
 // DefaultChunkSize is the payload size of one MsgChunk frame when the
 // caller does not pick one. 128 KiB keeps per-chunk framing overhead
@@ -49,6 +100,14 @@ type BlockStream interface {
 	// frame into the same memory — so a consumer that keeps the bytes
 	// copies them out first (DESIGN.md §15.6).
 	Recv() (*Message, []byte, error)
+	// RecvInto is Recv with a destination: a payload that fits in buf's
+	// spare capacity is read from the connection straight into
+	// buf[len(buf):], and the returned payload is that region — the
+	// caller's memory, kept by reslicing buf over it, with no copy. A
+	// payload that does not fit is returned as Recv returns it. The
+	// bytes past len(buf) are the stream's to overwrite until the call
+	// returns (DESIGN.md §15.6).
+	RecvInto(buf []byte) (*Message, []byte, error)
 	// Close ends the caller's use of the stream. Before the exchange
 	// has run to its end the peer observes it as a mid-stream failure.
 	Close() error
@@ -75,10 +134,11 @@ const (
 // Stream is the concrete BlockStream over a net.Conn.
 type Stream struct {
 	timeout time.Duration
-	// scratch is the one payload buffer every Recv reads into: sized by
-	// the first chunk, regrown only if a larger one arrives. It belongs
-	// to this stream alone and is never shared or pooled, so a Close from
-	// another goroutine cannot hand it to a second reader.
+	// scratch is the one payload buffer every Recv reads into, unless
+	// RecvInto's destination holds the payload: sized by the first chunk,
+	// regrown only if a larger one arrives. It belongs to this stream
+	// alone and is never shared or pooled, so a Close from another
+	// goroutine cannot hand it to a second reader.
 	scratch []byte
 	// addr is where Close releases the connection to: the pool key of a
 	// stream OpenStream made, empty on the serving side, whose
@@ -191,7 +251,10 @@ func (s *Stream) Send(msg *Message, payload []byte) error {
 }
 
 // Recv implements BlockStream.
-func (s *Stream) Recv() (*Message, []byte, error) {
+func (s *Stream) Recv() (*Message, []byte, error) { return s.RecvInto(nil) }
+
+// RecvInto implements BlockStream.
+func (s *Stream) RecvInto(buf []byte) (*Message, []byte, error) {
 	conn, err := s.begin()
 	if err != nil {
 		return nil, nil, err
@@ -202,7 +265,7 @@ func (s *Stream) Recv() (*Message, []byte, error) {
 	if err = conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
 		err = fmt.Errorf("proto: stream set deadline: %w", err)
 	} else {
-		msg, payload, n, err = readFrameInto(conn, &s.scratch)
+		msg, payload, n, err = readFrameInto(conn, buf, &s.scratch)
 	}
 	s.end(false, msg, err)
 	if err != nil {
@@ -276,12 +339,26 @@ func SendBlock(open OpenStreamFunc, addr string, block BlockID, pipeline []strin
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
+	// One CRC pass over the block: each chunk's sum is computed here,
+	// stamped on its frame below, and folded into the whole-block sum
+	// the opening frame carries.
+	sums := make([]uint32, 0, len(data)/chunkSize+1)
+	var sum uint32
+	for off := 0; ; off += chunkSize {
+		end := min(off+chunkSize, len(data))
+		c := ChunkChecksum(data[off:end])
+		sums = append(sums, c)
+		sum = ChecksumCombine(sum, c, end-off)
+		if end == len(data) {
+			break
+		}
+	}
 	st, err := open(addr, &Message{
 		Type:      MsgWriteBlockStream,
 		Block:     block,
 		Pipeline:  pipeline,
 		Length:    len(data),
-		Checksum:  ChunkChecksum(data),
+		Checksum:  sum,
 		ChunkSize: chunkSize,
 	}, timeout)
 	if err != nil {
@@ -294,7 +371,7 @@ func SendBlock(open OpenStreamFunc, addr string, block BlockID, pipeline []strin
 		msg := &Message{
 			Type: MsgChunk, Block: block,
 			Seq: seq, Offset: off, Eof: end == len(data),
-			Checksum: ChunkChecksum(part),
+			Checksum: sums[seq],
 		}
 		if err := st.Send(msg, part); err != nil {
 			return err

@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"errors"
+	"math/rand/v2"
 	"net"
 	"runtime"
 	"testing"
@@ -288,5 +289,105 @@ func TestStreamRecvReusesPayloadBuffer(t *testing.T) {
 	// side; one buffer per chunk would be 32x the payload size.
 	if got := after.TotalAlloc - before.TotalAlloc; got > 4*size {
 		t.Errorf("receiving %d chunks of %d bytes allocated %d bytes, want one payload buffer (<= %d)", chunks, size, got, 4*size)
+	}
+}
+
+// ChecksumCombine is the CRC32C of a concatenation from the two sums
+// alone, so a receiver can fold verified chunk sums into a block sum
+// and a sender can stamp the block sum without a second pass. Random
+// splits of random data, with empty halves and halves past 64 KiB.
+func TestChecksumCombine(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	data := make([]byte, 300<<10)
+	for i := range data {
+		data[i] = byte(rng.Uint32())
+	}
+	check := func(a, b []byte) {
+		t.Helper()
+		if got, want := ChecksumCombine(ChunkChecksum(a), ChunkChecksum(b), len(b)), ChunkChecksum(append(a[:len(a):len(a)], b...)); got != want {
+			t.Fatalf("ChecksumCombine over %d+%d bytes = %#x, want %#x", len(a), len(b), got, want)
+		}
+	}
+	check(nil, nil)
+	check(data[:0], data[:100<<10])
+	check(data[:100<<10], data[:0])
+	check(data[:200<<10], data[200<<10:])
+	for range 2000 {
+		n := rng.IntN(len(data) + 1)
+		lo := rng.IntN(len(data) - n + 1)
+		piece := data[lo : lo+n]
+		cut := rng.IntN(n + 1)
+		check(piece[:cut], piece[cut:])
+	}
+}
+
+// RecvInto reads each payload that fits the destination's spare
+// capacity straight into it, so a receiver that reslices its buffer
+// over the returned region holds the block without copying a byte; a
+// payload that does not fit comes back through the stream's own buffer
+// with the destination untouched. SendBlock's opening frame carries the
+// whole-block CRC it derived from its chunk sums.
+func TestStreamRecvInto(t *testing.T) {
+	data := make([]byte, 10_000)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	type result struct {
+		open    *Message
+		got     []byte
+		inPlace bool
+	}
+	done := make(chan result, 1)
+	srv := streamServer(t, func(open *Message, _ []byte, st BlockStream) {
+		res := result{open: open, inPlace: true}
+		buf := make([]byte, 0, open.Length)
+		for {
+			msg, chunk, err := st.RecvInto(buf)
+			if err != nil {
+				t.Errorf("RecvInto: %v", err)
+				break
+			}
+			if len(chunk) > 0 && &chunk[0] != &buf[:cap(buf)][len(buf)] {
+				res.inPlace = false
+			}
+			buf = buf[:len(buf)+len(chunk)]
+			if msg.Eof {
+				break
+			}
+		}
+		res.got = buf
+		done <- res
+		//lint:ignore errcheck the client checks the ack
+		_ = st.Send(&Message{Type: MsgStreamAck, Offset: len(buf)}, nil)
+	})
+	if err := SendBlock(OpenStream, srv.Addr(), 9, nil, data, 3000, time.Second); err != nil {
+		t.Fatalf("SendBlock: %v", err)
+	}
+	res := <-done
+	if !bytes.Equal(res.got, data) || !res.inPlace {
+		t.Errorf("received %d bytes (equal: %t), every chunk in place: %t", len(res.got), bytes.Equal(res.got, data), res.inPlace)
+	}
+	if res.open.Checksum != ChunkChecksum(data) {
+		t.Errorf("opening frame Checksum = %#x, want the block's CRC32C %#x", res.open.Checksum, ChunkChecksum(data))
+	}
+
+	// A payload larger than the spare capacity falls back to Recv's path.
+	want := bytes.Repeat([]byte{0x5a}, 64)
+	srv = streamServer(t, func(_ *Message, _ []byte, st BlockStream) {
+		//lint:ignore errcheck the client checks what arrives
+		_ = st.Send(&Message{Type: MsgChunk, Eof: true}, want)
+	})
+	st, err := OpenStream(srv.Addr(), &Message{Type: MsgReadBlockStream, Block: 1}, time.Second)
+	if err != nil {
+		t.Fatalf("OpenStream: %v", err)
+	}
+	defer st.Close()
+	small := make([]byte, 4, 16)
+	_, payload, err := st.RecvInto(small)
+	if err != nil || !bytes.Equal(payload, want) {
+		t.Fatalf("RecvInto of an oversized payload = %d bytes, %v", len(payload), err)
+	}
+	if !bytes.Equal(small[:cap(small)], make([]byte, 16)) {
+		t.Error("an oversized payload was written into the destination")
 	}
 }

@@ -99,11 +99,14 @@ func (f *faultStream) Send(msg *proto.Message, payload []byte) error {
 }
 
 // Recv implements proto.BlockStream.
-func (f *faultStream) Recv() (*proto.Message, []byte, error) {
+func (f *faultStream) Recv() (*proto.Message, []byte, error) { return f.RecvInto(nil) }
+
+// RecvInto implements proto.BlockStream.
+func (f *faultStream) RecvInto(buf []byte) (*proto.Message, []byte, error) {
 	if err := f.check(); err != nil {
 		return nil, nil, err
 	}
-	return f.st.Recv()
+	return f.st.RecvInto(buf)
 }
 
 // Close implements proto.BlockStream.

@@ -1,7 +1,7 @@
 package trace
 
 // Named, seeded scenario generators for the predictor-vs-reactive
-// evaluation matrix (ROADMAP item 4): diurnal cycle, recurring flash
+// evaluation matrix: diurnal cycle, recurring flash
 // crowd, batch-vs-interactive mix, region-skewed access and
 // rolling-restart churn. Each scenario composes independent workload
 // streams with time-varying arrival rates; non-homogeneous Poisson
