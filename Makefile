@@ -47,9 +47,9 @@ race:
 # recycled block buffer on release, so a use-after-release on the data
 # path fails here (DESIGN.md §15.6).
 chaos:
-	$(GO) test -race -tags invariantdebug -run '^TestChaosCrashRecoverNoDataLoss$$' -v ./internal/dfs/
-	AURORA_CHAOS_SHARDS=4 $(GO) test -race -tags invariantdebug -count=1 -run '^TestChaosCrashRecoverNoDataLoss$$' -v ./internal/dfs/
-	$(GO) test -tags invariantdebug -count=10 -run '^TestChaosCrashRecoverNoDataLoss$$' ./internal/dfs/
+	$(GO) test -race -tags invariantdebug -run '^TestChaosCrashRecoverNoDataLoss$$' -v -timeout 120s ./internal/dfs/
+	AURORA_CHAOS_SHARDS=4 $(GO) test -race -tags invariantdebug -count=1 -run '^TestChaosCrashRecoverNoDataLoss$$' -v -timeout 120s ./internal/dfs/
+	$(GO) test -tags invariantdebug -count=10 -run '^TestChaosCrashRecoverNoDataLoss$$' -timeout 300s ./internal/dfs/
 	$(GO) test -race -tags invariantdebug -count=3 -run '^TestBlockBufferLifetime$$' ./internal/dfs/
 
 # Short native-fuzz smoke over the checked-in corpora: the wire-frame

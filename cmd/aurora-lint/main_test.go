@@ -206,7 +206,7 @@ func TestRulesOnFixtures(t *testing.T) {
 		{
 			pkg: "internal/dfs/proto",
 			want: []finding{
-				{"internal/dfs/proto/proto.go", 66, analysis.RulePkgDoc,
+				{"internal/dfs/proto/proto.go", 65, analysis.RulePkgDoc,
 					"exported wire-protocol type ChunkFrame lacks a doc comment; document every frame type (DESIGN.md §15)"},
 			},
 		},
@@ -220,7 +220,7 @@ func TestRulesOnFixtures(t *testing.T) {
 				{"protoconform/protoconform.go", 28, analysis.RuleProtoConform,
 					"write handler (*node).streamLoose never reports proto.MsgBlockReceived to the namenode before the proto.MsgStreamAck commit (DESIGN.md §15.4 head-durable contract)"},
 				{"protoconform/protoconform.go", 32, analysis.RuleProtoConform,
-					"control request proto.MsgHeartbeat dispatched by stream handler (*node).streamLoose; it belongs on the request/response plane (DESIGN.md §15.1)"},
+					"control request proto.MsgHeartbeatDelta dispatched by stream handler (*node).streamLoose; it belongs on the request/response plane (DESIGN.md §15.1)"},
 				{"protoconform/protoconform.go", 42, analysis.RuleProtoConform,
 					"dispatcher (*node).streamDup handles no case for proto.MsgReadBlockStream (DESIGN.md §15.1: every request MsgType has exactly one handler)"},
 				{"protoconform/protoconform.go", 43, analysis.RuleProtoConform,
@@ -232,10 +232,12 @@ func TestRulesOnFixtures(t *testing.T) {
 				{"protoconform/protoconform.go", 89, analysis.RuleProtoConform,
 					"delta reporter (*node).deltaMute never reads the response's FullReport flag; the namenode could never demand a resync (DESIGN.md §15.5)"},
 				{"protoconform/protoconform.go", 89, analysis.RuleProtoConform,
-					"delta reporter (*node).deltaMute never escalates to a full proto.MsgHeartbeat report (DESIGN.md §15.5: digest divergence must trigger a resync)"},
+					"delta reporter (*node).deltaMute never sets FullReport on a report; it could never send the full report a resync needs (DESIGN.md §15.5)"},
 				// deltaWaved's two findings are //lint:ignore'd.
 				{"protoconform/protoconform.go", 104, analysis.RuleDirective,
 					"//lint:ignore needs a rule and a reason: //lint:ignore <rule> <why>"},
+				{"protoconform/protoconform.go", 112, analysis.RuleProtoConform,
+					"proto.MsgHeartbeatDelta handler never sets FullReport on its response; divergence could never escalate to a resync (DESIGN.md §15.5)"},
 			},
 		},
 		// The §15-conformant mirrors are exactly clean: every check the
@@ -477,6 +479,13 @@ var seededMutations = []mutation{
 		old:  "\tdn.noteReceived(open.Block)\n",
 		new:  "",
 		at:   []string{"\tcase proto.MsgWriteBlockStream:\n"}, // reported at the dispatch case
+	},
+	{
+		name: "resync request ignored", rule: analysis.RuleProtoConform,
+		file: "internal/dfs/datanode/datanode.go",
+		old:  "\tif resp.FullReport {\n\t\t// The namenode detected divergence (or wants a post-rejoin\n\t\t// baseline): escalate the next heartbeat to a full report.\n\t\tdn.tracker.forceFullNext()\n\t\tmetrics.Default.Counter(\"dfs.datanode.report_resync\").Inc()\n\t}\n",
+		new:  "",
+		at:   []string{"\treq := &proto.Message{\n\t\tType: proto.MsgHeartbeatDelta"}, // reported at the report literal
 	},
 	{
 		name: "wall-clock seed into DefaultSetup", rule: analysis.RuleRngTaint,

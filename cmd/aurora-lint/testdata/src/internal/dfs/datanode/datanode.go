@@ -37,6 +37,7 @@ type DataNode struct {
 	store    Store
 	namenode string
 	pending  []int64
+	full     bool // the next report is a full one
 	outbox   []*proto.Message
 	dropped  int
 }
@@ -100,19 +101,14 @@ func (d *DataNode) handleReadStream(open *proto.Message, s proto.BlockStream) er
 	return s.Send(m, payload)
 }
 
-// heartbeatOnce sends a delta report and escalates to a full heartbeat
-// when the namenode sets FullReport (§15.5 on the sending side).
+// heartbeatOnce sends a block report, a full one when the namenode
+// set FullReport on the last response (§15.5 on the sending side).
 func (d *DataNode) heartbeatOnce() {
-	req := &proto.Message{Type: proto.MsgHeartbeatDelta, Block: int64(len(d.pending))}
+	req := &proto.Message{Type: proto.MsgHeartbeatDelta, Block: int64(len(d.pending)), FullReport: d.full}
 	resp, _, err := proto.Call(d.namenode, req, nil, time.Second)
 	if err != nil {
 		d.dropped++
 		return
 	}
-	if resp.FullReport {
-		full := &proto.Message{Type: proto.MsgHeartbeat}
-		if _, _, err := proto.Call(d.namenode, full, nil, time.Second); err != nil {
-			d.dropped++
-		}
-	}
+	d.full = resp.FullReport
 }

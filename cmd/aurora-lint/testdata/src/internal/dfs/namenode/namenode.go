@@ -15,21 +15,23 @@ type NameNode struct {
 // Handle is the one-shot control dispatcher.
 func (n *NameNode) Handle(req *proto.Message, payload []byte) (*proto.Message, []byte) {
 	switch req.Type {
-	case proto.MsgHeartbeat:
-		n.drift = false
-		return &proto.Message{Type: proto.MsgOK}, nil
 	case proto.MsgHeartbeatDelta:
-		return n.handleDelta(req)
+		return n.handleReport(req)
 	case proto.MsgBlockReceived:
 		return n.noteBlock(req)
 	}
 	return &proto.Message{Type: proto.MsgError}, nil
 }
 
-// handleDelta acks the delta and sets FullReport when the digests have
-// diverged, forcing the datanode to resync with a full heartbeat.
-func (n *NameNode) handleDelta(req *proto.Message) (*proto.Message, []byte) {
+// handleReport takes a full report as the new baseline and sets
+// FullReport on a delta's response when the digests have diverged,
+// asking the datanode to resync with a full report.
+func (n *NameNode) handleReport(req *proto.Message) (*proto.Message, []byte) {
 	resp := &proto.Message{Type: proto.MsgOK}
+	if req.FullReport {
+		n.drift = false
+		return resp, nil
+	}
 	if n.drift {
 		resp.FullReport = true
 	}

@@ -1,7 +1,7 @@
 // Package proto mirrors the real RPC surface (analyzers match it by
 // path suffix) for the ctxdeadline and protoconform fixtures. It
 // implements a slice of the DESIGN.md §15 frame table: the stream plane
-// and the heartbeat/delta control types.
+// and the block-report control types.
 package proto
 
 import "time"
@@ -13,7 +13,6 @@ type MsgType string
 // the constants a proto package actually defines, so this stays a
 // partial mirror.
 const (
-	MsgHeartbeat        MsgType = "heartbeat"
 	MsgHeartbeatDelta   MsgType = "heartbeat_delta"
 	MsgBlockReceived    MsgType = "block_received"
 	MsgWriteBlockStream MsgType = "write_block_stream"

@@ -29,7 +29,7 @@ func (n *node) streamLoose(open *proto.Message, s proto.BlockStream) error {
 		return s.Send(&proto.Message{Type: proto.MsgStreamAck, Block: open.Block}, nil)
 	case proto.MsgReadBlockStream:
 		return nil
-	case proto.MsgHeartbeat:
+	case proto.MsgHeartbeatDelta:
 		return nil
 	}
 	return nil
@@ -83,8 +83,8 @@ func (n *node) recvIntoNoVerify(open *proto.Message, s proto.BlockStream) error 
 	}
 }
 
-// deltaMute builds heartbeat deltas but never reads the response's
-// FullReport flag and never escalates to a full report (§15.5).
+// deltaMute builds block reports but never reads the response's
+// FullReport flag and can never send a full report (§15.5).
 func (n *node) deltaMute() {
 	req := &proto.Message{Type: proto.MsgHeartbeatDelta}
 	n.out = append(n.out, req)
@@ -103,4 +103,16 @@ func (n *node) deltaWaved() {
 func (n *node) misuse() {
 	//lint:ignore protoconform
 	n.out = nil
+}
+
+// reportDeaf handles block reports but can never ask the sender for a
+// full one (§15.5 on the handling side).
+func (n *node) reportDeaf(req *proto.Message, payload []byte) (*proto.Message, []byte) {
+	switch req.Type {
+	case proto.MsgHeartbeatDelta:
+		return &proto.Message{Type: proto.MsgOK}, nil
+	case proto.MsgBlockReceived:
+		return nil, nil
+	}
+	return req, nil
 }

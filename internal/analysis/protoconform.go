@@ -11,9 +11,10 @@
 //   - §15.4 head-durable ordering: the write handler stores the block
 //     and reports proto.MsgBlockReceived before the commit (the stream
 //     ack);
-//   - §15.5 delta escalation: whoever sends proto.MsgHeartbeatDelta
-//     reads the response's FullReport flag and can escalate to a full
-//     proto.MsgHeartbeat; whoever handles the delta can set it.
+//   - §15.5 report escalation: whoever sends proto.MsgHeartbeatDelta
+//     reads the response's FullReport flag and can set FullReport on a
+//     request (a full report); whoever handles the report can set it on
+//     the response.
 //
 // The checks are name-anchored (const names, field names, method
 // names) rather than identity-anchored so fixture mirrors of the
@@ -35,7 +36,7 @@ var (
 		"MsgCreateFile", "MsgAddBlock", "MsgCompleteFile", "MsgGetLocations",
 		"MsgSetRepl", "MsgDeleteFile", "MsgListFiles", "MsgStatFile",
 		"MsgClusterInfo", "MsgFsck", "MsgDecommission",
-		"MsgRegister", "MsgHeartbeat", "MsgHeartbeatDelta",
+		"MsgRegister", "MsgHeartbeatDelta",
 		"MsgBlockReceived", "MsgBlockDeleted",
 	}
 	protoStreamRequests = []string{"MsgWriteBlockStream", "MsgReadBlockStream"}
@@ -607,7 +608,8 @@ func (pc *protoChecker) checkChunkPaths(fi *FuncInfo) {
 
 // checkDeltaSender enforces §15.5 escalation on the sending side (P5a):
 // whoever builds a MsgHeartbeatDelta must read the response's
-// FullReport flag and reference the full proto.MsgHeartbeat escalation.
+// FullReport flag and be able to set FullReport on a request, directly
+// or through its callees — the full report a resync asks for.
 func (pc *protoChecker) checkDeltaSender(fi *FuncInfo) {
 	if fi.Decl == nil || fi.Decl.Body == nil || fi.Pkg.Types == pc.w.pkg {
 		return
@@ -616,8 +618,7 @@ func (pc *protoChecker) checkDeltaSender(fi *FuncInfo) {
 	if !ok {
 		return
 	}
-	info := fi.Pkg.Info
-	readsFull, refsHeartbeat := false, false
+	readsFull := false
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		if assign, ok := n.(*ast.AssignStmt); ok {
 			// Walk only the RHS: writing FullReport is not reading it.
@@ -625,9 +626,6 @@ func (pc *protoChecker) checkDeltaSender(fi *FuncInfo) {
 				ast.Inspect(rhs, func(m ast.Node) bool {
 					if sel, ok := m.(*ast.SelectorExpr); ok && sel.Sel.Name == "FullReport" {
 						readsFull = true
-					}
-					if e, ok := m.(ast.Expr); ok && pc.w.msgConstName(info, e) == "MsgHeartbeat" {
-						refsHeartbeat = true
 					}
 					return true
 				})
@@ -637,9 +635,6 @@ func (pc *protoChecker) checkDeltaSender(fi *FuncInfo) {
 		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "FullReport" {
 			readsFull = true
 		}
-		if e, ok := n.(ast.Expr); ok && pc.w.msgConstName(info, e) == "MsgHeartbeat" {
-			refsHeartbeat = true
-		}
 		return true
 	})
 	if !readsFull {
@@ -647,9 +642,9 @@ func (pc *protoChecker) checkDeltaSender(fi *FuncInfo) {
 			"delta reporter %s never reads the response's FullReport flag; the namenode could never demand a resync (DESIGN.md §15.5)",
 			funcInfoName(fi))
 	}
-	if !refsHeartbeat {
+	if !pc.setsFullReport(fi, map[*FuncInfo]bool{}) {
 		pc.r.report(litPos, RuleProtoConform,
-			"delta reporter %s never escalates to a full proto.MsgHeartbeat report (DESIGN.md §15.5: digest divergence must trigger a resync)",
+			"delta reporter %s never sets FullReport on a report; it could never send the full report a resync needs (DESIGN.md §15.5)",
 			funcInfoName(fi))
 	}
 }

@@ -302,58 +302,32 @@ func (dn *DataNode) heartbeatLoop() {
 	}
 }
 
-// heartbeatOnce sends one block report. The steady state is a
-// MsgHeartbeatDelta carrying only blocks received/deleted since the
-// last acknowledged report plus an xor-digest of the full local set;
-// a full MsgHeartbeat report goes out on boot, when the namenode asks
-// for one (digest mismatch or rejoin), and every fullReportEvery
-// heartbeats as a safety net. Wire cost is O(changed blocks) instead
-// of O(all blocks) per tick (DESIGN.md §15).
+// heartbeatOnce sends one block report, a MsgHeartbeatDelta. The
+// steady state carries only the blocks received/deleted since the last
+// acknowledged report plus an xor-digest of the full local set; a full
+// report — FullReport set, every held block in Received — goes out on
+// boot, when the namenode asks for one (digest mismatch or rejoin), and
+// every fullReportEvery heartbeats as a safety net. Wire cost is
+// O(changed blocks) instead of O(all blocks) per tick (DESIGN.md §15.5).
 func (dn *DataNode) heartbeatOnce() {
-	var req *proto.Message
-	var snap map[proto.BlockID]bool
-	full := dn.tracker.needFull()
-	if full {
-		// Clear pending before listing: anything that lands after the
-		// clear is either in the list (a duplicate delta next tick is
-		// idempotent) or in the fresh pending map — never lost.
-		dn.tracker.beginFull()
-		req = &proto.Message{Type: proto.MsgHeartbeat, Node: dn.id, Blocks: dn.store.List()}
+	r := dn.tracker.drain(dn.store.List)
+	req := &proto.Message{
+		Type: proto.MsgHeartbeatDelta, Node: dn.id, FullReport: r.full,
+		Digest: r.digest, Received: r.received, Deleted: r.deleted,
+	}
+	if r.full {
 		metrics.Default.Counter("dfs.datanode.report_full").Inc()
 	} else {
-		digest := proto.BlockSetDigest(dn.store.List())
-		snap = dn.tracker.take()
-		received := make([]proto.BlockID, 0, len(snap))
-		var deleted []proto.BlockID
-		for id, present := range snap {
-			if present {
-				received = append(received, id)
-			} else {
-				deleted = append(deleted, id)
-			}
-		}
-		sortBlockIDs(received)
-		sortBlockIDs(deleted)
-		req = &proto.Message{
-			Type: proto.MsgHeartbeatDelta, Node: dn.id,
-			Digest: digest, Received: received, Deleted: deleted,
-		}
 		metrics.Default.Counter("dfs.datanode.report_delta").Inc()
 	}
 	resp, _, err := dn.call(dn.cfg.NameNodeAddr, req, nil, dn.cfg.Timeout)
+	dn.tracker.ack(r, err == nil)
 	if err != nil {
 		// Namenode briefly unreachable (or the heartbeat was dropped by
 		// fault injection); the next tick retries — heartbeats are the
-		// retry loop, so no backoff here. An unsent delta is merged back
-		// so no event is lost.
-		if !full {
-			dn.tracker.restore(snap)
-		}
+		// retry loop, so no backoff here.
 		metrics.Default.Counter("dfs.datanode.heartbeat_failures").Inc()
 		return
-	}
-	if full {
-		dn.tracker.fullAcked()
 	}
 	if resp.FullReport {
 		// The namenode detected divergence (or wants a post-rejoin

@@ -23,8 +23,8 @@ type fakeNameNode struct {
 	reporters []proto.NodeID // reporters[i] sent received[i]
 	deleted   []proto.BlockID
 	cmds      map[proto.NodeID][]proto.Command
-	hbCount   int // full heartbeats
-	deltas    int // delta heartbeats
+	hbCount   int // full reports
+	deltas    int // delta reports
 	lastFull  []proto.BlockID
 	deltaRecv []proto.BlockID
 	deltaDel  []proto.BlockID
@@ -51,19 +51,18 @@ func (f *fakeNameNode) handle(req *proto.Message, _ []byte) (*proto.Message, []b
 		id := f.nextID
 		f.nextID++
 		return &proto.Message{Type: proto.MsgOK, Node: id}, nil
-	case proto.MsgHeartbeat:
-		f.hbCount++
-		f.lastFull = append([]proto.BlockID(nil), req.Blocks...)
-		cmds := f.cmds[req.Node]
-		delete(f.cmds, req.Node)
-		return &proto.Message{Type: proto.MsgOK, Commands: cmds}, nil
 	case proto.MsgHeartbeatDelta:
-		f.deltas++
-		f.deltaRecv = append(f.deltaRecv, req.Received...)
-		f.deltaDel = append(f.deltaDel, req.Deleted...)
 		cmds := f.cmds[req.Node]
 		delete(f.cmds, req.Node)
 		resp := &proto.Message{Type: proto.MsgOK, Commands: cmds}
+		if req.FullReport {
+			f.hbCount++
+			f.lastFull = append([]proto.BlockID(nil), req.Received...)
+			return resp, nil
+		}
+		f.deltas++
+		f.deltaRecv = append(f.deltaRecv, req.Received...)
+		f.deltaDel = append(f.deltaDel, req.Deleted...)
 		if f.askFull {
 			resp.FullReport = true
 			f.askFull = false

@@ -101,6 +101,15 @@ func (hc *healCluster) holds(dn *fakeDN) []proto.BlockID {
 	return out
 }
 
+// inflight reports whether a replicate command copying b to dn is
+// still outstanding.
+func (hc *healCluster) inflight(b proto.BlockID, dn *fakeDN) bool {
+	hc.nn.mu.Lock()
+	defer hc.nn.mu.Unlock()
+	_, ok := hc.nn.inflight[inflightKey{block: b, node: dn.id}]
+	return ok
+}
+
 func (hc *healCluster) desired(id core.BlockID) (replicas []topology.MachineID, spread int) {
 	hc.nn.mu.Lock()
 	defer hc.nn.mu.Unlock()

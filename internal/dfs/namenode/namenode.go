@@ -423,10 +423,8 @@ func (nn *NameNode) handle(req *proto.Message, _ []byte) (*proto.Message, []byte
 	switch req.Type {
 	case proto.MsgRegister:
 		resp, err = nn.handleRegister(req)
-	case proto.MsgHeartbeat:
-		resp, err = nn.handleHeartbeat(req)
 	case proto.MsgHeartbeatDelta:
-		resp, err = nn.handleHeartbeatDelta(req)
+		resp, err = nn.handleReport(req)
 	case proto.MsgBlockReceived:
 		resp, err = nn.handleBlockReceived(req)
 	case proto.MsgBlockDeleted:
@@ -547,12 +545,20 @@ func (nn *NameNode) buildClusterLocked() error {
 	return nil
 }
 
-// handleHeartbeat applies a full block report: the authoritative
-// statement of what the node holds. It reconciles confirmations in both
-// directions and clears any pending resync request — after a full
-// report the node's digest is exactly the xor over its reported set,
-// plus any block that landed while the report was on its way (fresh).
-func (nn *NameNode) handleHeartbeat(req *proto.Message) (*proto.Message, error) {
+// handleReport applies a block report. A full report (FullReport on
+// the request) is the delta from the empty set: its Received is the
+// node's whole set, so every held block it does not name is gone —
+// except one the node confirmed by an immediate MsgBlockReceived since
+// its last report (fresh), which may have landed after the list was
+// taken; the node's next delta carries it. Received and Deleted then
+// apply like immediate block_received/block_deleted confirmations,
+// completing in-flight replications; application is idempotent, so a
+// retransmit after a lost response is harmless. A full report clears
+// any pending resync request. A delta is checked against the node's
+// incrementally maintained digest: a mismatch — a lost event, a
+// namenode restart, corruption — demands a full report rather than
+// trusting the divergent view (DESIGN.md §15.5).
+func (nn *NameNode) handleReport(req *proto.Message) (*proto.Message, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	node, err := nn.nodeLocked(req.Node)
@@ -561,46 +567,21 @@ func (nn *NameNode) handleHeartbeat(req *proto.Message) (*proto.Message, error) 
 	}
 	node.lastSeen = nn.clock()
 	node.alive = true
-	// Reconcile the block report against confirmations.
-	reported := make(map[proto.BlockID]bool, len(req.Blocks))
-	for _, b := range req.Blocks {
-		reported[b] = true
-		nn.confirmLocked(b, node.id)
-	}
-	for b, holders := range nn.confirmed {
-		if holders[node.id] && !reported[b] && !node.fresh[b] {
-			nn.unconfirmLocked(b, node.id)
+	if req.FullReport {
+		reported := make(map[proto.BlockID]bool, len(req.Received))
+		for _, b := range req.Received {
+			reported[b] = true
+		}
+		for b, holders := range nn.confirmed {
+			if holders[node.id] && !reported[b] && !node.fresh[b] {
+				nn.unconfirmLocked(b, node.id)
+			}
 		}
 	}
-	node.fresh = nil
-	node.wantFull = false
-	metrics.Default.Counter("dfs.namenode.report_full").Inc()
-	cmds := nn.pendingCmds[node.id]
-	delete(nn.pendingCmds, node.id)
-	return &proto.Message{Type: proto.MsgOK, Commands: cmds}, nil
-}
-
-// handleHeartbeatDelta applies an incremental block report: only the
-// blocks received and deleted since the last acknowledged report, plus
-// an xor-digest of the node's complete set. Delta application is
-// idempotent (retransmits after a lost response are harmless). If the
-// node's incrementally maintained digest disagrees with the reported
-// one after applying the delta — a lost event, a namenode restart, or
-// corruption — the response demands a full-report resync rather than
-// trusting the divergent view (DESIGN.md §15).
-func (nn *NameNode) handleHeartbeatDelta(req *proto.Message) (*proto.Message, error) {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	node, err := nn.nodeLocked(req.Node)
-	if err != nil {
-		return nil, err
-	}
-	node.lastSeen = nn.clock()
-	node.alive = true
 	for _, b := range req.Received {
 		nn.confirmLocked(b, node.id)
-		// A delta arrival may be the completion of a replicate command
-		// whose immediate MsgBlockReceived was lost.
+		// An arrival may be the completion of a replicate command whose
+		// immediate MsgBlockReceived was lost.
 		key := inflightKey{block: b, node: node.id}
 		if issued, ok := nn.inflight[key]; ok {
 			nn.moveDurations = append(nn.moveDurations, nn.clock().Sub(issued))
@@ -611,14 +592,19 @@ func (nn *NameNode) handleHeartbeatDelta(req *proto.Message) (*proto.Message, er
 		nn.unconfirmLocked(b, node.id)
 	}
 	node.fresh = nil
-	metrics.Default.Counter("dfs.namenode.report_delta").Inc()
 	resp := &proto.Message{Type: proto.MsgOK, Commands: nn.pendingCmds[node.id]}
 	delete(nn.pendingCmds, node.id)
+	if req.FullReport {
+		node.wantFull = false
+		metrics.Default.Counter("dfs.namenode.report_full").Inc()
+		return resp, nil
+	}
+	metrics.Default.Counter("dfs.namenode.report_delta").Inc()
 	if node.wantFull || node.digest != req.Digest {
 		// Keep asking until the full report actually lands; the digest
 		// alone would also keep mismatching, but wantFull makes the
 		// request sticky even if the sets transiently re-agree.
-		if !node.wantFull && node.digest != req.Digest {
+		if !node.wantFull {
 			metrics.Default.Counter("dfs.namenode.report_resync").Inc()
 		}
 		node.wantFull = true

@@ -51,13 +51,15 @@ func registerFake(t *testing.T, nn *NameNode, rack int, addr string) *fakeDN {
 	return &fakeDN{t: t, nn: nn.Addr(), id: resp.Node, addr: addr}
 }
 
-// heartbeat reports the given blocks and returns any commands.
+// heartbeat sends a full report of the given blocks and returns any
+// commands.
 func (f *fakeDN) heartbeat(blocks ...proto.BlockID) []proto.Command {
 	f.t.Helper()
 	resp, _, err := proto.Call(f.nn, &proto.Message{
-		Type:   proto.MsgHeartbeat,
-		Node:   f.id,
-		Blocks: blocks,
+		Type:       proto.MsgHeartbeatDelta,
+		Node:       f.id,
+		FullReport: true,
+		Received:   blocks,
 	}, nil, time.Second)
 	if err != nil {
 		f.t.Fatalf("heartbeat: %v", err)
@@ -256,7 +258,7 @@ func clusterNodes(t *testing.T, nn *NameNode) []proto.NodeInfo {
 func TestHeartbeatUnknownNode(t *testing.T) {
 	nn := startNN(t, 1, 1)
 	if _, _, err := proto.Call(nn.Addr(), &proto.Message{
-		Type: proto.MsgHeartbeat, Node: 42,
+		Type: proto.MsgHeartbeatDelta, Node: 42,
 	}, nil, time.Second); err == nil {
 		t.Error("heartbeat from unknown node accepted")
 	}
@@ -350,6 +352,90 @@ func TestMovementStatsTracksDurations(t *testing.T) {
 	if durations[0] <= 0 {
 		t.Errorf("movement duration %v not positive", durations[0])
 	}
+}
+
+// A replicate command stays in flight until a report names its (block,
+// target) pair. An entry no report will ever close — its target
+// confirmed the copy in a full report, died, or lost the block to a
+// delete mid-transfer — must still expire after inflightTTL: fsck
+// counts it, so a leaked entry reads as a transfer in flight forever on
+// a converged namenode. The clock is pinned and the reconcile ticker
+// parked, so only the test moves time and reconciles.
+func TestInflightEntriesExpire(t *testing.T) {
+	// replicate writes /f at replication 2, raises it to 3 and reconciles
+	// once, which sends a copy of the block to the new desired node.
+	replicate := func(t *testing.T) (*healCluster, proto.BlockID, *fakeDN) {
+		t.Helper()
+		hc := startHealCluster(t)
+		b := proto.BlockID(hc.writeBlock())
+		if _, _, err := proto.Call(hc.nn.Addr(), &proto.Message{Type: proto.MsgSetRepl, Path: "/f", Replication: 3}, nil, time.Second); err != nil {
+			t.Fatalf("set_replication: %v", err)
+		}
+		hc.nn.ReconcileOnce()
+		for _, dn := range hc.dns {
+			if hc.inflight(b, dn) {
+				return hc, b, dn
+			}
+		}
+		t.Fatalf("no replicate command in flight for block %d", b)
+		return nil, 0, nil
+	}
+	// remove deletes /f and has every holder report its replica gone.
+	remove := func(t *testing.T, hc *healCluster, b proto.BlockID) {
+		t.Helper()
+		if _, _, err := proto.Call(hc.nn.Addr(), &proto.Message{Type: proto.MsgDeleteFile, Path: "/f"}, nil, time.Second); err != nil {
+			t.Fatalf("delete: %v", err)
+		}
+		for _, dn := range hc.dns {
+			if _, _, err := proto.Call(hc.nn.Addr(), &proto.Message{Type: proto.MsgBlockDeleted, Node: dn.id, Block: b}, nil, time.Second); err != nil {
+				t.Fatalf("block deleted: %v", err)
+			}
+		}
+	}
+	// pastTTL moves the clock beyond inflightTTL in two outage steps of
+	// 2 s, every node but the silent ones heartbeating and a reconcile
+	// pass after each step.
+	pastTTL := func(hc *healCluster, silent ...*fakeDN) {
+		hc.outage(silent...)
+		hc.outage(silent...)
+	}
+	// settled requires a converged, empty namenode with nothing in flight.
+	settled := func(t *testing.T, hc *healCluster) {
+		t.Helper()
+		if !hc.nn.Converged() {
+			t.Fatal("namenode not converged")
+		}
+		if h := hc.nn.Health(); h.Files != 0 || h.InflightTransfers != 0 {
+			t.Errorf("fsck on a converged namenode: %d file(s), %d transfer(s) in flight, want none", h.Files, h.InflightTransfers)
+		}
+	}
+
+	t.Run("confirmed by a full report", func(t *testing.T) {
+		hc, b, target := replicate(t)
+		target.heartbeat(b)
+		if hc.inflight(b, target) {
+			t.Error("a full report naming the copy left its transfer in flight")
+		}
+		if durations, _, _ := hc.nn.MovementStats(); len(durations) != 1 {
+			t.Errorf("%d movement durations recorded, want the full report's 1", len(durations))
+		}
+		remove(t, hc, b)
+		pastTTL(hc)
+		settled(t, hc)
+	})
+	t.Run("target declared dead", func(t *testing.T) {
+		hc, b, target := replicate(t)
+		pastTTL(hc, target)
+		if hc.inflight(b, target) {
+			t.Error("a transfer to a dead node is still in flight after inflightTTL")
+		}
+	})
+	t.Run("block deleted mid-transfer", func(t *testing.T) {
+		hc, b, _ := replicate(t)
+		remove(t, hc, b)
+		pastTTL(hc)
+		settled(t, hc)
+	})
 }
 
 // A heartbeat hands a node its queued CmdDelete; a reconcile pass that

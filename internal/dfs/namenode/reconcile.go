@@ -13,7 +13,7 @@ import (
 )
 
 // inflightTTL is how long a replicate command may be outstanding before
-// it is re-issued.
+// it expires (and is re-issued if the replica is still missing).
 const inflightTTL = 3 * time.Second
 
 // reconcileLoop periodically converges actual replica locations toward
@@ -257,6 +257,15 @@ func (nn *NameNode) driveConvergenceLocked() {
 			delete(nn.writing, b) // writer stalled or gone: repair what exists
 		}
 	}
+	// A report completes an in-flight replication only by naming its
+	// exact (block, target) pair; one that never will — the target died
+	// or the block was deleted — expires here. A replica still missing
+	// on a live target is re-issued below, on this same pass.
+	for key, issued := range nn.inflight {
+		if now.Sub(issued) >= inflightTTL {
+			delete(nn.inflight, key)
+		}
+	}
 	for _, id := range nn.placement.Blocks() {
 		b := proto.BlockID(id)
 		if _, ok := nn.writing[b]; ok {
@@ -286,7 +295,7 @@ func (nn *NameNode) driveConvergenceLocked() {
 				continue
 			}
 			key := inflightKey{block: b, node: n}
-			if issued, ok := nn.inflight[key]; ok && now.Sub(issued) < inflightTTL {
+			if _, ok := nn.inflight[key]; ok {
 				continue
 			}
 			src, ok := nn.pickSourceLocked(b, n)

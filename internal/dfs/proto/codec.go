@@ -22,12 +22,14 @@ import (
 // are not told apart from nil ones: both decode as nil.
 
 // msgTypes numbers every MsgType the wire carries: a type's code is its
-// index plus one, so zero is never a valid code. New types go at the
-// end; MsgWriteBlock is never sent and has no code.
+// index plus one, so zero is never a valid code. MsgWriteBlock is never
+// sent and has no code. Nothing persists a frame, so codes (and mask
+// bits) need only agree between two ends built from one tree: removing
+// a type renumbers the ones after it.
 var msgTypes = [...]MsgType{
 	MsgCreateFile, MsgAddBlock, MsgCompleteFile, MsgGetLocations, MsgSetRepl,
 	MsgDeleteFile, MsgListFiles, MsgStatFile, MsgClusterInfo, MsgFsck,
-	MsgDecommission, MsgRegister, MsgHeartbeat, MsgHeartbeatDelta,
+	MsgDecommission, MsgRegister, MsgHeartbeatDelta,
 	MsgBlockReceived, MsgBlockDeleted, MsgWriteBlockStream, MsgReadBlockStream,
 	MsgChunk, MsgStreamAck, MsgOK, MsgError,
 }
@@ -59,7 +61,6 @@ const (
 	hasRack
 	hasDataAddr
 	hasCapacity
-	hasBlocks
 	hasCommands
 	hasFiles
 	hasNodes
@@ -107,7 +108,6 @@ func (m *Message) fieldMask() uint64 {
 	set(hasRack, m.Rack != 0)
 	set(hasDataAddr, m.DataAddr != "")
 	set(hasCapacity, m.Capacity != 0)
-	set(hasBlocks, len(m.Blocks) > 0)
 	set(hasCommands, len(m.Commands) > 0)
 	set(hasFiles, len(m.Files) > 0)
 	set(hasNodes, len(m.Nodes) > 0)
@@ -172,9 +172,6 @@ func appendHeader(b []byte, m *Message) ([]byte, error) {
 	}
 	if mask&hasCapacity != 0 {
 		b = binary.AppendVarint(b, int64(m.Capacity))
-	}
-	if mask&hasBlocks != 0 {
-		b = appendBlockIDs(b, m.Blocks)
 	}
 	if mask&hasCommands != 0 {
 		b = binary.AppendUvarint(b, uint64(len(m.Commands)))
@@ -337,9 +334,6 @@ func decodeHeader(h []byte, m *Message) error {
 	}
 	if mask&hasCapacity != 0 {
 		m.Capacity = d.int()
-	}
-	if mask&hasBlocks != 0 {
-		m.Blocks = d.blockIDs()
 	}
 	if mask&hasCommands != 0 {
 		if n := d.count(minCommandBytes); n > 0 {

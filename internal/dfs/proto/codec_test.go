@@ -22,13 +22,14 @@ func listReply(n int) *Message {
 	return &Message{Type: MsgOK, Files: files}
 }
 
-// fullHeartbeat is a full block report of n blocks.
-func fullHeartbeat(n int) *Message {
+// fullReport is a full block report of n blocks: a heartbeat_delta
+// from the empty set.
+func fullReport(n int) *Message {
 	blocks := make([]BlockID, n)
 	for i := range blocks {
 		blocks[i] = BlockID(i*131 + 7)
 	}
-	return &Message{Type: MsgHeartbeat, Node: 3, Blocks: blocks}
+	return &Message{Type: MsgHeartbeatDelta, Node: 3, FullReport: true, Received: blocks}
 }
 
 // fsckReply is a fsck response with every HealthReport field set.
@@ -76,9 +77,9 @@ func codecCases() []*Message {
 		{Type: MsgDecommission, Node: 2},
 		{Type: MsgRegister, DataAddr: "127.0.0.1:9000", Rack: 1, Capacity: 4096},
 		{Type: MsgOK, Node: 4},
-		fullHeartbeat(1),
-		fullHeartbeat(1000),
-		{Type: MsgHeartbeat, Node: 1, Blocks: []BlockID{}},
+		fullReport(1),
+		fullReport(1000),
+		{Type: MsgHeartbeatDelta, Node: 1, FullReport: true, Received: []BlockID{}},
 		{Type: MsgOK, Commands: []Command{
 			{Kind: CmdReplicate, Block: 11, Target: "dn3:4"},
 			{Kind: CmdDelete, Block: -13},

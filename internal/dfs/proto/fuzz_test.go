@@ -12,8 +12,8 @@ import (
 // bytes than it was given, and anything it accepts must survive a
 // re-encode/re-decode round trip unchanged. The checked-in corpus
 // (testdata/fuzz/FuzzReadFrame) holds encoded frames of the heaviest
-// headers: a 1 000-entry list_files reply, a full heartbeat, an fsck
-// reply.
+// headers: a 1 000-entry list_files reply, a 1 000-block full report
+// (a heartbeat_delta with FullReport set), an fsck reply.
 func FuzzReadFrame(f *testing.F) {
 	seed := func(msg *Message, payload []byte) {
 		var buf bytes.Buffer
@@ -76,7 +76,7 @@ func FuzzReadFrame(f *testing.F) {
 // FuzzDigestMerge pins the algebra the incremental block reports lean
 // on: the xor-of-splitmix64 set digest must be order-independent,
 // incrementally updatable in O(1) per event, and self-inverse on
-// add/remove pairs (DESIGN.md §14).
+// add/remove pairs (DESIGN.md §15.5).
 func FuzzDigestMerge(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})

@@ -62,13 +62,14 @@ const (
 	MsgFsck         MsgType = "fsck"
 	MsgDecommission MsgType = "decommission"
 
-	// DataNode -> NameNode. MsgHeartbeat carries a full block report;
-	// MsgHeartbeatDelta carries only the blocks received/deleted since
-	// the last acknowledged report plus a generation and set digest, so
-	// steady-state datanode->namenode traffic is O(changed blocks)
-	// rather than O(all blocks). See DESIGN.md §15.4.
+	// DataNode -> NameNode. MsgHeartbeatDelta is the one block report:
+	// in the steady state it carries only the blocks received/deleted
+	// since the last acknowledged report plus a set digest, so
+	// datanode->namenode traffic is O(changed blocks) rather than O(all
+	// blocks); a full report is the same message with FullReport set and
+	// every held block in Received, the delta from the empty set. See
+	// DESIGN.md §15.5.
 	MsgRegister       MsgType = "register"
-	MsgHeartbeat      MsgType = "heartbeat"
 	MsgHeartbeatDelta MsgType = "heartbeat_delta"
 	MsgBlockReceived  MsgType = "block_received"
 	MsgBlockDeleted   MsgType = "block_deleted"
@@ -199,7 +200,6 @@ type Message struct {
 	Rack     int       `json:"rack,omitempty"`
 	DataAddr string    `json:"dataAddr,omitempty"`
 	Capacity int       `json:"capacity,omitempty"`
-	Blocks   []BlockID `json:"blocks,omitempty"`
 	Commands []Command `json:"commands,omitempty"`
 
 	// ListFiles / StatFile / ClusterInfo responses. A ListFiles reply
@@ -229,12 +229,12 @@ type Message struct {
 	ChunkSize int  `json:"chunkSize,omitempty"`
 	Offset    int  `json:"offset,omitempty"`
 
-	// Incremental block reports (MsgHeartbeat/MsgHeartbeatDelta and
-	// their responses). Digest is the xor-of-hashes set digest of the
-	// blocks the node holds (BlockSetDigest); Received/Deleted are the
-	// deltas since the last acknowledged report; FullReport on a
-	// heartbeat response asks the datanode to send a full MsgHeartbeat
-	// next tick.
+	// Block reports (MsgHeartbeatDelta and its response). Digest is the
+	// xor-of-hashes set digest of the blocks the node holds
+	// (BlockSetDigest); Received/Deleted are the changes since the last
+	// acknowledged report. FullReport on a request says Received is the
+	// node's whole set (and Digest is not sent); on a response it asks
+	// the datanode to send a full report next tick.
 	Digest     uint64    `json:"digest,omitempty"`
 	Received   []BlockID `json:"received,omitempty"`
 	Deleted    []BlockID `json:"deleted,omitempty"`

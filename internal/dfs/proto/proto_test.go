@@ -50,8 +50,8 @@ func (w *writeLog) Write(p []byte) (int, error) {
 func TestWriteFrameLayoutAndWriteCount(t *testing.T) {
 	msg := &Message{Type: MsgChunk, Block: 42, Seq: 3, Offset: 384, Eof: true, Checksum: 77}
 	header := []byte{
-		19,                     // type code of MsgChunk
-		0x82, 0x80, 0xb8, 0x01, // mask: Block, Checksum, Seq, Eof, Offset (bits 1, 17, 18, 19, 21)
+		18,               // type code of MsgChunk
+		0x82, 0x80, 0x5c, // mask: Block, Checksum, Seq, Eof, Offset (bits 1, 16, 17, 18, 20)
 		84,         // Block 42, zigzag
 		77,         // Checksum 77, uvarint
 		6,          // Seq 3, zigzag

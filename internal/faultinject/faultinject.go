@@ -373,10 +373,10 @@ func (inj *Injector) CallFrom(caller int) proto.CallFunc {
 			switch {
 			case st.crashed:
 				blocked = &InjectedError{Kind: Crash, Node: caller}
-			// Both heartbeat shapes count: a node whose heartbeats are
-			// dropped must go stale whether it sends full reports or
-			// incremental deltas (DESIGN.md §15).
-			case (req.Type == proto.MsgHeartbeat || req.Type == proto.MsgHeartbeatDelta) && now.Before(st.dropHBUntil):
+			// Full and incremental reports are one message type, so a
+			// node whose heartbeats are dropped goes stale whichever it
+			// sends (DESIGN.md §15.5).
+			case req.Type == proto.MsgHeartbeatDelta && now.Before(st.dropHBUntil):
 				blocked = &InjectedError{Kind: DropHeartbeats, Node: caller}
 			case now.Before(st.slowUntil):
 				latency = st.slowLatency

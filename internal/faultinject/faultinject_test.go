@@ -120,18 +120,18 @@ func TestInjectorCrashAndRecover(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	var injErr *InjectedError
-	if _, _, err := call(addr, &proto.Message{Type: proto.MsgHeartbeat}, nil, time.Second); !errors.As(err, &injErr) {
+	if _, _, err := call(addr, &proto.Message{Type: proto.MsgHeartbeatDelta}, nil, time.Second); !errors.As(err, &injErr) {
 		t.Fatalf("call to crashed node: err = %v, want *InjectedError", err)
 	} else if injErr.Kind != Crash || injErr.Node != 1 {
 		t.Fatalf("InjectedError = %+v", injErr)
 	}
 	// Outbound from the crashed node fails too, even to unknown addrs.
-	if _, _, err := inj.CallFrom(1)("127.0.0.1:1", &proto.Message{Type: proto.MsgHeartbeat}, nil, time.Second); !errors.As(err, &injErr) {
+	if _, _, err := inj.CallFrom(1)("127.0.0.1:1", &proto.Message{Type: proto.MsgHeartbeatDelta}, nil, time.Second); !errors.As(err, &injErr) {
 		t.Fatalf("call from crashed node: err = %v, want *InjectedError", err)
 	}
 
 	<-inj.Done()
-	if _, _, err := call(addr, &proto.Message{Type: proto.MsgHeartbeat}, nil, time.Second); err != nil {
+	if _, _, err := call(addr, &proto.Message{Type: proto.MsgHeartbeatDelta}, nil, time.Second); err != nil {
 		t.Fatalf("call after recover: %v", err)
 	}
 
@@ -155,7 +155,7 @@ func TestInjectorDropHeartbeatsOnlyBlocksHeartbeats(t *testing.T) {
 
 	call := inj.CallFrom(0)
 	var injErr *InjectedError
-	if _, _, err := call(addr, &proto.Message{Type: proto.MsgHeartbeat}, nil, time.Second); !errors.As(err, &injErr) || injErr.Kind != DropHeartbeats {
+	if _, _, err := call(addr, &proto.Message{Type: proto.MsgHeartbeatDelta}, nil, time.Second); !errors.As(err, &injErr) || injErr.Kind != DropHeartbeats {
 		t.Fatalf("heartbeat during drop window: err = %v, want drop-heartbeats InjectedError", err)
 	}
 	if _, _, err := call(addr, &proto.Message{Type: proto.MsgBlockReceived}, nil, time.Second); err != nil {

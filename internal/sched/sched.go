@@ -1,5 +1,5 @@
-// Package sched implements the locality-aware map-task placement used by
-// both the discrete-event simulator and the mini-DFS testbed harness.
+// Package sched implements the locality-aware map-task placement of the
+// discrete-event simulator (internal/sim).
 //
 // A map task wants to run where a replica of its input block lives: a
 // node-local task reads from the local disk, a rack-local task crosses
