@@ -36,8 +36,7 @@ var (
 		"MsgCreateFile", "MsgAddBlock", "MsgCompleteFile", "MsgGetLocations",
 		"MsgSetRepl", "MsgDeleteFile", "MsgListFiles", "MsgStatFile",
 		"MsgClusterInfo", "MsgFsck", "MsgDecommission",
-		"MsgRegister", "MsgHeartbeatDelta",
-		"MsgBlockReceived", "MsgBlockDeleted",
+		"MsgRegister", "MsgHeartbeatDelta", "MsgBlockReceived",
 	}
 	protoStreamRequests = []string{"MsgWriteBlockStream", "MsgReadBlockStream"}
 )

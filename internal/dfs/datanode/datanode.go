@@ -81,6 +81,10 @@ type DataNode struct {
 	open    proto.OpenStreamFunc
 	retry   retrypolicy.Policy
 	tracker *reportTracker
+	// wake asks the heartbeat loop for a report now instead of at the
+	// next tick. It has one slot, so a wake sent while one is pending
+	// folds into it.
+	wake chan struct{}
 
 	stop chan struct{}
 	done chan struct{}
@@ -142,6 +146,7 @@ func Start(cfg Config) (*DataNode, error) {
 		open:    cfg.OpenStream,
 		retry:   cfg.Retry,
 		tracker: newReportTracker(),
+		wake:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -241,9 +246,9 @@ func (dn *DataNode) handle(req *proto.Message, _ []byte) (*proto.Message, []byte
 	return proto.ErrorMessage(fmt.Errorf("datanode: unexpected message %q", req.Type)), nil
 }
 
-// evictCorrupt deletes a checksum-failed local replica and reports the
-// deletion, shrinking the namenode's confirmed set so the reconcile
-// loop re-replicates from a healthy holder. Without this a corrupt node
+// evictCorrupt deletes a checksum-failed local replica and notes the
+// deletion for a prompt report, shrinking the namenode's confirmed set
+// so the reconcile loop re-replicates from a healthy holder. Without this a corrupt node
 // keeps getting picked as a read target or replication source and the
 // bad replica never heals.
 func (dn *DataNode) evictCorrupt(id proto.BlockID) {
@@ -253,12 +258,16 @@ func (dn *DataNode) evictCorrupt(id proto.BlockID) {
 	}
 }
 
-// noteDeleted records a deletion in the delta tracker (so the next
-// heartbeat report carries it even if the immediate RPC is lost) and
-// reports it to the namenode right away.
+// noteDeleted records a deletion in the report tracker and wakes the
+// heartbeat loop, which sends it in a delta right away instead of at
+// the next tick. The wake never blocks: one already pending covers this
+// deletion too, so a whole CmdDelete batch costs one report.
 func (dn *DataNode) noteDeleted(id proto.BlockID) {
 	dn.tracker.noteDeleted(id)
-	dn.reportDeleted(id)
+	select {
+	case dn.wake <- struct{}{}:
+	default:
+	}
 }
 
 // noteReceived records an arrival in the delta tracker and reports it
@@ -268,26 +277,9 @@ func (dn *DataNode) noteReceived(id proto.BlockID) {
 	dn.reportReceived(id)
 }
 
-// reportDeleted tells the namenode a local replica is gone, retrying
-// under the node's policy. On terminal failure the drop is counted; the
-// next heartbeat's delta report repairs the divergence.
-func (dn *DataNode) reportDeleted(id proto.BlockID) {
-	err := dn.retryDo("dfs.datanode.report_retries", func() error {
-		_, _, callErr := dn.call(dn.cfg.NameNodeAddr, &proto.Message{
-			Type:  proto.MsgBlockDeleted,
-			Node:  dn.id,
-			Block: id,
-		}, nil, dn.cfg.Timeout)
-		return callErr
-	})
-	if err != nil {
-		metrics.Default.Counter("dfs.datanode.report_dropped").Inc()
-	}
-}
-
-// heartbeatLoop sends periodic heartbeats — incremental block reports
-// with a periodic full-report safety net — and executes any commands
-// the namenode returns.
+// heartbeatLoop sends a heartbeat every tick and whenever a deletion
+// wakes it — incremental block reports with a periodic full-report
+// safety net — and executes any commands the namenode returns.
 func (dn *DataNode) heartbeatLoop() {
 	defer close(dn.done)
 	ticker := time.NewTicker(dn.cfg.HeartbeatInterval)
@@ -297,7 +289,9 @@ func (dn *DataNode) heartbeatLoop() {
 		case <-dn.stop:
 			return
 		case <-ticker.C:
-			dn.heartbeatOnce()
+			dn.heartbeatOnce(false)
+		case <-dn.wake:
+			dn.heartbeatOnce(true)
 		}
 	}
 }
@@ -307,10 +301,19 @@ func (dn *DataNode) heartbeatLoop() {
 // acknowledged report plus an xor-digest of the full local set; a full
 // report — FullReport set, every held block in Received — goes out on
 // boot, when the namenode asks for one (digest mismatch or rejoin), and
-// every fullReportEvery heartbeats as a safety net. Wire cost is
-// O(changed blocks) instead of O(all blocks) per tick (DESIGN.md §15.5).
-func (dn *DataNode) heartbeatOnce() {
-	r := dn.tracker.drain(dn.store.List)
+// every fullReportEvery ticks as a safety net. Wire cost is O(changed
+// blocks) instead of O(all blocks) per tick (DESIGN.md §15.5). A woken
+// report is the one a deletion asked for; it leaves the full-report
+// count alone, so full reports keep their tick cadence.
+func (dn *DataNode) heartbeatOnce(woken bool) {
+	// A wake that arrived since the loop's select is served by this
+	// report: its deletion is already in the tracker, so the drain
+	// below carries it.
+	select {
+	case <-dn.wake:
+	default:
+	}
+	r := dn.tracker.drain(dn.store.List, woken)
 	req := &proto.Message{
 		Type: proto.MsgHeartbeatDelta, Node: dn.id, FullReport: r.full,
 		Digest: r.digest, Received: r.received, Deleted: r.deleted,
@@ -324,8 +327,9 @@ func (dn *DataNode) heartbeatOnce() {
 	dn.tracker.ack(r, err == nil)
 	if err != nil {
 		// Namenode briefly unreachable (or the heartbeat was dropped by
-		// fault injection); the next tick retries — heartbeats are the
-		// retry loop, so no backoff here.
+		// fault injection); ack kept the report (a delta merged back, a
+		// full report still due) and the next tick retries it —
+		// heartbeats are the retry loop, so no backoff here.
 		metrics.Default.Counter("dfs.datanode.heartbeat_failures").Inc()
 		return
 	}
@@ -340,8 +344,9 @@ func (dn *DataNode) heartbeatOnce() {
 	}
 }
 
-// execute runs one namenode command synchronously. Commands are issued
-// at heartbeat cadence, so at most one batch is in flight per node.
+// execute runs one namenode command synchronously. Commands arrive on
+// report responses and the heartbeat loop runs each batch before it
+// sends the next report, so at most one batch is in flight per node.
 func (dn *DataNode) execute(cmd proto.Command) {
 	switch cmd.Kind {
 	case proto.CmdReplicate:
@@ -349,8 +354,9 @@ func (dn *DataNode) execute(cmd proto.Command) {
 		if err != nil {
 			if errors.Is(err, ErrCorrupt) {
 				// A corrupt source can never satisfy this command; evict
-				// and report so the namenode re-sources from a healthy
-				// holder instead of re-picking this node forever.
+				// it, so the report that follows has the namenode
+				// re-source from a healthy holder instead of re-picking
+				// this node forever.
 				dn.evictCorrupt(cmd.Block)
 			}
 			return // replica unusable; the namenode will reassign

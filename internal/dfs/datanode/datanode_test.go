@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,23 +14,30 @@ import (
 	"aurora/internal/retrypolicy"
 )
 
-// fakeNameNode accepts registrations and records received/deleted block
-// reports, and can queue commands for the next heartbeat.
+// fakeNameNode accepts registrations and records block reports, and
+// can queue commands for the next heartbeat.
 type fakeNameNode struct {
 	srv *proto.Server
 
 	mu        sync.Mutex
+	stall     chan struct{} // when set, holds every request but register until closed
 	nextID    proto.NodeID
 	received  []proto.BlockID
 	reporters []proto.NodeID // reporters[i] sent received[i]
-	deleted   []proto.BlockID
 	cmds      map[proto.NodeID][]proto.Command
-	hbCount   int // full reports
-	deltas    int // delta reports
+	cmdsAt    time.Time // when the last command batch was handed out
+	hbCount   int       // full reports
+	deltas    int       // delta reports
 	lastFull  []proto.BlockID
 	deltaRecv []proto.BlockID
-	deltaDel  []proto.BlockID
-	askFull   bool // request a full-report resync on the next delta
+	deletions []deletion // one per delta that reported deletions
+	askFull   bool       // request a full-report resync on the next delta
+}
+
+// deletion is one delta report's Deleted list and when it arrived.
+type deletion struct {
+	at     time.Time
+	blocks []proto.BlockID
 }
 
 func startFakeNN(t *testing.T) *fakeNameNode {
@@ -45,6 +54,12 @@ func startFakeNN(t *testing.T) *fakeNameNode {
 
 func (f *fakeNameNode) handle(req *proto.Message, _ []byte) (*proto.Message, []byte) {
 	f.mu.Lock()
+	stall := f.stall
+	f.mu.Unlock()
+	if stall != nil && req.Type != proto.MsgRegister {
+		<-stall
+	}
+	f.mu.Lock()
 	defer f.mu.Unlock()
 	switch req.Type {
 	case proto.MsgRegister:
@@ -55,6 +70,9 @@ func (f *fakeNameNode) handle(req *proto.Message, _ []byte) (*proto.Message, []b
 		cmds := f.cmds[req.Node]
 		delete(f.cmds, req.Node)
 		resp := &proto.Message{Type: proto.MsgOK, Commands: cmds}
+		if len(cmds) > 0 {
+			f.cmdsAt = time.Now()
+		}
 		if req.FullReport {
 			f.hbCount++
 			f.lastFull = append([]proto.BlockID(nil), req.Received...)
@@ -62,7 +80,9 @@ func (f *fakeNameNode) handle(req *proto.Message, _ []byte) (*proto.Message, []b
 		}
 		f.deltas++
 		f.deltaRecv = append(f.deltaRecv, req.Received...)
-		f.deltaDel = append(f.deltaDel, req.Deleted...)
+		if len(req.Deleted) > 0 {
+			f.deletions = append(f.deletions, deletion{at: time.Now(), blocks: req.Deleted})
+		}
 		if f.askFull {
 			resp.FullReport = true
 			f.askFull = false
@@ -71,9 +91,6 @@ func (f *fakeNameNode) handle(req *proto.Message, _ []byte) (*proto.Message, []b
 	case proto.MsgBlockReceived:
 		f.received = append(f.received, req.Block)
 		f.reporters = append(f.reporters, req.Node)
-		return nil, nil
-	case proto.MsgBlockDeleted:
-		f.deleted = append(f.deleted, req.Block)
 		return nil, nil
 	default:
 		return proto.ErrorMessage(errors.New("unexpected")), nil
@@ -92,20 +109,17 @@ func (f *fakeNameNode) receivedBlocks() []proto.BlockID {
 	return append([]proto.BlockID(nil), f.received...)
 }
 
-func (f *fakeNameNode) deletedBlocks() []proto.BlockID {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]proto.BlockID(nil), f.deleted...)
-}
-
 func startDN(t *testing.T, nn *fakeNameNode) *DataNode {
 	t.Helper()
-	dn, err := Start(Config{
-		NameNodeAddr:      nn.srv.Addr(),
-		Rack:              0,
-		CapacityBlocks:    16,
-		HeartbeatInterval: 20 * time.Millisecond,
-	})
+	return startDNWith(t, nn, Config{HeartbeatInterval: 20 * time.Millisecond})
+}
+
+// startDNWith starts a datanode of cfg registered with nn.
+func startDNWith(t *testing.T, nn *fakeNameNode, cfg Config) *DataNode {
+	t.Helper()
+	cfg.NameNodeAddr = nn.srv.Addr()
+	cfg.CapacityBlocks = 16
+	dn, err := Start(cfg)
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -260,27 +274,92 @@ func TestReplicateCommandStreamsAndRetries(t *testing.T) {
 	}
 }
 
+// A batch of delete commands is reported in one heartbeat_delta sent
+// as soon as the batch has run, not at the next heartbeat tick: the
+// first deletion wakes the heartbeat loop and the rest fold into that
+// wake. The heartbeat interval is long, so a report that waited for the
+// tick would arrive an interval after the commands went out.
 func TestDeleteCommandReports(t *testing.T) {
+	const interval = time.Second
 	nn := startFakeNN(t)
-	dn := startDN(t, nn)
-	data := []byte("to be deleted")
-	if _, err := streamWrite(t, dn.Addr(), 13, data, 1<<10, nil, false); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	nn.queue(dn.ID(), proto.Command{Kind: proto.CmdDelete, Block: 13})
-	deadline := time.Now().Add(3 * time.Second)
-	for dn.HasBlock(13) {
-		if time.Now().After(deadline) {
-			t.Fatal("delete command never executed")
+	dn := startDNWith(t, nn, Config{HeartbeatInterval: interval})
+	for _, id := range []proto.BlockID{13, 14} {
+		if _, err := streamWrite(t, dn.Addr(), id, []byte("to be deleted"), 1<<10, nil, false); err != nil {
+			t.Fatalf("write %d: %v", id, err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		nn.queue(dn.ID(), proto.Command{Kind: proto.CmdDelete, Block: id})
 	}
-	deadline = time.Now().Add(time.Second)
-	for len(nn.deletedBlocks()) == 0 {
+	reported := func() []deletion {
+		nn.mu.Lock()
+		defer nn.mu.Unlock()
+		return append([]deletion(nil), nn.deletions...)
+	}
+	deadline := time.Now().Add(3 * interval)
+	for len(reported()) == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("deletion never reported")
+			t.Fatal("deletions never reported")
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
+	}
+	if dn.HasBlock(13) || dn.HasBlock(14) {
+		t.Error("a deleted block is still stored")
+	}
+	first := reported()[0]
+	if !slices.Equal(first.blocks, []proto.BlockID{13, 14}) {
+		t.Errorf("first deletion report = %v, want the whole batch [13 14] in one report", first.blocks)
+	}
+	nn.mu.Lock()
+	lag := first.at.Sub(nn.cmdsAt)
+	nn.mu.Unlock()
+	if lag >= interval/2 {
+		t.Errorf("deletions reported %v after the commands went out, want well before the next tick (%v)", lag, interval)
+	}
+}
+
+// Reads of corrupt replicas must fail fast even when the namenode has
+// stopped answering: evicting a replica notes the deletion for the next
+// report instead of waiting on the namenode for it. The reads run at
+// once, so their evictions wake the heartbeat loop concurrently.
+func TestCorruptReadWithStalledNameNode(t *testing.T) {
+	nn := startFakeNN(t)
+	stall := make(chan struct{})
+	nn.mu.Lock()
+	nn.stall = stall
+	nn.mu.Unlock()
+	dn := startDNWith(t, nn, Config{HeartbeatInterval: 20 * time.Millisecond, Timeout: 2 * time.Second})
+	// Runs before dn.Close: free the stalled heartbeat so Close need
+	// not wait out its timeout.
+	t.Cleanup(func() { close(stall) })
+	ids := []proto.BlockID{7, 8, 9, 10}
+	for _, id := range ids {
+		if err := dn.store.Put(id, []byte("soon corrupt")); err != nil {
+			t.Fatalf("put %d: %v", id, err)
+		}
+		if err := dn.CorruptBlock(id); err != nil {
+			t.Fatalf("corrupt %d: %v", id, err)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			_, err := streamRead(t, dn.Addr(), id, 1<<10, 0)
+			if elapsed := time.Since(start); elapsed >= time.Second {
+				t.Errorf("corrupt read of %d took %v with the namenode stalled, want under 1s", id, elapsed)
+			}
+			var re *proto.RemoteError
+			if !errors.As(err, &re) || !strings.Contains(re.Msg, ErrCorrupt.Error()) {
+				t.Errorf("corrupt read of %d err = %v, want the remote %q", id, err, ErrCorrupt)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, id := range ids {
+		if dn.HasBlock(id) {
+			t.Errorf("corrupt replica %d not evicted", id)
+		}
 	}
 }
 

@@ -39,10 +39,11 @@ func (rt *reportTracker) noteDeleted(id proto.BlockID) {
 }
 
 // fullReportEvery is the periodic full-block-report safety net: every
-// Nth heartbeat carries the complete block list even when the namenode
-// has not requested one; between fulls, heartbeats carry only deltas
-// (DESIGN.md §15.5). With 200ms heartbeats that is one full report every
-// ~13s, matching the reconcile loop's tolerance for divergence.
+// Nth heartbeat tick carries the complete block list even when the
+// namenode has not requested one; between fulls, heartbeats carry only
+// deltas (DESIGN.md §15.5). Woken reports do not count. With 200ms
+// heartbeats that is one full report every ~13s, matching the
+// reconcile loop's tolerance for divergence.
 const fullReportEvery = 64
 
 // report is one heartbeat's block report as drained from the tracker.
@@ -61,14 +62,15 @@ type report struct {
 // heartbeat lands in the listing, in the fresh pending map, or both —
 // never in neither, and either duplicate is idempotent on the namenode.
 // A full report is due on boot, after a namenode resync request and
-// every fullReportEvery heartbeats; it sends the listing. Otherwise the
-// drained events go out with the listing's digest.
-func (rt *reportTracker) drain(list func() []proto.BlockID) report {
+// every fullReportEvery ticked reports; it sends the listing. Otherwise
+// the drained events go out with the listing's digest. A woken report
+// (one a deletion asked for) does not advance the periodic count.
+func (rt *reportTracker) drain(list func() []proto.BlockID, woken bool) report {
 	rt.mu.Lock()
 	full := rt.forceFull || rt.sinceFull >= fullReportEvery
 	snap := rt.pending
 	rt.pending = make(map[proto.BlockID]bool)
-	if !full {
+	if !full && !woken {
 		rt.sinceFull++
 	}
 	rt.mu.Unlock()

@@ -89,9 +89,6 @@ type Config struct {
 	DefaultMinRacks    int
 	// BlockSize is the maximum block size in bytes files are split into.
 	BlockSize int
-	// SlotsPerNode is recorded in the topology for schedulers built on
-	// top (the namenode itself does not run tasks).
-	SlotsPerNode int
 	// DeadTimeout declares a datanode dead after this long without a
 	// heartbeat.
 	DeadTimeout time.Duration
@@ -157,9 +154,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.BlockSize <= 0 {
 		c.BlockSize = 1 << 20
-	}
-	if c.SlotsPerNode <= 0 {
-		c.SlotsPerNode = 4
 	}
 	if c.DeadTimeout <= 0 {
 		c.DeadTimeout = 2 * time.Second
@@ -265,7 +259,10 @@ type NameNode struct {
 	// moveDurations records issue-to-confirmation latency of completed
 	// replica transfers (Figure 6c of the paper measures exactly this).
 	moveDurations []time.Duration
-	// commandsIssued counts replicate/delete commands by kind.
+	// commandsIssued counts replicate/delete commands by kind as a
+	// report hands them out. A queued copy dropped before that (its
+	// replica was reported gone first) is not counted, so the count does
+	// not depend on where a reconcile tick lands.
 	commandsIssued map[proto.CommandKind]int64
 	// dirty tracks whether persisted metadata (nodes, files, desired
 	// placement, nextBlock) changed since the last fsimage save; the
@@ -427,8 +424,6 @@ func (nn *NameNode) handle(req *proto.Message, _ []byte) (*proto.Message, []byte
 		resp, err = nn.handleReport(req)
 	case proto.MsgBlockReceived:
 		resp, err = nn.handleBlockReceived(req)
-	case proto.MsgBlockDeleted:
-		resp, err = nn.handleBlockDeleted(req)
 	case proto.MsgCreateFile:
 		resp, err = nn.handleCreate(req)
 	case proto.MsgAddBlock:
@@ -524,7 +519,8 @@ func (nn *NameNode) buildClusterLocked() error {
 		rackIDs[r] = b.AddRack()
 	}
 	for _, node := range nn.nodes {
-		mid, err := b.AddMachine(rackIDs[node.rack], node.capacity, nn.cfg.SlotsPerNode)
+		// Zero task slots: the namenode runs no tasks.
+		mid, err := b.AddMachine(rackIDs[node.rack], node.capacity, 0)
 		if err != nil {
 			return fmt.Errorf("namenode: build topology: %w", err)
 		}
@@ -550,9 +546,10 @@ func (nn *NameNode) buildClusterLocked() error {
 // node's whole set, so every held block it does not name is gone —
 // except one the node confirmed by an immediate MsgBlockReceived since
 // its last report (fresh), which may have landed after the list was
-// taken; the node's next delta carries it. Received and Deleted then
-// apply like immediate block_received/block_deleted confirmations,
-// completing in-flight replications; application is idempotent, so a
+// taken; the node's next delta carries it. Received then applies like
+// an immediate block_received, completing in-flight replications, and
+// Deleted retracts the node's confirmations: a report is the only way a
+// holder says a replica is gone. Application is idempotent, so a
 // retransmit after a lost response is harmless. A full report clears
 // any pending resync request. A delta is checked against the node's
 // incrementally maintained digest: a mismatch — a lost event, a
@@ -594,6 +591,9 @@ func (nn *NameNode) handleReport(req *proto.Message) (*proto.Message, error) {
 	node.fresh = nil
 	resp := &proto.Message{Type: proto.MsgOK, Commands: nn.pendingCmds[node.id]}
 	delete(nn.pendingCmds, node.id)
+	for _, cmd := range resp.Commands {
+		nn.commandsIssued[cmd.Kind]++
+	}
 	if req.FullReport {
 		node.wantFull = false
 		metrics.Default.Counter("dfs.namenode.report_full").Inc()
@@ -633,16 +633,6 @@ func (nn *NameNode) handleBlockReceived(req *proto.Message) (*proto.Message, err
 	return nil, nil
 }
 
-func (nn *NameNode) handleBlockDeleted(req *proto.Message) (*proto.Message, error) {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	if _, err := nn.nodeLocked(req.Node); err != nil {
-		return nil, err
-	}
-	nn.unconfirmLocked(req.Block, req.Node)
-	return nil, nil
-}
-
 // confirmLocked records that node n holds block b, folding the block
 // into n's incremental set digest. Idempotent: re-confirming a held
 // block leaves the digest untouched.
@@ -672,8 +662,9 @@ func (nn *NameNode) unconfirmLocked(b proto.BlockID, n proto.NodeID) {
 	delete(nn.nodes[n].fresh, b)
 	nn.nodes[n].digest ^= proto.BlockDigest(b)
 	// The node may have been handed this delete already and a reconcile
-	// pass have queued it again before the node's block_deleted arrived
-	// (enqueueLocked de-duplicates only against what is still queued).
+	// pass have queued it again before the report of the deletion
+	// arrived (enqueueLocked de-duplicates only against what is still
+	// queued).
 	// With the replica gone the queued copy is stale, and Converged()
 	// may hold from here on, so fsck must not count it as pending.
 	cmds := nn.pendingCmds[n]

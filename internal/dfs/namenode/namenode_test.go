@@ -67,6 +67,22 @@ func (f *fakeDN) heartbeat(blocks ...proto.BlockID) []proto.Command {
 	return resp.Commands
 }
 
+// deleted sends a delta report that b is gone and that the node now
+// holds exactly held, and returns any commands.
+func (f *fakeDN) deleted(b proto.BlockID, held ...proto.BlockID) []proto.Command {
+	f.t.Helper()
+	resp, _, err := proto.Call(f.nn, &proto.Message{
+		Type:    proto.MsgHeartbeatDelta,
+		Node:    f.id,
+		Digest:  proto.BlockSetDigest(held),
+		Deleted: []proto.BlockID{b},
+	}, nil, time.Second)
+	if err != nil {
+		f.t.Fatalf("report deletion: %v", err)
+	}
+	return resp.Commands
+}
+
 func (f *fakeDN) received(b proto.BlockID) {
 	f.t.Helper()
 	if _, _, err := proto.Call(f.nn, &proto.Message{
@@ -387,9 +403,7 @@ func TestInflightEntriesExpire(t *testing.T) {
 			t.Fatalf("delete: %v", err)
 		}
 		for _, dn := range hc.dns {
-			if _, _, err := proto.Call(hc.nn.Addr(), &proto.Message{Type: proto.MsgBlockDeleted, Node: dn.id, Block: b}, nil, time.Second); err != nil {
-				t.Fatalf("block deleted: %v", err)
-			}
+			dn.deleted(b)
 		}
 	}
 	// pastTTL moves the clock beyond inflightTTL in two outage steps of
@@ -439,15 +453,16 @@ func TestInflightEntriesExpire(t *testing.T) {
 }
 
 // A heartbeat hands a node its queued CmdDelete; a reconcile pass that
-// runs before the node's block_deleted arrives queues the same delete
-// again (the holder is still confirmed and still surplus, and the queue
-// it is de-duplicated against was just emptied). When block_deleted then
-// lands the cluster is converged, so nothing may still be queued: fsck
-// counts PendingCommands against Healthy. The clock is pinned so neither
+// runs before the node's report of the deletion arrives queues the same
+// delete again (the holder is still confirmed and still surplus, and the
+// queue it is de-duplicated against was just emptied). When the report
+// then lands the cluster is converged, so nothing may still be queued —
+// not even in the report's own response: fsck counts PendingCommands
+// against Healthy. The clock is pinned so neither
 // dead detection nor the in-flight TTL can fire however slowly the test
 // runs, and the reconcile ticker is parked so only the explicit passes
 // below run.
-func TestBlockDeletedDropsRequeuedDelete(t *testing.T) {
+func TestReportedDeletionDropsRequeuedDelete(t *testing.T) {
 	nn, err := Start(Config{
 		ExpectedNodes:      3,
 		Racks:              2,
@@ -496,12 +511,12 @@ func TestBlockDeletedDropsRequeuedDelete(t *testing.T) {
 	if len(cmds) != 1 || cmds[0].Kind != proto.CmdDelete || cmds[0].Block != blk {
 		t.Fatalf("surplus holder got %v, want one delete of block %d", cmds, blk)
 	}
-	nn.ReconcileOnce() // before block_deleted: the delete is queued again
+	nn.ReconcileOnce() // before the report: the delete is queued again
 	if nn.Converged() {
 		t.Fatal("converged while the surplus replica is still confirmed")
 	}
-	if _, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgBlockDeleted, Node: surplus.id, Block: blk}, nil, time.Second); err != nil {
-		t.Fatalf("block deleted: %v", err)
+	if cmds := surplus.deleted(blk); len(cmds) != 0 {
+		t.Errorf("the deletion report drew %v, want no commands", cmds)
 	}
 	if !nn.Converged() {
 		t.Fatal("not converged after the surplus replica was deleted")

@@ -352,13 +352,12 @@ func (nn *NameNode) enqueueLocked(n proto.NodeID, cmd proto.Command) {
 			return
 		}
 	}
-	nn.commandsIssued[cmd.Kind]++
 	nn.pendingCmds[n] = append(nn.pendingCmds[n], cmd)
 }
 
 // MovementStats reports completed replica-transfer durations and the
-// number of replicate/delete commands issued so far. The returned slice
-// is a copy.
+// number of replicate/delete commands handed to datanodes so far. The
+// returned slice is a copy.
 func (nn *NameNode) MovementStats() (durations []time.Duration, replicates, deletes int64) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()

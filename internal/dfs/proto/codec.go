@@ -30,7 +30,7 @@ var msgTypes = [...]MsgType{
 	MsgCreateFile, MsgAddBlock, MsgCompleteFile, MsgGetLocations, MsgSetRepl,
 	MsgDeleteFile, MsgListFiles, MsgStatFile, MsgClusterInfo, MsgFsck,
 	MsgDecommission, MsgRegister, MsgHeartbeatDelta,
-	MsgBlockReceived, MsgBlockDeleted, MsgWriteBlockStream, MsgReadBlockStream,
+	MsgBlockReceived, MsgWriteBlockStream, MsgReadBlockStream,
 	MsgChunk, MsgStreamAck, MsgOK, MsgError,
 }
 

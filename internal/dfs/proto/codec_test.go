@@ -88,7 +88,6 @@ func codecCases() []*Message {
 		{Type: MsgHeartbeatDelta, Node: 1, Digest: math.MaxUint64, Received: []BlockID{}},
 		{Type: MsgOK, Commands: []Command{{Kind: CmdDelete, Block: 5}}, FullReport: true},
 		{Type: MsgBlockReceived, Node: 2, Block: 99},
-		{Type: MsgBlockDeleted, Node: 2, Block: 99},
 		{Type: MsgWriteBlockStream, Block: 42, Pipeline: []string{"dn1:2"}, Length: 256 << 20, Checksum: math.MaxUint32, ChunkSize: 128 << 10},
 		{Type: MsgReadBlockStream, Block: 42, ChunkSize: 64 << 10, Offset: 131072},
 		{Type: MsgChunk, Block: 42, Seq: 3, Offset: 384, Eof: true, Length: 1000, Checksum: 77},

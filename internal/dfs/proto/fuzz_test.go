@@ -10,10 +10,12 @@ import (
 // FuzzReadFrame throws arbitrary wire bytes at the frame decoder. The
 // decoder must never panic, must never claim to have consumed more
 // bytes than it was given, and anything it accepts must survive a
-// re-encode/re-decode round trip unchanged. The checked-in corpus
-// (testdata/fuzz/FuzzReadFrame) holds encoded frames of the heaviest
-// headers: a 1 000-entry list_files reply, a 1 000-block full report
-// (a heartbeat_delta with FullReport set), an fsck reply.
+// re-encode/re-decode round trip unchanged. The seed corpus is built
+// here from Messages, never kept as frame bytes, so renumbering the
+// type codes or mask bits cannot leave it silently stale. It spans the
+// message shapes and the heaviest headers: a 1 000-entry list_files
+// reply, a 1 000-block full report (a heartbeat_delta with FullReport
+// set), an fsck reply.
 func FuzzReadFrame(f *testing.F) {
 	seed := func(msg *Message, payload []byte) {
 		var buf bytes.Buffer
@@ -25,6 +27,25 @@ func FuzzReadFrame(f *testing.F) {
 	seed(&Message{Type: MsgHeartbeatDelta, Node: NodeID(1), Digest: 0x9e3779b97f4a7c15, Received: []BlockID{4, -5}}, nil)
 	seed(&Message{Type: MsgWriteBlockStream, Block: 42, Pipeline: []string{"a", "b"}}, []byte("block-bytes"))
 	seed(&Message{Type: MsgChunk, Seq: 3, Eof: true}, bytes.Repeat([]byte{0xab}, 512))
+	seed(&Message{Type: MsgRegister, DataAddr: "127.0.0.1:9000", Rack: 1, Capacity: 4096}, nil)
+	seed(&Message{Type: MsgHeartbeatDelta, Node: 2, Digest: 0xdeadbeefcafef00d, Received: []BlockID{7, 8, 9}, Deleted: []BlockID{3}}, nil)
+	seed(&Message{Type: MsgOK, Locations: []BlockLocation{
+		{Block: 1, Length: 4096, Addresses: []string{"dn0:1", "dn1:2", "dn2:3"}},
+		{Block: 2, Length: 512, Addresses: []string{"dn3:4"}},
+	}}, nil)
+	seed(&Message{Type: MsgOK, Nodes: []NodeInfo{
+		{ID: 0, Rack: 0, Addr: "dn0:1", Blocks: 3, Capacity: 512, Alive: true},
+		{ID: 1, Rack: 1, Addr: "dn1:2", Capacity: 512, Draining: true},
+	}}, nil)
+	seed(&Message{Type: MsgOK, FullReport: true, Commands: []Command{
+		{Kind: CmdReplicate, Block: 11, Target: "dn3:4"},
+		{Kind: CmdDelete, Block: 12},
+	}}, nil)
+	chunk := bytes.Repeat([]byte{7}, 44)
+	seed(&Message{Type: MsgChunk, Block: 42, Seq: 1, Offset: 256, Eof: true, Length: 300, Checksum: ChunkChecksum(chunk)}, chunk)
+	seed(listReply(1000), nil)
+	seed(fullReport(1000), nil)
+	seed(fsckReply(), nil)
 	// Announced lengths the data can't back: 1 GiB payload, no bytes.
 	huge := frame(codeOf(msgTypes[:], MsgOK), 0)
 	binary.BigEndian.PutUint32(huge[4:8], 1<<30)

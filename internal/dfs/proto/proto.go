@@ -72,7 +72,6 @@ const (
 	MsgRegister       MsgType = "register"
 	MsgHeartbeatDelta MsgType = "heartbeat_delta"
 	MsgBlockReceived  MsgType = "block_received"
-	MsgBlockDeleted   MsgType = "block_deleted"
 
 	// Retired whole-block write RPC: never sent or handled, declared only
 	// because the frozen bench/wrap.go still names it in a span switch.

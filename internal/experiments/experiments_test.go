@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -161,6 +162,40 @@ func TestFig6Testbed(t *testing.T) {
 	out := res.String()
 	if !strings.Contains(out, "Figure 6") || !strings.Contains(out, "Aurora") {
 		t.Errorf("render malformed:\n%s", out)
+	}
+}
+
+// Figure 6 replays from its seed: two runs of one setup schedule every
+// task on the same node and so agree on locality, bytes read, every
+// job's duration and the replicate and delete command counts. Movement
+// times are wall-clock by design and not compared.
+func TestFig6Deterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("testbed spins up a real TCP cluster; skipped in -short")
+	}
+	setup := DefaultTestbedSetup(21)
+	setup.Files = 12
+	setup.Jobs = 120
+	var runs [2]*Fig6Result
+	for i := range runs {
+		res, err := Fig6(setup)
+		if err != nil {
+			t.Fatalf("Fig6 run %d: %v", i, err)
+		}
+		runs[i] = res
+	}
+	for i, a := range runs[0].Rows {
+		b := runs[1].Rows[i]
+		if a.LocalTasks != b.LocalTasks || a.RemoteTasks != b.RemoteTasks || a.BytesRead != b.BytesRead {
+			t.Errorf("%s: local/remote/bytes %d/%d/%d then %d/%d/%d", a.System,
+				a.LocalTasks, a.RemoteTasks, a.BytesRead, b.LocalTasks, b.RemoteTasks, b.BytesRead)
+		}
+		if a.Replicates != b.Replicates || a.Deletes != b.Deletes {
+			t.Errorf("%s: replicate/delete commands %d/%d then %d/%d", a.System, a.Replicates, a.Deletes, b.Replicates, b.Deletes)
+		}
+		if !maps.Equal(a.JobDurations, b.JobDurations) {
+			t.Errorf("%s: job durations differ between runs:\n%v\n%v", a.System, a.JobDurations, b.JobDurations)
+		}
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"aurora/internal/dfs/proto"
 	"aurora/internal/faultinject"
 	"aurora/internal/metrics"
-	"aurora/internal/par"
 	"aurora/internal/retrypolicy"
 	"aurora/internal/trace"
 )
@@ -44,14 +43,6 @@ type TestbedSetup struct {
 	// 3x minimum.
 	BudgetExtraBlocks int
 	Seed              uint64
-	// Workers bounds how many of the three systems run concurrently.
-	// Unlike the simulated sweeps this defaults to serial (<= 1): each
-	// system spins up a live TCP cluster whose wall-clock movement
-	// timings feed panel (c), so concurrent runs perturb each other's
-	// measurements. Set above 1 only when throughput matters more than
-	// timing fidelity (locality and command counts stay deterministic
-	// either way).
-	Workers int
 	// FaultSchedule, when non-nil, runs the workload under fault
 	// injection: each system's cluster gets its own injector applying
 	// this schedule, started after the dataset has converged so churn
@@ -111,7 +102,10 @@ type Fig6Result struct {
 }
 
 // Fig6 runs the testbed experiment: the same workload against default
-// HDFS, Scarlett and Aurora on a real namenode/datanode cluster.
+// HDFS, Scarlett and Aurora on a real namenode/datanode cluster. The
+// systems run one after another: each spins up a live TCP cluster whose
+// wall-clock movement timings feed panel (c), so concurrent runs would
+// perturb each other's measurements.
 func Fig6(s TestbedSetup) (*Fig6Result, error) {
 	if s.Nodes <= 0 || s.Racks <= 0 || s.Files <= 0 || s.Jobs <= 0 {
 		return nil, fmt.Errorf("%w: %+v", ErrBadSetup, s)
@@ -131,21 +125,12 @@ func Fig6(s TestbedSetup) (*Fig6Result, error) {
 
 	systems := []string{"HDFS", "Scarlett", "Aurora"}
 	res := &Fig6Result{Rows: make([]TestbedRow, len(systems))}
-	workers := s.Workers
-	if workers <= 0 {
-		workers = 1 // serial by default; see TestbedSetup.Workers
-	}
-	errs := make([]error, len(systems))
-	par.ForEach(len(systems), workers, func(i int) {
-		row, err := runTestbedSystem(s, tr, systems[i])
+	for i, system := range systems {
+		row, err := runTestbedSystem(s, tr, system)
 		if err != nil {
-			errs[i] = fmt.Errorf("experiments: testbed %s: %w", systems[i], err)
-			return
+			return nil, fmt.Errorf("experiments: testbed %s: %w", system, err)
 		}
 		res.Rows[i] = row
-	})
-	if err := par.FirstError(errs); err != nil {
-		return nil, err
 	}
 	scar, aur := res.Rows[1], res.Rows[2]
 	for id, ts := range scar.JobDurations {
@@ -195,7 +180,6 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 			DefaultReplication: 3,
 			DefaultMinRacks:    2,
 			BlockSize:          s.BlockBytes,
-			SlotsPerNode:       s.SlotsPerNode,
 			DeadTimeout:        5 * time.Second,
 			ReconcileInterval:  15 * time.Millisecond,
 			WindowBucket:       time.Minute,
@@ -279,7 +263,7 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 		return nn.WaitConverged(30 * time.Second)
 	}
 
-	if err := replayWorkload(s, tr, paths, c, nn, &row, reconfigure, taskRetry); err != nil {
+	if err := replayWorkload(s, tr, paths, c, &row, reconfigure, taskRetry); err != nil {
 		return row, err
 	}
 	durations, replicates, deletes := nn.MovementStats()
@@ -333,7 +317,7 @@ func (h *tbHeap) Pop() any {
 // monitor), block bytes are read over real TCP, and slots gate
 // concurrency per node. Remote tasks take twice as long, per the paper.
 func replayWorkload(s TestbedSetup, tr *trace.Trace, paths map[trace.FileID]string,
-	c *client.Client, nn *namenode.NameNode, row *TestbedRow, reconfigure func() error,
+	c *client.Client, row *TestbedRow, reconfigure func() error,
 	taskRetry retrypolicy.Policy) error {
 
 	info, err := c.ClusterInfo()
@@ -368,9 +352,11 @@ func replayWorkload(s TestbedSetup, tr *trace.Trace, paths map[trace.FileID]stri
 		}
 		local := target != ""
 		if !local {
-			for a, n := range free {
-				if n > 0 && (target == "" || n > free[target]) {
-					target = a
+			// Walk the nodes in ClusterInfo order, not map order, so a
+			// tie in free slots goes to the same node on every replay.
+			for _, n := range info {
+				if free[n.Addr] > 0 && (target == "" || free[n.Addr] > free[target]) {
+					target = n.Addr
 				}
 			}
 		}
@@ -490,7 +476,6 @@ func replayWorkload(s TestbedSetup, tr *trace.Trace, paths map[trace.FileID]stri
 			return err
 		}
 	}
-	_ = nn
 	return nil
 }
 

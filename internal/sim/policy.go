@@ -81,9 +81,6 @@ type AuroraPolicy struct {
 	// Shards is the hash-partition count; values below 2 run one
 	// core.Optimize period over the whole placement.
 	Shards int
-	// Workers bounds the per-shard optimizer concurrency (0 = one per
-	// CPU).
-	Workers int
 	// Opts configure each Algorithm 5 period. OnOp/OnReplicate/OnEvict
 	// observers are overwritten by the policy for accounting.
 	Opts core.OptimizerOptions
@@ -144,7 +141,7 @@ func (a *AuroraPolicy) Reconfigure(p *core.Placement) (Reconfig, error) {
 	}
 	sp.SetShares(a.shares)
 
-	res, err := core.OptimizeSharded(sp, core.ShardedOptimizerOptions{Workers: a.Workers, Opts: opts})
+	res, err := core.OptimizeSharded(sp, core.ShardedOptimizerOptions{Opts: opts})
 	if err != nil {
 		return rc, fmt.Errorf("sim: sharded aurora reconfigure: %w", err)
 	}
