@@ -9,8 +9,11 @@ package aurora_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -711,6 +714,104 @@ func BenchmarkNameNodeListFiles(b *testing.B) {
 		if got := call(list); len(got.Files) != files {
 			b.Fatalf("listed %d files, want %d", len(got.Files), files)
 		}
+	}
+}
+
+// BenchmarkNameNodeReconcileConverged measures one reconcile pass of a
+// converged namenode: 100 000 one-block files at three replicas on 20
+// fake registrations, every replica confirmed by a full report, and
+// 1 000 blocks read once so the load telemetry has a window to sum. The
+// namespace is loaded from an fsimage so setup takes seconds, and the
+// reconcile ticker is parked, so one op is exactly one ReconcileOnce.
+// With nothing to do, the pass walks only what changed since the last
+// one (DESIGN.md §10.3).
+func BenchmarkNameNodeReconcileConverged(b *testing.B) {
+	const (
+		nodes  = 20
+		blocks = 100_000
+		reads  = 1_000
+	)
+	type node struct {
+		ID       int    `json:"id"`
+		Addr     string `json:"addr"`
+		Rack     int    `json:"rack"`
+		Capacity int    `json:"capacity"`
+	}
+	type file struct {
+		Path        string `json:"path"`
+		Blocks      []int  `json:"blocks"`
+		Lengths     []int  `json:"lengths"`
+		Replication int    `json:"replication"`
+		MinRacks    int    `json:"minRacks"`
+		Complete    bool   `json:"complete"`
+	}
+	type block struct {
+		ID          int     `json:"id"`
+		MinReplicas int     `json:"minReplicas"`
+		MinRacks    int     `json:"minRacks"`
+		Desired     [3]int  `json:"desired"`
+		Popularity  float64 `json:"popularity"`
+	}
+	img := struct {
+		Version   int     `json:"version"`
+		Racks     int     `json:"racks"`
+		NextBlock int     `json:"nextBlock"`
+		Nodes     []node  `json:"nodes"`
+		Files     []file  `json:"files"`
+		Blocks    []block `json:"blocks"`
+	}{Version: 1, Racks: 2, NextBlock: blocks + 1}
+	held := make([][]proto.BlockID, nodes)
+	for n := 0; n < nodes; n++ {
+		img.Nodes = append(img.Nodes, node{ID: n, Addr: fmt.Sprintf("dn%d:1", n), Rack: n % 2, Capacity: blocks})
+	}
+	for i := 0; i < blocks; i++ {
+		id := i + 1
+		img.Files = append(img.Files, file{Path: fmt.Sprintf("/r/f%06d", i), Blocks: []int{id},
+			Lengths: []int{512}, Replication: 3, MinRacks: 2, Complete: true})
+		desired := [3]int{i % nodes, (i + 1) % nodes, (i + 2) % nodes}
+		img.Blocks = append(img.Blocks, block{ID: id, MinReplicas: 3, MinRacks: 2, Desired: desired})
+		for _, n := range desired {
+			held[n] = append(held[n], proto.BlockID(id))
+		}
+	}
+	raw, err := json.Marshal(img)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "fsimage.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	nn, err := aurora.StartNameNode(aurora.NameNodeConfig{
+		ExpectedNodes:      nodes,
+		DeadTimeout:        time.Hour,
+		ReconcileInterval:  time.Hour,
+		CheckpointInterval: time.Hour,
+		FsImagePath:        path,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer nn.Close()
+	call := func(m *proto.Message) {
+		if _, _, err := proto.Call(nn.Addr(), m, nil, 10*time.Second); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for n := range held {
+		call(&proto.Message{Type: proto.MsgHeartbeatDelta, Node: proto.NodeID(n), FullReport: true, Received: held[n]})
+	}
+	for i := 0; i < reads; i++ {
+		call(&proto.Message{Type: proto.MsgGetLocations, Path: fmt.Sprintf("/r/f%06d", i*(blocks/reads))})
+	}
+	nn.ReconcileOnce() // the pass after a load visits every block once
+	if !nn.Converged() {
+		b.Fatal("namenode not converged after every replica was confirmed")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nn.ReconcileOnce()
 	}
 }
 

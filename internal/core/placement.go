@@ -33,6 +33,11 @@ type Placement struct {
 	rackUsed []int // replicas stored per rack (disk-usage tie-breaks)
 	replicas int   // cached Σ_i k_i
 	idx      *loadindex.Index
+	// tracking turns on change recording (TrackChanges); changed lists
+	// each block whose replica set or spec changed since the last
+	// DrainChanges, once per block thanks to blockState.changed.
+	tracking bool
+	changed  []BlockID
 }
 
 // blockState tracks one block's holders. replicas is kept sorted
@@ -44,6 +49,8 @@ type blockState struct {
 	spec      BlockSpec
 	replicas  []topology.MachineID
 	rackCount map[topology.RackID]int
+	// changed is set while the block is on its placement's changed list.
+	changed bool
 }
 
 // holdersFind returns the position of m in the ascending holder list s,
@@ -216,10 +223,12 @@ func (p *Placement) AddBlock(s BlockSpec) error {
 		return fmt.Errorf("%w: block %d requires %d replicas, cluster has %d machines",
 			ErrBadSpec, s.ID, s.MinReplicas, p.cluster.NumMachines())
 	}
-	p.blocks[s.ID] = &blockState{
+	b := &blockState{
 		spec:      s,
 		rackCount: make(map[topology.RackID]int),
 	}
+	p.blocks[s.ID] = b
+	p.markChanged(s.ID, b)
 	return nil
 }
 
@@ -276,6 +285,7 @@ func (p *Placement) SetMinReplicas(id BlockID, k int) error {
 			ErrBadSpec, id, k, p.cluster.NumMachines())
 	}
 	b.spec = s
+	p.markChanged(id, b)
 	return nil
 }
 
@@ -307,6 +317,37 @@ func (p *Placement) AppendBlocks(buf []BlockID) []BlockID {
 
 // NumBlocks reports how many blocks are registered.
 func (p *Placement) NumBlocks() int { return len(p.blocks) }
+
+// TrackChanges makes p record, from now on, every block whose replica
+// set or spec changes — an added block, an added, removed, moved or
+// swapped replica, a new MinReplicas — so an owner that must react to
+// such changes (the DFS namenode's reconcile pass) visits those blocks
+// instead of the whole map. Recording costs one flag test per mutation
+// and one append per block between drains. Clones do not track.
+func (p *Placement) TrackChanges() { p.tracking = true }
+
+// DrainChanges appends the blocks recorded since the last drain to buf,
+// in no particular order, and forgets them. A block deleted after it
+// was recorded is still reported; one deleted and re-added between two
+// drains may be reported twice.
+func (p *Placement) DrainChanges(buf []BlockID) []BlockID {
+	for _, id := range p.changed {
+		if b, ok := p.blocks[id]; ok {
+			b.changed = false
+		}
+	}
+	buf = append(buf, p.changed...)
+	p.changed = p.changed[:0]
+	return buf
+}
+
+// markChanged records block id (state b) when p tracks changes.
+func (p *Placement) markChanged(id BlockID, b *blockState) {
+	if p.tracking && !b.changed {
+		b.changed = true
+		p.changed = append(p.changed, id)
+	}
+}
 
 // perReplica is the load one replica of the block contributes: P_i / k_i
 // with the *current* replica count (zero if unplaced).
@@ -355,6 +396,7 @@ func (p *Placement) AddReplica(id BlockID, m topology.MachineID) error {
 		return fmt.Errorf("%w: machine %d", ErrMachineFull, m)
 	}
 	old := b.perReplica()
+	p.markChanged(id, b)
 	b.addHolder(m)
 	p.replicas++
 	b.rackCount[mach.Rack]++
@@ -393,6 +435,7 @@ func (p *Placement) RemoveReplica(id BlockID, m topology.MachineID) error {
 	}
 	mach := p.cluster.MustMachine(m)
 	old := b.perReplica()
+	p.markChanged(id, b)
 	b.removeHolder(m)
 	p.replicas--
 	if b.rackCount[mach.Rack]--; b.rackCount[mach.Rack] == 0 {
@@ -432,6 +475,7 @@ func (p *Placement) MoveReplica(id BlockID, from, to topology.MachineID) error {
 	}
 	perReplica := b.perReplica()
 	fromMach := p.cluster.MustMachine(from)
+	p.markChanged(id, b)
 	b.removeHolder(from)
 	if b.rackCount[fromMach.Rack]--; b.rackCount[fromMach.Rack] == 0 {
 		delete(b.rackCount, fromMach.Rack)
@@ -536,6 +580,9 @@ func (p *Placement) SwapReplicas(i BlockID, m topology.MachineID, j BlockID, n t
 	pi, pj := bi.perReplica(), bj.perReplica()
 	mRack := p.cluster.MustMachine(m).Rack
 	nRack := p.cluster.MustMachine(n).Rack
+
+	p.markChanged(i, bi)
+	p.markChanged(j, bj)
 
 	// i: m -> n
 	bi.removeHolder(m)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -478,5 +479,55 @@ func TestRandomOperationsKeepInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TrackChanges records each block whose replica set or spec changed,
+// once per drain, through every mutation that can change either; a
+// popularity refresh and an untracked placement or clone record
+// nothing.
+func TestTrackChangesRecordsEveryDesiredSetChange(t *testing.T) {
+	c := mustCluster(t, 2, 2, 10) // machines 0,1 in rack 0; 2,3 in rack 1
+	p := mustPlacement(t, c, []BlockSpec{spec(1, 4, 1, 1), spec(2, 4, 1, 1), spec(3, 4, 1, 1)})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain := func() []BlockID {
+		got := p.DrainChanges(nil)
+		slices.Sort(got)
+		return got
+	}
+	must(p.AddReplica(1, 0))
+	if got := drain(); len(got) != 0 {
+		t.Fatalf("untracked placement recorded %v", got)
+	}
+	p.TrackChanges()
+	for _, tc := range []struct {
+		name   string
+		mutate func()
+		want   []BlockID
+	}{
+		{"add block", func() { must(p.AddBlock(spec(4, 1, 1, 1))) }, []BlockID{4}},
+		{"add replica", func() { must(p.AddReplica(2, 2)); must(p.AddReplica(2, 1)) }, []BlockID{2}},
+		{"remove replica", func() { must(p.RemoveReplica(2, 1)) }, []BlockID{2}},
+		{"move replica", func() { must(p.MoveReplica(1, 0, 3)) }, []BlockID{1}},
+		{"swap replicas", func() { must(p.SwapReplicas(1, 3, 2, 2)) }, []BlockID{1, 2}},
+		{"set min replicas", func() { must(p.SetMinReplicas(3, 2)) }, []BlockID{3}},
+		{"set popularity", func() { must(p.SetPopularity(1, 9)) }, nil},
+		{"clone", func() {
+			cl := p.Clone()
+			must(cl.AddReplica(3, 0))
+			if got := cl.DrainChanges(nil); len(got) != 0 {
+				t.Errorf("clone recorded %v", got)
+			}
+		}, nil},
+	} {
+		tc.mutate()
+		if got := drain(); !slices.Equal(got, tc.want) {
+			t.Errorf("%s recorded %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

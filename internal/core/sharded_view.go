@@ -100,3 +100,19 @@ func (sp *ShardedPlacement) CheckFeasible() error {
 	}
 	return nil
 }
+
+// TrackChanges turns on change recording in every shard.
+func (sp *ShardedPlacement) TrackChanges() {
+	for _, p := range sp.shards {
+		p.TrackChanges()
+	}
+}
+
+// DrainChanges appends every shard's recorded blocks to buf and forgets
+// them.
+func (sp *ShardedPlacement) DrainChanges(buf []BlockID) []BlockID {
+	for _, p := range sp.shards {
+		buf = p.DrainChanges(buf)
+	}
+	return buf
+}

@@ -88,7 +88,7 @@ func (nn *NameNode) drainLocked() {
 		}
 		// Decommissioned once the node neither is desired to hold
 		// anything nor physically holds anything.
-		if nn.placement.Used(m) == 0 && !nn.nodeHoldsAnythingLocked(node.id) {
+		if nn.placement.Used(m) == 0 && len(node.holds) == 0 {
 			node.decommissioned = true
 		}
 	}
@@ -117,15 +117,4 @@ func (nn *NameNode) releaseDrainedLocked(id core.BlockID, m topology.MachineID) 
 	//lint:ignore errcheck m was just enumerated from BlocksOn; removal cannot fail
 	_ = p.RemoveReplica(id, m)
 	nn.markDirtyLocked()
-}
-
-// nodeHoldsAnythingLocked reports whether any confirmed replica still
-// lives on the node.
-func (nn *NameNode) nodeHoldsAnythingLocked(id proto.NodeID) bool {
-	for _, holders := range nn.confirmed {
-		if holders[id] {
-			return true
-		}
-	}
-	return false
 }

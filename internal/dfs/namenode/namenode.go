@@ -207,6 +207,11 @@ type nodeState struct {
 	// report listed before such a block landed cannot name it and must
 	// not be read as "gone": the node's next delta carries the block.
 	fresh map[proto.BlockID]bool
+	// holds is the per-node view of NameNode.confirmed: the blocks this
+	// node is confirmed to hold, kept by confirmLocked and
+	// unconfirmLocked, so the walks that need one node's blocks (a full
+	// report, a death, a drain's end) cost O(node), not O(namespace).
+	holds map[proto.BlockID]struct{}
 }
 
 type fileMeta struct {
@@ -251,6 +256,19 @@ type NameNode struct {
 	// inflight replication commands with issue time, to avoid
 	// re-issuing every reconcile tick.
 	inflight map[inflightKey]time.Time
+	// pending holds the blocks that may still need a reconcile command;
+	// every block outside it is settled (reconcileBlockLocked). A block
+	// enters when its desired state changes — the placement records it,
+	// and syncPendingLocked moves it here — or its confirmed set does
+	// (confirmLocked, unconfirmLocked). Nothing else can unsettle one: a
+	// death re-homes the node's desired replicas through healLocked, so
+	// the placement records them, and a block being written never leaves.
+	// The reconcile pass walks only this set and drops what it finds
+	// settled (DESIGN.md §10.3).
+	pending map[proto.BlockID]struct{}
+	// walk is the block-ID buffer syncPendingLocked and the reconcile
+	// pass reuse.
+	walk []core.BlockID
 	// writing holds the allocation time of blocks whose initial pipeline
 	// write may still be under way (file not yet completed); reconcile
 	// leaves them alone for inflightTTL instead of racing the pipeline
@@ -321,6 +339,7 @@ func Start(cfg Config) (*NameNode, error) {
 		tombstones:     make(map[proto.BlockID]bool),
 		pendingCmds:    make(map[proto.NodeID][]proto.Command),
 		inflight:       make(map[inflightKey]time.Time),
+		pending:        make(map[proto.BlockID]struct{}),
 		writing:        make(map[proto.BlockID]time.Time),
 		commandsIssued: make(map[proto.CommandKind]int64),
 		monitor:        mon,
@@ -536,6 +555,10 @@ func (nn *NameNode) buildClusterLocked() error {
 	if err != nil {
 		return fmt.Errorf("namenode: placement: %w", err)
 	}
+	// Every change to the desired placement — by the placer, a heal, a
+	// drain, the optimizer or an external rebalancer — is recorded for
+	// the reconcile pass's pending set.
+	placement.TrackChanges()
 	nn.cluster = cluster
 	nn.placement = placement
 	return nil
@@ -569,8 +592,8 @@ func (nn *NameNode) handleReport(req *proto.Message) (*proto.Message, error) {
 		for _, b := range req.Received {
 			reported[b] = true
 		}
-		for b, holders := range nn.confirmed {
-			if holders[node.id] && !reported[b] && !node.fresh[b] {
+		for b := range node.holds {
+			if !reported[b] && !node.fresh[b] {
 				nn.unconfirmLocked(b, node.id)
 			}
 		}
@@ -634,33 +657,44 @@ func (nn *NameNode) handleBlockReceived(req *proto.Message) (*proto.Message, err
 }
 
 // confirmLocked records that node n holds block b, folding the block
-// into n's incremental set digest. Idempotent: re-confirming a held
-// block leaves the digest untouched.
+// into n's incremental set digest and n's holds index, and puts b in
+// the pending set. Idempotent: re-confirming a held block changes
+// nothing.
 func (nn *NameNode) confirmLocked(b proto.BlockID, n proto.NodeID) {
 	holders, ok := nn.confirmed[b]
 	if !ok {
 		holders = make(map[proto.NodeID]bool)
 		nn.confirmed[b] = holders
 	}
-	if !holders[n] {
-		holders[n] = true
-		nn.nodes[n].digest ^= proto.BlockDigest(b)
+	if holders[n] {
+		return
 	}
+	holders[n] = true
+	node := nn.nodes[n]
+	node.digest ^= proto.BlockDigest(b)
+	if node.holds == nil {
+		node.holds = make(map[proto.BlockID]struct{})
+	}
+	node.holds[b] = struct{}{}
+	nn.pending[b] = struct{}{}
 }
 
 // unconfirmLocked is the inverse of confirmLocked: it removes the
-// holder record, folds the block back out of the node's digest, drops
-// a delete of that replica still queued for the node, and reaps the
-// confirmation entry of a fully-vacated tombstoned block. Idempotent
-// like its counterpart.
+// holder record, folds the block back out of the node's digest and
+// holds index, puts b in the pending set, drops a delete of that
+// replica still queued for the node, and reaps the confirmation entry
+// of a fully-vacated tombstoned block. Idempotent like its counterpart.
 func (nn *NameNode) unconfirmLocked(b proto.BlockID, n proto.NodeID) {
 	holders, ok := nn.confirmed[b]
 	if !ok || !holders[n] {
 		return
 	}
 	delete(holders, n)
-	delete(nn.nodes[n].fresh, b)
-	nn.nodes[n].digest ^= proto.BlockDigest(b)
+	node := nn.nodes[n]
+	delete(node.fresh, b)
+	delete(node.holds, b)
+	node.digest ^= proto.BlockDigest(b)
+	nn.pending[b] = struct{}{}
 	// The node may have been handed this delete already and a reconcile
 	// pass have queued it again before the report of the deletion
 	// arrived (enqueueLocked de-duplicates only against what is still

@@ -2,6 +2,7 @@ package namenode
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"aurora/internal/core"
@@ -51,8 +52,8 @@ func (nn *NameNode) reconcileLoop() {
 // ticker.
 func (nn *NameNode) ReconcileOnce() {
 	nn.mu.Lock()
-	defer nn.mu.Unlock()
 	if !nn.ready {
+		nn.mu.Unlock()
 		return
 	}
 	nn.detectDeadLocked()
@@ -60,33 +61,47 @@ func (nn *NameNode) ReconcileOnce() {
 	nn.drainLocked()
 	nn.reapTombstonesLocked()
 	nn.driveConvergenceLocked()
-	nn.exportLoadTelemetryLocked()
+	loads, snap := nn.windowLoadsLocked()
+	nn.mu.Unlock()
+	// The pass is the load and hotspot gauges' only writer, so they
+	// always mean window loads, never forecast ones. Publishing needs no
+	// namenode state, so it happens outside the lock.
+	telemetry.ExportMachineLoads(metrics.Default, loads)
+	telemetry.ExportHotspots(metrics.Default, snap)
 }
 
-// exportLoadTelemetryLocked publishes per-machine load and hotspot
-// gauges from the usage monitor's current counts; it is those gauges'
-// only writer, so they always mean window loads, never forecast ones.
-// Loads are computed on the side (Σ popularity_i/k_i over each machine's
-// replicas, the paper's load definition) rather than via SetPopularity,
-// so refreshing telemetry never perturbs the placement state the
-// optimizer and reconcile decisions read.
-func (nn *NameNode) exportLoadTelemetryLocked() {
+// windowLoadsLocked returns the usage monitor's current counts and the
+// per-machine loads they imply: Σ count_i/k_i over each machine's
+// replicas, the paper's load definition. It sums over the window's keys
+// in ascending ID; a block outside the window would add exactly +0.0,
+// so the loads are bit-identical to a walk of every block. Loads are
+// computed on the side rather than via SetPopularity, so telemetry
+// never perturbs the placement state the optimizer and reconcile
+// decisions read.
+func (nn *NameNode) windowLoadsLocked() ([]float64, map[core.BlockID]int64) {
 	snap := nn.monitor.Peek(nn.clock().UnixNano())
+	ids := make([]core.BlockID, 0, len(snap))
+	for id := range snap {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
 	loads := make([]float64, nn.cluster.NumMachines())
-	for _, id := range nn.placement.Blocks() {
-		k := nn.placement.ReplicaCount(id)
+	var holders []topology.MachineID
+	for _, id := range ids {
+		p := nn.placement.For(id)
+		k := p.ReplicaCount(id)
 		if k == 0 {
 			continue
 		}
 		share := float64(snap[id]) / float64(k)
-		for _, m := range nn.placement.Replicas(id) {
+		holders = p.AppendReplicas(id, holders[:0])
+		for _, m := range holders {
 			if int(m) < len(loads) {
 				loads[int(m)] += share
 			}
 		}
 	}
-	telemetry.ExportMachineLoads(metrics.Default, loads)
-	telemetry.ExportHotspots(metrics.Default, snap)
+	return loads, snap
 }
 
 // detectDeadLocked marks silent datanodes dead and forgets what they
@@ -102,9 +117,10 @@ func (nn *NameNode) detectDeadLocked() {
 		node.alive = false
 		nn.markDirtyLocked()
 		metrics.Default.Counter("dfs.namenode.dead_detected").Inc()
-		for _, holders := range nn.confirmed {
-			delete(holders, node.id)
+		for b := range node.holds {
+			delete(nn.confirmed[b], node.id)
 		}
+		node.holds = nil
 		// The wipe above invalidates the node's incremental set digest;
 		// zero it to match the now-empty confirmation set and demand a
 		// full baseline if the node ever comes back.
@@ -249,7 +265,10 @@ func (nn *NameNode) reapTombstonesLocked() {
 // driveConvergenceLocked issues replicate commands for desired replicas
 // that do not exist yet, and delete commands for confirmed replicas that
 // are no longer desired (migration sources, evictions) once the block is
-// safely replicated.
+// safely replicated. It visits only the pending set, in ascending block
+// ID — the order a walk of every block would visit them in, so the
+// command queues come out the same — and drops each block it finds
+// settled.
 func (nn *NameNode) driveConvergenceLocked() {
 	now := nn.clock()
 	for b, allocated := range nn.writing {
@@ -266,61 +285,114 @@ func (nn *NameNode) driveConvergenceLocked() {
 			delete(nn.inflight, key)
 		}
 	}
-	for _, id := range nn.placement.Blocks() {
-		b := proto.BlockID(id)
-		if _, ok := nn.writing[b]; ok {
-			continue // initial pipeline write in flight
+	nn.syncPendingLocked()
+	nn.walk = nn.walk[:0]
+	for b := range nn.pending {
+		nn.walk = append(nn.walk, core.BlockID(b))
+	}
+	slices.Sort(nn.walk)
+	for _, id := range nn.walk {
+		if nn.reconcileBlockLocked(id, now) {
+			delete(nn.pending, proto.BlockID(id))
 		}
-		if !nn.placement.For(id).Feasible(id) {
-			// Short of replicas or racks because none were to be had when
-			// it was last healed: try again, so the count returns when
-			// capacity does and the spread when the rack does.
-			nn.healLocked(id, keepSize)
-		}
-		desired := nn.placement.Replicas(id)
-		holders := nn.confirmed[b]
-		desiredSet := make(map[proto.NodeID]bool, len(desired))
-		confirmedDesired := 0
-		for _, m := range desired {
-			n := proto.NodeID(m)
-			desiredSet[n] = true
-			if holders[n] {
-				confirmedDesired++
-			}
-		}
-		// Missing replicas: copy from a confirmed live holder.
-		for _, m := range desired {
-			n := proto.NodeID(m)
-			if holders[n] || !nn.nodes[n].alive {
-				continue
-			}
-			key := inflightKey{block: b, node: n}
-			if _, ok := nn.inflight[key]; ok {
-				continue
-			}
-			src, ok := nn.pickSourceLocked(b, n)
-			if !ok {
-				continue // nothing to copy from yet (initial write in flight)
-			}
-			nn.inflight[key] = now
-			nn.enqueueLocked(src, proto.Command{
-				Kind:   proto.CmdReplicate,
-				Block:  b,
-				Target: nn.nodes[n].addr,
-			})
-		}
-		// Surplus replicas: drop them only when enough desired replicas
-		// are confirmed, so a migration never reduces availability.
-		spec, err := nn.placement.Spec(id)
-		if err != nil {
+	}
+	if invariant.Enabled {
+		nn.checkSettledLocked(now)
+	}
+}
+
+// syncPendingLocked moves the blocks the placement recorded as changed
+// into the pending set.
+func (nn *NameNode) syncPendingLocked() {
+	nn.walk = nn.placement.DrainChanges(nn.walk[:0])
+	for _, id := range nn.walk {
+		nn.pending[proto.BlockID(id)] = struct{}{}
+	}
+}
+
+// reconcileBlockLocked is the reconcile decision for one block. A block
+// being written is left to its pipeline. Otherwise an infeasible block
+// is healed, each desired replica missing on a live node is copied from
+// a confirmed live holder, and once enough desired replicas are
+// confirmed every surplus confirmed replica is deleted. It reports
+// whether the block is settled: not being written, feasible, and
+// confirmed on exactly its desired holders, all of them alive. A
+// settled block wanted nothing from this call and will want nothing
+// until an event that adds it to the pending set; a block no longer in
+// the placement is settled too, its replicas being the tombstone
+// reaper's.
+func (nn *NameNode) reconcileBlockLocked(id core.BlockID, now time.Time) (settled bool) {
+	b := proto.BlockID(id)
+	p := nn.placement.For(id)
+	spec, err := p.Spec(id)
+	if err != nil {
+		return true
+	}
+	if _, ok := nn.writing[b]; ok {
+		return false // initial pipeline write in flight
+	}
+	if !p.Feasible(id) {
+		// Short of replicas or racks because none were to be had when
+		// it was last healed: try again, so the count returns when
+		// capacity does and the spread when the rack does.
+		nn.healLocked(id, keepSize)
+	}
+	desired := p.Replicas(id)
+	holders := nn.confirmed[b]
+	confirmedDesired := 0
+	allAlive := true
+	for _, m := range desired {
+		n := proto.NodeID(m)
+		alive := nn.nodes[n].alive
+		allAlive = allAlive && alive
+		if holders[n] {
+			confirmedDesired++
 			continue
 		}
-		if confirmedDesired >= spec.MinReplicas || confirmedDesired >= len(desired) {
-			for n := range holders {
-				if !desiredSet[n] && nn.nodes[n].alive {
-					nn.enqueueLocked(n, proto.Command{Kind: proto.CmdDelete, Block: b})
-				}
+		if !alive {
+			continue
+		}
+		// Missing replica: copy it from a confirmed live holder.
+		key := inflightKey{block: b, node: n}
+		if _, ok := nn.inflight[key]; ok {
+			continue
+		}
+		src, ok := nn.pickSourceLocked(b, n)
+		if !ok {
+			continue // nothing to copy from yet
+		}
+		nn.inflight[key] = now
+		nn.enqueueLocked(src, proto.Command{
+			Kind:   proto.CmdReplicate,
+			Block:  b,
+			Target: nn.nodes[n].addr,
+		})
+	}
+	// Surplus replicas: drop them only when enough desired replicas
+	// are confirmed, so a migration never reduces availability.
+	if confirmedDesired >= spec.MinReplicas || confirmedDesired >= len(desired) {
+		for n := range holders {
+			if !p.HasReplica(id, topology.MachineID(n)) && nn.nodes[n].alive {
+				nn.enqueueLocked(n, proto.Command{Kind: proto.CmdDelete, Block: b})
 			}
+		}
+	}
+	return allAlive && p.Feasible(id) &&
+		confirmedDesired == len(desired) && len(holders) == len(desired)
+}
+
+// checkSettledLocked is the pending set's oracle, run after every
+// reconcile pass in invariantdebug builds: it applies the per-block
+// decision to every block outside the set and panics on one that is not
+// settled — a block that wanted a command or a heal that the pass did
+// not visit, because some event failed to add it.
+func (nn *NameNode) checkSettledLocked(now time.Time) {
+	for _, id := range nn.placement.Blocks() {
+		if _, ok := nn.pending[proto.BlockID(id)]; ok {
+			continue
+		}
+		if !nn.reconcileBlockLocked(id, now) {
+			panic(fmt.Sprintf("namenode: block %d is outside the reconcile pending set but not settled", id))
 		}
 	}
 }
@@ -480,27 +552,46 @@ func (nn *NameNode) PlacementClone() (*core.Placement, error) {
 }
 
 // Converged reports whether every desired replica is confirmed and no
-// surplus replicas remain — the steady state after reconciliation.
+// surplus replicas remain — the steady state after reconciliation. Only
+// the pending set needs a look: every block outside it is settled.
 func (nn *NameNode) Converged() bool {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	if !nn.ready {
 		return false
 	}
-	if len(nn.tombstones) > 0 {
+	nn.syncPendingLocked()
+	converged := len(nn.tombstones) == 0
+	for b := range nn.pending {
+		id := core.BlockID(b)
+		if _, err := nn.placement.Spec(id); err == nil && !nn.confirmedAsDesiredLocked(id) {
+			converged = false
+			break
+		}
+	}
+	if invariant.Enabled {
+		full := len(nn.tombstones) == 0
+		for _, id := range nn.placement.Blocks() {
+			full = full && nn.confirmedAsDesiredLocked(id)
+		}
+		if full != converged {
+			panic(fmt.Sprintf("namenode: Converged over the pending set says %v, over every block %v", converged, full))
+		}
+	}
+	return converged
+}
+
+// confirmedAsDesiredLocked reports whether block id is confirmed on
+// exactly its desired holders.
+func (nn *NameNode) confirmedAsDesiredLocked(id core.BlockID) bool {
+	holders := nn.confirmed[proto.BlockID(id)]
+	desired := nn.placement.Replicas(id)
+	if len(holders) != len(desired) {
 		return false
 	}
-	for _, id := range nn.placement.Blocks() {
-		b := proto.BlockID(id)
-		holders := nn.confirmed[b]
-		desired := nn.placement.Replicas(id)
-		if len(holders) != len(desired) {
+	for _, m := range desired {
+		if !holders[proto.NodeID(m)] {
 			return false
-		}
-		for _, m := range desired {
-			if !holders[proto.NodeID(m)] {
-				return false
-			}
 		}
 	}
 	return true
