@@ -354,6 +354,59 @@ func BenchmarkOptimizePeriodSharded(b *testing.B) {
 	}
 }
 
+// BenchmarkPlacementClone measures the namenode period's snapshot: one
+// deep copy of the sharded block map, taken under the namenode lock
+// (DESIGN.md §10.4). The 3 200-block row is optimize_foreground's shape
+// (24 machines on 4 racks, 4 shards, 3 replicas over 2 racks per
+// block); the 100 000-block row scales the namespace on the same
+// machines.
+func BenchmarkPlacementClone(b *testing.B) {
+	const (
+		machines = 24
+		racks    = 4
+		shards   = 4
+	)
+	for _, blocks := range []int{3200, 100_000} {
+		b.Run(fmt.Sprintf("%dx%d/shards=%d", machines, blocks, shards), func(b *testing.B) {
+			capacity := 3*blocks/machines + 64
+			cluster, err := topology.Uniform(racks, machines/racks, capacity, 8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			specs := make([]core.BlockSpec, blocks)
+			for i := range specs {
+				specs[i] = core.BlockSpec{
+					ID:          core.BlockID(i + 1),
+					Popularity:  1000 / float64(i+1),
+					MinReplicas: 3,
+					MinRacks:    2,
+				}
+			}
+			base, err := core.NewShardedPlacement(cluster, shards, specs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			perRack := machines / racks
+			for i, s := range specs {
+				m1 := i % machines
+				for _, m := range []int{m1, (m1 + perRack) % machines, (m1 + 2*perRack) % machines} {
+					if err := base.AddReplica(s.ID, topology.MachineID(m)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cloneSink = base.Clone()
+			}
+		})
+	}
+}
+
+// cloneSink keeps BenchmarkPlacementClone's copies alive past the loop.
+var cloneSink *core.ShardedPlacement
+
 // BenchmarkAblationNoSwap compares the local search with and without
 // Swap operations: without Swap the capacity argument of Theorem 2
 // fails, and on tight clusters the final cost is worse.

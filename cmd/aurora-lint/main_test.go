@@ -404,6 +404,20 @@ var seededMutations = []mutation{
 		at:   []string{"c.consecErrors = c.Stats().Errors"},
 	},
 	{
+		name: "period without periodMu", rule: analysis.RuleGuardedBy,
+		file: "internal/dfs/namenode/reconcile.go",
+		old:  "\tnn.periodMu.Lock()\n\tdefer nn.periodMu.Unlock()\n\tplan, window, err := nn.snapshotPeriod()\n",
+		new:  "\tplan, window, err := nn.snapshotPeriod()\n",
+		at:   []string{"score, err := nn.forecast.Apply(plan, window)", "if nn.computed != nil {"},
+	},
+	{
+		name: "periodMu under nn.mu", rule: analysis.RuleLockOrder,
+		file: "internal/dfs/namenode/reconcile.go",
+		old:  "\tnn.mu.Lock()\n\theld := time.Now()\n\tnn.syncPendingLocked()\n\tnn.walk = nn.walk[:0]\n",
+		new:  "\tnn.mu.Lock()\n\tnn.periodMu.Lock()\n\tdefer nn.periodMu.Unlock()\n\theld := time.Now()\n\tnn.syncPendingLocked()\n\tnn.walk = nn.walk[:0]\n",
+		at:   []string{"nn.mu.Lock()\n\tdefer nn.mu.Unlock()\n\tif !nn.ready {\n\t\treturn ErrNotReady\n\t}\n\tif err := nn.refreshPopularityLocked()"},
+	},
+	{
 		name: "par worker without Done", rule: analysis.RuleGoroLeak,
 		file: "internal/par/par.go",
 		old:  "\t\t\tdefer wg.Done()\n",

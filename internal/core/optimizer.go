@@ -232,12 +232,12 @@ func replicateOnce(p *Placement, id BlockID, eq *evictQueue, opts *OptimizerOpti
 // callers that know more than the topology (liveness, draining, quotas)
 // say so through eligible.
 func (p *Placement) ReplicaDestination(id BlockID, eligible func(topology.MachineID) bool) topology.MachineID {
-	b, ok := p.blocks[id]
+	b, ok := p.block(id)
 	if !ok {
 		return topology.NoMachine
 	}
 	racks := racksByLoad(p)
-	if len(b.rackCount) < b.spec.MinRacks {
+	if b.spread < b.spec.MinRacks {
 		if m := leastLoadedHost(p, id, racks, eligible, func(r topology.RackID) bool {
 			return p.InRack(id, r)
 		}); m != topology.NoMachine {

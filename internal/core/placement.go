@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -26,8 +27,16 @@ import (
 // Placement is not safe for concurrent use; the optimizer serializes
 // access.
 type Placement struct {
-	cluster  *topology.Cluster
-	blocks   map[BlockID]*blockState
+	cluster *topology.Cluster
+	// rackOf maps each machine to its rack. It is immutable, so clones
+	// share it.
+	rackOf []topology.RackID
+	// blocks maps each block to its slot in states. Neither holds a
+	// pointer to a block's state, so a clone copies both in bulk; free
+	// lists the slots deleted blocks left, for AddBlock to reuse.
+	blocks   map[BlockID]int32
+	states   []blockState
+	free     []int32
 	machines []machineState
 	rackLoad []float64
 	rackUsed []int // replicas stored per rack (disk-usage tie-breaks)
@@ -44,11 +53,16 @@ type Placement struct {
 // ascending by machine ID: replica sets are small (k_i), so a sorted
 // slice beats a map on every operation the hot path performs —
 // membership probes, iteration, and cloning — and makes iteration order
-// deterministic for free.
+// deterministic for free. The state holds no map and no pointer of its
+// own beyond the holder list, so Clone copies it by value.
 type blockState struct {
-	spec      BlockSpec
-	replicas  []topology.MachineID
-	rackCount map[topology.RackID]int
+	spec     BlockSpec
+	replicas []topology.MachineID
+	// spread is the number of distinct racks among replicas, kept by
+	// addHolder and removeHolder. A rule that needs one rack's replica
+	// count derives it from the holder list (rackHolders), a scan of k_i
+	// machine IDs, so the state keeps no per-rack table to copy.
+	spread int
 	// changed is set while the block is on its placement's changed list.
 	changed bool
 }
@@ -68,30 +82,58 @@ func holdersFind(s []topology.MachineID, m topology.MachineID) (int, bool) {
 	return lo, lo < len(s) && s[lo] == m
 }
 
+// block returns block id's state. The pointer is valid until the next
+// AddBlock.
+func (p *Placement) block(id BlockID) (*blockState, bool) {
+	i, ok := p.blocks[id]
+	if !ok {
+		return nil, false
+	}
+	return &p.states[i], true
+}
+
 // hasHolder reports whether machine m holds a replica of b.
 func (b *blockState) hasHolder(m topology.MachineID) bool {
 	_, ok := holdersFind(b.replicas, m)
 	return ok
 }
 
-// addHolder inserts m into b's holder list. The caller has verified m is
-// not already present.
-func (b *blockState) addHolder(m topology.MachineID) {
+// rackHolders counts b's replicas in rack r.
+func (p *Placement) rackHolders(b *blockState, r topology.RackID) int {
+	n := 0
+	for _, m := range b.replicas {
+		if p.rackOf[m] == r {
+			n++
+		}
+	}
+	return n
+}
+
+// addHolder inserts m into b's holder list and keeps b's rack spread.
+// The caller has verified m is not already present.
+func (p *Placement) addHolder(b *blockState, m topology.MachineID) {
+	if p.rackHolders(b, p.rackOf[m]) == 0 {
+		b.spread++
+	}
 	i, _ := holdersFind(b.replicas, m)
 	b.replicas = append(b.replicas, 0)
 	copy(b.replicas[i+1:], b.replicas[i:])
 	b.replicas[i] = m
 }
 
-// removeHolder deletes m from b's holder list. A miss means the
-// incremental bookkeeping is corrupt, which is a bug.
-func (b *blockState) removeHolder(m topology.MachineID) {
+// removeHolder deletes m from b's holder list and keeps b's rack
+// spread. A miss means the incremental bookkeeping is corrupt, which is
+// a bug.
+func (p *Placement) removeHolder(b *blockState, m topology.MachineID) {
 	i, ok := holdersFind(b.replicas, m)
 	if !ok {
 		panic(fmt.Sprintf("core: machine %d is not a holder of block %d", m, b.spec.ID))
 	}
 	copy(b.replicas[i:], b.replicas[i+1:])
 	b.replicas = b.replicas[:len(b.replicas)-1]
+	if p.rackHolders(b, p.rackOf[m]) == 0 {
+		b.spread--
+	}
 }
 
 // blockRef is one entry of a machine's popularity-sorted block list. The
@@ -183,14 +225,16 @@ func NewPlacement(cluster *topology.Cluster, specs []BlockSpec) (*Placement, err
 	if cluster == nil || cluster.NumMachines() == 0 {
 		return nil, topology.ErrNoMachines
 	}
+	rackOf := cluster.RackAssignments()
 	p := &Placement{
 		cluster:  cluster,
-		blocks:   make(map[BlockID]*blockState, len(specs)),
+		rackOf:   rackOf,
+		blocks:   make(map[BlockID]int32, len(specs)),
+		states:   make([]blockState, 0, len(specs)),
 		machines: make([]machineState, cluster.NumMachines()),
 		rackLoad: make([]float64, cluster.NumRacks()),
 		rackUsed: make([]int, cluster.NumRacks()),
 	}
-	rackOf := cluster.RackAssignments()
 	racks := make([]int, len(rackOf))
 	for i, r := range rackOf {
 		racks[i] = int(r)
@@ -223,30 +267,38 @@ func (p *Placement) AddBlock(s BlockSpec) error {
 		return fmt.Errorf("%w: block %d requires %d replicas, cluster has %d machines",
 			ErrBadSpec, s.ID, s.MinReplicas, p.cluster.NumMachines())
 	}
-	b := &blockState{
-		spec:      s,
-		rackCount: make(map[topology.RackID]int),
+	var slot int32
+	if n := len(p.free); n > 0 {
+		slot, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		slot = int32(len(p.states))
+		p.states = append(p.states, blockState{})
 	}
-	p.blocks[s.ID] = b
-	p.markChanged(s.ID, b)
+	p.states[slot] = blockState{spec: s}
+	p.blocks[s.ID] = slot
+	p.markChanged(s.ID, &p.states[slot])
 	return nil
 }
 
 // DeleteBlock removes a block and all its replicas from the placement.
 func (p *Placement) DeleteBlock(id BlockID) error {
-	b, ok := p.blocks[id]
+	b, ok := p.block(id)
 	if !ok {
 		return fmt.Errorf("%w: block %d", ErrUnknownBlock, id)
 	}
+	p.markChanged(id, b)
 	perReplica := b.perReplica()
 	for _, m := range b.replicas {
 		p.sortedRemove(m, id, perReplica)
 		p.addLoad(m, -perReplica)
-		rack := p.cluster.MustMachine(m).Rack
+		rack := p.rackOf[m]
 		p.rackLoad[rack] -= perReplica
 		p.rackUsed[rack]--
 	}
 	p.replicas -= len(b.replicas)
+	slot := p.blocks[id]
+	p.states[slot] = blockState{}
+	p.free = append(p.free, slot)
 	delete(p.blocks, id)
 	return nil
 }
@@ -258,7 +310,7 @@ func (p *Placement) SetPopularity(id BlockID, popularity float64) error {
 	if popularity < 0 {
 		return fmt.Errorf("%w: negative popularity %v", ErrBadSpec, popularity)
 	}
-	b, ok := p.blocks[id]
+	b, ok := p.block(id)
 	if !ok {
 		return fmt.Errorf("%w: block %d", ErrUnknownBlock, id)
 	}
@@ -271,7 +323,7 @@ func (p *Placement) SetPopularity(id BlockID, popularity float64) error {
 // SetMinReplicas changes block id's node-level floor k_low, as when a
 // file's replication factor is changed at run time. It moves no replica.
 func (p *Placement) SetMinReplicas(id BlockID, k int) error {
-	b, ok := p.blocks[id]
+	b, ok := p.block(id)
 	if !ok {
 		return fmt.Errorf("%w: block %d", ErrUnknownBlock, id)
 	}
@@ -291,7 +343,7 @@ func (p *Placement) SetMinReplicas(id BlockID, k int) error {
 
 // Spec returns the spec of block id.
 func (p *Placement) Spec(id BlockID) (BlockSpec, error) {
-	b, ok := p.blocks[id]
+	b, ok := p.block(id)
 	if !ok {
 		return BlockSpec{}, fmt.Errorf("%w: block %d", ErrUnknownBlock, id)
 	}
@@ -319,20 +371,20 @@ func (p *Placement) AppendBlocks(buf []BlockID) []BlockID {
 func (p *Placement) NumBlocks() int { return len(p.blocks) }
 
 // TrackChanges makes p record, from now on, every block whose replica
-// set or spec changes — an added block, an added, removed, moved or
-// swapped replica, a new MinReplicas — so an owner that must react to
+// set or spec changes — an added or deleted block, an added, removed,
+// moved or swapped replica, a new MinReplicas — so an owner that must react to
 // such changes (the DFS namenode's reconcile pass) visits those blocks
 // instead of the whole map. Recording costs one flag test per mutation
 // and one append per block between drains. Clones do not track.
 func (p *Placement) TrackChanges() { p.tracking = true }
 
 // DrainChanges appends the blocks recorded since the last drain to buf,
-// in no particular order, and forgets them. A block deleted after it
-// was recorded is still reported; one deleted and re-added between two
-// drains may be reported twice.
+// in no particular order, and forgets them. A deleted block is reported
+// like any other; one deleted and re-added between two drains may be
+// reported twice.
 func (p *Placement) DrainChanges(buf []BlockID) []BlockID {
 	for _, id := range p.changed {
-		if b, ok := p.blocks[id]; ok {
+		if b, ok := p.block(id); ok {
 			b.changed = false
 		}
 	}
@@ -381,7 +433,7 @@ func (p *Placement) reloadBlock(id BlockID, b *blockState, oldPerReplica float64
 // the block re-divides among the enlarged replica set, so loads of the
 // existing holders shrink.
 func (p *Placement) AddReplica(id BlockID, m topology.MachineID) error {
-	b, ok := p.blocks[id]
+	b, ok := p.block(id)
 	if !ok {
 		return fmt.Errorf("%w: block %d", ErrUnknownBlock, id)
 	}
@@ -397,9 +449,8 @@ func (p *Placement) AddReplica(id BlockID, m topology.MachineID) error {
 	}
 	old := b.perReplica()
 	p.markChanged(id, b)
-	b.addHolder(m)
+	p.addHolder(b, m)
 	p.replicas++
-	b.rackCount[mach.Rack]++
 	// The new holder picks up the new per-replica load; existing holders
 	// are rescaled from the old value.
 	newPerReplica := b.perReplica()
@@ -426,7 +477,7 @@ func (p *Placement) AddReplica(id BlockID, m topology.MachineID) error {
 // states legitimately drop below it; call Feasible to check the final
 // state.
 func (p *Placement) RemoveReplica(id BlockID, m topology.MachineID) error {
-	b, ok := p.blocks[id]
+	b, ok := p.block(id)
 	if !ok {
 		return fmt.Errorf("%w: block %d", ErrUnknownBlock, id)
 	}
@@ -436,11 +487,8 @@ func (p *Placement) RemoveReplica(id BlockID, m topology.MachineID) error {
 	mach := p.cluster.MustMachine(m)
 	old := b.perReplica()
 	p.markChanged(id, b)
-	b.removeHolder(m)
+	p.removeHolder(b, m)
 	p.replicas--
-	if b.rackCount[mach.Rack]--; b.rackCount[mach.Rack] == 0 {
-		delete(b.rackCount, mach.Rack)
-	}
 	p.sortedRemove(m, id, old)
 	p.addLoad(m, -old)
 	p.rackLoad[mach.Rack] -= old
@@ -453,7 +501,7 @@ func (p *Placement) RemoveReplica(id BlockID, m topology.MachineID) error {
 // machine `to` atomically: the replica count is unchanged and the rack
 // spread requirement is verified before anything is mutated.
 func (p *Placement) MoveReplica(id BlockID, from, to topology.MachineID) error {
-	b, ok := p.blocks[id]
+	b, ok := p.block(id)
 	if !ok {
 		return fmt.Errorf("%w: block %d", ErrUnknownBlock, id)
 	}
@@ -476,17 +524,13 @@ func (p *Placement) MoveReplica(id BlockID, from, to topology.MachineID) error {
 	perReplica := b.perReplica()
 	fromMach := p.cluster.MustMachine(from)
 	p.markChanged(id, b)
-	b.removeHolder(from)
-	if b.rackCount[fromMach.Rack]--; b.rackCount[fromMach.Rack] == 0 {
-		delete(b.rackCount, fromMach.Rack)
-	}
+	p.removeHolder(b, from)
 	p.sortedRemove(from, id, perReplica)
 	p.addLoad(from, -perReplica)
 	p.rackLoad[fromMach.Rack] -= perReplica
 	p.rackUsed[fromMach.Rack]--
 
-	b.addHolder(to)
-	b.rackCount[toMach.Rack]++
+	p.addHolder(b, to)
 	p.sortedInsert(to, id, perReplica)
 	p.addLoad(to, perReplica)
 	p.rackLoad[toMach.Rack] += perReplica
@@ -497,21 +541,29 @@ func (p *Placement) MoveReplica(id BlockID, from, to topology.MachineID) error {
 // rackSpreadAfterMove computes the number of distinct racks holding block
 // b if one replica moved from machine `from` to machine `to`.
 func (p *Placement) rackSpreadAfterMove(b *blockState, from, to topology.MachineID) int {
-	return rackSpreadAfterMoveRacks(b,
-		p.cluster.MustMachine(from).Rack, p.cluster.MustMachine(to).Rack)
+	return p.rackSpreadAfterMoveRacks(b, p.rackOf[from], p.rackOf[to])
 }
 
 // rackSpreadAfterMoveRacks is rackSpreadAfterMove for callers that
 // already resolved the racks (the search hoists them per machine pair).
-func rackSpreadAfterMoveRacks(b *blockState, fromRack, toRack topology.RackID) int {
-	spread := len(b.rackCount)
+func (p *Placement) rackSpreadAfterMoveRacks(b *blockState, fromRack, toRack topology.RackID) int {
+	spread := b.spread
 	if fromRack == toRack {
 		return spread
 	}
-	if b.rackCount[fromRack] == 1 {
+	inFrom, inTo := 0, 0
+	for _, m := range b.replicas {
+		switch p.rackOf[m] {
+		case fromRack:
+			inFrom++
+		case toRack:
+			inTo++
+		}
+	}
+	if inFrom == 1 {
 		spread--
 	}
-	if b.rackCount[toRack] == 0 {
+	if inTo == 0 {
 		spread++
 	}
 	return spread
@@ -519,7 +571,7 @@ func rackSpreadAfterMoveRacks(b *blockState, fromRack, toRack topology.RackID) i
 
 // CanMove reports whether MoveReplica(id, from, to) would succeed.
 func (p *Placement) CanMove(id BlockID, from, to topology.MachineID) bool {
-	b, ok := p.blocks[id]
+	b, ok := p.block(id)
 	if !ok {
 		return false
 	}
@@ -550,11 +602,11 @@ func (p *Placement) SwapReplicas(i BlockID, m topology.MachineID, j BlockID, n t
 	if m == n {
 		return fmt.Errorf("%w: cannot swap on a single machine %d", ErrBadSpec, m)
 	}
-	bi, ok := p.blocks[i]
+	bi, ok := p.block(i)
 	if !ok {
 		return fmt.Errorf("%w: block %d", ErrUnknownBlock, i)
 	}
-	bj, ok := p.blocks[j]
+	bj, ok := p.block(j)
 	if !ok {
 		return fmt.Errorf("%w: block %d", ErrUnknownBlock, j)
 	}
@@ -578,29 +630,21 @@ func (p *Placement) SwapReplicas(i BlockID, m topology.MachineID, j BlockID, n t
 	}
 
 	pi, pj := bi.perReplica(), bj.perReplica()
-	mRack := p.cluster.MustMachine(m).Rack
-	nRack := p.cluster.MustMachine(n).Rack
+	mRack := p.rackOf[m]
+	nRack := p.rackOf[n]
 
 	p.markChanged(i, bi)
 	p.markChanged(j, bj)
 
 	// i: m -> n
-	bi.removeHolder(m)
-	if bi.rackCount[mRack]--; bi.rackCount[mRack] == 0 {
-		delete(bi.rackCount, mRack)
-	}
-	bi.addHolder(n)
-	bi.rackCount[nRack]++
+	p.removeHolder(bi, m)
+	p.addHolder(bi, n)
 	p.sortedRemove(m, i, pi)
 	p.sortedInsert(n, i, pi)
 
 	// j: n -> m
-	bj.removeHolder(n)
-	if bj.rackCount[nRack]--; bj.rackCount[nRack] == 0 {
-		delete(bj.rackCount, nRack)
-	}
-	bj.addHolder(m)
-	bj.rackCount[mRack]++
+	p.removeHolder(bj, n)
+	p.addHolder(bj, m)
 	p.sortedRemove(n, j, pj)
 	p.sortedInsert(m, j, pj)
 
@@ -617,11 +661,11 @@ func (p *Placement) CanSwap(i BlockID, m topology.MachineID, j BlockID, n topolo
 	if i == j || m == n {
 		return false
 	}
-	bi, ok := p.blocks[i]
+	bi, ok := p.block(i)
 	if !ok {
 		return false
 	}
-	bj, ok := p.blocks[j]
+	bj, ok := p.block(j)
 	if !ok {
 		return false
 	}
@@ -648,7 +692,7 @@ func (p *Placement) CanSwap(i BlockID, m topology.MachineID, j BlockID, n topolo
 
 // HasReplica reports whether machine m holds a replica of block id.
 func (p *Placement) HasReplica(id BlockID, m topology.MachineID) bool {
-	b, ok := p.blocks[id]
+	b, ok := p.block(id)
 	if !ok {
 		return false
 	}
@@ -657,7 +701,7 @@ func (p *Placement) HasReplica(id BlockID, m topology.MachineID) bool {
 
 // Replicas returns the machines holding block id, in ascending order.
 func (p *Placement) Replicas(id BlockID) []topology.MachineID {
-	b, ok := p.blocks[id]
+	b, ok := p.block(id)
 	if !ok {
 		return nil
 	}
@@ -668,7 +712,7 @@ func (p *Placement) Replicas(id BlockID) []topology.MachineID {
 // ascending order and returns the extended slice. The holder list is
 // stored sorted, so this is a straight copy.
 func (p *Placement) AppendReplicas(id BlockID, buf []topology.MachineID) []topology.MachineID {
-	b, ok := p.blocks[id]
+	b, ok := p.block(id)
 	if !ok {
 		return buf
 	}
@@ -678,7 +722,7 @@ func (p *Placement) AppendReplicas(id BlockID, buf []topology.MachineID) []topol
 // ReplicaCount returns k_i, the current replica count of block id (zero
 // for unknown blocks).
 func (p *Placement) ReplicaCount(id BlockID) int {
-	b, ok := p.blocks[id]
+	b, ok := p.block(id)
 	if !ok {
 		return 0
 	}
@@ -687,30 +731,34 @@ func (p *Placement) ReplicaCount(id BlockID) int {
 
 // RackSpread returns the number of distinct racks holding block id.
 func (p *Placement) RackSpread(id BlockID) int {
-	b, ok := p.blocks[id]
+	b, ok := p.block(id)
 	if !ok {
 		return 0
 	}
-	return len(b.rackCount)
+	return b.spread
 }
 
 // InRack reports whether any replica of block id sits in rack r.
 func (p *Placement) InRack(id BlockID, r topology.RackID) bool {
-	b, ok := p.blocks[id]
-	return ok && b.rackCount[r] > 0
+	b, ok := p.block(id)
+	return ok && p.rackHolders(b, r) > 0
 }
 
 // RemovalKeepsSpread reports whether block id would still span its own
 // MinRacks racks without its replica on m. It is the one place that
 // decides this — for the optimizer's evictions, the baselines' and the
-// namenode's — and the per-rack replica counts answer it in O(1).
+// namenode's — from the kept spread and, only when the spread is exactly
+// MinRacks, one scan of the holder list.
 func (p *Placement) RemovalKeepsSpread(id BlockID, m topology.MachineID) bool {
-	b, ok := p.blocks[id]
+	b, ok := p.block(id)
 	if !ok || !b.hasHolder(m) {
 		return false
 	}
-	spread := len(b.rackCount)
-	if b.rackCount[p.cluster.MustMachine(m).Rack] == 1 {
+	if b.spread > b.spec.MinRacks {
+		return true
+	}
+	spread := b.spread
+	if p.rackHolders(b, p.rackOf[m]) == 1 {
 		spread--
 	}
 	return spread >= b.spec.MinRacks
@@ -719,7 +767,7 @@ func (p *Placement) RemovalKeepsSpread(id BlockID, m topology.MachineID) bool {
 // PerReplicaPopularity returns p_i = P_i / k_i for block id (zero if
 // unplaced).
 func (p *Placement) PerReplicaPopularity(id BlockID) float64 {
-	b, ok := p.blocks[id]
+	b, ok := p.block(id)
 	if !ok {
 		return 0
 	}
@@ -839,8 +887,8 @@ func (p *Placement) MinLoadedMachineInRack(r topology.RackID) (topology.MachineI
 // approximation bounds (Theorems 2 and 4).
 func (p *Placement) MaxPerReplicaPopularity() float64 {
 	max := 0.0
-	for _, b := range p.blocks {
-		if pr := b.perReplica(); pr > max {
+	for _, i := range p.blocks {
+		if pr := p.states[i].perReplica(); pr > max {
 			max = pr
 		}
 	}
@@ -850,11 +898,11 @@ func (p *Placement) MaxPerReplicaPopularity() float64 {
 // Feasible reports whether block id currently satisfies its node- and
 // rack-level fault-tolerance requirements.
 func (p *Placement) Feasible(id BlockID) bool {
-	b, ok := p.blocks[id]
+	b, ok := p.block(id)
 	if !ok {
 		return false
 	}
-	return len(b.replicas) >= b.spec.MinReplicas && len(b.rackCount) >= b.spec.MinRacks
+	return len(b.replicas) >= b.spec.MinReplicas && b.spread >= b.spec.MinRacks
 }
 
 // CheckFeasible returns ErrInfeasible (wrapped, naming the first
@@ -862,45 +910,117 @@ func (p *Placement) Feasible(id BlockID) bool {
 func (p *Placement) CheckFeasible() error {
 	for _, id := range p.Blocks() {
 		if !p.Feasible(id) {
-			b := p.blocks[id]
+			b, _ := p.block(id)
 			return fmt.Errorf("%w: block %d has %d replicas (need %d) across %d racks (need %d)",
-				ErrInfeasible, id, len(b.replicas), b.spec.MinReplicas, len(b.rackCount), b.spec.MinRacks)
+				ErrInfeasible, id, len(b.replicas), b.spec.MinReplicas, b.spread, b.spec.MinRacks)
 		}
 	}
 	return nil
 }
 
 // Clone deep-copies the placement. The clone shares the immutable
-// cluster.
+// cluster and rack map, does not track changes, and allocates per
+// placement, not per block: the block map and the block states are
+// copied in bulk, and every holder list and every machine's sorted list
+// is carved from one slab each. Each carved list has a little spare
+// capacity of its own — a holder list one slot, a sorted list an eighth
+// — so the first mutations after a copy do not reallocate, and
+// appending past it reallocates that list alone: no two lists share
+// capacity.
 func (p *Placement) Clone() *Placement {
 	c := &Placement{
 		cluster:  p.cluster,
-		blocks:   make(map[BlockID]*blockState, len(p.blocks)),
+		rackOf:   p.rackOf,
+		blocks:   maps.Clone(p.blocks),
+		states:   slices.Clone(p.states),
+		free:     slices.Clone(p.free),
 		machines: make([]machineState, len(p.machines)),
-		rackLoad: make([]float64, len(p.rackLoad)),
-		rackUsed: make([]int, len(p.rackUsed)),
+		rackLoad: slices.Clone(p.rackLoad),
+		rackUsed: slices.Clone(p.rackUsed),
 		replicas: p.replicas,
+		idx:      p.idx.Clone(),
 	}
-	copy(c.rackLoad, p.rackLoad)
-	copy(c.rackUsed, p.rackUsed)
+	refs := 0
 	for i := range p.machines {
-		c.machines[i].load = p.machines[i].load
-		c.machines[i].sorted = append([]blockRef(nil), p.machines[i].sorted...)
+		refs += sortedCap(len(p.machines[i].sorted))
 	}
-	c.idx = p.idx.Clone()
-	for id, b := range p.blocks {
-		nb := &blockState{
-			spec:      b.spec,
-			replicas:  append([]topology.MachineID(nil), b.replicas...),
-			rackCount: make(map[topology.RackID]int, len(b.rackCount)),
-		}
-		for r, n := range b.rackCount {
-			nb.rackCount[r] = n
-		}
-		c.blocks[id] = nb
+	refSlab := make([]blockRef, refs)
+	for i := range p.machines {
+		src := p.machines[i].sorted
+		n, end := len(src), sortedCap(len(src))
+		c.machines[i] = machineState{load: p.machines[i].load, sorted: refSlab[:n:end]}
+		copy(refSlab, src)
+		refSlab = refSlab[end:]
+	}
+	holders := make([]topology.MachineID, p.replicas+len(c.states))
+	for i := range c.states {
+		b := &c.states[i]
+		n := len(b.replicas)
+		b.replicas = append(holders[:0:n+1], b.replicas...)
+		b.changed = false
+		holders = holders[n+1:]
 	}
 	return c
 }
+
+// Rebase makes every block in ids match its state in live, a placement
+// over the same cluster: a block live no longer has is deleted, one p
+// lacks is added with live's spec, and every other one takes live's
+// MinReplicas, MinRacks and replica set but keeps p's popularity. All
+// removals run before any addition, so a rebased replica competes for a
+// machine's capacity only with p's replicas of blocks outside ids. One
+// that still does not fit fails with ErrMachineFull and leaves p partly
+// rebased, for the caller to discard. ids in ascending order make the
+// result deterministic to the bit.
+func (p *Placement) Rebase(live *Placement, ids []BlockID) error {
+	for _, id := range ids {
+		b, ok := p.block(id)
+		if !ok {
+			continue
+		}
+		lb, ok := live.block(id)
+		if !ok {
+			//lint:ignore errcheck the block was just looked up; deletion cannot fail
+			_ = p.DeleteBlock(id)
+			continue
+		}
+		for k := len(b.replicas) - 1; k >= 0; k-- {
+			if m := b.replicas[k]; !lb.hasHolder(m) {
+				//lint:ignore errcheck m was just enumerated; removal cannot fail
+				_ = p.RemoveReplica(id, m)
+			}
+		}
+	}
+	for _, id := range ids {
+		lb, ok := live.block(id)
+		if !ok {
+			continue
+		}
+		if _, ok := p.blocks[id]; !ok {
+			if err := p.AddBlock(lb.spec); err != nil {
+				return fmt.Errorf("core: rebase block %d: %w", id, err)
+			}
+		}
+		b, _ := p.block(id)
+		if b.spec.MinReplicas != lb.spec.MinReplicas || b.spec.MinRacks != lb.spec.MinRacks {
+			b.spec.MinReplicas, b.spec.MinRacks = lb.spec.MinReplicas, lb.spec.MinRacks
+			p.markChanged(id, b)
+		}
+		for _, m := range lb.replicas {
+			if b.hasHolder(m) {
+				continue
+			}
+			if err := p.AddReplica(id, m); err != nil {
+				return fmt.Errorf("core: rebase block %d: %w", id, err)
+			}
+		}
+	}
+	return nil
+}
+
+// sortedCap is the capacity Clone gives a machine's sorted list of n
+// entries.
+func sortedCap(n int) int { return n + n/8 + 4 }
 
 // Validate recomputes all derived state from scratch and compares it to
 // the incremental bookkeeping. Intended for tests and fuzzing; it is
@@ -910,9 +1030,10 @@ func (p *Placement) Validate() error {
 	loads := make([]float64, len(p.machines))
 	rackLoads := make([]float64, len(p.rackLoad))
 	counts := make([]int, len(p.machines))
-	for id, b := range p.blocks {
+	for id, slot := range p.blocks {
+		b := &p.states[slot]
 		perReplica := b.perReplica()
-		rackSeen := make(map[topology.RackID]int)
+		rackSeen := make(map[topology.RackID]bool)
 		for k, m := range b.replicas {
 			if k > 0 && b.replicas[k-1] >= m {
 				return fmt.Errorf("core: block %d holder list out of order at %d: %d !< %d",
@@ -929,15 +1050,10 @@ func (p *Placement) Validate() error {
 			loads[m] += perReplica
 			rackLoads[mach.Rack] += perReplica
 			counts[m]++
-			rackSeen[mach.Rack]++
+			rackSeen[mach.Rack] = true
 		}
-		if len(rackSeen) != len(b.rackCount) {
-			return fmt.Errorf("core: block %d rack spread is %d, bookkeeping says %d", id, len(rackSeen), len(b.rackCount))
-		}
-		for r, n := range rackSeen {
-			if b.rackCount[r] != n {
-				return fmt.Errorf("core: block %d rack %d count is %d, bookkeeping says %d", id, r, n, b.rackCount[r])
-			}
+		if len(rackSeen) != b.spread {
+			return fmt.Errorf("core: block %d rack spread is %d, bookkeeping says %d", id, len(rackSeen), b.spread)
 		}
 	}
 	for i := range p.machines {
@@ -950,7 +1066,7 @@ func (p *Placement) Validate() error {
 				return fmt.Errorf("core: machine %d sorted list out of order at %d: (%v,%d) !< (%v,%d)",
 					i, j, s[j-1].pop, s[j-1].id, ref.pop, ref.id)
 			}
-			b, ok := p.blocks[ref.id]
+			b, ok := p.block(ref.id)
 			if !ok {
 				return fmt.Errorf("core: machine %d sorted list names unknown block %d", i, ref.id)
 			}
@@ -985,9 +1101,12 @@ func (p *Placement) Validate() error {
 			return fmt.Errorf("core: rack %d used drift: recomputed %d, bookkeeping %d", r, rackCounts[r], p.rackUsed[r])
 		}
 	}
+	if len(p.blocks)+len(p.free) != len(p.states) {
+		return fmt.Errorf("core: %d blocks and %d free slots, %d slots in all", len(p.blocks), len(p.free), len(p.states))
+	}
 	total := 0
-	for _, b := range p.blocks {
-		total += len(b.replicas)
+	for _, slot := range p.blocks {
+		total += len(p.states[slot].replicas)
 	}
 	if total != p.replicas {
 		return fmt.Errorf("core: replica counter drift: recomputed %d, bookkeeping %d", total, p.replicas)

@@ -346,27 +346,165 @@ func TestCheckFeasible(t *testing.T) {
 	}
 }
 
+// A clone shares no mutable state with its original: mutating every
+// block of the clone — popularity, holders appended past the spare slot
+// Clone leaves, holders removed, moved and swapped, blocks deleted and
+// added, machines filled — leaves the original exactly as it was.
 func TestCloneIsIndependent(t *testing.T) {
-	c := mustCluster(t, 2, 2, 10)
-	p := mustPlacement(t, c, []BlockSpec{spec(1, 8, 2, 2)})
-	if err := p.AddReplica(1, 0); err != nil {
-		t.Fatalf("AddReplica: %v", err)
+	c := mustCluster(t, 3, 3, 12) // machines 0-2 in rack 0, 3-5 in rack 1, 6-8 in rack 2
+	rng := rand.New(rand.NewPCG(11, 11))
+	var specs []BlockSpec
+	for i := 1; i <= 20; i++ {
+		specs = append(specs, spec(BlockID(i), float64(rng.IntN(50)), 2, 2))
 	}
-	if err := p.AddReplica(1, 2); err != nil {
-		t.Fatalf("AddReplica: %v", err)
+	p := mustPlacement(t, c, specs)
+	for _, s := range specs {
+		for p.ReplicaCount(s.ID) < 2 || p.RackSpread(s.ID) < 2 {
+			m := topology.MachineID(rng.IntN(c.NumMachines()))
+			if p.RackSpread(s.ID) == 1 && p.InRack(s.ID, c.MustMachine(m).Rack) {
+				continue
+			}
+			_ = p.AddReplica(s.ID, m)
+		}
 	}
+	type blockView struct {
+		pop      float64
+		replicas []topology.MachineID
+	}
+	view := func(p *Placement) (map[BlockID]blockView, []float64) {
+		out := make(map[BlockID]blockView)
+		for _, id := range p.Blocks() {
+			out[id] = blockView{pop: p.PerReplicaPopularity(id), replicas: p.Replicas(id)}
+		}
+		return out, p.Loads()
+	}
+	wantBlocks, wantLoads := view(p)
+
 	clone := p.Clone()
-	if err := clone.MoveReplica(1, 0, 1); err != nil {
-		t.Fatalf("MoveReplica on clone: %v", err)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !p.HasReplica(1, 0) {
-		t.Error("mutating clone affected original")
+	for _, id := range clone.Blocks() {
+		must(clone.SetPopularity(id, float64(id)*3))
+		// Append holders until the block is on every machine with room:
+		// well past the one spare slot its carved holder list has.
+		for m := topology.MachineID(0); int(m) < c.NumMachines(); m++ {
+			if !clone.HasReplica(id, m) && clone.FreeCapacity(m) > 0 {
+				must(clone.AddReplica(id, m))
+			}
+		}
+		holders := clone.Replicas(id)
+		must(clone.RemoveReplica(id, holders[0]))
+		if id%3 == 0 {
+			must(clone.DeleteBlock(id))
+		}
 	}
-	if err := p.Validate(); err != nil {
-		t.Errorf("original Validate: %v", err)
-	}
+	must(clone.AddBlock(spec(99, 7, 1, 1)))
+	must(clone.AddReplica(99, 0))
 	if err := clone.Validate(); err != nil {
 		t.Errorf("clone Validate: %v", err)
+	}
+
+	if err := p.Validate(); err != nil {
+		t.Fatalf("original Validate after the clone's mutations: %v", err)
+	}
+	gotBlocks, gotLoads := view(p)
+	if len(gotBlocks) != len(wantBlocks) {
+		t.Fatalf("original has %d blocks, had %d", len(gotBlocks), len(wantBlocks))
+	}
+	for id, want := range wantBlocks {
+		got := gotBlocks[id]
+		if math.Float64bits(got.pop) != math.Float64bits(want.pop) || !slices.Equal(got.replicas, want.replicas) {
+			t.Errorf("block %d: original now %+v, was %+v", id, got, want)
+		}
+	}
+	if !slices.Equal(gotLoads, wantLoads) {
+		t.Errorf("original loads now %v, were %v", gotLoads, wantLoads)
+	}
+}
+
+// Rebase makes each named block of a plan what the live placement holds
+// — replica set, k and ρ, presence — and keeps the plan's popularity;
+// every other block keeps the plan's replica set.
+func TestRebaseTakesLiveForNamedBlocks(t *testing.T) {
+	c := mustCluster(t, 2, 3, 10) // machines 0-2 in rack 0, 3-5 in rack 1
+	live := mustPlacement(t, c, []BlockSpec{spec(1, 4, 2, 2), spec(2, 6, 2, 2), spec(3, 8, 2, 2), spec(4, 1, 2, 2)})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []BlockID{1, 2, 3, 4} {
+		must(live.AddReplica(id, topology.MachineID(id%3)))
+		must(live.AddReplica(id, topology.MachineID(3+id%3)))
+	}
+	live.TrackChanges()
+	plan := live.Clone()
+	// The plan: new popularities, a copy of block 1, a move of block 2
+	// and a copy of block 4, which live is about to change.
+	for _, id := range plan.Blocks() {
+		must(plan.SetPopularity(id, float64(10*id)))
+	}
+	must(plan.AddReplica(1, 2))
+	must(plan.MoveReplica(2, 2, 0))
+	must(plan.AddReplica(4, 0))
+
+	// Live, meanwhile: block 3 deleted, block 4 re-homed and raised to
+	// k = 3, block 5 created.
+	must(live.DeleteBlock(3))
+	must(live.MoveReplica(4, 1, 2))
+	must(live.SetMinReplicas(4, 3))
+	must(live.AddReplica(4, 5))
+	must(live.AddBlock(spec(5, 2, 1, 1)))
+	must(live.AddReplica(5, 1))
+	touched := live.DrainChanges(nil)
+	slices.Sort(touched)
+	if want := []BlockID{3, 4, 5}; !slices.Equal(touched, want) {
+		t.Fatalf("live recorded %v, want %v", touched, want)
+	}
+
+	must(plan.Rebase(live, touched))
+	if err := plan.Validate(); err != nil {
+		t.Fatalf("rebased plan Validate: %v", err)
+	}
+	for _, tc := range []struct {
+		id       BlockID
+		replicas []topology.MachineID
+		pop      float64
+		k        int
+	}{
+		{1, []topology.MachineID{1, 2, 4}, 10, 2}, // the plan's copy
+		{2, []topology.MachineID{0, 5}, 20, 2},    // the plan's move
+		{4, []topology.MachineID{2, 4, 5}, 40, 3}, // live's set and k, the plan's popularity
+		{5, []topology.MachineID{1}, 2, 1},        // created live
+	} {
+		sp, err := plan.Spec(tc.id)
+		if err != nil {
+			t.Fatalf("block %d: %v", tc.id, err)
+		}
+		if got := plan.Replicas(tc.id); !slices.Equal(got, tc.replicas) || sp.Popularity != tc.pop || sp.MinReplicas != tc.k {
+			t.Errorf("block %d: replicas %v, popularity %v, k %d; want %v, %v, %d",
+				tc.id, got, sp.Popularity, sp.MinReplicas, tc.replicas, tc.pop, tc.k)
+		}
+	}
+	if _, err := plan.Spec(3); err == nil {
+		t.Error("block 3, deleted live, survived the rebase")
+	}
+
+	// A live replica on a machine the plan filled does not fit.
+	full := live.Clone()
+	must(live.AddBlock(spec(6, 1, 1, 1)))
+	must(live.AddReplica(6, 0))
+	for id := BlockID(100); full.FreeCapacity(0) > 0; id++ {
+		must(full.AddBlock(spec(id, 1, 1, 1)))
+		must(full.AddReplica(id, 0))
+	}
+	if err := full.Rebase(live, []BlockID{6}); !errors.Is(err, ErrMachineFull) {
+		t.Errorf("rebase onto a full machine: %v, want ErrMachineFull", err)
 	}
 }
 
@@ -517,6 +655,7 @@ func TestTrackChangesRecordsEveryDesiredSetChange(t *testing.T) {
 		{"swap replicas", func() { must(p.SwapReplicas(1, 3, 2, 2)) }, []BlockID{1, 2}},
 		{"set min replicas", func() { must(p.SetMinReplicas(3, 2)) }, []BlockID{3}},
 		{"set popularity", func() { must(p.SetPopularity(1, 9)) }, nil},
+		{"delete block", func() { must(p.DeleteBlock(4)) }, []BlockID{4}},
 		{"clone", func() {
 			cl := p.Clone()
 			must(cl.AddReplica(3, 0))

@@ -187,7 +187,7 @@ func bestPairOpSwap(p *Placement, m, n topology.MachineID, epsilon float64, allo
 		}
 		for k := lo; k < hi; k++ {
 			i, pi := mine[k].id, mine[k].pop
-			b := p.blocks[i]
+			b := &p.states[p.blocks[i]]
 			// Blocks held by both machines are skipped (Theorem 2): a
 			// machine stores at most one replica, and relocating a shared
 			// block would change its replication factor.
@@ -197,7 +197,7 @@ func bestPairOpSwap(p *Placement, m, n topology.MachineID, epsilon float64, allo
 			// Try the move first: it is one block transfer instead of two.
 			// Feasibility is CanMove minus the checks the scan already
 			// guarantees (block exists, held on m, absent from n).
-			if nHasRoom && moveKeepsSpread(b, mRack, nRack) {
+			if nHasRoom && p.moveKeepsSpread(b, mRack, nRack) {
 				cost := pairCost(lm-pi, ln+pi)
 				if improves(lm, cost) && cost < best.newPairCost {
 					best = candidate{
@@ -246,10 +246,12 @@ func popLowerBound(s []blockRef, pop float64) int {
 // spread after the move meets MinRacks, or it was already below (the
 // search never repairs spread, only refuses to worsen a satisfied
 // constraint). This is the rack leg of CanMove/CanSwap with the machine
-// lookups hoisted to the caller.
-func moveKeepsSpread(b *blockState, fromRack, toRack topology.RackID) bool {
-	return rackSpreadAfterMoveRacks(b, fromRack, toRack) >= b.spec.MinRacks ||
-		len(b.rackCount) < b.spec.MinRacks
+// lookups hoisted to the caller. A spread other than exactly MinRacks
+// answers without looking at the holders: above it, one move loses at
+// most one rack.
+func (p *Placement) moveKeepsSpread(b *blockState, fromRack, toRack topology.RackID) bool {
+	return b.spread != b.spec.MinRacks ||
+		p.rackSpreadAfterMoveRacks(b, fromRack, toRack) >= b.spec.MinRacks
 }
 
 // bestSwapCounterpart finds the block j on n (not on m) that minimizes
@@ -272,7 +274,7 @@ func moveKeepsSpread(b *blockState, fromRack, toRack topology.RackID) bool {
 func bestSwapCounterpart(p *Placement, i BlockID, bi *blockState, pi float64, m, n topology.MachineID, mRack, nRack topology.RackID, lm, ln float64) (BlockID, float64, bool) {
 	// If sending i to n's rack would break i's spread, no counterpart is
 	// feasible at all.
-	if !moveKeepsSpread(bi, mRack, nRack) {
+	if !p.moveKeepsSpread(bi, mRack, nRack) {
 		return 0, 0, false
 	}
 	cands := p.machines[n].sorted
@@ -293,8 +295,8 @@ func bestSwapCounterpart(p *Placement, i BlockID, bi *blockState, pi float64, m,
 		if cost >= bestCost {
 			return false // V-shape: farther candidates on this side are worse
 		}
-		bj := p.blocks[c.id]
-		if !bj.hasHolder(m) && moveKeepsSpread(bj, nRack, mRack) {
+		bj := &p.states[p.blocks[c.id]]
+		if !bj.hasHolder(m) && p.moveKeepsSpread(bj, nRack, mRack) {
 			bestJ, bestCost, found = c.id, cost, true
 		}
 		return true

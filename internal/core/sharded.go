@@ -269,6 +269,25 @@ func (sp *ShardedPlacement) Clone() *ShardedPlacement {
 	return c
 }
 
+// Rebase rebases the blocks in ids shard by shard (Placement.Rebase)
+// onto live, which must have sp's shard count.
+func (sp *ShardedPlacement) Rebase(live *ShardedPlacement, ids []BlockID) error {
+	if len(live.shards) != len(sp.shards) {
+		return fmt.Errorf("%w: rebase onto %d shards from %d", ErrBadSpec, len(live.shards), len(sp.shards))
+	}
+	perShard := make([][]BlockID, len(sp.shards))
+	for _, id := range ids {
+		i := sp.ShardIndex(id)
+		perShard[i] = append(perShard[i], id)
+	}
+	for i, p := range sp.shards {
+		if err := p.Rebase(live.shards[i], perShard[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Merge flattens all shards into one Placement. With one shard this is a
 // plain Clone of the underlying placement (over the base cluster, bit-
 // identical). With several, the merged placement is built over the quota

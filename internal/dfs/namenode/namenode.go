@@ -236,6 +236,20 @@ type NameNode struct {
 	cfg    Config
 	server *proto.Server
 
+	// periodMu serializes optimizer periods (OptimizeNow) and external
+	// rebalancer runs (WithPlacement), and guards the state they share.
+	// It is taken before mu and never while mu is held: a period holds it
+	// throughout, and mu only to snapshot and to install (DESIGN.md
+	// §10.6).
+	periodMu sync.Mutex
+	// forecast turns each period's window into block popularities
+	// (cfg.Predictor).
+	forecast *aurora.Forecaster
+	// computed, when set, runs between a period's compute and install
+	// steps with no namenode lock held: the seam tests use to land
+	// mutations mid-period.
+	computed func(plan *core.ShardedPlacement)
+
 	mu        sync.Mutex
 	nodes     []*nodeState
 	ready     bool
@@ -266,9 +280,14 @@ type NameNode struct {
 	// The reconcile pass walks only this set and drops what it finds
 	// settled (DESIGN.md §10.3).
 	pending map[proto.BlockID]struct{}
-	// walk is the block-ID buffer syncPendingLocked and the reconcile
-	// pass reuse.
+	// walk is the block-ID buffer syncPendingLocked, the reconcile pass
+	// and a period's install reuse.
 	walk []core.BlockID
+	// touched collects, while a period computes off the lock, every block
+	// whose desired state changed since its snapshot: syncPendingLocked
+	// adds what it drains. The install rebases them onto the plan. nil
+	// outside a period.
+	touched map[proto.BlockID]struct{}
 	// writing holds the allocation time of blocks whose initial pipeline
 	// write may still be under way (file not yet completed); reconcile
 	// leaves them alone for inflightTTL instead of racing the pipeline
@@ -295,12 +314,10 @@ type NameNode struct {
 	// recorded in. Observers (telemetry, PopularitySnapshot) read it with
 	// Peek: a scrape must never advance or prune it, or the counts the
 	// optimizer reads would depend on scrape frequency. Only the
-	// consuming path, refreshPopularityLocked, calls Snapshot.
+	// consuming paths, a period's snapshot and WithPlacement, call
+	// Snapshot.
 	monitor *popularity.Monitor[core.BlockID]
-	// forecast turns each period's window into block popularities
-	// (cfg.Predictor).
-	forecast *aurora.Forecaster
-	clock    func() time.Time
+	clock   func() time.Time
 
 	stop chan struct{}
 	done chan struct{}

@@ -39,11 +39,18 @@ type fakeDN struct {
 
 func registerFake(t *testing.T, nn *NameNode, rack int, addr string) *fakeDN {
 	t.Helper()
+	return registerWithCapacity(t, nn, rack, 100, addr)
+}
+
+// registerWithCapacity registers a fake datanode that has room for
+// capacity blocks.
+func registerWithCapacity(t *testing.T, nn *NameNode, rack, capacity int, addr string) *fakeDN {
+	t.Helper()
 	resp, _, err := proto.Call(nn.Addr(), &proto.Message{
 		Type:     proto.MsgRegister,
 		DataAddr: addr,
 		Rack:     rack,
-		Capacity: 100,
+		Capacity: capacity,
 	}, nil, time.Second)
 	if err != nil {
 		t.Fatalf("register fake dn: %v", err)

@@ -156,6 +156,10 @@ func TestPendingSetEntries(t *testing.T) {
 			}
 			tw.tick()
 		}},
+		{"mutations mid-period", func(tw *twin, blocks []proto.BlockID) {
+			periodWithMutations(tw, blocks)
+			tw.tick()
+		}},
 		{"WithPlacement", func(tw *twin, blocks []proto.BlockID) {
 			_, spare := tw.holders(blocks[1])
 			if err := tw.nn.WithPlacement(func(p *core.Placement) error {

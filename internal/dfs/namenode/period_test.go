@@ -1,0 +1,330 @@
+package namenode
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+	"time"
+
+	"aurora/internal/core"
+	"aurora/internal/dfs/proto"
+	"aurora/internal/invariant"
+	"aurora/internal/metrics"
+	"aurora/internal/topology"
+)
+
+// desire is one block's desired state: its replica set and k_low.
+type desire struct {
+	replicas []topology.MachineID
+	k        int
+}
+
+func desiresOf(sp *core.ShardedPlacement) map[core.BlockID]desire {
+	out := make(map[core.BlockID]desire)
+	for _, id := range sp.Blocks() {
+		spec, _ := sp.Spec(id)
+		out[id] = desire{replicas: sp.Replicas(id), k: spec.MinReplicas}
+	}
+	return out
+}
+
+func (hc *healCluster) liveDesires() map[core.BlockID]desire {
+	hc.nn.mu.Lock()
+	defer hc.nn.mu.Unlock()
+	return desiresOf(hc.nn.placement)
+}
+
+// midPeriod records a period during whose compute step a create, a
+// delete, a set_replication and a datanode death landed: the plan as
+// computed, the live desired state when the compute began and when the
+// install began, and the node that died.
+type midPeriod struct {
+	plan, before, after map[core.BlockID]desire
+	victim              topology.MachineID
+}
+
+// periodWithMutations reads /f0 until it is hot, then runs one period
+// that lands the four mutations between its compute and install steps.
+// The victim is the node with no copy of /f0's block, live or planned,
+// so what the plan does to /f0 stays untouched; one block it holds is
+// re-homed by its death, and the delete and the set_replication hit two
+// other files.
+func periodWithMutations(tw *twin, blocks []proto.BlockID) *midPeriod {
+	tw.t.Helper()
+	for i := 0; i < 20; i++ {
+		tw.call(&proto.Message{Type: proto.MsgGetLocations, Path: "/f0"})
+	}
+	hot := core.BlockID(blocks[0])
+	mp := &midPeriod{victim: topology.NoMachine}
+	tw.nn.computed = func(plan *core.ShardedPlacement) {
+		mp.plan = desiresOf(plan)
+		mp.before = tw.liveDesires()
+		var victim *fakeDN
+		for _, dn := range tw.dns {
+			m := topology.MachineID(dn.id)
+			if !slices.Contains(mp.plan[hot].replicas, m) && !slices.Contains(mp.before[hot].replicas, m) {
+				victim = dn
+			}
+		}
+		if victim == nil {
+			tw.t.Fatalf("every node holds the hot block: plan %v, live %v", mp.plan[hot], mp.before[hot])
+		}
+		mp.victim = topology.MachineID(victim.id)
+		healed := -1
+		var others []int
+		for i := 1; i < len(blocks); i++ {
+			if healed < 0 && slices.Contains(mp.before[core.BlockID(blocks[i])].replicas, mp.victim) {
+				healed = i
+			} else {
+				others = append(others, i)
+			}
+		}
+		if healed < 0 {
+			tw.t.Fatalf("victim %d holds no block", mp.victim)
+		}
+		tw.write("/new", 2, true)
+		tw.call(&proto.Message{Type: proto.MsgDeleteFile, Path: fmt.Sprintf("/f%d", others[0])})
+		tw.call(&proto.Message{Type: proto.MsgSetRepl, Path: fmt.Sprintf("/f%d", others[1]), Replication: 3})
+		tw.advance(2*time.Second, victim)
+		mp.after = tw.liveDesires()
+	}
+	defer func() { tw.nn.computed = nil }()
+	if _, err := tw.nn.OptimizeNow(core.OptimizerOptions{
+		RackAware: true, ReplicationBudget: 2*len(blocks) + 1, MaxReplicationMoves: 4,
+	}); err != nil {
+		tw.t.Fatalf("OptimizeNow: %v", err)
+	}
+	return mp
+}
+
+// After a period whose compute saw a create, a delete, a set_replication
+// and a death, each block's desired set is the live one if the live
+// placement changed it since the snapshot, and the plan's otherwise —
+// less the dead node, which the install's heal pass re-homes.
+func TestPeriodRebasesConcurrentMutations(t *testing.T) {
+	tw := startTwin(t, false)
+	var blocks []proto.BlockID
+	for i := 0; i < 4; i++ {
+		blocks = append(blocks, tw.write(fmt.Sprintf("/f%d", i), 2, true))
+	}
+	tw.tick()
+	mp := periodWithMutations(tw, blocks)
+	got := tw.liveDesires()
+
+	hot := core.BlockID(blocks[0])
+	if slices.Equal(mp.plan[hot].replicas, mp.before[hot].replicas) {
+		t.Fatalf("the plan left the hot block at %v: nothing to install", mp.plan[hot].replicas)
+	}
+	var touched []core.BlockID
+	for id := range mp.before {
+		if _, ok := mp.after[id]; !ok {
+			touched = append(touched, id)
+		}
+	}
+	for id, live := range mp.after {
+		before, existed := mp.before[id]
+		g, ok := got[id]
+		if !ok {
+			t.Errorf("block %d is live but not desired after the install", id)
+			continue
+		}
+		if !existed || before.k != live.k || !slices.Equal(before.replicas, live.replicas) {
+			touched = append(touched, id)
+			if g.k != live.k || !slices.Equal(g.replicas, live.replicas) {
+				t.Errorf("block %d changed mid-period to %+v; after the install it is %+v", id, live, g)
+			}
+			continue
+		}
+		plan := mp.plan[id]
+		if !slices.Contains(plan.replicas, mp.victim) {
+			if g.k != plan.k || !slices.Equal(g.replicas, plan.replicas) {
+				t.Errorf("untouched block %d: the plan says %+v; after the install it is %+v", id, plan, g)
+			}
+			continue
+		}
+		// The plan put a replica on the dead node: healed to the same
+		// size, the other holders kept.
+		if slices.Contains(g.replicas, mp.victim) || len(g.replicas) != len(plan.replicas) {
+			t.Errorf("untouched block %d: the plan's %v holds dead node %d; after the install it is %v",
+				id, plan.replicas, mp.victim, g.replicas)
+		}
+		for _, m := range plan.replicas {
+			if m != mp.victim && !slices.Contains(g.replicas, m) {
+				t.Errorf("untouched block %d: the heal dropped live holder %d of %v: %v", id, m, plan.replicas, g.replicas)
+			}
+		}
+	}
+	for id := range got {
+		if _, ok := mp.after[id]; !ok {
+			t.Errorf("block %d is desired after the install but was deleted mid-period", id)
+		}
+	}
+	// The create, the delete, the set_replication and the re-homed block.
+	if len(touched) < 4 {
+		t.Errorf("only %v changed mid-period: the mutations did not land", touched)
+	}
+	tw.nn.mu.Lock()
+	defer tw.nn.mu.Unlock()
+	for i := 0; i < tw.nn.placement.NumShards(); i++ {
+		if err := invariant.CheckPlacement(tw.nn.placement.Shard(i)); err != nil {
+			t.Errorf("shard %d after the install: %v", i, err)
+		}
+	}
+}
+
+// A plan that filled a machine the live placement then wrote a new
+// block to cannot take the rebased replica: the install drops the whole
+// plan and counts it, and the desired placement is the live one.
+func TestPeriodDropsPlanOnCapacityConflict(t *testing.T) {
+	nn, err := Start(Config{
+		ExpectedNodes: 4, Racks: 2, DefaultReplication: 2, DefaultMinRacks: 2,
+		DeadTimeout: time.Hour, ReconcileInterval: time.Hour, Seed: 1,
+	})
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	t.Cleanup(func() { _ = nn.Close() })
+	hc := &healCluster{t: t, nn: nn}
+	for i, addr := range []string{"a:1", "b:1", "c:1", "d:1"} {
+		hc.dns = append(hc.dns, registerWithCapacity(t, nn, i%2, 3, addr))
+	}
+	call := func(m *proto.Message) *proto.Message {
+		resp, _, err := proto.Call(nn.Addr(), m, nil, time.Second)
+		if err != nil {
+			t.Fatalf("%s: %v", m.Type, err)
+		}
+		return resp
+	}
+	for i := 0; i < 4; i++ {
+		path := fmt.Sprintf("/f%d", i)
+		call(&proto.Message{Type: proto.MsgCreateFile, Path: path})
+		call(&proto.Message{Type: proto.MsgAddBlock, Path: path, Length: 1})
+		call(&proto.Message{Type: proto.MsgGetLocations, Path: path})
+	}
+	full := hc.dns[0]
+	var after map[core.BlockID]desire
+	var pops map[core.BlockID]float64
+	nn.computed = func(plan *core.ShardedPlacement) {
+		// The plan fills the machine...
+		m := topology.MachineID(full.id)
+		for _, id := range plan.Blocks() {
+			if plan.FreeCapacity(m) > 0 && !slices.Contains(plan.Replicas(id), m) {
+				if err := plan.AddReplica(id, m); err != nil {
+					t.Fatalf("fill the plan: %v", err)
+				}
+			}
+		}
+		// ...that a writer colocated with it then writes a block to.
+		call(&proto.Message{Type: proto.MsgCreateFile, Path: "/local"})
+		call(&proto.Message{Type: proto.MsgAddBlock, Path: "/local", Length: 1, DataAddr: full.addr})
+		after = hc.liveDesires()
+		pops = popularities(nn)
+	}
+	dropped := metrics.Default.Counter("dfs.namenode.plan_dropped")
+	before := dropped.Value()
+	if _, err := nn.OptimizeNow(core.OptimizerOptions{RackAware: true}); err != nil {
+		t.Fatalf("OptimizeNow: %v", err)
+	}
+	if got := dropped.Value() - before; got != 1 {
+		t.Fatalf("plan_dropped rose by %d, want 1", got)
+	}
+	got := hc.liveDesires()
+	if len(got) != len(after) {
+		t.Errorf("%d blocks desired after the drop, %d before it", len(got), len(after))
+	}
+	for id, want := range after {
+		if g := got[id]; g.k != want.k || !slices.Equal(g.replicas, want.replicas) {
+			t.Errorf("block %d: %+v after the drop, %+v before it", id, g, want)
+		}
+	}
+	for id, want := range pops {
+		if g := popularities(nn)[id]; math.Float64bits(g) != math.Float64bits(want) {
+			t.Errorf("block %d popularity %v after the drop, %v before it", id, g, want)
+		}
+	}
+}
+
+func popularities(nn *NameNode) map[core.BlockID]float64 {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	out := make(map[core.BlockID]float64)
+	for _, id := range nn.placement.Blocks() {
+		spec, _ := nn.placement.Spec(id)
+		out[id] = spec.Popularity
+	}
+	return out
+}
+
+// A period that fails changes nothing: with a budget below Σ k_low the
+// optimizer refuses, and every popularity, every desired set and the
+// dirty flag are as the period found them.
+func TestFailedPeriodChangesNothing(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			fc := startForecastCluster(t, shards, "", 6)
+			fc.period(func(i int) int { return 1 + i })
+			nn := fc.nn
+			nn.mu.Lock()
+			nn.dirty = false
+			nn.mu.Unlock()
+			hc := &healCluster{t: t, nn: nn}
+			desired, pops := hc.liveDesires(), popularities(nn)
+			_, err := nn.OptimizeNow(core.OptimizerOptions{RackAware: true, ReplicationBudget: 1})
+			if !errors.Is(err, core.ErrBudgetTooSmall) {
+				t.Fatalf("OptimizeNow with budget 1: %v, want ErrBudgetTooSmall", err)
+			}
+			for id, want := range pops {
+				if got := popularities(nn)[id]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("block %d popularity %v after the failed period, %v before it", id, got, want)
+				}
+			}
+			for id, want := range desired {
+				if got := hc.liveDesires()[id]; !slices.Equal(got.replicas, want.replicas) {
+					t.Errorf("block %d desired on %v after the failed period, %v before it", id, got.replicas, want.replicas)
+				}
+			}
+			if nn.Dirty() {
+				t.Error("the failed period marked the namespace dirty")
+			}
+		})
+	}
+}
+
+// get_locations is served while a period computes: the period holds
+// nn.mu only to snapshot and to install. The period parks in its first
+// replication, inside the optimizer.
+func TestLookupsServedDuringPeriod(t *testing.T) {
+	fc := startForecastCluster(t, 1, "", 4)
+	fc.period(func(i int) int { return 10 * (i + 1) })
+	parked, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		first := true
+		_, err := fc.nn.OptimizeNow(core.OptimizerOptions{
+			RackAware: true, ReplicationBudget: 2*len(fc.blocks) + 2,
+			OnReplicate: func(core.BlockID, topology.MachineID, topology.MachineID) {
+				if first {
+					first = false
+					close(parked)
+					<-release
+				}
+			},
+		})
+		done <- err
+	}()
+	select {
+	case <-parked:
+	case err := <-done:
+		t.Fatalf("the period ended without a replication: %v", err)
+	}
+	_, _, err := proto.Call(fc.nn.Addr(), &proto.Message{Type: proto.MsgGetLocations, Path: "/f0"}, nil, time.Second)
+	close(release)
+	if err != nil {
+		t.Errorf("get_locations while the period computes: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("OptimizeNow: %v", err)
+	}
+}

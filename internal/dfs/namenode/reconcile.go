@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"aurora/internal/aurora"
 	"aurora/internal/core"
 	"aurora/internal/dfs/proto"
 	"aurora/internal/invariant"
@@ -302,11 +303,15 @@ func (nn *NameNode) driveConvergenceLocked() {
 }
 
 // syncPendingLocked moves the blocks the placement recorded as changed
-// into the pending set.
+// into the pending set and, while a period computes, into its touched
+// set.
 func (nn *NameNode) syncPendingLocked() {
 	nn.walk = nn.placement.DrainChanges(nn.walk[:0])
 	for _, id := range nn.walk {
 		nn.pending[proto.BlockID(id)] = struct{}{}
+		if nn.touched != nil {
+			nn.touched[proto.BlockID(id)] = struct{}{}
+		}
 	}
 }
 
@@ -442,12 +447,15 @@ func (nn *NameNode) MovementStats() (durations []time.Duration, replicates, dele
 // then runs fn against the live desired placement under the namenode
 // lock. It is the integration point for external rebalancers (the
 // Scarlett baseline in the testbed experiment uses it; Aurora's own
-// optimizer uses OptimizeNow). On a sharded namenode fn runs once per
-// shard, in shard order — each invocation sees one partition of the
-// block map; with one shard the behaviour is exactly the unsharded one.
-// fn sees the static topology; replicas it leaves on dead or draining
-// machines are re-homed before WithPlacement returns.
+// optimizer uses OptimizeNow), and it waits for a running period to
+// install first. On a sharded namenode fn runs once per shard, in shard
+// order — each invocation sees one partition of the block map; with one
+// shard the behaviour is exactly the unsharded one. fn sees the static
+// topology; replicas it leaves on dead or draining machines are
+// re-homed before WithPlacement returns.
 func (nn *NameNode) WithPlacement(fn func(*core.Placement) error) error {
+	nn.periodMu.Lock()
+	defer nn.periodMu.Unlock()
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	if !nn.ready {
@@ -466,68 +474,177 @@ func (nn *NameNode) WithPlacement(fn func(*core.Placement) error) error {
 	return nil
 }
 
-// refreshPopularityLocked is the period's forecast step: the usage
-// monitor's window, through the forecaster, into every block's
-// popularity. It is the one consuming path allowed to call
-// Monitor.Snapshot (and so to prune expired keys); with a predictor it
-// also exports the score of the previous forecast.
+// refreshPopularityLocked is WithPlacement's forecast step: the usage
+// monitor's window, through the forecaster, into every block of the
+// live placement. The caller holds periodMu and mu.
 func (nn *NameNode) refreshPopularityLocked() error {
 	score, err := nn.forecast.Apply(nn.placement, nn.monitor.Snapshot(nn.clock().UnixNano()))
+	nn.exportForecastScore(score)
+	return err
+}
+
+// exportForecastScore publishes the score of the forecast a period
+// replaced, when the forecaster had one to score.
+func (nn *NameNode) exportForecastScore(score aurora.Score) {
 	if score.Scored {
 		telemetry.ExportPredictionError(metrics.Default, score.WAE, score.TopK,
 			metrics.L("predictor", nn.cfg.Predictor))
 	}
-	return err
 }
 
 // OptimizeNow runs one Aurora optimization period (Algorithm 5) against
-// the live metadata: block popularities are refreshed from the usage
-// monitor, each shard's period runs concurrently over the bounded
-// worker pool, a cross-shard rebalance pass migrates replication budget
-// between shards, and the reconcile loop carries the resulting copies
-// and deletions to the datanodes. The returned report aggregates the
-// shards (with one shard it is exactly the unsharded period's report).
+// the live metadata in three steps (DESIGN.md §10.6), holding the
+// namenode lock only for the first and the last:
+//
+//   - snapshot: drain the placement's recorded changes, take the usage
+//     monitor's window and clone the desired placement;
+//   - compute, with no namenode lock held: write the forecast into the
+//     clone and run every shard's period over it concurrently, then the
+//     cross-shard rebalance pass;
+//   - install: rebase onto the plan every block whose desired state
+//     changed since the snapshot — the live change wins for that block —
+//     make the plan the desired placement, and re-home what it left on
+//     dead or draining machines. The reconcile loop carries the
+//     resulting copies and deletions to the datanodes.
+//
+// A period that fails changes nothing. Neither does one whose plan a
+// rebased replica no longer fits: that plan is dropped whole, counted
+// as dfs.namenode.plan_dropped, and the period reports an empty result.
+// The returned report aggregates the shards (with one shard it is
+// exactly the unsharded period's report).
 func (nn *NameNode) OptimizeNow(opts core.OptimizerOptions) (core.OptimizeResult, error) {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	if !nn.ready {
-		return core.OptimizeResult{}, ErrNotReady
-	}
-	if err := nn.refreshPopularityLocked(); err != nil {
+	nn.periodMu.Lock()
+	defer nn.periodMu.Unlock()
+	plan, window, err := nn.snapshotPeriod()
+	if err != nil {
 		return core.OptimizeResult{}, err
 	}
-	// In debug builds, a feasible placement must stay feasible through
-	// the optimizer: assert the paper invariants after the run.
-	assertAfter := invariant.Enabled && nn.placement.CheckFeasible() == nil
-	start := time.Now()
-	res, err := core.OptimizeSharded(nn.placement, core.ShardedOptimizerOptions{
-		Opts: opts,
-		// Per-shard wall timing uses the namenode's injected clock, so
-		// deterministic harnesses replay with their own time source.
-		Now: func() int64 { return nn.clock().UnixNano() },
-	})
+	score, err := nn.forecast.Apply(plan, window)
+	nn.exportForecastScore(score)
+	if err != nil {
+		err = fmt.Errorf("namenode: forecast: %w", err)
+	}
+	var res core.ShardedOptimizeResult
+	var wall time.Duration
+	if err == nil {
+		res, wall, err = nn.optimizePlan(plan, opts)
+	}
 	agg := core.OptimizeResult{
 		Replications: res.Replications,
 		Evictions:    res.Evictions,
 		Search:       res.Search,
 	}
 	if err != nil {
-		return agg, fmt.Errorf("namenode: optimize: %w", err)
+		nn.endPeriod()
+		return agg, err
 	}
-	telemetry.ExportShardedOptimizePeriod(metrics.Default, res, time.Since(start))
-	// The optimizer works over the static topology, so a period during a
-	// fault window runs normally and this pass re-homes what it put on
-	// dead or draining machines, before the debug invariant assert.
-	metrics.Default.Counter("dfs.namenode.optimize_repairs").Add(int64(nn.healUnhealthyLocked()))
-	nn.markDirtyLocked()
+	if nn.computed != nil {
+		nn.computed(plan)
+	}
+	if !nn.installPlan(plan) {
+		return core.OptimizeResult{}, nil
+	}
+	telemetry.ExportShardedOptimizePeriod(metrics.Default, res, wall)
+	return agg, nil
+}
+
+// optimizePlan is the optimizer half of a period's compute step: every
+// shard's Algorithm-5 period over the plan, timed.
+func (nn *NameNode) optimizePlan(plan *core.ShardedPlacement, opts core.OptimizerOptions) (core.ShardedOptimizeResult, time.Duration, error) {
+	// In debug builds, a feasible placement must stay feasible through
+	// the optimizer: assert the paper invariants on the plan.
+	assertAfter := invariant.Enabled && plan.CheckFeasible() == nil
+	start := time.Now()
+	res, err := core.OptimizeSharded(plan, core.ShardedOptimizerOptions{
+		Opts: opts,
+		// Per-shard wall timing uses the namenode's injected clock, so
+		// deterministic harnesses replay with their own time source. It
+		// runs off the lock: a test clock must not move mid-compute.
+		Now: func() int64 { return nn.clock().UnixNano() },
+	})
+	wall := time.Since(start)
+	if err != nil {
+		return res, wall, fmt.Errorf("namenode: optimize: %w", err)
+	}
 	if assertAfter {
-		for i := 0; i < nn.placement.NumShards(); i++ {
-			if verr := invariant.CheckPlacement(nn.placement.Shard(i)); verr != nil {
-				return agg, fmt.Errorf("namenode: post-optimize shard %d: %w", i, verr)
+		for i := 0; i < plan.NumShards(); i++ {
+			if verr := invariant.CheckPlacement(plan.Shard(i)); verr != nil {
+				return res, wall, fmt.Errorf("namenode: post-optimize shard %d: %w", i, verr)
 			}
 		}
 	}
-	return agg, nil
+	return res, wall, nil
+}
+
+// snapshotPeriod is a period's snapshot step. Under nn.mu it drains the
+// placement's recorded changes, so the touched set it then starts holds
+// only what changes after the clone; takes the usage monitor's window;
+// and clones the desired placement, with change recording on, for the
+// period to plan on.
+func (nn *NameNode) snapshotPeriod() (*core.ShardedPlacement, map[core.BlockID]int64, error) {
+	nn.mu.Lock()
+	if !nn.ready {
+		nn.mu.Unlock()
+		return nil, nil, ErrNotReady
+	}
+	held := time.Now()
+	nn.syncPendingLocked()
+	nn.touched = make(map[proto.BlockID]struct{})
+	window := nn.monitor.Snapshot(nn.clock().UnixNano())
+	plan := nn.placement.Clone()
+	plan.TrackChanges()
+	hold := time.Since(held)
+	nn.mu.Unlock()
+	observePeriodHold("snapshot", hold)
+	return plan, window, nil
+}
+
+// installPlan is a period's install step, under nn.mu. It rebases onto
+// plan, in ascending ID, every block the touched set names. If a rebased
+// replica does not fit, it drops the plan and reports false, and the
+// desired placement is as the period found it plus the live changes.
+// Otherwise plan becomes the desired placement; the heal pass re-homes
+// what the plan, working over the static topology, put on dead or
+// draining machines; and every block either changed reaches the pending
+// set. With nothing to rebase the install costs no per-block work.
+func (nn *NameNode) installPlan(plan *core.ShardedPlacement) bool {
+	nn.mu.Lock()
+	held := time.Now()
+	nn.syncPendingLocked()
+	nn.walk = nn.walk[:0]
+	for b := range nn.touched {
+		nn.walk = append(nn.walk, core.BlockID(b))
+	}
+	nn.touched = nil
+	slices.Sort(nn.walk)
+	metrics.Default.Counter("dfs.namenode.plan_rebased_blocks").Add(int64(len(nn.walk)))
+	installed := plan.Rebase(nn.placement, nn.walk) == nil
+	if installed {
+		nn.placement = plan
+		metrics.Default.Counter("dfs.namenode.optimize_repairs").Add(int64(nn.healUnhealthyLocked()))
+		nn.syncPendingLocked()
+		nn.markDirtyLocked()
+	} else {
+		metrics.Default.Counter("dfs.namenode.plan_dropped").Inc()
+	}
+	hold := time.Since(held)
+	nn.mu.Unlock()
+	observePeriodHold("install", hold)
+	return installed
+}
+
+// endPeriod stops collecting the touched set of a period that ends
+// without an install.
+func (nn *NameNode) endPeriod() {
+	nn.mu.Lock()
+	nn.touched = nil
+	nn.mu.Unlock()
+}
+
+// observePeriodHold records how long one step of a period held nn.mu,
+// in seconds.
+func observePeriodHold(phase string, hold time.Duration) {
+	metrics.Default.Histogram("dfs.namenode.period_lock_hold", metrics.L("phase", phase)).Observe(hold.Seconds())
 }
 
 // PopularitySnapshot returns the usage monitor's current per-block

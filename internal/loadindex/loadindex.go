@@ -120,15 +120,6 @@ func (t *tree) update(pos int, v float64) {
 // top returns the extreme argument and value over all leaves.
 func (t *tree) top() (int32, float64) { return t.arg[1], t.val[1] }
 
-// clone deep-copies the tree.
-func (t *tree) clone() tree {
-	c := tree{base: t.base, isMax: t.isMax,
-		val: make([]float64, len(t.val)), arg: make([]int32, len(t.arg))}
-	copy(c.val, t.val)
-	copy(c.arg, t.arg)
-	return c
-}
-
 // Index is the full set of load trees for one placement. Machines are
 // dense IDs in [0, M); racks are dense IDs in [0, R).
 type Index struct {
@@ -275,26 +266,50 @@ func (idx *Index) MaxUnmasked(minLoad float64) (int, bool) {
 	return int(arg), true
 }
 
-// Clone deep-copies the index, including mask state.
+// Clone deep-copies the index, including mask state. The machine-to-rack
+// maps never change after New, so the copy shares them.
 func (idx *Index) Clone() *Index {
 	c := &Index{
 		loads:   append([]float64(nil), idx.loads...),
-		rackOf:  append([]int32(nil), idx.rackOf...),
-		rackPos: append([]int32(nil), idx.rackPos...),
+		rackOf:  idx.rackOf,
+		rackPos: idx.rackPos,
 		masked:  append([]bool(nil), idx.masked...),
-		gmax:    idx.gmax.clone(),
-		gmin:    idx.gmin.clone(),
-		umax:    idx.umax.clone(),
 		rmax:    make([]tree, len(idx.rmax)),
 		rmin:    make([]tree, len(idx.rmin)),
 	}
 	if len(idx.maskedList) > 0 {
 		c.maskedList = append([]int(nil), idx.maskedList...)
 	}
+	// Every tree's nodes come from one slab per element type.
+	nodes := len(idx.gmax.val) + len(idx.gmin.val) + len(idx.umax.val)
 	for r := range idx.rmax {
-		c.rmax[r] = idx.rmax[r].clone()
-		c.rmin[r] = idx.rmin[r].clone()
+		nodes += len(idx.rmax[r].val) + len(idx.rmin[r].val)
 	}
+	s := &treeSlab{val: make([]float64, nodes), arg: make([]int32, nodes)}
+	c.gmax = s.clone(&idx.gmax)
+	c.gmin = s.clone(&idx.gmin)
+	c.umax = s.clone(&idx.umax)
+	for r := range idx.rmax {
+		c.rmax[r] = s.clone(&idx.rmax[r])
+		c.rmin[r] = s.clone(&idx.rmin[r])
+	}
+	return c
+}
+
+// treeSlab hands out the node arrays of cloned trees from two shared
+// slabs. A tree never grows, so carved arrays cannot overlap.
+type treeSlab struct {
+	val []float64
+	arg []int32
+}
+
+// clone copies t into the next len(t.val) nodes of the slab.
+func (s *treeSlab) clone(t *tree) tree {
+	n := len(t.val)
+	c := tree{base: t.base, isMax: t.isMax, val: s.val[:n:n], arg: s.arg[:n:n]}
+	copy(c.val, t.val)
+	copy(c.arg, t.arg)
+	s.val, s.arg = s.val[n:], s.arg[n:]
 	return c
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -255,45 +254,94 @@ func TopKOverlap[K cmp.Ordered](pred map[K]float64, actual map[K]int64, k int) f
 	if k <= 0 {
 		return 0
 	}
-	top := func(scores map[K]float64) map[K]bool {
-		type kv struct {
-			key K
-			v   float64
-		}
-		rows := make([]kv, 0, len(scores))
-		for key, v := range scores {
-			if v > 0 {
-				rows = append(rows, kv{key, v})
-			}
-		}
-		sort.Slice(rows, func(i, j int) bool {
-			if rows[i].v != rows[j].v {
-				return rows[i].v > rows[j].v
-			}
-			return rows[i].key < rows[j].key
-		})
-		if len(rows) > k {
-			rows = rows[:k]
-		}
-		set := make(map[K]bool, len(rows))
-		for _, r := range rows {
-			set[r.key] = true
-		}
-		return set
+	// Positive entries rank before every other, so the positive part of
+	// each top k is the top k of the positive entries.
+	predTop := TopK(pred, k)
+	for len(predTop) > 0 && !(pred[predTop[len(predTop)-1]] > 0) {
+		predTop = predTop[:len(predTop)-1]
 	}
-	af := make(map[K]float64, len(actual))
-	for key, v := range actual {
-		af[key] = float64(v)
+	actualTop := TopK(actual, k)
+	for len(actualTop) > 0 && actual[actualTop[len(actualTop)-1]] <= 0 {
+		actualTop = actualTop[:len(actualTop)-1]
 	}
-	predTop, actualTop := top(pred), top(af)
 	if len(actualTop) == 0 {
 		return 0
 	}
 	var hit int
-	for key := range predTop {
-		if actualTop[key] {
+	for _, key := range predTop {
+		if slices.Contains(actualTop, key) {
 			hit++
 		}
 	}
 	return float64(hit) / float64(min(k, len(actualTop)))
+}
+
+// TopK returns the keys of m's k highest entries, ranked by value
+// descending and then key ascending: what sorting every entry and
+// keeping the first k gives. A bounded heap of the k best entries seen
+// so far makes it O(n log k) and allocates for k entries, not n.
+func TopK[K, V cmp.Ordered](m map[K]V, k int) []K {
+	if k <= 0 {
+		return nil
+	}
+	type entry struct {
+		key K
+		v   V
+	}
+	above := func(a, b entry) bool {
+		if a.v != b.v {
+			return a.v > b.v
+		}
+		return a.key < b.key
+	}
+	// heap[0] is the lowest-ranked entry kept: every parent ranks below
+	// its children.
+	heap := make([]entry, 0, min(k, len(m)))
+	for key, v := range m {
+		e := entry{key, v}
+		if len(heap) < k {
+			heap = append(heap, e)
+			for i := len(heap) - 1; i > 0; {
+				parent := (i - 1) / 2
+				if !above(heap[parent], heap[i]) {
+					break
+				}
+				heap[parent], heap[i] = heap[i], heap[parent]
+				i = parent
+			}
+			continue
+		}
+		if !above(e, heap[0]) {
+			continue
+		}
+		heap[0] = e
+		for i := 0; ; {
+			low := 2*i + 1
+			if low >= len(heap) {
+				break
+			}
+			if r := low + 1; r < len(heap) && above(heap[low], heap[r]) {
+				low = r
+			}
+			if !above(heap[i], heap[low]) {
+				break
+			}
+			heap[i], heap[low] = heap[low], heap[i]
+			i = low
+		}
+	}
+	slices.SortFunc(heap, func(a, b entry) int {
+		switch {
+		case above(a, b):
+			return -1
+		case above(b, a):
+			return 1
+		}
+		return 0
+	})
+	keys := make([]K, len(heap))
+	for i, e := range heap {
+		keys[i] = e.key
+	}
+	return keys
 }

@@ -1,9 +1,12 @@
 package popularity
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -462,4 +465,83 @@ func TestTopKOverlap(t *testing.T) {
 	if got := TopKOverlap(pred, actual, 0); got != 0 {
 		t.Fatalf("k=0 overlap = %v, want 0", got)
 	}
+}
+
+// topKBySort is the selection TopK replaces: sort every entry by value
+// descending then key ascending, keep the first k.
+func topKBySort[K, V cmp.Ordered](m map[K]V, k int) []K {
+	keys := make([]K, 0, len(m))
+	for key := range m {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if m[keys[i]] != m[keys[j]] {
+			return m[keys[i]] > m[keys[j]]
+		}
+		return keys[i] < keys[j]
+	})
+	if len(keys) > k {
+		keys = keys[:k]
+	}
+	return keys
+}
+
+// The bounded selection returns exactly the prefix a full sort gives,
+// ties included, for every k from none to more than the map holds; and
+// TopKOverlap built on it scores like the sort it replaced.
+func TestTopKMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 5))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.IntN(60)
+		counts := make(map[int]int64, n)
+		forecast := make(map[int]float64, n)
+		for i := 0; i < n; i++ {
+			// A narrow value range makes ties common; zeros and
+			// negatives exercise TopKOverlap's positive filter.
+			counts[rng.IntN(200)] = int64(rng.IntN(6))
+			forecast[rng.IntN(200)] = float64(rng.IntN(7)-1) / 2
+		}
+		for _, k := range []int{0, 1, 5, DefaultTopK, n, n + 3} {
+			if got, want := TopK(counts, k), topKBySort(counts, k); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, k=%d: TopK(counts) = %v, sort gives %v", trial, k, got, want)
+			}
+			if got, want := TopK(forecast, k), topKBySort(forecast, k); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, k=%d: TopK(forecast) = %v, sort gives %v", trial, k, got, want)
+			}
+			if got, want := TopKOverlap(forecast, counts, k), topKOverlapBySort(forecast, counts, k); got != want {
+				t.Fatalf("trial %d, k=%d: TopKOverlap = %v, by sort %v", trial, k, got, want)
+			}
+		}
+	}
+}
+
+// topKOverlapBySort is TopKOverlap over topKBySort of each side's
+// positive entries.
+func topKOverlapBySort(pred map[int]float64, actual map[int]int64, k int) float64 {
+	if k <= 0 {
+		return 0
+	}
+	posPred := make(map[int]float64)
+	for key, v := range pred {
+		if v > 0 {
+			posPred[key] = v
+		}
+	}
+	posActual := make(map[int]int64)
+	for key, v := range actual {
+		if v > 0 {
+			posActual[key] = v
+		}
+	}
+	predTop, actualTop := topKBySort(posPred, k), topKBySort(posActual, k)
+	if len(actualTop) == 0 {
+		return 0
+	}
+	hit := 0
+	for _, key := range predTop {
+		if slices.Contains(actualTop, key) {
+			hit++
+		}
+	}
+	return float64(hit) / float64(min(k, len(actualTop)))
 }

@@ -1,12 +1,12 @@
 package telemetry
 
 import (
-	"sort"
 	"strconv"
 	"time"
 
 	"aurora/internal/core"
 	"aurora/internal/metrics"
+	"aurora/internal/popularity"
 )
 
 // HotspotRanks is how many of the hottest blocks get a per-rank gauge.
@@ -85,25 +85,12 @@ func ExportMachineLoads(reg *metrics.Registry, loads []float64) {
 // zeroed so stale hotspots don't linger after blocks are deleted.
 // Ordering is deterministic: popularity descending, block ID ascending.
 func ExportHotspots(reg *metrics.Registry, pops map[core.BlockID]int64) {
-	type kv struct {
-		id  core.BlockID
-		pop int64
-	}
-	top := make([]kv, 0, len(pops))
-	for id, p := range pops {
-		top = append(top, kv{id: id, pop: p})
-	}
-	sort.Slice(top, func(i, j int) bool {
-		if top[i].pop != top[j].pop {
-			return top[i].pop > top[j].pop
-		}
-		return top[i].id < top[j].id
-	})
+	top := popularity.TopK(pops, HotspotRanks)
 	for rank := 0; rank < HotspotRanks; rank++ {
 		label := metrics.L("rank", strconv.Itoa(rank))
 		if rank < len(top) {
-			reg.Gauge("aurora_hotspot_popularity", label).Set(float64(top[rank].pop))
-			reg.Gauge("aurora_hotspot_block", label).Set(float64(top[rank].id))
+			reg.Gauge("aurora_hotspot_popularity", label).Set(float64(pops[top[rank]]))
+			reg.Gauge("aurora_hotspot_block", label).Set(float64(top[rank]))
 		} else {
 			reg.Gauge("aurora_hotspot_popularity", label).Set(0)
 			reg.Gauge("aurora_hotspot_block", label).Set(0)
