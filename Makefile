@@ -6,7 +6,7 @@ GO ?= go
 # "Benchmark ledger"). BENCH_LABEL picks the ledger column. The metrics
 # record path (//lint:hotpath roots) is benched separately so its
 # allocs/op rows — expected 0 — sit in the same ledger.
-BENCH_PATTERN ?= ^(BenchmarkLocalSearchNode|BenchmarkLocalSearchRack|BenchmarkOptimizePeriod|BenchmarkOptimizePeriodSharded|BenchmarkPlacementClone|BenchmarkDataPathThroughput|BenchmarkFrameListReply|BenchmarkNameNodeListFiles|BenchmarkNameNodeReconcileConverged)$$
+BENCH_PATTERN ?= ^(BenchmarkLocalSearchNode|BenchmarkLocalSearchRack|BenchmarkOptimizePeriod|BenchmarkOptimizePeriodSharded|BenchmarkPlacementClone|BenchmarkDataPathThroughput|BenchmarkFrameListReply|BenchmarkRPCRoundTrip|BenchmarkNameNodeListFiles|BenchmarkNameNodeReconcileConverged)$$
 BENCH_METRICS_PATTERN ?= ^(BenchmarkLogHistogramObserve|BenchmarkGaugeAdd|BenchmarkRegistryCounterLookupInc)$$
 BENCH_LABEL ?= after
 

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -724,6 +725,43 @@ func BenchmarkFrameListReply(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		roundTrip()
 	}
+}
+
+// BenchmarkRPCRoundTrip measures the control-plane transport alone: a
+// get_locations-shaped Call over loopback TCP to a Server whose handler
+// answers with a fixed three-replica location, on one kept-alive pooled
+// connection (DESIGN.md §15.7). An op is 1 000 sequential calls, so the
+// ledger's two iterations time enough round trips; ns/call is the
+// figure per call. allocs/op rides the ratchet.
+func BenchmarkRPCRoundTrip(b *testing.B) {
+	const calls = 1000
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	reply := &proto.Message{Type: proto.MsgOK, Locations: []proto.BlockLocation{
+		{Block: 42, Length: 512, Addresses: []string{"127.0.0.1:40001", "127.0.0.1:40002", "127.0.0.1:40003"}},
+	}}
+	srv := proto.Serve(ln, func(*proto.Message, []byte) (*proto.Message, []byte) { return reply, nil }, 0)
+	defer srv.Close()
+	req := &proto.Message{Type: proto.MsgGetLocations, Path: "/meta/f00042"}
+	call := func() {
+		resp, _, err := proto.Call(srv.Addr(), req, nil, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(resp.Locations) != 1 {
+			b.Fatalf("reply carried %d locations, want 1", len(resp.Locations))
+		}
+	}
+	call() // dial and pool the connection
+	b.ResetTimer()
+	for range b.N {
+		for range calls {
+			call()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*calls), "ns/call")
 }
 
 // BenchmarkNameNodeListFiles measures one list_files call, client to

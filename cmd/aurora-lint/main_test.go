@@ -448,9 +448,9 @@ var seededMutations = []mutation{
 	{
 		name: "dropped Close error", rule: analysis.RuleErrCheck,
 		file: "internal/dfs/proto/stream.go",
-		old:  "\tif err := conn.Close(); err != nil {\n\t\treturn fmt.Errorf(\"proto: stream close: %w\", err)\n\t}\n\treturn nil\n",
-		new:  "\tconn.Close()\n\treturn nil\n",
-		at:   []string{"\tconn.Close()\n\treturn nil\n"},
+		old:  "\tif err := conn.raw.Close(); err != nil {\n\t\treturn fmt.Errorf(\"proto: stream close: %w\", err)\n\t}\n\treturn nil\n",
+		new:  "\tconn.raw.Close()\n\treturn nil\n",
+		at:   []string{"\tconn.raw.Close()\n\treturn nil\n"},
 	},
 	{
 		name: "misspelt directive", rule: analysis.RuleDirective,

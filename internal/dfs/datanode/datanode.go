@@ -150,17 +150,17 @@ func Start(cfg Config) (*DataNode, error) {
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	dn.server = proto.ServeStreams(ln, dn.handle, dn.handleStream, cfg.Timeout)
-
 	// Registration retries under the backoff policy: a node booting
 	// while the namenode is briefly unreachable joins as soon as the
-	// window clears instead of failing its whole startup.
+	// window clears instead of failing its whole startup. Serving starts
+	// once the node knows its id, which every stream handler reads;
+	// a peer that connects earlier waits in the listen backlog.
 	var resp *proto.Message
 	err = dn.retryDo("dfs.datanode.register_retries", func() error {
 		var callErr error
 		resp, _, callErr = dn.call(cfg.NameNodeAddr, &proto.Message{
 			Type:     proto.MsgRegister,
-			DataAddr: dn.server.Addr(),
+			DataAddr: ln.Addr().String(),
 			Rack:     cfg.Rack,
 			Capacity: cfg.CapacityBlocks,
 		}, nil, cfg.Timeout)
@@ -168,10 +168,11 @@ func Start(cfg Config) (*DataNode, error) {
 	})
 	if err != nil {
 		//lint:ignore errcheck best effort: the register error is what matters
-		_ = dn.server.Close()
+		_ = ln.Close()
 		return nil, fmt.Errorf("datanode: register: %w", err)
 	}
 	dn.id = resp.Node
+	dn.server = proto.ServeStreams(ln, dn.handle, dn.handleStream, cfg.Timeout)
 
 	go dn.heartbeatLoop()
 	return dn, nil
@@ -279,21 +280,43 @@ func (dn *DataNode) noteReceived(id proto.BlockID) {
 
 // heartbeatLoop sends a heartbeat every tick and whenever a deletion
 // wakes it — incremental block reports with a periodic full-report
-// safety net — and executes any commands the namenode returns.
+// safety net — and executes any commands the namenode returns. The
+// first tick, which carries the boot report, comes at the node's phase
+// (heartbeatPhase); the ticks after it, one interval apart.
 func (dn *DataNode) heartbeatLoop() {
 	defer close(dn.done)
+	first := time.NewTimer(heartbeatPhase(dn.id, dn.cfg.HeartbeatInterval))
+	defer first.Stop()
 	ticker := time.NewTicker(dn.cfg.HeartbeatInterval)
+	ticker.Stop() // runs from the first tick on
 	defer ticker.Stop()
 	for {
 		select {
 		case <-dn.stop:
 			return
+		case <-first.C:
+			ticker.Reset(dn.cfg.HeartbeatInterval)
+			dn.heartbeatOnce(false)
 		case <-ticker.C:
 			dn.heartbeatOnce(false)
 		case <-dn.wake:
 			dn.heartbeatOnce(true)
 		}
 	}
+}
+
+// heartbeatPhase is when, in (0, interval], node id ticks first. The
+// datanodes of a cluster boot within milliseconds of each other; on one
+// shared phase all their reports — every fullReportEvery-th tick all
+// their full reports — would reach the namenode's lock together. Node
+// id's phase is interval·(1 − frac(id/φ)), the golden-ratio sequence:
+// ids 0..n−1 get n distinct phases whose gaps take at most three sizes,
+// the largest under 2·interval/n. Node 0 ticks first a whole interval
+// after boot, as every node did before phases.
+func heartbeatPhase(id proto.NodeID, interval time.Duration) time.Duration {
+	// frac(id/φ) in 32-bit fixed point: 2^32/φ is 0x9E3779B9.
+	frac := float64(uint32(uint64(id)*0x9E3779B9)) / (1 << 32)
+	return interval - time.Duration(frac*float64(interval))
 }
 
 // heartbeatOnce sends one block report, a MsgHeartbeatDelta. The

@@ -381,3 +381,37 @@ func TestDataNodeCloseIdempotent(t *testing.T) {
 		t.Errorf("second Close err = %v, want ErrClosed", err)
 	}
 }
+
+// The nodes of one cluster tick at distinct, spread phases: for every
+// cluster size n up to 200, the phases of ids 0..n−1 lie in
+// (0, interval], and no two are closer than 0.4·interval/n or leave a
+// gap (around the circle) wider than 2·interval/n. Node 0 keeps the
+// phase every node had before: one whole interval.
+func TestHeartbeatPhasesSpread(t *testing.T) {
+	const interval = 200 * time.Millisecond
+	if got := heartbeatPhase(0, interval); got != interval {
+		t.Errorf("node 0 phase = %v, want %v", got, interval)
+	}
+	for n := 1; n <= 200; n++ {
+		phases := make([]time.Duration, n)
+		for id := range phases {
+			p := heartbeatPhase(proto.NodeID(id), interval)
+			if p <= 0 || p > interval {
+				t.Fatalf("node %d phase %v outside (0, %v]", id, p, interval)
+			}
+			phases[id] = p
+		}
+		slices.Sort(phases)
+		minGap, maxGap := interval, phases[0]+interval-phases[n-1] // the wrap-around gap
+		for i := 1; i < n; i++ {
+			gap := phases[i] - phases[i-1]
+			minGap, maxGap = min(minGap, gap), max(maxGap, gap)
+		}
+		if n > 1 && minGap < interval*4/(10*time.Duration(n)) {
+			t.Errorf("n=%d: two phases %v apart, want ≥ 0.4·interval/n", n, minGap)
+		}
+		if maxGap > 2*interval/time.Duration(n) {
+			t.Errorf("n=%d: a %v gap between phases, want ≤ 2·interval/n", n, maxGap)
+		}
+	}
+}

@@ -71,6 +71,12 @@ func FuzzReadFrame(f *testing.F) {
 		if len(payloadD) > 0 && &payloadD[0] != &dst[:cap(dst)][len(dst)] {
 			t.Fatalf("a %d-byte payload that fits the destination was not read into it", len(payloadD))
 		}
+		// So must a connection's greedy read, which takes the bytes in
+		// buffer-sized reads instead of frame-sized ones.
+		msgG, payloadG, nG, errG := newFrameReader(bytes.NewReader(data)).readFrame(true, nil, nil)
+		if (err == nil) != (errG == nil) || (err == nil && nG != n) || !reflect.DeepEqual(msg, msgG) || !bytes.Equal(payload, payloadG) {
+			t.Fatalf("greedy decode differs: %d bytes, %v vs %d bytes, %v", nG, errG, n, err)
+		}
 		if err != nil {
 			return
 		}

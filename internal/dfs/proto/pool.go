@@ -6,8 +6,6 @@ import (
 	"sync"
 	"syscall"
 	"time"
-
-	"aurora/internal/metrics"
 )
 
 // Connection lifecycle constants (DESIGN.md §15.7). The client side
@@ -28,9 +26,24 @@ const (
 // slow connect deterministically and count dials.
 var dialTimeout = net.DialTimeout
 
+// wireConn is a connection and the reader its frames arrive through
+// (frameReader): the read buffer travels with the connection through
+// the idle pool and across a server's requests. Every read goes through
+// rd; writes, deadlines and Close go to raw, which stays the dialed or
+// accepted connection itself, so a frame with a payload still leaves in
+// one writev.
+type wireConn struct {
+	raw net.Conn
+	rd  *frameReader
+}
+
+func newWireConn(conn net.Conn) *wireConn {
+	return &wireConn{raw: conn, rd: newFrameReader(conn)}
+}
+
 // idleConn is a released connection and when it was released.
 type idleConn struct {
-	conn  net.Conn
+	conn  *wireConn
 	since time.Time
 }
 
@@ -46,17 +59,10 @@ type connPool struct {
 // idlePool is the one process-wide pool under Call and OpenStream.
 var idlePool = connPool{idle: make(map[string][]idleConn)}
 
-// countConn records one connection event: "dial" (a new connection),
-// "reuse" (a pooled one handed out) or "stale" (a pooled one discarded
-// unused: expired, closed by the peer, or holding bytes nobody asked for).
-func countConn(event string) {
-	metrics.Default.Counter("aurora_rpc_conns", metrics.L("event", event)).Inc()
-}
-
 // connect returns a connection to addr with deadline already set on it:
 // the most recently released pooled one that is still usable (reused is
 // true), else a fresh dial charged against the same deadline.
-func connect(addr string, deadline time.Time) (conn net.Conn, reused bool, err error) {
+func connect(addr string, deadline time.Time) (conn *wireConn, reused bool, err error) {
 	if conn := idlePool.get(addr, deadline); conn != nil {
 		return conn, true, nil
 	}
@@ -66,28 +72,29 @@ func connect(addr string, deadline time.Time) (conn net.Conn, reused bool, err e
 
 // dial opens a new connection to addr, spending at most the time left
 // until deadline, and sets deadline on it.
-func dial(addr string, deadline time.Time) (net.Conn, error) {
+func dial(addr string, deadline time.Time) (*wireConn, error) {
 	conn, err := dialTimeout("tcp", addr, time.Until(deadline))
 	if err != nil {
 		return nil, fmt.Errorf("proto: dial %s: %w", addr, err)
 	}
-	countConn("dial")
+	connDials.get().Inc()
 	if err := conn.SetDeadline(deadline); err != nil {
 		//lint:ignore errcheck already failing; the deadline error is the one to report
 		_ = conn.Close()
 		return nil, fmt.Errorf("proto: set deadline: %w", err)
 	}
-	return conn, nil
+	return newWireConn(conn), nil
 }
 
 // get checks out a pooled connection to addr, or returns nil when none
 // is usable. Every candidate is validated before it is handed out: it
-// must be younger than idleExpiry and a non-blocking read on it must
-// report "nothing to read". EOF, an error or stray bytes mean the peer
-// closed it, died, or — the case the benchmark's cluster reboots hit —
-// a new server now listens on the address of the one this connection
-// belonged to; such a connection is closed and the next one tried.
-func (p *connPool) get(addr string, deadline time.Time) net.Conn {
+// must be younger than idleExpiry, hold no buffered bytes, and a
+// non-blocking read on it must report "nothing to read". EOF, an error
+// or stray bytes — read or buffered — mean the peer closed it, died, or
+// — the case the benchmark's cluster reboots hit — a new server now
+// listens on the address of the one this connection belonged to; such a
+// connection is closed and the next one tried.
+func (p *connPool) get(addr string, deadline time.Time) *wireConn {
 	for {
 		p.mu.Lock()
 		list := p.idle[addr]
@@ -102,8 +109,9 @@ func (p *connPool) get(addr string, deadline time.Time) net.Conn {
 		// The deadline goes on first: the probe goes through the
 		// runtime poller, which refuses a connection whose previous
 		// exchange's deadline has passed in the meantime.
-		if time.Since(ic.since) < idleExpiry && ic.conn.SetDeadline(deadline) == nil && nothingToRead(ic.conn) {
-			countConn("reuse")
+		if time.Since(ic.since) < idleExpiry && ic.conn.rd.buffered() == 0 &&
+			ic.conn.raw.SetDeadline(deadline) == nil && nothingToRead(ic.conn.raw) {
+			connReuses.get().Inc()
 			return ic.conn
 		}
 		discardStale(ic.conn)
@@ -113,9 +121,9 @@ func (p *connPool) get(addr string, deadline time.Time) net.Conn {
 // put releases a connection whose exchange ended cleanly. Once per
 // idleExpiry it also closes every expired connection in the pool, so
 // connections to addresses nobody calls again do not accumulate.
-func (p *connPool) put(addr string, conn net.Conn) {
+func (p *connPool) put(addr string, conn *wireConn) {
 	now := time.Now()
-	var expired []net.Conn
+	var expired []*wireConn
 	p.mu.Lock()
 	if now.After(p.nextSweep) {
 		p.nextSweep = now.Add(idleExpiry)
@@ -128,7 +136,7 @@ func (p *connPool) put(addr string, conn net.Conn) {
 	p.mu.Unlock()
 	if full {
 		//lint:ignore errcheck surplus idle connection; nothing was in flight on it
-		_ = conn.Close()
+		_ = conn.raw.Close()
 	}
 	for _, c := range expired {
 		discardStale(c)
@@ -138,8 +146,8 @@ func (p *connPool) put(addr string, conn net.Conn) {
 // sweepLocked removes and returns every connection idle since before
 // now-idleExpiry. Lists are oldest first, so the expired ones are a
 // prefix.
-func (p *connPool) sweepLocked(now time.Time) []net.Conn {
-	var expired []net.Conn
+func (p *connPool) sweepLocked(now time.Time) []*wireConn {
+	var expired []*wireConn
 	for addr, list := range p.idle {
 		n := 0
 		for n < len(list) && now.Sub(list[n].since) >= idleExpiry {
@@ -157,10 +165,10 @@ func (p *connPool) sweepLocked(now time.Time) []net.Conn {
 	return expired
 }
 
-func discardStale(conn net.Conn) {
-	countConn("stale")
+func discardStale(conn *wireConn) {
+	connStale.get().Inc()
 	//lint:ignore errcheck the connection is being thrown away unused
-	_ = conn.Close()
+	_ = conn.raw.Close()
 }
 
 // nothingToRead is the checkout probe: one non-blocking read(2) that

@@ -497,7 +497,7 @@ func TestServerCloseClosesAcceptedConnections(t *testing.T) {
 
 	stale := connEvents("stale")
 	if conn := idlePool.get(addr, time.Now().Add(time.Second)); conn != nil {
-		conn.Close()
+		conn.raw.Close()
 		t.Fatal("checkout handed out a connection to a closed server")
 	}
 	if connEvents("stale") != stale+1 {

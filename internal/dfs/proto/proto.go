@@ -263,18 +263,18 @@ func BlockSetDigest(ids []BlockID) uint64 {
 // WriteFrame writes one frame: the message header and an optional binary
 // payload.
 func WriteFrame(w io.Writer, msg *Message, payload []byte) error {
-	_, err := writeFrame(w, msg, payload)
+	_, err := writeFrame(w, nil, msg, payload)
 	return err
 }
 
 // frameLensBytes is the size of the two-length prefix of every frame.
 const frameLensBytes = 8
 
-// frameBuf is the scratch one frame is assembled or read in: head holds
-// a written frame's length prefix and header back to back, or a read
-// frame's header, and vec and bufs are the two-element vector (head,
-// payload) handed to the writer, kept here so building it allocates
-// nothing.
+// frameBuf is the scratch one frame is assembled in: head holds a
+// written frame's length prefix and header back to back (or, read
+// side, a header too large for a connection's read buffer), and vec and
+// bufs are the two-element vector (head, payload) handed to the writer,
+// kept here so building it allocates nothing.
 type frameBuf struct {
 	head []byte
 	vec  [2][]byte
@@ -283,33 +283,46 @@ type frameBuf struct {
 
 var frameBufs = sync.Pool{New: func() any { return new(frameBuf) }}
 
-// writeFrame is WriteFrame plus the number of wire bytes written, so the
-// RPC layer can account header and payload bytes together. The frame
-// leaves in one write: prefix and header share a buffer, and a payload
-// rides along as the second element of a net.Buffers (one writev on a
-// TCP connection), so a TCP_NODELAY socket sends one segment train per
-// frame instead of three.
-func writeFrame(w io.Writer, msg *Message, payload []byte) (int, error) {
-	if len(payload) > MaxPayloadBytes {
-		return 0, fmt.Errorf("%w: payload %d bytes", ErrFrameTooLarge, len(payload))
+// appendFrameHead appends the length prefix and header of a frame that
+// carries msg and payloadLen payload bytes.
+func appendFrameHead(dst []byte, msg *Message, payloadLen int) ([]byte, error) {
+	if payloadLen > MaxPayloadBytes {
+		return dst, fmt.Errorf("%w: payload %d bytes", ErrFrameTooLarge, payloadLen)
 	}
+	start := len(dst)
+	dst, err := appendHeader(append(dst, make([]byte, frameLensBytes)...), msg)
+	if err != nil {
+		return dst[:start], err
+	}
+	headerLen := len(dst) - start - frameLensBytes
+	if headerLen > MaxHeaderBytes {
+		return dst[:start], fmt.Errorf("%w: header %d bytes", ErrFrameTooLarge, headerLen)
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(headerLen))
+	binary.BigEndian.PutUint32(dst[start+4:], uint32(payloadLen))
+	return dst, nil
+}
+
+// writeFrame is WriteFrame plus the number of wire bytes the frame took,
+// so the RPC layer can account header and payload bytes together; pre,
+// when non-empty, is an encoded frame that leaves ahead of this one in
+// the same write (a write stream's opening frame, OpenStream) and is not
+// counted. The frame leaves in one write: pre, prefix and header share a
+// buffer, and a payload rides along as the second element of a
+// net.Buffers (one writev on a TCP connection), so a TCP_NODELAY socket
+// sends one segment train per frame instead of three.
+func writeFrame(w io.Writer, pre []byte, msg *Message, payload []byte) (int, error) {
 	fb := frameBufs.Get().(*frameBuf)
 	defer frameBufs.Put(fb)
-	head, err := appendHeader(append(fb.head[:0], make([]byte, frameLensBytes)...), msg)
+	head, err := appendFrameHead(append(fb.head[:0], pre...), msg, len(payload))
 	fb.head = head
 	if err != nil {
 		return 0, err
 	}
-	headerLen := len(head) - frameLensBytes
-	if headerLen > MaxHeaderBytes {
-		return 0, fmt.Errorf("%w: header %d bytes", ErrFrameTooLarge, headerLen)
-	}
-	binary.BigEndian.PutUint32(head[0:4], uint32(headerLen))
-	binary.BigEndian.PutUint32(head[4:8], uint32(len(payload)))
 	if len(payload) == 0 {
-		_, err = w.Write(fb.head)
+		_, err = w.Write(head)
 	} else {
-		fb.vec = [2][]byte{fb.head, payload}
+		fb.vec = [2][]byte{head, payload}
 		fb.bufs = fb.vec[:]
 		_, err = fb.bufs.WriteTo(w)
 		fb.vec, fb.bufs = [2][]byte{}, nil // do not pin the caller's payload in the pool
@@ -317,77 +330,168 @@ func writeFrame(w io.Writer, msg *Message, payload []byte) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("proto: write frame: %w", err)
 	}
-	return len(fb.head) + len(payload), nil
+	return len(head) - len(pre) + len(payload), nil
 }
 
-// ReadFrame reads one frame written by WriteFrame.
+// ReadFrame reads one frame written by WriteFrame. It reads no byte past
+// the frame.
 func ReadFrame(r io.Reader) (*Message, []byte, error) {
 	msg, payload, _, err := readFrameInto(r, nil, nil)
 	return msg, payload, err
 }
 
 // readFrameInto is ReadFrame plus the number of wire bytes consumed and
-// the payload destinations of readFrameBody.
+// the payload destinations of frameReader.readFrame, through a pooled
+// reader that reads exactly the frame.
 func readFrameInto(r io.Reader, dst []byte, scratch *[]byte) (*Message, []byte, int, error) {
-	var lens [frameLensBytes]byte
-	if _, err := io.ReadFull(r, lens[:]); err != nil {
-		return nil, nil, 0, fmt.Errorf("proto: read frame lengths: %w", err)
-	}
-	return readFrameBody(r, lens, dst, scratch)
+	fr := frameReaders.Get().(*frameReader)
+	fr.r = r
+	msg, payload, n, err := fr.readFrame(false, dst, scratch)
+	fr.r, fr.start, fr.end = nil, 0, 0 // on an error, drop what part of the frame did arrive
+	frameReaders.Put(fr)
+	return msg, payload, n, err
 }
 
-// readFrameBody reads the rest of a frame whose length prefix the caller
-// has already read. The transport reads the prefix itself where the wait
-// for it means something: a server idling between requests, and a Call
-// that may redial only while no response byte has arrived.
+var frameReaders = sync.Pool{New: func() any { return newFrameReader(nil) }}
+
+// readBufBytes is the size of a connection's read buffer. One read(2)
+// into it takes a whole control frame — a request, a response, a
+// stream's opening frame — and, on the serving end of a write stream,
+// the head of the chunk that arrived coalesced with the opening frame.
+const readBufBytes = 4 << 10
+
+// frameReader reads the frames of one connection (DESIGN.md §15.1). Its
+// buffer lives as long as the connection, across the idle pool and a
+// server's request loop, so bytes read ahead are never lost between
+// exchanges. A frame is read one of two ways:
+//
+//   - greedy (control frames: Call's response, a Server's request): each
+//     read(2) asks for as much as the buffer holds, so a frame arrives
+//     in one read;
+//   - exact (stream frames): each read asks only for what the frame
+//     still owes — prefix, then header, then payload — as an unbuffered
+//     reader does, so a chunk payload lands straight in RecvInto's
+//     destination.
+//
+// Either way the bytes already buffered are consumed first.
+type frameReader struct {
+	r          io.Reader
+	buf        []byte
+	start, end int // buf[start:end] has been read and not yet consumed
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: r, buf: make([]byte, readBufBytes)}
+}
+
+// buffered is how many bytes were read ahead and not yet consumed.
+func (fr *frameReader) buffered() int { return fr.end - fr.start }
+
+// Read implements io.Reader: buffered bytes first, then straight from
+// the connection into p.
+func (fr *frameReader) Read(p []byte) (int, error) {
+	if fr.start < fr.end {
+		n := copy(p, fr.buf[fr.start:fr.end])
+		fr.start += n
+		return n, nil
+	}
+	return fr.r.Read(p)
+}
+
+// peek returns the next n <= len(fr.buf) bytes without consuming them,
+// reading until that many are buffered: greedily, or only the n bytes'
+// missing tail. Before a greedy read the buffered bytes move to the
+// front, so the read can take a whole buffer's worth. An EOF after some
+// of the n bytes is io.ErrUnexpectedEOF.
+func (fr *frameReader) peek(n int, greedy bool) ([]byte, error) {
+	if fr.buffered() < n && (greedy || fr.start+n > len(fr.buf)) {
+		fr.end = copy(fr.buf, fr.buf[fr.start:fr.end])
+		fr.start = 0
+	}
+	for fr.buffered() < n {
+		want := fr.buf[fr.end : fr.start+n]
+		if greedy {
+			want = fr.buf[fr.end:]
+		}
+		m, err := fr.r.Read(want)
+		fr.end += m
+		if err != nil && fr.buffered() < n {
+			if err == io.EOF && fr.buffered() > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return fr.buf[fr.start : fr.start+n], nil
+}
+
+// readFrame reads the next frame, greedily or exactly (see frameReader),
+// and returns its wire size; on an error the size is how many of the
+// frame's bytes had arrived, zero only if none did.
 //
 // The payload lands in the first place that holds it: dst's spare
 // capacity (the returned payload is dst[len(dst):len(dst)+n]); else,
 // when scratch is non-nil and the payload is at most EagerReadBytes,
 // *scratch, allocated or grown to the payload's size first (valid until
 // the caller's next use of scratch); else a fresh slice.
-func readFrameBody(r io.Reader, lens [frameLensBytes]byte, dst []byte, scratch *[]byte) (*Message, []byte, int, error) {
-	headerLen := binary.BigEndian.Uint32(lens[0:4])
-	payloadLen := binary.BigEndian.Uint32(lens[4:8])
+func (fr *frameReader) readFrame(greedy bool, dst []byte, scratch *[]byte) (*Message, []byte, int, error) {
+	lens, err := fr.peek(frameLensBytes, greedy)
+	if err != nil {
+		return nil, nil, fr.buffered(), fmt.Errorf("proto: read frame lengths: %w", err)
+	}
+	headerLen := int(binary.BigEndian.Uint32(lens[0:4]))
+	payloadLen := int(binary.BigEndian.Uint32(lens[4:8]))
 	if headerLen > MaxHeaderBytes {
-		return nil, nil, 0, fmt.Errorf("%w: header %d bytes", ErrFrameTooLarge, headerLen)
+		return nil, nil, fr.buffered(), fmt.Errorf("%w: header %d bytes", ErrFrameTooLarge, headerLen)
 	}
 	if payloadLen > MaxPayloadBytes {
-		return nil, nil, 0, fmt.Errorf("%w: payload %d bytes", ErrFrameTooLarge, payloadLen)
+		return nil, nil, fr.buffered(), fmt.Errorf("%w: payload %d bytes", ErrFrameTooLarge, payloadLen)
 	}
 	var msg Message
-	if err := readHeader(r, headerLen, &msg); err != nil {
-		return nil, nil, 0, err
+	if head := frameLensBytes + headerLen; head <= len(fr.buf) {
+		b, err := fr.peek(head, greedy)
+		if err != nil {
+			return nil, nil, fr.buffered(), fmt.Errorf("proto: read header: %w", err)
+		}
+		fr.start += head
+		// The decoded Message copies out every byte it keeps.
+		if err := decodeHeader(b[frameLensBytes:], &msg); err != nil {
+			return nil, nil, head, err
+		}
+	} else {
+		fr.start += frameLensBytes
+		if err := readHeader(fr, headerLen, &msg); err != nil {
+			return nil, nil, frameLensBytes, err
+		}
 	}
-	var err error
 	var payload []byte
 	switch {
 	case payloadLen == 0:
-	case cap(dst)-len(dst) >= int(payloadLen):
-		payload = dst[len(dst) : len(dst)+int(payloadLen)]
-		_, err = io.ReadFull(r, payload)
+	case cap(dst)-len(dst) >= payloadLen:
+		payload = dst[len(dst) : len(dst)+payloadLen]
+		_, err = io.ReadFull(fr, payload)
 	case scratch != nil && payloadLen <= EagerReadBytes:
-		if uint32(cap(*scratch)) < payloadLen {
+		if cap(*scratch) < payloadLen {
 			*scratch = make([]byte, payloadLen)
 		}
 		payload = (*scratch)[:payloadLen]
-		_, err = io.ReadFull(r, payload)
+		_, err = io.ReadFull(fr, payload)
 	default:
-		payload, err = readExact(r, payloadLen)
+		payload, err = readExact(fr, uint32(payloadLen))
 	}
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("proto: read payload: %w", err)
+		return nil, nil, frameLensBytes + headerLen, fmt.Errorf("proto: read payload: %w", err)
 	}
-	return &msg, payload, len(lens) + int(headerLen) + len(payload), nil
+	return &msg, payload, frameLensBytes + headerLen + payloadLen, nil
 }
 
 // readHeader reads an n-byte header into pooled scratch and decodes it
 // into m. The decoded Message copies out every byte it keeps, so the
 // scratch goes back to the pool at once.
-func readHeader(r io.Reader, n uint32, m *Message) error {
+func readHeader(r io.Reader, n int, m *Message) error {
 	fb := frameBufs.Get().(*frameBuf)
 	defer frameBufs.Put(fb)
-	fb.head = slices.Grow(fb.head[:0], int(n))[:n]
+	fb.head = slices.Grow(fb.head[:0], n)[:n]
 	if _, err := io.ReadFull(r, fb.head); err != nil {
 		return fmt.Errorf("proto: read header: %w", err)
 	}

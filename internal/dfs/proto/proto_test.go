@@ -46,7 +46,9 @@ func (w *writeLog) Write(p []byte) (int, error) {
 // The frame layout is fixed — two big-endian lengths, the binary header,
 // the payload — and the length prefix never travels in a write of its
 // own: prefix and header leave together, and the payload is the only
-// other piece (the second element of one writev on a TCP connection).
+// other piece (the second element of one writev on a TCP connection). A
+// write stream's opening frame rides in the first chunk's head buffer,
+// so open plus first chunk cost the writes of the chunk alone.
 func TestWriteFrameLayoutAndWriteCount(t *testing.T) {
 	msg := &Message{Type: MsgChunk, Block: 42, Seq: 3, Offset: 384, Eof: true, Checksum: 77}
 	header := []byte{
@@ -57,30 +59,37 @@ func TestWriteFrameLayoutAndWriteCount(t *testing.T) {
 		6,          // Seq 3, zigzag
 		0x80, 0x06, // Offset 384, zigzag 768
 	}
-	for _, payload := range [][]byte{nil, []byte("block bytes")} {
-		var lens [8]byte
-		binary.BigEndian.PutUint32(lens[0:4], uint32(len(header)))
-		binary.BigEndian.PutUint32(lens[4:8], uint32(len(payload)))
-		wantHead := append(lens[:], header...)
+	open, err := appendFrameHead(nil, &Message{Type: MsgWriteBlockStream, Block: 42, Length: 395}, 0)
+	if err != nil {
+		t.Fatalf("appendFrameHead: %v", err)
+	}
+	for _, pre := range [][]byte{nil, open} {
+		for _, payload := range [][]byte{nil, []byte("block bytes")} {
+			var lens [8]byte
+			binary.BigEndian.PutUint32(lens[0:4], uint32(len(header)))
+			binary.BigEndian.PutUint32(lens[4:8], uint32(len(payload)))
+			wantHead := append(append(bytes.Clone(pre), lens[:]...), header...)
 
-		var w writeLog
-		n, err := writeFrame(&w, msg, payload)
-		if err != nil {
-			t.Fatalf("writeFrame: %v", err)
-		}
-		if n != len(wantHead)+len(payload) {
-			t.Errorf("writeFrame reported %d wire bytes, want %d", n, len(wantHead)+len(payload))
-		}
-		want := [][]byte{wantHead}
-		if len(payload) > 0 {
-			want = append(want, payload)
-		}
-		if len(w.writes) != len(want) {
-			t.Fatalf("frame with %d payload bytes left in %d writes, want %d", len(payload), len(w.writes), len(want))
-		}
-		for i := range want {
-			if !bytes.Equal(w.writes[i], want[i]) {
-				t.Errorf("write %d = %q, want %q", i, w.writes[i], want[i])
+			var w writeLog
+			n, err := writeFrame(&w, pre, msg, payload)
+			if err != nil {
+				t.Fatalf("writeFrame: %v", err)
+			}
+			if want := len(wantHead) - len(pre) + len(payload); n != want {
+				t.Errorf("writeFrame reported %d wire bytes, want %d (the opening frame is not counted)", n, want)
+			}
+			want := [][]byte{wantHead}
+			if len(payload) > 0 {
+				want = append(want, payload)
+			}
+			if len(w.writes) != len(want) {
+				t.Fatalf("frame with %d payload bytes and a %d-byte opening frame left in %d writes, want %d",
+					len(payload), len(pre), len(w.writes), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(w.writes[i], want[i]) {
+					t.Errorf("write %d = %q, want %q", i, w.writes[i], want[i])
+				}
 			}
 		}
 	}

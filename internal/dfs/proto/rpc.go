@@ -3,7 +3,6 @@ package proto
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -30,19 +29,19 @@ type CallFunc func(addr string, req *Message, payload []byte, timeout time.Durat
 // frame (length prefix + header + payload), so header-heavy RPCs
 // like block reports are measured honestly.
 func Call(addr string, req *Message, payload []byte, timeout time.Duration) (*Message, []byte, error) {
-	typ := metrics.L("type", string(req.Type))
-	inflight := metrics.Default.Gauge("aurora_rpc_client_inflight")
+	series := callSeriesOf.of(req.Type)
+	inflight := clientInflight.get()
 	inflight.Inc()
 	start := time.Now()
 	resp, respPayload, wrote, read, err := callConn(addr, req, payload, timeout)
-	metrics.Default.Histogram("aurora_rpc_latency_seconds", typ).Observe(time.Since(start).Seconds())
+	series.latency.Observe(time.Since(start).Seconds())
 	inflight.Dec()
 	if err != nil {
-		metrics.Default.Counter("aurora_rpc_errors", typ).Inc()
+		metrics.Default.Counter("aurora_rpc_errors", metrics.L("type", string(req.Type))).Inc()
 		return resp, respPayload, err
 	}
-	metrics.Default.Histogram("aurora_rpc_request_bytes", typ).Observe(float64(wrote))
-	metrics.Default.Histogram("aurora_rpc_response_bytes", typ).Observe(float64(read))
+	series.requestBytes.Observe(float64(wrote))
+	series.responseBytes.Observe(float64(read))
 	return resp, respPayload, nil
 }
 
@@ -55,10 +54,11 @@ func Call(addr string, req *Message, payload []byte, timeout time.Duration) (*Me
 //
 // A reused connection can have been closed by its server after the
 // checkout probe looked at it. When such a connection fails before one
-// byte of a response has arrived, the request is sent once more on a
-// fresh dial under the same deadline — the attempt a dial-per-call
-// transport would have made in the first place. A freshly dialed
-// connection is never retried, nor is a timeout (the budget is spent).
+// byte of a response has arrived (a byte in the read buffer has), the
+// request is sent once more on a fresh dial under the same deadline —
+// the attempt a dial-per-call transport would have made in the first
+// place. A freshly dialed connection is never retried, nor is a timeout
+// (the budget is spent).
 func callConn(addr string, req *Message, payload []byte, timeout time.Duration) (*Message, []byte, int, int, error) {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
@@ -72,7 +72,7 @@ func callConn(addr string, req *Message, payload []byte, timeout time.Duration) 
 	var nerr net.Error
 	if err != nil && reused && read == 0 && !(errors.As(err, &nerr) && nerr.Timeout()) {
 		//lint:ignore errcheck the connection already failed; the redial's outcome is the one to report
-		_ = conn.Close()
+		_ = conn.raw.Close()
 		if conn, err = dial(addr, deadline); err != nil {
 			return nil, nil, 0, 0, err
 		}
@@ -80,7 +80,7 @@ func callConn(addr string, req *Message, payload []byte, timeout time.Duration) 
 	}
 	if err != nil {
 		//lint:ignore errcheck already failing; the exchange error is the one to report
-		_ = conn.Close()
+		_ = conn.raw.Close()
 		return nil, nil, wrote, read, err
 	}
 	// The response frame was read whole, so the connection sits at a
@@ -92,22 +92,18 @@ func callConn(addr string, req *Message, payload []byte, timeout time.Duration) 
 	return resp, respPayload, wrote, read, nil
 }
 
-// exchange writes one request frame and reads one response frame on a
-// connection whose deadline is already set. On failure, read is the
-// number of response bytes that did arrive: zero means the peer never
-// began to answer.
-func exchange(conn net.Conn, req *Message, payload []byte) (resp *Message, respPayload []byte, wrote, read int, err error) {
-	wrote, err = writeFrame(conn, req, payload)
+// exchange writes one request frame and reads one response frame, in
+// one read when it arrives whole, on a connection whose deadline is
+// already set. On failure, read is the number of response bytes that
+// did arrive: zero means the peer never began to answer.
+func exchange(conn *wireConn, req *Message, payload []byte) (resp *Message, respPayload []byte, wrote, read int, err error) {
+	wrote, err = writeFrame(conn.raw, nil, req, payload)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	var lens [frameLensBytes]byte
-	if n, err := io.ReadFull(conn, lens[:]); err != nil {
-		return nil, nil, wrote, n, fmt.Errorf("proto: read frame lengths: %w", err)
-	}
-	resp, respPayload, read, err = readFrameBody(conn, lens, nil, nil)
+	resp, respPayload, read, err = conn.rd.readFrame(true, nil, nil)
 	if err != nil {
-		return nil, nil, wrote, frameLensBytes, err
+		return nil, nil, wrote, read, err
 	}
 	return resp, respPayload, wrote, read, nil
 }
@@ -237,54 +233,54 @@ func (s *Server) acceptLoop(h Handler) {
 // outlasts every client's idleExpiry.
 func (s *Server) serveConn(conn net.Conn, h Handler) {
 	defer s.forget(conn)
+	wc := newWireConn(conn)
 	wait := s.timeout
-	for s.serveRequest(conn, h, wait) {
+	for s.serveRequest(wc, h, wait) {
 		wait = serverIdleTimeout
 	}
 }
 
 // serveRequest waits up to wait for one request, serves it, and reports
-// whether the connection is fit for another.
-func (s *Server) serveRequest(conn net.Conn, h Handler, wait time.Duration) bool {
-	if err := conn.SetDeadline(time.Now().Add(wait)); err != nil {
+// whether the connection is fit for another. The request is read
+// greedily: one read(2) takes it whole, and on a write stream also the
+// head of the first chunk, which the stream then reads from the buffer.
+func (s *Server) serveRequest(conn *wireConn, h Handler, wait time.Duration) bool {
+	if err := conn.raw.SetDeadline(time.Now().Add(wait)); err != nil {
 		return false
 	}
-	var lens [frameLensBytes]byte
-	if _, err := io.ReadFull(conn, lens[:]); err != nil {
+	if _, err := conn.rd.peek(frameLensBytes, true); err != nil {
 		return false // peer closed, vanished or went quiet; nothing to answer
 	}
-	if err := conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
+	if err := conn.raw.SetDeadline(time.Now().Add(s.timeout)); err != nil {
 		return false
 	}
-	req, payload, _, err := readFrameBody(conn, lens, nil, nil)
+	req, payload, _, err := conn.rd.readFrame(true, nil, nil)
 	if err != nil {
 		return false // peer vanished or sent garbage; nothing to answer
 	}
 	if s.closing() {
 		return false
 	}
-	inflight := metrics.Default.Gauge("aurora_rpc_server_inflight")
+	inflight := serverInflight.get()
 	inflight.Inc()
 	defer inflight.Dec()
 	start := time.Now()
 	if req.Type.OpensStream() {
 		if s.streams == nil {
 			//lint:ignore errcheck best effort; peer may be gone
-			_ = WriteFrame(conn, ErrorMessage(fmt.Errorf("proto: %s: no stream handler", req.Type)), nil)
+			_ = WriteFrame(conn.raw, ErrorMessage(fmt.Errorf("proto: %s: no stream handler", req.Type)), nil)
 			return false
 		}
 		st := newStream(conn, s.timeout, req.Type, false)
 		s.streams(req, payload, st)
-		metrics.Default.Histogram("aurora_rpc_server_seconds",
-			metrics.L("type", string(req.Type))).Observe(time.Since(start).Seconds())
+		serverSecondsOf.of(req.Type).Observe(time.Since(start).Seconds())
 		taken, clean := st.detach()
 		return taken != nil && clean
 	}
 	resp, respPayload := h(req, payload)
-	metrics.Default.Histogram("aurora_rpc_server_seconds",
-		metrics.L("type", string(req.Type))).Observe(time.Since(start).Seconds())
+	serverSecondsOf.of(req.Type).Observe(time.Since(start).Seconds())
 	if resp == nil {
 		resp = &Message{Type: MsgOK}
 	}
-	return WriteFrame(conn, resp, respPayload) == nil
+	return WriteFrame(conn.raw, resp, respPayload) == nil
 }

@@ -6,8 +6,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"aurora/internal/metrics"
 )
 
 // castagnoli is the CRC32C table shared by every chunk checksum.
@@ -147,6 +145,10 @@ type Stream struct {
 	// write says the exchange is a write stream (an ack follows the Eof
 	// chunk); sender says this end is the one sending the chunks.
 	write, sender bool
+	// open is the encoded opening frame of a write stream OpenStream
+	// made, until it leaves ahead of the first chunk in that chunk's
+	// write (or ahead of a Recv, should one come first).
+	open []byte
 
 	// mu makes Close safe against a concurrent Send or Recv: conn is nil
 	// once Close (or the Server) has taken the connection away, busy
@@ -154,7 +156,7 @@ type Stream struct {
 	// that have passed. A connection is reused only if it was taken at
 	// phaseDone with nothing in flight.
 	mu    sync.Mutex
-	conn  net.Conn
+	conn  *wireConn
 	busy  int
 	phase streamPhase
 }
@@ -163,6 +165,10 @@ type Stream struct {
 // bounds each individual frame exchange (zero means DefaultTimeout).
 // The connection is the caller's: Close closes it.
 func NewStream(conn net.Conn, timeout time.Duration) *Stream {
+	return wrapStream(newWireConn(conn), timeout)
+}
+
+func wrapStream(conn *wireConn, timeout time.Duration) *Stream {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
@@ -172,8 +178,8 @@ func NewStream(conn net.Conn, timeout time.Duration) *Stream {
 // newStream is the stream behind an opening frame of type kind, on the
 // opening end (opener) or the serving one; its protocol progress is
 // tracked so the connection can be reused after a clean end.
-func newStream(conn net.Conn, timeout time.Duration, kind MsgType, opener bool) *Stream {
-	st := NewStream(conn, timeout)
+func newStream(conn *wireConn, timeout time.Duration, kind MsgType, opener bool) *Stream {
+	st := wrapStream(conn, timeout)
 	st.write = kind == MsgWriteBlockStream
 	st.sender = st.write == opener
 	st.phase = phaseChunks
@@ -181,7 +187,7 @@ func newStream(conn net.Conn, timeout time.Duration, kind MsgType, opener bool) 
 }
 
 // begin claims the connection for one Send or Recv.
-func (s *Stream) begin() (net.Conn, error) {
+func (s *Stream) begin() (*wireConn, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.conn == nil {
@@ -219,7 +225,7 @@ func (s *Stream) end(sent bool, msg *Message, err error) {
 
 // detach takes the connection away from the stream — at most once; later
 // calls get nil — and reports whether it is fit for another exchange.
-func (s *Stream) detach() (conn net.Conn, clean bool) {
+func (s *Stream) detach() (conn *wireConn, clean bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	conn, s.conn = s.conn, nil
@@ -233,19 +239,19 @@ func (s *Stream) Send(msg *Message, payload []byte) error {
 		return err
 	}
 	var n int
-	if err = conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
+	if err = conn.raw.SetDeadline(time.Now().Add(s.timeout)); err != nil {
 		err = fmt.Errorf("proto: stream set deadline: %w", err)
 	} else {
-		n, err = writeFrame(conn, msg, payload)
+		n, err = writeFrame(conn.raw, s.open, msg, payload)
+		s.open = nil
 	}
 	s.end(true, msg, err)
 	if err != nil {
 		return err
 	}
 	if msg.Type == MsgChunk {
-		dir := metrics.L("dir", "send")
-		metrics.Default.Counter("aurora_stream_chunks", dir).Inc()
-		metrics.Default.Counter("aurora_stream_bytes", dir).Add(int64(n))
+		chunksSent.get().Inc()
+		bytesSent.get().Add(int64(n))
 	}
 	return nil
 }
@@ -262,24 +268,36 @@ func (s *Stream) RecvInto(buf []byte) (*Message, []byte, error) {
 	var msg *Message
 	var payload []byte
 	var n int
-	if err = conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
+	if err = conn.raw.SetDeadline(time.Now().Add(s.timeout)); err != nil {
 		err = fmt.Errorf("proto: stream set deadline: %w", err)
-	} else {
-		msg, payload, n, err = readFrameInto(conn, buf, &s.scratch)
+	} else if err = s.sendOpen(conn); err == nil {
+		msg, payload, n, err = conn.rd.readFrame(false, buf, &s.scratch)
 	}
 	s.end(false, msg, err)
 	if err != nil {
 		return nil, nil, err
 	}
 	if msg.Type == MsgChunk {
-		dir := metrics.L("dir", "recv")
-		metrics.Default.Counter("aurora_stream_chunks", dir).Inc()
-		metrics.Default.Counter("aurora_stream_bytes", dir).Add(int64(n))
+		chunksRecv.get().Inc()
+		bytesRecv.get().Add(int64(n))
 	}
 	if err := msg.AsError(); err != nil {
 		return nil, nil, err
 	}
 	return msg, payload, nil
+}
+
+// sendOpen writes a write stream's opening frame if it has not left yet.
+func (s *Stream) sendOpen(conn *wireConn) error {
+	if s.open == nil {
+		return nil
+	}
+	_, err := conn.raw.Write(s.open)
+	s.open = nil
+	if err != nil {
+		return fmt.Errorf("proto: write frame: %w", err)
+	}
+	return nil
 }
 
 // Close implements BlockStream. It is idempotent and may race a Send or
@@ -299,32 +317,41 @@ func (s *Stream) Close() error {
 		idlePool.put(s.addr, conn)
 		return nil
 	}
-	if err := conn.Close(); err != nil {
+	if err := conn.raw.Close(); err != nil {
 		return fmt.Errorf("proto: stream close: %w", err)
 	}
 	return nil
 }
 
-// OpenStream sends the opening frame to addr — on a pooled connection
-// when a usable one exists, a fresh dial otherwise (DESIGN.md §15.7) —
-// and returns the live stream. The caller owns the stream and must
-// Close it. The timeout bounds the connect plus opening frame and then
-// each subsequent frame exchange.
+// OpenStream connects to addr — on a pooled connection when a usable
+// one exists, a fresh dial otherwise (DESIGN.md §15.7) — and returns the
+// live stream with its opening frame sent. A write stream's opening
+// frame waits for the first chunk and leaves with it, in one write, so
+// a one-chunk block costs its hop one write and one wakeup. The caller
+// owns the stream and must Close it. The timeout bounds the connect
+// plus opening frame and then each subsequent frame exchange.
 func OpenStream(addr string, open *Message, timeout time.Duration) (BlockStream, error) {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
+	}
+	head, err := appendFrameHead(nil, open, 0)
+	if err != nil {
+		return nil, err
 	}
 	conn, _, err := connect(addr, time.Now().Add(timeout))
 	if err != nil {
 		return nil, err
 	}
-	if _, err := writeFrame(conn, open, nil); err != nil {
-		//lint:ignore errcheck already failing; the write error is the one to report
-		_ = conn.Close()
-		return nil, err
-	}
 	st := newStream(conn, timeout, open.Type, true)
 	st.addr = addr
+	st.open = head
+	if !st.sender {
+		if err := st.sendOpen(conn); err != nil {
+			//lint:ignore errcheck already failing; the write error is the one to report
+			_ = conn.raw.Close()
+			return nil, err
+		}
+	}
 	return st, nil
 }
 

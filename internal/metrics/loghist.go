@@ -67,6 +67,16 @@ func (h *LogHistogram) Observe(v float64) {
 	}
 }
 
+// reset empties the histogram. An Observe racing it may land on either
+// side, or split across it.
+func (h *LogHistogram) reset() {
+	for i := range h.counts {
+		h.counts[i].Store(0)
+	}
+	h.count.Store(0)
+	h.sum.Store(0)
+}
+
 // Count returns the number of observations recorded.
 func (h *LogHistogram) Count() int64 { return h.count.Load() }
 

@@ -212,14 +212,22 @@ func (r *Registry) CounterValues() map[string]int64 {
 	return out
 }
 
-// Reset drops every series (tests isolate themselves with this).
+// Reset zeroes every series in place (tests isolate themselves with
+// this). The instruments stay registered, so a pointer a hot path
+// cached before Reset keeps recording into the series a later Snapshot
+// reports.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.counters = make(map[string]*Counter)
-	r.gauges = make(map[string]*Gauge)
-	r.hists = make(map[string]*LogHistogram)
-	r.meta = make(map[string]series)
+	for _, c := range r.counters {
+		c.v.Store(0)
+	}
+	for _, g := range r.gauges {
+		g.bits.Store(0)
+	}
+	for _, h := range r.hists {
+		h.reset()
+	}
 }
 
 // String renders the non-zero counters sorted by series, one per line —

@@ -204,10 +204,51 @@ func TestRegistryReset(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Inc()
 	r.Gauge("g").Set(4)
+	r.Histogram("h").Observe(2)
 	r.Reset()
 	s := r.Snapshot()
-	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
-		t.Fatalf("Reset left series behind: %+v", s)
+	for _, p := range s.Counters {
+		if p.Value != 0 {
+			t.Errorf("counter %s = %d after Reset, want 0", p.Name, p.Value)
+		}
+	}
+	for _, p := range s.Gauges {
+		if p.Value != 0 {
+			t.Errorf("gauge %s = %g after Reset, want 0", p.Name, p.Value)
+		}
+	}
+	for _, p := range s.Histograms {
+		if p.Hist.Count != 0 || p.Hist.Sum != 0 {
+			t.Errorf("histogram %s = %d obs, sum %g after Reset, want empty", p.Name, p.Hist.Count, p.Hist.Sum)
+		}
+	}
+}
+
+// A handle cached before Reset stays the series: what it records after
+// Reset is what the next Snapshot shows.
+func TestRegistryResetKeepsHandles(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("c", L("dir", "send"))
+	g := r.Gauge("g")
+	h := r.Histogram("h", L("type", "ok"))
+	c.Add(5)
+	h.Observe(1)
+	r.Reset()
+	c.Add(2)
+	g.Set(3)
+	h.Observe(0.5)
+	s := r.Snapshot()
+	if len(s.Counters) != 1 || s.Counters[0].Value != 2 {
+		t.Errorf("counters after Reset = %+v, want c{dir=send} = 2", s.Counters)
+	}
+	if len(s.Gauges) != 1 || s.Gauges[0].Value != 3 {
+		t.Errorf("gauges after Reset = %+v, want g = 3", s.Gauges)
+	}
+	if len(s.Histograms) != 1 || s.Histograms[0].Hist.Count != 1 || s.Histograms[0].Hist.Sum != 0.5 {
+		t.Errorf("histograms after Reset = %+v, want h{type=ok} with one 0.5", s.Histograms)
+	}
+	if r.Counter("c", L("dir", "send")) != c {
+		t.Error("a lookup after Reset returned a new counter, not the cached handle")
 	}
 }
 
