@@ -404,18 +404,21 @@ var seededMutations = []mutation{
 		at:   []string{"c.consecErrors = c.Stats().Errors"},
 	},
 	{
-		name: "period without periodMu", rule: analysis.RuleGuardedBy,
-		file: "internal/dfs/namenode/reconcile.go",
-		old:  "\tnn.periodMu.Lock()\n\tdefer nn.periodMu.Unlock()\n\tplan, window, err := nn.snapshotPeriod()\n",
-		new:  "\tplan, window, err := nn.snapshotPeriod()\n",
-		at:   []string{"score, err := nn.forecast.Apply(plan, window)", "if nn.computed != nil {"},
+		name: "fault log read without its lock", rule: analysis.RuleGuardedBy,
+		file: "internal/faultinject/faultinject.go",
+		old:  "\tinj.mu.Lock()\n\tdefer inj.mu.Unlock()\n\tout := make([]string, len(inj.log))\n",
+		new:  "\tout := make([]string, len(inj.log))\n",
+		at:   []string{"out := make([]string, len(inj.log))"},
 	},
 	{
+		// The install runs under runPeriod's periodMu, so the edit is
+		// both an inversion (runPeriod takes nn.mu under periodMu in
+		// its snapshot) and a re-lock.
 		name: "periodMu under nn.mu", rule: analysis.RuleLockOrder,
 		file: "internal/dfs/namenode/reconcile.go",
 		old:  "\tnn.mu.Lock()\n\theld := time.Now()\n\tnn.syncPendingLocked()\n\tnn.walk = nn.walk[:0]\n",
 		new:  "\tnn.mu.Lock()\n\tnn.periodMu.Lock()\n\tdefer nn.periodMu.Unlock()\n\theld := time.Now()\n\tnn.syncPendingLocked()\n\tnn.walk = nn.walk[:0]\n",
-		at:   []string{"nn.mu.Lock()\n\tdefer nn.mu.Unlock()\n\tif !nn.ready {\n\t\treturn ErrNotReady\n\t}\n\tif err := nn.refreshPopularityLocked()"},
+		at:   []string{"plan, window, err := nn.snapshotPeriod()", "return nn.installPlan(plan), nil"},
 	},
 	{
 		name: "par worker without Done", rule: analysis.RuleGoroLeak,

@@ -39,14 +39,6 @@ type Config struct {
 	Options core.OptimizerOptions
 	// OnPeriod, if non-nil, observes every optimization outcome.
 	OnPeriod func(core.OptimizeResult, error)
-	// ErrorBackoff spaces optimization attempts after failures: once a
-	// period errors (e.g. the namenode is mid-recovery and not ready),
-	// the next attempt waits at least ErrorBackoff.Delay(consecutive
-	// errors); ticks inside the window are skipped, not queued, and a
-	// success resets the backoff. The zero value means
-	// retrypolicy.Default. The controller never aborts on error — a
-	// failed period degrades to a skipped one.
-	ErrorBackoff retrypolicy.Policy
 }
 
 // Stats aggregates the controller's lifetime activity.
@@ -62,7 +54,12 @@ type Stats struct {
 	LastCost       float64
 }
 
-// Controller runs Algorithm 5 against a Target once per period.
+// Controller runs Algorithm 5 against a Target once per period. It
+// never aborts on error — a failed period degrades to a skipped one:
+// once a period errors (e.g. the namenode is mid-recovery and not
+// ready), the next attempt waits at least retrypolicy.Default's delay
+// for the count of consecutive errors; ticks inside the window are
+// skipped, not queued, and a success resets the backoff.
 type Controller struct {
 	cfg    Config
 	target Target
@@ -84,9 +81,6 @@ func NewController(target Target, cfg Config) (*Controller, error) {
 	}
 	if cfg.Period <= 0 {
 		return nil, fmt.Errorf("%w: %v", ErrBadPeriod, cfg.Period)
-	}
-	if cfg.ErrorBackoff.MaxAttempts == 0 && cfg.ErrorBackoff.BaseDelay == 0 {
-		cfg.ErrorBackoff = retrypolicy.Default
 	}
 	c := &Controller{
 		cfg:    cfg,
@@ -156,7 +150,7 @@ func (c *Controller) record(res core.OptimizeResult, err error) {
 	if err != nil {
 		c.stats.Errors++
 		c.consecErrors++
-		c.nextEligible = time.Now().Add(c.cfg.ErrorBackoff.Delay(c.consecErrors))
+		c.nextEligible = time.Now().Add(retrypolicy.Default.Delay(c.consecErrors))
 		metrics.Default.Counter("aurora.degraded_periods").Inc()
 	} else {
 		c.consecErrors = 0

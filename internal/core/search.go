@@ -128,19 +128,15 @@ type candidate struct {
 	newPairCost float64
 }
 
-// bestPairOp evaluates Move and Swap operations from machine m (loaded)
-// to machine n (unloaded) and returns the admissible candidate with the
-// lowest resulting pair cost, or ok=false when none exists.
+// bestPairOpSwap evaluates Move and, when allowSwap is set, Swap
+// operations from machine m (loaded) to machine n (unloaded) and returns
+// the admissible candidate with the lowest resulting pair cost, or
+// ok=false when none exists.
 //
 // Following the proof of Theorem 2, blocks held by both machines are
 // skipped (a machine stores at most one replica of a block, and moving a
 // shared block would change its replication factor); the scan considers
 // blocks on m in descending per-replica popularity.
-func bestPairOp(p *Placement, m, n topology.MachineID, epsilon float64) (candidate, bool) {
-	return bestPairOpSwap(p, m, n, epsilon, true)
-}
-
-// bestPairOpSwap is bestPairOp with swaps optionally disabled.
 //
 // It allocates nothing: both machines' candidate blocks come from the
 // popularity-sorted lists Placement maintains incrementally, so there is

@@ -41,6 +41,10 @@ var (
 	ErrFileComplete = errors.New("namenode: file is complete")
 	ErrBadRequest   = errors.New("namenode: bad request")
 	ErrClosed       = errors.New("namenode: closed")
+	// ErrPlanDropped is WithPlacement's report that the rebalancer ran
+	// but a live change made since the snapshot no longer fit its plan,
+	// so the plan was not installed (DESIGN.md §10.6).
+	ErrPlanDropped = errors.New("namenode: plan dropped: a live change no longer fits it")
 )
 
 // Placer chooses initial replica locations for a new block, recording
@@ -236,8 +240,8 @@ type NameNode struct {
 	cfg    Config
 	server *proto.Server
 
-	// periodMu serializes optimizer periods (OptimizeNow) and external
-	// rebalancer runs (WithPlacement), and guards the state they share.
+	// periodMu serializes periods (runPeriod, which OptimizeNow and
+	// WithPlacement both run through) and guards the state they share.
 	// It is taken before mu and never while mu is held: a period holds it
 	// throughout, and mu only to snapshot and to install (DESIGN.md
 	// §10.6).
@@ -314,8 +318,7 @@ type NameNode struct {
 	// recorded in. Observers (telemetry, PopularitySnapshot) read it with
 	// Peek: a scrape must never advance or prune it, or the counts the
 	// optimizer reads would depend on scrape frequency. Only the
-	// consuming paths, a period's snapshot and WithPlacement, call
-	// Snapshot.
+	// consuming path, a period's snapshot, calls Snapshot.
 	monitor *popularity.Monitor[core.BlockID]
 	clock   func() time.Time
 

@@ -3,8 +3,10 @@ package namenode
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -177,7 +179,27 @@ func TestPeriodRebasesConcurrentMutations(t *testing.T) {
 // A plan that filled a machine the live placement then wrote a new
 // block to cannot take the rebased replica: the install drops the whole
 // plan and counts it, and the desired placement is the live one.
+// OptimizeNow reports the drop as an empty result, WithPlacement as
+// ErrPlanDropped.
 func TestPeriodDropsPlanOnCapacityConflict(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(nn *NameNode) error
+		want error
+	}{
+		{"OptimizeNow", func(nn *NameNode) error {
+			_, err := nn.OptimizeNow(core.OptimizerOptions{RackAware: true})
+			return err
+		}, nil},
+		{"WithPlacement", func(nn *NameNode) error {
+			return nn.WithPlacement(func(*core.Placement) error { return nil })
+		}, ErrPlanDropped},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testPlanDropped(t, tc.run, tc.want) })
+	}
+}
+
+func testPlanDropped(t *testing.T, run func(*NameNode) error, want error) {
 	nn, err := Start(Config{
 		ExpectedNodes: 4, Racks: 2, DefaultReplication: 2, DefaultMinRacks: 2,
 		DeadTimeout: time.Hour, ReconcileInterval: time.Hour, Seed: 1,
@@ -224,8 +246,8 @@ func TestPeriodDropsPlanOnCapacityConflict(t *testing.T) {
 	}
 	dropped := metrics.Default.Counter("dfs.namenode.plan_dropped")
 	before := dropped.Value()
-	if _, err := nn.OptimizeNow(core.OptimizerOptions{RackAware: true}); err != nil {
-		t.Fatalf("OptimizeNow: %v", err)
+	if err := run(nn); !errors.Is(err, want) {
+		t.Fatalf("the period returned %v, want %v", err, want)
 	}
 	if got := dropped.Value() - before; got != 1 {
 		t.Fatalf("plan_dropped rose by %d, want 1", got)
@@ -326,5 +348,158 @@ func TestLookupsServedDuringPeriod(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("OptimizeNow: %v", err)
+	}
+}
+
+// pendingSet returns the reconcile pending set, after draining what the
+// placement recorded into it.
+func pendingSet(nn *NameNode) map[proto.BlockID]struct{} {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	nn.syncPendingLocked()
+	return maps.Clone(nn.pending)
+}
+
+// A rebalancer that fails changes nothing, even after it mutated its
+// shard: every popularity, every desired set, the pending set and the
+// dirty flag are as the period found them.
+func TestFailedRebalanceChangesNothing(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			fc := startForecastCluster(t, shards, "", 6)
+			fc.period(func(i int) int { return 1 + i })
+			nn := fc.nn
+			nn.mu.Lock()
+			nn.dirty = false
+			nn.mu.Unlock()
+			hc := &healCluster{t: t, nn: nn}
+			desired, pops, pending := hc.liveDesires(), popularities(nn), pendingSet(nn)
+			failed := errors.New("rebalancer failed")
+			mutated := false
+			err := nn.WithPlacement(func(p *core.Placement) error {
+				for _, id := range p.Blocks() {
+					for _, m := range p.Cluster().Machines() {
+						if !p.HasReplica(id, m) {
+							if err := p.AddReplica(id, m); err != nil {
+								t.Fatalf("AddReplica(%d, %d): %v", id, m, err)
+							}
+							mutated = true
+							return failed
+						}
+					}
+				}
+				return failed
+			})
+			if !errors.Is(err, failed) {
+				t.Fatalf("WithPlacement: %v, want the rebalancer's error", err)
+			}
+			if !mutated {
+				t.Fatal("the rebalancer found no replica to add")
+			}
+			for id, want := range pops {
+				if got := popularities(nn)[id]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("block %d popularity %v after the failed rebalance, %v before it", id, got, want)
+				}
+			}
+			for id, want := range desired {
+				if got := hc.liveDesires()[id]; !slices.Equal(got.replicas, want.replicas) {
+					t.Errorf("block %d desired on %v after the failed rebalance, %v before it", id, got.replicas, want.replicas)
+				}
+			}
+			if got := pendingSet(nn); !maps.Equal(got, pending) {
+				t.Errorf("pending set %v after the failed rebalance, %v before it", got, pending)
+			}
+			if nn.Dirty() {
+				t.Error("the failed rebalance marked the namespace dirty")
+			}
+		})
+	}
+}
+
+// get_locations is served while an external rebalancer runs: like a
+// period, it holds nn.mu only to snapshot and to install.
+func TestLookupsServedDuringRebalance(t *testing.T) {
+	fc := startForecastCluster(t, 1, "", 4)
+	fc.period(func(i int) int { return 10 * (i + 1) })
+	parked, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- fc.nn.WithPlacement(func(*core.Placement) error {
+			close(parked)
+			<-release
+			return nil
+		})
+	}()
+	select {
+	case <-parked:
+	case err := <-done:
+		t.Fatalf("the rebalance ended without running the rebalancer: %v", err)
+	}
+	_, _, err := proto.Call(fc.nn.Addr(), &proto.Message{Type: proto.MsgGetLocations, Path: "/f0"}, nil, time.Second)
+	close(release)
+	if err != nil {
+		t.Errorf("get_locations while the rebalancer runs: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("WithPlacement: %v", err)
+	}
+}
+
+// Periods run one at a time: while an external rebalancer computes,
+// periodMu is held, and an OptimizeNow started meanwhile neither
+// computes nor returns until the rebalance has installed.
+func TestPeriodsSerialize(t *testing.T) {
+	fc := startForecastCluster(t, 1, "", 4)
+	fc.period(func(i int) int { return 10 * (i + 1) })
+	nn := fc.nn
+	var computed atomic.Int32
+	nn.computed = func(*core.ShardedPlacement) { computed.Add(1) }
+	parked, release := make(chan struct{}), make(chan struct{})
+	rebalanced := make(chan error, 1)
+	go func() {
+		rebalanced <- nn.WithPlacement(func(*core.Placement) error {
+			close(parked)
+			<-release
+			return nil
+		})
+	}()
+	select {
+	case <-parked:
+	case err := <-rebalanced:
+		t.Fatalf("the rebalance ended without running the rebalancer: %v", err)
+	}
+	if nn.periodMu.TryLock() {
+		nn.periodMu.Unlock()
+		close(release)
+		t.Fatal("periodMu is free while the rebalancer computes")
+	}
+	optimized := make(chan error, 1)
+	go func() {
+		_, err := nn.OptimizeNow(core.OptimizerOptions{RackAware: true, ReplicationBudget: 2*len(fc.blocks) + 2})
+		optimized <- err
+	}()
+	var optErr error
+	early := false
+	select {
+	case optErr = <-optimized:
+		early = true
+		t.Errorf("OptimizeNow returned while the rebalancer computed: %v", optErr)
+	case <-time.After(200 * time.Millisecond):
+	}
+	if n := computed.Load(); n != 0 {
+		t.Errorf("%d periods computed while the rebalancer was parked", n)
+	}
+	close(release)
+	if err := <-rebalanced; err != nil {
+		t.Fatalf("WithPlacement: %v", err)
+	}
+	if !early {
+		optErr = <-optimized
+	}
+	if optErr != nil {
+		t.Fatalf("OptimizeNow: %v", optErr)
+	}
+	if n := computed.Load(); n != 2 {
+		t.Errorf("%d periods computed, want 2", n)
 	}
 }

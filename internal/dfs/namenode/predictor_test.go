@@ -44,14 +44,10 @@ func TestTelemetryScrapesNeverChangeMonitorState(t *testing.T) {
 	if got := nn.monitor.Len(); got != lenBefore {
 		t.Fatalf("monitor Len changed %d -> %d under repeated scrapes", lenBefore, got)
 	}
-	// The consuming path still prunes: one popularity refresh drops the
-	// expired key.
-	nn.mu.Lock()
-	if err := nn.refreshPopularityLocked(); err != nil {
-		nn.mu.Unlock()
+	// The consuming path still prunes: one period drops the expired key.
+	if err := nn.WithPlacement(func(*core.Placement) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	nn.mu.Unlock()
 	if got := nn.monitor.Len(); got != lenBefore-1 {
 		t.Fatalf("Len after consuming refresh = %d, want %d (stale key pruned)", got, lenBefore-1)
 	}
@@ -123,15 +119,15 @@ func (fc *forecastCluster) period(reads func(i int) int) {
 	fc.nn.mu.Unlock()
 }
 
-// refresh runs one period's forecast step and returns every block's
-// popularity, in block order.
+// refresh runs one period that moves no replica and returns every
+// block's popularity after it, in block order.
 func (fc *forecastCluster) refresh() []float64 {
 	fc.t.Helper()
-	fc.nn.mu.Lock()
-	defer fc.nn.mu.Unlock()
-	if err := fc.nn.refreshPopularityLocked(); err != nil {
+	if err := fc.nn.WithPlacement(func(*core.Placement) error { return nil }); err != nil {
 		fc.t.Fatalf("refresh: %v", err)
 	}
+	fc.nn.mu.Lock()
+	defer fc.nn.mu.Unlock()
 	pops := make([]float64, len(fc.blocks))
 	for i, id := range fc.blocks {
 		spec, err := fc.nn.placement.Spec(id)

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"aurora/internal/aurora"
 	"aurora/internal/core"
 	"aurora/internal/dfs/proto"
 	"aurora/internal/invariant"
@@ -443,69 +442,35 @@ func (nn *NameNode) MovementStats() (durations []time.Duration, replicates, dele
 	return durations, nn.commandsIssued[proto.CmdReplicate], nn.commandsIssued[proto.CmdDelete]
 }
 
-// WithPlacement refreshes block popularities from the usage monitor,
-// then runs fn against the live desired placement under the namenode
-// lock. It is the integration point for external rebalancers (the
-// Scarlett baseline in the testbed experiment uses it; Aurora's own
-// optimizer uses OptimizeNow), and it waits for a running period to
-// install first. On a sharded namenode fn runs once per shard, in shard
-// order — each invocation sees one partition of the block map; with one
-// shard the behaviour is exactly the unsharded one. fn sees the static
-// topology; replicas it leaves on dead or draining machines are
-// re-homed before WithPlacement returns.
+// WithPlacement runs an external rebalancer as one period: fn replaces
+// the optimizer in OptimizeNow's compute step (runPeriod). It is the
+// integration point for placement policies other than Aurora's (the
+// Scarlett baseline in the testbed experiment uses it), so every policy
+// runs under the same forecast, snapshot and install. fn runs against a
+// copy of the desired placement with no namenode lock held, once per
+// shard in shard order — each invocation sees one partition of the
+// block map; with one shard the behaviour is exactly the unsharded one.
+// fn sees the static topology; replicas it leaves on dead or draining
+// machines are re-homed by the install. If fn fails, or its plan is
+// dropped (reported as ErrPlanDropped), nothing changes.
 func (nn *NameNode) WithPlacement(fn func(*core.Placement) error) error {
-	nn.periodMu.Lock()
-	defer nn.periodMu.Unlock()
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	if !nn.ready {
-		return ErrNotReady
-	}
-	if err := nn.refreshPopularityLocked(); err != nil {
-		return err
-	}
-	for i := 0; i < nn.placement.NumShards(); i++ {
-		if err := fn(nn.placement.Shard(i)); err != nil {
-			return err
+	installed, err := nn.runPeriod(func(plan *core.ShardedPlacement) error {
+		for i := 0; i < plan.NumShards(); i++ {
+			if err := fn(plan.Shard(i)); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err == nil && !installed {
+		return ErrPlanDropped
 	}
-	nn.healUnhealthyLocked()
-	nn.markDirtyLocked()
-	return nil
-}
-
-// refreshPopularityLocked is WithPlacement's forecast step: the usage
-// monitor's window, through the forecaster, into every block of the
-// live placement. The caller holds periodMu and mu.
-func (nn *NameNode) refreshPopularityLocked() error {
-	score, err := nn.forecast.Apply(nn.placement, nn.monitor.Snapshot(nn.clock().UnixNano()))
-	nn.exportForecastScore(score)
 	return err
 }
 
-// exportForecastScore publishes the score of the forecast a period
-// replaced, when the forecaster had one to score.
-func (nn *NameNode) exportForecastScore(score aurora.Score) {
-	if score.Scored {
-		telemetry.ExportPredictionError(metrics.Default, score.WAE, score.TopK,
-			metrics.L("predictor", nn.cfg.Predictor))
-	}
-}
-
 // OptimizeNow runs one Aurora optimization period (Algorithm 5) against
-// the live metadata in three steps (DESIGN.md §10.6), holding the
-// namenode lock only for the first and the last:
-//
-//   - snapshot: drain the placement's recorded changes, take the usage
-//     monitor's window and clone the desired placement;
-//   - compute, with no namenode lock held: write the forecast into the
-//     clone and run every shard's period over it concurrently, then the
-//     cross-shard rebalance pass;
-//   - install: rebase onto the plan every block whose desired state
-//     changed since the snapshot — the live change wins for that block —
-//     make the plan the desired placement, and re-home what it left on
-//     dead or draining machines. The reconcile loop carries the
-//     resulting copies and deletions to the datanodes.
+// the live metadata: runPeriod with every shard's period, then the
+// cross-shard rebalance pass, as the compute step.
 //
 // A period that fails changes nothing. Neither does one whose plan a
 // rebased replica no longer fits: that plan is dropped whole, counted
@@ -513,67 +478,91 @@ func (nn *NameNode) exportForecastScore(score aurora.Score) {
 // The returned report aggregates the shards (with one shard it is
 // exactly the unsharded period's report).
 func (nn *NameNode) OptimizeNow(opts core.OptimizerOptions) (core.OptimizeResult, error) {
-	nn.periodMu.Lock()
-	defer nn.periodMu.Unlock()
-	plan, window, err := nn.snapshotPeriod()
-	if err != nil {
-		return core.OptimizeResult{}, err
-	}
-	score, err := nn.forecast.Apply(plan, window)
-	nn.exportForecastScore(score)
-	if err != nil {
-		err = fmt.Errorf("namenode: forecast: %w", err)
-	}
 	var res core.ShardedOptimizeResult
 	var wall time.Duration
-	if err == nil {
-		res, wall, err = nn.optimizePlan(plan, opts)
-	}
+	installed, err := nn.runPeriod(func(plan *core.ShardedPlacement) error {
+		start := time.Now()
+		var err error
+		res, err = core.OptimizeSharded(plan, core.ShardedOptimizerOptions{
+			Opts: opts,
+			// Per-shard wall timing uses the namenode's injected clock,
+			// so deterministic harnesses replay with their own time
+			// source. It runs off the lock: a test clock must not move
+			// mid-compute.
+			Now: func() int64 { return nn.clock().UnixNano() },
+		})
+		wall = time.Since(start)
+		if err != nil {
+			return fmt.Errorf("namenode: optimize: %w", err)
+		}
+		return nil
+	})
 	agg := core.OptimizeResult{
 		Replications: res.Replications,
 		Evictions:    res.Evictions,
 		Search:       res.Search,
 	}
 	if err != nil {
-		nn.endPeriod()
 		return agg, err
 	}
-	if nn.computed != nil {
-		nn.computed(plan)
-	}
-	if !nn.installPlan(plan) {
+	if !installed {
 		return core.OptimizeResult{}, nil
 	}
 	telemetry.ExportShardedOptimizePeriod(metrics.Default, res, wall)
 	return agg, nil
 }
 
-// optimizePlan is the optimizer half of a period's compute step: every
-// shard's Algorithm-5 period over the plan, timed.
-func (nn *NameNode) optimizePlan(plan *core.ShardedPlacement, opts core.OptimizerOptions) (core.ShardedOptimizeResult, time.Duration, error) {
-	// In debug builds, a feasible placement must stay feasible through
-	// the optimizer: assert the paper invariants on the plan.
-	assertAfter := invariant.Enabled && plan.CheckFeasible() == nil
-	start := time.Now()
-	res, err := core.OptimizeSharded(plan, core.ShardedOptimizerOptions{
-		Opts: opts,
-		// Per-shard wall timing uses the namenode's injected clock, so
-		// deterministic harnesses replay with their own time source. It
-		// runs off the lock: a test clock must not move mid-compute.
-		Now: func() int64 { return nn.clock().UnixNano() },
-	})
-	wall := time.Since(start)
+// runPeriod is the one reconfiguration period (DESIGN.md §10.6), in
+// three steps, holding the namenode lock only for the first and the
+// last:
+//
+//   - snapshot: drain the placement's recorded changes, take the usage
+//     monitor's window and clone the desired placement;
+//   - compute, with no namenode lock held: write the forecast into the
+//     clone, then run compute over it — the optimizer or an external
+//     rebalancer;
+//   - install: rebase onto the plan every block whose desired state
+//     changed since the snapshot — the live change wins for that block —
+//     make the plan the desired placement, and re-home what it left on
+//     dead or draining machines. The reconcile loop carries the
+//     resulting copies and deletions to the datanodes.
+//
+// It reports whether the plan was installed. A period whose forecast or
+// compute fails, or whose plan a rebased replica no longer fits,
+// changes nothing.
+func (nn *NameNode) runPeriod(compute func(plan *core.ShardedPlacement) error) (bool, error) {
+	nn.periodMu.Lock()
+	defer nn.periodMu.Unlock()
+	plan, window, err := nn.snapshotPeriod()
 	if err != nil {
-		return res, wall, fmt.Errorf("namenode: optimize: %w", err)
+		return false, err
 	}
-	if assertAfter {
-		for i := 0; i < plan.NumShards(); i++ {
-			if verr := invariant.CheckPlacement(plan.Shard(i)); verr != nil {
-				return res, wall, fmt.Errorf("namenode: post-optimize shard %d: %w", i, verr)
-			}
+	// In debug builds, a feasible placement must stay feasible through
+	// the compute: assert the paper invariants on the plan.
+	assertAfter := invariant.Enabled && plan.CheckFeasible() == nil
+	score, err := nn.forecast.Apply(plan, window)
+	if score.Scored {
+		telemetry.ExportPredictionError(metrics.Default, score.WAE, score.TopK,
+			metrics.L("predictor", nn.cfg.Predictor))
+	}
+	if err != nil {
+		err = fmt.Errorf("namenode: forecast: %w", err)
+	} else {
+		err = compute(plan)
+	}
+	for i := 0; err == nil && assertAfter && i < plan.NumShards(); i++ {
+		if verr := invariant.CheckPlacement(plan.Shard(i)); verr != nil {
+			err = fmt.Errorf("namenode: post-compute shard %d: %w", i, verr)
 		}
 	}
-	return res, wall, nil
+	if err != nil {
+		nn.endPeriod()
+		return false, err
+	}
+	if nn.computed != nil {
+		nn.computed(plan)
+	}
+	return nn.installPlan(plan), nil
 }
 
 // snapshotPeriod is a period's snapshot step. Under nn.mu it drains the

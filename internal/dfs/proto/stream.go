@@ -123,7 +123,7 @@ type OpenStreamFunc func(addr string, open *Message, timeout time.Duration) (Blo
 type streamPhase uint8
 
 const (
-	phaseBroken streamPhase = iota // failed, off-protocol, or not tracked (NewStream)
+	phaseBroken streamPhase = iota // failed or off-protocol
 	phaseChunks                    // chunks flowing, Eof not yet seen
 	phaseAck                       // write stream: Eof chunk passed, MsgStreamAck owed
 	phaseDone                      // the terminal frame passed; nothing is owed or unread
@@ -161,29 +161,16 @@ type Stream struct {
 	phase streamPhase
 }
 
-// NewStream wraps an established connection in a Stream. The timeout
+// newStream is the stream behind an opening frame of type kind, on the
+// opening end (opener) or the serving one; its protocol progress is
+// tracked so the connection can be reused after a clean end. The timeout
 // bounds each individual frame exchange (zero means DefaultTimeout).
-// The connection is the caller's: Close closes it.
-func NewStream(conn net.Conn, timeout time.Duration) *Stream {
-	return wrapStream(newWireConn(conn), timeout)
-}
-
-func wrapStream(conn *wireConn, timeout time.Duration) *Stream {
+func newStream(conn *wireConn, timeout time.Duration, kind MsgType, opener bool) *Stream {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	return &Stream{conn: conn, timeout: timeout}
-}
-
-// newStream is the stream behind an opening frame of type kind, on the
-// opening end (opener) or the serving one; its protocol progress is
-// tracked so the connection can be reused after a clean end.
-func newStream(conn *wireConn, timeout time.Duration, kind MsgType, opener bool) *Stream {
-	st := wrapStream(conn, timeout)
-	st.write = kind == MsgWriteBlockStream
-	st.sender = st.write == opener
-	st.phase = phaseChunks
-	return st
+	write := kind == MsgWriteBlockStream
+	return &Stream{conn: conn, timeout: timeout, write: write, sender: write == opener, phase: phaseChunks}
 }
 
 // begin claims the connection for one Send or Recv.
@@ -306,8 +293,8 @@ func (s *Stream) sendOpen(conn *wireConn) error {
 // write stream the MsgStreamAck after it — with no call in flight, the
 // connection goes back to the idle pool for the next Call or OpenStream
 // to the same address; in every other case (an I/O error, a MsgError
-// frame, a Close before the end, a stream made by NewStream) it is
-// closed, which the peer observes as a mid-stream failure.
+// frame, a Close before the end) it is closed, which the peer observes
+// as a mid-stream failure.
 func (s *Stream) Close() error {
 	conn, clean := s.detach()
 	if conn == nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -20,6 +21,8 @@ import (
 	"aurora/internal/faultinject"
 	"aurora/internal/metrics"
 	"aurora/internal/retrypolicy"
+	"aurora/internal/sched"
+	"aurora/internal/topology"
 	"aurora/internal/trace"
 )
 
@@ -237,10 +240,12 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 	reconfigure := func() error {
 		switch system {
 		case "Scarlett":
+			// A dropped plan leaves the live layout, as a dropped
+			// Aurora period does; the next reconfiguration plans again.
 			if err := nn.WithPlacement(func(p *core.Placement) error {
 				_, err := scarlett.Rebalance(p)
 				return err
-			}); err != nil {
+			}); err != nil && !errors.Is(err, namenode.ErrPlanDropped) {
 				return err
 			}
 		case "Aurora":
@@ -289,7 +294,7 @@ type tbTask struct {
 type tbCompletion struct {
 	at   int64
 	seq  int64
-	node string
+	node topology.MachineID
 	job  int64
 }
 
@@ -315,7 +320,9 @@ func (h *tbHeap) Pop() any {
 // replayWorkload replays the job trace in virtual time against the live
 // cluster: locations come from the real namenode (feeding its usage
 // monitor), block bytes are read over real TCP, and slots gate
-// concurrency per node. Remote tasks take twice as long, per the paper.
+// concurrency per node. Tasks are placed by sched.Pick over the located
+// holders, as in the simulator; a task that is not node-local takes
+// twice as long, per the paper.
 func replayWorkload(s TestbedSetup, tr *trace.Trace, paths map[trace.FileID]string,
 	c *client.Client, row *TestbedRow, reconfigure func() error,
 	taskRetry retrypolicy.Policy) error {
@@ -324,12 +331,12 @@ func replayWorkload(s TestbedSetup, tr *trace.Trace, paths map[trace.FileID]stri
 	if err != nil {
 		return err
 	}
-	free := make(map[string]int, len(info))
-	var totalFree int
-	for _, n := range info {
-		free[n.Addr] = s.SlotsPerNode
-		totalFree += s.SlotsPerNode
+	cl, machineOf, err := testbedCluster(info, s.SlotsPerNode)
+	if err != nil {
+		return err
 	}
+	slots := sched.NewSlots(cl)
+	var holders []topology.MachineID
 
 	var (
 		pending   []tbTask
@@ -343,28 +350,19 @@ func replayWorkload(s TestbedSetup, tr *trace.Trace, paths map[trace.FileID]stri
 	)
 
 	launch := func(tk tbTask) error {
-		// Prefer a replica holder with a free slot (node-local task).
-		target := ""
+		holders = holders[:0]
 		for _, a := range tk.loc.Addresses {
-			if free[a] > 0 && (target == "" || free[a] > free[target]) {
-				target = a
+			if m, ok := machineOf[a]; ok {
+				holders = append(holders, m)
 			}
 		}
-		local := target != ""
-		if !local {
-			// Walk the nodes in ClusterInfo order, not map order, so a
-			// tie in free slots goes to the same node on every replay.
-			for _, n := range info {
-				if free[n.Addr] > 0 && (target == "" || free[n.Addr] > free[target]) {
-					target = n.Addr
-				}
-			}
+		pick, err := sched.Pick(cl, slots, holders)
+		if err != nil {
+			return fmt.Errorf("experiments: %w despite accounting", err)
 		}
-		if target == "" {
-			return fmt.Errorf("experiments: no free slot despite accounting")
-		}
-		free[target]--
-		totalFree--
+		slots.Acquire(pick.Machine)
+		target := info[pick.Machine].Addr
+		local := pick.Level == sched.NodeLocal
 		dur := tk.dur
 		if local {
 			row.LocalTasks++
@@ -406,12 +404,12 @@ func replayWorkload(s TestbedSetup, tr *trace.Trace, paths map[trace.FileID]stri
 		}
 		row.BytesRead += int64(len(data))
 		seq++
-		heap.Push(&comps, tbCompletion{at: now + max64(1, dur), seq: seq, node: target, job: tk.job})
+		heap.Push(&comps, tbCompletion{at: now + max64(1, dur), seq: seq, node: pick.Machine, job: tk.job})
 		return nil
 	}
 
 	schedule := func() error {
-		for len(pending) > 0 && totalFree > 0 {
+		for len(pending) > 0 && slots.TotalFree() > 0 {
 			tk := pending[0]
 			pending = pending[1:]
 			if err := launch(tk); err != nil {
@@ -450,8 +448,7 @@ func replayWorkload(s TestbedSetup, tr *trace.Trace, paths map[trace.FileID]stri
 		now = next
 		for comps.Len() > 0 && comps[0].at == now {
 			e := heap.Pop(&comps).(tbCompletion)
-			free[e.node]++
-			totalFree++
+			slots.Release(e.node)
 			if remaining[e.job]--; remaining[e.job] == 0 {
 				row.JobDurations[e.job] = now - started[e.job]
 				delete(remaining, e.job)
@@ -477,6 +474,30 @@ func replayWorkload(s TestbedSetup, tr *trace.Trace, paths map[trace.FileID]stri
 		}
 	}
 	return nil
+}
+
+// testbedCluster describes the live cluster to the task scheduler: one
+// machine per datanode, in ID order, on its rack, with slots task slots.
+// It also maps each datanode's address to its machine.
+func testbedCluster(info []proto.NodeInfo, slots int) (*topology.Cluster, map[string]topology.MachineID, error) {
+	var b topology.Builder
+	racks := 0
+	machineOf := make(map[string]topology.MachineID, len(info))
+	for _, n := range info {
+		for ; racks <= n.Rack; racks++ {
+			b.AddRack()
+		}
+		m, err := b.AddMachine(topology.RackID(n.Rack), n.Capacity, slots)
+		if err != nil {
+			return nil, nil, err
+		}
+		if m != topology.MachineID(n.ID) {
+			return nil, nil, fmt.Errorf("experiments: datanode %d listed out of ID order", n.ID)
+		}
+		machineOf[n.Addr] = m
+	}
+	cl, err := b.Build()
+	return cl, machineOf, err
 }
 
 func max64(a, b int64) int64 {

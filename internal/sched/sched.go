@@ -1,5 +1,6 @@
 // Package sched implements the locality-aware map-task placement of the
-// discrete-event simulator (internal/sim).
+// discrete-event simulator (internal/sim) and of the Fig 6 testbed
+// replay (internal/experiments).
 //
 // A map task wants to run where a replica of its input block lives: a
 // node-local task reads from the local disk, a rack-local task crosses
@@ -14,7 +15,6 @@ package sched
 import (
 	"errors"
 
-	"aurora/internal/core"
 	"aurora/internal/topology"
 )
 
@@ -100,16 +100,15 @@ func (s *Slots) Release(m topology.MachineID) {
 	s.total++
 }
 
-// Pick chooses the machine for a task reading `block`, preferring
-// node-local over rack-local over remote placements. Within a level, the
-// machine with the most free slots wins (ties to the lowest ID) so load
-// spreads. Pick does not acquire the slot; callers Acquire on the
-// returned machine.
-func Pick(p *core.Placement, s *Slots, block core.BlockID) (Assignment, error) {
+// Pick chooses the machine of cl for a task reading a block that
+// holders store, preferring node-local over rack-local over remote
+// placements. Within a level, the machine with the most free slots wins
+// (ties to the lowest ID) so load spreads. Pick does not acquire the
+// slot; callers Acquire on the returned machine.
+func Pick(cl *topology.Cluster, s *Slots, holders []topology.MachineID) (Assignment, error) {
 	if s.TotalFree() == 0 {
 		return Assignment{}, ErrNoSlots
 	}
-	holders := p.Replicas(block)
 
 	// Node-local: a holder with a free slot.
 	if m := bestOf(s, holders); m != topology.NoMachine {
@@ -118,7 +117,6 @@ func Pick(p *core.Placement, s *Slots, block core.BlockID) (Assignment, error) {
 
 	// Rack-local: any machine with a free slot in a rack that holds the
 	// block.
-	cl := p.Cluster()
 	seenRack := make(map[topology.RackID]bool, len(holders))
 	best := topology.NoMachine
 	for _, h := range holders {

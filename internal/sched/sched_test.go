@@ -56,11 +56,11 @@ func TestSlotsAccounting(t *testing.T) {
 }
 
 func TestPickNodeLocal(t *testing.T) {
-	_, p, s := setup(t)
+	cl, p, s := setup(t)
 	if err := p.AddReplica(1, 2); err != nil {
 		t.Fatalf("AddReplica: %v", err)
 	}
-	a, err := Pick(p, s, 1)
+	a, err := Pick(cl, s, p.Replicas(1))
 	if err != nil {
 		t.Fatalf("Pick: %v", err)
 	}
@@ -70,14 +70,14 @@ func TestPickNodeLocal(t *testing.T) {
 }
 
 func TestPickRackLocalWhenHolderBusy(t *testing.T) {
-	_, p, s := setup(t)
+	cl, p, s := setup(t)
 	if err := p.AddReplica(1, 2); err != nil {
 		t.Fatalf("AddReplica: %v", err)
 	}
 	// Fill machine 2's slots.
 	s.Acquire(2)
 	s.Acquire(2)
-	a, err := Pick(p, s, 1)
+	a, err := Pick(cl, s, p.Replicas(1))
 	if err != nil {
 		t.Fatalf("Pick: %v", err)
 	}
@@ -87,14 +87,14 @@ func TestPickRackLocalWhenHolderBusy(t *testing.T) {
 }
 
 func TestPickRemoteWhenRackBusy(t *testing.T) {
-	_, p, s := setup(t)
+	cl, p, s := setup(t)
 	if err := p.AddReplica(1, 2); err != nil {
 		t.Fatalf("AddReplica: %v", err)
 	}
 	for _, m := range []topology.MachineID{2, 2, 3, 3} {
 		s.Acquire(m)
 	}
-	a, err := Pick(p, s, 1)
+	a, err := Pick(cl, s, p.Replicas(1))
 	if err != nil {
 		t.Fatalf("Pick: %v", err)
 	}
@@ -107,7 +107,7 @@ func TestPickRemoteWhenRackBusy(t *testing.T) {
 }
 
 func TestPickPrefersFreerMachine(t *testing.T) {
-	_, p, s := setup(t)
+	cl, p, s := setup(t)
 	if err := p.AddReplica(1, 0); err != nil {
 		t.Fatalf("AddReplica: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestPickPrefersFreerMachine(t *testing.T) {
 		t.Fatalf("AddReplica: %v", err)
 	}
 	s.Acquire(0) // machine 0 has 1 free, machine 1 has 2 free
-	a, err := Pick(p, s, 1)
+	a, err := Pick(cl, s, p.Replicas(1))
 	if err != nil {
 		t.Fatalf("Pick: %v", err)
 	}
@@ -125,21 +125,21 @@ func TestPickPrefersFreerMachine(t *testing.T) {
 }
 
 func TestPickNoSlots(t *testing.T) {
-	_, p, s := setup(t)
+	cl, p, s := setup(t)
 	for _, m := range []topology.MachineID{0, 0, 1, 1, 2, 2, 3, 3} {
 		if !s.Acquire(m) {
 			t.Fatalf("setup: could not fill slot on %d", m)
 		}
 	}
-	if _, err := Pick(p, s, 1); !errors.Is(err, ErrNoSlots) {
+	if _, err := Pick(cl, s, p.Replicas(1)); !errors.Is(err, ErrNoSlots) {
 		t.Errorf("Pick err = %v, want ErrNoSlots", err)
 	}
 }
 
 func TestPickUnplacedBlockGoesRemote(t *testing.T) {
 	// A block with no replicas (e.g. metadata-only) still schedules.
-	_, p, s := setup(t)
-	a, err := Pick(p, s, 1)
+	cl, p, s := setup(t)
+	a, err := Pick(cl, s, p.Replicas(1))
 	if err != nil {
 		t.Fatalf("Pick: %v", err)
 	}

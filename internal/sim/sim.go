@@ -441,7 +441,7 @@ func Run(cfg Config) (*Result, error) {
 			if !ok {
 				return
 			}
-			a, err := sched.Pick(pl, slots, arena[idx].block)
+			a, err := sched.Pick(pl.Cluster(), slots, pl.Replicas(arena[idx].block))
 			if err != nil {
 				return // no free slot anywhere
 			}
