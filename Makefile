@@ -24,10 +24,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The project-specific analyzer, after go vet: one typed whole-module
+# The project-specific analyzer, after go vet and a gofmt check (any
+# file gofmt would rewrite fails the target): one typed whole-module
 # pass over thirteen rules, each kept on evidence (a bug it caught or a
 # seeded mutation only it reports; DESIGN.md §11). Any finding fails.
 lint: vet
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/aurora-lint ./...
 
 # Race detector with invariant assertions compiled in, so every

@@ -20,8 +20,8 @@
 //   - A mini distributed file system (namenode/datanode/client over
 //     TCP), the substrate equivalent of the paper's HDFS prototype, with
 //     replica placement as a pluggable policy and the Aurora optimizer
-//     built in; NameNodeConfig.Shards partitions its block map. See
-//     dfs.go.
+//     built in; NameNodeConfig.Shards partitions each optimizer period
+//     into hash shards. See dfs.go.
 //
 // The runnable examples walk each layer: go test -run Example -v .
 package aurora

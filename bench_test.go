@@ -317,24 +317,27 @@ func BenchmarkOptimizePeriodSharded(b *testing.B) {
 	}
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("10000x1M/shards=%d", shards), func(b *testing.B) {
-			base, err := core.NewShardedPlacement(cluster, shards, specs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i, s := range specs {
-				m1 := i % machines
-				for _, m := range []int{m1, (m1 + perRack) % machines, (m1 + 2*perRack) % machines} {
-					if err := base.AddReplica(s.ID, topology.MachineID(m)); err != nil {
-						b.Fatal(err)
+			build := func() *core.ShardedPlacement {
+				sp, err := core.NewShardedPlacement(cluster, shards, specs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i, s := range specs {
+					m1 := i % machines
+					for _, m := range []int{m1, (m1 + perRack) % machines, (m1 + 2*perRack) % machines} {
+						if err := sp.AddReplica(s.ID, topology.MachineID(m)); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
+				return sp
 			}
-			budget := base.TotalReplicas() + extra
+			budget := 3*blocks + extra
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				sp := base.Clone()
+				sp := build()
 				b.StartTimer()
 				res, err := core.OptimizeSharded(sp, core.ShardedOptimizerOptions{
 					Opts: core.OptimizerOptions{
@@ -356,19 +359,18 @@ func BenchmarkOptimizePeriodSharded(b *testing.B) {
 }
 
 // BenchmarkPlacementClone measures the namenode period's snapshot: one
-// deep copy of the sharded block map, taken under the namenode lock
-// (DESIGN.md §10.4). The 3 200-block row is optimize_foreground's shape
-// (24 machines on 4 racks, 4 shards, 3 replicas over 2 racks per
-// block); the 100 000-block row scales the namespace on the same
-// machines.
+// deep copy of the flat block map, taken under the namenode lock
+// (DESIGN.md §10.6) whatever the shard count. The 3 200-block row is
+// optimize_foreground's shape (24 machines on 4 racks, 3 replicas over
+// 2 racks per block); the 100 000-block row scales the namespace on the
+// same machines.
 func BenchmarkPlacementClone(b *testing.B) {
 	const (
 		machines = 24
 		racks    = 4
-		shards   = 4
 	)
 	for _, blocks := range []int{3200, 100_000} {
-		b.Run(fmt.Sprintf("%dx%d/shards=%d", machines, blocks, shards), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%dx%d", machines, blocks), func(b *testing.B) {
 			capacity := 3*blocks/machines + 64
 			cluster, err := topology.Uniform(racks, machines/racks, capacity, 8)
 			if err != nil {
@@ -383,7 +385,7 @@ func BenchmarkPlacementClone(b *testing.B) {
 					MinRacks:    2,
 				}
 			}
-			base, err := core.NewShardedPlacement(cluster, shards, specs)
+			base, err := core.NewPlacement(cluster, specs)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -406,7 +408,7 @@ func BenchmarkPlacementClone(b *testing.B) {
 }
 
 // cloneSink keeps BenchmarkPlacementClone's copies alive past the loop.
-var cloneSink *core.ShardedPlacement
+var cloneSink *core.Placement
 
 // BenchmarkAblationNoSwap compares the local search with and without
 // Swap operations: without Swap the capacity argument of Theorem 2

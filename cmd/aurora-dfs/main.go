@@ -104,7 +104,7 @@ func runNameNode(args []string) error {
 		optim   = fs.Duration("optimize-every", 0, "run the Aurora optimizer on this period (0 = off)")
 		epsilon = fs.Float64("epsilon", 0.1, "optimizer epsilon")
 		extra   = fs.Int("budget-extra", 0, "replica budget beyond the dataset minimum (0 disables dynamic replication)")
-		shards  = fs.Int("shards", 1, "partition the block map into this many hash shards; the optimizer runs one concurrent period per shard (1 = classic single-map namenode)")
+		shards  = fs.Int("shards", 1, "partition each optimizer period into this many hash shards, run concurrently and replayed onto the one block map (1 = unpartitioned period)")
 		fsimage = fs.String("fsimage", "", "metadata checkpoint path (load on start, save periodically and on shutdown)")
 		telem   = fs.String("telemetry-addr", "", "serve /metrics and pprof on this address (empty = off)")
 		pred    = fs.String("predictor", "", "popularity forecaster feeding the optimizer: ewma | seasonal (empty = reactive window counts)")

@@ -418,7 +418,7 @@ var seededMutations = []mutation{
 		file: "internal/dfs/namenode/reconcile.go",
 		old:  "\tnn.mu.Lock()\n\theld := time.Now()\n\tnn.syncPendingLocked()\n\tnn.walk = nn.walk[:0]\n",
 		new:  "\tnn.mu.Lock()\n\tnn.periodMu.Lock()\n\tdefer nn.periodMu.Unlock()\n\theld := time.Now()\n\tnn.syncPendingLocked()\n\tnn.walk = nn.walk[:0]\n",
-		at:   []string{"plan, window, err := nn.snapshotPeriod()", "return nn.installPlan(plan), nil"},
+		at:   []string{"plan, window, err := nn.snapshotPeriod()", "if !nn.installPlan(plan) {"},
 	},
 	{
 		name: "par worker without Done", rule: analysis.RuleGoroLeak,

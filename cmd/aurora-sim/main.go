@@ -48,7 +48,7 @@ func run(args []string, out io.Writer) error {
 		hours      = fs.Int("hours", 0, "override simulated hours (0 = scale default)")
 		files      = fs.Int("files", 0, "override file count (0 = scale default)")
 		jobsPerHr  = fs.Float64("jobs-per-hour", 0, "override job arrival rate (0 = scale default)")
-		shards     = fs.Int("shards", 1, "shard the Aurora policy's block map; each epoch optimizes shards concurrently (1 = unsharded)")
+		shards     = fs.Int("shards", 1, "partition each Aurora epoch's optimization into this many hash shards, run concurrently (1 = unsharded)")
 		predictor  = fs.String("predictor", "", "popularity forecaster for the figure experiments: ewma | seasonal (empty = reactive window counts)")
 		scenarios  = fs.String("scenarios", "", "comma-separated scenario list for -experiment scenarios (empty = all: "+strings.Join(trace.ScenarioNames(), ",")+")")
 		predictors = fs.String("predictors", "", "comma-separated predictor list for -experiment scenarios, may include \"reactive\" (empty = reactive,ewma,seasonal)")

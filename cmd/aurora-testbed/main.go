@@ -32,7 +32,7 @@ func run(args []string) error {
 		files     = fs.Int("files", 24, "files in the dataset")
 		jobs      = fs.Int("jobs", 400, "jobs to replay")
 		epsilon   = fs.Float64("epsilon", 0.8, "Aurora epsilon (paper: 0.8)")
-		shards    = fs.Int("shards", 1, "namenode block-map shards; Aurora reconfigures one optimizer period per shard concurrently (1 = unsharded)")
+		shards    = fs.Int("shards", 1, "hash shards of each namenode optimizer period, run concurrently (1 = unsharded)")
 		faultSpec = fs.String("fault-schedule", "", `fault schedule: "random" for a seeded crash/slow mix, or an explicit spec like "crash:2@500ms;recover:2@1.5s" (see internal/faultinject)`)
 		faultSeed = fs.Uint64("fault-seed", 1, `seed for -fault-schedule=random`)
 		telemAddr = fs.String("telemetry-addr", "", "serve /metrics and pprof on this address for the duration of the run (empty = off, port 0 = pick a free port)")

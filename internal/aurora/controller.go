@@ -170,9 +170,13 @@ func (c *Controller) record(res core.OptimizeResult, err error) {
 // turns the usage monitor's window W into the block popularities
 // Algorithm 5 then optimizes against — the window itself when reactive,
 // a predictor's forecast of the next window otherwise. The namenode and
-// the simulator each run their periods through one. It
-// reads no clock and takes no lock: the caller serializes Apply with
-// every other writer of the placement. The zero Forecaster is reactive.
+// the simulator each run their periods through one. A period's forecast
+// is staged: Apply writes it into the period's placement without
+// changing the forecaster, and Commit moves the forecaster on to it once
+// the period is kept, so a failed period leaves the next forecast as it
+// was. It reads no clock and takes no lock: the caller serializes its
+// calls with every other writer of the placement. The zero Forecaster is
+// reactive.
 type Forecaster struct {
 	pred *popularity.Seasonal[core.BlockID] // nil when reactive
 	last map[core.BlockID]float64           // the forecast the next window scores
@@ -185,6 +189,15 @@ type Forecaster struct {
 type Score struct {
 	WAE, TopK float64
 	Scored    bool
+}
+
+// Forecast is one period's staged forecast: the window it was made
+// from, the popularities it wrote, and the score of the forecast before
+// it against that window.
+type Forecast struct {
+	Score  Score
+	window map[core.BlockID]int64
+	pops   map[core.BlockID]float64 // nil when reactive
 }
 
 // NewForecaster builds a forecaster by predictor name: "ewma",
@@ -200,32 +213,40 @@ func NewForecaster(name string, opts popularity.PredictorOptions) (*Forecaster, 
 	return &Forecaster{pred: pred}, nil
 }
 
-// Apply runs one period's forecast step: it scores the outstanding
-// forecast against window, feeds window to the predictor, and writes the
-// new forecast (reactive: window) into every block of every shard of sp.
-// A block the forecast does not name gets popularity 0.
-func (f *Forecaster) Apply(sp *core.ShardedPlacement, window map[core.BlockID]int64) (Score, error) {
-	var s Score
+// Apply runs one period's forecast step without changing f: it scores
+// the outstanding forecast against window and writes the next forecast
+// (reactive: window) into every block of p. A block the forecast does
+// not name gets popularity 0. The returned Forecast is what Commit takes
+// once the period is kept.
+func (f *Forecaster) Apply(p *core.Placement, window map[core.BlockID]int64) (Forecast, error) {
+	fc := Forecast{window: window}
 	pop := func(id core.BlockID) float64 { return float64(window[id]) }
 	if f.pred != nil {
 		if f.last != nil {
-			s = Score{
+			fc.Score = Score{
 				WAE:    popularity.WeightedAbsError(f.last, window),
 				TopK:   popularity.TopKOverlap(f.last, window, popularity.DefaultTopK),
 				Scored: true,
 			}
 		}
-		f.pred.Observe(window)
-		f.last = f.pred.Predict()
-		pop = func(id core.BlockID) float64 { return f.last[id] }
+		fc.pops = f.pred.Forecast(window)
+		pop = func(id core.BlockID) float64 { return fc.pops[id] }
 	}
-	for i := 0; i < sp.NumShards(); i++ {
-		p := sp.Shard(i)
-		for _, id := range p.Blocks() {
-			if err := p.SetPopularity(id, pop(id)); err != nil {
-				return s, err
-			}
+	for _, id := range p.Blocks() {
+		if err := p.SetPopularity(id, pop(id)); err != nil {
+			return fc, err
 		}
 	}
-	return s, nil
+	return fc, nil
+}
+
+// Commit moves f on to fc, the forecast of a period that was kept: the
+// predictor observes fc's window, and the next Apply scores fc's
+// popularities. Commit the forecasts of the periods kept, in order.
+func (f *Forecaster) Commit(fc Forecast) {
+	if f.pred == nil {
+		return
+	}
+	f.pred.Observe(fc.window)
+	f.last = fc.pops
 }

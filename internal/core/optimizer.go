@@ -229,8 +229,8 @@ func replicateOnce(p *Placement, id BlockID, eq *evictQueue, opts *OptimizerOpti
 // room): the least-loaded machine in the least-loaded rack, preferring
 // racks that widen the block's spread while it is below MinRacks. It is
 // the one destination scan the optimizer and the namenode's repair share;
-// callers that know more than the topology (liveness, draining, quotas)
-// say so through eligible.
+// callers that know more than the topology (liveness, draining) say so
+// through eligible.
 func (p *Placement) ReplicaDestination(id BlockID, eligible func(topology.MachineID) bool) topology.MachineID {
 	b, ok := p.block(id)
 	if !ok {

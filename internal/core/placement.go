@@ -835,20 +835,11 @@ func (p *Placement) BlocksOn(m topology.MachineID) []BlockID {
 	if int(m) < 0 || int(m) >= len(p.machines) {
 		return nil
 	}
-	return p.AppendBlocksOn(m, make([]BlockID, 0, len(p.machines[m].sorted)))
-}
-
-// AppendBlocksOn appends the blocks stored on machine m to buf in
-// ascending ID order and returns the extended slice.
-func (p *Placement) AppendBlocksOn(m topology.MachineID, buf []BlockID) []BlockID {
-	if int(m) < 0 || int(m) >= len(p.machines) {
-		return buf
-	}
-	start := len(buf)
+	buf := make([]BlockID, 0, len(p.machines[m].sorted))
 	for _, ref := range p.machines[m].sorted {
 		buf = append(buf, ref.id)
 	}
-	slices.Sort(buf[start:])
+	slices.Sort(buf)
 	return buf
 }
 

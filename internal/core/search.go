@@ -145,6 +145,7 @@ type candidate struct {
 // the stored lists are ascending by (popularity, ID), so equal-popularity
 // runs are located from the top of the list and each run is walked
 // forward.
+//
 //lint:hotpath
 func bestPairOpSwap(p *Placement, m, n topology.MachineID, epsilon float64, allowSwap bool) (candidate, bool) {
 	lm, ln := p.Load(m), p.Load(n)
@@ -266,6 +267,7 @@ func (p *Placement) moveKeepsSpread(b *blockState, fromRack, toRack topology.Rac
 // bi is i's block state and mRack/nRack the pair's racks, hoisted by the
 // caller. The callers' scan invariants (i held on m and not on n, j held
 // on n, i != j, m != n) replace the corresponding CanSwap lookups.
+//
 //lint:hotpath
 func bestSwapCounterpart(p *Placement, i BlockID, bi *blockState, pi float64, m, n topology.MachineID, mRack, nRack topology.RackID, lm, ln float64) (BlockID, float64, bool) {
 	// If sending i to n's rack would break i's spread, no counterpart is

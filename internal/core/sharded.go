@@ -8,14 +8,16 @@ import (
 	"aurora/internal/topology"
 )
 
-// This file implements the sharded block map: the namespace partitioned
-// into N shards keyed by hash(BlockID), each shard owning a full
-// Placement (its own sorted block lists, load index and optimizer
-// budget share) over the same physical cluster. Per-shard Algorithm-5
-// periods run concurrently over internal/par's bounded pool; a cheap
-// cross-shard rebalance pass over shard-level load summaries then
-// migrates replication budget between shards without touching any
-// per-block state.
+// This file implements sharding as a step inside one period: the flat
+// placement is partitioned into N shards keyed by hash(BlockID), each
+// shard a full Placement (its own sorted block lists, load index and
+// optimizer budget share) over a quota share of the same physical
+// cluster. Per-shard Algorithm-5 periods run concurrently over
+// internal/par's bounded pool; a cheap cross-shard rebalance pass over
+// shard-level load summaries then migrates replication budget between
+// shards without touching any per-block state; and the resulting layout
+// is replayed onto the flat placement (OptimizePartitioned). The quotas
+// exist only for the period's compute.
 //
 // Sharding is sound at scale because per-shard popularity mass
 // concentrates: hashing splits the Zipf head uniformly, so each shard's
@@ -49,10 +51,10 @@ func ShardOf(id BlockID, shards int) int {
 // feasible under the binomial skew of hash partitioning (a machine's
 // replicas split ~Binomial(used, 1/N) across shards, and existing dense
 // placements loaded into shards would otherwise overflow the tail
-// cells). Per-shard quotas are therefore a soft partition: the global
-// capacity invariant is enforced by the replication budget and by the
-// datanodes' real capacities, not by the quota sum. shards == 1 keeps
-// the exact capacity.
+// cells). Per-shard quotas are therefore a soft partition: the real
+// capacities are enforced when OptimizePartitioned replays the shards'
+// layout onto the flat placement, not by the quota sum. shards == 1
+// keeps the exact capacity.
 func shardQuota(capacity, shards int) int {
 	if shards <= 1 {
 		return capacity
@@ -69,12 +71,6 @@ func shardQuota(capacity, shards int) int {
 // same physical machine, or rack spread and capacity would be computed
 // against a permutation.
 func shardCluster(base *topology.Cluster, shards int) (*topology.Cluster, error) {
-	return rebuildCluster(base, func(c int) int { return shardQuota(c, shards) })
-}
-
-// rebuildCluster copies base's topology in machine-ID order, mapping
-// each machine's capacity through scale.
-func rebuildCluster(base *topology.Cluster, scale func(int) int) (*topology.Cluster, error) {
 	var b topology.Builder
 	rackIDs := make(map[topology.RackID]topology.RackID, len(base.Racks()))
 	for _, r := range base.Racks() {
@@ -82,7 +78,7 @@ func rebuildCluster(base *topology.Cluster, scale func(int) int) (*topology.Clus
 	}
 	for _, m := range base.Machines() {
 		mach := base.MustMachine(m)
-		mid, err := b.AddMachine(rackIDs[mach.Rack], scale(mach.Capacity), mach.Slots)
+		mid, err := b.AddMachine(rackIDs[mach.Rack], shardQuota(mach.Capacity, shards), mach.Slots)
 		if err != nil {
 			return nil, err
 		}
@@ -94,11 +90,13 @@ func rebuildCluster(base *topology.Cluster, scale func(int) int) (*topology.Clus
 }
 
 // ShardedPlacement partitions a block map into N independent Placements
-// keyed by ShardOf. With one shard it wraps a single Placement over the
-// base cluster, bit-identical to the unsharded path. Like Placement it
-// is not safe for concurrent use — except that distinct shards may be
-// mutated concurrently (they share no mutable state), which is exactly
-// what OptimizeSharded does.
+// keyed by ShardOf, each over the quota cluster (shardQuota). It is the
+// working state of one partitioned period (OptimizePartitioned): no
+// block map is kept sharded between periods. With one shard it wraps a
+// single Placement over the base cluster, bit-identical to the
+// unsharded path. Like Placement it is not safe for concurrent use —
+// except that distinct shards may be mutated concurrently (they share
+// no mutable state), which is exactly what OptimizeSharded does.
 type ShardedPlacement struct {
 	base   *topology.Cluster
 	shards []*Placement
@@ -121,7 +119,7 @@ func NewShardedPlacement(base *topology.Cluster, shards int, specs []BlockSpec) 
 		if err != nil {
 			return nil, err
 		}
-		return SingleShard(p), nil
+		return singleShard(p), nil
 	}
 	sp := &ShardedPlacement{base: base}
 	qc, err := shardCluster(base, shards)
@@ -144,43 +142,23 @@ func NewShardedPlacement(base *topology.Cluster, shards int, specs []BlockSpec) 
 	return sp, nil
 }
 
-// SingleShard is the one-shard view of p, without a copy: the view's
+// singleShard is the one-shard view of p, without a copy: the view's
 // only shard is p itself, so a write through either is seen by both.
-func SingleShard(p *Placement) *ShardedPlacement {
+func singleShard(p *Placement) *ShardedPlacement {
 	return &ShardedPlacement{base: p.Cluster(), shards: []*Placement{p}}
 }
-
-// NumShards reports the shard count.
-func (sp *ShardedPlacement) NumShards() int { return len(sp.shards) }
-
-// Base returns the physical cluster the sharded placement is defined
-// over (shards internally use quota clusters; see shardQuota).
-func (sp *ShardedPlacement) Base() *topology.Cluster { return sp.base }
-
-// ShardIndex returns the shard owning block id.
-func (sp *ShardedPlacement) ShardIndex(id BlockID) int { return ShardOf(id, len(sp.shards)) }
 
 // Shard returns shard i's Placement for direct (single-shard) use.
 func (sp *ShardedPlacement) Shard(i int) *Placement { return sp.shards[i] }
 
 // For returns the Placement owning block id.
 func (sp *ShardedPlacement) For(id BlockID) *Placement {
-	return sp.shards[sp.ShardIndex(id)]
+	return sp.shards[ShardOf(id, len(sp.shards))]
 }
 
-// AddBlock registers a new block in its hash shard.
-func (sp *ShardedPlacement) AddBlock(s BlockSpec) error { return sp.For(s.ID).AddBlock(s) }
-
-// DeleteBlock removes a block and its replicas from its hash shard.
-func (sp *ShardedPlacement) DeleteBlock(id BlockID) error { return sp.For(id).DeleteBlock(id) }
-
-// NumBlocks reports the number of registered blocks across all shards.
-func (sp *ShardedPlacement) NumBlocks() int {
-	n := 0
-	for _, p := range sp.shards {
-		n += p.NumBlocks()
-	}
-	return n
+// AddReplica adds a replica of block id on machine m in its shard.
+func (sp *ShardedPlacement) AddReplica(id BlockID, m topology.MachineID) error {
+	return sp.For(id).AddReplica(id, m)
 }
 
 // TotalReplicas reports Σ_i k_i across all shards.
@@ -192,162 +170,21 @@ func (sp *ShardedPlacement) TotalReplicas() int {
 	return n
 }
 
-// AppendLoads appends the aggregated per-machine load vector — each
-// machine's load summed across shards, in shard order — and returns the
-// extended slice. This is the shard-level load summary the rebalance
-// pass and the telemetry exporters consume.
-func (sp *ShardedPlacement) AppendLoads(buf []float64) []float64 {
-	start := len(buf)
-	for i := 0; i < sp.base.NumMachines(); i++ {
-		buf = append(buf, 0)
-	}
-	for _, p := range sp.shards {
-		agg := buf[start:]
-		for m := range agg {
-			agg[m] += p.Load(topology.MachineID(m))
-		}
-	}
-	return buf
-}
-
-// Used reports the number of replicas machine m stores across all
-// shards.
-func (sp *ShardedPlacement) Used(m topology.MachineID) int {
-	n := 0
-	for _, p := range sp.shards {
-		n += p.Used(m)
-	}
-	return n
-}
-
-// GlobalCost returns the global objective λ: the maximum per-machine
-// load aggregated across shards. With one shard it equals Cost() of the
-// underlying placement.
-func (sp *ShardedPlacement) GlobalCost() float64 {
+// globalCost returns the global objective λ: the maximum per-machine
+// load, each machine's load summed across shards in shard order. With
+// one shard it equals Cost() of the underlying placement.
+func (sp *ShardedPlacement) globalCost() float64 {
 	if len(sp.shards) == 1 {
 		return sp.shards[0].Cost()
 	}
-	max, _ := loadindex.MaxMean(sp.AppendLoads(nil))
+	loads := make([]float64, sp.base.NumMachines())
+	for _, p := range sp.shards {
+		for m := range loads {
+			loads[m] += p.Load(topology.MachineID(m))
+		}
+	}
+	max, _ := loadindex.MaxMean(loads)
 	return max
-}
-
-// Shares returns the stored cross-shard budget apportionment (nil before
-// the first optimized period).
-func (sp *ShardedPlacement) Shares() []int {
-	if sp.shares == nil {
-		return nil
-	}
-	return append([]int(nil), sp.shares...)
-}
-
-// SetShares seeds the apportionment — for callers that rebuild a sharded
-// view every period (e.g. the simulator's policy) yet want the rebalance
-// state to carry across rebuilds. A share slice of the wrong length is
-// ignored at the next budget split, so stale state degrades to the
-// popularity-weighted default rather than corrupting the split.
-func (sp *ShardedPlacement) SetShares(shares []int) {
-	if shares == nil {
-		sp.shares = nil
-		return
-	}
-	sp.shares = append([]int(nil), shares...)
-}
-
-// Clone deep-copies the sharded placement, including the budget-share
-// state.
-func (sp *ShardedPlacement) Clone() *ShardedPlacement {
-	c := &ShardedPlacement{
-		base:   sp.base,
-		shards: make([]*Placement, len(sp.shards)),
-	}
-	for i, p := range sp.shards {
-		c.shards[i] = p.Clone()
-	}
-	if sp.shares != nil {
-		c.shares = append([]int(nil), sp.shares...)
-	}
-	return c
-}
-
-// Rebase rebases the blocks in ids shard by shard (Placement.Rebase)
-// onto live, which must have sp's shard count.
-func (sp *ShardedPlacement) Rebase(live *ShardedPlacement, ids []BlockID) error {
-	if len(live.shards) != len(sp.shards) {
-		return fmt.Errorf("%w: rebase onto %d shards from %d", ErrBadSpec, len(live.shards), len(sp.shards))
-	}
-	perShard := make([][]BlockID, len(sp.shards))
-	for _, id := range ids {
-		i := sp.ShardIndex(id)
-		perShard[i] = append(perShard[i], id)
-	}
-	for i, p := range sp.shards {
-		if err := p.Rebase(live.shards[i], perShard[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Merge flattens all shards into one Placement. With one shard this is a
-// plain Clone of the underlying placement (over the base cluster, bit-
-// identical). With several, the merged placement is built over the quota
-// cluster scaled to the quota sum, since a machine's aggregate use may
-// legitimately exceed an even capacity split (see shardQuota); the merge
-// is a read-only inspection view (fsck, budget resolution, tests), never
-// the operational block map.
-func (sp *ShardedPlacement) Merge() (*Placement, error) {
-	if len(sp.shards) == 1 {
-		return sp.shards[0].Clone(), nil
-	}
-	mc, err := rebuildCluster(sp.base, func(c int) int {
-		return shardQuota(c, len(sp.shards)) * len(sp.shards)
-	})
-	if err != nil {
-		return nil, err
-	}
-	var specs []BlockSpec
-	for _, p := range sp.shards {
-		for _, id := range p.Blocks() {
-			s, err := p.Spec(id)
-			if err != nil {
-				return nil, err
-			}
-			specs = append(specs, s)
-		}
-	}
-	merged, err := NewPlacement(mc, specs)
-	if err != nil {
-		return nil, err
-	}
-	var holders []topology.MachineID
-	for _, p := range sp.shards {
-		for _, id := range p.Blocks() {
-			holders = p.AppendReplicas(id, holders[:0])
-			for _, m := range holders {
-				if err := merged.AddReplica(id, m); err != nil {
-					return nil, fmt.Errorf("core: merging shard replica: %w", err)
-				}
-			}
-		}
-	}
-	return merged, nil
-}
-
-// Validate checks every shard's internal invariants plus the routing
-// invariant: each block lives in exactly the shard its hash selects
-// (which also implies no block is registered in two shards).
-func (sp *ShardedPlacement) Validate() error {
-	for i, p := range sp.shards {
-		if err := p.Validate(); err != nil {
-			return fmt.Errorf("core: shard %d: %w", i, err)
-		}
-		for _, id := range p.Blocks() {
-			if sh := ShardOf(id, len(sp.shards)); sh != i {
-				return fmt.Errorf("core: block %d registered in shard %d, hashes to %d", id, i, sh)
-			}
-		}
-	}
-	return nil
 }
 
 // ShardedOptimizerOptions configure one sharded Algorithm-5 period.
@@ -422,7 +259,7 @@ func OptimizeSharded(sp *ShardedPlacement, opts ShardedOptimizerOptions) (Sharde
 	}
 
 	var out ShardedOptimizeResult
-	out.Search.InitialCost = sp.GlobalCost()
+	out.Search.InitialCost = sp.globalCost()
 
 	perShard := make([]OptimizerOptions, n)
 	for i := range perShard {
@@ -506,7 +343,7 @@ func OptimizeSharded(sp *ShardedPlacement, opts ShardedOptimizerOptions) (Sharde
 		out.Search.RackSwaps += r.Search.RackSwaps
 		costs = append(costs, sp.shards[i].Cost())
 	}
-	out.Search.FinalCost = sp.GlobalCost()
+	out.Search.FinalCost = sp.globalCost()
 	out.Imbalance = loadindex.Imbalance(costs)
 
 	if opts.Opts.ReplicationBudget > 0 {
@@ -514,6 +351,81 @@ func OptimizeSharded(sp *ShardedPlacement, opts ShardedOptimizerOptions) (Sharde
 		sp.shares = out.NextShares
 	}
 	return out, nil
+}
+
+// OptimizePartitioned runs one period over p partitioned into shards
+// hash shards: it copies p's blocks and replicas into a ShardedPlacement,
+// seeds its budget apportionment with shares (the previous period's
+// NextShares; nil apportions by popularity mass), runs OptimizeSharded,
+// and replays the resulting layout onto p — every removal first, so the
+// capacity a migration frees is there for the additions that consumed it
+// in the shards. The replay checks p's real capacities, which the shards'
+// quotas overcommit: a layout that does not fit fails the period part
+// way through, and p must then be discarded. Below 2 shards it is
+// OptimizeSharded over p itself, which is Optimize.
+func OptimizePartitioned(p *Placement, shards int, shares []int, opts ShardedOptimizerOptions) (ShardedOptimizeResult, error) {
+	if shards < 2 {
+		return OptimizeSharded(singleShard(p), opts)
+	}
+	ids := p.Blocks()
+	specs := make([]BlockSpec, 0, len(ids))
+	for _, id := range ids {
+		spec, err := p.Spec(id)
+		if err != nil {
+			return ShardedOptimizeResult{}, err
+		}
+		specs = append(specs, spec)
+	}
+	sp, err := NewShardedPlacement(p.Cluster(), shards, specs)
+	if err != nil {
+		return ShardedOptimizeResult{}, fmt.Errorf("core: partition: %w", err)
+	}
+	var holders []topology.MachineID
+	for _, id := range ids {
+		holders = p.AppendReplicas(id, holders[:0])
+		for _, m := range holders {
+			if err := sp.AddReplica(id, m); err != nil {
+				return ShardedOptimizeResult{}, fmt.Errorf("core: partition: seed replica: %w", err)
+			}
+		}
+	}
+	sp.shares = shares
+	res, err := OptimizeSharded(sp, opts)
+	if err != nil {
+		return res, err
+	}
+
+	type add struct {
+		id BlockID
+		m  topology.MachineID
+	}
+	var adds []add
+	var before, after []topology.MachineID
+	for _, id := range ids {
+		before = p.AppendReplicas(id, before[:0])
+		after = sp.For(id).AppendReplicas(id, after[:0]) // both ascending; set-diff by merge walk
+		i, j := 0, 0
+		for i < len(before) || j < len(after) {
+			switch {
+			case j == len(after) || (i < len(before) && before[i] < after[j]):
+				if err := p.RemoveReplica(id, before[i]); err != nil {
+					return res, fmt.Errorf("core: partition: replay removal: %w", err)
+				}
+				i++
+			case i == len(before) || after[j] < before[i]:
+				adds = append(adds, add{id, after[j]})
+				j++
+			default:
+				i, j = i+1, j+1
+			}
+		}
+	}
+	for _, ad := range adds {
+		if err := p.AddReplica(ad.id, ad.m); err != nil {
+			return res, fmt.Errorf("core: partition: replay addition: %w", err)
+		}
+	}
+	return res, nil
 }
 
 // Event kinds for the buffered observer replay.

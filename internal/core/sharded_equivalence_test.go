@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"aurora/internal/core"
@@ -125,33 +126,48 @@ func TestOptimizeShardedSingleShardByteIdentical(t *testing.T) {
 	}
 }
 
-// TestOptimizeShardedProperty is the sharding correctness property test:
-// after concurrent per-shard periods plus the cross-shard rebalance,
-// every shard individually satisfies the paper invariants
-// (invariant.CheckPlacement) and replicas are conserved globally — the
-// merged view holds exactly the replicas the shards report, every block
-// still meets its fault-tolerance spec, and no block leaked into a
-// foreign shard.
+// TestOptimizeShardedProperty is the sharding correctness property test,
+// run through the partitioned period the namenode and the simulator
+// use: after three periods of concurrent per-shard optimization, the
+// cross-shard rebalance and the replay onto the flat placement, the
+// flat placement satisfies the paper invariants against the machines'
+// real capacities (invariant.CheckPlacement), replicas are conserved,
+// and every period's budget shares sum to the extra budget. Each
+// replayed layout is exactly the one OptimizeSharded leaves in the
+// shards.
 func TestOptimizeShardedProperty(t *testing.T) {
 	const shards = 4
-	_, sp := buildShardedFixture(t, shards, 2000)
-	before := sp.TotalReplicas()
+	flat, _ := buildShardedFixture(t, shards, 2000)
+	before := flat.TotalReplicas()
+	opts := core.ShardedOptimizerOptions{
+		Workers: shards, // genuinely concurrent periods
+		Opts: core.OptimizerOptions{
+			Epsilon:             0.1,
+			RackAware:           true,
+			ReplicationBudget:   before + 200,
+			MaxReplicationMoves: 100,
+			MaxSearchIterations: 400,
+		},
+	}
 
+	// The first period's replay, against the shards it replays.
+	_, sp := buildShardedFixture(t, shards, 2000)
+	if _, err := core.OptimizeSharded(sp, opts); err != nil {
+		t.Fatal(err)
+	}
 	totalRepl, totalEvict := 0, 0
-	var lastShares []int
+	var shares []int
 	for period := 0; period < 3; period++ {
-		res, err := core.OptimizeSharded(sp, core.ShardedOptimizerOptions{
-			Workers: shards, // genuinely concurrent periods
-			Opts: core.OptimizerOptions{
-				Epsilon:             0.1,
-				RackAware:           true,
-				ReplicationBudget:   before + 200,
-				MaxReplicationMoves: 100,
-				MaxSearchIterations: 400,
-			},
-		})
+		res, err := core.OptimizePartitioned(flat, shards, shares, opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if period == 0 {
+			for _, id := range flat.Blocks() {
+				if got, want := flat.Replicas(id), sp.For(id).Replicas(id); !slices.Equal(got, want) {
+					t.Fatalf("block %d replayed onto %v, the shards hold it on %v", id, got, want)
+				}
+			}
 		}
 		totalRepl += res.Replications
 		totalEvict += res.Evictions
@@ -162,65 +178,33 @@ func TestOptimizeShardedProperty(t *testing.T) {
 		for _, s := range res.Shares {
 			sum += s
 		}
-		if res.Shares != nil && sum != 200 {
+		if sum != 200 {
 			t.Fatalf("period %d: budget shares sum to %d, want 200", period, sum)
 		}
-		lastShares = res.NextShares
+		shares = res.NextShares
 	}
-	if lastShares == nil {
+	if shares == nil {
 		t.Fatal("rebalance produced no shares")
 	}
-
-	// Per-shard invariants plus shard-routing invariant.
-	if err := sp.Validate(); err != nil {
+	if err := invariant.CheckPlacement(flat); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < sp.NumShards(); i++ {
-		if err := invariant.CheckPlacement(sp.Shard(i)); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-	}
-
-	// Global replica conservation: the merged view carries exactly the
-	// per-shard replica total, which accounts for the initial placement
-	// plus replications minus evictions.
-	merged, err := sp.Merge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := merged.TotalReplicas(), sp.TotalReplicas(); got != want {
-		t.Fatalf("merged replicas %d, shards hold %d", got, want)
-	}
-	if got, want := sp.TotalReplicas(), before+totalRepl-totalEvict; got != want {
+	if got, want := flat.TotalReplicas(), before+totalRepl-totalEvict; got != want {
 		t.Fatalf("replica conservation broken: have %d, want %d (%d + %d - %d)",
 			got, want, before, totalRepl, totalEvict)
-	}
-	if err := merged.CheckFeasible(); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The aggregated load summary must equal the merged placement's
-	// loads bit-for-bit only in sum; use a tolerance since addition
-	// order differs.
-	agg := sp.AppendLoads(nil)
-	for m, l := range merged.Loads() {
-		if diff := math.Abs(l - agg[m]); diff > 1e-6*(1+math.Abs(l)) {
-			t.Fatalf("machine %d aggregated load %v, merged %v", m, agg[m], l)
-		}
 	}
 }
 
 // TestOptimizeShardedDeterministic pins that a concurrent sharded period
-// is replayable: two runs from clones produce identical per-shard
-// results and bit-identical loads regardless of worker interleaving.
+// is replayable: two runs from identical placements produce identical
+// per-shard results and bit-identical loads regardless of worker
+// interleaving.
 func TestOptimizeShardedDeterministic(t *testing.T) {
-	_, sp1 := buildShardedFixture(t, 4, 2000)
-	sp2 := sp1.Clone()
+	const shards = 4
+	_, sp1 := buildShardedFixture(t, shards, 2000)
+	_, sp2 := buildShardedFixture(t, shards, 2000)
 	opts := core.ShardedOptimizerOptions{
-		Workers: 4,
+		Workers: shards,
 		Opts: core.OptimizerOptions{
 			Epsilon:             0.1,
 			RackAware:           true,
@@ -240,7 +224,7 @@ func TestOptimizeShardedDeterministic(t *testing.T) {
 	if r1.Search != r2.Search || r1.Replications != r2.Replications || r1.Evictions != r2.Evictions {
 		t.Fatalf("sharded period not deterministic: %+v vs %+v", r1, r2)
 	}
-	for i := 0; i < sp1.NumShards(); i++ {
+	for i := 0; i < shards; i++ {
 		l1, l2 := sp1.Shard(i).Loads(), sp2.Shard(i).Loads()
 		for m := range l1 {
 			if math.Float64bits(l1[m]) != math.Float64bits(l2[m]) {

@@ -47,8 +47,8 @@ func TestShardClusterPreservesInterleavedIDs(t *testing.T) {
 		}
 	}
 
-	// The merged inspection view must preserve identity too: a replica
-	// placed on machine 1 (rack 1) must still be on rack 1 after Merge.
+	// A shard's view of a placed block must preserve identity too: a
+	// replica placed on machine 1 (rack 1) is on rack 1 in its shard.
 	sp, err := NewShardedPlacement(base, 2, []BlockSpec{
 		{ID: 1, Popularity: 5, MinReplicas: 2, MinRacks: 2},
 	})
@@ -60,15 +60,8 @@ func TestShardClusterPreservesInterleavedIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := sp.RackSpread(1); got != 2 {
+	if got := sp.For(1).RackSpread(1); got != 2 {
 		t.Fatalf("sharded rack spread = %d, want 2", got)
-	}
-	merged, err := sp.Merge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := merged.RackSpread(1); got != 2 {
-		t.Fatalf("merged rack spread = %d, want 2", got)
 	}
 }
 

@@ -100,7 +100,7 @@ func (nn *NameNode) drainLocked() {
 // MinReplicas copies are confirmed on healthy machines and the spread
 // holds without m. The convergence pass then deletes the physical copy.
 func (nn *NameNode) releaseDrainedLocked(id core.BlockID, m topology.MachineID) {
-	p := nn.placement.For(id)
+	p := nn.placement
 	spec, err := p.Spec(id)
 	if err != nil || !p.RemovalKeepsSpread(id, m) {
 		return

@@ -25,16 +25,12 @@ var ErrBadFsImage = errors.New("namenode: bad fsimage")
 const fsImageVersion = 1
 
 type fsImage struct {
-	Version   int           `json:"version"`
-	Racks     int           `json:"racks"`
-	NextBlock proto.BlockID `json:"nextBlock"`
-	// Shards records the block-map partitioning the placement was built
-	// with; a restarted namenode must shard identically. Zero (images
-	// from unsharded builds) means one shard.
-	Shards int            `json:"shards,omitempty"`
-	Nodes  []fsImageNode  `json:"nodes"`
-	Files  []fsImageFile  `json:"files"`
-	Blocks []fsImageBlock `json:"blocks"`
+	Version   int            `json:"version"`
+	Racks     int            `json:"racks"`
+	NextBlock proto.BlockID  `json:"nextBlock"`
+	Nodes     []fsImageNode  `json:"nodes"`
+	Files     []fsImageFile  `json:"files"`
+	Blocks    []fsImageBlock `json:"blocks"`
 }
 
 type fsImageNode struct {
@@ -115,11 +111,6 @@ func (nn *NameNode) buildFsImageLocked() (*fsImage, error) {
 		Racks:     nn.cfg.Racks,
 		NextBlock: nn.nextBlock,
 	}
-	// A single-shard image stays byte-identical to pre-sharding ones:
-	// the field is only written for genuinely partitioned namespaces.
-	if nn.cfg.Shards > 1 {
-		img.Shards = nn.cfg.Shards
-	}
 	for _, n := range nn.nodes {
 		img.Nodes = append(img.Nodes, fsImageNode{
 			ID:       n.id,
@@ -183,12 +174,6 @@ func (nn *NameNode) loadFsImage(path string) error {
 	defer nn.mu.Unlock()
 	nn.cfg.Racks = img.Racks
 	nn.cfg.ExpectedNodes = len(img.Nodes)
-	// The image's partitioning wins over the configured one: blocks must
-	// land in the shards their hashes select against the same N.
-	nn.cfg.Shards = img.Shards
-	if nn.cfg.Shards < 1 {
-		nn.cfg.Shards = 1
-	}
 	for i, n := range img.Nodes {
 		if int(n.ID) != i {
 			return fmt.Errorf("%w: non-dense node ids", ErrBadFsImage)

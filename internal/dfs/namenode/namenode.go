@@ -53,25 +53,6 @@ type Placer interface {
 	Place(p *core.Placement, id core.BlockID, k int, writer topology.MachineID) error
 }
 
-// hdfsPlacer is the default random policy (Section II).
-type hdfsPlacer struct {
-	policy *baseline.HDFSPolicy
-}
-
-// newHDFSPlacer builds the random placer with a deterministic seed.
-func newHDFSPlacer(seed uint64) (*hdfsPlacer, error) {
-	pol, err := baseline.NewHDFSPolicy(rand.New(rand.NewPCG(seed, seed^0xfeed)))
-	if err != nil {
-		return nil, err
-	}
-	return &hdfsPlacer{policy: pol}, nil
-}
-
-// Place implements Placer.
-func (h *hdfsPlacer) Place(p *core.Placement, id core.BlockID, k int, writer topology.MachineID) error {
-	return h.policy.Place(p, id, k, writer)
-}
-
 // AuroraPlacer is Algorithm 4: greedy load-aware initial placement.
 type AuroraPlacer struct{}
 
@@ -119,15 +100,14 @@ type Config struct {
 	FsImagePath string
 	// CheckpointInterval defaults to 30s.
 	CheckpointInterval time.Duration
-	// Shards partitions the block map into this many hash shards, each
-	// owning its own optimizer state; OptimizeNow runs the per-shard
-	// Algorithm-5 periods concurrently. Shards split the block map and
-	// the optimizer, not the usage monitor or the forecaster: there is
-	// one of each whatever the count, so the popularities the optimizer
-	// reads do not depend on it. Values below 2 keep the single-shard
-	// path, bit-identical to the unsharded namenode. A loaded fsimage's
-	// recorded shard count overrides this: the partitioning must match
-	// the persisted placement.
+	// Shards partitions each OptimizeNow period into this many hash
+	// shards (core.OptimizePartitioned): the period's copy of the block
+	// map is split, the per-shard Algorithm-5 periods run concurrently,
+	// and their result is replayed onto the copy against the real
+	// capacities. The block map itself, the placer, the heal pass, the
+	// usage monitor and the forecaster are one each whatever the count,
+	// so the popularities the optimizer reads do not depend on it. Values
+	// below 2 run one unpartitioned period.
 	Shards int
 	// Predictor selects the popularity forecaster the optimizer runs
 	// under: "ewma" or "seasonal" (see popularity.New), or "" /
@@ -179,9 +159,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.CheckpointInterval <= 0 {
 		c.CheckpointInterval = 30 * time.Second
-	}
-	if c.Shards < 1 {
-		c.Shards = 1
 	}
 	return c, nil
 }
@@ -247,18 +224,21 @@ type NameNode struct {
 	// §10.6).
 	periodMu sync.Mutex
 	// forecast turns each period's window into block popularities
-	// (cfg.Predictor).
+	// (cfg.Predictor); a period commits its forecast only if it installs.
 	forecast *aurora.Forecaster
+	// shares is the cross-shard budget apportionment a partitioned
+	// period carries to the next (core.OptimizePartitioned).
+	shares []int
 	// computed, when set, runs between a period's compute and install
 	// steps with no namenode lock held: the seam tests use to land
 	// mutations mid-period.
-	computed func(plan *core.ShardedPlacement)
+	computed func(plan *core.Placement)
 
 	mu        sync.Mutex
 	nodes     []*nodeState
 	ready     bool
 	cluster   *topology.Cluster
-	placement *core.ShardedPlacement
+	placement *core.Placement
 	files     map[string]*fileMeta
 	// order holds the same files ascending by path, so list_files and the
 	// fsimage walk it instead of sorting the namespace (DESIGN.md §9).
@@ -333,7 +313,7 @@ func Start(cfg Config) (*NameNode, error) {
 		return nil, err
 	}
 	if cfg.Placer == nil {
-		placer, err := newHDFSPlacer(cfg.Seed)
+		placer, err := baseline.NewHDFSPolicy(rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xfeed)))
 		if err != nil {
 			return nil, err
 		}
@@ -423,9 +403,6 @@ func (nn *NameNode) FsImageSaves() int64 {
 	defer nn.mu.Unlock()
 	return nn.fsSaves
 }
-
-// Shards reports the namenode's shard count (1 when unsharded).
-func (nn *NameNode) Shards() int { return nn.cfg.Shards }
 
 // markDirtyLocked flags that persisted metadata diverged from the
 // on-disk checkpoint.
@@ -571,7 +548,7 @@ func (nn *NameNode) buildClusterLocked() error {
 	if err != nil {
 		return fmt.Errorf("namenode: build topology: %w", err)
 	}
-	placement, err := core.NewShardedPlacement(cluster, nn.cfg.Shards, nil)
+	placement, err := core.NewPlacement(cluster, nil)
 	if err != nil {
 		return fmt.Errorf("namenode: placement: %w", err)
 	}
@@ -819,7 +796,7 @@ func (nn *NameNode) handleAddBlock(req *proto.Message) (*proto.Message, error) {
 			}
 		}
 	}
-	if err := nn.cfg.Placer.Place(nn.placement.For(id), id, f.replication, writer); err != nil {
+	if err := nn.cfg.Placer.Place(nn.placement, id, f.replication, writer); err != nil {
 		//lint:ignore errcheck rollback of the block added above; the place error is what matters
 		_ = nn.placement.DeleteBlock(id)
 		return nil, fmt.Errorf("namenode: place block: %w", err)
@@ -937,7 +914,7 @@ func (nn *NameNode) handleSetReplication(req *proto.Message) (*proto.Message, er
 		id := core.BlockID(b)
 		// The new factor is the block's floor from here on — for fsck, the
 		// optimizer and every later heal — and heal resizes to it.
-		if err := nn.placement.For(id).SetMinReplicas(id, k); err != nil {
+		if err := nn.placement.SetMinReplicas(id, k); err != nil {
 			return nil, fmt.Errorf("namenode: set replication: %w", err)
 		}
 		nn.healLocked(id, k)

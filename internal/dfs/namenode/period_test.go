@@ -23,11 +23,11 @@ type desire struct {
 	k        int
 }
 
-func desiresOf(sp *core.ShardedPlacement) map[core.BlockID]desire {
+func desiresOf(p *core.Placement) map[core.BlockID]desire {
 	out := make(map[core.BlockID]desire)
-	for _, id := range sp.Blocks() {
-		spec, _ := sp.Spec(id)
-		out[id] = desire{replicas: sp.Replicas(id), k: spec.MinReplicas}
+	for _, id := range p.Blocks() {
+		spec, _ := p.Spec(id)
+		out[id] = desire{replicas: p.Replicas(id), k: spec.MinReplicas}
 	}
 	return out
 }
@@ -60,7 +60,7 @@ func periodWithMutations(tw *twin, blocks []proto.BlockID) *midPeriod {
 	}
 	hot := core.BlockID(blocks[0])
 	mp := &midPeriod{victim: topology.NoMachine}
-	tw.nn.computed = func(plan *core.ShardedPlacement) {
+	tw.nn.computed = func(plan *core.Placement) {
 		mp.plan = desiresOf(plan)
 		mp.before = tw.liveDesires()
 		var victim *fakeDN
@@ -169,10 +169,8 @@ func TestPeriodRebasesConcurrentMutations(t *testing.T) {
 	}
 	tw.nn.mu.Lock()
 	defer tw.nn.mu.Unlock()
-	for i := 0; i < tw.nn.placement.NumShards(); i++ {
-		if err := invariant.CheckPlacement(tw.nn.placement.Shard(i)); err != nil {
-			t.Errorf("shard %d after the install: %v", i, err)
-		}
+	if err := invariant.CheckPlacement(tw.nn.placement); err != nil {
+		t.Errorf("after the install: %v", err)
 	}
 }
 
@@ -228,7 +226,7 @@ func testPlanDropped(t *testing.T, run func(*NameNode) error, want error) {
 	full := hc.dns[0]
 	var after map[core.BlockID]desire
 	var pops map[core.BlockID]float64
-	nn.computed = func(plan *core.ShardedPlacement) {
+	nn.computed = func(plan *core.Placement) {
 		// The plan fills the machine...
 		m := topology.MachineID(full.id)
 		for _, id := range plan.Blocks() {
@@ -361,8 +359,8 @@ func pendingSet(nn *NameNode) map[proto.BlockID]struct{} {
 }
 
 // A rebalancer that fails changes nothing, even after it mutated its
-// shard: every popularity, every desired set, the pending set and the
-// dirty flag are as the period found them.
+// copy of the placement: every popularity, every desired set, the
+// pending set and the dirty flag are as the period found them.
 func TestFailedRebalanceChangesNothing(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -453,7 +451,7 @@ func TestPeriodsSerialize(t *testing.T) {
 	fc.period(func(i int) int { return 10 * (i + 1) })
 	nn := fc.nn
 	var computed atomic.Int32
-	nn.computed = func(*core.ShardedPlacement) { computed.Add(1) }
+	nn.computed = func(*core.Placement) { computed.Add(1) }
 	parked, release := make(chan struct{}), make(chan struct{})
 	rebalanced := make(chan error, 1)
 	go func() {
@@ -501,5 +499,29 @@ func TestPeriodsSerialize(t *testing.T) {
 	}
 	if n := computed.Load(); n != 2 {
 		t.Errorf("%d periods computed, want 2", n)
+	}
+}
+
+// A failed period does not advance the forecaster: the forecast it
+// staged is committed only with an installed plan. After one failed
+// rebalance, the next period optimizes against the popularities of a
+// twin namenode, fed the same reads, that never ran it.
+func TestFailedPeriodLeavesForecaster(t *testing.T) {
+	failing := startForecastCluster(t, 1, "ewma", 4)
+	twin := startForecastCluster(t, 1, "ewma", 4)
+	for _, fc := range []*forecastCluster{failing, twin} {
+		fc.period(func(i int) int { return 1 + i })
+		fc.refresh()
+		fc.period(func(i int) int { return 8 - 2*i })
+	}
+	failed := errors.New("rebalancer failed")
+	if err := failing.nn.WithPlacement(func(*core.Placement) error { return failed }); !errors.Is(err, failed) {
+		t.Fatalf("WithPlacement: %v, want the rebalancer's error", err)
+	}
+	got, want := failing.refresh(), twin.refresh()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("block %d popularity %v after a failed period, %v on the twin", failing.blocks[i], got[i], want[i])
+		}
 	}
 }

@@ -88,13 +88,12 @@ func (nn *NameNode) windowLoadsLocked() ([]float64, map[core.BlockID]int64) {
 	loads := make([]float64, nn.cluster.NumMachines())
 	var holders []topology.MachineID
 	for _, id := range ids {
-		p := nn.placement.For(id)
-		k := p.ReplicaCount(id)
+		k := nn.placement.ReplicaCount(id)
 		if k == 0 {
 			continue
 		}
 		share := float64(snap[id]) / float64(k)
-		holders = p.AppendReplicas(id, holders[:0])
+		holders = nn.placement.AppendReplicas(id, holders[:0])
 		for _, m := range holders {
 			if int(m) < len(loads) {
 				loads[int(m)] += share
@@ -150,9 +149,8 @@ const keepSize = 0
 //     count toward neither k nor the spread, so their replacements are
 //     chosen now;
 //   - replicas are added on healthy machines (alive, not draining, with
-//     physical room; the shard's quota is core's own check) while the
-//     block is short of k replicas or of MinRacks racks — when only racks
-//     are short, only in a rack it is not in yet;
+//     room) while the block is short of k replicas or of MinRacks racks —
+//     when only racks are short, only in a rack it is not in yet;
 //   - while it has more than k, the most-loaded holder whose removal
 //     keeps the spread is dropped.
 //
@@ -160,7 +158,7 @@ const keepSize = 0
 // function only says which machines are healthy. It reports whether the
 // desired set changed.
 func (nn *NameNode) healLocked(id core.BlockID, k int) bool {
-	p := nn.placement.For(id)
+	p := nn.placement
 	spec, err := p.Spec(id)
 	if err != nil {
 		return false
@@ -191,7 +189,7 @@ func (nn *NameNode) healLocked(id core.BlockID, k int) bool {
 		}
 		m := p.ReplicaDestination(id, func(m topology.MachineID) bool {
 			node := nn.nodes[m]
-			return node.alive && !node.draining && nn.placement.FreeCapacity(m) > 0 &&
+			return node.alive && !node.draining && p.FreeCapacity(m) > 0 &&
 				(short || !p.InRack(id, nn.cluster.MustMachine(m).Rack))
 		})
 		if m == topology.NoMachine || p.AddReplica(id, m) != nil {
@@ -327,7 +325,7 @@ func (nn *NameNode) syncPendingLocked() {
 // reaper's.
 func (nn *NameNode) reconcileBlockLocked(id core.BlockID, now time.Time) (settled bool) {
 	b := proto.BlockID(id)
-	p := nn.placement.For(id)
+	p := nn.placement
 	spec, err := p.Spec(id)
 	if err != nil {
 		return true
@@ -446,21 +444,15 @@ func (nn *NameNode) MovementStats() (durations []time.Duration, replicates, dele
 // the optimizer in OptimizeNow's compute step (runPeriod). It is the
 // integration point for placement policies other than Aurora's (the
 // Scarlett baseline in the testbed experiment uses it), so every policy
-// runs under the same forecast, snapshot and install. fn runs against a
-// copy of the desired placement with no namenode lock held, once per
-// shard in shard order — each invocation sees one partition of the
-// block map; with one shard the behaviour is exactly the unsharded one.
-// fn sees the static topology; replicas it leaves on dead or draining
-// machines are re-homed by the install. If fn fails, or its plan is
-// dropped (reported as ErrPlanDropped), nothing changes.
+// runs under the same forecast, snapshot and install. fn runs once, on a
+// copy of the whole desired placement, with no namenode lock held,
+// whatever the shard count. fn sees the static topology; replicas it
+// leaves on dead or draining machines are re-homed by the install. If fn
+// fails, or its plan is dropped (reported as ErrPlanDropped), nothing
+// changes.
 func (nn *NameNode) WithPlacement(fn func(*core.Placement) error) error {
-	installed, err := nn.runPeriod(func(plan *core.ShardedPlacement) error {
-		for i := 0; i < plan.NumShards(); i++ {
-			if err := fn(plan.Shard(i)); err != nil {
-				return err
-			}
-		}
-		return nil
+	installed, err := nn.runPeriod(func(plan *core.Placement, _ []int) ([]int, error) {
+		return nil, fn(plan)
 	})
 	if err == nil && !installed {
 		return ErrPlanDropped
@@ -469,21 +461,22 @@ func (nn *NameNode) WithPlacement(fn func(*core.Placement) error) error {
 }
 
 // OptimizeNow runs one Aurora optimization period (Algorithm 5) against
-// the live metadata: runPeriod with every shard's period, then the
-// cross-shard rebalance pass, as the compute step.
+// the live metadata: runPeriod with core.OptimizePartitioned over
+// cfg.Shards hash shards as the compute step.
 //
-// A period that fails changes nothing. Neither does one whose plan a
-// rebased replica no longer fits: that plan is dropped whole, counted
-// as dfs.namenode.plan_dropped, and the period reports an empty result.
-// The returned report aggregates the shards (with one shard it is
-// exactly the unsharded period's report).
+// A period that fails changes nothing — among the failures, a
+// partitioned plan that does not fit the machines' real capacities.
+// Neither does one whose plan a rebased replica no longer fits: that
+// plan is dropped whole, counted as dfs.namenode.plan_dropped, and the
+// period reports an empty result. The returned report aggregates the
+// shards (with one shard it is exactly the unsharded period's report).
 func (nn *NameNode) OptimizeNow(opts core.OptimizerOptions) (core.OptimizeResult, error) {
 	var res core.ShardedOptimizeResult
 	var wall time.Duration
-	installed, err := nn.runPeriod(func(plan *core.ShardedPlacement) error {
+	installed, err := nn.runPeriod(func(plan *core.Placement, shares []int) ([]int, error) {
 		start := time.Now()
 		var err error
-		res, err = core.OptimizeSharded(plan, core.ShardedOptimizerOptions{
+		res, err = core.OptimizePartitioned(plan, nn.cfg.Shards, shares, core.ShardedOptimizerOptions{
 			Opts: opts,
 			// Per-shard wall timing uses the namenode's injected clock,
 			// so deterministic harnesses replay with their own time
@@ -493,9 +486,9 @@ func (nn *NameNode) OptimizeNow(opts core.OptimizerOptions) (core.OptimizeResult
 		})
 		wall = time.Since(start)
 		if err != nil {
-			return fmt.Errorf("namenode: optimize: %w", err)
+			return nil, fmt.Errorf("namenode: optimize: %w", err)
 		}
-		return nil
+		return res.NextShares, nil
 	})
 	agg := core.OptimizeResult{
 		Replications: res.Replications,
@@ -518,19 +511,22 @@ func (nn *NameNode) OptimizeNow(opts core.OptimizerOptions) (core.OptimizeResult
 //
 //   - snapshot: drain the placement's recorded changes, take the usage
 //     monitor's window and clone the desired placement;
-//   - compute, with no namenode lock held: write the forecast into the
-//     clone, then run compute over it — the optimizer or an external
-//     rebalancer;
+//   - compute, with no namenode lock held: write the staged forecast
+//     into the clone, then run compute over it — the optimizer or an
+//     external rebalancer — with the cross-shard budget shares the last
+//     installed period left (nil before the first);
 //   - install: rebase onto the plan every block whose desired state
 //     changed since the snapshot — the live change wins for that block —
 //     make the plan the desired placement, and re-home what it left on
 //     dead or draining machines. The reconcile loop carries the
-//     resulting copies and deletions to the datanodes.
+//     resulting copies and deletions to the datanodes. Only then does
+//     the forecaster commit the period's forecast, and the shares
+//     compute returned, unless nil, become the next period's.
 //
 // It reports whether the plan was installed. A period whose forecast or
 // compute fails, or whose plan a rebased replica no longer fits,
 // changes nothing.
-func (nn *NameNode) runPeriod(compute func(plan *core.ShardedPlacement) error) (bool, error) {
+func (nn *NameNode) runPeriod(compute func(plan *core.Placement, shares []int) ([]int, error)) (bool, error) {
 	nn.periodMu.Lock()
 	defer nn.periodMu.Unlock()
 	plan, window, err := nn.snapshotPeriod()
@@ -540,19 +536,16 @@ func (nn *NameNode) runPeriod(compute func(plan *core.ShardedPlacement) error) (
 	// In debug builds, a feasible placement must stay feasible through
 	// the compute: assert the paper invariants on the plan.
 	assertAfter := invariant.Enabled && plan.CheckFeasible() == nil
-	score, err := nn.forecast.Apply(plan, window)
-	if score.Scored {
-		telemetry.ExportPredictionError(metrics.Default, score.WAE, score.TopK,
-			metrics.L("predictor", nn.cfg.Predictor))
-	}
+	var shares []int
+	fc, err := nn.forecast.Apply(plan, window)
 	if err != nil {
 		err = fmt.Errorf("namenode: forecast: %w", err)
 	} else {
-		err = compute(plan)
+		shares, err = compute(plan, nn.shares)
 	}
-	for i := 0; err == nil && assertAfter && i < plan.NumShards(); i++ {
-		if verr := invariant.CheckPlacement(plan.Shard(i)); verr != nil {
-			err = fmt.Errorf("namenode: post-compute shard %d: %w", i, verr)
+	if err == nil && assertAfter {
+		if verr := invariant.CheckPlacement(plan); verr != nil {
+			err = fmt.Errorf("namenode: post-compute: %w", verr)
 		}
 	}
 	if err != nil {
@@ -562,7 +555,18 @@ func (nn *NameNode) runPeriod(compute func(plan *core.ShardedPlacement) error) (
 	if nn.computed != nil {
 		nn.computed(plan)
 	}
-	return nn.installPlan(plan), nil
+	if !nn.installPlan(plan) {
+		return false, nil
+	}
+	nn.forecast.Commit(fc)
+	if fc.Score.Scored {
+		telemetry.ExportPredictionError(metrics.Default, fc.Score.WAE, fc.Score.TopK,
+			metrics.L("predictor", nn.cfg.Predictor))
+	}
+	if shares != nil {
+		nn.shares = shares
+	}
+	return true, nil
 }
 
 // snapshotPeriod is a period's snapshot step. Under nn.mu it drains the
@@ -570,7 +574,7 @@ func (nn *NameNode) runPeriod(compute func(plan *core.ShardedPlacement) error) (
 // only what changes after the clone; takes the usage monitor's window;
 // and clones the desired placement, with change recording on, for the
 // period to plan on.
-func (nn *NameNode) snapshotPeriod() (*core.ShardedPlacement, map[core.BlockID]int64, error) {
+func (nn *NameNode) snapshotPeriod() (*core.Placement, map[core.BlockID]int64, error) {
 	nn.mu.Lock()
 	if !nn.ready {
 		nn.mu.Unlock()
@@ -596,7 +600,7 @@ func (nn *NameNode) snapshotPeriod() (*core.ShardedPlacement, map[core.BlockID]i
 // what the plan, working over the static topology, put on dead or
 // draining machines; and every block either changed reaches the pending
 // set. With nothing to rebase the install costs no per-block work.
-func (nn *NameNode) installPlan(plan *core.ShardedPlacement) bool {
+func (nn *NameNode) installPlan(plan *core.Placement) bool {
 	nn.mu.Lock()
 	held := time.Now()
 	nn.syncPendingLocked()
@@ -646,15 +650,14 @@ func (nn *NameNode) PopularitySnapshot() map[core.BlockID]int64 {
 }
 
 // PlacementClone returns a deep copy of the desired placement for
-// inspection (reporting, what-if tooling), flattened across shards into
-// a single Placement. With one shard this is a plain clone.
+// inspection (reporting, what-if tooling).
 func (nn *NameNode) PlacementClone() (*core.Placement, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	if !nn.ready {
 		return nil, ErrNotReady
 	}
-	return nn.placement.Merge()
+	return nn.placement.Clone(), nil
 }
 
 // Converged reports whether every desired replica is confirmed and no

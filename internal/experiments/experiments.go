@@ -68,9 +68,9 @@ type Setup struct {
 	// and writes into its own result slot, so a parallel sweep is
 	// byte-identical to a serial one.
 	Workers int
-	// Shards partitions the Aurora policy's block map for the periodic
-	// optimization (values below 2 run the classic unsharded optimizer).
-	// Baseline policies are unaffected.
+	// Shards partitions each of the Aurora policy's periodic
+	// optimizations into hash shards (values below 2 run the classic
+	// unsharded optimizer). Baseline policies are unaffected.
 	Shards int
 	// Predictor selects the popularity forecaster every row runs under
 	// ("ewma" or "seasonal", see popularity.New); empty/reactive keeps

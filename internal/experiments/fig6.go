@@ -52,8 +52,8 @@ type TestbedSetup struct {
 	// hits the replay phase. Task reads and client RPCs then retry with
 	// backoff until the cluster heals. See internal/faultinject.
 	FaultSchedule faultinject.Schedule
-	// Shards partitions every system's namenode block map (values below
-	// 2 keep the classic single-map namenode). Aurora's reconfiguration
+	// Shards is every system's namenode shard count (values below 2
+	// keep the classic unpartitioned period): Aurora's reconfiguration
 	// then runs one optimizer period per shard concurrently.
 	Shards int
 	// Predictor selects each system's namenode popularity forecaster

@@ -177,6 +177,7 @@ func New(loads []float64, rackOf []int, numRacks int) *Index {
 
 // Update records machine m's new load in every tree. A masked machine's
 // leaf in the unmasked-max overlay stays pinned at -Inf.
+//
 //lint:hotpath
 func (idx *Index) Update(m int, load float64) {
 	idx.loads[m] = load
@@ -192,10 +193,12 @@ func (idx *Index) Update(m int, load float64) {
 }
 
 // Load returns the load currently recorded for machine m.
+//
 //lint:hotpath
 func (idx *Index) Load(m int) float64 { return idx.loads[m] }
 
 // Max returns the machine with the highest load (lowest ID on ties).
+//
 //lint:hotpath
 func (idx *Index) Max() int {
 	arg, _ := idx.gmax.top()
@@ -203,6 +206,7 @@ func (idx *Index) Max() int {
 }
 
 // Min returns the machine with the lowest load (lowest ID on ties).
+//
 //lint:hotpath
 func (idx *Index) Min() int {
 	arg, _ := idx.gmin.top()
@@ -210,6 +214,7 @@ func (idx *Index) Min() int {
 }
 
 // MaxInRack returns the highest-loaded machine within rack r.
+//
 //lint:hotpath
 func (idx *Index) MaxInRack(r int) int {
 	arg, _ := idx.rmax[r].top()
@@ -217,6 +222,7 @@ func (idx *Index) MaxInRack(r int) int {
 }
 
 // MinInRack returns the lowest-loaded machine within rack r.
+//
 //lint:hotpath
 func (idx *Index) MinInRack(r int) int {
 	arg, _ := idx.rmin[r].top()
@@ -257,6 +263,7 @@ func (idx *Index) ClearMasks() {
 // MaxUnmasked returns the highest-loaded unmasked machine whose load
 // strictly exceeds minLoad (lowest ID on ties), or ok=false when none
 // exists — the indexed form of the search's maxLoadedExcluding scan.
+//
 //lint:hotpath
 func (idx *Index) MaxUnmasked(minLoad float64) (int, bool) {
 	arg, val := idx.umax.top()

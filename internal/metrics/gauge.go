@@ -16,10 +16,12 @@ type Gauge struct {
 }
 
 // Set replaces the current value.
+//
 //lint:hotpath
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adds delta (which may be negative) to the current value.
+//
 //lint:hotpath
 func (g *Gauge) Add(delta float64) {
 	for {
@@ -32,10 +34,12 @@ func (g *Gauge) Add(delta float64) {
 }
 
 // Inc adds one; Dec subtracts one. Together they track in-flight counts.
+//
 //lint:hotpath
 func (g *Gauge) Inc() { g.Add(1) }
 
 // Dec subtracts one.
+//
 //lint:hotpath
 func (g *Gauge) Dec() { g.Add(-1) }
 

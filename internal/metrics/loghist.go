@@ -54,6 +54,7 @@ func BucketUpperBound(i int) float64 {
 }
 
 // Observe records one value.
+//
 //lint:hotpath
 func (h *LogHistogram) Observe(v float64) {
 	h.counts[logHistIndex(v)].Add(1)

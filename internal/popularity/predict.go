@@ -123,18 +123,9 @@ func NewSeasonal[K comparable](season int, alpha float64) (*Seasonal[K], error) 
 // The snapshot is attributed to phase tick%season; tick then advances,
 // so Predict targets the next phase.
 func (s *Seasonal[K]) Observe(snapshot map[K]int64) {
-	const epsilon = 1e-6
 	p := s.tick % s.season
 	for k, c := range s.cells {
-		obs := float64(snapshot[k]) // zero if absent
-		c.level = s.alpha*obs + (1-s.alpha)*c.level
-		if c.seen[p] == 0 {
-			c.phase[p] = obs
-		} else {
-			c.phase[p] = s.alpha*obs + (1-s.alpha)*c.phase[p]
-		}
-		c.seen[p]++
-		if c.level < epsilon && maxFloat(c.phase) < epsilon {
+		if !s.step(c, float64(snapshot[k]), p) { // zero if absent
 			delete(s.cells, k)
 		}
 	}
@@ -142,23 +133,66 @@ func (s *Seasonal[K]) Observe(snapshot map[K]int64) {
 		if _, ok := s.cells[k]; ok {
 			continue
 		}
-		// First observation: seed both level and phase at the observed
-		// value itself. Seeding at alpha*v (the recurrence with an
-		// implicit prior of 0) underestimates a brand-new hot key by
-		// 1/alpha for the first ~1/alpha periods — exactly the
-		// flash-crowd onset prediction exists to catch. The observed
-		// value is the best available estimate when there is no history
-		// at all; the recurrence takes over from the second observation.
-		c := &seasonalCell{
-			phase: make([]float64, s.season),
-			seen:  make([]int32, s.season),
-			level: float64(v),
-		}
-		c.phase[p] = float64(v)
-		c.seen[p] = 1
+		c := &seasonalCell{phase: make([]float64, s.season), seen: make([]int32, s.season)}
+		c.seed(float64(v), p)
 		s.cells[k] = c
 	}
 	s.tick++
+}
+
+// Forecast returns what Predict would return after Observe(snapshot),
+// bit for bit, without changing s: a caller that may yet discard the
+// period forecasts first and observes only once it keeps the period.
+func (s *Seasonal[K]) Forecast(snapshot map[K]int64) map[K]float64 {
+	p, q := s.tick%s.season, (s.tick+1)%s.season
+	scratch := &seasonalCell{phase: make([]float64, s.season), seen: make([]int32, s.season)}
+	out := make(map[K]float64, len(s.cells)+len(snapshot))
+	for k, c := range s.cells {
+		copy(scratch.phase, c.phase)
+		copy(scratch.seen, c.seen)
+		scratch.level = c.level
+		if s.step(scratch, float64(snapshot[k]), p) {
+			out[k] = s.forecast(scratch, q)
+		}
+	}
+	for k, v := range snapshot {
+		if _, ok := out[k]; ok {
+			continue
+		}
+		clear(scratch.phase)
+		clear(scratch.seen)
+		scratch.seed(float64(v), p)
+		out[k] = s.forecast(scratch, q)
+	}
+	return out
+}
+
+// step folds observation obs for phase p into c and reports whether c
+// is still worth keeping: a key whose level and every phase estimate
+// decayed below a small threshold is dropped.
+func (s *Seasonal[K]) step(c *seasonalCell, obs float64, p int) bool {
+	const epsilon = 1e-6
+	c.level = s.alpha*obs + (1-s.alpha)*c.level
+	if c.seen[p] == 0 {
+		c.phase[p] = obs
+	} else {
+		c.phase[p] = s.alpha*obs + (1-s.alpha)*c.phase[p]
+	}
+	c.seen[p]++
+	return c.level >= epsilon || maxFloat(c.phase) >= epsilon
+}
+
+// seed sets zeroed c to a key's first observation, v in phase p:
+// both level and phase start at the observed value itself. Seeding at
+// alpha*v (the recurrence with an implicit prior of 0) underestimates a
+// brand-new hot key by 1/alpha for the first ~1/alpha periods — exactly
+// the flash-crowd onset prediction exists to catch. The observed value
+// is the best available estimate when there is no history at all; the
+// recurrence takes over from the second observation.
+func (c *seasonalCell) seed(v float64, p int) {
+	c.level = v
+	c.phase[p] = v
+	c.seen[p] = 1
 }
 
 // Predict returns the forecast for every known key, for the period the

@@ -391,6 +391,47 @@ func TestSeasonalFallsBackOnAperiodicSignal(t *testing.T) {
 	}
 }
 
+// Forecast is Observe then Predict without the Observe: on a seeded
+// run with periodic, decaying, dropped and re-appearing keys (zero
+// counts included), each period's Forecast equals, bit for bit, what
+// Predict returns once the same snapshot is observed, and leaves the
+// predictor as it was.
+func TestSeasonalForecastMatchesObservePredict(t *testing.T) {
+	s, err := NewSeasonal[int](3, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(5, 9))
+	for tick := 0; tick < 60; tick++ {
+		snap := make(map[int]int64)
+		for k := 0; k < 8; k++ {
+			switch {
+			case k < 3 && tick%3 == k:
+				snap[k] = 40
+			case k >= 6 && tick > 10 && tick < 45:
+				// silent: decays and drops, then re-appears
+			case rng.IntN(3) == 0:
+				snap[k] = int64(rng.IntN(4)) // zero counts too
+			}
+		}
+		tickBefore, lenBefore := s.tick, s.Len()
+		got := s.Forecast(snap)
+		if s.tick != tickBefore || s.Len() != lenBefore {
+			t.Fatalf("tick %d: Forecast changed the predictor", tick)
+		}
+		s.Observe(snap)
+		want := s.Predict()
+		if len(got) != len(want) {
+			t.Fatalf("tick %d: Forecast has %d keys, Predict %d", tick, len(got), len(want))
+		}
+		for k, w := range want {
+			if g, ok := got[k]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("tick %d: key %d forecast %v, Predict %v", tick, k, g, w)
+			}
+		}
+	}
+}
+
 func TestSeasonalDropsDecayedKeys(t *testing.T) {
 	s, err := NewSeasonal[int](4, 0.5)
 	if err != nil {

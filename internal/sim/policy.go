@@ -69,11 +69,11 @@ func (h *HDFSPolicy) Reconfigure(*core.Placement) (Reconfig, error) {
 }
 
 // AuroraPolicy runs the paper's system: Algorithm 4 initial placement and
-// Algorithm 5 periodic optimization. With Shards >= 2 it optimizes the
-// way the namenode's partitioned block map does: each epoch it shards
-// the current layout by block hash, runs one Algorithm 5 period per shard
-// concurrently plus the cross-shard budget rebalance, and replays the
-// resulting layout delta onto the simulator's shared placement. The
+// Algorithm 5 periodic optimization. Each epoch is one
+// core.OptimizePartitioned period, the one the live namenode runs: with
+// Shards >= 2 it partitions the layout by block hash, runs one Algorithm
+// 5 period per shard concurrently plus the cross-shard budget rebalance,
+// and replays the result onto the simulator's placement. The
 // budget-share state carries across epochs, so the rebalance pass steers
 // budget exactly as the live namenode's does. Initial placement is
 // global either way.
@@ -112,73 +112,11 @@ func (a *AuroraPolicy) Reconfigure(p *core.Placement) (Reconfig, error) {
 	opts.OnOp = func(o core.Op) { rc.Migrations += o.BlockMovements() }
 	opts.OnReplicate = func(core.BlockID, topology.MachineID, topology.MachineID) { rc.Replications++ }
 	opts.OnEvict = func(core.BlockID, topology.MachineID) { rc.Evictions++ }
-	if a.Shards < 2 {
-		if _, err := core.Optimize(p, opts); err != nil {
-			return rc, fmt.Errorf("sim: aurora reconfigure: %w", err)
-		}
-		return rc, nil
-	}
-
-	ids := p.Blocks()
-	specs := make([]core.BlockSpec, 0, len(ids))
-	for _, id := range ids {
-		spec, err := p.Spec(id)
-		if err != nil {
-			return rc, err
-		}
-		specs = append(specs, spec)
-	}
-	sp, err := core.NewShardedPlacement(p.Cluster(), a.Shards, specs)
+	res, err := core.OptimizePartitioned(p, a.Shards, a.shares, core.ShardedOptimizerOptions{Opts: opts})
 	if err != nil {
-		return rc, fmt.Errorf("sim: sharded aurora reconfigure: %w", err)
-	}
-	for _, id := range ids {
-		for _, m := range p.Replicas(id) {
-			if err := sp.AddReplica(id, m); err != nil {
-				return rc, fmt.Errorf("sim: sharded aurora reconfigure: seed replica: %w", err)
-			}
-		}
-	}
-	sp.SetShares(a.shares)
-
-	res, err := core.OptimizeSharded(sp, core.ShardedOptimizerOptions{Opts: opts})
-	if err != nil {
-		return rc, fmt.Errorf("sim: sharded aurora reconfigure: %w", err)
+		return rc, fmt.Errorf("sim: aurora reconfigure: %w", err)
 	}
 	a.shares = res.NextShares
-
-	// Replay the layout delta onto the shared placement: all removals
-	// first so machine capacity freed by migrations is available before
-	// the additions that consumed it in the sharded run land.
-	type add struct {
-		id core.BlockID
-		m  topology.MachineID
-	}
-	var adds []add
-	for _, id := range ids {
-		before := p.Replicas(id)
-		after := sp.Replicas(id) // both ascending; set-diff by merge walk
-		i, j := 0, 0
-		for i < len(before) || j < len(after) {
-			switch {
-			case j == len(after) || (i < len(before) && before[i] < after[j]):
-				if err := p.RemoveReplica(id, before[i]); err != nil {
-					return rc, fmt.Errorf("sim: sharded aurora reconfigure: apply removal: %w", err)
-				}
-				i++
-			case i == len(before) || after[j] < before[i]:
-				adds = append(adds, add{id, after[j]})
-				j++
-			default:
-				i, j = i+1, j+1
-			}
-		}
-	}
-	for _, ad := range adds {
-		if err := p.AddReplica(ad.id, ad.m); err != nil {
-			return rc, fmt.Errorf("sim: sharded aurora reconfigure: apply addition: %w", err)
-		}
-	}
 	return rc, nil
 }
 

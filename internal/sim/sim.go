@@ -459,7 +459,6 @@ func Run(cfg Config) (*Result, error) {
 	if popularity.IsReactive(cfg.Predictor) {
 		res.Predictor = "reactive"
 	}
-	view := core.SingleShard(pl)
 	refreshAndReconfigure := func() error {
 		snap := mon.Snapshot(now)
 		// Score the epoch that just closed against what it actually
@@ -474,11 +473,12 @@ func Run(cfg Config) (*Result, error) {
 		epochStats.RealizedSOL = pl.Cost()
 		// Then score the forecast the epoch ran under and hand the
 		// policy the next one instead of the trailing window.
-		score, err := forecast.Apply(view, snap)
+		fc, err := forecast.Apply(pl, snap)
 		if err != nil {
 			return err
 		}
-		epochStats.PredWAE, epochStats.PredTopK, epochStats.PredScored = score.WAE, score.TopK, score.Scored
+		forecast.Commit(fc)
+		epochStats.PredWAE, epochStats.PredTopK, epochStats.PredScored = fc.Score.WAE, fc.Score.TopK, fc.Score.Scored
 		rc, err := cfg.Policy.Reconfigure(pl)
 		if err != nil {
 			return err
