@@ -6,7 +6,7 @@ GO ?= go
 # "Benchmark ledger"). BENCH_LABEL picks the ledger column. The metrics
 # record path (//lint:hotpath roots) is benched separately so its
 # allocs/op rows — expected 0 — sit in the same ledger.
-BENCH_PATTERN ?= ^(BenchmarkLocalSearchNode|BenchmarkLocalSearchRack|BenchmarkOptimizePeriod|BenchmarkOptimizePeriodSharded|BenchmarkPlacementClone|BenchmarkDataPathThroughput|BenchmarkFrameListReply|BenchmarkRPCRoundTrip|BenchmarkNameNodeListFiles|BenchmarkNameNodeReconcileConverged)$$
+BENCH_PATTERN ?= ^(BenchmarkLocalSearchNode|BenchmarkLocalSearchRack|BenchmarkOptimizePeriod|BenchmarkOptimizePeriodSharded|BenchmarkPlacementClone|BenchmarkDataPathThroughput|BenchmarkFrameListReply|BenchmarkRPCRoundTrip|BenchmarkNameNodeListFiles|BenchmarkNameNodeReconcileConverged|BenchmarkNameNodeReconcileDraining)$$
 BENCH_METRICS_PATTERN ?= ^(BenchmarkLogHistogramObserve|BenchmarkGaugeAdd|BenchmarkRegistryCounterLookupInc)$$
 BENCH_LABEL ?= after
 
@@ -109,11 +109,14 @@ bench-e2e:
 bench-smoke-e2e:
 	bash scripts/e2e_smoke.sh
 
-# Go line counts, non-test then _test.go, outside bench/ and testdata/:
-# the ruler behind ROADMAP.md's "Size" figures.
+# Go line counts, non-test then _test.go, outside bench/ and testdata/,
+# then non-test lines per package directory: the ruler behind
+# ROADMAP.md's "Size" figures.
 LOC_FIND = find . -name '*.go' -not -path './bench/*' -not -path '*/testdata/*'
 loc:
 	@echo "non-test $$($(LOC_FIND) -not -name '*_test.go' -exec cat {} + | wc -l)"
 	@echo "test     $$($(LOC_FIND) -name '*_test.go' -exec cat {} + | wc -l)"
+	@$(LOC_FIND) -not -name '*_test.go' -exec wc -l {} + | \
+		awk '$$2 != "total" { sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1 } END { for (d in n) printf "%8d %s\n", n[d], d }' | sort -k2
 
 ci: build lint test race

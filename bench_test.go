@@ -811,14 +811,44 @@ func BenchmarkNameNodeListFiles(b *testing.B) {
 }
 
 // BenchmarkNameNodeReconcileConverged measures one reconcile pass of a
-// converged namenode: 100 000 one-block files at three replicas on 20
-// fake registrations, every replica confirmed by a full report, and
-// 1 000 blocks read once so the load telemetry has a window to sum. The
-// namespace is loaded from an fsimage so setup takes seconds, and the
-// reconcile ticker is parked, so one op is exactly one ReconcileOnce.
-// With nothing to do, the pass walks only what changed since the last
-// one (DESIGN.md §10.3).
+// converged namenode (startLoadedNameNode). With nothing to do, the
+// pass walks only what changed since the last one (DESIGN.md §10.3).
 func BenchmarkNameNodeReconcileConverged(b *testing.B) {
+	nn := startLoadedNameNode(b)
+	if !nn.Converged() {
+		b.Fatal("namenode not converged after every replica was confirmed")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nn.ReconcileOnce()
+	}
+}
+
+// BenchmarkNameNodeReconcileDraining measures one reconcile pass of the
+// same namenode while node 0 drains: every block with a copy there has
+// its replacement chosen and its copy queued, and none is confirmed, so
+// each pass visits all of them and finds nothing to do yet.
+func BenchmarkNameNodeReconcileDraining(b *testing.B) {
+	nn := startLoadedNameNode(b)
+	if err := nn.Decommission(0); err != nil {
+		b.Fatal(err)
+	}
+	nn.ReconcileOnce() // chooses the replacements and queues the copies
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nn.ReconcileOnce()
+	}
+}
+
+// startLoadedNameNode starts a namenode of 100 000 one-block files at
+// three replicas on 20 fake registrations, every replica confirmed by a
+// full report, and 1 000 blocks read once so the load telemetry has a
+// window to sum. The namespace is loaded from an fsimage so setup takes
+// seconds, and the reconcile ticker is parked, so the caller's
+// ReconcileOnce is the only pass; the one run here visits every block.
+func startLoadedNameNode(b *testing.B) *aurora.NameNode {
 	const (
 		nodes  = 20
 		blocks = 100_000
@@ -885,7 +915,7 @@ func BenchmarkNameNodeReconcileConverged(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer nn.Close()
+	b.Cleanup(func() { _ = nn.Close() })
 	call := func(m *proto.Message) {
 		if _, _, err := proto.Call(nn.Addr(), m, nil, 10*time.Second); err != nil {
 			b.Fatal(err)
@@ -897,15 +927,8 @@ func BenchmarkNameNodeReconcileConverged(b *testing.B) {
 	for i := 0; i < reads; i++ {
 		call(&proto.Message{Type: proto.MsgGetLocations, Path: fmt.Sprintf("/r/f%06d", i*(blocks/reads))})
 	}
-	nn.ReconcileOnce() // the pass after a load visits every block once
-	if !nn.Converged() {
-		b.Fatal("namenode not converged after every replica was confirmed")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nn.ReconcileOnce()
-	}
+	nn.ReconcileOnce()
+	return nn
 }
 
 // BenchmarkAblationReplicationOnRead compares Aurora against Aurora with

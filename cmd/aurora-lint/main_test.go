@@ -385,9 +385,9 @@ var seededMutations = []mutation{
 	{
 		name: "relock ReconcileOnce", rule: analysis.RuleLockOrder,
 		file: "internal/dfs/namenode/reconcile.go",
-		old:  "\tif !nn.ready {\n\t\tnn.mu.Unlock()\n\t\treturn\n\t}\n\tnn.detectDeadLocked()",
-		new:  "\tif !nn.Ready() {\n\t\tnn.mu.Unlock()\n\t\treturn\n\t}\n\tnn.detectDeadLocked()",
-		at:   []string{"if !nn.Ready() {\n\t\tnn.mu.Unlock()\n\t\treturn\n\t}\n\tnn.detectDeadLocked()"},
+		old:  "\tif !nn.ready {\n\t\tnn.mu.Unlock()\n\t\treturn\n\t}\n\tnn.checkNodesLocked()",
+		new:  "\tif !nn.Ready() {\n\t\tnn.mu.Unlock()\n\t\treturn\n\t}\n\tnn.checkNodesLocked()",
+		at:   []string{"if !nn.Ready() {\n\t\tnn.mu.Unlock()\n\t\treturn\n\t}\n\tnn.checkNodesLocked()"},
 	},
 	{
 		name: "relock handleStat", rule: analysis.RuleLockOrder,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"aurora/internal/core"
 	"aurora/internal/dfs/proto"
 	"aurora/internal/topology"
 )
@@ -14,7 +13,8 @@ import (
 // spread never dip (unlike a crash, which loses a replica before
 // re-replication starts). Once the node stores nothing it is reported
 // decommissioned and can be stopped safely. The drain is driven by the
-// reconcile loop; poll ClusterInfo/fsck or WaitDecommissioned for
+// reconcile walk: the node's blocks stay pending until healLocked has
+// released its copies; poll ClusterInfo/fsck or WaitDecommissioned for
 // completion.
 func (nn *NameNode) Decommission(id proto.NodeID) error {
 	nn.mu.Lock()
@@ -49,6 +49,7 @@ func (nn *NameNode) Decommission(id proto.NodeID) error {
 		}
 	}
 	node.draining = true
+	nn.unsettleNodeLocked(node)
 	nn.markDirtyLocked()
 	return nil
 }
@@ -71,50 +72,4 @@ func (nn *NameNode) WaitDecommissioned(id proto.NodeID, timeout time.Duration) e
 		time.Sleep(10 * time.Millisecond)
 	}
 	return fmt.Errorf("namenode: node %d not decommissioned after %v", id, timeout)
-}
-
-// drainLocked advances every draining node: desired copies on the node
-// are released once the block is safe without them, and the node flips
-// to decommissioned when empty. Runs from the reconcile loop, after the
-// heal pass has given those blocks replacement homes.
-func (nn *NameNode) drainLocked() {
-	for _, node := range nn.nodes {
-		if !node.draining || node.decommissioned || !node.alive {
-			continue
-		}
-		m := topology.MachineID(node.id)
-		for _, id := range nn.placement.BlocksOn(m) {
-			nn.releaseDrainedLocked(id, m)
-		}
-		// Decommissioned once the node neither is desired to hold
-		// anything nor physically holds anything.
-		if nn.placement.Used(m) == 0 && len(node.holds) == 0 {
-			node.decommissioned = true
-		}
-	}
-}
-
-// releaseDrainedLocked drops draining machine m's copy of block id from
-// the desired state — make-before-break, the ordering a drain adds to
-// healLocked: heal chose the replacements, and this waits until
-// MinReplicas copies are confirmed on healthy machines and the spread
-// holds without m. The convergence pass then deletes the physical copy.
-func (nn *NameNode) releaseDrainedLocked(id core.BlockID, m topology.MachineID) {
-	p := nn.placement
-	spec, err := p.Spec(id)
-	if err != nil || !p.RemovalKeepsSpread(id, m) {
-		return
-	}
-	confirmed := 0
-	for _, h := range p.Replicas(id) {
-		if hn := nn.nodes[h]; hn.alive && !hn.draining && nn.confirmed[proto.BlockID(id)][hn.id] {
-			confirmed++
-		}
-	}
-	if confirmed < spec.MinReplicas {
-		return // replacements chosen but data not copied yet; wait
-	}
-	//lint:ignore errcheck m was just enumerated from BlocksOn; removal cannot fail
-	_ = p.RemoveReplica(id, m)
-	nn.markDirtyLocked()
 }

@@ -244,3 +244,51 @@ func TestLoadFsImageErrors(t *testing.T) {
 	}
 	_ = nn.Close()
 }
+
+// A restart from an older checkpoint rolls the block counter back while
+// the datanodes still hold the blocks allocated after it. A new block
+// must not reuse one of those IDs, or their stale replicas would count
+// as confirmed holders of the new block.
+func TestRestartSkipsReportedBlockIDs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "img.json")
+	nn := startNN(t, 2, 2)
+	a := registerFake(t, nn, 0, "a:1")
+	b := registerFake(t, nn, 1, "b:1")
+	write := func(nn *NameNode, file string) proto.BlockID {
+		t.Helper()
+		if _, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgCreateFile, Path: file, Replication: 2}, nil, time.Second); err != nil {
+			t.Fatalf("create %s: %v", file, err)
+		}
+		resp, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgAddBlock, Path: file, Length: 1}, nil, time.Second)
+		if err != nil {
+			t.Fatalf("add block to %s: %v", file, err)
+		}
+		return resp.Block
+	}
+	first := write(nn, "/old")
+	if err := nn.SaveFsImage(path); err != nil {
+		t.Fatalf("SaveFsImage: %v", err)
+	}
+	stale := write(nn, "/lost") // allocated after the checkpoint
+	a.received(stale)
+	b.received(stale)
+
+	nn2, err := Start(Config{ExpectedNodes: 1, Racks: 2, ReconcileInterval: time.Hour, FsImagePath: path})
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	t.Cleanup(func() { _ = nn2.Close() })
+	for _, dn := range []*fakeDN{a, b} {
+		(&fakeDN{t: t, nn: nn2.Addr(), id: dn.id, addr: dn.addr}).heartbeat(first, stale)
+	}
+	fresh := write(nn2, "/new")
+	if fresh <= stale {
+		t.Errorf("new block got ID %d, at or below the reported ID %d", fresh, stale)
+	}
+	nn2.mu.Lock()
+	holders := len(nn2.confirmed[fresh])
+	nn2.mu.Unlock()
+	if holders != 0 {
+		t.Errorf("new block %d counts %d stale replica(s) as confirmed holders", fresh, holders)
+	}
+}

@@ -15,6 +15,7 @@ package namenode
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"net"
 	"os"
@@ -258,11 +259,11 @@ type NameNode struct {
 	// every block outside it is settled (reconcileBlockLocked). A block
 	// enters when its desired state changes — the placement records it,
 	// and syncPendingLocked moves it here — or its confirmed set does
-	// (confirmLocked, unconfirmLocked). Nothing else can unsettle one: a
-	// death re-homes the node's desired replicas through healLocked, so
-	// the placement records them, and a block being written never leaves.
-	// The reconcile pass walks only this set and drops what it finds
-	// settled (DESIGN.md §10.3).
+	// (confirmLocked, unconfirmLocked), or a node it is desired on or held
+	// by dies or starts draining (unsettleNodeLocked). A block being
+	// written, a tombstone still held and a block desired on a draining
+	// node never leave. The reconcile pass walks only this set and drops
+	// what it finds settled (DESIGN.md §10.3).
 	pending map[proto.BlockID]struct{}
 	// walk is the block-ID buffer syncPendingLocked, the reconcile pass
 	// and a period's install reuse.
@@ -655,8 +656,11 @@ func (nn *NameNode) handleBlockReceived(req *proto.Message) (*proto.Message, err
 
 // confirmLocked records that node n holds block b, folding the block
 // into n's incremental set digest and n's holds index, and puts b in
-// the pending set. Idempotent: re-confirming a held block changes
-// nothing.
+// the pending set. A reported ID at or past nextBlock is a block this
+// namenode did not allocate — a replica left from before a restart from
+// an older checkpoint — so allocation moves past it: a new block must
+// not count a stale replica as a confirmed holder. Idempotent:
+// re-confirming a held block changes nothing.
 func (nn *NameNode) confirmLocked(b proto.BlockID, n proto.NodeID) {
 	holders, ok := nn.confirmed[b]
 	if !ok {
@@ -667,6 +671,12 @@ func (nn *NameNode) confirmLocked(b proto.BlockID, n proto.NodeID) {
 		return
 	}
 	holders[n] = true
+	// The ID is a datanode's word, so it is not trusted to leave room
+	// above it; handleAddBlock refuses to allocate at the top.
+	if b >= nn.nextBlock && b < math.MaxInt64 {
+		nn.nextBlock = b + 1
+		nn.markDirtyLocked()
+	}
 	node := nn.nodes[n]
 	node.digest ^= proto.BlockDigest(b)
 	if node.holds == nil {
@@ -774,6 +784,9 @@ func (nn *NameNode) handleAddBlock(req *proto.Message) (*proto.Message, error) {
 	}
 	if f.complete {
 		return nil, fmt.Errorf("%w: %s", ErrFileComplete, req.Path)
+	}
+	if nn.nextBlock == math.MaxInt64 {
+		return nil, fmt.Errorf("namenode: block IDs exhausted")
 	}
 	id := core.BlockID(nn.nextBlock)
 	spec := core.BlockSpec{

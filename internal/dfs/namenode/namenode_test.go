@@ -2,6 +2,7 @@ package namenode
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -530,5 +531,27 @@ func TestReportedDeletionDropsRequeuedDelete(t *testing.T) {
 	}
 	if h := nn.Health(); h.PendingCommands != 0 || !h.Healthy {
 		t.Errorf("converged but fsck reports %d pending command(s), healthy=%v", h.PendingCommands, h.Healthy)
+	}
+}
+
+// A reported block ID is a datanode's word. One at the top of the ID
+// space moves the allocation counter to the top, never past it, and
+// allocation there is refused instead of wrapping to a negative ID.
+func TestReportedBlockIDNeverWraps(t *testing.T) {
+	nn := startNN(t, 2, 2)
+	a := registerFake(t, nn, 0, "a:1")
+	registerFake(t, nn, 1, "b:1")
+	a.heartbeat(math.MaxInt64-1, math.MaxInt64)
+	if _, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgCreateFile, Path: "/f"}, nil, time.Second); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	if _, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgAddBlock, Path: "/f", Length: 1}, nil, time.Second); err == nil {
+		t.Error("add_block allocated past the top of the block ID space")
+	}
+	nn.mu.Lock()
+	next := nn.nextBlock
+	nn.mu.Unlock()
+	if next != math.MaxInt64 {
+		t.Errorf("next block ID %d, want %d", next, int64(math.MaxInt64))
 	}
 }

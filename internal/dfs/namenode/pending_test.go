@@ -197,6 +197,51 @@ func TestPendingSetEntries(t *testing.T) {
 			}
 			tw.tick()
 		}},
+		{"drain to decommissioned", func(tw *twin, blocks []proto.BlockID) {
+			in, _ := tw.holders(blocks[3])
+			drained := in[0]
+			if err := tw.nn.Decommission(drained.id); err != nil {
+				tw.t.Fatalf("Decommission: %v", err)
+			}
+			tw.tick()
+			for _, key := range tw.passes[len(tw.passes)-1].inflight {
+				tw.dns[key.node].received(key.block) // the replacements land
+			}
+			tw.tick() // the drained copies are released and deleted
+			var gone []proto.BlockID
+			for _, cmd := range tw.passes[len(tw.passes)-1].cmds[drained.id] {
+				if cmd.Kind == proto.CmdDelete {
+					gone = append(gone, cmd.Block)
+				}
+			}
+			held := tw.holds(drained)
+			for _, b := range gone {
+				held = slices.DeleteFunc(held, func(h proto.BlockID) bool { return h == b })
+				drained.deleted(b, held...)
+			}
+			tw.tick()
+			tw.nn.mu.Lock()
+			done := tw.nn.nodes[drained.id].decommissioned
+			tw.nn.mu.Unlock()
+			if !done {
+				tw.t.Fatalf("node %d not decommissioned after its copies were released and deleted", drained.id)
+			}
+		}},
+		{"delete_file", func(tw *twin, blocks []proto.BlockID) {
+			in, _ := tw.holders(blocks[1])
+			tw.call(&proto.Message{Type: proto.MsgDeleteFile, Path: "/f1"})
+			tw.tick()
+			in[0].deleted(blocks[1], slices.DeleteFunc(tw.holds(in[0]), func(b proto.BlockID) bool {
+				return b == blocks[1]
+			})...)
+			tw.advance(2*time.Second, in[1]) // the last holder dies: the walk reaps the tombstone
+			tw.nn.mu.Lock()
+			left := len(tw.nn.tombstones)
+			tw.nn.mu.Unlock()
+			if left != 0 {
+				tw.t.Fatalf("%d tombstone(s) left once no holder was", left)
+			}
+		}},
 		{"set_replication", func(tw *twin, blocks []proto.BlockID) {
 			tw.call(&proto.Message{Type: proto.MsgSetRepl, Path: "/f1", Replication: 3})
 			tw.tick()

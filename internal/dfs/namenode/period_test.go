@@ -104,7 +104,7 @@ func periodWithMutations(tw *twin, blocks []proto.BlockID) *midPeriod {
 // After a period whose compute saw a create, a delete, a set_replication
 // and a death, each block's desired set is the live one if the live
 // placement changed it since the snapshot, and the plan's otherwise —
-// less the dead node, which the install's heal pass re-homes.
+// less the dead node, which the install's reconcile walk re-homes.
 func TestPeriodRebasesConcurrentMutations(t *testing.T) {
 	tw := startTwin(t, false)
 	var blocks []proto.BlockID
@@ -523,5 +523,78 @@ func TestFailedPeriodLeavesForecaster(t *testing.T) {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Errorf("block %d popularity %v after a failed period, %v on the twin", failing.blocks[i], got[i], want[i])
 		}
+	}
+}
+
+// queuedCommands counts the commands of each kind queued for the
+// datanodes' next reports.
+func queuedCommands(nn *NameNode) map[proto.CommandKind]int {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	out := make(map[proto.CommandKind]int)
+	for _, cmds := range nn.pendingCmds {
+		for _, cmd := range cmds {
+			out[cmd.Kind]++
+		}
+	}
+	return out
+}
+
+// A period's install runs the reconcile walk over what it changed, so
+// the copies it plans are queued before OptimizeNow returns, not at the
+// next reconcile tick (whose ticker is parked here).
+func TestInstallQueuesCopies(t *testing.T) {
+	tw := startTwin(t, false)
+	for i := 0; i < 4; i++ {
+		tw.write(fmt.Sprintf("/f%d", i), 2, true)
+	}
+	tw.tick()
+	if !tw.nn.Converged() {
+		t.Fatal("setup did not converge")
+	}
+	for i := 0; i < 20; i++ {
+		tw.call(&proto.Message{Type: proto.MsgGetLocations, Path: "/f0"})
+	}
+	res, err := tw.nn.OptimizeNow(core.OptimizerOptions{
+		RackAware: true, ReplicationBudget: 10, MaxReplicationMoves: 4,
+	})
+	if err != nil {
+		t.Fatalf("OptimizeNow: %v", err)
+	}
+	if res.Replications == 0 {
+		t.Fatal("the period added no replica: nothing to queue")
+	}
+	if n := queuedCommands(tw.nn)[proto.CmdReplicate]; n == 0 {
+		t.Errorf("no replicate command queued after a period that added %d replica(s)", res.Replications)
+	}
+}
+
+// A drain's blocks wait in the pending set for their replacements to be
+// confirmed, and every reconcile tick visits them. A visit that changes
+// nothing must write nothing to the placement: a tick inside a period
+// must leave the install nothing to rebase.
+func TestDrainTickLeavesNothingToRebase(t *testing.T) {
+	tw := startTwin(t, false)
+	for i := 0; i < 8; i++ {
+		tw.write(fmt.Sprintf("/f%d", i), 2, true)
+	}
+	tw.tick()
+	if err := tw.nn.Decommission(tw.dns[0].id); err != nil {
+		t.Fatalf("Decommission: %v", err)
+	}
+	tw.tick() // replacements chosen and copies queued; none confirmed
+	if n := queuedCommands(tw.nn)[proto.CmdReplicate]; n == 0 {
+		t.Fatal("the drain queued no copy: the node holds nothing")
+	}
+	rebased := metrics.Default.Counter("dfs.namenode.plan_rebased_blocks")
+	before := rebased.Value()
+	if err := tw.nn.WithPlacement(func(*core.Placement) error {
+		tw.nn.ReconcileOnce()
+		return nil
+	}); err != nil {
+		t.Fatalf("WithPlacement: %v", err)
+	}
+	if got := rebased.Value() - before; got != 0 {
+		t.Errorf("the install rebased %d block(s) after a drain tick that changed nothing", got)
 	}
 }

@@ -47,20 +47,38 @@ func (nn *NameNode) reconcileLoop() {
 	}
 }
 
-// ReconcileOnce runs one reconciliation pass. It is exported so tests
-// and the optimizer can force convergence checks without waiting for the
-// ticker.
+// ReconcileOnce runs one reconciliation pass: one pass over the
+// datanodes (checkNodesLocked), then the pending walk. It is exported so
+// tests and the optimizer can force convergence checks without waiting
+// for the ticker.
 func (nn *NameNode) ReconcileOnce() {
 	nn.mu.Lock()
 	if !nn.ready {
 		nn.mu.Unlock()
 		return
 	}
-	nn.detectDeadLocked()
-	nn.healUnhealthyLocked()
-	nn.drainLocked()
-	nn.reapTombstonesLocked()
-	nn.driveConvergenceLocked()
+	nn.checkNodesLocked()
+	now := nn.clock()
+	// A write silent for inflightTTL is over: its writer stalled or is
+	// gone, so what exists is repaired. A replicate command no report
+	// completed in that time — its target died or its block was deleted —
+	// expires, and the walk re-issues it if the replica is still missing.
+	for b, allocated := range nn.writing {
+		if now.Sub(allocated) >= inflightTTL {
+			delete(nn.writing, b)
+		}
+	}
+	for key, issued := range nn.inflight {
+		if now.Sub(issued) >= inflightTTL {
+			delete(nn.inflight, key)
+		}
+	}
+	nn.syncPendingLocked()
+	nn.walk = nn.walk[:0]
+	for b := range nn.pending {
+		nn.walk = append(nn.walk, core.BlockID(b))
+	}
+	nn.reconcileWalkLocked(now)
 	loads, snap := nn.windowLoadsLocked()
 	nn.mu.Unlock()
 	// The pass is the load and hotspot gauges' only writer, so they
@@ -103,29 +121,48 @@ func (nn *NameNode) windowLoadsLocked() ([]float64, map[core.BlockID]int64) {
 	return loads, snap
 }
 
-// detectDeadLocked marks silent datanodes dead and forgets what they
-// were confirmed to hold; the heal pass that follows re-homes their
-// desired replicas — the fault-tolerance behaviour HDFS implements and
-// the paper's reliability constraints assume.
-func (nn *NameNode) detectDeadLocked() {
+// checkNodesLocked is the reconcile pass's one walk over the datanodes.
+// A node silent for DeadTimeout is declared dead: its desired and held
+// blocks enter the pending set, where the walk re-homes the first and
+// reaps the tombstones among the second, and what it was confirmed to
+// hold is forgotten — the fault-tolerance behaviour HDFS implements and
+// the paper's reliability constraints assume. A draining node is
+// decommissioned once it neither is desired to hold nor holds anything.
+func (nn *NameNode) checkNodesLocked() {
 	now := nn.clock()
 	for _, node := range nn.nodes {
-		if !node.alive || now.Sub(node.lastSeen) < nn.cfg.DeadTimeout {
-			continue
+		if node.alive && now.Sub(node.lastSeen) >= nn.cfg.DeadTimeout {
+			nn.unsettleNodeLocked(node)
+			node.alive = false
+			nn.markDirtyLocked()
+			metrics.Default.Counter("dfs.namenode.dead_detected").Inc()
+			for b := range node.holds {
+				delete(nn.confirmed[b], node.id)
+			}
+			node.holds = nil
+			// The wipe above invalidates the node's incremental set digest;
+			// zero it to match the now-empty confirmation set and demand a
+			// full baseline if the node ever comes back.
+			node.digest = 0
+			node.wantFull = true
+			delete(nn.pendingCmds, node.id)
 		}
-		node.alive = false
-		nn.markDirtyLocked()
-		metrics.Default.Counter("dfs.namenode.dead_detected").Inc()
-		for b := range node.holds {
-			delete(nn.confirmed[b], node.id)
+		if node.alive && node.draining && !node.decommissioned &&
+			nn.placement.Used(topology.MachineID(node.id)) == 0 && len(node.holds) == 0 {
+			node.decommissioned = true
 		}
-		node.holds = nil
-		// The wipe above invalidates the node's incremental set digest;
-		// zero it to match the now-empty confirmation set and demand a
-		// full baseline if the node ever comes back.
-		node.digest = 0
-		node.wantFull = true
-		delete(nn.pendingCmds, node.id)
+	}
+}
+
+// unsettleNodeLocked puts every block node is desired on or holds into
+// the pending set: a death or a decommission changes what the per-block
+// decision makes of them, through neither placement nor confirmLocked.
+func (nn *NameNode) unsettleNodeLocked(node *nodeState) {
+	for _, id := range nn.placement.BlocksOn(topology.MachineID(node.id)) {
+		nn.pending[proto.BlockID(id)] = struct{}{}
+	}
+	for b := range node.holds {
+		nn.pending[b] = struct{}{}
 	}
 }
 
@@ -145,14 +182,19 @@ const keepSize = 0
 //   - replicas on dead machines are dropped, and on draining machines
 //     that hold no confirmed copy (a departing machine gets no new data);
 //   - confirmed copies on draining machines are set aside for the rest of
-//     the step: they stay desired until drainLocked releases them, but
-//     count toward neither k nor the spread, so their replacements are
-//     chosen now;
+//     the step: they count toward neither k nor the spread, so their
+//     replacements are chosen now;
 //   - replicas are added on healthy machines (alive, not draining, with
 //     room) while the block is short of k replicas or of MinRacks racks —
 //     when only racks are short, only in a rack it is not in yet;
 //   - while it has more than k, the most-loaded holder whose removal
-//     keeps the spread is dropped.
+//     keeps the spread is dropped;
+//   - a draining copy set aside is released — make-before-break — once
+//     MinReplicas copies are confirmed on healthy machines and the spread
+//     holds without it; until then it stays desired.
+//
+// A block the steps would leave as it is returns before anything is set
+// aside, so a drain's waiting blocks cost a visit no placement write.
 //
 // Which machine gains or loses a replica is core's decision; this
 // function only says which machines are healthy. It reports whether the
@@ -163,25 +205,43 @@ func (nn *NameNode) healLocked(id core.BlockID, k int) bool {
 	if err != nil {
 		return false
 	}
-	changed := false
-	holders := p.Replicas(id)
-	var parked []topology.MachineID
+	confirmed := nn.confirmed[proto.BlockID(id)]
+	var holderBuf, parkedBuf [8]topology.MachineID
+	var rackBuf [8]int
+	holders := p.AppendReplicas(id, holderBuf[:0])
+	parked, racks := parkedBuf[:0], rackBuf[:0]
+	healthy, confirmedHealthy, dropped := 0, 0, false
 	for _, m := range holders {
 		node := nn.nodes[m]
-		if node.alive && !node.draining {
-			continue
-		}
-		//lint:ignore errcheck the replica was just enumerated; removal cannot fail
-		_ = p.RemoveReplica(id, m)
-		if node.alive && nn.confirmed[proto.BlockID(id)][node.id] {
+		switch {
+		case node.alive && !node.draining:
+			healthy++
+			if confirmed[node.id] {
+				confirmedHealthy++
+			}
+			if !slices.Contains(racks, node.rack) {
+				racks = append(racks, node.rack)
+			}
+		case node.alive && confirmed[node.id]:
 			parked = append(parked, m)
-		} else {
-			changed = true
+		default:
+			dropped = true
 		}
 	}
 	if k == keepSize {
 		k = max(len(holders)-len(parked), spec.MinReplicas)
 	}
+	if !dropped && healthy == k && len(racks) >= spec.MinRacks &&
+		(len(parked) == 0 || confirmedHealthy < spec.MinReplicas) {
+		return false
+	}
+	for _, m := range holders {
+		if node := nn.nodes[m]; !node.alive || node.draining {
+			//lint:ignore errcheck the replica was just enumerated; removal cannot fail
+			_ = p.RemoveReplica(id, m)
+		}
+	}
+	changed := dropped
 	for {
 		short := p.ReplicaCount(id) < k
 		if !short && p.RackSpread(id) >= spec.MinRacks {
@@ -211,7 +271,17 @@ func (nn *NameNode) healLocked(id core.BlockID, k int) bool {
 		_ = p.RemoveReplica(id, drop)
 		changed = true
 	}
+	confirmedHealthy = 0
+	for _, m := range p.AppendReplicas(id, holders[:0]) {
+		if confirmed[proto.NodeID(m)] {
+			confirmedHealthy++
+		}
+	}
 	for _, m := range parked {
+		if confirmedHealthy >= spec.MinReplicas && p.RackSpread(id) >= spec.MinRacks {
+			changed = true // released; the walk deletes the physical copy
+			continue
+		}
 		//lint:ignore errcheck the slot was freed above and nothing is added on a draining machine
 		_ = p.AddReplica(id, m)
 	}
@@ -221,87 +291,9 @@ func (nn *NameNode) healLocked(id core.BlockID, k int) bool {
 	return changed
 }
 
-// healUnhealthyLocked re-homes every block with a desired replica on a
-// dead or draining machine and reports how many it changed. It is the
-// shared post-pass of everything that can leave one there — dead
-// detection, a drain, and an optimizer period or external rebalancer
-// working over the static topology, where a crashed machine looks
-// attractively empty — and it does no per-block work while every machine
-// is healthy.
-func (nn *NameNode) healUnhealthyLocked() int {
-	healed := 0
-	for _, node := range nn.nodes {
-		if node.alive && !node.draining {
-			continue
-		}
-		for _, id := range nn.placement.BlocksOn(topology.MachineID(node.id)) {
-			if nn.healLocked(id, keepSize) {
-				healed++
-			}
-		}
-	}
-	return healed
-}
-
-// reapTombstonesLocked deletes replicas of removed blocks.
-func (nn *NameNode) reapTombstonesLocked() {
-	for b := range nn.tombstones {
-		holders := nn.confirmed[b]
-		if len(holders) == 0 {
-			delete(nn.confirmed, b)
-			delete(nn.tombstones, b)
-			continue
-		}
-		for n := range holders {
-			if nn.nodes[n].alive {
-				nn.enqueueLocked(n, proto.Command{Kind: proto.CmdDelete, Block: b})
-			}
-		}
-	}
-}
-
-// driveConvergenceLocked issues replicate commands for desired replicas
-// that do not exist yet, and delete commands for confirmed replicas that
-// are no longer desired (migration sources, evictions) once the block is
-// safely replicated. It visits only the pending set, in ascending block
-// ID — the order a walk of every block would visit them in, so the
-// command queues come out the same — and drops each block it finds
-// settled.
-func (nn *NameNode) driveConvergenceLocked() {
-	now := nn.clock()
-	for b, allocated := range nn.writing {
-		if now.Sub(allocated) >= inflightTTL {
-			delete(nn.writing, b) // writer stalled or gone: repair what exists
-		}
-	}
-	// A report completes an in-flight replication only by naming its
-	// exact (block, target) pair; one that never will — the target died
-	// or the block was deleted — expires here. A replica still missing
-	// on a live target is re-issued below, on this same pass.
-	for key, issued := range nn.inflight {
-		if now.Sub(issued) >= inflightTTL {
-			delete(nn.inflight, key)
-		}
-	}
-	nn.syncPendingLocked()
-	nn.walk = nn.walk[:0]
-	for b := range nn.pending {
-		nn.walk = append(nn.walk, core.BlockID(b))
-	}
-	slices.Sort(nn.walk)
-	for _, id := range nn.walk {
-		if nn.reconcileBlockLocked(id, now) {
-			delete(nn.pending, proto.BlockID(id))
-		}
-	}
-	if invariant.Enabled {
-		nn.checkSettledLocked(now)
-	}
-}
-
 // syncPendingLocked moves the blocks the placement recorded as changed
 // into the pending set and, while a period computes, into its touched
-// set.
+// set. It leaves them in nn.walk.
 func (nn *NameNode) syncPendingLocked() {
 	nn.walk = nn.placement.DrainChanges(nn.walk[:0])
 	for _, id := range nn.walk {
@@ -312,46 +304,72 @@ func (nn *NameNode) syncPendingLocked() {
 	}
 }
 
-// reconcileBlockLocked is the reconcile decision for one block. A block
-// being written is left to its pipeline. Otherwise an infeasible block
-// is healed, each desired replica missing on a live node is copied from
-// a confirmed live holder, and once enough desired replicas are
-// confirmed every surplus confirmed replica is deleted. It reports
-// whether the block is settled: not being written, feasible, and
-// confirmed on exactly its desired holders, all of them alive. A
-// settled block wanted nothing from this call and will want nothing
-// until an event that adds it to the pending set; a block no longer in
-// the placement is settled too, its replicas being the tombstone
-// reaper's.
+// reconcileWalkLocked applies reconcileBlockLocked to the blocks in
+// nn.walk, once each, in ascending ID — the order a walk of every block
+// would visit them in, so the command queues come out the same — and
+// drops each one it finds settled from the pending set. The reconcile
+// pass walks the whole pending set; a period's install walks what it
+// changed.
+func (nn *NameNode) reconcileWalkLocked(now time.Time) {
+	slices.Sort(nn.walk)
+	nn.walk = slices.Compact(nn.walk)
+	for _, id := range nn.walk {
+		if nn.reconcileBlockLocked(id, now) {
+			delete(nn.pending, proto.BlockID(id))
+		}
+	}
+	if invariant.Enabled {
+		nn.checkSettledLocked(now)
+	}
+}
+
+// reconcileBlockLocked is the reconcile decision for one block, and the
+// only one. A block deleted from the namespace has a delete sent to each
+// live confirmed holder, and its tombstone is dropped once no holder is
+// left; a block the namespace never had is left alone. A block being
+// written is left to its pipeline. Any other block is healed
+// (healLocked, which also releases a drained copy), each desired
+// replica missing on a live node is copied from a confirmed live holder,
+// and once enough desired replicas are confirmed every surplus confirmed
+// replica is deleted. It reports whether the block is settled: not being
+// written, feasible, desired on no draining machine and confirmed on
+// exactly its desired holders (which the heal left alive) — or deleted
+// and held by no one. A settled block wanted nothing from this call and
+// will want nothing until an event puts it in the pending set.
 func (nn *NameNode) reconcileBlockLocked(id core.BlockID, now time.Time) (settled bool) {
 	b := proto.BlockID(id)
 	p := nn.placement
+	holders := nn.confirmed[b]
 	spec, err := p.Spec(id)
 	if err != nil {
-		return true
+		if !nn.tombstones[b] {
+			return true
+		}
+		if len(holders) == 0 {
+			delete(nn.confirmed, b)
+			delete(nn.tombstones, b)
+			return true
+		}
+		for n := range holders {
+			if nn.nodes[n].alive {
+				nn.enqueueLocked(n, proto.Command{Kind: proto.CmdDelete, Block: b})
+			}
+		}
+		return false
 	}
 	if _, ok := nn.writing[b]; ok {
 		return false // initial pipeline write in flight
 	}
-	if !p.Feasible(id) {
-		// Short of replicas or racks because none were to be had when
-		// it was last healed: try again, so the count returns when
-		// capacity does and the spread when the rack does.
-		nn.healLocked(id, keepSize)
-	}
-	desired := p.Replicas(id)
-	holders := nn.confirmed[b]
+	nn.healLocked(id, keepSize)
+	var desiredBuf [8]topology.MachineID
+	desired := p.AppendReplicas(id, desiredBuf[:0])
 	confirmedDesired := 0
-	allAlive := true
+	draining := false
 	for _, m := range desired {
 		n := proto.NodeID(m)
-		alive := nn.nodes[n].alive
-		allAlive = allAlive && alive
+		draining = draining || nn.nodes[n].draining
 		if holders[n] {
 			confirmedDesired++
-			continue
-		}
-		if !alive {
 			continue
 		}
 		// Missing replica: copy it from a confirmed live holder.
@@ -379,15 +397,16 @@ func (nn *NameNode) reconcileBlockLocked(id core.BlockID, now time.Time) (settle
 			}
 		}
 	}
-	return allAlive && p.Feasible(id) &&
+	return !draining && p.Feasible(id) &&
 		confirmedDesired == len(desired) && len(holders) == len(desired)
 }
 
 // checkSettledLocked is the pending set's oracle, run after every
-// reconcile pass in invariantdebug builds: it applies the per-block
+// reconcile walk in invariantdebug builds: it applies the per-block
 // decision to every block outside the set and panics on one that is not
-// settled — a block that wanted a command or a heal that the pass did
-// not visit, because some event failed to add it.
+// settled — a block that wanted a command or a heal that no walk
+// visited, because some event failed to add it. A tombstone is settled
+// only once it is dropped, so none may be outside the set.
 func (nn *NameNode) checkSettledLocked(now time.Time) {
 	for _, id := range nn.placement.Blocks() {
 		if _, ok := nn.pending[proto.BlockID(id)]; ok {
@@ -395,6 +414,11 @@ func (nn *NameNode) checkSettledLocked(now time.Time) {
 		}
 		if !nn.reconcileBlockLocked(id, now) {
 			panic(fmt.Sprintf("namenode: block %d is outside the reconcile pending set but not settled", id))
+		}
+	}
+	for b := range nn.tombstones {
+		if _, ok := nn.pending[b]; !ok {
+			panic(fmt.Sprintf("namenode: tombstoned block %d is outside the reconcile pending set", b))
 		}
 	}
 }
@@ -517,9 +541,10 @@ func (nn *NameNode) OptimizeNow(opts core.OptimizerOptions) (core.OptimizeResult
 //     installed period left (nil before the first);
 //   - install: rebase onto the plan every block whose desired state
 //     changed since the snapshot — the live change wins for that block —
-//     make the plan the desired placement, and re-home what it left on
-//     dead or draining machines. The reconcile loop carries the
-//     resulting copies and deletions to the datanodes. Only then does
+//     make the plan the desired placement, and run the reconcile walk
+//     over what changed: it re-homes what the plan left on dead or
+//     draining machines and queues the copies and deletions the
+//     datanodes' next reports carry. Only then does
 //     the forecaster commit the period's forecast, and the shares
 //     compute returned, unless nil, become the next period's.
 //
@@ -596,10 +621,11 @@ func (nn *NameNode) snapshotPeriod() (*core.Placement, map[core.BlockID]int64, e
 // plan, in ascending ID, every block the touched set names. If a rebased
 // replica does not fit, it drops the plan and reports false, and the
 // desired placement is as the period found it plus the live changes.
-// Otherwise plan becomes the desired placement; the heal pass re-homes
-// what the plan, working over the static topology, put on dead or
-// draining machines; and every block either changed reaches the pending
-// set. With nothing to rebase the install costs no per-block work.
+// Otherwise plan becomes the desired placement, and the reconcile walk
+// runs over every block the plan or the rebase changed: it re-homes what
+// the plan, working over the static topology, put on dead or draining
+// machines, and queues the period's copies and deletes before the lock
+// is released. The install's per-block work is in the blocks changed.
 func (nn *NameNode) installPlan(plan *core.Placement) bool {
 	nn.mu.Lock()
 	held := time.Now()
@@ -614,8 +640,8 @@ func (nn *NameNode) installPlan(plan *core.Placement) bool {
 	installed := plan.Rebase(nn.placement, nn.walk) == nil
 	if installed {
 		nn.placement = plan
-		metrics.Default.Counter("dfs.namenode.optimize_repairs").Add(int64(nn.healUnhealthyLocked()))
 		nn.syncPendingLocked()
+		nn.reconcileWalkLocked(nn.clock())
 		nn.markDirtyLocked()
 	} else {
 		metrics.Default.Counter("dfs.namenode.plan_dropped").Inc()
