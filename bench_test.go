@@ -842,6 +842,27 @@ func BenchmarkNameNodeReconcileDraining(b *testing.B) {
 	}
 }
 
+// BenchmarkNameNodeDecommissionTick measures the first reconcile pass of
+// a drain: Decommission(0) on the namenode of startLoadedNameNode, then
+// the pass that moves each of node 0's 15 000 desired replicas to a
+// healthy machine and queues its copy. Each op runs on a namenode
+// rebuilt with the timer stopped.
+func BenchmarkNameNodeDecommissionTick(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		nn := startLoadedNameNode(b)
+		b.StartTimer()
+		if err := nn.Decommission(0); err != nil {
+			b.Fatal(err)
+		}
+		nn.ReconcileOnce()
+		b.StopTimer()
+		_ = nn.Close()
+		b.StartTimer()
+	}
+}
+
 // startLoadedNameNode starts a namenode of 100 000 one-block files at
 // three replicas on 20 fake registrations, every replica confirmed by a
 // full report, and 1 000 blocks read once so the load telemetry has a

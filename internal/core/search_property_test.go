@@ -133,46 +133,64 @@ func TestSearchInvariantsProperty(t *testing.T) {
 
 // Property: Optimize never exceeds the replication budget (starting from
 // a minimal placement), never drops a block below its minimums, and
-// leaves consistent bookkeeping.
+// leaves consistent bookkeeping. buildRandomInstance can start
+// infeasible — InitialPlace falls back when the racks it wants are full
+// — so the minimums are checked per block, on the blocks that met them
+// before.
 func TestOptimizeInvariantsProperty(t *testing.T) {
-	f := func(seed uint64, extraRaw uint8) bool {
-		p, specs, err := buildRandomInstance(seed)
-		if errors.Is(err, ErrMachineFull) {
-			return true // instance does not fit the cluster; vacuous
+	// An infeasible start quick.Check once drew: 2 racks × 2 machines
+	// with rack 1 full, so block 22 (ρ = 2) sits on machines 0 and 1.
+	t.Run("infeasible start", func(t *testing.T) {
+		if !optimizeInvariantsHold(t, 0xd7f8c08e3464580d, 0x86) {
+			t.Error("invariant broken")
 		}
-		if err != nil {
-			return false
-		}
-		minTotal := 0
-		for _, s := range specs {
-			minTotal += s.MinReplicas
-		}
-		budget := minTotal + int(extraRaw%32)
-		if budget < p.TotalReplicas() {
-			budget = p.TotalReplicas()
-		}
-		if budget <= 0 {
-			return true
-		}
-		if _, err := Optimize(p, OptimizerOptions{
-			Epsilon:           0.1,
-			RackAware:         true,
-			ReplicationBudget: budget,
-		}); err != nil {
-			t.Logf("optimize: %v", err)
-			return false
-		}
-		if p.TotalReplicas() > budget {
-			t.Logf("budget exceeded: %d > %d", p.TotalReplicas(), budget)
-			return false
-		}
-		if err := p.CheckFeasible(); err != nil {
-			t.Logf("infeasible: %v", err)
-			return false
-		}
-		return p.Validate() == nil
-	}
+	})
+	f := func(seed uint64, extraRaw uint8) bool { return optimizeInvariantsHold(t, seed, extraRaw) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+func optimizeInvariantsHold(t *testing.T, seed uint64, extraRaw uint8) bool {
+	p, specs, err := buildRandomInstance(seed)
+	if errors.Is(err, ErrMachineFull) {
+		return true // instance does not fit the cluster; vacuous
+	}
+	if err != nil {
+		return false
+	}
+	minTotal := 0
+	var feasibleBefore []BlockID
+	for _, s := range specs {
+		minTotal += s.MinReplicas
+		if p.Feasible(s.ID) {
+			feasibleBefore = append(feasibleBefore, s.ID)
+		}
+	}
+	budget := minTotal + int(extraRaw%32)
+	if budget < p.TotalReplicas() {
+		budget = p.TotalReplicas()
+	}
+	if budget <= 0 {
+		return true
+	}
+	if _, err := Optimize(p, OptimizerOptions{
+		Epsilon:           0.1,
+		RackAware:         true,
+		ReplicationBudget: budget,
+	}); err != nil {
+		t.Logf("optimize: %v", err)
+		return false
+	}
+	if p.TotalReplicas() > budget {
+		t.Logf("budget exceeded: %d > %d", p.TotalReplicas(), budget)
+		return false
+	}
+	for _, id := range feasibleBefore {
+		if !p.Feasible(id) {
+			t.Logf("block %d feasible before Optimize, infeasible after", id)
+			return false
+		}
+	}
+	return p.Validate() == nil
 }

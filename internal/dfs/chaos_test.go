@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -72,9 +73,12 @@ func chaosSchedule(t *testing.T, seed uint64, nodes int) faultinject.Schedule {
 }
 
 // chaosRun drives one seeded chaos cycle and returns the injector's
-// event log: load files, unleash the schedule while reading under
-// retry, then assert full recovery — zero lost blocks, a healthy fsck,
-// and a placement that satisfies the paper invariants.
+// event log: load files, unleash the schedule, keep reading under
+// retry and delete one file once the first node is down, then assert
+// full recovery — zero lost blocks, a healthy fsck, and a placement
+// that satisfies the paper invariants. The downed node rejoins with
+// whatever copies of the deleted file it held, so a healthy fsck also
+// means those were deleted on its return.
 func chaosRun(t *testing.T, seed uint64) []string {
 	t.Helper()
 	const nodes = 6
@@ -126,9 +130,17 @@ func chaosRun(t *testing.T, seed uint64) []string {
 		t.Fatalf("injector start: %v", err)
 	}
 	defer inj.Stop()
+	gone := fmt.Sprintf("/chaos/file%d", files-1)
+	crashed := func(line string) bool { return strings.Contains(line, " "+string(faultinject.Crash)+" ") }
 	optimized := false
 	for i := 0; ; i++ {
-		path := fmt.Sprintf("/chaos/file%d", i%files)
+		if _, ok := want[gone]; ok && slices.ContainsFunc(inj.Log(), crashed) {
+			if err := c.Delete(gone); err != nil {
+				t.Fatalf("Delete %s: %v", gone, err)
+			}
+			delete(want, gone)
+		}
+		path := fmt.Sprintf("/chaos/file%d", i%len(want))
 		got, err := c.Read(path)
 		if err != nil {
 			t.Fatalf("Read %s during churn: %v", path, err)

@@ -8,14 +8,16 @@ import (
 	"aurora/internal/topology"
 )
 
-// Decommission starts draining a datanode: replicas it holds are copied
-// to other machines first, then released, so availability and rack
-// spread never dip (unlike a crash, which loses a replica before
-// re-replication starts). Once the node stores nothing it is reported
-// decommissioned and can be stopped safely. The drain is driven by the
-// reconcile walk: the node's blocks stay pending until healLocked has
-// released its copies; poll ClusterInfo/fsck or WaitDecommissioned for
-// completion.
+// Decommission starts draining a datanode. A draining machine is as
+// unhealthy as a dead one to the desired placement: the reconcile walk's
+// heal moves each of its desired replicas to a healthy machine at once,
+// keeping the block's replica count. Its copies stay readable and are
+// deleted like any surplus copy, only once the new desired set is
+// feasible with MinReplicas of its replicas confirmed, so availability
+// and rack spread never dip (unlike a crash, which loses a replica
+// before re-replication starts). Once the node stores nothing it is
+// reported decommissioned and can be stopped safely; poll
+// ClusterInfo/fsck or WaitDecommissioned for completion.
 func (nn *NameNode) Decommission(id proto.NodeID) error {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()

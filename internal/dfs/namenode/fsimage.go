@@ -31,6 +31,9 @@ type fsImage struct {
 	Nodes     []fsImageNode  `json:"nodes"`
 	Files     []fsImageFile  `json:"files"`
 	Blocks    []fsImageBlock `json:"blocks"`
+	// Foreign is the namenode's foreign ID ranges: below NextBlock, but
+	// never allocated by this namespace. An image without it names none.
+	Foreign []idRange `json:"foreign,omitempty"`
 }
 
 type fsImageNode struct {
@@ -110,6 +113,7 @@ func (nn *NameNode) buildFsImageLocked() (*fsImage, error) {
 		Version:   fsImageVersion,
 		Racks:     nn.cfg.Racks,
 		NextBlock: nn.nextBlock,
+		Foreign:   append([]idRange(nil), nn.foreign...),
 	}
 	for _, n := range nn.nodes {
 		img.Nodes = append(img.Nodes, fsImageNode{
@@ -178,6 +182,9 @@ func (nn *NameNode) loadFsImage(path string) error {
 		if int(n.ID) != i {
 			return fmt.Errorf("%w: non-dense node ids", ErrBadFsImage)
 		}
+		if n.Rack < 0 || n.Rack >= img.Racks {
+			return fmt.Errorf("%w: node %d on rack %d of %d", ErrBadFsImage, n.ID, n.Rack, img.Racks)
+		}
 		nn.nodes = append(nn.nodes, &nodeState{
 			id:       n.ID,
 			addr:     n.Addr,
@@ -226,7 +233,13 @@ func (nn *NameNode) loadFsImage(path string) error {
 			complete:    ff.Complete,
 		})
 	}
+	for i, r := range img.Foreign {
+		if r.Lo >= r.Hi || r.Hi > img.NextBlock || i > 0 && r.Lo < img.Foreign[i-1].Hi {
+			return fmt.Errorf("%w: foreign range [%d, %d)", ErrBadFsImage, r.Lo, r.Hi)
+		}
+	}
 	nn.nextBlock = img.NextBlock
+	nn.foreign = img.Foreign
 	nn.ready = true
 	return nil
 }

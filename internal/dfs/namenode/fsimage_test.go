@@ -236,6 +236,29 @@ func TestLoadFsImageErrors(t *testing.T) {
 	if _, err := Start(Config{ExpectedNodes: 1, FsImagePath: empty}); !errors.Is(err, ErrBadFsImage) {
 		t.Errorf("no-nodes err = %v, want ErrBadFsImage", err)
 	}
+	noRack := filepath.Join(dir, "norack.json")
+	if err := os.WriteFile(noRack, []byte(`{"version":1,"nodes":[{"id":0,"addr":"a","rack":0,"capacity":1}]}`), 0o644); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if _, err := Start(Config{ExpectedNodes: 1, FsImagePath: noRack}); !errors.Is(err, ErrBadFsImage) {
+		t.Errorf("node outside the racks err = %v, want ErrBadFsImage", err)
+	}
+	// Foreign ranges must be ascending, non-empty and below nextBlock:
+	// foreignLocked binary-searches them.
+	for name, ranges := range map[string]string{
+		"unsorted": `[{"lo":5,"hi":6},{"lo":1,"hi":2}]`,
+		"empty":    `[{"lo":3,"hi":3}]`,
+		"past":     `[{"lo":1,"hi":11}]`,
+	} {
+		bad := filepath.Join(dir, name+".json")
+		img := `{"version":1,"racks":1,"nextBlock":10,"nodes":[{"id":0,"addr":"a","rack":0,"capacity":1}],"foreign":` + ranges + `}`
+		if err := os.WriteFile(bad, []byte(img), 0o644); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if _, err := Start(Config{ExpectedNodes: 1, FsImagePath: bad}); !errors.Is(err, ErrBadFsImage) {
+			t.Errorf("%s foreign ranges err = %v, want ErrBadFsImage", name, err)
+		}
+	}
 	// Missing file is fine: a fresh cluster forms and checkpoints there.
 	fresh := filepath.Join(dir, "fresh.json")
 	nn, err := Start(Config{ExpectedNodes: 1, Racks: 1, DefaultMinRacks: 1, FsImagePath: fresh})
@@ -248,7 +271,9 @@ func TestLoadFsImageErrors(t *testing.T) {
 // A restart from an older checkpoint rolls the block counter back while
 // the datanodes still hold the blocks allocated after it. A new block
 // must not reuse one of those IDs, or their stale replicas would count
-// as confirmed holders of the new block.
+// as confirmed holders of the new block. Nor may the walk delete them:
+// the restarted namespace never allocated them, and the newer image
+// that names them may yet be restored.
 func TestRestartSkipsReportedBlockIDs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "img.json")
 	nn := startNN(t, 2, 2)
@@ -290,5 +315,78 @@ func TestRestartSkipsReportedBlockIDs(t *testing.T) {
 	nn2.mu.Unlock()
 	if holders != 0 {
 		t.Errorf("new block %d counts %d stale replica(s) as confirmed holders", fresh, holders)
+	}
+	for tick := 0; tick < 3; tick++ {
+		nn2.ReconcileOnce()
+	}
+	assertNoDeletes(t, nn2)
+
+	// The skipped range is the namespace's record, and outlives it: a
+	// restart from nn2's own checkpoint still leaves the stale copies.
+	path2 := filepath.Join(t.TempDir(), "img2.json")
+	if err := nn2.SaveFsImage(path2); err != nil {
+		t.Fatalf("SaveFsImage: %v", err)
+	}
+	nn3, err := Start(Config{ExpectedNodes: 1, Racks: 2, ReconcileInterval: time.Hour, FsImagePath: path2})
+	if err != nil {
+		t.Fatalf("restore from the second image: %v", err)
+	}
+	t.Cleanup(func() { _ = nn3.Close() })
+	for _, dn := range []*fakeDN{a, b} {
+		(&fakeDN{t: t, nn: nn3.Addr(), id: dn.id, addr: dn.addr}).heartbeat(first, stale)
+	}
+	for tick := 0; tick < 3; tick++ {
+		nn3.ReconcileOnce()
+	}
+	assertNoDeletes(t, nn3)
+	if h := nn3.Health(); h.TombstonedBlocks != 0 {
+		t.Errorf("fsck counts the never-allocated block %d as tombstoned: %+v", stale, h)
+	}
+}
+
+// assertNoDeletes fails the test if nn has queued or issued any delete.
+func assertNoDeletes(t *testing.T, nn *NameNode) {
+	t.Helper()
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	queued := 0
+	for _, cmds := range nn.pendingCmds {
+		for _, c := range cmds {
+			if c.Kind == proto.CmdDelete {
+				queued++
+			}
+		}
+	}
+	if issued := nn.commandsIssued[proto.CmdDelete]; issued != 0 || queued != 0 {
+		t.Errorf("%d delete(s) issued and %d queued: %v", issued, queued, nn.pendingCmds)
+	}
+}
+
+// A namenode started without an image over datanodes that hold data — a
+// lost image, a mistyped -fsimage path — must delete none of it: it
+// allocated none of those blocks. The first report moves allocation
+// past its IDs; a second node's lower IDs fall in the range it skipped
+// and are kept as well.
+func TestFreshNameNodeKeepsReportedBlocks(t *testing.T) {
+	nn := startNN(t, 2, 2)
+	a := registerFake(t, nn, 0, "a:1")
+	b := registerFake(t, nn, 1, "b:1")
+	a.heartbeat(7, 9)
+	b.heartbeat(3, 9)
+	for tick := 0; tick < 3; tick++ {
+		nn.ReconcileOnce()
+	}
+	assertNoDeletes(t, nn)
+	nn.mu.Lock()
+	held := len(nn.confirmed[3]) + len(nn.confirmed[7]) + len(nn.confirmed[9])
+	nn.mu.Unlock()
+	if held != 4 {
+		t.Errorf("%d confirmed copies of the reported blocks, want 4", held)
+	}
+	if h := nn.Health(); !h.Healthy || h.TombstonedBlocks != 0 {
+		t.Errorf("fsck over blocks the namespace never allocated: %+v, want healthy with none tombstoned", h)
+	}
+	if !nn.Converged() {
+		t.Error("not converged: copies of never-allocated blocks count as surplus")
 	}
 }

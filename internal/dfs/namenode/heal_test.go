@@ -1,6 +1,7 @@
 package namenode
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -233,5 +234,130 @@ func TestWithPlacementRehomesOffDeadMachine(t *testing.T) {
 	}
 	if !rehomed {
 		t.Errorf("added replica not re-homed on the one healthy spare %d: %v", live.id, replicas)
+	}
+}
+
+// queued reports whether a command is queued for dn's next report.
+func (hc *healCluster) queued(dn *fakeDN, cmd proto.Command) bool {
+	hc.nn.mu.Lock()
+	defer hc.nn.mu.Unlock()
+	for _, c := range hc.nn.pendingCmds[dn.id] {
+		if c == cmd {
+			return true
+		}
+	}
+	return false
+}
+
+// A holder that is down when its file is deleted keeps its copy; when
+// it rejoins with a full report, that copy belongs to no file and is
+// deleted like any surplus copy. fsck is not healthy while it is held.
+func TestDeletedWhileDownReapedOnRejoin(t *testing.T) {
+	hc := startHealCluster(t)
+	id := hc.writeBlock()
+	b := proto.BlockID(id)
+	replicas, _ := hc.desired(id)
+	down, up := hc.dns[replicas[0]], hc.dns[replicas[1]]
+	hc.outage(down)
+	if _, _, err := proto.Call(hc.nn.Addr(), &proto.Message{Type: proto.MsgDeleteFile, Path: "/f"}, nil, time.Second); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	hc.nn.ReconcileOnce()
+	if !hc.queued(up, proto.Command{Kind: proto.CmdDelete, Block: b}) {
+		t.Fatalf("no delete queued for the live holder of deleted block %d", b)
+	}
+	up.deleted(b)
+	hc.nn.ReconcileOnce()
+	if h := hc.nn.Health(); h.TombstonedBlocks != 0 {
+		t.Fatalf("fsck counts a tombstoned block once the live copy was deleted: %+v", h)
+	}
+
+	down.heartbeat(b) // rejoins: its disk still has the block
+	if h := hc.nn.Health(); h.Healthy || h.TombstonedBlocks != 1 {
+		t.Errorf("fsck with a deleted block held on the rejoined node: %+v, want unhealthy with 1 tombstoned block", h)
+	}
+	hc.nn.ReconcileOnce()
+	if !hc.queued(down, proto.Command{Kind: proto.CmdDelete, Block: b}) {
+		t.Fatalf("no delete queued for the rejoined node's copy of deleted block %d", b)
+	}
+	down.deleted(b)
+	hc.nn.ReconcileOnce()
+	hc.nn.mu.Lock()
+	_, held := hc.nn.confirmed[b]
+	hc.nn.mu.Unlock()
+	if held {
+		t.Errorf("deleted block %d keeps a confirmed entry once no holder is left", b)
+	}
+	if h := hc.nn.Health(); !h.Healthy {
+		t.Errorf("fsck not healthy once every copy was deleted: %+v", h)
+	}
+}
+
+// A drain takes a copy away only once its replacement is confirmed.
+// Where no healthy machine has room for the replacement, the draining
+// copy stays confirmed and gets no delete, however many ticks pass.
+func TestDrainWithoutRoomKeepsCopy(t *testing.T) {
+	nn, err := Start(Config{
+		ExpectedNodes:      3,
+		Racks:              2,
+		DefaultReplication: 2,
+		DefaultMinRacks:    2,
+		DeadTimeout:        time.Hour,
+		ReconcileInterval:  time.Hour,
+		Seed:               1,
+	})
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	t.Cleanup(func() { _ = nn.Close() })
+	var dns []*fakeDN
+	for i, addr := range []string{"a:1", "b:1", "c:1"} {
+		dns = append(dns, registerWithCapacity(t, nn, i%2, 1, addr))
+	}
+	write := func(path string, replication int) proto.BlockID {
+		t.Helper()
+		if _, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgCreateFile, Path: path, Replication: replication, MinRacks: 1}, nil, time.Second); err != nil {
+			t.Fatalf("create %s: %v", path, err)
+		}
+		resp, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgAddBlock, Path: path, Length: 1}, nil, time.Second)
+		if err != nil {
+			t.Fatalf("add block to %s: %v", path, err)
+		}
+		for _, addr := range resp.Pipeline {
+			for _, dn := range dns {
+				if dn.addr == addr {
+					dn.received(resp.Block)
+				}
+			}
+		}
+		if _, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgCompleteFile, Path: path}, nil, time.Second); err != nil {
+			t.Fatalf("complete %s: %v", path, err)
+		}
+		return resp.Block
+	}
+	pair := write("/pair", 2) // two of the three one-block machines
+	write("/one", 1)          // the third: no machine has room left
+	nn.ReconcileOnce()
+	if !nn.Converged() {
+		t.Fatal("setup did not converge")
+	}
+	nn.mu.Lock()
+	drained := dns[nn.placement.Replicas(core.BlockID(pair))[0]]
+	nn.mu.Unlock()
+	if err := nn.Decommission(drained.id); err != nil {
+		t.Fatalf("Decommission: %v", err)
+	}
+	for tick := 0; tick < 3; tick++ {
+		nn.ReconcileOnce()
+		nn.mu.Lock()
+		held := nn.confirmed[pair][drained.id]
+		cmds := slices.Clone(nn.pendingCmds[drained.id])
+		nn.mu.Unlock()
+		if !held {
+			t.Fatalf("tick %d: the draining copy of block %d is no longer confirmed", tick, pair)
+		}
+		if slices.Contains(cmds, proto.Command{Kind: proto.CmdDelete, Block: pair}) {
+			t.Fatalf("tick %d: delete queued for the only spare copy of block %d: %v", tick, pair, cmds)
+		}
 	}
 }

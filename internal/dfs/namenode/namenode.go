@@ -245,11 +245,13 @@ type NameNode struct {
 	// fsimage walk it instead of sorting the namespace (DESIGN.md §9).
 	order     []*fileMeta
 	nextBlock proto.BlockID
+	// foreign holds, ascending, the ID ranges below nextBlock that this
+	// namespace never allocated, skipped because a report named an ID at
+	// or past nextBlock (confirmLocked, foreignLocked).
+	foreign []idRange
 	// confirmed[b] is the set of nodes that actually hold block b
 	// according to block reports.
 	confirmed map[proto.BlockID]map[proto.NodeID]bool
-	// tombstones are deleted blocks whose replicas still need reaping.
-	tombstones map[proto.BlockID]bool
 	// pending commands per node, delivered on its next heartbeat.
 	pendingCmds map[proto.NodeID][]proto.Command
 	// inflight replication commands with issue time, to avoid
@@ -261,9 +263,9 @@ type NameNode struct {
 	// and syncPendingLocked moves it here — or its confirmed set does
 	// (confirmLocked, unconfirmLocked), or a node it is desired on or held
 	// by dies or starts draining (unsettleNodeLocked). A block being
-	// written, a tombstone still held and a block desired on a draining
-	// node never leave. The reconcile pass walks only this set and drops
-	// what it finds settled (DESIGN.md §10.3).
+	// written and a held block the namespace lacks never leave. The
+	// reconcile pass walks only this set and drops what it finds settled
+	// (DESIGN.md §10.3).
 	pending map[proto.BlockID]struct{}
 	// walk is the block-ID buffer syncPendingLocked, the reconcile pass
 	// and a period's install reuse.
@@ -337,7 +339,6 @@ func Start(cfg Config) (*NameNode, error) {
 		files:          make(map[string]*fileMeta),
 		nextBlock:      1,
 		confirmed:      make(map[proto.BlockID]map[proto.NodeID]bool),
-		tombstones:     make(map[proto.BlockID]bool),
 		pendingCmds:    make(map[proto.NodeID][]proto.Command),
 		inflight:       make(map[inflightKey]time.Time),
 		pending:        make(map[proto.BlockID]struct{}),
@@ -597,14 +598,9 @@ func (nn *NameNode) handleReport(req *proto.Message) (*proto.Message, error) {
 		}
 	}
 	for _, b := range req.Received {
+		// An arrival may complete a replicate command whose immediate
+		// MsgBlockReceived was lost.
 		nn.confirmLocked(b, node.id)
-		// An arrival may be the completion of a replicate command whose
-		// immediate MsgBlockReceived was lost.
-		key := inflightKey{block: b, node: node.id}
-		if issued, ok := nn.inflight[key]; ok {
-			nn.moveDurations = append(nn.moveDurations, nn.clock().Sub(issued))
-			delete(nn.inflight, key)
-		}
 	}
 	for _, b := range req.Deleted {
 		nn.unconfirmLocked(b, node.id)
@@ -646,22 +642,23 @@ func (nn *NameNode) handleBlockReceived(req *proto.Message) (*proto.Message, err
 		node.fresh = make(map[proto.BlockID]bool)
 	}
 	node.fresh[req.Block] = true
-	key := inflightKey{block: req.Block, node: req.Node}
+	return nil, nil
+}
+
+// confirmLocked records that node n holds block b: it completes a copy
+// of b to n in flight, folds b into n's set digest and holds index, and
+// puts b in the pending set. An ID at or past nextBlock was not
+// allocated here — a replica from before a restart from an older
+// checkpoint, or another namespace's — so allocation skips past it and
+// records the skipped IDs as foreign: a new block must not count a
+// stale replica as a holder, nor the walk delete data this namespace
+// never wrote. Idempotent: re-confirming changes nothing.
+func (nn *NameNode) confirmLocked(b proto.BlockID, n proto.NodeID) {
+	key := inflightKey{block: b, node: n}
 	if issued, ok := nn.inflight[key]; ok {
 		nn.moveDurations = append(nn.moveDurations, nn.clock().Sub(issued))
 		delete(nn.inflight, key)
 	}
-	return nil, nil
-}
-
-// confirmLocked records that node n holds block b, folding the block
-// into n's incremental set digest and n's holds index, and puts b in
-// the pending set. A reported ID at or past nextBlock is a block this
-// namenode did not allocate — a replica left from before a restart from
-// an older checkpoint — so allocation moves past it: a new block must
-// not count a stale replica as a confirmed holder. Idempotent:
-// re-confirming a held block changes nothing.
-func (nn *NameNode) confirmLocked(b proto.BlockID, n proto.NodeID) {
 	holders, ok := nn.confirmed[b]
 	if !ok {
 		holders = make(map[proto.NodeID]bool)
@@ -674,6 +671,10 @@ func (nn *NameNode) confirmLocked(b proto.BlockID, n proto.NodeID) {
 	// The ID is a datanode's word, so it is not trusted to leave room
 	// above it; handleAddBlock refuses to allocate at the top.
 	if b >= nn.nextBlock && b < math.MaxInt64 {
+		if k := len(nn.foreign); k == 0 || nn.foreign[k-1].Hi != nn.nextBlock {
+			nn.foreign = append(nn.foreign, idRange{Lo: nn.nextBlock})
+		}
+		nn.foreign[len(nn.foreign)-1].Hi = b + 1
 		nn.nextBlock = b + 1
 		nn.markDirtyLocked()
 	}
@@ -686,11 +687,27 @@ func (nn *NameNode) confirmLocked(b proto.BlockID, n proto.NodeID) {
 	nn.pending[b] = struct{}{}
 }
 
+// idRange is the half-open block-ID range [Lo, Hi).
+type idRange struct {
+	Lo proto.BlockID `json:"lo"`
+	Hi proto.BlockID `json:"hi"`
+}
+
+// foreignLocked reports whether this namespace never allocated block
+// b: b is at or past nextBlock or in a skipped range. A foreign block
+// may be another namespace's data, as under a namenode started without
+// its image, so its copies are never deleted (DESIGN.md §10.3).
+func (nn *NameNode) foreignLocked(b proto.BlockID) bool {
+	i := sort.Search(len(nn.foreign), func(i int) bool { return nn.foreign[i].Hi > b })
+	return b >= nn.nextBlock || i < len(nn.foreign) && nn.foreign[i].Lo <= b
+}
+
 // unconfirmLocked is the inverse of confirmLocked: it removes the
 // holder record, folds the block back out of the node's digest and
-// holds index, puts b in the pending set, drops a delete of that
-// replica still queued for the node, and reaps the confirmation entry
-// of a fully-vacated tombstoned block. Idempotent like its counterpart.
+// holds index, puts b in the pending set and drops a delete of that
+// replica still queued for the node. The block's confirmed entry stays,
+// even once empty: the walk drops that of a block the namespace lacks.
+// Idempotent like its counterpart.
 func (nn *NameNode) unconfirmLocked(b proto.BlockID, n proto.NodeID) {
 	holders, ok := nn.confirmed[b]
 	if !ok || !holders[n] {
@@ -702,22 +719,15 @@ func (nn *NameNode) unconfirmLocked(b proto.BlockID, n proto.NodeID) {
 	delete(node.holds, b)
 	node.digest ^= proto.BlockDigest(b)
 	nn.pending[b] = struct{}{}
-	// The node may have been handed this delete already and a reconcile
-	// pass have queued it again before the report of the deletion
-	// arrived (enqueueLocked de-duplicates only against what is still
-	// queued).
-	// With the replica gone the queued copy is stale, and Converged()
-	// may hold from here on, so fsck must not count it as pending.
+	// A delete of the replica still queued — a pass may re-queue one the
+	// node was handed before its report arrived — is stale now, and
+	// fsck must not count it as pending once Converged holds.
 	cmds := nn.pendingCmds[n]
 	for i, cmd := range cmds {
 		if cmd.Kind == proto.CmdDelete && cmd.Block == b {
 			nn.pendingCmds[n] = append(cmds[:i], cmds[i+1:]...)
 			break
 		}
-	}
-	if len(holders) == 0 && nn.tombstones[b] {
-		delete(nn.confirmed, b)
-		delete(nn.tombstones, b)
 	}
 }
 
@@ -944,9 +954,8 @@ func (nn *NameNode) handleDelete(req *proto.Message) (*proto.Message, error) {
 		return nil, fmt.Errorf("%w: %s", ErrFileNotFound, req.Path)
 	}
 	for _, b := range f.blocks {
-		//lint:ignore errcheck idempotent delete; tombstones cover already-gone blocks
+		//lint:ignore errcheck idempotent delete; the walk deletes whatever copies remain
 		_ = nn.placement.DeleteBlock(core.BlockID(b))
-		nn.tombstones[b] = true
 		nn.monitor.Forget(core.BlockID(b))
 	}
 	nn.removeFileLocked(req.Path)

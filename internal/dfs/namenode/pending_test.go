@@ -24,8 +24,9 @@ type reconcileState struct {
 }
 
 // twin is a heal cluster whose every reconcile pass is recorded. A full
-// twin puts every block in the pending set before each pass, which makes
-// the pass the walk of every block that the pending set replaces.
+// twin puts every block in the pending set before each pass — every
+// desired one and every confirmed one — which makes the pass the walk of
+// every block that the pending set replaces.
 type twin struct {
 	*healCluster
 	full   bool
@@ -52,6 +53,9 @@ func (tw *twin) tick() {
 		nn.mu.Lock()
 		for _, id := range nn.placement.Blocks() {
 			nn.pending[proto.BlockID(id)] = struct{}{}
+		}
+		for b := range nn.confirmed {
+			nn.pending[b] = struct{}{}
 		}
 		nn.mu.Unlock()
 	}
@@ -108,6 +112,25 @@ func (tw *twin) write(path string, confirm int, complete bool) proto.BlockID {
 		tw.call(&proto.Message{Type: proto.MsgCompleteFile, Path: path})
 	}
 	return resp.Block
+}
+
+// forgotten fails the test unless block b has no confirmed entry and is
+// out of the pending set: every copy of it is gone and so is the walk's
+// interest in it.
+func (tw *twin) forgotten(b proto.BlockID) {
+	tw.t.Helper()
+	tw.nn.mu.Lock()
+	_, held := tw.nn.confirmed[b]
+	_, pending := tw.nn.pending[b]
+	tw.nn.mu.Unlock()
+	if held || pending {
+		tw.t.Fatalf("deleted block %d: confirmed entry %v, pending %v; want neither once no holder is left", b, held, pending)
+	}
+}
+
+// without returns held less b.
+func without(held []proto.BlockID, b proto.BlockID) []proto.BlockID {
+	return slices.DeleteFunc(slices.Clone(held), func(h proto.BlockID) bool { return h == b })
 }
 
 func (tw *twin) node(addr string) *fakeDN {
@@ -231,16 +254,28 @@ func TestPendingSetEntries(t *testing.T) {
 			in, _ := tw.holders(blocks[1])
 			tw.call(&proto.Message{Type: proto.MsgDeleteFile, Path: "/f1"})
 			tw.tick()
-			in[0].deleted(blocks[1], slices.DeleteFunc(tw.holds(in[0]), func(b proto.BlockID) bool {
-				return b == blocks[1]
-			})...)
-			tw.advance(2*time.Second, in[1]) // the last holder dies: the walk reaps the tombstone
-			tw.nn.mu.Lock()
-			left := len(tw.nn.tombstones)
-			tw.nn.mu.Unlock()
-			if left != 0 {
-				tw.t.Fatalf("%d tombstone(s) left once no holder was", left)
+			in[0].deleted(blocks[1], without(tw.holds(in[0]), blocks[1])...)
+			tw.advance(2*time.Second, in[1]) // the last holder dies: the walk forgets the block
+			tw.forgotten(blocks[1])
+		}},
+		{"delete while a holder is down, then it rejoins", func(tw *twin, blocks []proto.BlockID) {
+			in, _ := tw.holders(blocks[1])
+			down, up := in[0], in[1]
+			held := tw.holds(down)
+			tw.advance(2*time.Second, down)
+			tw.call(&proto.Message{Type: proto.MsgDeleteFile, Path: "/f1"})
+			tw.tick()
+			up.deleted(blocks[1], without(tw.holds(up), blocks[1])...)
+			tw.tick()
+			down.heartbeat(held...) // its disk still has the deleted block
+			tw.tick()
+			if !slices.Contains(tw.passes[len(tw.passes)-1].cmds[down.id],
+				proto.Command{Kind: proto.CmdDelete, Block: blocks[1]}) {
+				tw.t.Fatalf("no delete queued for the rejoined node's copy of deleted block %d", blocks[1])
 			}
+			down.deleted(blocks[1], without(tw.holds(down), blocks[1])...)
+			tw.tick()
+			tw.forgotten(blocks[1])
 		}},
 		{"set_replication", func(tw *twin, blocks []proto.BlockID) {
 			tw.call(&proto.Message{Type: proto.MsgSetRepl, Path: "/f1", Replication: 3})

@@ -124,10 +124,11 @@ func (nn *NameNode) windowLoadsLocked() ([]float64, map[core.BlockID]int64) {
 // checkNodesLocked is the reconcile pass's one walk over the datanodes.
 // A node silent for DeadTimeout is declared dead: its desired and held
 // blocks enter the pending set, where the walk re-homes the first and
-// reaps the tombstones among the second, and what it was confirmed to
-// hold is forgotten — the fault-tolerance behaviour HDFS implements and
-// the paper's reliability constraints assume. A draining node is
-// decommissioned once it neither is desired to hold nor holds anything.
+// forgets those of the second that the namespace lacks and no one else
+// holds, and what it was confirmed to hold is forgotten — the
+// fault-tolerance behaviour HDFS implements and the paper's reliability
+// constraints assume. A draining node is decommissioned once it neither
+// is desired to hold nor holds anything.
 func (nn *NameNode) checkNodesLocked() {
 	now := nn.clock()
 	for _, node := range nn.nodes {
@@ -167,8 +168,8 @@ func (nn *NameNode) unsettleNodeLocked(node *nodeState) {
 }
 
 // keepSize is healLocked's k for callers that re-home a block without
-// resizing it: as many replicas as it has off draining machines, and at
-// least its MinReplicas.
+// resizing it: as many replicas as it has before the unhealthy ones are
+// dropped, and at least its MinReplicas.
 const keepSize = 0
 
 // healLocked is the one way the namenode re-homes a block's desired
@@ -179,22 +180,18 @@ const keepSize = 0
 // healthy machines over its MinRacks racks, as far as capacity allows
 // (DESIGN.md §10.3):
 //
-//   - replicas on dead machines are dropped, and on draining machines
-//     that hold no confirmed copy (a departing machine gets no new data);
-//   - confirmed copies on draining machines are set aside for the rest of
-//     the step: they count toward neither k nor the spread, so their
-//     replacements are chosen now;
+//   - replicas on unhealthy machines — dead or draining — are dropped;
 //   - replicas are added on healthy machines (alive, not draining, with
 //     room) while the block is short of k replicas or of MinRacks racks —
 //     when only racks are short, only in a rack it is not in yet;
 //   - while it has more than k, the most-loaded holder whose removal
-//     keeps the spread is dropped;
-//   - a draining copy set aside is released — make-before-break — once
-//     MinReplicas copies are confirmed on healthy machines and the spread
-//     holds without it; until then it stays desired.
+//     keeps the spread is dropped.
 //
-// A block the steps would leave as it is returns before anything is set
-// aside, so a drain's waiting blocks cost a visit no placement write.
+// A copy a dropped replica leaves on a draining machine is then surplus
+// like any other, and the walk deletes it once the new set is safe
+// (reconcileBlockLocked). A block the steps would leave as it is returns
+// before anything is written, so a drain's waiting blocks cost a visit
+// no placement write.
 //
 // Which machine gains or loses a replica is core's decision; this
 // function only says which machines are healthy. It reports whether the
@@ -205,43 +202,33 @@ func (nn *NameNode) healLocked(id core.BlockID, k int) bool {
 	if err != nil {
 		return false
 	}
-	confirmed := nn.confirmed[proto.BlockID(id)]
-	var holderBuf, parkedBuf [8]topology.MachineID
+	var holderBuf [8]topology.MachineID
 	var rackBuf [8]int
 	holders := p.AppendReplicas(id, holderBuf[:0])
-	parked, racks := parkedBuf[:0], rackBuf[:0]
-	healthy, confirmedHealthy, dropped := 0, 0, false
+	racks := rackBuf[:0]
+	healthy := 0
 	for _, m := range holders {
-		node := nn.nodes[m]
-		switch {
-		case node.alive && !node.draining:
+		if node := nn.nodes[m]; node.alive && !node.draining {
 			healthy++
-			if confirmed[node.id] {
-				confirmedHealthy++
-			}
 			if !slices.Contains(racks, node.rack) {
 				racks = append(racks, node.rack)
 			}
-		case node.alive && confirmed[node.id]:
-			parked = append(parked, m)
-		default:
-			dropped = true
 		}
 	}
 	if k == keepSize {
-		k = max(len(holders)-len(parked), spec.MinReplicas)
+		k = max(len(holders), spec.MinReplicas)
 	}
-	if !dropped && healthy == k && len(racks) >= spec.MinRacks &&
-		(len(parked) == 0 || confirmedHealthy < spec.MinReplicas) {
+	if healthy == len(holders) && healthy == k && len(racks) >= spec.MinRacks {
 		return false
 	}
+	changed := false
 	for _, m := range holders {
 		if node := nn.nodes[m]; !node.alive || node.draining {
 			//lint:ignore errcheck the replica was just enumerated; removal cannot fail
 			_ = p.RemoveReplica(id, m)
+			changed = true
 		}
 	}
-	changed := dropped
 	for {
 		short := p.ReplicaCount(id) < k
 		if !short && p.RackSpread(id) >= spec.MinRacks {
@@ -270,20 +257,6 @@ func (nn *NameNode) healLocked(id core.BlockID, k int) bool {
 		//lint:ignore errcheck the replica was just enumerated; removal cannot fail
 		_ = p.RemoveReplica(id, drop)
 		changed = true
-	}
-	confirmedHealthy = 0
-	for _, m := range p.AppendReplicas(id, holders[:0]) {
-		if confirmed[proto.NodeID(m)] {
-			confirmedHealthy++
-		}
-	}
-	for _, m := range parked {
-		if confirmedHealthy >= spec.MinReplicas && p.RackSpread(id) >= spec.MinRacks {
-			changed = true // released; the walk deletes the physical copy
-			continue
-		}
-		//lint:ignore errcheck the slot was freed above and nothing is added on a draining machine
-		_ = p.AddReplica(id, m)
 	}
 	if changed {
 		nn.markDirtyLocked()
@@ -324,17 +297,20 @@ func (nn *NameNode) reconcileWalkLocked(now time.Time) {
 }
 
 // reconcileBlockLocked is the reconcile decision for one block, and the
-// only one. A block deleted from the namespace has a delete sent to each
-// live confirmed holder, and its tombstone is dropped once no holder is
-// left; a block the namespace never had is left alone. A block being
-// written is left to its pipeline. Any other block is healed
-// (healLocked, which also releases a drained copy), each desired
-// replica missing on a live node is copied from a confirmed live holder,
-// and once enough desired replicas are confirmed every surplus confirmed
-// replica is deleted. It reports whether the block is settled: not being
-// written, feasible, desired on no draining machine and confirmed on
-// exactly its desired holders (which the heal left alive) — or deleted
-// and held by no one. A settled block wanted nothing from this call and
+// only one. A block the namespace allocated and no longer names — its
+// file was deleted — has a delete sent to each live confirmed holder; a
+// foreign one (foreignLocked) is left alone. Either's confirmed entry is
+// dropped once no holder is left. A block being written is left to its
+// pipeline. Any other block is healed (healLocked), each desired replica
+// missing on a live node is copied from a confirmed live holder, and
+// every confirmed copy outside the desired set is deleted once the set
+// is safe without it — feasible, with at least MinReplicas of its
+// replicas confirmed: make-before-break, the one rule for every surplus
+// copy, whether an eviction, a migration's source or a drained
+// machine's. It reports whether the block is settled: not being
+// written, feasible and confirmed on exactly its desired holders (which
+// the heal left alive and not draining) — or unknown and foreign or
+// held by no one. A settled block wanted nothing from this call and
 // will want nothing until an event puts it in the pending set.
 func (nn *NameNode) reconcileBlockLocked(id core.BlockID, now time.Time) (settled bool) {
 	b := proto.BlockID(id)
@@ -342,12 +318,11 @@ func (nn *NameNode) reconcileBlockLocked(id core.BlockID, now time.Time) (settle
 	holders := nn.confirmed[b]
 	spec, err := p.Spec(id)
 	if err != nil {
-		if !nn.tombstones[b] {
-			return true
-		}
 		if len(holders) == 0 {
 			delete(nn.confirmed, b)
-			delete(nn.tombstones, b)
+			return true
+		}
+		if nn.foreignLocked(b) {
 			return true
 		}
 		for n := range holders {
@@ -364,10 +339,8 @@ func (nn *NameNode) reconcileBlockLocked(id core.BlockID, now time.Time) (settle
 	var desiredBuf [8]topology.MachineID
 	desired := p.AppendReplicas(id, desiredBuf[:0])
 	confirmedDesired := 0
-	draining := false
 	for _, m := range desired {
 		n := proto.NodeID(m)
-		draining = draining || nn.nodes[n].draining
 		if holders[n] {
 			confirmedDesired++
 			continue
@@ -388,38 +361,35 @@ func (nn *NameNode) reconcileBlockLocked(id core.BlockID, now time.Time) (settle
 			Target: nn.nodes[n].addr,
 		})
 	}
-	// Surplus replicas: drop them only when enough desired replicas
-	// are confirmed, so a migration never reduces availability.
-	if confirmedDesired >= spec.MinReplicas || confirmedDesired >= len(desired) {
+	feasible := p.Feasible(id)
+	if feasible && confirmedDesired >= spec.MinReplicas {
 		for n := range holders {
 			if !p.HasReplica(id, topology.MachineID(n)) && nn.nodes[n].alive {
 				nn.enqueueLocked(n, proto.Command{Kind: proto.CmdDelete, Block: b})
 			}
 		}
 	}
-	return !draining && p.Feasible(id) &&
-		confirmedDesired == len(desired) && len(holders) == len(desired)
+	return feasible && confirmedDesired == len(desired) && len(holders) == len(desired)
 }
 
 // checkSettledLocked is the pending set's oracle, run after every
 // reconcile walk in invariantdebug builds: it applies the per-block
 // decision to every block outside the set and panics on one that is not
 // settled — a block that wanted a command or a heal that no walk
-// visited, because some event failed to add it. A tombstone is settled
-// only once it is dropped, so none may be outside the set.
+// visited, because some event failed to add it. Confirmed blocks count
+// too: one the namespace allocated and lacks is settled only once its
+// entry is dropped.
 func (nn *NameNode) checkSettledLocked(now time.Time) {
-	for _, id := range nn.placement.Blocks() {
-		if _, ok := nn.pending[proto.BlockID(id)]; ok {
-			continue
-		}
-		if !nn.reconcileBlockLocked(id, now) {
+	check := func(id core.BlockID) {
+		if _, ok := nn.pending[proto.BlockID(id)]; !ok && !nn.reconcileBlockLocked(id, now) {
 			panic(fmt.Sprintf("namenode: block %d is outside the reconcile pending set but not settled", id))
 		}
 	}
-	for b := range nn.tombstones {
-		if _, ok := nn.pending[b]; !ok {
-			panic(fmt.Sprintf("namenode: tombstoned block %d is outside the reconcile pending set", b))
-		}
+	for _, id := range nn.placement.Blocks() {
+		check(id)
+	}
+	for b := range nn.confirmed {
+		check(core.BlockID(b))
 	}
 }
 
@@ -687,8 +657,9 @@ func (nn *NameNode) PlacementClone() (*core.Placement, error) {
 }
 
 // Converged reports whether every desired replica is confirmed and no
-// surplus replicas remain — the steady state after reconciliation. Only
-// the pending set needs a look: every block outside it is settled.
+// surplus replicas remain — the steady state after reconciliation. A
+// foreign block's copies are not surplus: the walk leaves them alone.
+// Only the pending set needs a look: every block outside it is settled.
 func (nn *NameNode) Converged() bool {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
@@ -696,18 +667,20 @@ func (nn *NameNode) Converged() bool {
 		return false
 	}
 	nn.syncPendingLocked()
-	converged := len(nn.tombstones) == 0
+	converged := true
 	for b := range nn.pending {
-		id := core.BlockID(b)
-		if _, err := nn.placement.Spec(id); err == nil && !nn.confirmedAsDesiredLocked(id) {
+		if !nn.foreignLocked(b) && !nn.confirmedAsDesiredLocked(core.BlockID(b)) {
 			converged = false
 			break
 		}
 	}
 	if invariant.Enabled {
-		full := len(nn.tombstones) == 0
+		full := true
 		for _, id := range nn.placement.Blocks() {
 			full = full && nn.confirmedAsDesiredLocked(id)
+		}
+		for b := range nn.confirmed {
+			full = full && (nn.foreignLocked(b) || nn.confirmedAsDesiredLocked(core.BlockID(b)))
 		}
 		if full != converged {
 			panic(fmt.Sprintf("namenode: Converged over the pending set says %v, over every block %v", converged, full))
@@ -717,7 +690,8 @@ func (nn *NameNode) Converged() bool {
 }
 
 // confirmedAsDesiredLocked reports whether block id is confirmed on
-// exactly its desired holders.
+// exactly its desired holders; a block the namespace lacks has none, so
+// it is as desired once no copy of it is held.
 func (nn *NameNode) confirmedAsDesiredLocked(id core.BlockID) bool {
 	holders := nn.confirmed[proto.BlockID(id)]
 	desired := nn.placement.Replicas(id)
@@ -795,11 +769,13 @@ func (nn *NameNode) Health() proto.HealthReport {
 		if !n.alive {
 			h.DeadNodes++
 		}
-	}
-	h.TombstonedBlocks = len(nn.tombstones)
-	for _, n := range nn.nodes {
 		if n.draining && !n.decommissioned {
 			h.DrainingNodes++
+		}
+	}
+	for b, holders := range nn.confirmed {
+		if _, err := nn.placement.Spec(core.BlockID(b)); err != nil && len(holders) > 0 && !nn.foreignLocked(b) {
+			h.TombstonedBlocks++
 		}
 	}
 	h.Healthy = h.UnderReplicatedBlocks == 0 && h.UnderSpreadBlocks == 0 &&

@@ -139,7 +139,10 @@ type FileInfo struct {
 }
 
 // HealthReport is the fsck summary: desired-versus-actual replica
-// accounting and the reconcile loop's backlog.
+// accounting and the reconcile loop's backlog. TombstonedBlocks counts
+// held blocks the namespace allocated and no longer names — a deleted
+// file's; each holder is sent a delete. A block it never allocated is
+// not counted, and its copies are left alone.
 type HealthReport struct {
 	Files                 int  `json:"files"`
 	Blocks                int  `json:"blocks"`
