@@ -55,13 +55,15 @@ chaos:
 	$(GO) test -race -tags invariantdebug -count=3 -run '^TestBlockBufferLifetime$$' ./internal/dfs/
 
 # Short native-fuzz smoke over the checked-in corpora: the wire-frame
-# decoder, the xor-splitmix64 digest algebra and the report-tracker
-# merge each fuzz for a few seconds, so decoder panics and merge
-# regressions surface here without a long campaign. See DESIGN.md §15.
-# The frame corpus holds a 17 kB list_files reply; minimizing a mutation
-# of it under the default 60 s budget would stall the whole smoke.
+# decoder, the chunk receiver, the xor-splitmix64 digest algebra and the
+# report-tracker merge each fuzz for a few seconds, so decoder panics,
+# accepted bad chunks and merge regressions surface here without a long
+# campaign. See DESIGN.md §15. The frame corpus holds a 17 kB list_files
+# reply; minimizing a mutation of it (or of a chunk stream) under the
+# default 60 s budget would stall the whole smoke.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/dfs/proto
+	$(GO) test -run '^$$' -fuzz '^FuzzRecvChunks$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/dfs/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzDigestMerge$$' -fuzztime 5s ./internal/dfs/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzTrackerMerge$$' -fuzztime 5s ./internal/dfs/datanode
 

@@ -881,39 +881,34 @@ func startLoadedNameNode(b *testing.B) *aurora.NameNode {
 		Rack     int    `json:"rack"`
 		Capacity int    `json:"capacity"`
 	}
-	type file struct {
-		Path        string `json:"path"`
-		Blocks      []int  `json:"blocks"`
-		Lengths     []int  `json:"lengths"`
-		Replication int    `json:"replication"`
-		MinRacks    int    `json:"minRacks"`
-		Complete    bool   `json:"complete"`
-	}
 	type block struct {
-		ID          int     `json:"id"`
-		MinReplicas int     `json:"minReplicas"`
+		ID      int    `json:"id"`
+		Length  int    `json:"length"`
+		Desired [3]int `json:"desired"`
+	}
+	type file struct {
+		Path        string  `json:"path"`
+		Replication int     `json:"replication"`
 		MinRacks    int     `json:"minRacks"`
-		Desired     [3]int  `json:"desired"`
-		Popularity  float64 `json:"popularity"`
+		Complete    bool    `json:"complete"`
+		Blocks      []block `json:"blocks"`
 	}
 	img := struct {
-		Version   int     `json:"version"`
-		Racks     int     `json:"racks"`
-		NextBlock int     `json:"nextBlock"`
-		Nodes     []node  `json:"nodes"`
-		Files     []file  `json:"files"`
-		Blocks    []block `json:"blocks"`
-	}{Version: 1, Racks: 2, NextBlock: blocks + 1}
+		Version   int    `json:"version"`
+		Racks     int    `json:"racks"`
+		NextBlock int    `json:"nextBlock"`
+		Nodes     []node `json:"nodes"`
+		Files     []file `json:"files"`
+	}{Version: 2, Racks: 2, NextBlock: blocks + 1}
 	held := make([][]proto.BlockID, nodes)
 	for n := 0; n < nodes; n++ {
 		img.Nodes = append(img.Nodes, node{ID: n, Addr: fmt.Sprintf("dn%d:1", n), Rack: n % 2, Capacity: blocks})
 	}
 	for i := 0; i < blocks; i++ {
 		id := i + 1
-		img.Files = append(img.Files, file{Path: fmt.Sprintf("/r/f%06d", i), Blocks: []int{id},
-			Lengths: []int{512}, Replication: 3, MinRacks: 2, Complete: true})
 		desired := [3]int{i % nodes, (i + 1) % nodes, (i + 2) % nodes}
-		img.Blocks = append(img.Blocks, block{ID: id, MinReplicas: 3, MinRacks: 2, Desired: desired})
+		img.Files = append(img.Files, file{Path: fmt.Sprintf("/r/f%06d", i), Replication: 3, MinRacks: 2, Complete: true,
+			Blocks: []block{{ID: id, Length: 512, Desired: desired}}})
 		for _, n := range desired {
 			held[n] = append(held[n], proto.BlockID(id))
 		}

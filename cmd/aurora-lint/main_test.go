@@ -498,6 +498,13 @@ var seededMutations = []mutation{
 		at:   []string{"\tcase proto.MsgWriteBlockStream:\n"}, // reported at the dispatch case
 	},
 	{
+		name: "chunk receiver's checksum comparison deleted", rule: analysis.RuleProtoConform,
+		file: "internal/dfs/proto/stream.go",
+		old:  "\t\tcase msg.Checksum != ChunkChecksum(chunk):\n\t\t\treturn fmt.Errorf(\"%w: %w: block %d chunk %d\", ErrBadChunk, ErrChecksum, block, msg.Seq)\n",
+		new:  "",
+		at:   []string{"msg, chunk, err := st.RecvInto(*buf)"}, // reported at the receive
+	},
+	{
 		name: "resync request ignored", rule: analysis.RuleProtoConform,
 		file: "internal/dfs/datanode/datanode.go",
 		old:  "\tif resp.FullReport {\n\t\t// The namenode detected divergence (or wants a post-rejoin\n\t\t// baseline): escalate the next heartbeat to a full report.\n\t\tdn.tracker.forceFullNext()\n\t\tmetrics.Default.Counter(\"dfs.datanode.report_resync\").Inc()\n\t}\n",

@@ -557,9 +557,10 @@ func (pc *protoChecker) setsFullReport(fi *FuncInfo, visiting map[*FuncInfo]bool
 // checkChunkPaths enforces §15.1 per-chunk integrity (P3): a function
 // that consumes chunk frames (BlockStream.Recv or RecvInto plus a
 // MsgChunk type test) or produces them (a MsgChunk literal) must call
-// proto.ChunkChecksum.
+// proto.ChunkChecksum. The proto package is audited like any other: it
+// holds the one chunk sender and the one chunk receiver (§15.2, §15.3).
 func (pc *protoChecker) checkChunkPaths(fi *FuncInfo) {
-	if fi.Decl == nil || fi.Decl.Body == nil || fi.Pkg.Types == pc.w.pkg {
+	if fi.Decl == nil || fi.Decl.Body == nil {
 		return
 	}
 	info := fi.Pkg.Info

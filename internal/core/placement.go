@@ -316,7 +316,7 @@ func (p *Placement) SetPopularity(id BlockID, popularity float64) error {
 	}
 	old := b.perReplica()
 	b.spec.Popularity = popularity
-	p.reloadBlock(id, b, old)
+	p.reloadBlock(id, b, old, topology.NoMachine)
 	return nil
 }
 
@@ -410,18 +410,24 @@ func (b *blockState) perReplica() float64 {
 	return b.spec.Popularity / float64(len(b.replicas))
 }
 
-// reloadBlock recomputes the load contribution of block id on all its
-// holders after its per-replica popularity changed from oldPerReplica.
-// The skip test is bit-equality, not floatEq: the sorted block lists key
-// on exact popularity values, so any bit-level change must reposition the
-// entries even when numerically negligible.
-func (p *Placement) reloadBlock(id BlockID, b *blockState, oldPerReplica float64) {
+// reloadBlock recomputes the load contribution of block id on its
+// holders, all but fresh (a holder already placed at the new rate, or
+// topology.NoMachine), after its per-replica popularity changed from
+// oldPerReplica. It does nothing when the value is bit-unchanged, as it
+// always is for a popularity-0 block. The test is bit-equality, not
+// floatEq: the sorted block lists key on exact popularity values, so any
+// bit-level change must reposition the entries even when numerically
+// negligible.
+func (p *Placement) reloadBlock(id BlockID, b *blockState, oldPerReplica float64, fresh topology.MachineID) {
 	newPerReplica := b.perReplica()
 	if math.Float64bits(newPerReplica) == math.Float64bits(oldPerReplica) {
 		return
 	}
 	delta := newPerReplica - oldPerReplica
 	for _, m := range b.replicas {
+		if m == fresh {
+			continue
+		}
 		p.sortedRemove(m, id, oldPerReplica)
 		p.sortedInsert(m, id, newPerReplica)
 		p.addLoad(m, delta)
@@ -458,17 +464,7 @@ func (p *Placement) AddReplica(id BlockID, m topology.MachineID) error {
 	p.addLoad(m, newPerReplica)
 	p.rackLoad[mach.Rack] += newPerReplica
 	p.rackUsed[mach.Rack]++
-	// Rescale the others (the new holder was already added at the new
-	// rate, so exclude it by adjusting with the old rate first).
-	for _, holder := range b.replicas {
-		if holder == m {
-			continue
-		}
-		p.sortedRemove(holder, id, old)
-		p.sortedInsert(holder, id, newPerReplica)
-		p.addLoad(holder, newPerReplica-old)
-		p.rackLoad[p.cluster.MustMachine(holder).Rack] += newPerReplica - old
-	}
+	p.reloadBlock(id, b, old, m)
 	return nil
 }
 
@@ -493,7 +489,7 @@ func (p *Placement) RemoveReplica(id BlockID, m topology.MachineID) error {
 	p.addLoad(m, -old)
 	p.rackLoad[mach.Rack] -= old
 	p.rackUsed[mach.Rack]--
-	p.reloadBlock(id, b, old)
+	p.reloadBlock(id, b, old, topology.NoMachine)
 	return nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"strings"
 	"time"
 
 	"aurora/internal/dfs/proto"
@@ -21,7 +20,9 @@ import (
 var (
 	ErrNoReplica = errors.New("client: no replica reachable")
 	ErrEmptyFile = errors.New("client: empty write")
-	ErrChecksum  = errors.New("client: checksum mismatch on read")
+	// ErrChecksum is proto.ErrChecksum, which a read wraps when a
+	// replica sent a chunk that failed its CRC.
+	ErrChecksum = proto.ErrChecksum
 )
 
 // Client talks to one namenode. It is safe for concurrent use (it holds
@@ -127,24 +128,12 @@ func New(namenodeAddr string, opts ...Option) *Client {
 	return c
 }
 
-// TransientRPC classifies RPC errors for retry purposes: transport
-// failures (dial errors, injected faults, torn connections) are worth
-// retrying; application-level rejections arrive as *proto.RemoteError
-// and are permanent, except the namenode's startup not-ready state,
-// which clears once registration completes.
+// TransientRPC classifies RPC errors for retry purposes as
+// proto.Transient does, except that an exhausted read is always worth
+// retrying: the location set can change between attempts (recovery,
+// re-replication), whatever the last replica's error in its chain.
 func TransientRPC(err error) bool {
-	// An exhausted read carries the last replica's error in its chain;
-	// classify on the whole-read outcome, not that inner error — the
-	// location set can change between attempts (recovery,
-	// re-replication), so the read is always worth retrying.
-	if errors.Is(err, ErrNoReplica) {
-		return true
-	}
-	var re *proto.RemoteError
-	if errors.As(err, &re) {
-		return strings.Contains(re.Msg, "not ready")
-	}
-	return true
+	return errors.Is(err, ErrNoReplica) || proto.Transient(err)
 }
 
 // retryPolicy returns the client's policy with the classifier defaulted

@@ -65,12 +65,12 @@ func (c *Client) readBlockOrdered(loc proto.BlockLocation, order []int, slot []b
 }
 
 // streamTail fetches the missing tail of a block (everything past
-// len(*buf)) from one replica, extending the buffer only over chunks
-// whose checksums verify. On error the buffer keeps every verified byte
-// so the caller can resume on another replica. cap(*buf) is the block's
-// length according to the namenode, which the replica is held to.
+// len(*buf)) from one replica through proto.RecvChunks, which extends
+// the buffer only over chunks that verify and keeps every one of them on
+// error, so the caller can resume on another replica. cap(*buf) is the
+// block's length according to the namenode, which the replica is held
+// to.
 func (c *Client) streamTail(addr string, block proto.BlockID, buf *[]byte) error {
-	want := cap(*buf)
 	open := &proto.Message{
 		Type: proto.MsgReadBlockStream, Block: block,
 		ChunkSize: c.chunkSize, Offset: len(*buf),
@@ -80,28 +80,8 @@ func (c *Client) streamTail(addr string, block proto.BlockID, buf *[]byte) error
 		return err
 	}
 	defer st.Close()
-	for {
-		// A chunk that fits the slot lands in it, at the first missing
-		// byte; one that does not is refused below.
-		msg, chunk, err := st.RecvInto(*buf)
-		if err != nil {
-			return err
-		}
-		if msg.Type != proto.MsgChunk {
-			return fmt.Errorf("client: unexpected frame %q mid-read from %s", msg.Type, addr)
-		}
-		if msg.Checksum != proto.ChunkChecksum(chunk) {
-			return fmt.Errorf("%w: block %d chunk %d from %s", ErrChecksum, block, msg.Seq, addr)
-		}
-		if msg.Offset != len(*buf) {
-			return fmt.Errorf("client: block %d chunk at offset %d from %s, want %d", block, msg.Offset, addr, len(*buf))
-		}
-		if end := len(*buf) + len(chunk); end > want || (msg.Eof && end != want) {
-			return fmt.Errorf("client: block %d from %s reaches byte %d (eof=%t), the namenode says %d", block, addr, end, msg.Eof, want)
-		}
-		*buf = (*buf)[:len(*buf)+len(chunk)] // chunk is the slot's next bytes
-		if msg.Eof {
-			return nil
-		}
+	if err := proto.RecvChunks(st, block, buf, nil); err != nil {
+		return fmt.Errorf("client: read from %s: %w", addr, err)
 	}
+	return nil
 }

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"time"
 
 	"aurora/internal/dfs/proto"
@@ -50,17 +49,6 @@ type Config struct {
 	// WrapStore, when set, decorates the node's block store before use —
 	// a fault-injection hook for byzantine store behaviour.
 	WrapStore func(BlockStore) BlockStore
-}
-
-// transientRPC mirrors the client's classifier: transport failures
-// retry, application-level rejections (*proto.RemoteError) do not,
-// except the namenode's startup not-ready state.
-func transientRPC(err error) bool {
-	var re *proto.RemoteError
-	if errors.As(err, &re) {
-		return strings.Contains(re.Msg, "not ready")
-	}
-	return true
 }
 
 // Errors returned by the datanode.
@@ -118,7 +106,7 @@ func Start(cfg Config) (*DataNode, error) {
 		cfg.Retry = retrypolicy.Default
 	}
 	if cfg.Retry.Retryable == nil {
-		cfg.Retry.Retryable = transientRPC
+		cfg.Retry.Retryable = proto.Transient
 	}
 	free := &blockBufs{}
 	var store BlockStore

@@ -18,9 +18,14 @@ func (dn *DataNode) handleStream(open *proto.Message, _ []byte, st proto.BlockSt
 	case proto.MsgReadBlockStream:
 		dn.handleReadStream(open, st)
 	default:
-		//lint:ignore errcheck best effort; peer may be gone
-		_ = st.Send(proto.ErrorMessage(fmt.Errorf("datanode: unexpected stream opening %q", open.Type)), nil)
+		refuse(st, fmt.Errorf("datanode: unexpected stream opening %q", open.Type))
 	}
+}
+
+// refuse answers a stream with an error frame, best effort.
+func refuse(st proto.BlockStream, err error) {
+	//lint:ignore errcheck best effort; peer may be gone
+	_ = st.Send(proto.ErrorMessage(err), nil)
 }
 
 // handleWriteStream receives a block as sequenced chunks and pipelines
@@ -41,8 +46,7 @@ func (dn *DataNode) handleStream(open *proto.Message, _ []byte, st proto.BlockSt
 func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream) {
 	// Length is peer-controlled and sizes the receive buffer below.
 	if open.Length < 0 || open.Length > proto.MaxPayloadBytes {
-		//lint:ignore errcheck best effort; peer may be gone
-		_ = st.Send(proto.ErrorMessage(fmt.Errorf("datanode: block %d announced length %d outside [0, %d]", open.Block, open.Length, proto.MaxPayloadBytes)), nil)
+		refuse(st, fmt.Errorf("datanode: block %d announced length %d outside [0, %d]", open.Block, open.Length, proto.MaxPayloadBytes))
 		return
 	}
 	var down proto.BlockStream
@@ -66,12 +70,10 @@ func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream)
 		}
 	}
 
-	// Chunks are read off the connection straight into the block buffer:
-	// its capacity is exactly the announced length, so every chunk the
-	// checks below accept fitted its spare capacity and RecvInto put it
-	// at buf[len(buf):]. A successful Put takes the buffer; until then it
-	// is this handler's, and goes back on the free list if Put fails or
-	// never runs.
+	// proto.RecvChunks reads the chunks off the connection straight into
+	// the block buffer, whose capacity is exactly the announced length.
+	// A successful Put takes the buffer; until then it is this handler's,
+	// and goes back on the free list if Put fails or never runs.
 	buf := dn.free.getExact(open.Length)[:0]
 	defer func() {
 		if buf != nil {
@@ -79,36 +81,7 @@ func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream)
 		}
 	}()
 	var sum uint32 // running CRC32C of buf
-	for {
-		msg, chunk, err := st.RecvInto(buf)
-		if err != nil {
-			// Upstream died mid-stream: no complete block to keep.
-			metrics.Default.Counter("dfs.datanode.stream_write_aborted").Inc()
-			return
-		}
-		if msg.Type != proto.MsgChunk {
-			//lint:ignore errcheck best effort; peer may be gone
-			_ = st.Send(proto.ErrorMessage(fmt.Errorf("datanode: unexpected frame %q mid-write", msg.Type)), nil)
-			return
-		}
-		if msg.Checksum != proto.ChunkChecksum(chunk) {
-			// A chunk corrupted in flight is rejected at the first hop
-			// that sees it; nothing is stored and the writer retries.
-			//lint:ignore errcheck best effort; peer may be gone
-			_ = st.Send(proto.ErrorMessage(fmt.Errorf("%w: block %d chunk %d on streamed write", ErrCorrupt, open.Block, msg.Seq)), nil)
-			return
-		}
-		if msg.Offset != len(buf) {
-			//lint:ignore errcheck best effort; peer may be gone
-			_ = st.Send(proto.ErrorMessage(fmt.Errorf("datanode: block %d chunk %d offset %d, want %d", open.Block, msg.Seq, msg.Offset, len(buf))), nil)
-			return
-		}
-		if end := len(buf) + len(chunk); end > open.Length || (msg.Eof && end != open.Length) {
-			//lint:ignore errcheck best effort; peer may be gone
-			_ = st.Send(proto.ErrorMessage(fmt.Errorf("datanode: block %d chunk %d ends at byte %d (eof=%t), announced length %d", open.Block, msg.Seq, end, msg.Eof, open.Length)), nil)
-			return
-		}
-		buf = buf[:len(buf)+len(chunk)] // chunk is buf's next bytes
+	err := proto.RecvChunks(st, open.Block, &buf, func(msg *proto.Message, chunk []byte) {
 		sum = proto.ChecksumCombine(sum, msg.Checksum, len(chunk))
 		if down != nil && downErr == nil {
 			if err := down.Send(msg, chunk); err != nil {
@@ -117,18 +90,25 @@ func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream)
 				downErr = fmt.Errorf("datanode: pipeline to %s: %w", open.Pipeline[0], err)
 			}
 		}
-		if msg.Eof {
-			break
-		}
+	})
+	switch {
+	case errors.Is(err, proto.ErrBadChunk):
+		// A chunk corrupted in flight, or off the stream's rules, is
+		// rejected at the first hop that sees it; nothing is stored and
+		// the writer retries.
+		refuse(st, fmt.Errorf("datanode: streamed write: %w", err))
+		return
+	case err != nil:
+		// Upstream died mid-stream: no complete block to keep.
+		metrics.Default.Counter("dfs.datanode.stream_write_aborted").Inc()
+		return
 	}
 	if open.Checksum != 0 && sum != open.Checksum {
-		//lint:ignore errcheck best effort; peer may be gone
-		_ = st.Send(proto.ErrorMessage(fmt.Errorf("%w: block %d on streamed write", ErrCorrupt, open.Block)), nil)
+		refuse(st, fmt.Errorf("%w: block %d on streamed write", proto.ErrChecksum, open.Block))
 		return
 	}
 	if err := dn.store.Put(open.Block, buf); err != nil {
-		//lint:ignore errcheck best effort; peer may be gone
-		_ = st.Send(proto.ErrorMessage(err), nil)
+		refuse(st, err)
 		return
 	}
 	buf = nil // the store's now
@@ -146,8 +126,7 @@ func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream)
 		}
 	}
 	if downErr != nil {
-		//lint:ignore errcheck best effort; peer may be gone
-		_ = st.Send(proto.ErrorMessage(downErr), nil)
+		refuse(st, downErr)
 		return
 	}
 	//lint:ignore errcheck best effort; peer may be gone
@@ -169,39 +148,16 @@ func (dn *DataNode) handleReadStream(open *proto.Message, st proto.BlockStream) 
 		if errors.Is(err, ErrCorrupt) {
 			dn.evictCorrupt(open.Block)
 		}
-		//lint:ignore errcheck best effort; peer may be gone
-		_ = st.Send(proto.ErrorMessage(err), nil)
+		refuse(st, err)
 		return
 	}
-	// Get's copy is this handler's alone and every Send below returns
-	// only once the bytes have left it.
+	// Get's copy is this handler's alone and every Send of SendChunks
+	// returns only once the bytes have left it.
 	defer dn.free.put(data)
 	if open.Offset < 0 || open.Offset > len(data) {
-		//lint:ignore errcheck best effort; peer may be gone
-		_ = st.Send(proto.ErrorMessage(fmt.Errorf("datanode: block %d read offset %d out of range (%d bytes)", open.Block, open.Offset, len(data))), nil)
+		refuse(st, fmt.Errorf("datanode: block %d read offset %d out of range (%d bytes)", open.Block, open.Offset, len(data)))
 		return
 	}
-	size := open.ChunkSize
-	if size <= 0 {
-		size = proto.DefaultChunkSize
-	}
-	for seq, off := 0, open.Offset; ; seq++ {
-		end := off + size
-		if end > len(data) {
-			end = len(data)
-		}
-		part := data[off:end]
-		msg := &proto.Message{
-			Type: proto.MsgChunk, Block: open.Block,
-			Seq: seq, Offset: off, Eof: end == len(data),
-			Length: len(data), Checksum: proto.ChunkChecksum(part),
-		}
-		if err := st.Send(msg, part); err != nil {
-			return // client gone; nothing to clean up
-		}
-		if msg.Eof {
-			return
-		}
-		off = end
-	}
+	//lint:ignore errcheck the client is gone; nothing to clean up
+	_ = proto.SendChunks(st, open.Block, data, open.Offset, open.ChunkSize, nil, len(data))
 }

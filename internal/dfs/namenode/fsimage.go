@@ -21,16 +21,15 @@ import (
 var ErrBadFsImage = errors.New("namenode: bad fsimage")
 
 // fsImageVersion guards against loading checkpoints from incompatible
-// builds.
-const fsImageVersion = 1
+// builds. Version 2 nests each block in its file.
+const fsImageVersion = 2
 
 type fsImage struct {
-	Version   int            `json:"version"`
-	Racks     int            `json:"racks"`
-	NextBlock proto.BlockID  `json:"nextBlock"`
-	Nodes     []fsImageNode  `json:"nodes"`
-	Files     []fsImageFile  `json:"files"`
-	Blocks    []fsImageBlock `json:"blocks"`
+	Version   int           `json:"version"`
+	Racks     int           `json:"racks"`
+	NextBlock proto.BlockID `json:"nextBlock"`
+	Nodes     []fsImageNode `json:"nodes"`
+	Files     []fsImageFile `json:"files"`
 	// Foreign is the namenode's foreign ID ranges: below NextBlock, but
 	// never allocated by this namespace. An image without it names none.
 	Foreign []idRange `json:"foreign,omitempty"`
@@ -44,21 +43,22 @@ type fsImageNode struct {
 	Draining bool         `json:"draining,omitempty"`
 }
 
+// fsImageFile is one file with its blocks in order. A block's replica
+// and rack floors are the file's replication and minRacks, so the image
+// states them once, here.
 type fsImageFile struct {
-	Path        string          `json:"path"`
-	Blocks      []proto.BlockID `json:"blocks"`
-	Lengths     []int           `json:"lengths"`
-	Replication int             `json:"replication"`
-	MinRacks    int             `json:"minRacks"`
-	Complete    bool            `json:"complete"`
+	Path        string         `json:"path"`
+	Replication int            `json:"replication"`
+	MinRacks    int            `json:"minRacks"`
+	Complete    bool           `json:"complete"`
+	Blocks      []fsImageBlock `json:"blocks"`
 }
 
 type fsImageBlock struct {
-	ID          proto.BlockID  `json:"id"`
-	Popularity  float64        `json:"popularity"`
-	MinReplicas int            `json:"minReplicas"`
-	MinRacks    int            `json:"minRacks"`
-	Desired     []proto.NodeID `json:"desired"`
+	ID         proto.BlockID  `json:"id"`
+	Length     int            `json:"length"`
+	Popularity float64        `json:"popularity"`
+	Desired    []proto.NodeID `json:"desired"`
 }
 
 // SaveFsImage writes the metadata checkpoint to path atomically
@@ -125,30 +125,25 @@ func (nn *NameNode) buildFsImageLocked() (*fsImage, error) {
 		})
 	}
 	for _, f := range nn.order {
-		img.Files = append(img.Files, fsImageFile{
+		ff := fsImageFile{
 			Path:        f.path,
-			Blocks:      append([]proto.BlockID(nil), f.blocks...),
-			Lengths:     append([]int(nil), f.lengths...),
 			Replication: f.replication,
 			MinRacks:    f.minRacks,
 			Complete:    f.complete,
-		})
-	}
-	for _, id := range nn.placement.Blocks() {
-		spec, err := nn.placement.Spec(id)
-		if err != nil {
-			return nil, err
+			Blocks:      make([]fsImageBlock, len(f.blocks)),
 		}
-		fb := fsImageBlock{
-			ID:          proto.BlockID(id),
-			Popularity:  spec.Popularity,
-			MinReplicas: spec.MinReplicas,
-			MinRacks:    spec.MinRacks,
+		for i, b := range f.blocks {
+			spec, err := nn.placement.Spec(core.BlockID(b))
+			if err != nil {
+				return nil, err
+			}
+			fb := &ff.Blocks[i]
+			*fb = fsImageBlock{ID: b, Length: f.lengths[i], Popularity: spec.Popularity}
+			for _, m := range nn.placement.Replicas(core.BlockID(b)) {
+				fb.Desired = append(fb.Desired, proto.NodeID(m))
+			}
 		}
-		for _, m := range nn.placement.Replicas(id) {
-			fb.Desired = append(fb.Desired, proto.NodeID(m))
-		}
-		img.Blocks = append(img.Blocks, fb)
+		img.Files = append(img.Files, ff)
 	}
 	return img, nil
 }
@@ -200,39 +195,6 @@ func (nn *NameNode) loadFsImage(path string) error {
 	if err := nn.buildClusterLocked(); err != nil {
 		return err
 	}
-	for _, fb := range img.Blocks {
-		if err := nn.placement.AddBlock(core.BlockSpec{
-			ID:          core.BlockID(fb.ID),
-			Popularity:  fb.Popularity,
-			MinReplicas: fb.MinReplicas,
-			MinRacks:    fb.MinRacks,
-		}); err != nil {
-			return fmt.Errorf("%w: block %d: %w", ErrBadFsImage, fb.ID, err)
-		}
-		for _, n := range fb.Desired {
-			if err := nn.placement.AddReplica(core.BlockID(fb.ID), topology.MachineID(n)); err != nil {
-				return fmt.Errorf("%w: replica of %d on %d: %w", ErrBadFsImage, fb.ID, n, err)
-			}
-		}
-	}
-	for _, ff := range img.Files {
-		if len(ff.Lengths) != len(ff.Blocks) {
-			return fmt.Errorf("%w: file %s lengths mismatch", ErrBadFsImage, ff.Path)
-		}
-		// A second entry for a path would orphan the first one's blocks
-		// and list the path twice.
-		if _, dup := nn.files[ff.Path]; dup {
-			return fmt.Errorf("%w: duplicate file %s", ErrBadFsImage, ff.Path)
-		}
-		nn.insertFileLocked(&fileMeta{
-			path:        ff.Path,
-			blocks:      ff.Blocks,
-			lengths:     ff.Lengths,
-			replication: ff.Replication,
-			minRacks:    ff.MinRacks,
-			complete:    ff.Complete,
-		})
-	}
 	for i, r := range img.Foreign {
 		if r.Lo >= r.Hi || r.Hi > img.NextBlock || i > 0 && r.Lo < img.Foreign[i-1].Hi {
 			return fmt.Errorf("%w: foreign range [%d, %d)", ErrBadFsImage, r.Lo, r.Hi)
@@ -240,6 +202,42 @@ func (nn *NameNode) loadFsImage(path string) error {
 	}
 	nn.nextBlock = img.NextBlock
 	nn.foreign = img.Foreign
+	for _, ff := range img.Files {
+		// A second entry for a path would orphan the first one's blocks
+		// and list the path twice.
+		if _, dup := nn.files[ff.Path]; dup {
+			return fmt.Errorf("%w: duplicate file %s", ErrBadFsImage, ff.Path)
+		}
+		f := &fileMeta{
+			path:        ff.Path,
+			replication: ff.Replication,
+			minRacks:    ff.MinRacks,
+			complete:    ff.Complete,
+		}
+		for _, fb := range ff.Blocks {
+			// An ID this namespace never allocated would be allocated
+			// again by a later add_block.
+			if nn.foreignLocked(fb.ID) {
+				return fmt.Errorf("%w: file %s names block %d, which the namespace never allocated", ErrBadFsImage, ff.Path, fb.ID)
+			}
+			if err := nn.placement.AddBlock(core.BlockSpec{
+				ID:          core.BlockID(fb.ID),
+				Popularity:  fb.Popularity,
+				MinReplicas: ff.Replication,
+				MinRacks:    ff.MinRacks,
+			}); err != nil {
+				return fmt.Errorf("%w: block %d: %w", ErrBadFsImage, fb.ID, err)
+			}
+			for _, n := range fb.Desired {
+				if err := nn.placement.AddReplica(core.BlockID(fb.ID), topology.MachineID(n)); err != nil {
+					return fmt.Errorf("%w: replica of %d on %d: %w", ErrBadFsImage, fb.ID, n, err)
+				}
+			}
+			f.blocks = append(f.blocks, fb.ID)
+			f.lengths = append(f.lengths, fb.Length)
+		}
+		nn.insertFileLocked(f)
+	}
 	nn.ready = true
 	return nil
 }

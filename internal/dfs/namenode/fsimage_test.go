@@ -3,6 +3,7 @@ package namenode
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -206,6 +207,51 @@ func TestFsImageRejectsDuplicatePath(t *testing.T) {
 	}
 }
 
+// An image whose nextBlock is not past every block it names used to
+// load, and then every add_block failed with ErrDuplicateBlock: the
+// counter handed out an ID a file already owned. The loader must refuse
+// such an image.
+func TestFsImageBlockAtNextBlock(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "img.json")
+	nn := startNN(t, 2, 2)
+	registerFake(t, nn, 0, "a:1")
+	registerFake(t, nn, 1, "b:1")
+	if _, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgCreateFile, Path: "/f"}, nil, time.Second); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	resp, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgAddBlock, Path: "/f", Length: 9}, nil, time.Second)
+	if err != nil {
+		t.Fatalf("add block: %v", err)
+	}
+	if err := nn.SaveFsImage(path); err != nil {
+		t.Fatalf("SaveFsImage: %v", err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	var img fsImage
+	if err := json.Unmarshal(raw, &img); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	img.NextBlock = resp.Block
+	if err := writeFsImage(path, &img); err != nil {
+		t.Fatalf("writeFsImage: %v", err)
+	}
+	nn2, err := Start(Config{ExpectedNodes: 1, Racks: 2, FsImagePath: path})
+	if err == nil {
+		defer nn2.Close()
+		_, _, err := proto.Call(nn2.Addr(), &proto.Message{Type: proto.MsgCreateFile, Path: "/g"}, nil, time.Second)
+		if err == nil {
+			_, _, err = proto.Call(nn2.Addr(), &proto.Message{Type: proto.MsgAddBlock, Path: "/g", Length: 9}, nil, time.Second)
+		}
+		t.Fatalf("an image naming block %d at nextBlock loaded (then create and add_block: %v), want ErrBadFsImage", resp.Block, err)
+	}
+	if !errors.Is(err, ErrBadFsImage) {
+		t.Fatalf("err = %v, want ErrBadFsImage", err)
+	}
+}
+
 func TestSaveFsImageNotReady(t *testing.T) {
 	nn := startNN(t, 2, 2) // never becomes ready
 	if err := nn.SaveFsImage(filepath.Join(t.TempDir(), "x.json")); !errors.Is(err, ErrNotReady) {
@@ -229,15 +275,18 @@ func TestLoadFsImageErrors(t *testing.T) {
 	if _, err := Start(Config{ExpectedNodes: 1, FsImagePath: wrongVersion}); !errors.Is(err, ErrBadFsImage) {
 		t.Errorf("version err = %v, want ErrBadFsImage", err)
 	}
+	// The images below are current-version, so each fails for the defect
+	// it names.
+	version := fmt.Sprintf(`"version":%d`, fsImageVersion)
 	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, []byte(`{"version":1}`), 0o644); err != nil {
+	if err := os.WriteFile(empty, []byte(`{`+version+`}`), 0o644); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	if _, err := Start(Config{ExpectedNodes: 1, FsImagePath: empty}); !errors.Is(err, ErrBadFsImage) {
 		t.Errorf("no-nodes err = %v, want ErrBadFsImage", err)
 	}
 	noRack := filepath.Join(dir, "norack.json")
-	if err := os.WriteFile(noRack, []byte(`{"version":1,"nodes":[{"id":0,"addr":"a","rack":0,"capacity":1}]}`), 0o644); err != nil {
+	if err := os.WriteFile(noRack, []byte(`{`+version+`,"nodes":[{"id":0,"addr":"a","rack":0,"capacity":1}]}`), 0o644); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	if _, err := Start(Config{ExpectedNodes: 1, FsImagePath: noRack}); !errors.Is(err, ErrBadFsImage) {
@@ -251,12 +300,29 @@ func TestLoadFsImageErrors(t *testing.T) {
 		"past":     `[{"lo":1,"hi":11}]`,
 	} {
 		bad := filepath.Join(dir, name+".json")
-		img := `{"version":1,"racks":1,"nextBlock":10,"nodes":[{"id":0,"addr":"a","rack":0,"capacity":1}],"foreign":` + ranges + `}`
+		img := `{` + version + `,"racks":1,"nextBlock":10,"nodes":[{"id":0,"addr":"a","rack":0,"capacity":1}],"foreign":` + ranges + `}`
 		if err := os.WriteFile(bad, []byte(img), 0o644); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		if _, err := Start(Config{ExpectedNodes: 1, FsImagePath: bad}); !errors.Is(err, ErrBadFsImage) {
 			t.Errorf("%s foreign ranges err = %v, want ErrBadFsImage", name, err)
+		}
+	}
+	// A file may name only a block the namespace allocated, and no other
+	// file may name it too (TestFsImageBlockAtNextBlock covers a block at
+	// nextBlock).
+	for name, files := range map[string]string{
+		"block in a foreign range": `[{"path":"/f","replication":1,"minRacks":1,"blocks":[{"id":5,"length":1}]}]`,
+		"block named twice": `[{"path":"/f","replication":1,"minRacks":1,"blocks":[{"id":3,"length":1}]},` +
+			`{"path":"/g","replication":1,"minRacks":1,"blocks":[{"id":3,"length":1}]}]`,
+	} {
+		bad := filepath.Join(dir, "files.json")
+		img := `{` + version + `,"racks":1,"nextBlock":10,"nodes":[{"id":0,"addr":"a","rack":0,"capacity":4}],"foreign":[{"lo":4,"hi":6}],"files":` + files + `}`
+		if err := os.WriteFile(bad, []byte(img), 0o644); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if _, err := Start(Config{ExpectedNodes: 1, FsImagePath: bad}); !errors.Is(err, ErrBadFsImage) {
+			t.Errorf("%s err = %v, want ErrBadFsImage", name, err)
 		}
 	}
 	// Missing file is fine: a fresh cluster forms and checkpoints there.

@@ -252,8 +252,12 @@ type NameNode struct {
 	// confirmed[b] is the set of nodes that actually hold block b
 	// according to block reports.
 	confirmed map[proto.BlockID]map[proto.NodeID]bool
-	// pending commands per node, delivered on its next heartbeat.
+	// pending commands per node, delivered on its next heartbeat, and
+	// the same commands as a set, so a queue is de-duplicated without a
+	// scan (enqueueLocked). Every site that drops commands from one drops
+	// them from the other.
 	pendingCmds map[proto.NodeID][]proto.Command
+	queued      map[proto.NodeID]map[proto.Command]struct{}
 	// inflight replication commands with issue time, to avoid
 	// re-issuing every reconcile tick.
 	inflight map[inflightKey]time.Time
@@ -340,6 +344,7 @@ func Start(cfg Config) (*NameNode, error) {
 		nextBlock:      1,
 		confirmed:      make(map[proto.BlockID]map[proto.NodeID]bool),
 		pendingCmds:    make(map[proto.NodeID][]proto.Command),
+		queued:         make(map[proto.NodeID]map[proto.Command]struct{}),
 		inflight:       make(map[inflightKey]time.Time),
 		pending:        make(map[proto.BlockID]struct{}),
 		writing:        make(map[proto.BlockID]time.Time),
@@ -608,6 +613,7 @@ func (nn *NameNode) handleReport(req *proto.Message) (*proto.Message, error) {
 	node.fresh = nil
 	resp := &proto.Message{Type: proto.MsgOK, Commands: nn.pendingCmds[node.id]}
 	delete(nn.pendingCmds, node.id)
+	delete(nn.queued, node.id)
 	for _, cmd := range resp.Commands {
 		nn.commandsIssued[cmd.Kind]++
 	}
@@ -722,13 +728,14 @@ func (nn *NameNode) unconfirmLocked(b proto.BlockID, n proto.NodeID) {
 	// A delete of the replica still queued — a pass may re-queue one the
 	// node was handed before its report arrived — is stale now, and
 	// fsck must not count it as pending once Converged holds.
-	cmds := nn.pendingCmds[n]
-	for i, cmd := range cmds {
-		if cmd.Kind == proto.CmdDelete && cmd.Block == b {
-			nn.pendingCmds[n] = append(cmds[:i], cmds[i+1:]...)
-			break
-		}
+	stale := proto.Command{Kind: proto.CmdDelete, Block: b}
+	if _, ok := nn.queued[n][stale]; !ok {
+		return
 	}
+	delete(nn.queued[n], stale)
+	cmds := nn.pendingCmds[n]
+	i := slices.Index(cmds, stale)
+	nn.pendingCmds[n] = slices.Delete(cmds, i, i+1)
 }
 
 // DropConfirmation erases the namenode's record that node n holds block

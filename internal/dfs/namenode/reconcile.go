@@ -147,6 +147,7 @@ func (nn *NameNode) checkNodesLocked() {
 			node.digest = 0
 			node.wantFull = true
 			delete(nn.pendingCmds, node.id)
+			delete(nn.queued, node.id)
 		}
 		if node.alive && node.draining && !node.decommissioned &&
 			nn.placement.Used(topology.MachineID(node.id)) == 0 && len(node.holds) == 0 {
@@ -413,13 +414,17 @@ func (nn *NameNode) pickSourceLocked(b proto.BlockID, target proto.NodeID) (prot
 }
 
 // enqueueLocked appends a command for delivery on the node's next
-// heartbeat, de-duplicating identical queued commands.
+// heartbeat unless an identical one is already queued.
 func (nn *NameNode) enqueueLocked(n proto.NodeID, cmd proto.Command) {
-	for _, existing := range nn.pendingCmds[n] {
-		if existing == cmd {
-			return
-		}
+	set := nn.queued[n]
+	if _, dup := set[cmd]; dup {
+		return
 	}
+	if set == nil {
+		set = make(map[proto.Command]struct{})
+		nn.queued[n] = set
+	}
+	set[cmd] = struct{}{}
 	nn.pendingCmds[n] = append(nn.pendingCmds[n], cmd)
 }
 

@@ -29,6 +29,7 @@ import (
 	"io"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -550,4 +551,15 @@ func (m *Message) AsError() error {
 		return nil
 	}
 	return &RemoteError{Msg: m.Error}
+}
+
+// Transient classifies an RPC error for retry: a transport failure is
+// worth retrying, a *RemoteError (the peer's answer) is not, except the
+// namenode's not-ready state, which clears once registration completes.
+func Transient(err error) bool {
+	var re *RemoteError
+	if errors.As(err, &re) {
+		return strings.Contains(re.Msg, "not ready")
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"net"
@@ -346,16 +347,16 @@ func OpenStream(addr string, open *Message, timeout time.Duration) (BlockStream,
 // MsgWriteBlockStream frame names the pipeline the receiver forwards to
 // (empty for a single hop), data follows as chunkSize-byte MsgChunk
 // frames (chunkSize <= 0 means DefaultChunkSize), and the call returns
-// once the MsgStreamAck for the whole block has come back. It is the one
-// sender of block bytes: client writes and datanode replication
-// transfers both go through it (DESIGN.md §15.2).
+// once the MsgStreamAck for the whole block has come back. Client writes
+// and datanode replication transfers both go through it (DESIGN.md
+// §15.2).
 func SendBlock(open OpenStreamFunc, addr string, block BlockID, pipeline []string, data []byte, chunkSize int, timeout time.Duration) error {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
 	// One CRC pass over the block: each chunk's sum is computed here,
-	// stamped on its frame below, and folded into the whole-block sum
-	// the opening frame carries.
+	// stamped on its frame by SendChunks, and folded into the
+	// whole-block sum the opening frame carries.
 	sums := make([]uint32, 0, len(data)/chunkSize+1)
 	var sum uint32
 	for off := 0; ; off += chunkSize {
@@ -379,21 +380,8 @@ func SendBlock(open OpenStreamFunc, addr string, block BlockID, pipeline []strin
 		return err
 	}
 	defer st.Close()
-	for seq, off := 0, 0; ; seq++ {
-		end := min(off+chunkSize, len(data))
-		part := data[off:end]
-		msg := &Message{
-			Type: MsgChunk, Block: block,
-			Seq: seq, Offset: off, Eof: end == len(data),
-			Checksum: sums[seq],
-		}
-		if err := st.Send(msg, part); err != nil {
-			return err
-		}
-		if msg.Eof {
-			break
-		}
-		off = end
+	if err := SendChunks(st, block, data, 0, chunkSize, sums, 0); err != nil {
+		return err
 	}
 	ack, _, err := st.Recv()
 	if err != nil {
@@ -404,4 +392,82 @@ func SendBlock(open OpenStreamFunc, addr string, block BlockID, pipeline []strin
 			block, ack.Type, ack.Offset, MsgStreamAck, len(data))
 	}
 	return nil
+}
+
+// ErrChecksum reports bytes that fail the CRC32C sent with them: a
+// chunk, or a streamed block's whole-block sum. A reader's failover
+// error and a datanode's error reply both wrap it.
+var ErrChecksum = errors.New("proto: checksum mismatch")
+
+// ErrBadChunk reports a frame that breaks RecvChunks' rules, as against a
+// stream that failed.
+var ErrBadChunk = errors.New("proto: bad chunk")
+
+// SendChunks is the one chunk sender (DESIGN.md §15.2, §15.3): it sends
+// data[off:] on st as MsgChunk frames of at most size bytes (size <= 0
+// means DefaultChunkSize), numbered from 0, the last marked Eof; an
+// empty tail is one empty Eof chunk. Each frame carries its chunk's
+// CRC32C, sums[seq] if the caller has summed the chunks already, and
+// length: the block's, on a read stream, so the reader can size for it,
+// and 0 on a write stream, whose opening frame announced it.
+func SendChunks(st BlockStream, block BlockID, data []byte, off, size int, sums []uint32, length int) error {
+	if size <= 0 {
+		size = DefaultChunkSize
+	}
+	for seq := 0; ; seq++ {
+		end := min(off+size, len(data))
+		part := data[off:end]
+		msg := &Message{Type: MsgChunk, Block: block, Seq: seq, Offset: off, Eof: end == len(data), Length: length}
+		if sums != nil {
+			msg.Checksum = sums[seq]
+		} else {
+			msg.Checksum = ChunkChecksum(part)
+		}
+		if err := st.Send(msg, part); err != nil {
+			return err
+		}
+		if msg.Eof {
+			return nil
+		}
+		off = end
+	}
+}
+
+// RecvChunks is the one chunk receiver (DESIGN.md §15.2, §15.3). It reads
+// frames from st into the spare capacity of *buf, whose capacity is the
+// block's length, until the Eof chunk. It accepts a MsgChunk frame whose
+// bytes match its CRC32C, whose Offset is len(*buf) and which ends at or
+// before cap(*buf) — exactly there if it carries Eof (an empty Eof chunk
+// may follow one that filled the block). An accepted chunk extends *buf
+// in place and goes to accept, if that is non-nil. A frame that breaks a
+// rule ends the receive with an error wrapping ErrBadChunk (and
+// ErrChecksum for a failed CRC); a failure of the stream itself (a torn
+// connection, the peer's error frame) comes back as the stream reported
+// it. Either way *buf keeps every byte accepted before, so a reader can
+// resume on another replica from len(*buf).
+func RecvChunks(st BlockStream, block BlockID, buf *[]byte, accept func(msg *Message, chunk []byte)) error {
+	for {
+		msg, chunk, err := st.RecvInto(*buf)
+		if err != nil {
+			return err
+		}
+		have := len(*buf)
+		switch end := have + len(chunk); {
+		case msg.Type != MsgChunk:
+			return fmt.Errorf("%w: block %d: frame %q mid-stream", ErrBadChunk, block, msg.Type)
+		case msg.Checksum != ChunkChecksum(chunk):
+			return fmt.Errorf("%w: %w: block %d chunk %d", ErrBadChunk, ErrChecksum, block, msg.Seq)
+		case msg.Offset != have:
+			return fmt.Errorf("%w: block %d chunk %d at offset %d, want %d", ErrBadChunk, block, msg.Seq, msg.Offset, have)
+		case end > cap(*buf) || msg.Eof && end != cap(*buf):
+			return fmt.Errorf("%w: block %d chunk %d ends at byte %d (eof=%t) of %d", ErrBadChunk, block, msg.Seq, end, msg.Eof, cap(*buf))
+		}
+		*buf = (*buf)[:have+len(chunk)] // chunk is *buf's next bytes
+		if accept != nil {
+			accept(msg, chunk)
+		}
+		if msg.Eof {
+			return nil
+		}
+	}
 }
