@@ -361,3 +361,34 @@ func TestDrainWithoutRoomKeepsCopy(t *testing.T) {
 		}
 	}
 }
+
+// A draining node that holds only foreign blocks — copies the namespace
+// never allocated, which the walk leaves alone — finishes draining: it
+// is desired to hold nothing and nothing it holds will ever leave.
+func TestDrainWithOnlyForeignBlocksDecommissions(t *testing.T) {
+	hc := startHealCluster(t)
+	const foreign proto.BlockID = 5 // a fresh namespace allocated no block yet
+	hc.dns[0].heartbeat(foreign)
+	if err := hc.nn.Decommission(hc.dns[0].id); err != nil {
+		t.Fatalf("Decommission: %v", err)
+	}
+	for tick := 0; tick < 5; tick++ {
+		for _, dn := range hc.dns {
+			dn.heartbeat(hc.holds(dn)...)
+		}
+		hc.nn.ReconcileOnce()
+	}
+	hc.nn.mu.Lock()
+	done := hc.nn.nodes[hc.dns[0].id].decommissioned
+	held := hc.nn.confirmed[foreign][hc.dns[0].id]
+	hc.nn.mu.Unlock()
+	if !done {
+		t.Error("node holding only a foreign block never decommissioned")
+	}
+	if !held {
+		t.Error("the foreign copy is no longer confirmed: the walk must leave it alone")
+	}
+	if h := hc.nn.Health(); !h.Healthy || h.DrainingNodes != 0 {
+		t.Errorf("health after the drain = %+v, want healthy with no draining node", h)
+	}
+}

@@ -127,8 +127,10 @@ func (nn *NameNode) windowLoadsLocked() ([]float64, map[core.BlockID]int64) {
 // forgets those of the second that the namespace lacks and no one else
 // holds, and what it was confirmed to hold is forgotten — the
 // fault-tolerance behaviour HDFS implements and the paper's reliability
-// constraints assume. A draining node is decommissioned once it neither
-// is desired to hold nor holds anything.
+// constraints assume. A draining node is decommissioned once nothing is
+// desired on it and every block it still holds is foreign: the walk
+// leaves foreign copies alone (DESIGN.md §10.3), so waiting for them to
+// go would keep the node draining forever.
 func (nn *NameNode) checkNodesLocked() {
 	now := nn.clock()
 	for _, node := range nn.nodes {
@@ -150,10 +152,21 @@ func (nn *NameNode) checkNodesLocked() {
 			delete(nn.queued, node.id)
 		}
 		if node.alive && node.draining && !node.decommissioned &&
-			nn.placement.Used(topology.MachineID(node.id)) == 0 && len(node.holds) == 0 {
+			nn.placement.Used(topology.MachineID(node.id)) == 0 && nn.holdsOnlyForeignLocked(node) {
 			node.decommissioned = true
 		}
 	}
+}
+
+// holdsOnlyForeignLocked reports whether every block node holds is
+// foreign (foreignLocked).
+func (nn *NameNode) holdsOnlyForeignLocked(node *nodeState) bool {
+	for b := range node.holds {
+		if !nn.foreignLocked(b) {
+			return false
+		}
+	}
+	return true
 }
 
 // unsettleNodeLocked puts every block node is desired on or holds into

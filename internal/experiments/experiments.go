@@ -185,17 +185,10 @@ func (s Setup) trace(minRacks int) (*trace.Trace, error) {
 	return trace.Generate(cfg)
 }
 
-// runOne executes one policy over the shared trace and summarizes it.
-func runOne(cl *topology.Cluster, tr *trace.Trace, pol sim.Policy, label string, eps float64, hours int) (SweepRow, error) {
-	return runOnePredicted(cl, tr, pol, label, eps, hours, "", 0)
-}
-
-// runOnePredicted is runOne with a popularity forecaster in the loop.
-func runOnePredicted(cl *topology.Cluster, tr *trace.Trace, pol sim.Policy, label string, eps float64, hours int, predictor string, season int) (SweepRow, error) {
-	res, err := sim.Run(sim.Config{
-		Cluster: cl, Trace: tr, Policy: pol,
-		Predictor: predictor, PredictorSeason: season,
-	})
+// runOne executes one policy over the shared trace, with a popularity
+// forecaster in the loop, and summarizes it.
+func runOne(cl *topology.Cluster, tr *trace.Trace, pol sim.Policy, label string, eps float64, hours int, predictor string) (SweepRow, error) {
+	res, err := sim.Run(sim.Config{Cluster: cl, Trace: tr, Policy: pol, Predictor: predictor})
 	if err != nil {
 		return SweepRow{}, fmt.Errorf("experiments: %s: %w", label, err)
 	}
@@ -245,7 +238,15 @@ func Fig4(s Setup) (*Figure, error) {
 	return figSweep(s, "Figure 4 (Case 2: BP-Rack)", 2, false)
 }
 
-// figSweep runs HDFS plus the Aurora ε-sweep without replication budget.
+// Fig5 reproduces Figure 5: Case 3 (BP-Replicate) — Scarlett (priority
+// mode) versus Aurora with dynamic replication under the same budget β.
+func Fig5(s Setup) (*Figure, error) {
+	return figSweep(s, "Figure 5 (Case 3: BP-Replicate vs Scarlett)", 2, true)
+}
+
+// figSweep runs a baseline plus the Aurora ε-sweep. Without a budget
+// the baseline is HDFS and Aurora only rebalances; with one it is
+// Scarlett, and both replicate dynamically within β.
 func figSweep(s Setup, name string, minRacks int, withBudget bool) (*Figure, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -258,19 +259,25 @@ func figSweep(s Setup, name string, minRacks int, withBudget bool) (*Figure, err
 	if err != nil {
 		return nil, err
 	}
-	// Row 0 is the HDFS baseline, rows 1..len(Epsilons) the sweep. Each
+	budget := tr.NumBlocks()*3 + s.BudgetExtraBlocks
+	// Row 0 is the baseline, rows 1..len(Epsilons) the sweep. Each
 	// worker builds its own policy; the cluster and trace are shared
 	// read-only.
 	rows := make([]SweepRow, 1+len(s.Epsilons))
 	errs := make([]error, len(rows))
 	par.ForEach(len(rows), s.Workers, func(i int) {
 		if i == 0 {
-			hdfs, err := sim.NewHDFSPolicy(s.Seed)
-			if err != nil {
-				errs[0] = err
-				return
+			var pol sim.Policy
+			label := "HDFS"
+			if withBudget {
+				label = "Scarlett"
+				pol, errs[0] = sim.NewScarlettPolicy(s.Seed, &baseline.Scarlett{Mode: baseline.Priority, Budget: budget})
+			} else {
+				pol, errs[0] = sim.NewHDFSPolicy(s.Seed)
 			}
-			rows[0], errs[0] = runOnePredicted(cl, tr, hdfs, "HDFS", 0, s.Hours, s.Predictor, 0)
+			if errs[0] == nil {
+				rows[0], errs[0] = runOne(cl, tr, pol, label, 0, s.Hours, s.Predictor)
+			}
 			return
 		}
 		eps := s.Epsilons[i-1]
@@ -280,11 +287,11 @@ func figSweep(s Setup, name string, minRacks int, withBudget bool) (*Figure, err
 			MaxSearchIterations: s.MaxSearchIterations,
 		}
 		if withBudget {
-			opts.ReplicationBudget = tr.NumBlocks()*3 + s.BudgetExtraBlocks
+			opts.ReplicationBudget = budget
 			opts.MaxReplicationMoves = s.K
 		}
 		label := fmt.Sprintf("Aurora eps=%.1f", eps)
-		rows[i], errs[i] = runOnePredicted(cl, tr, s.auroraPolicy(opts), label, eps, s.Hours, s.Predictor, 0)
+		rows[i], errs[i] = runOne(cl, tr, s.auroraPolicy(opts), label, eps, s.Hours, s.Predictor)
 	})
 	if err := par.FirstError(errs); err != nil {
 		return nil, err
@@ -292,58 +299,10 @@ func figSweep(s Setup, name string, minRacks int, withBudget bool) (*Figure, err
 	fig := &Figure{Name: name, Rows: rows}
 	fig.Notes = fmt.Sprintf("cluster %d racks x %d machines, %d files, %d blocks, %d hours, %.0f jobs/hour",
 		s.Racks, s.MachinesPerRack, s.Files, tr.NumBlocks(), s.Hours, s.JobsPerHour)
-	return fig, nil
-}
-
-// Fig5 reproduces Figure 5: Case 3 (BP-Replicate) — Scarlett (priority
-// mode) versus Aurora with dynamic replication under the same budget β.
-func Fig5(s Setup) (*Figure, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
+	if withBudget {
+		fig.Notes = fmt.Sprintf("replication budget beta = %d (3x%d blocks + %d extra), K = %d",
+			budget, tr.NumBlocks(), s.BudgetExtraBlocks, s.K)
 	}
-	cl, err := s.cluster()
-	if err != nil {
-		return nil, err
-	}
-	tr, err := s.trace(2)
-	if err != nil {
-		return nil, err
-	}
-	budget := tr.NumBlocks()*3 + s.BudgetExtraBlocks
-
-	// Row 0 is the Scarlett baseline, rows 1..len(Epsilons) the sweep;
-	// same slotting scheme as figSweep.
-	rows := make([]SweepRow, 1+len(s.Epsilons))
-	errs := make([]error, len(rows))
-	par.ForEach(len(rows), s.Workers, func(i int) {
-		if i == 0 {
-			scar, err := sim.NewScarlettPolicy(s.Seed, &baseline.Scarlett{
-				Mode:   baseline.Priority,
-				Budget: budget,
-			})
-			if err != nil {
-				errs[0] = err
-				return
-			}
-			rows[0], errs[0] = runOnePredicted(cl, tr, scar, "Scarlett", 0, s.Hours, s.Predictor, 0)
-			return
-		}
-		eps := s.Epsilons[i-1]
-		label := fmt.Sprintf("Aurora eps=%.1f", eps)
-		rows[i], errs[i] = runOnePredicted(cl, tr, s.auroraPolicy(core.OptimizerOptions{
-			Epsilon:             eps,
-			RackAware:           true,
-			ReplicationBudget:   budget,
-			MaxReplicationMoves: s.K,
-			MaxSearchIterations: s.MaxSearchIterations,
-		}), label, eps, s.Hours, s.Predictor, 0)
-	})
-	if err := par.FirstError(errs); err != nil {
-		return nil, err
-	}
-	fig := &Figure{Name: "Figure 5 (Case 3: BP-Replicate vs Scarlett)", Rows: rows}
-	fig.Notes = fmt.Sprintf("replication budget beta = %d (3x%d blocks + %d extra), K = %d",
-		budget, tr.NumBlocks(), s.BudgetExtraBlocks, s.K)
 	return fig, nil
 }
 

@@ -145,9 +145,13 @@ func TestFig6Testbed(t *testing.T) {
 			t.Fatalf("%s read no data over the wire", r.System)
 		}
 	}
-	// Panel (a): dynamic replication beats static HDFS on locality.
+	// Panel (a): dynamic replication beats static HDFS on locality, and
+	// Aurora's placement is at least as local as Scarlett's.
 	if aur.LocalFraction < hdfs.LocalFraction {
 		t.Errorf("Aurora locality %.3f < HDFS %.3f", aur.LocalFraction, hdfs.LocalFraction)
+	}
+	if aur.LocalFraction < scar.LocalFraction {
+		t.Errorf("Aurora locality %.3f < Scarlett %.3f", aur.LocalFraction, scar.LocalFraction)
 	}
 	if scar.Replicates == 0 || aur.Replicates == 0 {
 		t.Error("dynamic systems issued no replication commands")

@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -150,8 +150,9 @@ func Fig6(s TestbedSetup) (*Fig6Result, error) {
 }
 
 // runTestbedSystem spins up a real cluster, loads the dataset, replays
-// the workload in virtual time (with real block reads on the data path)
-// and reconfigures at every epoch according to the system under test.
+// the workload in virtual time through the simulator's job replay (with
+// real block reads on the data path) and reconfigures at every epoch
+// according to the system under test.
 func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRow, error) {
 	row := TestbedRow{System: system, JobDurations: make(map[int64]int64)}
 
@@ -163,7 +164,7 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 	// Under fault injection every process routes its RPCs through the
 	// injector; without it they use the plain transport.
 	var inj *faultinject.Injector
-	taskRetry := retrypolicy.Policy{MaxAttempts: 2} // one location-refresh retry, as before
+	taskRetry := retrypolicy.Policy{MaxAttempts: 2} // one location-refresh retry
 	if s.FaultSchedule != nil {
 		inj = faultinject.New(s.FaultSchedule)
 		taskRetry = retrypolicy.Policy{
@@ -235,41 +236,41 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 		}
 	}
 
-	budget := tr.NumBlocks()*3 + s.BudgetExtraBlocks
-	scarlett := &baseline.Scarlett{Mode: baseline.Priority, Budget: budget}
-	reconfigure := func() error {
-		switch system {
-		case "Scarlett":
-			// A dropped plan leaves the live layout, as a dropped
-			// Aurora period does; the next reconfiguration plans again.
-			if err := nn.WithPlacement(func(p *core.Placement) error {
-				_, err := scarlett.Rebalance(p)
-				return err
-			}); err != nil && !errors.Is(err, namenode.ErrPlanDropped) {
-				return err
-			}
-		case "Aurora":
-			if _, err := nn.OptimizeNow(core.OptimizerOptions{
-				Epsilon:             s.Epsilon,
-				RackAware:           true,
-				ReplicationBudget:   budget,
-				MaxReplicationMoves: 20000,
-				MaxSearchIterations: 20000,
-			}); err != nil {
-				return err
-			}
-		default:
-			return nil
-		}
-		// Give the reconcile loop time to carry the blocks; the
-		// workload resumes against the converged layout, matching the
-		// paper's hourly cadence where moves complete well within the
-		// period.
-		return nn.WaitConverged(30 * time.Second)
-	}
-
-	if err := replayWorkload(s, tr, paths, c, &row, reconfigure, taskRetry); err != nil {
+	info, err := c.ClusterInfo()
+	if err != nil {
 		return row, err
+	}
+	tcl, machineOf, err := testbedCluster(info, s.SlotsPerNode)
+	if err != nil {
+		return row, err
+	}
+	budget := tr.NumBlocks()*3 + s.BudgetExtraBlocks
+	h := &testbedHost{
+		system:    system,
+		nn:        nn,
+		c:         c,
+		info:      info,
+		machineOf: machineOf,
+		paths:     paths,
+		taskRetry: taskRetry,
+		row:       &row,
+		scarlett:  &baseline.Scarlett{Mode: baseline.Priority, Budget: budget},
+		opts: core.OptimizerOptions{
+			Epsilon:             s.Epsilon,
+			RackAware:           true,
+			ReplicationBudget:   budget,
+			MaxReplicationMoves: 20000,
+			MaxSearchIterations: 20000,
+		},
+	}
+	rr, err := sched.Replay[testbedRead](tcl, tr.Jobs, s.EpochTicks, h)
+	if err != nil {
+		return row, fmt.Errorf("experiments: %w", err)
+	}
+	row.LocalTasks = rr.LocalTasks
+	row.RemoteTasks = rr.RackLocalTasks + rr.RemoteTasks
+	for _, j := range rr.Jobs {
+		row.JobDurations[j.ID] = j.Duration
 	}
 	durations, replicates, deletes := nn.MovementStats()
 	row.MoveDurations = durations
@@ -282,198 +283,120 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 	return row, nil
 }
 
-// tbTask is one queued map task in the virtual-time replay.
-type tbTask struct {
-	job  int64
-	loc  proto.BlockLocation
-	dur  int64
-	path string
+// testbedHost is the testbed's side of the job replay (sched.Replay,
+// the simulator's too): a job's tasks are the blocks the live namenode
+// locates for its file (feeding its usage monitor), a launch reads the
+// block over real TCP, and each epoch runs the system's
+// reconfiguration on the live cluster.
+type testbedHost struct {
+	system    string
+	nn        *namenode.NameNode
+	c         *client.Client
+	info      []proto.NodeInfo
+	machineOf map[string]topology.MachineID
+	paths     map[trace.FileID]string
+	taskRetry retrypolicy.Policy
+	row       *TestbedRow
+	scarlett  *baseline.Scarlett
+	opts      core.OptimizerOptions
 }
 
-// tbCompletion is a scheduled finish event.
-type tbCompletion struct {
-	at   int64
-	seq  int64
-	node topology.MachineID
-	job  int64
+// testbedRead is one map task's input: a block of the job's file as the
+// namenode located it when the job arrived.
+type testbedRead struct {
+	loc     proto.BlockLocation
+	path    string
+	holders []topology.MachineID
 }
 
-type tbHeap []tbCompletion
-
-func (h tbHeap) Len() int { return len(h) }
-func (h tbHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h tbHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *tbHeap) Push(x any)   { *h = append(*h, x.(tbCompletion)) }
-func (h *tbHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// replayWorkload replays the job trace in virtual time against the live
-// cluster: locations come from the real namenode (feeding its usage
-// monitor), block bytes are read over real TCP, and slots gate
-// concurrency per node. Tasks are placed by sched.Pick over the located
-// holders, as in the simulator; a task that is not node-local takes
-// twice as long, per the paper.
-func replayWorkload(s TestbedSetup, tr *trace.Trace, paths map[trace.FileID]string,
-	c *client.Client, row *TestbedRow, reconfigure func() error,
-	taskRetry retrypolicy.Policy) error {
-
-	info, err := c.ClusterInfo()
+// Tasks implements sched.Host: one task per located block of the job's
+// file.
+func (h *testbedHost) Tasks(j trace.Job) ([]testbedRead, error) {
+	path := h.paths[j.File]
+	locs, err := h.c.Locations(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cl, machineOf, err := testbedCluster(info, s.SlotsPerNode)
-	if err != nil {
-		return err
-	}
-	slots := sched.NewSlots(cl)
-	var holders []topology.MachineID
-
-	var (
-		pending   []tbTask
-		comps     tbHeap
-		seq       int64
-		now       int64
-		remaining = make(map[int64]int)
-		started   = make(map[int64]int64)
-		arrIdx    int
-		nextEpoch = s.EpochTicks
-	)
-
-	launch := func(tk tbTask) error {
-		holders = holders[:0]
-		for _, a := range tk.loc.Addresses {
-			if m, ok := machineOf[a]; ok {
-				holders = append(holders, m)
+	ins := make([]testbedRead, len(locs))
+	for i, loc := range locs {
+		ins[i] = testbedRead{loc: loc, path: path}
+		for _, a := range loc.Addresses {
+			if m, ok := h.machineOf[a]; ok {
+				ins[i].holders = append(ins[i].holders, m)
 			}
 		}
-		pick, err := sched.Pick(cl, slots, holders)
-		if err != nil {
-			return fmt.Errorf("experiments: %w despite accounting", err)
-		}
-		slots.Acquire(pick.Machine)
-		target := info[pick.Machine].Addr
-		local := pick.Level == sched.NodeLocal
-		dur := tk.dur
-		if local {
-			row.LocalTasks++
-		} else {
-			row.RemoteTasks++
-			dur *= 2
-		}
-		// Real data path: read the block (from the assigned node when
-		// local, any replica otherwise). The queued location can go
-		// stale when a reconfiguration epoch ran between the job's
-		// Locations call and the task launch — a migration may have
-		// deleted the replica we targeted, or fault injection may have
-		// taken the holder down — so refresh locations and retry under
-		// the task policy (a single refresh without faults, backoff
-		// until the cluster heals with them), as a retrying task would.
-		readFrom := target
-		if !local && len(tk.loc.Addresses) > 0 {
-			readFrom = tk.loc.Addresses[0]
-		}
-		data, err := c.ReadBlockFrom(proto.BlockLocation{Block: tk.loc.Block, Length: tk.loc.Length, Addresses: []string{readFrom}})
-		if err != nil {
-			readErr := err
-			err = taskRetry.Do(func() error {
-				locs, lerr := c.Locations(tk.path)
-				if lerr != nil {
+	}
+	return ins, nil
+}
+
+// Holders implements sched.Host with the holders located at arrival.
+func (h *testbedHost) Holders(t testbedRead) []topology.MachineID { return t.holders }
+
+// Holds implements sched.Host.
+func (h *testbedHost) Holds(t testbedRead, m topology.MachineID) bool {
+	return slices.Contains(t.holders, m)
+}
+
+// Launch implements sched.Host on the real data path: it reads the
+// block from the assigned node when local, any replica otherwise. The
+// located holders can go stale when a reconfiguration epoch ran between
+// the job's Locations call and the task launch — a migration may have
+// deleted the replica we targeted, or fault injection may have taken
+// the holder down — so a failed read refreshes locations and retries
+// under the task policy (a single refresh without faults, backoff until
+// the cluster heals with them), as a retrying task would.
+func (h *testbedHost) Launch(t testbedRead, a sched.Assignment, _ int64) error {
+	readFrom := h.info[a.Machine].Addr
+	if a.Level != sched.NodeLocal && len(t.loc.Addresses) > 0 {
+		readFrom = t.loc.Addresses[0]
+	}
+	data, err := h.c.ReadBlockFrom(proto.BlockLocation{Block: t.loc.Block, Length: t.loc.Length, Addresses: []string{readFrom}})
+	if err != nil {
+		readErr := err
+		err = h.taskRetry.Do(func() error {
+			locs, lerr := h.c.Locations(t.path)
+			if lerr != nil {
+				return lerr
+			}
+			for _, l := range locs {
+				if l.Block == t.loc.Block {
+					data, lerr = h.c.ReadBlockFrom(l)
 					return lerr
 				}
-				for _, l := range locs {
-					if l.Block == tk.loc.Block {
-						data, lerr = c.ReadBlockFrom(l)
-						return lerr
-					}
-				}
-				return readErr
-			})
-			if err != nil {
-				return fmt.Errorf("experiments: task read block %d (first tried %s): %w", tk.loc.Block, readFrom, err)
 			}
+			return readErr
+		})
+		if err != nil {
+			return fmt.Errorf("experiments: task read block %d (first tried %s): %w", t.loc.Block, readFrom, err)
 		}
-		row.BytesRead += int64(len(data))
-		seq++
-		heap.Push(&comps, tbCompletion{at: now + max64(1, dur), seq: seq, node: pick.Machine, job: tk.job})
-		return nil
 	}
+	h.row.BytesRead += int64(len(data))
+	return nil
+}
 
-	schedule := func() error {
-		for len(pending) > 0 && slots.TotalFree() > 0 {
-			tk := pending[0]
-			pending = pending[1:]
-			if err := launch(tk); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	jobs := tr.Jobs
-	for {
-		next := int64(-1)
-		if comps.Len() > 0 {
-			next = comps[0].at
-		}
-		if arrIdx < len(jobs) && (next == -1 || jobs[arrIdx].Arrival < next) {
-			next = jobs[arrIdx].Arrival
-		}
-		if next == -1 && len(pending) == 0 {
-			break
-		}
-		if next == -1 {
-			return fmt.Errorf("experiments: %d tasks stuck with no events", len(pending))
-		}
-		if nextEpoch <= next {
-			now = nextEpoch
-			if err := reconfigure(); err != nil {
-				return err
-			}
-			nextEpoch += s.EpochTicks
-			if err := schedule(); err != nil {
-				return err
-			}
-			continue
-		}
-		now = next
-		for comps.Len() > 0 && comps[0].at == now {
-			e := heap.Pop(&comps).(tbCompletion)
-			slots.Release(e.node)
-			if remaining[e.job]--; remaining[e.job] == 0 {
-				row.JobDurations[e.job] = now - started[e.job]
-				delete(remaining, e.job)
-				delete(started, e.job)
-			}
-		}
-		for arrIdx < len(jobs) && jobs[arrIdx].Arrival == now {
-			j := jobs[arrIdx]
-			arrIdx++
-			path := paths[j.File]
-			locs, err := c.Locations(path)
-			if err != nil {
-				return err
-			}
-			remaining[j.ID] = len(locs)
-			started[j.ID] = now
-			for _, loc := range locs {
-				pending = append(pending, tbTask{job: j.ID, loc: loc, dur: j.TaskDuration, path: path})
-			}
-		}
-		if err := schedule(); err != nil {
+// Epoch implements sched.Host: the system under test reconfigures the
+// live cluster, and the replay resumes once the reconcile loop has
+// carried the blocks — the paper's hourly cadence, where moves complete
+// well within the period.
+func (h *testbedHost) Epoch(int64) error {
+	switch h.system {
+	case "Scarlett":
+		// A dropped plan leaves the live layout, as a dropped Aurora
+		// period does; the next reconfiguration plans again.
+		if err := h.nn.WithPlacement(func(p *core.Placement) error {
+			_, err := h.scarlett.Rebalance(p)
+			return err
+		}); err != nil && !errors.Is(err, namenode.ErrPlanDropped) {
 			return err
 		}
+	case "Aurora":
+		if _, err := h.nn.OptimizeNow(h.opts); err != nil {
+			return err
+		}
+	default:
+		return nil
 	}
-	return nil
+	return h.nn.WaitConverged(30 * time.Second)
 }
 
 // testbedCluster describes the live cluster to the task scheduler: one
@@ -498,13 +421,6 @@ func testbedCluster(info []proto.NodeInfo, slots int) (*topology.Cluster, map[st
 	}
 	cl, err := b.Build()
 	return cl, machineOf, err
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Render writes the three panels of Figure 6 as text.

@@ -1,6 +1,7 @@
-// Package sched implements the locality-aware map-task placement of the
-// discrete-event simulator (internal/sim) and of the Fig 6 testbed
-// replay (internal/experiments).
+// Package sched is the one discrete-event job replay (Replay) and its
+// locality-aware map-task placement (Pick), shared by the trace-driven
+// simulator (internal/sim, Figs 3-5) and the Fig 6 testbed
+// (internal/experiments), which differ only in what a Host supplies.
 //
 // A map task wants to run where a replica of its input block lives: a
 // node-local task reads from the local disk, a rack-local task crosses
@@ -11,6 +12,11 @@
 // available given free slots — the same decision HDFS-colocated
 // schedulers (capacity/fair) make.
 package sched
+
+// Replays are compared across policies and must be replayable from a
+// seed: aurora-lint forbids global randomness and wall-clock reads here.
+//
+//lint:deterministic
 
 import (
 	"errors"

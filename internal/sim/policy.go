@@ -1,9 +1,9 @@
-// Package sim is the trace-driven, discrete-event cluster simulator used
-// for the paper's production-scale experiments (Section VI.A): jobs
-// arrive from a trace, map tasks occupy machine slots with
-// locality-dependent durations, and a placement policy reconfigures the
-// block layout at fixed epochs using the usage monitor's popularity
-// observations.
+// Package sim is the trace-driven cluster simulator used for the
+// paper's production-scale experiments (Section VI.A): jobs arrive from
+// a trace and their map tasks run on the job replay of internal/sched
+// against a simulated block placement, and a placement policy
+// reconfigures the layout every hour-long epoch using the usage
+// monitor's popularity observations.
 package sim
 
 import (

@@ -7,6 +7,7 @@ import (
 	"aurora/internal/baseline"
 	"aurora/internal/core"
 	"aurora/internal/popularity"
+	"aurora/internal/sched"
 	"aurora/internal/topology"
 	"aurora/internal/trace"
 )
@@ -208,9 +209,6 @@ func TestRunConfigValidation(t *testing.T) {
 		{"nil cluster", Config{Trace: tr, Policy: pol}},
 		{"nil trace", Config{Cluster: cl, Policy: pol}},
 		{"nil policy", Config{Cluster: cl, Trace: tr}},
-		{"negative epoch", Config{Cluster: cl, Trace: tr, Policy: pol, EpochTicks: -1}},
-		{"negative window", Config{Cluster: cl, Trace: tr, Policy: pol, WindowEpochs: -1}},
-		{"bad slowdowns", Config{Cluster: cl, Trace: tr, Policy: pol, RackLocalSlowdown: 3, RemoteSlowdown: 2}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -255,7 +253,7 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestRemoteFraction(t *testing.T) {
-	r := &Result{LocalTasks: 6, RackLocalTasks: 1, RemoteTasks: 3}
+	r := &Result{Result: sched.Result{LocalTasks: 6, RackLocalTasks: 1, RemoteTasks: 3}}
 	if got := r.RemoteFraction(); got != 0.4 {
 		t.Errorf("RemoteFraction = %v, want 0.4", got)
 	}

@@ -40,7 +40,7 @@ type Job struct {
 	File    FileID
 	Blocks  []core.BlockID // input blocks (one map task each)
 	// TaskDuration is the run time in ticks of one *local* map task;
-	// remote tasks run RemoteSlowdown times longer.
+	// tasks that are not node-local run longer (see internal/sched).
 	TaskDuration int64
 }
 
