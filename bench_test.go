@@ -893,13 +893,15 @@ func startLoadedNameNode(b *testing.B) *aurora.NameNode {
 		Complete    bool    `json:"complete"`
 		Blocks      []block `json:"blocks"`
 	}
+	const namespace = 1 // the fake reports carry the image's namespace ID
 	img := struct {
 		Version   int    `json:"version"`
+		Namespace uint64 `json:"namespace"`
 		Racks     int    `json:"racks"`
 		NextBlock int    `json:"nextBlock"`
 		Nodes     []node `json:"nodes"`
 		Files     []file `json:"files"`
-	}{Version: 2, Racks: 2, NextBlock: blocks + 1}
+	}{Version: 3, Namespace: namespace, Racks: 2, NextBlock: blocks + 1}
 	held := make([][]proto.BlockID, nodes)
 	for n := 0; n < nodes; n++ {
 		img.Nodes = append(img.Nodes, node{ID: n, Addr: fmt.Sprintf("dn%d:1", n), Rack: n % 2, Capacity: blocks})
@@ -938,7 +940,7 @@ func startLoadedNameNode(b *testing.B) *aurora.NameNode {
 		}
 	}
 	for n := range held {
-		call(&proto.Message{Type: proto.MsgHeartbeatDelta, Node: proto.NodeID(n), FullReport: true, Received: held[n]})
+		call(&proto.Message{Type: proto.MsgHeartbeatDelta, Node: proto.NodeID(n), FullReport: true, Received: held[n], Namespace: namespace})
 	}
 	for i := 0; i < reads; i++ {
 		call(&proto.Message{Type: proto.MsgGetLocations, Path: fmt.Sprintf("/r/f%06d", i*(blocks/reads))})

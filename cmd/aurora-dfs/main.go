@@ -405,7 +405,7 @@ func runFsck(args []string) error {
 	fmt.Printf("pending commands:     %d\n", h.PendingCommands)
 	fmt.Printf("inflight transfers:   %d\n", h.InflightTransfers)
 	fmt.Printf("dead datanodes:       %d\n", h.DeadNodes)
-	fmt.Printf("tombstoned blocks:    %d (deleted, still held)\n", h.TombstonedBlocks)
+	fmt.Printf("tombstoned blocks:    %d (no file, still held)\n", h.TombstonedBlocks)
 	if h.Healthy {
 		fmt.Println("status: HEALTHY")
 	} else {

@@ -472,9 +472,9 @@ var seededMutations = []mutation{
 	{
 		name: "annotated fire-and-forget report", rule: analysis.RuleCtxDeadline,
 		file: "internal/dfs/datanode/datanode.go",
-		old:  "\tif _, _, err := dn.call(dn.cfg.NameNodeAddr, &proto.Message{\n\t\tType:  proto.MsgBlockReceived,\n\t\tNode:  dn.id,\n\t\tBlock: id,\n\t}, nil, dn.cfg.Timeout); err != nil {\n\t\tmetrics.Default.Counter(\"dfs.datanode.report_dropped\").Inc()\n\t}\n",
-		new:  "\t//lint:ignore errcheck best effort: the next heartbeat repairs it\n\t_, _, _ = dn.call(dn.cfg.NameNodeAddr, &proto.Message{\n\t\tType:  proto.MsgBlockReceived,\n\t\tNode:  dn.id,\n\t\tBlock: id,\n\t}, nil, dn.cfg.Timeout)\n",
-		at:   []string{"\t_, _, _ = dn.call(dn.cfg.NameNodeAddr, &proto.Message{\n\t\tType:  proto.MsgBlockReceived"},
+		old:  "\tif _, _, err := dn.call(dn.cfg.NameNodeAddr, &proto.Message{\n\t\tType:      proto.MsgBlockReceived,\n\t\tNode:      dn.id,\n\t\tBlock:     id,\n\t\tNamespace: dn.ns,\n\t}, nil, dn.cfg.Timeout); err != nil {\n\t\tmetrics.Default.Counter(\"dfs.datanode.report_dropped\").Inc()\n\t}\n",
+		new:  "\t//lint:ignore errcheck best effort: the next heartbeat repairs it\n\t_, _, _ = dn.call(dn.cfg.NameNodeAddr, &proto.Message{\n\t\tType:      proto.MsgBlockReceived,\n\t\tNode:      dn.id,\n\t\tBlock:     id,\n\t\tNamespace: dn.ns,\n\t}, nil, dn.cfg.Timeout)\n",
+		at:   []string{"\t_, _, _ = dn.call(dn.cfg.NameNodeAddr, &proto.Message{\n\t\tType:      proto.MsgBlockReceived"},
 	},
 	{
 		name: "flattened error chain", rule: analysis.RuleWrapCheck,

@@ -32,8 +32,8 @@ type Config struct {
 	Timeout time.Duration
 	// ListenAddr defaults to 127.0.0.1:0.
 	ListenAddr string
-	// DataDir, when set, persists blocks as files under this directory
-	// (checksummed, crash-safe); empty keeps blocks in memory.
+	// DataDir, when set, persists blocks (checksummed, crash-safe) and
+	// the node's namespace ID as files here; empty keeps them in memory.
 	DataDir string
 	// Call overrides the RPC transport (the fault-injection harness
 	// passes an Injector.CallFrom here); nil means proto.Call.
@@ -62,6 +62,7 @@ var (
 type DataNode struct {
 	cfg     Config
 	id      proto.NodeID
+	ns      uint64 // the namespace ID, sent on every message to the namenode
 	server  *proto.Server
 	store   BlockStore
 	free    *blockBufs // block buffers shared with the store (DESIGN.md §15.6)
@@ -110,8 +111,12 @@ func Start(cfg Config) (*DataNode, error) {
 	}
 	free := &blockBufs{}
 	var store BlockStore
+	var ns uint64
 	if cfg.DataDir != "" {
 		ds, err := newDiskStore(cfg.DataDir, cfg.CapacityBlocks, free)
+		if err == nil {
+			ns, err = readNamespace(cfg.DataDir)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -142,24 +147,29 @@ func Start(cfg Config) (*DataNode, error) {
 	// while the namenode is briefly unreachable joins as soon as the
 	// window clears instead of failing its whole startup. Serving starts
 	// once the node knows its id, which every stream handler reads;
-	// a peer that connects earlier waits in the listen backlog.
+	// a peer that connects earlier waits in the listen backlog. A node
+	// bound to no namespace (ns 0) adopts, and records, the namenode's.
 	var resp *proto.Message
 	err = dn.retryDo("dfs.datanode.register_retries", func() error {
 		var callErr error
 		resp, _, callErr = dn.call(cfg.NameNodeAddr, &proto.Message{
-			Type:     proto.MsgRegister,
-			DataAddr: ln.Addr().String(),
-			Rack:     cfg.Rack,
-			Capacity: cfg.CapacityBlocks,
+			Type:      proto.MsgRegister,
+			DataAddr:  ln.Addr().String(),
+			Rack:      cfg.Rack,
+			Capacity:  cfg.CapacityBlocks,
+			Namespace: ns,
 		}, nil, cfg.Timeout)
 		return callErr
 	})
+	if err == nil && cfg.DataDir != "" && resp.Namespace != ns {
+		err = writeNamespace(cfg.DataDir, resp.Namespace)
+	}
 	if err != nil {
 		//lint:ignore errcheck best effort: the register error is what matters
 		_ = ln.Close()
 		return nil, fmt.Errorf("datanode: register: %w", err)
 	}
-	dn.id = resp.Node
+	dn.id, dn.ns = resp.Node, resp.Namespace
 	dn.server = proto.ServeStreams(ln, dn.handle, dn.handleStream, cfg.Timeout)
 
 	go dn.heartbeatLoop()
@@ -327,7 +337,7 @@ func (dn *DataNode) heartbeatOnce(woken bool) {
 	r := dn.tracker.drain(dn.store.List, woken)
 	req := &proto.Message{
 		Type: proto.MsgHeartbeatDelta, Node: dn.id, FullReport: r.full,
-		Digest: r.digest, Received: r.received, Deleted: r.deleted,
+		Digest: r.digest, Received: r.received, Deleted: r.deleted, Namespace: dn.ns,
 	}
 	if r.full {
 		metrics.Default.Counter("dfs.datanode.report_full").Inc()
@@ -398,9 +408,10 @@ func (dn *DataNode) execute(cmd proto.Command) {
 // next heartbeat's delta report.
 func (dn *DataNode) reportReceived(id proto.BlockID) {
 	if _, _, err := dn.call(dn.cfg.NameNodeAddr, &proto.Message{
-		Type:  proto.MsgBlockReceived,
-		Node:  dn.id,
-		Block: id,
+		Type:      proto.MsgBlockReceived,
+		Node:      dn.id,
+		Block:     id,
+		Namespace: dn.ns,
 	}, nil, dn.cfg.Timeout); err != nil {
 		metrics.Default.Counter("dfs.datanode.report_dropped").Inc()
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -30,8 +32,10 @@ type fakeNameNode struct {
 	deltas    int       // delta reports
 	lastFull  []proto.BlockID
 	deltaRecv []proto.BlockID
-	deletions []deletion // one per delta that reported deletions
-	askFull   bool       // request a full-report resync on the next delta
+	deletions []deletion                 // one per delta that reported deletions
+	askFull   bool                       // request a full-report resync on the next delta
+	ns        uint64                     // the namespace ID a register reply carries
+	sentNS    map[proto.MsgType][]uint64 // the namespace ID on each request, by type
 }
 
 // deletion is one delta report's Deleted list and when it arrived.
@@ -61,11 +65,15 @@ func (f *fakeNameNode) handle(req *proto.Message, _ []byte) (*proto.Message, []b
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.sentNS == nil {
+		f.sentNS = make(map[proto.MsgType][]uint64)
+	}
+	f.sentNS[req.Type] = append(f.sentNS[req.Type], req.Namespace)
 	switch req.Type {
 	case proto.MsgRegister:
 		id := f.nextID
 		f.nextID++
-		return &proto.Message{Type: proto.MsgOK, Node: id}, nil
+		return &proto.Message{Type: proto.MsgOK, Node: id, Namespace: f.ns}, nil
 	case proto.MsgHeartbeatDelta:
 		cmds := f.cmds[req.Node]
 		delete(f.cmds, req.Node)
@@ -160,6 +168,53 @@ func TestWriteReadAndReport(t *testing.T) {
 	}
 	if dn.ID() != 0 {
 		t.Errorf("ID = %d, want 0 (assigned by namenode)", dn.ID())
+	}
+}
+
+// A datanode adopts the namespace ID its registration returns and sends
+// it on every report and arrival. With a DataDir it keeps the ID in the
+// namespace file, next to the blocks, and a restart registers with it.
+func TestNamespaceBinding(t *testing.T) {
+	nn := startFakeNN(t)
+	nn.ns = 77
+	dir := t.TempDir()
+	cfg := Config{HeartbeatInterval: 20 * time.Millisecond, DataDir: dir}
+	dn := startDNWith(t, nn, cfg)
+	if _, err := streamWrite(t, dn.Addr(), 5, []byte("block"), 1<<10, nil, false); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	heartbeats := func() int {
+		nn.mu.Lock()
+		defer nn.mu.Unlock()
+		return len(nn.sentNS[proto.MsgHeartbeatDelta])
+	}
+	for deadline := time.Now().Add(3 * time.Second); heartbeats() == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no heartbeat arrived")
+		}
+	}
+	if err := dn.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "namespace"))
+	if err != nil || string(raw) != "77\n" {
+		t.Errorf("namespace file = %q, %v, want \"77\\n\"", raw, err)
+	}
+	startDNWith(t, nn, cfg)
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	for typ, want := range map[proto.MsgType][]uint64{
+		proto.MsgRegister:       {0, 77},
+		proto.MsgBlockReceived:  {77},
+		proto.MsgHeartbeatDelta: {77},
+	} {
+		got := nn.sentNS[typ]
+		if typ == proto.MsgHeartbeatDelta {
+			got = slices.Compact(got) // one per tick
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s namespace IDs = %v, want %v", typ, got, want)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package datanode
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"aurora/internal/dfs/proto"
@@ -86,8 +86,9 @@ func (rt *reportTracker) drain(list func() []proto.BlockID, woken bool) report {
 			r.deleted = append(r.deleted, id)
 		}
 	}
-	sortBlockIDs(r.received)
-	sortBlockIDs(r.deleted)
+	// Sorted, so the wire encoding does not depend on map order.
+	slices.Sort(r.received)
+	slices.Sort(r.deleted)
 	return r
 }
 
@@ -123,10 +124,4 @@ func (rt *reportTracker) forceFullNext() {
 	rt.mu.Lock()
 	rt.forceFull = true
 	rt.mu.Unlock()
-}
-
-// sortBlockIDs orders a delta list so the wire encoding (and any log
-// of it) is deterministic regardless of map iteration order.
-func sortBlockIDs(ids []proto.BlockID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

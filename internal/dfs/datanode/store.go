@@ -1,12 +1,14 @@
 package datanode
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -103,9 +105,7 @@ func (s *memStore) corrupt(id proto.BlockID, data []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: block %d", ErrBlockNotFound, id)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.blocks[id] = cp // s.sums[id] intentionally left stale
+	s.blocks[id] = slices.Clone(data) // s.sums[id] intentionally left stale
 	s.free.put(old)
 	return nil
 }
@@ -182,6 +182,30 @@ func newDiskStore(dir string, capacity int, free *blockBufs) (*diskStore, error)
 		s.index[proto.BlockID(id)] = struct{}{}
 	}
 	return s, nil
+}
+
+const namespaceFile = "namespace" // in a store dir: the node's namespace ID, in decimal
+
+// readNamespace returns the namespace ID recorded in dir, or 0 if none.
+func readNamespace(dir string) (uint64, error) {
+	raw, err := os.ReadFile(filepath.Join(dir, namespaceFile))
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, nil
+	}
+	ns, perr := strconv.ParseUint(strings.TrimSpace(string(raw)), 10, 64)
+	if err = cmp.Or(err, perr); err != nil {
+		return 0, fmt.Errorf("datanode: read namespace ID: %w", err)
+	}
+	return ns, nil
+}
+
+// writeNamespace records ns in dir, write-then-rename like a block.
+func writeNamespace(dir string, ns uint64) error {
+	path := filepath.Join(dir, namespaceFile)
+	if err := os.WriteFile(path+".tmp", fmt.Appendf(nil, "%d\n", ns), 0o644); err != nil {
+		return err
+	}
+	return os.Rename(path+".tmp", path)
 }
 
 func (s *diskStore) path(id proto.BlockID) string {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -399,5 +401,68 @@ func TestNameNodeRestartWithFsImage(t *testing.T) {
 	}
 	if _, err := c.Read("/persist/more"); err != nil {
 		t.Fatalf("Read new file: %v", err)
+	}
+}
+
+// TestFreshNameNodeDeletesNothingOnOldDisks starts a namenode without
+// its image — a lost image, a mistyped -fsimage path — over the disks of
+// a cluster that held data, with the same Seed as the old namenode. The
+// old datanodes are bound to the old namespace, so each one's
+// registration is refused with a namespace mismatch, and every block
+// file stays on disk.
+func TestFreshNameNodeDeletesNothingOnOldDisks(t *testing.T) {
+	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
+	hb := 20 * time.Millisecond
+	tc := startCluster(t, len(dirs), func(s *dfs.Spec) {
+		s.DataNode = datanode.Config{CapacityBlocks: 64, HeartbeatInterval: hb}
+		s.PerNode = func(i int, cfg *datanode.Config) { cfg.DataDir = dirs[i] }
+	})
+	c := client.New(tc.NameNode.Addr(), client.WithBlockSize(1<<12), client.WithSeed(61))
+	for i := 0; i < 3; i++ {
+		if err := c.Create(fmt.Sprintf("/old/f%d", i), payload(2*(1<<12), byte(i)), 3); err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+	}
+	if err := tc.NameNode.WaitConverged(5 * time.Second); err != nil {
+		t.Fatalf("WaitConverged: %v", err)
+	}
+	if err := tc.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	blockFiles := func() []string {
+		var all []string
+		for _, dir := range dirs {
+			files, err := filepath.Glob(filepath.Join(dir, "blk_*"))
+			if err != nil {
+				t.Fatalf("Glob: %v", err)
+			}
+			all = append(all, files...)
+		}
+		return all
+	}
+	before := blockFiles()
+	if len(before) != 18 {
+		t.Fatalf("%d block files after writing 3 two-block files at 3 replicas, want 18", len(before))
+	}
+
+	nn, err := namenode.Start(namenode.Config{ExpectedNodes: len(dirs), Racks: 2, ReconcileInterval: 10 * time.Millisecond, Seed: 7})
+	if err != nil {
+		t.Fatalf("namenode.Start: %v", err)
+	}
+	t.Cleanup(func() { _ = nn.Close() })
+	for i, dir := range dirs {
+		dn, err := datanode.Start(datanode.Config{
+			NameNodeAddr: nn.Addr(), Rack: i % 2, CapacityBlocks: 64, HeartbeatInterval: hb, DataDir: dir,
+		})
+		if err == nil {
+			t.Cleanup(func() { _ = dn.Close() })
+		}
+		if err == nil || !strings.Contains(err.Error(), "namespace mismatch") {
+			t.Errorf("datanode %d on an old disk: err = %v, want a namespace mismatch", i, err)
+		}
+	}
+	time.Sleep(20 * hb) // time for any deletes to be issued and carried out
+	if after := blockFiles(); !slices.Equal(after, before) {
+		t.Errorf("block files changed under a fresh namenode: %d before, %d after", len(before), len(after))
 	}
 }

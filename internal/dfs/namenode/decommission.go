@@ -39,13 +39,8 @@ func (nn *NameNode) Decommission(id proto.NodeID) error {
 			live++
 		}
 	}
-	m := topology.MachineID(id)
-	for _, b := range nn.placement.BlocksOn(m) {
-		spec, err := nn.placement.Spec(b)
-		if err != nil {
-			continue
-		}
-		if spec.MinReplicas > live {
+	for _, b := range nn.placement.BlocksOn(topology.MachineID(id)) {
+		if spec, err := nn.placement.Spec(b); err == nil && spec.MinReplicas > live {
 			return fmt.Errorf("%w: block %d needs %d replicas but only %d nodes would remain",
 				ErrBadRequest, b, spec.MinReplicas, live)
 		}

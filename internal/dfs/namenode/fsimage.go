@@ -21,18 +21,17 @@ import (
 var ErrBadFsImage = errors.New("namenode: bad fsimage")
 
 // fsImageVersion guards against loading checkpoints from incompatible
-// builds. Version 2 nests each block in its file.
-const fsImageVersion = 2
+// builds. Version 2 nests each block in its file; version 3 adds the
+// namespace ID.
+const fsImageVersion = 3
 
 type fsImage struct {
 	Version   int           `json:"version"`
+	Namespace uint64        `json:"namespace"`
 	Racks     int           `json:"racks"`
 	NextBlock proto.BlockID `json:"nextBlock"`
 	Nodes     []fsImageNode `json:"nodes"`
 	Files     []fsImageFile `json:"files"`
-	// Foreign is the namenode's foreign ID ranges: below NextBlock, but
-	// never allocated by this namespace. An image without it names none.
-	Foreign []idRange `json:"foreign,omitempty"`
 }
 
 type fsImageNode struct {
@@ -78,16 +77,15 @@ func (nn *NameNode) SaveFsImage(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFsImage(path, img); err != nil {
-		nn.mu.Lock()
-		nn.dirty = true
-		nn.mu.Unlock()
-		return err
-	}
+	err = writeFsImage(path, img)
 	nn.mu.Lock()
-	nn.fsSaves++
+	if err != nil {
+		nn.dirty = true
+	} else {
+		nn.fsSaves++
+	}
 	nn.mu.Unlock()
-	return nil
+	return err
 }
 
 func writeFsImage(path string, img *fsImage) error {
@@ -111,9 +109,9 @@ func (nn *NameNode) buildFsImageLocked() (*fsImage, error) {
 	}
 	img := &fsImage{
 		Version:   fsImageVersion,
+		Namespace: nn.namespace,
 		Racks:     nn.cfg.Racks,
 		NextBlock: nn.nextBlock,
-		Foreign:   append([]idRange(nil), nn.foreign...),
 	}
 	for _, n := range nn.nodes {
 		img.Nodes = append(img.Nodes, fsImageNode{
@@ -152,9 +150,13 @@ func (nn *NameNode) buildFsImageLocked() (*fsImage, error) {
 // the node registry and topology are rebuilt (nodes start dead and
 // revive on their next heartbeat), files and the desired placement are
 // restored, and the cluster is immediately ready. Confirmations rebuild
-// from block reports.
+// from block reports. With no checkpoint at path it leaves the namenode
+// to form a new namespace.
 func (nn *NameNode) loadFsImage(path string) error {
 	raw, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
 	if err != nil {
 		return fmt.Errorf("namenode: read fsimage: %w", err)
 	}
@@ -165,8 +167,8 @@ func (nn *NameNode) loadFsImage(path string) error {
 	if img.Version != fsImageVersion {
 		return fmt.Errorf("%w: version %d, want %d", ErrBadFsImage, img.Version, fsImageVersion)
 	}
-	if len(img.Nodes) == 0 {
-		return fmt.Errorf("%w: no nodes", ErrBadFsImage)
+	if len(img.Nodes) == 0 || img.Namespace == 0 {
+		return fmt.Errorf("%w: no nodes or no namespace ID", ErrBadFsImage)
 	}
 
 	nn.mu.Lock()
@@ -195,13 +197,8 @@ func (nn *NameNode) loadFsImage(path string) error {
 	if err := nn.buildClusterLocked(); err != nil {
 		return err
 	}
-	for i, r := range img.Foreign {
-		if r.Lo >= r.Hi || r.Hi > img.NextBlock || i > 0 && r.Lo < img.Foreign[i-1].Hi {
-			return fmt.Errorf("%w: foreign range [%d, %d)", ErrBadFsImage, r.Lo, r.Hi)
-		}
-	}
+	nn.namespace = img.Namespace
 	nn.nextBlock = img.NextBlock
-	nn.foreign = img.Foreign
 	for _, ff := range img.Files {
 		// A second entry for a path would orphan the first one's blocks
 		// and list the path twice.
@@ -215,9 +212,9 @@ func (nn *NameNode) loadFsImage(path string) error {
 			complete:    ff.Complete,
 		}
 		for _, fb := range ff.Blocks {
-			// An ID this namespace never allocated would be allocated
-			// again by a later add_block.
-			if nn.foreignLocked(fb.ID) {
+			// An ID at or past nextBlock would be allocated again by a
+			// later add_block.
+			if fb.ID >= nn.nextBlock {
 				return fmt.Errorf("%w: file %s names block %d, which the namespace never allocated", ErrBadFsImage, ff.Path, fb.ID)
 			}
 			if err := nn.placement.AddBlock(core.BlockSpec{

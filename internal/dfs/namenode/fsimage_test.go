@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -285,39 +287,14 @@ func TestLoadFsImageErrors(t *testing.T) {
 	if _, err := Start(Config{ExpectedNodes: 1, FsImagePath: empty}); !errors.Is(err, ErrBadFsImage) {
 		t.Errorf("no-nodes err = %v, want ErrBadFsImage", err)
 	}
-	noRack := filepath.Join(dir, "norack.json")
-	if err := os.WriteFile(noRack, []byte(`{`+version+`,"nodes":[{"id":0,"addr":"a","rack":0,"capacity":1}]}`), 0o644); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if _, err := Start(Config{ExpectedNodes: 1, FsImagePath: noRack}); !errors.Is(err, ErrBadFsImage) {
-		t.Errorf("node outside the racks err = %v, want ErrBadFsImage", err)
-	}
-	// Foreign ranges must be ascending, non-empty and below nextBlock:
-	// foreignLocked binary-searches them.
-	for name, ranges := range map[string]string{
-		"unsorted": `[{"lo":5,"hi":6},{"lo":1,"hi":2}]`,
-		"empty":    `[{"lo":3,"hi":3}]`,
-		"past":     `[{"lo":1,"hi":11}]`,
+	for name, img := range map[string]string{
+		"no namespace ID":        `{` + version + `,"racks":1,"nodes":[{"id":0,"addr":"a","rack":0,"capacity":1}]}`,
+		"node outside the racks": `{` + version + `,"namespace":1,"nodes":[{"id":0,"addr":"a","rack":0,"capacity":1}]}`,
+		"block named by two files": `{` + version + `,"namespace":1,"racks":1,"nextBlock":10,"nodes":[{"id":0,"addr":"a","rack":0,"capacity":4}],"files":` +
+			`[{"path":"/f","replication":1,"minRacks":1,"blocks":[{"id":3,"length":1}]},` +
+			`{"path":"/g","replication":1,"minRacks":1,"blocks":[{"id":3,"length":1}]}]}`,
 	} {
-		bad := filepath.Join(dir, name+".json")
-		img := `{` + version + `,"racks":1,"nextBlock":10,"nodes":[{"id":0,"addr":"a","rack":0,"capacity":1}],"foreign":` + ranges + `}`
-		if err := os.WriteFile(bad, []byte(img), 0o644); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		if _, err := Start(Config{ExpectedNodes: 1, FsImagePath: bad}); !errors.Is(err, ErrBadFsImage) {
-			t.Errorf("%s foreign ranges err = %v, want ErrBadFsImage", name, err)
-		}
-	}
-	// A file may name only a block the namespace allocated, and no other
-	// file may name it too (TestFsImageBlockAtNextBlock covers a block at
-	// nextBlock).
-	for name, files := range map[string]string{
-		"block in a foreign range": `[{"path":"/f","replication":1,"minRacks":1,"blocks":[{"id":5,"length":1}]}]`,
-		"block named twice": `[{"path":"/f","replication":1,"minRacks":1,"blocks":[{"id":3,"length":1}]},` +
-			`{"path":"/g","replication":1,"minRacks":1,"blocks":[{"id":3,"length":1}]}]`,
-	} {
-		bad := filepath.Join(dir, "files.json")
-		img := `{` + version + `,"racks":1,"nextBlock":10,"nodes":[{"id":0,"addr":"a","rack":0,"capacity":4}],"foreign":[{"lo":4,"hi":6}],"files":` + files + `}`
+		bad := filepath.Join(dir, "bad.json")
 		if err := os.WriteFile(bad, []byte(img), 0o644); err != nil {
 			t.Fatalf("write: %v", err)
 		}
@@ -337,9 +314,9 @@ func TestLoadFsImageErrors(t *testing.T) {
 // A restart from an older checkpoint rolls the block counter back while
 // the datanodes still hold the blocks allocated after it. A new block
 // must not reuse one of those IDs, or their stale replicas would count
-// as confirmed holders of the new block. Nor may the walk delete them:
-// the restarted namespace never allocated them, and the newer image
-// that names them may yet be restored.
+// as confirmed holders of the new block. The stale copies are surplus
+// like any copy without a spec: the walk deletes them, and once the
+// deletes are reported the namespace has converged.
 func TestRestartSkipsReportedBlockIDs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "img.json")
 	nn := startNN(t, 2, 2)
@@ -369,8 +346,15 @@ func TestRestartSkipsReportedBlockIDs(t *testing.T) {
 		t.Fatalf("restore: %v", err)
 	}
 	t.Cleanup(func() { _ = nn2.Close() })
-	for _, dn := range []*fakeDN{a, b} {
-		(&fakeDN{t: t, nn: nn2.Addr(), id: dn.id, addr: dn.addr}).heartbeat(first, stale)
+	if nn2.namespace != nn.namespace {
+		t.Fatalf("restored namespace ID %d, want the image's %d", nn2.namespace, nn.namespace)
+	}
+	dns := []*fakeDN{
+		{t: t, nn: nn2.Addr(), id: a.id, addr: a.addr, ns: a.ns},
+		{t: t, nn: nn2.Addr(), id: b.id, addr: b.addr, ns: b.ns},
+	}
+	for _, dn := range dns {
+		dn.heartbeat(first, stale)
 	}
 	fresh := write(nn2, "/new")
 	if fresh <= stale {
@@ -382,77 +366,89 @@ func TestRestartSkipsReportedBlockIDs(t *testing.T) {
 	if holders != 0 {
 		t.Errorf("new block %d counts %d stale replica(s) as confirmed holders", fresh, holders)
 	}
+	for _, dn := range dns {
+		dn.received(fresh)
+	}
 	for tick := 0; tick < 3; tick++ {
 		nn2.ReconcileOnce()
 	}
-	assertNoDeletes(t, nn2)
-
-	// The skipped range is the namespace's record, and outlives it: a
-	// restart from nn2's own checkpoint still leaves the stale copies.
-	path2 := filepath.Join(t.TempDir(), "img2.json")
-	if err := nn2.SaveFsImage(path2); err != nil {
-		t.Fatalf("SaveFsImage: %v", err)
+	if h := nn2.Health(); h.TombstonedBlocks != 1 {
+		t.Errorf("fsck counts %d tombstoned blocks, want the stale block %d: %+v", h.TombstonedBlocks, stale, h)
 	}
-	nn3, err := Start(Config{ExpectedNodes: 1, Racks: 2, ReconcileInterval: time.Hour, FsImagePath: path2})
-	if err != nil {
-		t.Fatalf("restore from the second image: %v", err)
+	for _, dn := range dns {
+		cmds := dn.heartbeat(first, stale, fresh)
+		if !slices.Contains(cmds, proto.Command{Kind: proto.CmdDelete, Block: stale}) {
+			t.Fatalf("node %d was not sent a delete of the stale block %d: %v", dn.id, stale, cmds)
+		}
+		dn.deleted(stale, first, fresh)
 	}
-	t.Cleanup(func() { _ = nn3.Close() })
-	for _, dn := range []*fakeDN{a, b} {
-		(&fakeDN{t: t, nn: nn3.Addr(), id: dn.id, addr: dn.addr}).heartbeat(first, stale)
+	nn2.ReconcileOnce()
+	nn2.mu.Lock()
+	_, tracked := nn2.confirmed[stale]
+	nn2.mu.Unlock()
+	if tracked {
+		t.Errorf("stale block %d still has a confirmed entry after its deletes were reported", stale)
 	}
-	for tick := 0; tick < 3; tick++ {
-		nn3.ReconcileOnce()
-	}
-	assertNoDeletes(t, nn3)
-	if h := nn3.Health(); h.TombstonedBlocks != 0 {
-		t.Errorf("fsck counts the never-allocated block %d as tombstoned: %+v", stale, h)
+	if !nn2.Converged() {
+		t.Error("not converged after the stale copies were deleted")
 	}
 }
 
-// assertNoDeletes fails the test if nn has queued or issued any delete.
-func assertNoDeletes(t *testing.T, nn *NameNode) {
-	t.Helper()
+// countCommands returns how many commands nn has queued or issued.
+func countCommands(nn *NameNode) int {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	queued := 0
+	n := 0
 	for _, cmds := range nn.pendingCmds {
-		for _, c := range cmds {
-			if c.Kind == proto.CmdDelete {
-				queued++
-			}
-		}
+		n += len(cmds)
 	}
-	if issued := nn.commandsIssued[proto.CmdDelete]; issued != 0 || queued != 0 {
-		t.Errorf("%d delete(s) issued and %d queued: %v", issued, queued, nn.pendingCmds)
+	for _, issued := range nn.commandsIssued {
+		n += int(issued)
 	}
+	return n
 }
 
 // A namenode started without an image over datanodes that hold data — a
-// lost image, a mistyped -fsimage path — must delete none of it: it
-// allocated none of those blocks. The first report moves allocation
-// past its IDs; a second node's lower IDs fall in the range it skipped
-// and are kept as well.
+// lost image, a mistyped -fsimage path — must delete none of it. The
+// datanodes are bound to the old namespace: their registration is
+// refused, and so is every report and arrival, even one under a node ID
+// the new namespace gave another node (a datanode process that outlived
+// the old namenode). A report that carries no namespace ID is refused
+// too: only a registration may come unbound.
 func TestFreshNameNodeKeepsReportedBlocks(t *testing.T) {
 	nn := startNN(t, 2, 2)
 	a := registerFake(t, nn, 0, "a:1")
-	b := registerFake(t, nn, 1, "b:1")
-	a.heartbeat(7, 9)
-	b.heartbeat(3, 9)
+	registerFake(t, nn, 1, "b:1")
+	old := nn.namespace + 1
+	call := func(m *proto.Message) error {
+		_, _, err := proto.Call(nn.Addr(), m, nil, time.Second)
+		return err
+	}
+	if err := call(&proto.Message{Type: proto.MsgRegister, DataAddr: "a:1", Capacity: 100, Namespace: old}); err == nil ||
+		!strings.Contains(err.Error(), "namespace mismatch") {
+		t.Errorf("registration bound to another namespace: err = %v, want a namespace mismatch", err)
+	}
+	for _, ns := range []uint64{old, 0} {
+		for _, m := range []*proto.Message{
+			{Type: proto.MsgHeartbeatDelta, Node: a.id, FullReport: true, Received: []proto.BlockID{3, 7, 9}, Namespace: ns},
+			{Type: proto.MsgHeartbeatDelta, Node: a.id, Digest: proto.BlockDigest(3), Received: []proto.BlockID{3}, Namespace: ns},
+			{Type: proto.MsgBlockReceived, Node: a.id, Block: 9, Namespace: ns},
+		} {
+			if err := call(m); err == nil || !strings.Contains(err.Error(), "namespace mismatch") {
+				t.Errorf("%s from namespace %d: err = %v, want a namespace mismatch", m.Type, ns, err)
+			}
+		}
+	}
 	for tick := 0; tick < 3; tick++ {
 		nn.ReconcileOnce()
 	}
-	assertNoDeletes(t, nn)
 	nn.mu.Lock()
-	held := len(nn.confirmed[3]) + len(nn.confirmed[7]) + len(nn.confirmed[9])
+	confirmed, next := len(nn.confirmed), nn.nextBlock
 	nn.mu.Unlock()
-	if held != 4 {
-		t.Errorf("%d confirmed copies of the reported blocks, want 4", held)
+	if confirmed != 0 || next != 1 {
+		t.Errorf("refused reports left %d confirmed blocks and nextBlock %d, want none and 1", confirmed, next)
 	}
-	if h := nn.Health(); !h.Healthy || h.TombstonedBlocks != 0 {
-		t.Errorf("fsck over blocks the namespace never allocated: %+v, want healthy with none tombstoned", h)
-	}
-	if !nn.Converged() {
-		t.Error("not converged: copies of never-allocated blocks count as surplus")
+	if n := countCommands(nn); n != 0 {
+		t.Errorf("%d commands queued or issued after refused reports, want none", n)
 	}
 }

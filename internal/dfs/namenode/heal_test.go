@@ -362,31 +362,40 @@ func TestDrainWithoutRoomKeepsCopy(t *testing.T) {
 	}
 }
 
-// A draining node that holds only foreign blocks — copies the namespace
-// never allocated, which the walk leaves alone — finishes draining: it
-// is desired to hold nothing and nothing it holds will ever leave.
+// A draining node whose only copy is of a block the namespace has no
+// spec for — block 5, reported to a fresh namespace — decommissions
+// once the walk's delete of that copy is reported, and not while the
+// copy is still confirmed.
 func TestDrainWithOnlyForeignBlocksDecommissions(t *testing.T) {
 	hc := startHealCluster(t)
-	const foreign proto.BlockID = 5 // a fresh namespace allocated no block yet
-	hc.dns[0].heartbeat(foreign)
-	if err := hc.nn.Decommission(hc.dns[0].id); err != nil {
+	const stale proto.BlockID = 5 // a fresh namespace allocated no block yet
+	dn := hc.dns[0]
+	dn.heartbeat(stale)
+	if err := hc.nn.Decommission(dn.id); err != nil {
 		t.Fatalf("Decommission: %v", err)
 	}
-	for tick := 0; tick < 5; tick++ {
-		for _, dn := range hc.dns {
-			dn.heartbeat(hc.holds(dn)...)
+	decommissioned := func() bool {
+		hc.nn.mu.Lock()
+		defer hc.nn.mu.Unlock()
+		return hc.nn.nodes[dn.id].decommissioned
+	}
+	del := proto.Command{Kind: proto.CmdDelete, Block: stale}
+	for tick := 0; !hc.queued(dn, del); tick++ {
+		if tick == 3 {
+			t.Fatalf("no delete of block %d queued on the draining node after %d ticks", stale, tick)
 		}
 		hc.nn.ReconcileOnce()
+		if decommissioned() {
+			t.Fatalf("tick %d: decommissioned while its copy of block %d is confirmed", tick, stale)
+		}
 	}
-	hc.nn.mu.Lock()
-	done := hc.nn.nodes[hc.dns[0].id].decommissioned
-	held := hc.nn.confirmed[foreign][hc.dns[0].id]
-	hc.nn.mu.Unlock()
-	if !done {
-		t.Error("node holding only a foreign block never decommissioned")
+	if cmds := dn.heartbeat(stale); !slices.Contains(cmds, del) {
+		t.Fatalf("heartbeat delivered %v, want the delete of block %d", cmds, stale)
 	}
-	if !held {
-		t.Error("the foreign copy is no longer confirmed: the walk must leave it alone")
+	dn.deleted(stale)
+	hc.nn.ReconcileOnce()
+	if !decommissioned() {
+		t.Error("node not decommissioned once its last copy's delete was reported")
 	}
 	if h := hc.nn.Health(); !h.Healthy || h.DrainingNodes != 0 {
 		t.Errorf("health after the drain = %+v, want healthy with no draining node", h)

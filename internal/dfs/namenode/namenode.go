@@ -13,12 +13,13 @@
 package namenode
 
 import (
+	crand "crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"net"
-	"os"
 	"slices"
 	"sort"
 	"strings"
@@ -245,10 +246,10 @@ type NameNode struct {
 	// fsimage walk it instead of sorting the namespace (DESIGN.md §9).
 	order     []*fileMeta
 	nextBlock proto.BlockID
-	// foreign holds, ascending, the ID ranges below nextBlock that this
-	// namespace never allocated, skipped because a report named an ID at
-	// or past nextBlock (confirmLocked, foreignLocked).
-	foreign []idRange
+	// namespace is the namespace ID, drawn when the namespace forms and
+	// kept in the fsimage; set before serving, never changed
+	// (checkNamespace).
+	namespace uint64
 	// confirmed[b] is the set of nodes that actually hold block b
 	// according to block reports.
 	confirmed map[proto.BlockID]map[proto.NodeID]bool
@@ -334,10 +335,6 @@ func Start(cfg Config) (*NameNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", cfg.ListenAddr)
-	if err != nil {
-		return nil, fmt.Errorf("namenode: listen: %w", err)
-	}
 	nn := &NameNode{
 		cfg:            cfg,
 		files:          make(map[string]*fileMeta),
@@ -356,17 +353,18 @@ func Start(cfg Config) (*NameNode, error) {
 		done:           make(chan struct{}),
 	}
 	if cfg.FsImagePath != "" {
-		if _, statErr := os.Stat(cfg.FsImagePath); statErr == nil {
-			if err := nn.loadFsImage(cfg.FsImagePath); err != nil {
-				//lint:ignore errcheck best effort: the load error is what matters
-				_ = ln.Close()
-				return nil, err
-			}
-		} else if !errors.Is(statErr, os.ErrNotExist) {
-			//lint:ignore errcheck best effort: the stat error is what matters
-			_ = ln.Close()
-			return nil, fmt.Errorf("namenode: stat fsimage: %w", statErr)
+		if err := nn.loadFsImage(cfg.FsImagePath); err != nil {
+			return nil, err
 		}
+	}
+	for nn.namespace == 0 { // no image: a new namespace (0 means unbound)
+		if err := binary.Read(crand.Reader, binary.LittleEndian, &nn.namespace); err != nil {
+			return nil, fmt.Errorf("namenode: draw namespace ID: %w", err)
+		}
+	}
+	ln, err := net.Listen("tcp", cfg.ListenAddr)
+	if err != nil {
+		return nil, fmt.Errorf("namenode: listen: %w", err)
 	}
 	nn.server = proto.Serve(ln, nn.handle, cfg.Timeout)
 	go nn.reconcileLoop()
@@ -436,6 +434,9 @@ func (nn *NameNode) WaitReady(timeout time.Duration) error {
 
 // handle dispatches one control request.
 func (nn *NameNode) handle(req *proto.Message, _ []byte) (*proto.Message, []byte) {
+	if err := nn.checkNamespace(req); err != nil {
+		return proto.ErrorMessage(err), nil
+	}
 	var (
 		resp *proto.Message
 		err  error
@@ -482,6 +483,21 @@ func (nn *NameNode) handle(req *proto.Message, _ []byte) (*proto.Message, []byte
 	return resp, nil
 }
 
+// checkNamespace refuses a datanode bound to another namespace, so a
+// namenode that lost its image never takes old blocks for surplus. It
+// checks reports and arrivals too: a datanode that outlived a namenode
+// restart reports under a node ID the new namespace may have given
+// another node. Only a register may come unbound (0).
+func (nn *NameNode) checkNamespace(req *proto.Message) error {
+	switch {
+	case req.Type != proto.MsgRegister && req.Type != proto.MsgHeartbeatDelta && req.Type != proto.MsgBlockReceived,
+		req.Namespace == nn.namespace, req.Namespace == 0 && req.Type == proto.MsgRegister:
+		return nil
+	}
+	return fmt.Errorf("%w: namespace mismatch: %s from namespace %d, this namenode's is %d",
+		ErrBadRequest, req.Type, req.Namespace, nn.namespace)
+}
+
 func (nn *NameNode) handleRegister(req *proto.Message) (*proto.Message, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
@@ -499,7 +515,7 @@ func (nn *NameNode) handleRegister(req *proto.Message) (*proto.Message, error) {
 				// re-established from a full baseline, not deltas.
 				node.wantFull = true
 				node.fresh = nil
-				return &proto.Message{Type: proto.MsgOK, Node: node.id}, nil
+				return &proto.Message{Type: proto.MsgOK, Node: node.id, Namespace: nn.namespace}, nil
 			}
 		}
 		return nil, fmt.Errorf("%w: cluster already formed", ErrBadRequest)
@@ -527,7 +543,7 @@ func (nn *NameNode) handleRegister(req *proto.Message) (*proto.Message, error) {
 		nn.ready = true
 	}
 	nn.markDirtyLocked()
-	return &proto.Message{Type: proto.MsgOK, Node: id}, nil
+	return &proto.Message{Type: proto.MsgOK, Node: id, Namespace: nn.namespace}, nil
 }
 
 // buildClusterLocked freezes the topology once all nodes registered.
@@ -653,12 +669,11 @@ func (nn *NameNode) handleBlockReceived(req *proto.Message) (*proto.Message, err
 
 // confirmLocked records that node n holds block b: it completes a copy
 // of b to n in flight, folds b into n's set digest and holds index, and
-// puts b in the pending set. An ID at or past nextBlock was not
-// allocated here — a replica from before a restart from an older
-// checkpoint, or another namespace's — so allocation skips past it and
-// records the skipped IDs as foreign: a new block must not count a
-// stale replica as a holder, nor the walk delete data this namespace
-// never wrote. Idempotent: re-confirming changes nothing.
+// puts b in the pending set. An ID at or past nextBlock — a replica
+// written after the checkpoint a restarted namenode loaded — moves
+// allocation past it, so a new block never counts the stale replica as
+// a holder; the walk deletes the replica like any block without a spec.
+// Idempotent: re-confirming changes nothing.
 func (nn *NameNode) confirmLocked(b proto.BlockID, n proto.NodeID) {
 	key := inflightKey{block: b, node: n}
 	if issued, ok := nn.inflight[key]; ok {
@@ -677,10 +692,6 @@ func (nn *NameNode) confirmLocked(b proto.BlockID, n proto.NodeID) {
 	// The ID is a datanode's word, so it is not trusted to leave room
 	// above it; handleAddBlock refuses to allocate at the top.
 	if b >= nn.nextBlock && b < math.MaxInt64 {
-		if k := len(nn.foreign); k == 0 || nn.foreign[k-1].Hi != nn.nextBlock {
-			nn.foreign = append(nn.foreign, idRange{Lo: nn.nextBlock})
-		}
-		nn.foreign[len(nn.foreign)-1].Hi = b + 1
 		nn.nextBlock = b + 1
 		nn.markDirtyLocked()
 	}
@@ -691,21 +702,6 @@ func (nn *NameNode) confirmLocked(b proto.BlockID, n proto.NodeID) {
 	}
 	node.holds[b] = struct{}{}
 	nn.pending[b] = struct{}{}
-}
-
-// idRange is the half-open block-ID range [Lo, Hi).
-type idRange struct {
-	Lo proto.BlockID `json:"lo"`
-	Hi proto.BlockID `json:"hi"`
-}
-
-// foreignLocked reports whether this namespace never allocated block
-// b: b is at or past nextBlock or in a skipped range. A foreign block
-// may be another namespace's data, as under a namenode started without
-// its image, so its copies are never deleted (DESIGN.md §10.3).
-func (nn *NameNode) foreignLocked(b proto.BlockID) bool {
-	i := sort.Search(len(nn.foreign), func(i int) bool { return nn.foreign[i].Hi > b })
-	return b >= nn.nextBlock || i < len(nn.foreign) && nn.foreign[i].Lo <= b
 }
 
 // unconfirmLocked is the inverse of confirmLocked: it removes the
@@ -818,12 +814,10 @@ func (nn *NameNode) handleAddBlock(req *proto.Message) (*proto.Message, error) {
 	// that datanode's data address; the first replica then lands locally
 	// per Algorithm 4 and the HDFS default alike.
 	writer := topology.NoMachine
-	if req.DataAddr != "" {
-		for _, n := range nn.nodes {
-			if n.addr == req.DataAddr {
-				writer = topology.MachineID(n.id)
-				break
-			}
+	for _, n := range nn.nodes {
+		if req.DataAddr != "" && n.addr == req.DataAddr {
+			writer = topology.MachineID(n.id)
+			break
 		}
 	}
 	if err := nn.cfg.Placer.Place(nn.placement, id, f.replication, writer); err != nil {
@@ -876,11 +870,7 @@ func (nn *NameNode) handleGetLocations(req *proto.Message) (*proto.Message, erro
 	locs := make([]proto.BlockLocation, 0, len(f.blocks))
 	for i, b := range f.blocks {
 		nn.monitor.Record(core.BlockID(b), now)
-		locs = append(locs, proto.BlockLocation{
-			Block:     b,
-			Length:    f.lengths[i],
-			Addresses: nn.readAddrsLocked(b),
-		})
+		locs = append(locs, proto.BlockLocation{Block: b, Length: f.lengths[i], Addresses: nn.readAddrsLocked(b)})
 	}
 	return &proto.Message{Type: proto.MsgOK, Locations: locs}, nil
 }
@@ -892,27 +882,23 @@ func (nn *NameNode) handleGetLocations(req *proto.Message) (*proto.Message, erro
 func (nn *NameNode) readAddrsLocked(b proto.BlockID) []string {
 	desired := nn.placement.Replicas(core.BlockID(b))
 	holders := nn.confirmed[b]
-	var both, confirmedOnly []string
+	var addrs []string
 	for _, m := range desired {
-		node := nn.nodes[m]
-		if !node.alive {
-			continue
+		if node := nn.nodes[m]; node.alive && holders[proto.NodeID(m)] {
+			addrs = append(addrs, node.addr)
 		}
-		if holders[proto.NodeID(m)] {
-			both = append(both, node.addr)
-		}
+	}
+	if len(addrs) > 0 {
+		return addrs
 	}
 	for n := range holders {
 		if node := nn.nodes[n]; node.alive {
-			confirmedOnly = append(confirmedOnly, node.addr)
+			addrs = append(addrs, node.addr)
 		}
 	}
-	sort.Strings(confirmedOnly)
-	if len(both) > 0 {
-		return both
-	}
-	if len(confirmedOnly) > 0 {
-		return confirmedOnly
+	if len(addrs) > 0 {
+		sort.Strings(addrs)
+		return addrs
 	}
 	return nn.addrsLocked(desired)
 }

@@ -30,12 +30,14 @@ func startNN(t *testing.T, nodes, racks int) *NameNode {
 }
 
 // fakeDN registers a datanode identity without running a real process,
-// so tests control heartbeats and block reports precisely.
+// so tests control heartbeats and block reports precisely. Its reports
+// carry the namespace ID its registration returned.
 type fakeDN struct {
 	t    *testing.T
 	nn   string
 	id   proto.NodeID
 	addr string
+	ns   uint64
 }
 
 func registerFake(t *testing.T, nn *NameNode, rack int, addr string) *fakeDN {
@@ -56,7 +58,7 @@ func registerWithCapacity(t *testing.T, nn *NameNode, rack, capacity int, addr s
 	if err != nil {
 		t.Fatalf("register fake dn: %v", err)
 	}
-	return &fakeDN{t: t, nn: nn.Addr(), id: resp.Node, addr: addr}
+	return &fakeDN{t: t, nn: nn.Addr(), id: resp.Node, addr: addr, ns: resp.Namespace}
 }
 
 // heartbeat sends a full report of the given blocks and returns any
@@ -68,6 +70,7 @@ func (f *fakeDN) heartbeat(blocks ...proto.BlockID) []proto.Command {
 		Node:       f.id,
 		FullReport: true,
 		Received:   blocks,
+		Namespace:  f.ns,
 	}, nil, time.Second)
 	if err != nil {
 		f.t.Fatalf("heartbeat: %v", err)
@@ -80,10 +83,11 @@ func (f *fakeDN) heartbeat(blocks ...proto.BlockID) []proto.Command {
 func (f *fakeDN) deleted(b proto.BlockID, held ...proto.BlockID) []proto.Command {
 	f.t.Helper()
 	resp, _, err := proto.Call(f.nn, &proto.Message{
-		Type:    proto.MsgHeartbeatDelta,
-		Node:    f.id,
-		Digest:  proto.BlockSetDigest(held),
-		Deleted: []proto.BlockID{b},
+		Type:      proto.MsgHeartbeatDelta,
+		Node:      f.id,
+		Digest:    proto.BlockSetDigest(held),
+		Deleted:   []proto.BlockID{b},
+		Namespace: f.ns,
 	}, nil, time.Second)
 	if err != nil {
 		f.t.Fatalf("report deletion: %v", err)
@@ -94,9 +98,10 @@ func (f *fakeDN) deleted(b proto.BlockID, held ...proto.BlockID) []proto.Command
 func (f *fakeDN) received(b proto.BlockID) {
 	f.t.Helper()
 	if _, _, err := proto.Call(f.nn, &proto.Message{
-		Type:  proto.MsgBlockReceived,
-		Node:  f.id,
-		Block: b,
+		Type:      proto.MsgBlockReceived,
+		Node:      f.id,
+		Block:     b,
+		Namespace: f.ns,
 	}, nil, time.Second); err != nil {
 		f.t.Fatalf("block received: %v", err)
 	}
@@ -282,7 +287,7 @@ func clusterNodes(t *testing.T, nn *NameNode) []proto.NodeInfo {
 func TestHeartbeatUnknownNode(t *testing.T) {
 	nn := startNN(t, 1, 1)
 	if _, _, err := proto.Call(nn.Addr(), &proto.Message{
-		Type: proto.MsgHeartbeatDelta, Node: 42,
+		Type: proto.MsgHeartbeatDelta, Node: 42, Namespace: nn.namespace,
 	}, nil, time.Second); err == nil {
 		t.Error("heartbeat from unknown node accepted")
 	}

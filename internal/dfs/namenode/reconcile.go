@@ -128,9 +128,7 @@ func (nn *NameNode) windowLoadsLocked() ([]float64, map[core.BlockID]int64) {
 // holds, and what it was confirmed to hold is forgotten — the
 // fault-tolerance behaviour HDFS implements and the paper's reliability
 // constraints assume. A draining node is decommissioned once nothing is
-// desired on it and every block it still holds is foreign: the walk
-// leaves foreign copies alone (DESIGN.md §10.3), so waiting for them to
-// go would keep the node draining forever.
+// desired on it and it holds nothing.
 func (nn *NameNode) checkNodesLocked() {
 	now := nn.clock()
 	for _, node := range nn.nodes {
@@ -152,21 +150,10 @@ func (nn *NameNode) checkNodesLocked() {
 			delete(nn.queued, node.id)
 		}
 		if node.alive && node.draining && !node.decommissioned &&
-			nn.placement.Used(topology.MachineID(node.id)) == 0 && nn.holdsOnlyForeignLocked(node) {
+			nn.placement.Used(topology.MachineID(node.id)) == 0 && len(node.holds) == 0 {
 			node.decommissioned = true
 		}
 	}
-}
-
-// holdsOnlyForeignLocked reports whether every block node holds is
-// foreign (foreignLocked).
-func (nn *NameNode) holdsOnlyForeignLocked(node *nodeState) bool {
-	for b := range node.holds {
-		if !nn.foreignLocked(b) {
-			return false
-		}
-	}
-	return true
 }
 
 // unsettleNodeLocked puts every block node is desired on or holds into
@@ -311,9 +298,9 @@ func (nn *NameNode) reconcileWalkLocked(now time.Time) {
 }
 
 // reconcileBlockLocked is the reconcile decision for one block, and the
-// only one. A block the namespace allocated and no longer names — its
-// file was deleted — has a delete sent to each live confirmed holder; a
-// foreign one (foreignLocked) is left alone. Either's confirmed entry is
+// only one. A held block the namespace has no spec for — its file was
+// deleted, or a restart from an older image never heard of it — has a
+// delete sent to each live confirmed holder, and its confirmed entry is
 // dropped once no holder is left. A block being written is left to its
 // pipeline. Any other block is healed (healLocked), each desired replica
 // missing on a live node is copied from a confirmed live holder, and
@@ -323,8 +310,8 @@ func (nn *NameNode) reconcileWalkLocked(now time.Time) {
 // copy, whether an eviction, a migration's source or a drained
 // machine's. It reports whether the block is settled: not being
 // written, feasible and confirmed on exactly its desired holders (which
-// the heal left alive and not draining) — or unknown and foreign or
-// held by no one. A settled block wanted nothing from this call and
+// the heal left alive and not draining) — or unknown and held by no
+// one. A settled block wanted nothing from this call and
 // will want nothing until an event puts it in the pending set.
 func (nn *NameNode) reconcileBlockLocked(id core.BlockID, now time.Time) (settled bool) {
 	b := proto.BlockID(id)
@@ -334,9 +321,6 @@ func (nn *NameNode) reconcileBlockLocked(id core.BlockID, now time.Time) (settle
 	if err != nil {
 		if len(holders) == 0 {
 			delete(nn.confirmed, b)
-			return true
-		}
-		if nn.foreignLocked(b) {
 			return true
 		}
 		for n := range holders {
@@ -391,8 +375,8 @@ func (nn *NameNode) reconcileBlockLocked(id core.BlockID, now time.Time) (settle
 // decision to every block outside the set and panics on one that is not
 // settled — a block that wanted a command or a heal that no walk
 // visited, because some event failed to add it. Confirmed blocks count
-// too: one the namespace allocated and lacks is settled only once its
-// entry is dropped.
+// too: one the namespace lacks is settled only once its entry is
+// dropped.
 func (nn *NameNode) checkSettledLocked(now time.Time) {
 	check := func(id core.BlockID) {
 		if _, ok := nn.pending[proto.BlockID(id)]; !ok && !nn.reconcileBlockLocked(id, now) {
@@ -408,8 +392,8 @@ func (nn *NameNode) checkSettledLocked(now time.Time) {
 }
 
 // pickSourceLocked chooses a live confirmed holder of b to copy from,
-// preferring the one with the fewest desired blocks (least busy), and
-// never the target itself.
+// preferring the one with the least modelled load (placement.Load, ties
+// to the lower ID), and never the target itself.
 func (nn *NameNode) pickSourceLocked(b proto.BlockID, target proto.NodeID) (proto.NodeID, bool) {
 	holders := nn.confirmed[b]
 	best := proto.NodeID(-1)
@@ -447,9 +431,7 @@ func (nn *NameNode) enqueueLocked(n proto.NodeID, cmd proto.Command) {
 func (nn *NameNode) MovementStats() (durations []time.Duration, replicates, deletes int64) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	durations = make([]time.Duration, len(nn.moveDurations))
-	copy(durations, nn.moveDurations)
-	return durations, nn.commandsIssued[proto.CmdReplicate], nn.commandsIssued[proto.CmdDelete]
+	return slices.Clone(nn.moveDurations), nn.commandsIssued[proto.CmdReplicate], nn.commandsIssued[proto.CmdDelete]
 }
 
 // WithPlacement runs an external rebalancer as one period: fn replaces
@@ -675,8 +657,7 @@ func (nn *NameNode) PlacementClone() (*core.Placement, error) {
 }
 
 // Converged reports whether every desired replica is confirmed and no
-// surplus replicas remain — the steady state after reconciliation. A
-// foreign block's copies are not surplus: the walk leaves them alone.
+// surplus replicas remain — the steady state after reconciliation.
 // Only the pending set needs a look: every block outside it is settled.
 func (nn *NameNode) Converged() bool {
 	nn.mu.Lock()
@@ -687,7 +668,7 @@ func (nn *NameNode) Converged() bool {
 	nn.syncPendingLocked()
 	converged := true
 	for b := range nn.pending {
-		if !nn.foreignLocked(b) && !nn.confirmedAsDesiredLocked(core.BlockID(b)) {
+		if !nn.confirmedAsDesiredLocked(core.BlockID(b)) {
 			converged = false
 			break
 		}
@@ -698,7 +679,7 @@ func (nn *NameNode) Converged() bool {
 			full = full && nn.confirmedAsDesiredLocked(id)
 		}
 		for b := range nn.confirmed {
-			full = full && (nn.foreignLocked(b) || nn.confirmedAsDesiredLocked(core.BlockID(b)))
+			full = full && nn.confirmedAsDesiredLocked(core.BlockID(b))
 		}
 		if full != converged {
 			panic(fmt.Sprintf("namenode: Converged over the pending set says %v, over every block %v", converged, full))
@@ -758,14 +739,11 @@ func (nn *NameNode) Health() proto.HealthReport {
 			continue
 		}
 		confirmedLive := 0
-		racks := make(map[topology.RackID]bool)
+		racks := make(map[int]bool)
 		for n := range holders {
-			if !nn.nodes[n].alive {
-				continue
-			}
-			confirmedLive++
-			if r, err := nn.cluster.RackOf(topology.MachineID(n)); err == nil {
-				racks[r] = true
+			if node := nn.nodes[n]; node.alive {
+				confirmedLive++
+				racks[node.rack] = true
 			}
 		}
 		h.ConfirmedReplicas += confirmedLive
@@ -792,7 +770,7 @@ func (nn *NameNode) Health() proto.HealthReport {
 		}
 	}
 	for b, holders := range nn.confirmed {
-		if _, err := nn.placement.Spec(core.BlockID(b)); err != nil && len(holders) > 0 && !nn.foreignLocked(b) {
+		if _, err := nn.placement.Spec(core.BlockID(b)); err != nil && len(holders) > 0 {
 			h.TombstonedBlocks++
 		}
 	}

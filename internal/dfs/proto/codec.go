@@ -14,12 +14,13 @@ import (
 // A field is present, and its mask bit set, exactly when JSON's
 // omitempty would have kept it: a non-zero number, a non-empty string or
 // list, a non-nil Health, a true bool. Eof and FullReport are their mask
-// bit alone. Integers are zigzag varints, Digest and Checksum uvarints,
-// strings a uvarint length and the bytes, lists a uvarint count and the
-// elements. An element (BlockLocation, Command, FileInfo, NodeInfo) and
-// the HealthReport are encoded whole, every field in declaration order,
-// a bool as one 0/1 byte and a CommandKind as its code byte. Empty lists
-// are not told apart from nil ones: both decode as nil.
+// bit alone. Integers are zigzag varints, Namespace, Digest and Checksum
+// uvarints, strings a uvarint length and the bytes, lists a uvarint
+// count and the elements. An element (BlockLocation, Command, FileInfo,
+// NodeInfo) and the HealthReport are encoded whole, every field in
+// declaration order, a bool as one 0/1 byte and a CommandKind as its
+// code byte. Empty lists are not told apart from nil ones: both decode
+// as nil.
 
 // msgTypes numbers every MsgType the wire carries: a type's code is its
 // index plus one, so zero is never a valid code. MsgWriteBlock is never
@@ -75,6 +76,7 @@ const (
 	hasReceived
 	hasDeleted
 	hasFullReport
+	hasNamespace
 	maskEnd
 
 	knownFields = maskEnd - 1
@@ -122,6 +124,7 @@ func (m *Message) fieldMask() uint64 {
 	set(hasReceived, len(m.Received) > 0)
 	set(hasDeleted, len(m.Deleted) > 0)
 	set(hasFullReport, m.FullReport)
+	set(hasNamespace, m.Namespace != 0)
 	return mask
 }
 
@@ -242,6 +245,9 @@ func appendHeader(b []byte, m *Message) ([]byte, error) {
 	}
 	if mask&hasDeleted != 0 {
 		b = appendBlockIDs(b, m.Deleted)
+	}
+	if mask&hasNamespace != 0 {
+		b = binary.AppendUvarint(b, m.Namespace)
 	}
 	return b, nil
 }
@@ -417,6 +423,9 @@ func decodeHeader(h []byte, m *Message) error {
 		m.Deleted = d.blockIDs()
 	}
 	m.FullReport = mask&hasFullReport != 0
+	if mask&hasNamespace != 0 {
+		m.Namespace = d.uvarint()
+	}
 	if d.err == nil && d.off != len(d.b) {
 		d.fail("%d trailing bytes", len(d.b)-d.off)
 	}

@@ -76,7 +76,8 @@ func codecCases() []*Message {
 		{Type: MsgOK, Health: &HealthReport{Files: 1, Healthy: true}},
 		{Type: MsgDecommission, Node: 2},
 		{Type: MsgRegister, DataAddr: "127.0.0.1:9000", Rack: 1, Capacity: 4096},
-		{Type: MsgOK, Node: 4},
+		{Type: MsgRegister, DataAddr: "127.0.0.1:9000", Capacity: 4096, Namespace: math.MaxUint64},
+		{Type: MsgOK, Node: 4, Namespace: 0x9e3779b97f4a7c15},
 		fullReport(1),
 		fullReport(1000),
 		{Type: MsgHeartbeatDelta, Node: 1, FullReport: true, Received: []BlockID{}},
@@ -86,8 +87,9 @@ func codecCases() []*Message {
 		}},
 		{Type: MsgHeartbeatDelta, Node: 1, Digest: 0x9e3779b97f4a7c15, Received: many, Deleted: []BlockID{9}},
 		{Type: MsgHeartbeatDelta, Node: 1, Digest: math.MaxUint64, Received: []BlockID{}},
+		{Type: MsgHeartbeatDelta, Node: 1, Namespace: 1, Digest: 3, Deleted: []BlockID{9}},
 		{Type: MsgOK, Commands: []Command{{Kind: CmdDelete, Block: 5}}, FullReport: true},
-		{Type: MsgBlockReceived, Node: 2, Block: 99},
+		{Type: MsgBlockReceived, Node: 2, Block: 99, Namespace: 1 << 63},
 		{Type: MsgWriteBlockStream, Block: 42, Pipeline: []string{"dn1:2"}, Length: 256 << 20, Checksum: math.MaxUint32, ChunkSize: 128 << 10},
 		{Type: MsgReadBlockStream, Block: 42, ChunkSize: 64 << 10, Offset: 131072},
 		{Type: MsgChunk, Block: 42, Seq: 3, Offset: 384, Eof: true, Length: 1000, Checksum: 77},

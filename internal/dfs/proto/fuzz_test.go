@@ -29,6 +29,8 @@ func FuzzReadFrame(f *testing.F) {
 	seed(&Message{Type: MsgChunk, Seq: 3, Eof: true}, bytes.Repeat([]byte{0xab}, 512))
 	seed(&Message{Type: MsgRegister, DataAddr: "127.0.0.1:9000", Rack: 1, Capacity: 4096}, nil)
 	seed(&Message{Type: MsgHeartbeatDelta, Node: 2, Digest: 0xdeadbeefcafef00d, Received: []BlockID{7, 8, 9}, Deleted: []BlockID{3}}, nil)
+	seed(&Message{Type: MsgRegister, DataAddr: "127.0.0.1:9001", Capacity: 64, Namespace: 0x8000000000000001}, nil)
+	seed(&Message{Type: MsgHeartbeatDelta, Node: 3, Namespace: 42, Digest: 1, Received: []BlockID{5}}, nil)
 	seed(&Message{Type: MsgOK, Locations: []BlockLocation{
 		{Block: 1, Length: 4096, Addresses: []string{"dn0:1", "dn1:2", "dn2:3"}},
 		{Block: 2, Length: 512, Addresses: []string{"dn3:4"}},

@@ -141,9 +141,9 @@ type FileInfo struct {
 
 // HealthReport is the fsck summary: desired-versus-actual replica
 // accounting and the reconcile loop's backlog. TombstonedBlocks counts
-// held blocks the namespace allocated and no longer names — a deleted
-// file's; each holder is sent a delete. A block it never allocated is
-// not counted, and its copies are left alone.
+// every held block the namespace has no spec for — a deleted file's, or
+// one a restart from an older image never heard of; each holder is sent
+// a delete.
 type HealthReport struct {
 	Files                 int  `json:"files"`
 	Blocks                int  `json:"blocks"`
@@ -242,6 +242,9 @@ type Message struct {
 	Received   []BlockID `json:"received,omitempty"`
 	Deleted    []BlockID `json:"deleted,omitempty"`
 	FullReport bool      `json:"fullReport,omitempty"`
+	// Namespace is the ID a datanode sends on every message to the
+	// namenode; zero, on a register, asks for the one the reply carries.
+	Namespace uint64 `json:"namespace,omitempty"`
 }
 
 // BlockDigest hashes one block ID for set digests (splitmix64, the same

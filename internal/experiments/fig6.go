@@ -254,6 +254,7 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 		paths:     paths,
 		taskRetry: taskRetry,
 		row:       &row,
+		holders:   make(map[proto.BlockID][]topology.MachineID),
 		scarlett:  &baseline.Scarlett{Mode: baseline.Priority, Budget: budget},
 		opts: core.OptimizerOptions{
 			Epsilon:             s.Epsilon,
@@ -299,14 +300,17 @@ type testbedHost struct {
 	row       *TestbedRow
 	scarlett  *baseline.Scarlett
 	opts      core.OptimizerOptions
+	// holders is where each block read so far was last seen: located
+	// when a job arrives, re-read after every epoch, and updated by a
+	// launch's location refresh. A task queued before an epoch moved its
+	// block is placed by where the block is now, not where it was.
+	holders map[proto.BlockID][]topology.MachineID
 }
 
-// testbedRead is one map task's input: a block of the job's file as the
-// namenode located it when the job arrived.
+// testbedRead is one map task's input: a block of the job's file.
 type testbedRead struct {
-	loc     proto.BlockLocation
-	path    string
-	holders []topology.MachineID
+	loc  proto.BlockLocation
+	path string
 }
 
 // Tasks implements sched.Host: one task per located block of the job's
@@ -320,21 +324,28 @@ func (h *testbedHost) Tasks(j trace.Job) ([]testbedRead, error) {
 	ins := make([]testbedRead, len(locs))
 	for i, loc := range locs {
 		ins[i] = testbedRead{loc: loc, path: path}
-		for _, a := range loc.Addresses {
-			if m, ok := h.machineOf[a]; ok {
-				ins[i].holders = append(ins[i].holders, m)
-			}
-		}
+		h.locate(loc)
 	}
 	return ins, nil
 }
 
-// Holders implements sched.Host with the holders located at arrival.
-func (h *testbedHost) Holders(t testbedRead) []topology.MachineID { return t.holders }
+// locate records the holders loc names.
+func (h *testbedHost) locate(loc proto.BlockLocation) {
+	var held []topology.MachineID
+	for _, a := range loc.Addresses {
+		if m, ok := h.machineOf[a]; ok {
+			held = append(held, m)
+		}
+	}
+	h.holders[loc.Block] = held
+}
+
+// Holders implements sched.Host with the holders last seen.
+func (h *testbedHost) Holders(t testbedRead) []topology.MachineID { return h.holders[t.loc.Block] }
 
 // Holds implements sched.Host.
 func (h *testbedHost) Holds(t testbedRead, m topology.MachineID) bool {
-	return slices.Contains(t.holders, m)
+	return slices.Contains(h.holders[t.loc.Block], m)
 }
 
 // Launch implements sched.Host on the real data path: it reads the
@@ -360,6 +371,7 @@ func (h *testbedHost) Launch(t testbedRead, a sched.Assignment, _ int64) error {
 			}
 			for _, l := range locs {
 				if l.Block == t.loc.Block {
+					h.locate(l)
 					data, lerr = h.c.ReadBlockFrom(l)
 					return lerr
 				}
@@ -377,7 +389,10 @@ func (h *testbedHost) Launch(t testbedRead, a sched.Assignment, _ int64) error {
 // Epoch implements sched.Host: the system under test reconfigures the
 // live cluster, and the replay resumes once the reconcile loop has
 // carried the blocks — the paper's hourly cadence, where moves complete
-// well within the period.
+// well within the period — and every block's holders are re-read. They
+// are read from the namenode's desired placement, which convergence
+// makes the confirmed one: a get_locations call would count as an
+// access in the usage monitor the optimizer reads.
 func (h *testbedHost) Epoch(int64) error {
 	switch h.system {
 	case "Scarlett":
@@ -393,10 +408,18 @@ func (h *testbedHost) Epoch(int64) error {
 		if _, err := h.nn.OptimizeNow(h.opts); err != nil {
 			return err
 		}
-	default:
-		return nil
 	}
-	return h.nn.WaitConverged(30 * time.Second)
+	if err := h.nn.WaitConverged(30 * time.Second); err != nil {
+		return err
+	}
+	p, err := h.nn.PlacementClone()
+	if err != nil {
+		return err
+	}
+	for b := range h.holders {
+		h.holders[b] = p.Replicas(core.BlockID(b))
+	}
+	return nil
 }
 
 // testbedCluster describes the live cluster to the task scheduler: one
