@@ -15,6 +15,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,6 +23,7 @@ import (
 	"aurora/internal/baseline"
 	"aurora/internal/core"
 	"aurora/internal/dfs"
+	"aurora/internal/dfs/client"
 	"aurora/internal/dfs/proto"
 	"aurora/internal/experiments"
 	"aurora/internal/popularity"
@@ -617,12 +619,13 @@ func BenchmarkTraceGenerate(b *testing.B) {
 }
 
 // startBenchCluster boots the data-path benchmarks' loopback cluster:
-// 4 datanodes over 2 racks. It closes when the benchmark run ends.
-func startBenchCluster(b *testing.B, blockSize int) *aurora.NameNode {
+// 4 datanodes over 2 racks, each making its namenode calls through call
+// (nil means proto.Call). It closes when the benchmark run ends.
+func startBenchCluster(b *testing.B, blockSize int, call proto.CallFunc) *aurora.NameNode {
 	c, err := dfs.Start(dfs.Spec{
 		Nodes:    4,
 		NameNode: aurora.NameNodeConfig{Racks: 2, BlockSize: blockSize, ReconcileInterval: 50 * time.Millisecond},
-		DataNode: aurora.DataNodeConfig{CapacityBlocks: 4096, HeartbeatInterval: 100 * time.Millisecond},
+		DataNode: aurora.DataNodeConfig{CapacityBlocks: 4096, HeartbeatInterval: 100 * time.Millisecond, Call: call},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -634,7 +637,7 @@ func startBenchCluster(b *testing.B, blockSize int) *aurora.NameNode {
 // BenchmarkDFSWriteRead measures the mini-DFS data path: a 16-block file
 // written through replication pipelines and read back, over real TCP.
 func BenchmarkDFSWriteRead(b *testing.B) {
-	nn := startBenchCluster(b, 64<<10)
+	nn := startBenchCluster(b, 64<<10, nil)
 	c := aurora.NewFSClient(nn.Addr(), aurora.WithBlockSize(64<<10), aurora.WithClientSeed(1))
 	data := make([]byte, 16*(64<<10))
 	for i := range data {
@@ -664,7 +667,7 @@ func BenchmarkDFSWriteRead(b *testing.B) {
 // of read-ahead. The MB/s figure is the headline; allocs/op rides the
 // ratchet so the per-chunk framing stays allocation-lean.
 func BenchmarkDataPathThroughput(b *testing.B) {
-	nn := startBenchCluster(b, 256<<10)
+	nn := startBenchCluster(b, 256<<10, nil)
 	c := aurora.NewFSClient(nn.Addr(),
 		aurora.WithBlockSize(256<<10),
 		aurora.WithClientSeed(1),
@@ -695,6 +698,43 @@ func BenchmarkDataPathThroughput(b *testing.B) {
 		}
 		b.StartTimer()
 	}
+}
+
+// BenchmarkSmallCreate measures the metadata-bound write, the shape of
+// the meta_small workload's preload: each op is a one-block 512 B k=3
+// Create and its Delete. nn_calls/op counts the namenode RPCs an op
+// sends, the client's and the datanodes' block_received; the datanodes'
+// block reports follow the heartbeat tick, not the op, and are left out.
+func BenchmarkSmallCreate(b *testing.B) {
+	var calls atomic.Int64
+	counted := func(count func(*proto.Message) bool) proto.CallFunc {
+		return func(addr string, req *proto.Message, payload []byte, timeout time.Duration) (*proto.Message, []byte, error) {
+			if count(req) {
+				calls.Add(1)
+			}
+			return proto.Call(addr, req, payload, timeout)
+		}
+	}
+	nn := startBenchCluster(b, 1<<20, counted(func(req *proto.Message) bool { return req.Type == proto.MsgBlockReceived }))
+	c := aurora.NewFSClient(nn.Addr(), aurora.WithClientSeed(1),
+		client.WithCall(counted(func(*proto.Message) bool { return true })))
+	data := bytes.Repeat([]byte{7}, 512)
+	op := func(path string) {
+		if err := c.Create(path, data, 3); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Delete(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+	op("/bench/small/warm") // dials every connection the ops reuse
+	calls.Store(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(fmt.Sprintf("/bench/small/%d", i))
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(calls.Load())/float64(b.N), "nn_calls/op")
 }
 
 // BenchmarkFrameListReply encodes and decodes a 1 000-entry list_files

@@ -33,8 +33,8 @@
 //   - protoconform: checks the MsgType→handler dispatch machine in
 //     internal/dfs against the DESIGN.md §15 frame tables — handler
 //     uniqueness per plane, stream/control separation, per-chunk
-//     ChunkChecksum verification, §15.4 head-durable store-and-report
-//     ordering, and §15.5 delta→full-report escalation.
+//     ChunkChecksum verification, §15.4 head-durable store, record and
+//     report ordering, and §15.5 delta→full-report escalation.
 //
 // allochot and goroleak read the interprocedural summaries of
 // internal/analysis/flow (allocation effects, goroutines spawned,

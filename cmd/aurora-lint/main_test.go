@@ -218,6 +218,8 @@ func TestRulesOnFixtures(t *testing.T) {
 				{"protoconform/protoconform.go", 28, analysis.RuleProtoConform,
 					"write handler (*node).streamLoose never stores the block (no store Put call) before the proto.MsgStreamAck commit (DESIGN.md §15.4 head-durable contract)"},
 				{"protoconform/protoconform.go", 28, analysis.RuleProtoConform,
+					"write handler (*node).streamLoose never records the block in its report tracker (no noteReceived call) before the proto.MsgStreamAck commit (DESIGN.md §15.4 head-durable contract)"},
+				{"protoconform/protoconform.go", 28, analysis.RuleProtoConform,
 					"write handler (*node).streamLoose never reports proto.MsgBlockReceived to the namenode before the proto.MsgStreamAck commit (DESIGN.md §15.4 head-durable contract)"},
 				{"protoconform/protoconform.go", 32, analysis.RuleProtoConform,
 					"control request proto.MsgHeartbeatDelta dispatched by stream handler (*node).streamLoose; it belongs on the request/response plane (DESIGN.md §15.1)"},
@@ -472,8 +474,8 @@ var seededMutations = []mutation{
 	{
 		name: "annotated fire-and-forget report", rule: analysis.RuleCtxDeadline,
 		file: "internal/dfs/datanode/datanode.go",
-		old:  "\tif _, _, err := dn.call(dn.cfg.NameNodeAddr, &proto.Message{\n\t\tType:      proto.MsgBlockReceived,\n\t\tNode:      dn.id,\n\t\tBlock:     id,\n\t\tNamespace: dn.ns,\n\t}, nil, dn.cfg.Timeout); err != nil {\n\t\tmetrics.Default.Counter(\"dfs.datanode.report_dropped\").Inc()\n\t}\n",
-		new:  "\t//lint:ignore errcheck best effort: the next heartbeat repairs it\n\t_, _, _ = dn.call(dn.cfg.NameNodeAddr, &proto.Message{\n\t\tType:      proto.MsgBlockReceived,\n\t\tNode:      dn.id,\n\t\tBlock:     id,\n\t\tNamespace: dn.ns,\n\t}, nil, dn.cfg.Timeout)\n",
+		old:  "\tif _, _, err := dn.call(dn.cfg.NameNodeAddr, &proto.Message{\n\t\tType:      proto.MsgBlockReceived,\n\t\tNode:      dn.id,\n\t\tBlock:     id,\n\t\tPipeline:  vouched,\n\t\tNamespace: dn.ns,\n\t}, nil, dn.cfg.Timeout); err != nil {\n\t\tmetrics.Default.Counter(\"dfs.datanode.report_dropped\").Inc()\n\t}\n",
+		new:  "\t//lint:ignore errcheck best effort: the next heartbeat repairs it\n\t_, _, _ = dn.call(dn.cfg.NameNodeAddr, &proto.Message{\n\t\tType:      proto.MsgBlockReceived,\n\t\tNode:      dn.id,\n\t\tBlock:     id,\n\t\tPipeline:  vouched,\n\t\tNamespace: dn.ns,\n\t}, nil, dn.cfg.Timeout)\n",
 		at:   []string{"\t_, _, _ = dn.call(dn.cfg.NameNodeAddr, &proto.Message{\n\t\tType:      proto.MsgBlockReceived"},
 	},
 	{
@@ -493,7 +495,14 @@ var seededMutations = []mutation{
 	{
 		name: "head-durable report deleted", rule: analysis.RuleProtoConform,
 		file: "internal/dfs/datanode/datapath.go",
-		old:  "\tdn.noteReceived(open.Block)\n",
+		old:  "\t\tdn.reportReceived(open.Block, vouched)\n",
+		new:  "\t\t_ = vouched\n",
+		at:   []string{"\tcase proto.MsgWriteBlockStream:\n"}, // reported at the dispatch case
+	},
+	{
+		name: "tracker record deleted", rule: analysis.RuleProtoConform,
+		file: "internal/dfs/datanode/datapath.go",
+		old:  "\tdn.tracker.noteReceived(open.Block)\n",
 		new:  "",
 		at:   []string{"\tcase proto.MsgWriteBlockStream:\n"}, // reported at the dispatch case
 	},

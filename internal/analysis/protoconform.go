@@ -8,9 +8,9 @@
 //     (proto.ServeStreams) and control requests never are;
 //   - §15.1 every chunk consumer verifies proto.ChunkChecksum before
 //     accepting a chunk, and every chunk producer stamps it;
-//   - §15.4 head-durable ordering: the write handler stores the block
-//     and reports proto.MsgBlockReceived before the commit (the stream
-//     ack);
+//   - §15.4 head-durable ordering: the write handler stores the block,
+//     records it in its report tracker (noteReceived) and reports
+//     proto.MsgBlockReceived before the commit (the stream ack);
 //   - §15.5 report escalation: whoever sends proto.MsgHeartbeatDelta
 //     reads the response's FullReport flag and can set FullReport on a
 //     request (a full report); whoever handles the report can set it on
@@ -359,8 +359,8 @@ func (pc *protoChecker) caseHandlers(ds *dispSwitch, c dispCase) []*FuncInfo {
 
 // checkHeadDurable enforces §15.4 on the write case: the handler that
 // owns the commit anchor (the MsgStreamAck literal) must store the block
-// (a Put call) and report proto.MsgBlockReceived, both lexically before
-// the anchor.
+// (a Put call), record it in its report tracker (a noteReceived call)
+// and report proto.MsgBlockReceived, all lexically before the anchor.
 func (pc *protoChecker) checkHeadDurable(ds *dispSwitch, c dispCase) {
 	const anchorConst = "MsgStreamAck"
 	var h *FuncInfo
@@ -376,7 +376,8 @@ func (pc *protoChecker) checkHeadDurable(ds *dispSwitch, c dispCase) {
 		// no commit to mis-order against.
 		return
 	}
-	putPos := pc.firstPutCall(h)
+	putPos := firstMethodCall(h, "Put")
+	notePos := firstMethodCall(h, "noteReceived")
 	reportPos := pc.firstBlockReceivedReport(h)
 	switch {
 	case !putPos.IsValid():
@@ -389,13 +390,23 @@ func (pc *protoChecker) checkHeadDurable(ds *dispSwitch, c dispCase) {
 			funcInfoName(h), anchorConst)
 	}
 	switch {
+	case !notePos.IsValid():
+		pc.r.report(c.pos, RuleProtoConform,
+			"write handler %s never records the block in its report tracker (no noteReceived call) before the proto.%s commit (DESIGN.md §15.4 head-durable contract)",
+			funcInfoName(h), anchorConst)
+	case notePos > anchor:
+		pc.r.report(notePos, RuleProtoConform,
+			"write handler %s records the block in its report tracker after the proto.%s commit; the next delta must carry it whatever the downstream outcome (DESIGN.md §15.4 head-durable contract)",
+			funcInfoName(h), anchorConst)
+	}
+	switch {
 	case !reportPos.IsValid():
 		pc.r.report(c.pos, RuleProtoConform,
 			"write handler %s never reports proto.MsgBlockReceived to the namenode before the proto.%s commit (DESIGN.md §15.4 head-durable contract)",
 			funcInfoName(h), anchorConst)
 	case reportPos > anchor:
 		pc.r.report(reportPos, RuleProtoConform,
-			"write handler %s reports proto.MsgBlockReceived after the proto.%s commit; store-and-report must precede the downstream ack (DESIGN.md §15.4 head-durable contract)",
+			"write handler %s reports proto.MsgBlockReceived after the proto.%s commit; the report must precede the ack upstream (DESIGN.md §15.4 head-durable contract)",
 			funcInfoName(h), anchorConst)
 	}
 }
@@ -440,10 +451,11 @@ func (pc *protoChecker) msgLitsOf(fi *FuncInfo) map[string]token.Pos {
 	return m
 }
 
-// firstPutCall finds the first `.Put(...)` call — the block store write.
-func (pc *protoChecker) firstPutCall(fi *FuncInfo) token.Pos {
+// firstMethodCall finds fi's first `.name(...)` call: `Put` is the
+// block store write, `noteReceived` the report tracker's record.
+func firstMethodCall(fi *FuncInfo, name string) token.Pos {
 	for _, site := range fi.Sites {
-		if sel, ok := ast.Unparen(site.Call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Put" {
+		if sel, ok := ast.Unparen(site.Call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == name {
 			return site.Call.Pos()
 		}
 	}

@@ -63,6 +63,7 @@ type DataNode struct {
 	cfg     Config
 	id      proto.NodeID
 	ns      uint64 // the namespace ID, sent on every message to the namenode
+	addr    string // the data address, known before serving starts
 	server  *proto.Server
 	store   BlockStore
 	free    *blockBufs // block buffers shared with the store (DESIGN.md §15.6)
@@ -133,6 +134,7 @@ func Start(cfg Config) (*DataNode, error) {
 	}
 	dn := &DataNode{
 		cfg:     cfg,
+		addr:    ln.Addr().String(),
 		store:   store,
 		free:    free,
 		call:    cfg.Call,
@@ -154,7 +156,7 @@ func Start(cfg Config) (*DataNode, error) {
 		var callErr error
 		resp, _, callErr = dn.call(cfg.NameNodeAddr, &proto.Message{
 			Type:      proto.MsgRegister,
-			DataAddr:  ln.Addr().String(),
+			DataAddr:  dn.addr,
 			Rack:      cfg.Rack,
 			Capacity:  cfg.CapacityBlocks,
 			Namespace: ns,
@@ -180,7 +182,7 @@ func Start(cfg Config) (*DataNode, error) {
 func (dn *DataNode) ID() proto.NodeID { return dn.id }
 
 // Addr returns the node's data-transfer address.
-func (dn *DataNode) Addr() string { return dn.server.Addr() }
+func (dn *DataNode) Addr() string { return dn.addr }
 
 // NumBlocks reports how many replicas the node currently stores.
 func (dn *DataNode) NumBlocks() int { return dn.store.Len() }
@@ -267,13 +269,6 @@ func (dn *DataNode) noteDeleted(id proto.BlockID) {
 	case dn.wake <- struct{}{}:
 	default:
 	}
-}
-
-// noteReceived records an arrival in the delta tracker and reports it
-// to the namenode right away.
-func (dn *DataNode) noteReceived(id proto.BlockID) {
-	dn.tracker.noteReceived(id)
-	dn.reportReceived(id)
 }
 
 // heartbeatLoop sends a heartbeat every tick and whenever a deletion
@@ -394,7 +389,8 @@ func (dn *DataNode) execute(cmd proto.Command) {
 		}
 		// Get's copy was this command's alone and every send has returned.
 		dn.free.put(data)
-		// The receiving node reports MsgBlockReceived itself.
+		// The target is the head of this one-hop write, so it reports
+		// its own MsgBlockReceived.
 	case proto.CmdDelete:
 		if dn.store.Delete(cmd.Block) {
 			dn.noteDeleted(cmd.Block)
@@ -402,15 +398,18 @@ func (dn *DataNode) execute(cmd proto.Command) {
 	}
 }
 
-// reportReceived tells the namenode a block replica landed here. One
+// reportReceived is a pipeline head's one arrival report for a block:
+// the replica landed here, and on each address in vouched, the
+// downstream hops whose ack the head checked (DESIGN.md §15.4). One
 // attempt only — it runs on the write path, where retry backoff would
-// stall the pipeline ack; a lost report is counted and repaired by the
-// next heartbeat's delta report.
-func (dn *DataNode) reportReceived(id proto.BlockID) {
+// stall the pipeline ack; a lost report is counted and repaired by each
+// holder's next delta report.
+func (dn *DataNode) reportReceived(id proto.BlockID, vouched []string) {
 	if _, _, err := dn.call(dn.cfg.NameNodeAddr, &proto.Message{
 		Type:      proto.MsgBlockReceived,
 		Node:      dn.id,
 		Block:     id,
+		Pipeline:  vouched,
 		Namespace: dn.ns,
 	}, nil, dn.cfg.Timeout); err != nil {
 		metrics.Default.Counter("dfs.datanode.report_dropped").Inc()

@@ -34,15 +34,21 @@ func refuse(st proto.BlockStream, err error) {
 // plus k chunk latencies instead of k sequential block hops. The commit
 // signal is the tail ack relayed back up the chain: each node answers
 // MsgStreamAck only after its own store succeeded AND its downstream
-// ack arrived.
+// ack arrived and matched its own length and checksum.
 //
-// CONTRACT (DESIGN.md §15, "failure semantics"): the local replica is
-// stored durably and reported to the namenode BEFORE the downstream
-// outcome is known. A mid-pipeline failure therefore surfaces an error
-// to the writer while upstream nodes already hold confirmed copies —
-// the write is not atomic across the pipeline. The reconcile loop sees
-// the under-replicated block in the confirmed set and repairs the short
-// pipeline; TestPipelineFailureReconcileRepairs pins this.
+// CONTRACT (DESIGN.md §15.4, "failure semantics"): every hop stores its
+// replica and records it in its report tracker BEFORE the downstream
+// outcome is known, and the head — the hop whose opening frame names no
+// forwarder (DataAddr) — reports the block to the namenode before it
+// answers upstream: itself, plus every downstream hop when the
+// downstream ack vouches for the chain. That one report per block is
+// the only MsgBlockReceived a write sends; a forwarded hop's replica
+// reaches the namenode in that report or in its own next delta. A
+// mid-pipeline failure therefore surfaces an error to the writer while
+// the head already holds a confirmed copy — the write is not atomic
+// across the pipeline. The reconcile loop sees the under-replicated
+// block in the confirmed set and repairs the short pipeline;
+// TestPipelineFailureReconcileRepairs pins this.
 func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream) {
 	// Length is peer-controlled and sizes the receive buffer below.
 	if open.Length < 0 || open.Length > proto.MaxPayloadBytes {
@@ -60,6 +66,7 @@ func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream)
 			Length:    open.Length,
 			Checksum:  open.Checksum,
 			ChunkSize: open.ChunkSize,
+			DataAddr:  dn.Addr(), // the next hop is not the head
 		}
 		down, downErr = dn.open(next, fwd, dn.cfg.Timeout)
 		if downErr != nil {
@@ -112,18 +119,30 @@ func (dn *DataNode) handleWriteStream(open *proto.Message, st proto.BlockStream)
 		return
 	}
 	buf = nil // the store's now
-	// Durable + reported before the downstream ack is consulted — see
-	// the contract above.
-	dn.noteReceived(open.Block)
+	// Durable and in the tracker before the downstream ack is consulted,
+	// so this node's next delta carries the replica whatever the
+	// pipeline's outcome — see the contract above.
+	dn.tracker.noteReceived(open.Block)
 
 	if down != nil && downErr == nil {
 		ack, _, err := down.Recv()
 		switch {
 		case err != nil:
 			downErr = fmt.Errorf("datanode: pipeline to %s: %w", open.Pipeline[0], err)
-		case ack.Type != proto.MsgStreamAck:
-			downErr = fmt.Errorf("datanode: pipeline to %s: unexpected ack frame %q", open.Pipeline[0], ack.Type)
+		case ack.Type != proto.MsgStreamAck || ack.Offset != open.Length || ack.Checksum != sum:
+			downErr = fmt.Errorf("datanode: pipeline to %s: ack %q at offset %d (crc %08x), want %q at %d (crc %08x)",
+				open.Pipeline[0], ack.Type, ack.Offset, ack.Checksum, proto.MsgStreamAck, open.Length, sum)
 		}
+	}
+	if open.DataAddr == "" {
+		// The head: the block's one arrival report. A downstream ack
+		// that matched vouches for every hop after this one, since each
+		// acks only once its own downstream ack matched.
+		var vouched []string
+		if down != nil && downErr == nil {
+			vouched = open.Pipeline
+		}
+		dn.reportReceived(open.Block, vouched)
 	}
 	if downErr != nil {
 		refuse(st, downErr)

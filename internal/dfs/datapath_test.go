@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,76 +29,184 @@ func callNN(t *testing.T, addr string, req *proto.Message) *proto.Message {
 	return resp
 }
 
+// onNameNodeCall passes every datanode's namenode call to hook first;
+// a call the hook fails is not sent.
+func onNameNodeCall(hook func(*proto.Message) error) func(*dfs.Spec) {
+	return func(s *dfs.Spec) {
+		s.PerNode = func(_ int, cfg *datanode.Config) {
+			cfg.Call = func(addr string, req *proto.Message, payload []byte, timeout time.Duration) (*proto.Message, []byte, error) {
+				if err := hook(req); err != nil {
+					return nil, nil, err
+				}
+				return proto.Call(addr, req, payload, timeout)
+			}
+		}
+	}
+}
+
 // TestPipelineFailureReconcileRepairs is the regression test for the
-// documented write contract (DESIGN.md §15, datanode.handleWriteStream): a
-// datanode stores and reports its replica durable BEFORE the downstream
-// pipeline hop, so a mid-pipeline failure leaves a "short pipeline" —
-// fewer confirmed replicas than requested — that the writer sees as an
-// error but the reconcile loop repairs from the confirmed copies.
+// documented write contract (DESIGN.md §15.4, datanode.handleWriteStream):
+// every hop stores its replica and records it for its next report
+// BEFORE the downstream outcome is known, and the head reports the block
+// before it answers the writer — itself, plus the downstream hops only
+// when their ack vouches for them. A downstream failure therefore leaves
+// a "short pipeline": the writer sees an error, the head alone is
+// confirmed, a stored copy further down is confirmed by its holder's
+// next delta, and the reconcile loop repairs the rest from the confirmed
+// copies.
 func TestPipelineFailureReconcileRepairs(t *testing.T) {
-	tc := startCluster(t, 4)
-	nnAddr := tc.NameNode.Addr()
-	data := payload(1200, 14)
+	const dead = "127.0.0.1:1"
+	for _, tc := range []struct {
+		name string
+		// keepMid streams through the allocated second hop, so the dead
+		// address is the tail; otherwise it is the second hop.
+		keepMid bool
+	}{
+		{"dead second hop", false},
+		{"dead tail", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// While hold is set every block report fails, as a dropped
+			// heartbeat does, and the tracker keeps it for the next one.
+			var hold atomic.Bool
+			cl := startCluster(t, 4, onNameNodeCall(func(req *proto.Message) error {
+				if hold.Load() && req.Type == proto.MsgHeartbeatDelta {
+					return errors.New("report held by the test")
+				}
+				return nil
+			}))
+			nnAddr := cl.NameNode.Addr()
+			data := payload(1200, 14)
 
-	callNN(t, nnAddr, &proto.Message{Type: proto.MsgCreateFile, Path: "/short", Replication: 3})
-	alloc := callNN(t, nnAddr, &proto.Message{Type: proto.MsgAddBlock, Path: "/short", Length: len(data)})
-	if len(alloc.Pipeline) != 3 {
-		t.Fatalf("pipeline = %v, want 3 nodes", alloc.Pipeline)
-	}
+			callNN(t, nnAddr, &proto.Message{Type: proto.MsgCreateFile, Path: "/short", Replication: 3})
+			alloc := callNN(t, nnAddr, &proto.Message{Type: proto.MsgAddBlock, Path: "/short", Length: len(data)})
+			if len(alloc.Pipeline) != 3 {
+				t.Fatalf("pipeline = %v, want 3 nodes", alloc.Pipeline)
+			}
+			head, downstream := alloc.Pipeline[0], []string{dead}
+			if tc.keepMid {
+				downstream = []string{alloc.Pipeline[1], dead}
+			}
 
-	// Stream to the head with the rest of the pipeline replaced by a dead
-	// address — the wire-level shape of a downstream node crashing
-	// mid-write. The head must store + report before that hop resolves.
-	st, err := proto.OpenStream(alloc.Pipeline[0], &proto.Message{
-		Type: proto.MsgWriteBlockStream, Block: alloc.Block,
-		Pipeline: []string{"127.0.0.1:1"},
-		Length:   len(data), Checksum: datanode.Checksum(data), ChunkSize: 256,
-	}, time.Second)
-	if err != nil {
-		t.Fatalf("OpenStream: %v", err)
-	}
-	defer st.Close()
-	for seq, off := 0, 0; ; seq++ {
-		end := off + 256
-		if end > len(data) {
-			end = len(data)
-		}
-		part := data[off:end]
-		if err := st.Send(&proto.Message{
-			Type: proto.MsgChunk, Seq: seq, Offset: off, Eof: end == len(data),
-			Checksum: proto.ChunkChecksum(part),
-		}, part); err != nil {
-			t.Fatalf("Send chunk %d: %v", seq, err)
-		}
-		if end == len(data) {
-			break
-		}
-		off = end
-	}
-	_, _, err = st.Recv()
-	var rerr *proto.RemoteError
-	if !errors.As(err, &rerr) {
-		t.Fatalf("short pipeline ack = %v, want *RemoteError (writer must see the failure)", err)
-	}
-	callNN(t, nnAddr, &proto.Message{Type: proto.MsgCompleteFile, Path: "/short"})
+			// Stream to the head with a dead hop in the pipeline — the
+			// wire-level shape of a downstream node crashing mid-write.
+			// Reports are held meanwhile, so the confirmed set below is
+			// what the head's arrival report alone made it.
+			hold.Store(true)
+			st, err := proto.OpenStream(head, &proto.Message{
+				Type: proto.MsgWriteBlockStream, Block: alloc.Block,
+				Pipeline: downstream,
+				Length:   len(data), Checksum: datanode.Checksum(data), ChunkSize: 256,
+			}, time.Second)
+			if err != nil {
+				t.Fatalf("OpenStream: %v", err)
+			}
+			defer st.Close()
+			for seq, off := 0, 0; ; seq++ {
+				end := off + 256
+				if end > len(data) {
+					end = len(data)
+				}
+				part := data[off:end]
+				if err := st.Send(&proto.Message{
+					Type: proto.MsgChunk, Seq: seq, Offset: off, Eof: end == len(data),
+					Checksum: proto.ChunkChecksum(part),
+				}, part); err != nil {
+					t.Fatalf("Send chunk %d: %v", seq, err)
+				}
+				if end == len(data) {
+					break
+				}
+				off = end
+			}
+			_, _, err = st.Recv()
+			var rerr *proto.RemoteError
+			if !errors.As(err, &rerr) {
+				t.Fatalf("short pipeline ack = %v, want *RemoteError (writer must see the failure)", err)
+			}
 
-	// The head's replica is confirmed; reconcile must restore the other
-	// two from it without any writer involvement.
-	c := client.New(nnAddr, client.WithBlockSize(1<<12), client.WithSeed(14))
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		locs, err := c.Locations("/short")
-		if err == nil && len(locs) == 1 && len(locs[0].Addresses) >= 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("reconcile did not repair the short pipeline; locations=%v err=%v", locs, err)
-		}
-		time.Sleep(50 * time.Millisecond)
+			c := client.New(nnAddr, client.WithBlockSize(1<<12), client.WithSeed(14))
+			holders := func() []string {
+				t.Helper()
+				locs, err := c.Locations("/short")
+				if err != nil || len(locs) != 1 {
+					t.Fatalf("Locations = %v, %v; want one block", locs, err)
+				}
+				return locs[0].Addresses
+			}
+			// The head vouches for nothing downstream: it is the one
+			// confirmed holder, whatever the second hop stored.
+			if got := holders(); len(got) != 1 || got[0] != head {
+				t.Fatalf("confirmed holders right after the failed write = %v, want the head %s alone", got, head)
+			}
+			hold.Store(false)
+
+			if tc.keepMid {
+				// The block is still being written, so reconcile leaves it
+				// alone: only the second hop's own delta can confirm the
+				// copy it stored.
+				mid := alloc.Pipeline[1]
+				deadline := time.Now().Add(5 * time.Second)
+				for !slices.Contains(holders(), mid) {
+					if time.Now().After(deadline) {
+						t.Fatalf("the second hop's delta never confirmed its copy; holders = %v", holders())
+					}
+					time.Sleep(10 * time.Millisecond)
+				}
+			}
+			callNN(t, nnAddr, &proto.Message{Type: proto.MsgCompleteFile, Path: "/short"})
+
+			// Reconcile must restore three replicas from the confirmed
+			// copies without any writer involvement.
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				got := holders()
+				if slices.Contains(got, dead) {
+					t.Fatalf("the dead address %s was confirmed: holders = %v", dead, got)
+				}
+				if len(got) >= 3 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("reconcile did not repair the short pipeline; holders = %v", got)
+				}
+				time.Sleep(50 * time.Millisecond)
+			}
+			got, err := c.Read("/short")
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("read after repair: %v (%d bytes, want %d)", err, len(got), len(data))
+			}
+		})
 	}
-	got, err := c.Read("/short")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("read after repair: %v (%d bytes, want %d)", err, len(got), len(data))
+}
+
+// TestOneArrivalReportPerBlock: a k=3 write sends one block_received
+// per block — the head's, naming the two hops its ack vouched for — and
+// Create returns only once all three replicas of every block are
+// confirmed, with no reconcile pass to help.
+func TestOneArrivalReportPerBlock(t *testing.T) {
+	var reports atomic.Int64
+	cl := startCluster(t, 4, func(s *dfs.Spec) { s.NameNode.ReconcileInterval = time.Hour },
+		onNameNodeCall(func(req *proto.Message) error {
+			if req.Type == proto.MsgBlockReceived {
+				reports.Add(1)
+			}
+			return nil
+		}))
+	c := client.New(cl.NameNode.Addr(), client.WithBlockSize(1<<12), client.WithSeed(15))
+	total := 0
+	for _, blocks := range []int{1, 3} {
+		before := reports.Load()
+		if err := c.Create(fmt.Sprintf("/f%d", blocks), payload(blocks<<12-100, 3), 3); err != nil {
+			t.Fatalf("Create of %d blocks: %v", blocks, err)
+		}
+		total += blocks
+		if got := cl.NameNode.Health().ConfirmedReplicas; got != 3*total {
+			t.Errorf("after a %d-block Create: %d confirmed replicas, want %d", blocks, got, 3*total)
+		}
+		if got := reports.Load() - before; got != int64(blocks) {
+			t.Errorf("a %d-block k=3 Create sent %d block_received, want %d", blocks, got, blocks)
+		}
 	}
 }
 

@@ -74,7 +74,8 @@ type Config struct {
 	// without explicit values (HDFS default: 3 replicas over 2 racks).
 	DefaultReplication int
 	DefaultMinRacks    int
-	// BlockSize is the maximum block size in bytes files are split into.
+	// BlockSize is the maximum block size in bytes files are split into:
+	// add_block refuses a longer block. At most proto.MaxPayloadBytes.
 	BlockSize int
 	// DeadTimeout declares a datanode dead after this long without a
 	// heartbeat.
@@ -141,6 +142,10 @@ func (c Config) withDefaults() (Config, error) {
 	if c.BlockSize <= 0 {
 		c.BlockSize = 1 << 20
 	}
+	if c.BlockSize > proto.MaxPayloadBytes {
+		return c, fmt.Errorf("%w: BlockSize %d above the %d-byte frame payload limit",
+			ErrBadRequest, c.BlockSize, proto.MaxPayloadBytes)
+	}
 	if c.DeadTimeout <= 0 {
 		c.DeadTimeout = 2 * time.Second
 	}
@@ -185,8 +190,9 @@ type nodeState struct {
 	// wantFull asks the node for a full block report on its next
 	// heartbeat: set on rejoin, on digest mismatch, and at boot.
 	wantFull bool
-	// fresh holds the blocks this node confirmed by an immediate
-	// MsgBlockReceived since its last heartbeat was applied. A full
+	// fresh holds the blocks a MsgBlockReceived confirmed on this node
+	// since its last heartbeat was applied — its own report as a
+	// pipeline head, or a head's report naming it downstream. A full
 	// report listed before such a block landed cannot name it and must
 	// not be read as "gone": the node's next delta carries the block.
 	fresh map[proto.BlockID]bool
@@ -506,19 +512,18 @@ func (nn *NameNode) handleRegister(req *proto.Message) (*proto.Message, error) {
 		// comes back on the same data address: it resumes heartbeating
 		// and its block report re-confirms whatever survived on disk,
 		// sparing the cluster a re-replication storm.
-		for _, node := range nn.nodes {
-			if node.addr == req.DataAddr {
-				node.alive = true
-				node.lastSeen = nn.clock()
-				node.decommissioned = false
-				// Whatever the restarted node still holds must be
-				// re-established from a full baseline, not deltas.
-				node.wantFull = true
-				node.fresh = nil
-				return &proto.Message{Type: proto.MsgOK, Node: node.id, Namespace: nn.namespace}, nil
-			}
+		node := nn.nodeByAddrLocked(req.DataAddr)
+		if node == nil {
+			return nil, fmt.Errorf("%w: cluster already formed", ErrBadRequest)
 		}
-		return nil, fmt.Errorf("%w: cluster already formed", ErrBadRequest)
+		node.alive = true
+		node.lastSeen = nn.clock()
+		node.decommissioned = false
+		// Whatever the restarted node still holds must be re-established
+		// from a full baseline, not deltas.
+		node.wantFull = true
+		node.fresh = nil
+		return &proto.Message{Type: proto.MsgOK, Node: node.id, Namespace: nn.namespace}, nil
 	}
 	if req.Rack < 0 || req.Rack >= nn.cfg.Racks {
 		return nil, fmt.Errorf("%w: rack %d outside [0,%d)", ErrBadRequest, req.Rack, nn.cfg.Racks)
@@ -587,10 +592,11 @@ func (nn *NameNode) buildClusterLocked() error {
 // handleReport applies a block report. A full report (FullReport on
 // the request) is the delta from the empty set: its Received is the
 // node's whole set, so every held block it does not name is gone —
-// except one the node confirmed by an immediate MsgBlockReceived since
-// its last report (fresh), which may have landed after the list was
-// taken; the node's next delta carries it. Received then applies like
-// an immediate block_received, completing in-flight replications, and
+// except one a MsgBlockReceived confirmed on the node since its last
+// report (fresh: its own head report, or a head's naming it
+// downstream), which may have landed after the list was taken; the
+// node's next delta carries it. Received then applies like an
+// immediate block_received, completing in-flight replications, and
 // Deleted retracts the node's confirmations: a report is the only way a
 // holder says a replica is gone. Application is idempotent, so a
 // retransmit after a lost response is harmless. A full report clears
@@ -652,6 +658,12 @@ func (nn *NameNode) handleReport(req *proto.Message) (*proto.Message, error) {
 	return resp, nil
 }
 
+// handleBlockReceived applies a pipeline head's one arrival report for
+// a block (DESIGN.md §15.4): the reporter holds it, and so does each
+// downstream hop in Pipeline, which the head names only when their ack
+// vouched for them. An address that is no registered live node is
+// skipped. Every node confirmed here is marked fresh, so a full report
+// listed before the arrival cannot unconfirm it.
 func (nn *NameNode) handleBlockReceived(req *proto.Message) (*proto.Message, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
@@ -659,12 +671,23 @@ func (nn *NameNode) handleBlockReceived(req *proto.Message) (*proto.Message, err
 	if err != nil {
 		return nil, err
 	}
-	nn.confirmLocked(req.Block, req.Node)
+	nn.freshLocked(req.Block, node)
+	for _, addr := range req.Pipeline {
+		if down := nn.nodeByAddrLocked(addr); down != nil && down.alive {
+			nn.freshLocked(req.Block, down)
+		}
+	}
+	return nil, nil
+}
+
+// freshLocked confirms that node holds block b by an arrival report
+// and marks the confirmation fresh.
+func (nn *NameNode) freshLocked(b proto.BlockID, node *nodeState) {
+	nn.confirmLocked(b, node.id)
 	if node.fresh == nil {
 		node.fresh = make(map[proto.BlockID]bool)
 	}
-	node.fresh[req.Block] = true
-	return nil, nil
+	node.fresh[b] = true
 }
 
 // confirmLocked records that node n holds block b: it completes a copy
@@ -750,6 +773,20 @@ func (nn *NameNode) nodeLocked(id proto.NodeID) (*nodeState, error) {
 	return nn.nodes[id], nil
 }
 
+// nodeByAddrLocked is the registered node whose data address is addr,
+// or nil; the empty address names none.
+func (nn *NameNode) nodeByAddrLocked(addr string) *nodeState {
+	if addr == "" {
+		return nil
+	}
+	for _, node := range nn.nodes {
+		if node.addr == addr {
+			return node
+		}
+	}
+	return nil
+}
+
 func (nn *NameNode) handleCreate(req *proto.Message) (*proto.Message, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
@@ -798,6 +835,10 @@ func (nn *NameNode) handleAddBlock(req *proto.Message) (*proto.Message, error) {
 	if f.complete {
 		return nil, fmt.Errorf("%w: %s", ErrFileComplete, req.Path)
 	}
+	// Every reader sizes its buffer from the length stored here.
+	if req.Length < 1 || req.Length > nn.cfg.BlockSize {
+		return nil, fmt.Errorf("%w: block length %d outside [1, %d]", ErrBadRequest, req.Length, nn.cfg.BlockSize)
+	}
 	if nn.nextBlock == math.MaxInt64 {
 		return nil, fmt.Errorf("namenode: block IDs exhausted")
 	}
@@ -814,11 +855,8 @@ func (nn *NameNode) handleAddBlock(req *proto.Message) (*proto.Message, error) {
 	// that datanode's data address; the first replica then lands locally
 	// per Algorithm 4 and the HDFS default alike.
 	writer := topology.NoMachine
-	for _, n := range nn.nodes {
-		if req.DataAddr != "" && n.addr == req.DataAddr {
-			writer = topology.MachineID(n.id)
-			break
-		}
+	if n := nn.nodeByAddrLocked(req.DataAddr); n != nil {
+		writer = topology.MachineID(n.id)
 	}
 	if err := nn.cfg.Placer.Place(nn.placement, id, f.replication, writer); err != nil {
 		//lint:ignore errcheck rollback of the block added above; the place error is what matters

@@ -3,6 +3,7 @@ package namenode
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -95,12 +96,15 @@ func (f *fakeDN) deleted(b proto.BlockID, held ...proto.BlockID) []proto.Command
 	return resp.Commands
 }
 
-func (f *fakeDN) received(b proto.BlockID) {
+// received sends a pipeline head's arrival report of b, naming the
+// downstream addresses its ack vouched for.
+func (f *fakeDN) received(b proto.BlockID, downstream ...string) {
 	f.t.Helper()
 	if _, _, err := proto.Call(f.nn, &proto.Message{
 		Type:      proto.MsgBlockReceived,
 		Node:      f.id,
 		Block:     b,
+		Pipeline:  downstream,
 		Namespace: f.ns,
 	}, nil, time.Second); err != nil {
 		f.t.Fatalf("block received: %v", err)
@@ -113,6 +117,35 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Start(Config{ExpectedNodes: 2, DefaultMinRacks: 3, DefaultReplication: 2, Racks: 4}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("minRacks > replication err = %v, want ErrBadRequest", err)
+	}
+	if _, err := Start(Config{ExpectedNodes: 1, BlockSize: proto.MaxPayloadBytes + 1}); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("BlockSize above the frame payload limit err = %v, want ErrBadRequest", err)
+	}
+}
+
+// TestAddBlockChecksLength: add_block stores the length every reader
+// sizes its buffer from, so one outside [1, BlockSize] is refused
+// before an ID is allocated.
+func TestAddBlockChecksLength(t *testing.T) {
+	nn := startNN(t, 2, 2)
+	registerFake(t, nn, 0, "a:1")
+	registerFake(t, nn, 1, "b:1")
+	if _, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgCreateFile, Path: "/f"}, nil, time.Second); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	size := nn.cfg.BlockSize
+	for _, length := range []int{-1, 0, size + 1} {
+		_, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgAddBlock, Path: "/f", Length: length}, nil, time.Second)
+		if err == nil || !strings.Contains(err.Error(), ErrBadRequest.Error()) {
+			t.Errorf("add_block of length %d: err = %v, want %v", length, err, ErrBadRequest)
+		}
+	}
+	resp, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgAddBlock, Path: "/f", Length: size}, nil, time.Second)
+	if err != nil {
+		t.Fatalf("add_block of length BlockSize: %v", err)
+	}
+	if resp.Block != 1 {
+		t.Errorf("first accepted block = %d, want 1: a refused add_block allocated an ID", resp.Block)
 	}
 }
 
@@ -314,36 +347,74 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // A full report is listed on the datanode and applied here some time
-// later; a block that lands in between is confirmed by its immediate
-// MsgBlockReceived but absent from the list. Reading that as "gone"
-// un-confirmed a replica that exists and made reconcile copy the whole
-// block to the node again. The stale report must leave it alone; only a
-// report listed after the confirmation may remove it.
+// later; a block that lands in between is confirmed by a
+// MsgBlockReceived — the node's own as a pipeline head, or the head's
+// naming it downstream — but absent from the list. Reading that as
+// "gone" un-confirmed a replica that exists and made reconcile copy the
+// whole block to the node again. The stale report must leave it alone;
+// only a report listed after the confirmation may remove it.
 func TestStaleFullReportKeepsFreshConfirmation(t *testing.T) {
-	nn := startNN(t, 2, 2)
+	for _, chain := range []bool{false, true} {
+		name := "own report"
+		if chain {
+			name = "chain report"
+		}
+		t.Run(name, func(t *testing.T) {
+			nn := startNN(t, 2, 2)
+			a := registerFake(t, nn, 0, "a:1")
+			b := registerFake(t, nn, 1, "b:1")
+			if _, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgCreateFile, Path: "/f", Replication: 2}, nil, time.Second); err != nil {
+				t.Fatalf("create: %v", err)
+			}
+			resp, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgAddBlock, Path: "/f", Length: 1}, nil, time.Second)
+			if err != nil {
+				t.Fatalf("add block: %v", err)
+			}
+			blk := resp.Block
+			holds := func() bool {
+				nn.mu.Lock()
+				defer nn.mu.Unlock()
+				return nn.confirmed[blk][a.id]
+			}
+			if chain {
+				b.received(blk, a.addr)
+			} else {
+				a.received(blk)
+			}
+			if !holds() {
+				t.Fatal("the arrival report did not confirm a")
+			}
+			a.heartbeat() // listed before blk landed
+			if !holds() {
+				t.Fatal("a full report listed before the block landed un-confirmed it")
+			}
+			a.heartbeat() // listed after: the replica really is gone
+			if holds() {
+				t.Error("a later full report without the block left it confirmed")
+			}
+		})
+	}
+}
+
+// TestChainReportConfirmsLiveDownstream: a head's arrival report
+// confirms the head and each downstream address that is a registered
+// live node; an unknown address and a dead node's are skipped.
+func TestChainReportConfirmsLiveDownstream(t *testing.T) {
+	nn := startNN(t, 3, 2)
 	a := registerFake(t, nn, 0, "a:1")
-	registerFake(t, nn, 1, "b:1")
-	if _, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgCreateFile, Path: "/f", Replication: 2}, nil, time.Second); err != nil {
-		t.Fatalf("create: %v", err)
+	b := registerFake(t, nn, 1, "b:1")
+	c := registerFake(t, nn, 0, "c:1")
+	nn.mu.Lock()
+	nn.nodes[c.id].alive = false
+	nn.mu.Unlock()
+	a.received(7, b.addr, "x:1", c.addr)
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	if got := nn.confirmed[7]; len(got) != 2 || !got[a.id] || !got[b.id] {
+		t.Errorf("confirmed holders = %v, want the head %d and live %d only", got, a.id, b.id)
 	}
-	resp, _, err := proto.Call(nn.Addr(), &proto.Message{Type: proto.MsgAddBlock, Path: "/f", Length: 1}, nil, time.Second)
-	if err != nil {
-		t.Fatalf("add block: %v", err)
-	}
-	blk := resp.Block
-	holds := func() bool {
-		nn.mu.Lock()
-		defer nn.mu.Unlock()
-		return nn.confirmed[blk][a.id]
-	}
-	a.received(blk)
-	a.heartbeat() // listed before blk landed
-	if !holds() {
-		t.Fatal("a full report listed before the block landed un-confirmed it")
-	}
-	a.heartbeat() // listed after: the replica really is gone
-	if holds() {
-		t.Error("a later full report without the block left it confirmed")
+	if !nn.nodes[b.id].fresh[7] {
+		t.Error("a downstream confirmation is not marked fresh")
 	}
 }
 
