@@ -33,7 +33,7 @@ func run(args []string) error {
 		jobs      = fs.Int("jobs", 400, "jobs to replay")
 		epsilon   = fs.Float64("epsilon", 0.8, "Aurora epsilon (paper: 0.8)")
 		shards    = fs.Int("shards", 1, "hash shards of each namenode optimizer period, run concurrently (1 = unsharded)")
-		faultSpec = fs.String("fault-schedule", "", `fault schedule: "random" for a seeded crash/slow mix, or an explicit spec like "crash:2@500ms;recover:2@1.5s" (see internal/faultinject)`)
+		faultSpec = fs.String("fault-schedule", "", `fault schedule in replay time (one virtual second per tick): "random" for a seeded crash/slow mix, or an explicit spec like "crash:2@100s;recover:2@400s" (see internal/faultinject)`)
 		faultSeed = fs.Uint64("fault-seed", 1, `seed for -fault-schedule=random`)
 		telemAddr = fs.String("telemetry-addr", "", "serve /metrics and pprof on this address for the duration of the run (empty = off, port 0 = pick a free port)")
 		linger    = fs.Duration("telemetry-linger", 0, "keep the telemetry endpoint up this long after the run finishes (so one-shot scrapers can read final metrics)")
@@ -65,7 +65,7 @@ func run(args []string) error {
 			return err
 		}
 		setup.FaultSchedule = sch
-		fmt.Println("fault schedule (same per system, clock starts after dataset load):")
+		fmt.Println("fault schedule (same per system, offsets in replay time):")
 		for _, line := range sch.Log() {
 			fmt.Println(" ", line)
 		}
@@ -96,7 +96,10 @@ func run(args []string) error {
 
 // buildFaultSchedule resolves the -fault-schedule flag: "random" draws a
 // seeded mix of crash-recover cycles and latency spikes sized to the
-// cluster; anything else parses as an explicit event spec.
+// cluster; anything else parses as an explicit event spec. Offsets are
+// replay time: the random schedule's last event lands at +600s, before
+// the last job arrives at the default -jobs 400 (~1100s), and each
+// crash window spans the reconfiguration epoch at +300s.
 func buildFaultSchedule(spec string, seed uint64, nodes int) (faultinject.Schedule, error) {
 	if spec != "random" {
 		return faultinject.ParseSchedule(spec)
@@ -116,8 +119,10 @@ func buildFaultSchedule(spec string, seed uint64, nodes int) (faultinject.Schedu
 		Crashes:        crashes,
 		Slows:          2,
 		HeartbeatDrops: 1,
-		Start:          500 * time.Millisecond,
-		Spacing:        400 * time.Millisecond,
-		Downtime:       1500 * time.Millisecond,
+		Start:          100 * time.Second,
+		Spacing:        100 * time.Second,
+		Downtime:       400 * time.Second,
+		SlowDur:        200 * time.Second,
+		DropDur:        200 * time.Second,
 	})
 }

@@ -10,7 +10,7 @@ import (
 // (time.Now/Since/Until), draws from the global math/rand generators,
 // and map iteration order. The sinks are the module's replayable
 // surfaces: any call from another package into a //lint:deterministic
-// package or into internal/faultinject (fault-schedule generation) —
+// package (internal/faultinject's schedules and injector among them) —
 // passing a tainted value there makes a seed-replayable computation
 // depend on the wall clock or scheduler.
 //
@@ -33,8 +33,8 @@ type taintSource struct {
 func (r *Runner) checkRngTaint() {
 	tainted := r.taintedFuncs()
 
-	// Sink pass: cross-package calls into deterministic packages or
-	// fault-schedule generation with a tainted argument.
+	// Sink pass: cross-package calls into deterministic packages with a
+	// tainted argument.
 	for _, fi := range r.facts.FuncList {
 		for _, site := range fi.Sites {
 			if len(site.Callees) != 1 {
@@ -45,7 +45,7 @@ func (r *Runner) checkRngTaint() {
 			if cpkg == nil || cpkg == fi.Pkg.Types {
 				continue
 			}
-			if !r.facts.deterministicPkg(cpkg) && !pathHasSuffix(cpkg, "internal/faultinject") {
+			if !r.facts.deterministicPkg(cpkg) {
 				continue
 			}
 			for _, arg := range site.Call.Args {

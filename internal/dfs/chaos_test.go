@@ -123,13 +123,27 @@ func chaosRun(t *testing.T, seed uint64) []string {
 		t.Fatalf("pre-fault convergence: %v", err)
 	}
 
-	// Unleash the schedule and keep reading through the churn. Every
-	// read must succeed: replicas outnumber concurrent crashes, and the
-	// retry policy outlasts the fault windows.
-	if err := inj.Start(); err != nil {
-		t.Fatalf("injector start: %v", err)
-	}
-	defer inj.Stop()
+	// Unleash the schedule on the wall clock — a ticker advances the
+	// injector until it has applied every event — and keep reading
+	// through the churn. Every read must succeed: replicas outnumber
+	// concurrent crashes, and the retry policy outlasts the fault
+	// windows.
+	applied := make(chan struct{})
+	stop := make(chan struct{})
+	defer func() { close(stop); <-applied }()
+	go func() {
+		defer close(applied)
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		t0 := time.Now()
+		for !inj.Advance(time.Since(t0)) {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
 	gone := fmt.Sprintf("/chaos/file%d", files-1)
 	crashed := func(line string) bool { return strings.Contains(line, " "+string(faultinject.Crash)+" ") }
 	optimized := false
@@ -158,7 +172,7 @@ func chaosRun(t *testing.T, seed uint64) []string {
 			optimized = true
 		}
 		select {
-		case <-inj.Done():
+		case <-applied:
 		default:
 			continue
 		}

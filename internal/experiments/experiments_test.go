@@ -4,10 +4,13 @@ import (
 	"errors"
 	"maps"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"aurora/internal/dfs/proto"
 	"aurora/internal/faultinject"
+	"aurora/internal/metrics"
 )
 
 // tinySetup keeps the simulated experiments fast enough for the test
@@ -172,59 +175,110 @@ func TestFig6Testbed(t *testing.T) {
 // Figure 6 replays from its seed: two runs of one setup schedule every
 // task on the same node and so agree on locality, bytes read, every
 // job's duration and the replicate and delete command counts. Movement
-// times are wall-clock by design and not compared.
+// times are wall-clock by design and not compared. Under faults the
+// injector runs on the replay's clock, so both runs apply the same
+// events at the same ticks and print the same fault log.
 func TestFig6Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("testbed spins up a real TCP cluster; skipped in -short")
 	}
-	setup := DefaultTestbedSetup(21)
-	setup.Files = 12
-	setup.Jobs = 120
-	var runs [2]*Fig6Result
-	for i := range runs {
-		res, err := Fig6(setup)
-		if err != nil {
-			t.Fatalf("Fig6 run %d: %v", i, err)
+	plain := DefaultTestbedSetup(21)
+	plain.Files = 12
+	plain.Jobs = 120
+	faulted := faultedTestbedSetup(t)
+	for _, setup := range []TestbedSetup{plain, faulted} {
+		var runs [2]*Fig6Result
+		var applied [2]map[faultinject.Kind]int64
+		for i := range runs {
+			before := faultCounts()
+			res, err := Fig6(setup)
+			if err != nil {
+				t.Fatalf("Fig6 run %d (%d fault events): %v", i, len(setup.FaultSchedule), err)
+			}
+			runs[i], applied[i] = res, faultCountsSince(before)
 		}
-		runs[i] = res
-	}
-	for i, a := range runs[0].Rows {
-		b := runs[1].Rows[i]
-		if a.LocalTasks != b.LocalTasks || a.RemoteTasks != b.RemoteTasks || a.BytesRead != b.BytesRead {
-			t.Errorf("%s: local/remote/bytes %d/%d/%d then %d/%d/%d", a.System,
-				a.LocalTasks, a.RemoteTasks, a.BytesRead, b.LocalTasks, b.RemoteTasks, b.BytesRead)
+		if !maps.Equal(applied[0], applied[1]) {
+			t.Errorf("fault events applied: %v then %v", applied[0], applied[1])
 		}
-		if a.Replicates != b.Replicates || a.Deletes != b.Deletes {
-			t.Errorf("%s: replicate/delete commands %d/%d then %d/%d", a.System, a.Replicates, a.Deletes, b.Replicates, b.Deletes)
-		}
-		if !maps.Equal(a.JobDurations, b.JobDurations) {
-			t.Errorf("%s: job durations differ between runs:\n%v\n%v", a.System, a.JobDurations, b.JobDurations)
+		for i, a := range runs[0].Rows {
+			b := runs[1].Rows[i]
+			if a.LocalTasks != b.LocalTasks || a.RemoteTasks != b.RemoteTasks || a.BytesRead != b.BytesRead {
+				t.Errorf("%s: local/remote/bytes %d/%d/%d then %d/%d/%d", a.System,
+					a.LocalTasks, a.RemoteTasks, a.BytesRead, b.LocalTasks, b.RemoteTasks, b.BytesRead)
+			}
+			if a.Replicates != b.Replicates || a.Deletes != b.Deletes {
+				t.Errorf("%s: replicate/delete commands %d/%d then %d/%d", a.System, a.Replicates, a.Deletes, b.Replicates, b.Deletes)
+			}
+			if !maps.Equal(a.JobDurations, b.JobDurations) {
+				t.Errorf("%s: job durations differ between runs:\n%v\n%v", a.System, a.JobDurations, b.JobDurations)
+			}
 		}
 	}
 }
 
-func TestFig6UnderFaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("testbed spins up a real TCP cluster; skipped in -short")
-	}
+// faultedTestbedSetup is a small testbed under a crash, a latency spike
+// and a dropped-heartbeat window, all in replay time and all before the
+// last of its 80 jobs arrives (at tick 208).
+func faultedTestbedSetup(t *testing.T) TestbedSetup {
+	t.Helper()
 	setup := DefaultTestbedSetup(33)
 	setup.Nodes = 6
 	setup.Files = 8
 	setup.Jobs = 80
 	sch, err := faultinject.RandomSchedule(33, faultinject.ScheduleConfig{
-		Nodes:       setup.Nodes,
-		Crashes:     1,
-		Slows:       1,
-		Start:       100 * time.Millisecond,
-		Spacing:     200 * time.Millisecond,
-		Downtime:    600 * time.Millisecond,
-		SlowLatency: 5 * time.Millisecond,
-		SlowDur:     300 * time.Millisecond,
+		Nodes:          setup.Nodes,
+		Crashes:        1,
+		Slows:          1,
+		HeartbeatDrops: 1,
+		Start:          20 * time.Second,
+		Spacing:        40 * time.Second,
+		Downtime:       100 * time.Second,
+		SlowLatency:    5 * time.Millisecond,
+		SlowDur:        60 * time.Second,
+		DropDur:        60 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("RandomSchedule: %v", err)
 	}
 	setup.FaultSchedule = sch
+	return setup
+}
+
+// faultCounts reads the per-kind applied-event counters.
+func faultCounts() map[faultinject.Kind]int64 {
+	counters := metrics.Default.CounterValues()
+	out := make(map[faultinject.Kind]int64)
+	for _, k := range []faultinject.Kind{faultinject.Crash, faultinject.Recover, faultinject.Slow, faultinject.DropHeartbeats, faultinject.Corrupt} {
+		out[k] = counters["faultinject."+string(k)]
+	}
+	return out
+}
+
+// faultCountsSince is faultCounts minus an earlier reading.
+func faultCountsSince(before map[faultinject.Kind]int64) map[faultinject.Kind]int64 {
+	now := faultCounts()
+	for k := range now {
+		now[k] -= before[k]
+	}
+	return now
+}
+
+// Every system's run plays the whole schedule: the replay advances the
+// injector past its last event, so each kind's counter rises by three
+// times that kind's events.
+func TestFig6UnderFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("testbed spins up a real TCP cluster; skipped in -short")
+	}
+	setup := faultedTestbedSetup(t)
+	want := make(map[faultinject.Kind]int64)
+	for k := range faultCounts() {
+		want[k] = 0
+	}
+	for _, ev := range setup.FaultSchedule {
+		want[ev.Kind] += 3
+	}
+	before := faultCounts()
 	res, err := Fig6(setup)
 	if err != nil {
 		t.Fatalf("Fig6 under faults: %v", err)
@@ -234,10 +288,47 @@ func TestFig6UnderFaults(t *testing.T) {
 			t.Fatalf("%s did no work under faults: %+v", r.System, r)
 		}
 	}
+	if got := faultCountsSince(before); !maps.Equal(got, want) {
+		t.Errorf("fault events applied over the three runs = %v, want %v", got, want)
+	}
 	// An oversubscribed schedule must be rejected up front.
 	bad := setup
 	bad.FaultSchedule = faultinject.Schedule{{Kind: faultinject.Crash, Node: setup.Nodes}}
 	if _, err := Fig6(bad); !errors.Is(err, ErrBadSetup) {
 		t.Errorf("Fig6 out-of-range fault node err = %v, want ErrBadSetup", err)
+	}
+}
+
+// A faulted run asks the namenode for locations once per job arrival
+// and never again: a read that fails tries the block's other holders,
+// then re-reads the namenode's placement, and neither records an access
+// in its usage monitor.
+func TestFig6RetriesRecordNoAccess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("testbed spins up a real TCP cluster; skipped in -short")
+	}
+	setup := faultedTestbedSetup(t)
+	tr, err := testbedTrace(setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lookups atomic.Int64
+	count := func(call proto.CallFunc) proto.CallFunc {
+		return func(addr string, req *proto.Message, payload []byte, timeout time.Duration) (*proto.Message, []byte, error) {
+			if req.Type == proto.MsgGetLocations {
+				lookups.Add(1)
+			}
+			return call(addr, req, payload, timeout)
+		}
+	}
+	blocked := metrics.Default.CounterValues()["faultinject.blocked_stream"]
+	if _, err := runTestbedSystem(setup, tr, "Aurora", count); err != nil {
+		t.Fatalf("Aurora under faults: %v", err)
+	}
+	if metrics.Default.CounterValues()["faultinject.blocked_stream"] == blocked {
+		t.Fatal("no read met a fault; the schedule tests nothing")
+	}
+	if got := lookups.Load(); got != int64(len(tr.Jobs)) {
+		t.Errorf("get_locations calls = %d, want one per job arrival (%d)", got, len(tr.Jobs))
 	}
 }

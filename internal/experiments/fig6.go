@@ -47,10 +47,12 @@ type TestbedSetup struct {
 	BudgetExtraBlocks int
 	Seed              uint64
 	// FaultSchedule, when non-nil, runs the workload under fault
-	// injection: each system's cluster gets its own injector applying
-	// this schedule, started after the dataset has converged so churn
-	// hits the replay phase. Task reads and client RPCs then retry with
-	// backoff until the cluster heals. See internal/faultinject.
+	// injection: each system's cluster gets its own injector, which the
+	// job replay advances before every launch and epoch. An event's At
+	// and Dur are therefore replay time, one virtual second per tick,
+	// and every event lands at the tick the schedule names. Task reads
+	// and client RPCs retry with backoff until the cluster heals. See
+	// internal/faultinject.
 	FaultSchedule faultinject.Schedule
 	// Shards is every system's namenode shard count (values below 2
 	// keep the classic unpartitioned period): Aurora's reconfiguration
@@ -116,20 +118,15 @@ func Fig6(s TestbedSetup) (*Fig6Result, error) {
 	if err := s.FaultSchedule.Validate(s.Nodes); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSetup, err)
 	}
-	hours := int(float64(s.Jobs)/s.JobsPerHour) + 1
-	cfg := trace.SWIMLike(s.Seed, s.Files, hours, s.JobsPerHour)
-	tr, err := trace.Generate(cfg)
+	tr, err := testbedTrace(s)
 	if err != nil {
 		return nil, err
-	}
-	if len(tr.Jobs) > s.Jobs {
-		tr.Jobs = tr.Jobs[:s.Jobs]
 	}
 
 	systems := []string{"HDFS", "Scarlett", "Aurora"}
 	res := &Fig6Result{Rows: make([]TestbedRow, len(systems))}
 	for i, system := range systems {
-		row, err := runTestbedSystem(s, tr, system)
+		row, err := runTestbedSystem(s, tr, system, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: testbed %s: %w", system, err)
 		}
@@ -149,11 +146,25 @@ func Fig6(s TestbedSetup) (*Fig6Result, error) {
 	return res, nil
 }
 
+// testbedTrace generates the SWIM-like workload every system replays.
+func testbedTrace(s TestbedSetup) (*trace.Trace, error) {
+	hours := int(float64(s.Jobs)/s.JobsPerHour) + 1
+	tr, err := trace.Generate(trace.SWIMLike(s.Seed, s.Files, hours, s.JobsPerHour))
+	if err != nil {
+		return nil, err
+	}
+	if len(tr.Jobs) > s.Jobs {
+		tr.Jobs = tr.Jobs[:s.Jobs]
+	}
+	return tr, nil
+}
+
 // runTestbedSystem spins up a real cluster, loads the dataset, replays
 // the workload in virtual time through the simulator's job replay (with
 // real block reads on the data path) and reconfigures at every epoch
-// according to the system under test.
-func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRow, error) {
+// according to the system under test. wrapCall, when set, wraps the
+// client's namenode transport (a test counts its calls through it).
+func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string, wrapCall func(proto.CallFunc) proto.CallFunc) (TestbedRow, error) {
 	row := TestbedRow{System: system, JobDurations: make(map[int64]int64)}
 
 	var placer namenode.Placer
@@ -164,7 +175,7 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 	// Under fault injection every process routes its RPCs through the
 	// injector; without it they use the plain transport.
 	var inj *faultinject.Injector
-	taskRetry := retrypolicy.Policy{MaxAttempts: 2} // one location-refresh retry
+	taskRetry := retrypolicy.Policy{MaxAttempts: 2} // one holder-refresh retry
 	if s.FaultSchedule != nil {
 		inj = faultinject.New(s.FaultSchedule)
 		taskRetry = retrypolicy.Policy{
@@ -174,7 +185,6 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 			Multiplier:  2,
 			Jitter:      0.2,
 		}
-		defer inj.Stop()
 	}
 
 	cl, err := dfs.Start(dfs.Spec{
@@ -206,12 +216,16 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 	nn := cl.NameNode
 
 	// Load the dataset.
+	call := proto.CallFunc(proto.Call)
 	clientOpts := []client.Option{client.WithBlockSize(s.BlockBytes), client.WithSeed(s.Seed)}
 	if inj != nil {
-		clientOpts = append(clientOpts, client.WithCall(inj.CallFrom(faultinject.External)),
-			client.WithRetry(taskRetry), client.WithOpenStream(inj.StreamFrom(faultinject.External)))
+		call = inj.CallFrom(faultinject.External)
+		clientOpts = append(clientOpts, client.WithRetry(taskRetry), client.WithOpenStream(inj.StreamFrom(faultinject.External)))
 	}
-	c := client.New(nn.Addr(), clientOpts...)
+	if wrapCall != nil {
+		call = wrapCall(call)
+	}
+	c := client.New(nn.Addr(), append(clientOpts, client.WithCall(call))...)
 	rng := rand.New(rand.NewPCG(s.Seed, 0xf19))
 	paths := make(map[trace.FileID]string, len(tr.Files))
 	for _, f := range tr.Files {
@@ -228,13 +242,6 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 	if err := nn.WaitConverged(30 * time.Second); err != nil {
 		return row, err
 	}
-	if inj != nil {
-		// The dataset is converged; the schedule's clock starts now so
-		// churn lands on the replay phase.
-		if err := inj.Start(); err != nil {
-			return row, err
-		}
-	}
 
 	info, err := c.ClusterInfo()
 	if err != nil {
@@ -249,6 +256,7 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 		system:    system,
 		nn:        nn,
 		c:         c,
+		inj:       inj,
 		info:      info,
 		machineOf: machineOf,
 		paths:     paths,
@@ -288,11 +296,14 @@ func runTestbedSystem(s TestbedSetup, tr *trace.Trace, system string) (TestbedRo
 // the simulator's too): a job's tasks are the blocks the live namenode
 // locates for its file (feeding its usage monitor), a launch reads the
 // block over real TCP, and each epoch runs the system's
-// reconfiguration on the live cluster.
+// reconfiguration on the live cluster. The replay's clock is also the
+// fault injector's: every launch and epoch first advances it to the
+// replay tick, one virtual second each.
 type testbedHost struct {
 	system    string
 	nn        *namenode.NameNode
 	c         *client.Client
+	inj       *faultinject.Injector // nil without a fault schedule
 	info      []proto.NodeInfo
 	machineOf map[string]topology.MachineID
 	paths     map[trace.FileID]string
@@ -302,7 +313,7 @@ type testbedHost struct {
 	opts      core.OptimizerOptions
 	// holders is where each block read so far was last seen: located
 	// when a job arrives, re-read after every epoch, and updated by a
-	// launch's location refresh. A task queued before an epoch moved its
+	// launch's holder refresh. A task queued before an epoch moved its
 	// block is placed by where the block is now, not where it was.
 	holders map[proto.BlockID][]topology.MachineID
 }
@@ -348,42 +359,74 @@ func (h *testbedHost) Holds(t testbedRead, m topology.MachineID) bool {
 	return slices.Contains(h.holders[t.loc.Block], m)
 }
 
-// Launch implements sched.Host on the real data path: it reads the
-// block from the assigned node when local, any replica otherwise. The
-// located holders can go stale when a reconfiguration epoch ran between
-// the job's Locations call and the task launch — a migration may have
-// deleted the replica we targeted, or fault injection may have taken
-// the holder down — so a failed read refreshes locations and retries
+// Launch implements sched.Host on the real data path. It reads the
+// block holder by holder, nearest to the assigned machine first (the
+// machine itself, then its rack, then the rest), and returns the level
+// of the holder that served: a node-local launch whose holder is down
+// and whose read another rack serves is a remote task. When every
+// known holder fails — a migration may have moved the block, or fault
+// injection may have taken its holders down — it re-reads the block's
+// holders from the namenode's placement, as Epoch does, and retries
 // under the task policy (a single refresh without faults, backoff until
-// the cluster heals with them), as a retrying task would.
-func (h *testbedHost) Launch(t testbedRead, a sched.Assignment, _ int64) error {
-	readFrom := h.info[a.Machine].Addr
-	if a.Level != sched.NodeLocal && len(t.loc.Addresses) > 0 {
-		readFrom = t.loc.Addresses[0]
-	}
-	data, err := h.c.ReadBlockFrom(proto.BlockLocation{Block: t.loc.Block, Length: t.loc.Length, Addresses: []string{readFrom}})
+// the cluster heals with them), as a retrying task would. A
+// get_locations call would record an access no task made.
+func (h *testbedHost) Launch(t testbedRead, a sched.Assignment, now int64) (sched.Level, error) {
+	h.advance(now)
+	level, err := h.read(t.loc, a.Machine)
 	if err != nil {
-		readErr := err
 		err = h.taskRetry.Do(func() error {
-			locs, lerr := h.c.Locations(t.path)
-			if lerr != nil {
-				return lerr
+			p, perr := h.nn.PlacementClone()
+			if perr != nil {
+				return perr
 			}
-			for _, l := range locs {
-				if l.Block == t.loc.Block {
-					h.locate(l)
-					data, lerr = h.c.ReadBlockFrom(l)
-					return lerr
-				}
-			}
-			return readErr
+			h.holders[t.loc.Block] = p.Replicas(core.BlockID(t.loc.Block))
+			level, perr = h.read(t.loc, a.Machine)
+			return perr
 		})
 		if err != nil {
-			return fmt.Errorf("experiments: task read block %d (first tried %s): %w", t.loc.Block, readFrom, err)
+			return 0, fmt.Errorf("experiments: task read block %d on machine %d: %w", t.loc.Block, a.Machine, err)
 		}
 	}
-	h.row.BytesRead += int64(len(data))
-	return nil
+	return level, nil
+}
+
+// read reads loc's block from its known holders, nearest to machine m
+// first, and returns the level of the one that served.
+func (h *testbedHost) read(loc proto.BlockLocation, m topology.MachineID) (sched.Level, error) {
+	err := client.ErrNoReplica
+	for _, level := range []sched.Level{sched.NodeLocal, sched.RackLocal, sched.Remote} {
+		for _, holder := range h.holders[loc.Block] {
+			if h.level(holder, m) != level {
+				continue
+			}
+			var data []byte
+			data, err = h.c.ReadBlockFrom(proto.BlockLocation{Block: loc.Block, Length: loc.Length, Addresses: []string{h.info[holder].Addr}})
+			if err == nil {
+				h.row.BytesRead += int64(len(data))
+				return level, nil
+			}
+		}
+	}
+	return 0, err
+}
+
+// level is the locality of a read that holder serves to a task on m.
+func (h *testbedHost) level(holder, m topology.MachineID) sched.Level {
+	switch {
+	case holder == m:
+		return sched.NodeLocal
+	case h.info[holder].Rack == h.info[m].Rack:
+		return sched.RackLocal
+	default:
+		return sched.Remote
+	}
+}
+
+// advance moves the fault injector, if any, to replay tick now.
+func (h *testbedHost) advance(now int64) {
+	if h.inj != nil {
+		h.inj.Advance(time.Duration(now) * time.Second)
+	}
 }
 
 // Epoch implements sched.Host: the system under test reconfigures the
@@ -393,7 +436,8 @@ func (h *testbedHost) Launch(t testbedRead, a sched.Assignment, _ int64) error {
 // are read from the namenode's desired placement, which convergence
 // makes the confirmed one: a get_locations call would count as an
 // access in the usage monitor the optimizer reads.
-func (h *testbedHost) Epoch(int64) error {
+func (h *testbedHost) Epoch(now int64) error {
+	h.advance(now)
 	switch h.system {
 	case "Scarlett":
 		// A dropped plan leaves the live layout, as a dropped Aurora

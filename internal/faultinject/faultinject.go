@@ -11,9 +11,19 @@
 // schedule — and therefore the injector's event log — is a pure function
 // of its inputs: the same seed yields byte-identical logs across runs,
 // which is what lets chaos tests assert recovery behaviour
-// reproducibly. Only the schedule is deterministic; which individual
-// RPCs land inside a fault window still depends on goroutine timing,
-// exactly as on a real cluster.
+// reproducibly.
+//
+// The injector owns no clock. Its caller drives it with Advance, which
+// applies every event due by the offset it is given; fault windows
+// (Slow, DropHeartbeats) open and close against that same offset. The
+// chaos test advances it from a wall-clock ticker; the Fig 6 testbed
+// advances it with the job replay's virtual ticks, so a testbed
+// schedule's offsets are replay time and every event lands where the
+// schedule puts it, however fast the replay runs. Which individual RPCs
+// land inside a fault window still depends on when the caller's
+// processes send them, exactly as on a real cluster. Only a Slow
+// fault's per-RPC latency is real time: it is the fault's effect, not
+// its clock.
 //
 // The injector interposes at the caller side of every RPC: each process
 // (client or datanode) makes calls through the proto.CallFunc returned
@@ -26,8 +36,12 @@
 // model.
 package faultinject
 
+// The injector is a pure function of its schedule and of the offset its
+// caller advanced it to: aurora-lint keeps the wall clock out.
+//
+//lint:deterministic
+
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -61,7 +75,8 @@ const (
 
 // Event is one scheduled fault.
 type Event struct {
-	// At is the offset from Injector.Start at which the fault applies.
+	// At is the offset on the driver's clock (Injector.Advance) at which
+	// the fault applies.
 	At time.Duration
 	// Kind is the fault type.
 	Kind Kind
@@ -181,51 +196,46 @@ func (e *InjectedError) Error() string {
 	return fmt.Sprintf("faultinject: %s node=%d", e.Kind, e.Node)
 }
 
-// nodeState is the injector's per-node fault state.
+// nodeState is the injector's per-node fault state. Window ends are
+// offsets on the driver's clock.
 type nodeState struct {
 	crashed     bool
-	slowUntil   time.Time
+	slowUntil   time.Duration
 	slowLatency time.Duration
-	dropHBUntil time.Time
+	dropHBUntil time.Duration
 }
 
 // Injector applies a Schedule to a running cluster and interposes on
-// its RPC traffic.
+// its RPC traffic. It applies events only when its caller advances it.
 type Injector struct {
 	schedule Schedule
 	base     proto.CallFunc
 	baseOpen proto.OpenStreamFunc
 
 	mu         sync.Mutex
+	now        time.Duration // the offset the caller advanced to
+	next       int           // schedule index of the first unapplied event
 	nodes      map[int]*nodeState
 	addrToNode map[string]int
 	corrupters map[int]func(proto.BlockID) error
 	log        []string
-	started    bool
-	stopped    bool
-
-	stop chan struct{}
-	done chan struct{}
 }
 
-// New prepares an injector for the given schedule. Register every
-// datanode with RegisterNode, hand each process its CallFrom transport,
-// then Start the clock.
+// New prepares an injector for the given schedule at offset 0. Register
+// every datanode with RegisterNode, hand each process its CallFrom
+// transport, then drive the clock with Advance.
 func New(schedule Schedule) *Injector {
 	sorted := make(Schedule, len(schedule))
 	copy(sorted, schedule)
 	sorted.Sort()
-	inj := &Injector{
+	return &Injector{
 		schedule:   sorted,
 		base:       proto.Call,
 		baseOpen:   proto.OpenStream,
 		nodes:      make(map[int]*nodeState),
 		addrToNode: make(map[string]int),
 		corrupters: make(map[int]func(proto.BlockID) error),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
 	}
-	return inj
 }
 
 // RegisterNode maps a datanode's data address to its harness index so
@@ -248,47 +258,56 @@ func (inj *Injector) RegisterCorrupter(node int, fn func(proto.BlockID) error) {
 	inj.corrupters[node] = fn
 }
 
-// Start begins applying the schedule relative to now. It may be called
-// once.
-func (inj *Injector) Start() error {
+// Advance moves the injector's clock to offset to: it applies, in
+// schedule order, every not-yet-applied event with At <= to, then
+// records to as the offset fault windows are checked against. A to at
+// or below the current offset changes nothing, so no event is applied
+// twice. Advance reports whether every scheduled event has now been
+// applied.
+func (inj *Injector) Advance(to time.Duration) bool {
+	var corrupt []func() error
 	inj.mu.Lock()
-	if inj.started || inj.stopped {
-		inj.mu.Unlock()
-		return errors.New("faultinject: already started or stopped")
+	for ; inj.next < len(inj.schedule) && inj.schedule[inj.next].At <= to; inj.next++ {
+		ev := inj.schedule[inj.next]
+		st := inj.nodes[ev.Node]
+		if st == nil {
+			st = &nodeState{}
+			inj.nodes[ev.Node] = st
+		}
+		switch ev.Kind {
+		case Crash:
+			st.crashed = true
+		case Recover:
+			st.crashed = false
+		case Slow:
+			st.slowUntil = ev.At + ev.Dur
+			st.slowLatency = ev.Latency
+		case DropHeartbeats:
+			st.dropHBUntil = ev.At + ev.Dur
+		case Corrupt:
+			if fn := inj.corrupters[ev.Node]; fn != nil {
+				corrupt = append(corrupt, func() error { return fn(ev.Block) })
+			}
+		}
+		inj.log = append(inj.log, ev.String())
+		metrics.Default.Counter("faultinject." + string(ev.Kind)).Inc()
 	}
-	inj.started = true
+	inj.now = max(inj.now, to)
+	done := inj.next == len(inj.schedule)
 	inj.mu.Unlock()
-	go inj.run(time.Now())
-	return nil
-}
-
-// Done is closed once every scheduled event has been applied (or the
-// injector was stopped early).
-func (inj *Injector) Done() <-chan struct{} { return inj.done }
-
-// Stop cancels any unapplied events and waits for the applier to exit.
-// Active fault state is left as-is; Stop is for teardown, not recovery.
-func (inj *Injector) Stop() {
-	inj.mu.Lock()
-	if inj.stopped {
-		inj.mu.Unlock()
-		<-inj.done
-		return
+	for _, c := range corrupt {
+		if err := c(); err != nil {
+			// The replica may already be gone (deleted by convergence);
+			// count it rather than fail the run.
+			metrics.Default.Counter("faultinject.corrupt_miss").Inc()
+		}
 	}
-	inj.stopped = true
-	started := inj.started
-	inj.mu.Unlock()
-	if !started {
-		close(inj.done)
-		return
-	}
-	close(inj.stop)
-	<-inj.done
+	return done
 }
 
 // Log returns the applied-event log so far: one line per event, in
-// application order. For a run that applies the whole schedule this
-// equals Schedule.Log() — byte-identical across same-seed runs.
+// application order. Once Advance has passed the last event it equals
+// Schedule.Log() — byte-identical across same-seed runs.
 func (inj *Injector) Log() []string {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
@@ -297,67 +316,54 @@ func (inj *Injector) Log() []string {
 	return out
 }
 
-// run applies events at their offsets from t0.
-func (inj *Injector) run(t0 time.Time) {
-	defer close(inj.done)
-	timer := time.NewTimer(0)
-	defer timer.Stop()
-	if !timer.Stop() {
-		<-timer.C
+// fault is the one lookup of the fault state a message of type typ from
+// caller to addr meets at the current offset: the crash or
+// dropped-heartbeat fault that blocks it, or else the larger Slow
+// latency of its two endpoints.
+func (inj *Injector) fault(caller int, addr string, typ proto.MsgType) (*InjectedError, time.Duration) {
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	var latency time.Duration
+	if st := inj.nodes[caller]; st != nil {
+		switch {
+		case st.crashed:
+			return &InjectedError{Kind: Crash, Node: caller}, 0
+		// Full and incremental reports are one message type, so a
+		// node whose heartbeats are dropped goes stale whichever it
+		// sends (DESIGN.md §15.5).
+		case typ == proto.MsgHeartbeatDelta && inj.now < st.dropHBUntil:
+			return &InjectedError{Kind: DropHeartbeats, Node: caller}, 0
+		case inj.now < st.slowUntil:
+			latency = st.slowLatency
+		}
 	}
-	for _, ev := range inj.schedule {
-		wait := time.Until(t0.Add(ev.At))
-		if wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-inj.stop:
-				return
-			case <-timer.C:
-			}
-		} else {
-			select {
-			case <-inj.stop:
-				return
-			default:
+	if target, ok := inj.addrToNode[addr]; ok {
+		if st := inj.nodes[target]; st != nil {
+			switch {
+			case st.crashed:
+				return &InjectedError{Kind: Crash, Node: target}, 0
+			case inj.now < st.slowUntil:
+				latency = max(latency, st.slowLatency)
 			}
 		}
-		inj.apply(ev)
 	}
+	return nil, latency
 }
 
-// apply executes one event: update fault state, log, count.
-func (inj *Injector) apply(ev Event) {
-	now := time.Now()
-	var corrupter func(proto.BlockID) error
-	inj.mu.Lock()
-	st := inj.nodes[ev.Node]
-	if st == nil {
-		st = &nodeState{}
-		inj.nodes[ev.Node] = st
+// admit applies the fault state to one call or stream open: it fails
+// with the blocking fault, counted under blocked, or sleeps out the Slow
+// latency — real time, because the delay is the fault's effect.
+func (inj *Injector) admit(caller int, addr string, typ proto.MsgType, blocked string) error {
+	injErr, latency := inj.fault(caller, addr, typ)
+	if injErr != nil {
+		metrics.Default.Counter(blocked).Inc()
+		return injErr
 	}
-	switch ev.Kind {
-	case Crash:
-		st.crashed = true
-	case Recover:
-		st.crashed = false
-	case Slow:
-		st.slowUntil = now.Add(ev.Dur)
-		st.slowLatency = ev.Latency
-	case DropHeartbeats:
-		st.dropHBUntil = now.Add(ev.Dur)
-	case Corrupt:
-		corrupter = inj.corrupters[ev.Node]
+	if latency > 0 {
+		metrics.Default.Counter("faultinject.delayed_rpc").Inc()
+		time.Sleep(latency)
 	}
-	inj.log = append(inj.log, ev.String())
-	inj.mu.Unlock()
-	metrics.Default.Counter("faultinject." + string(ev.Kind)).Inc()
-	if corrupter != nil {
-		if err := corrupter(ev.Block); err != nil {
-			// The replica may already be gone (deleted by convergence);
-			// count it rather than fail the run.
-			metrics.Default.Counter("faultinject.corrupt_miss").Inc()
-		}
-	}
+	return nil
 }
 
 // CallFrom returns the RPC transport for the process with the given
@@ -365,41 +371,8 @@ func (inj *Injector) apply(ev Event) {
 // the current fault state of both the caller and the target address.
 func (inj *Injector) CallFrom(caller int) proto.CallFunc {
 	return func(addr string, req *proto.Message, payload []byte, timeout time.Duration) (*proto.Message, []byte, error) {
-		now := time.Now()
-		inj.mu.Lock()
-		var blocked *InjectedError
-		var latency time.Duration
-		if st := inj.nodes[caller]; st != nil {
-			switch {
-			case st.crashed:
-				blocked = &InjectedError{Kind: Crash, Node: caller}
-			// Full and incremental reports are one message type, so a
-			// node whose heartbeats are dropped goes stale whichever it
-			// sends (DESIGN.md §15.5).
-			case req.Type == proto.MsgHeartbeatDelta && now.Before(st.dropHBUntil):
-				blocked = &InjectedError{Kind: DropHeartbeats, Node: caller}
-			case now.Before(st.slowUntil):
-				latency = st.slowLatency
-			}
-		}
-		if target, ok := inj.addrToNode[addr]; ok && blocked == nil {
-			if st := inj.nodes[target]; st != nil {
-				switch {
-				case st.crashed:
-					blocked = &InjectedError{Kind: Crash, Node: target}
-				case now.Before(st.slowUntil) && st.slowLatency > latency:
-					latency = st.slowLatency
-				}
-			}
-		}
-		inj.mu.Unlock()
-		if blocked != nil {
-			metrics.Default.Counter("faultinject.blocked_rpc").Inc()
-			return nil, nil, blocked
-		}
-		if latency > 0 {
-			metrics.Default.Counter("faultinject.delayed_rpc").Inc()
-			time.Sleep(latency)
+		if err := inj.admit(caller, addr, req.Type, "faultinject.blocked_rpc"); err != nil {
+			return nil, nil, err
 		}
 		return inj.base(addr, req, payload, timeout)
 	}

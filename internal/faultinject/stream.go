@@ -10,77 +10,38 @@ import (
 // StreamFrom returns the chunked data-path transport for the process
 // with the given harness index (External for clients) — the stream-side
 // twin of CallFrom. The opening handshake consults the same fault state
-// as a one-shot RPC, and every subsequent frame re-checks crash state,
-// so a node crashing mid-transfer tears the stream at the next frame
-// boundary exactly as a machine dropping off the network would. Slow
-// windows delay the open only; per-frame latency would multiply one
-// fault by the chunk count and distort the schedule's timing.
+// as a one-shot RPC, and every subsequent frame re-checks it, so a node
+// crashing mid-transfer tears the stream at the next frame boundary
+// exactly as a machine dropping off the network would. Slow windows
+// delay the open only; per-frame latency would multiply one fault by
+// the chunk count and distort the schedule's timing.
 func (inj *Injector) StreamFrom(caller int) proto.OpenStreamFunc {
 	return func(addr string, open *proto.Message, timeout time.Duration) (proto.BlockStream, error) {
-		now := time.Now()
-		inj.mu.Lock()
-		var blocked *InjectedError
-		var latency time.Duration
-		if st := inj.nodes[caller]; st != nil {
-			switch {
-			case st.crashed:
-				blocked = &InjectedError{Kind: Crash, Node: caller}
-			case now.Before(st.slowUntil):
-				latency = st.slowLatency
-			}
-		}
-		target, hasTarget := inj.addrToNode[addr]
-		if hasTarget && blocked == nil {
-			if st := inj.nodes[target]; st != nil {
-				switch {
-				case st.crashed:
-					blocked = &InjectedError{Kind: Crash, Node: target}
-				case now.Before(st.slowUntil) && st.slowLatency > latency:
-					latency = st.slowLatency
-				}
-			}
-		}
-		inj.mu.Unlock()
-		if blocked != nil {
-			metrics.Default.Counter("faultinject.blocked_stream").Inc()
-			return nil, blocked
-		}
-		if latency > 0 {
-			metrics.Default.Counter("faultinject.delayed_rpc").Inc()
-			time.Sleep(latency)
+		if err := inj.admit(caller, addr, open.Type, "faultinject.blocked_stream"); err != nil {
+			return nil, err
 		}
 		st, err := inj.baseOpen(addr, open, timeout)
 		if err != nil {
 			return nil, err
 		}
-		return &faultStream{inj: inj, caller: caller, target: target, hasTarget: hasTarget, st: st}, nil
+		return &faultStream{inj: inj, caller: caller, addr: addr, typ: open.Type, st: st}, nil
 	}
 }
 
-// faultStream wraps a live BlockStream with per-frame crash checks.
+// faultStream wraps a live BlockStream with per-frame fault checks.
 type faultStream struct {
-	inj       *Injector
-	caller    int
-	target    int
-	hasTarget bool
-	st        proto.BlockStream
+	inj    *Injector
+	caller int
+	addr   string
+	typ    proto.MsgType // the opening frame's type
+	st     proto.BlockStream
 }
 
 // check returns the injected error if either endpoint is currently
 // crashed, closing the underlying stream so the peer also observes a
 // torn connection rather than a silent stall.
 func (f *faultStream) check() error {
-	f.inj.mu.Lock()
-	var blocked *InjectedError
-	if st := f.inj.nodes[f.caller]; st != nil && st.crashed {
-		blocked = &InjectedError{Kind: Crash, Node: f.caller}
-	}
-	if blocked == nil && f.hasTarget {
-		if st := f.inj.nodes[f.target]; st != nil && st.crashed {
-			blocked = &InjectedError{Kind: Crash, Node: f.target}
-		}
-	}
-	f.inj.mu.Unlock()
+	blocked, _ := f.inj.fault(f.caller, f.addr, f.typ)
 	if blocked != nil {
 		metrics.Default.Counter("faultinject.blocked_frame").Inc()
 		//lint:ignore errcheck teardown of an already-failed stream

@@ -33,8 +33,10 @@ type Host[T any] interface {
 	// candidate whose replica moved away is dropped from m's queue.
 	Holds(t T, m topology.MachineID) bool
 	// Launch runs t at now on the assignment, whose slot the replay has
-	// taken.
-	Launch(t T, a Assignment, now int64) error
+	// taken, and returns the level it achieved: a.Level, or worse when
+	// the read was served from farther away than the assignment hoped.
+	// The replay counts the task, and slows it, at that level.
+	Launch(t T, a Assignment, now int64) (Level, error)
 	// Epoch runs the reconfiguration step at the epoch boundary now.
 	Epoch(now int64) error
 }
@@ -251,11 +253,12 @@ func (r *replay[T]) launch(idx int, a Assignment) error {
 		// Callers only launch onto free slots; treat failure as a bug.
 		panic("sched: replay launched onto a machine without a free slot")
 	}
-	if err := r.h.Launch(tk.in, a, r.now); err != nil {
+	level, err := r.h.Launch(tk.in, a, r.now)
+	if err != nil {
 		return err
 	}
 	dur := tk.dur
-	switch a.Level {
+	switch level {
 	case NodeLocal:
 		r.res.LocalTasks++
 	case RackLocal:

@@ -74,6 +74,7 @@ type replayHost struct {
 	holders  map[int64][]topology.MachineID // per job
 	launches []Assignment
 	epochs   []int64
+	served   Level // when set, every launch reports this level
 }
 
 func (h *replayHost) Tasks(j trace.Job) ([][]topology.MachineID, error) {
@@ -87,9 +88,12 @@ func (h *replayHost) Holders(in []topology.MachineID) []topology.MachineID { ret
 func (h *replayHost) Holds(in []topology.MachineID, m topology.MachineID) bool {
 	return slices.Contains(in, m)
 }
-func (h *replayHost) Launch(_ []topology.MachineID, a Assignment, _ int64) error {
+func (h *replayHost) Launch(_ []topology.MachineID, a Assignment, _ int64) (Level, error) {
 	h.launches = append(h.launches, a)
-	return nil
+	if h.served != 0 {
+		return h.served, nil
+	}
+	return a.Level, nil
 }
 func (h *replayHost) Epoch(now int64) error {
 	h.epochs = append(h.epochs, now)
@@ -133,5 +137,31 @@ func TestReplayLevelsDurationsAndIdleEpochs(t *testing.T) {
 	}
 	if _, err := Replay[[]topology.MachineID](cl, jobs, 0, h); err == nil {
 		t.Error("Replay accepted a zero-tick epoch")
+	}
+}
+
+// A launch is counted, and slowed, at the level its host reports
+// serving, not the level it was assigned: a node-local launch whose
+// read was served from another rack is a remote task.
+func TestReplayCountsServedLevel(t *testing.T) {
+	cl, err := topology.Uniform(2, 2, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &replayHost{holders: map[int64][]topology.MachineID{1: {0}}, served: Remote}
+	jobs := []trace.Job{{ID: 1, Arrival: 0, Blocks: make([]core.BlockID, 1), TaskDuration: 10}}
+	res, err := Replay[[]topology.MachineID](cl, jobs, 100, h)
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if !slices.Equal(h.launches, []Assignment{{0, NodeLocal}}) {
+		t.Errorf("launches = %v, want one node-local on machine 0", h.launches)
+	}
+	if res.LocalTasks != 0 || res.RemoteTasks != 1 || res.TasksPerMachine[0] != 1 {
+		t.Errorf("counts = %+v, want one remote task on machine 0", res)
+	}
+	want := []JobStat{{ID: 1, Arrival: 0, Finish: 20, Tasks: 1, Remote: 1, Duration: 20}}
+	if !slices.Equal(res.Jobs, want) {
+		t.Errorf("jobs = %+v, want %+v (x2 remote slowdown)", res.Jobs, want)
 	}
 }

@@ -211,7 +211,7 @@ func (h *host) Holders(b core.BlockID) []topology.MachineID { return h.pl.Replic
 func (h *host) Holds(b core.BlockID, m topology.MachineID) bool { return h.pl.HasReplica(b, m) }
 
 // Launch implements sched.Host.
-func (h *host) Launch(b core.BlockID, a sched.Assignment, now int64) error {
+func (h *host) Launch(b core.BlockID, a sched.Assignment, now int64) (sched.Level, error) {
 	h.mon.Record(b, now)
 	if h.observer != nil {
 		// Replication-on-read hook (DARE, Aurora+RoR): the policy may
@@ -226,7 +226,7 @@ func (h *host) Launch(b core.BlockID, a sched.Assignment, now int64) error {
 	} else {
 		h.epoch.RemoteTasks++
 	}
-	return nil
+	return a.Level, nil
 }
 
 // Epoch implements sched.Host: score the epoch that just closed, hand
