@@ -167,20 +167,21 @@ func TestScarlettFactorsPriority(t *testing.T) {
 }
 
 func TestScarlettFactorsRoundRobin(t *testing.T) {
-	s := &Scarlett{Mode: RoundRobin, Budget: 9, TargetLoadPerReplica: 10}
+	s := &Scarlett{Mode: RoundRobin, Budget: 10}
 	specs := []core.BlockSpec{
-		spec(1, 100, 1, 1), // desires 10
-		spec(2, 100, 1, 1), // desires 10
-		spec(3, 100, 1, 1), // desires 10
+		spec(1, 100, 1, 1), // target 300/10 = 30: desires ceil(100/30) = 4
+		spec(2, 100, 1, 1), // desires 4
+		spec(3, 100, 1, 1), // desires 4
 	}
 	factors, err := s.Factors(specs, 100)
 	if err != nil {
 		t.Fatalf("Factors: %v", err)
 	}
-	// Round robin over 3 equal blocks with budget 9: each gets 3.
-	for id := core.BlockID(1); id <= 3; id++ {
-		if factors[id] != 3 {
-			t.Errorf("factors[%d] = %d, want 3 (even split)", id, factors[id])
+	// Round robin over 3 equal blocks desiring 12 with budget 10: one
+	// replica per block per pass, so 4, 3, 3 (Priority would give 4, 4, 2).
+	for id, want := range map[core.BlockID]int{1: 4, 2: 3, 3: 3} {
+		if factors[id] != want {
+			t.Errorf("factors[%d] = %d, want %d (even split): %v", id, factors[id], want, factors)
 		}
 	}
 }
@@ -201,8 +202,8 @@ func TestScarlettFactorsErrors(t *testing.T) {
 }
 
 func TestScarlettFactorsRespectsCap(t *testing.T) {
-	s := &Scarlett{Mode: Priority, Budget: 100, TargetLoadPerReplica: 1}
-	specs := []core.BlockSpec{spec(1, 1000, 1, 1)}
+	s := &Scarlett{Mode: Priority, Budget: 100}
+	specs := []core.BlockSpec{spec(1, 1000, 1, 1)} // desires 1000/(1000/100) = 100
 	factors, err := s.Factors(specs, 5)
 	if err != nil {
 		t.Fatalf("Factors: %v", err)
@@ -268,5 +269,55 @@ func TestScarlettRebalanceIdempotentWhenSatisfied(t *testing.T) {
 	}
 	if second.Replications != 0 {
 		t.Errorf("second rebalance copied %d replicas (first %d), want 0", second.Replications, first.Replications)
+	}
+}
+
+// TestScarlettEvictsSurplusForCapacity pins Scarlett's lazy deletion to
+// Aurora's: with the budget far from binding but every machine without
+// the hot block full of a cold block's surplus, the replicate step
+// evicts that surplus to make room for the hot block's copies.
+func TestScarlettEvictsSurplusForCapacity(t *testing.T) {
+	cl := mustCluster(t, 2, 2, 2)
+	specs := []core.BlockSpec{
+		spec(1, 1000, 1, 1), // hot, on machine 0
+		spec(2, 1, 1, 1),    // cold, on machines 1-3: two replicas of surplus
+	}
+	for m := 0; m < 4; m++ {
+		specs = append(specs, spec(core.BlockID(10+m), 1, 1, 1)) // one filler per machine
+	}
+	p := mustPlacement(t, cl, specs)
+	place := func(id core.BlockID, m topology.MachineID) {
+		t.Helper()
+		if err := p.AddReplica(id, m); err != nil {
+			t.Fatalf("AddReplica(%d, %d): %v", id, m, err)
+		}
+	}
+	place(1, 0)
+	for m := topology.MachineID(1); m < 4; m++ {
+		place(2, m)
+	}
+	for m := topology.MachineID(0); m < 4; m++ {
+		place(core.BlockID(10+m), m)
+	}
+
+	s := &Scarlett{Mode: Priority, Budget: 20}
+	res, err := s.Rebalance(p)
+	if err != nil {
+		t.Fatalf("Rebalance: %v", err)
+	}
+	if res.Replications == 0 {
+		t.Fatalf("hot block never copied (factors %v): surplus not evicted for capacity", res.Factors)
+	}
+	if res.Evictions != res.Replications {
+		t.Errorf("evictions = %d, want one per copy (%d) on a full cluster", res.Evictions, res.Replications)
+	}
+	if got := p.ReplicaCount(1); got != 1+res.Replications {
+		t.Errorf("hot block count = %d, want %d", got, 1+res.Replications)
+	}
+	if got := p.ReplicaCount(2); got < 1 {
+		t.Errorf("cold block count = %d, below MinReplicas", got)
+	}
+	if err := p.Validate(); err != nil {
+		t.Errorf("Validate: %v", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"aurora/internal/core"
-	"aurora/internal/topology"
 )
 
 // ScarlettMode selects between the two replication-factor heuristics the
@@ -25,26 +24,19 @@ const (
 )
 
 // Scarlett reimplements the Scarlett dynamic replication scheme as a
-// baseline: popularity-proportional desired replica counts, a storage
-// budget distributed by Priority or RoundRobin, and replica placement on
-// lightly-loaded machines — but, unlike Aurora, no optimized initial
-// placement and no Move/Swap load rebalancing (Section VI: "Scarlett is
-// only designed for block replication, and does not consider initial
-// block placement and dynamic load balancing").
+// baseline: popularity-proportional desired replica counts with a
+// storage budget distributed by Priority or RoundRobin, brought about by
+// the same replicate step Aurora runs (core.ReplicateToTargets) — but,
+// unlike Aurora, no optimized initial placement and no Move/Swap load
+// rebalancing (Section VI: "Scarlett is only designed for block
+// replication, and does not consider initial block placement and
+// dynamic load balancing").
 type Scarlett struct {
 	// Mode is the budget-distribution heuristic.
 	Mode ScarlettMode
 	// Budget is the maximum total replica count Σ k_i (the same β given
 	// to Aurora for a fair comparison).
 	Budget int
-	// MaxPerBlock caps any single block's replica count; zero means the
-	// cluster's machine count at Rebalance time.
-	MaxPerBlock int
-	// TargetLoadPerReplica is Scarlett's per-replica concurrency target:
-	// a block with popularity P wants ceil(P / TargetLoadPerReplica)
-	// replicas. Zero auto-calibrates so the total desired count roughly
-	// matches the budget.
-	TargetLoadPerReplica float64
 }
 
 // ScarlettResult reports one Scarlett rebalance epoch.
@@ -53,6 +45,8 @@ type ScarlettResult struct {
 	Factors map[core.BlockID]int
 	// Replications is the number of replicas copied.
 	Replications int
+	// Evictions is the number of surplus replicas dropped to make room.
+	Evictions int
 }
 
 // Factors computes Scarlett's desired replication factors for the given
@@ -83,10 +77,7 @@ func (s *Scarlett) Factors(specs []core.BlockSpec, maxPerBlock int) (map[core.Bl
 		return nil, fmt.Errorf("baseline: %w: need %d, budget %d", core.ErrBudgetTooSmall, used, s.Budget)
 	}
 
-	target := s.TargetLoadPerReplica
-	if target <= 0 {
-		target = s.autoTarget(ordered)
-	}
+	target := s.autoTarget(ordered)
 	desired := make(map[core.BlockID]int, len(ordered))
 	for _, sp := range ordered {
 		d := sp.MinReplicas
@@ -137,8 +128,9 @@ func (s *Scarlett) Factors(specs []core.BlockSpec, maxPerBlock int) (map[core.Bl
 	return factors, nil
 }
 
-// autoTarget picks a per-replica load target so that the total desired
-// replica count approximately consumes the budget: T = Σ P_i / β.
+// autoTarget is Scarlett's per-replica load target: a block with
+// popularity P wants ceil(P / T) replicas, and T = Σ P_i / β makes the
+// total desired count roughly consume the budget.
 func (s *Scarlett) autoTarget(specs []core.BlockSpec) float64 {
 	var total float64
 	for _, sp := range specs {
@@ -151,142 +143,18 @@ func (s *Scarlett) autoTarget(specs []core.BlockSpec) float64 {
 }
 
 // Rebalance runs one Scarlett replication epoch against the placement:
-// compute factors from the blocks' current popularities and copy new
-// replicas of under-replicated blocks onto the least-loaded machines.
-// Over-replicated blocks are trimmed lazily only when space is needed,
-// like Aurora, to keep the storage accounting comparable. No Move/Swap
+// compute factors from the blocks' current popularities (at most one
+// replica per machine) and bring the placement up to them with
+// core.ReplicateToTargets under the budget and no bound on copies.
+// Surplus replicas are deleted lazily, when the budget or a machine's
+// capacity needs their space, exactly as in Aurora. No Move/Swap
 // rebalancing is performed.
 func (s *Scarlett) Rebalance(p *core.Placement) (ScarlettResult, error) {
-	maxPerBlock := s.MaxPerBlock
-	if maxPerBlock <= 0 {
-		maxPerBlock = p.Cluster().NumMachines()
-	}
-	specs := make([]core.BlockSpec, 0, p.NumBlocks())
-	for _, id := range p.Blocks() {
-		sp, err := p.Spec(id)
-		if err != nil {
-			return ScarlettResult{}, err
-		}
-		specs = append(specs, sp)
-	}
-	factors, err := s.Factors(specs, maxPerBlock)
+	factors, err := s.Factors(p.Specs(), p.Cluster().NumMachines())
 	if err != nil {
 		return ScarlettResult{}, err
 	}
 	res := ScarlettResult{Factors: factors}
-
-	type deficit struct {
-		id   core.BlockID
-		need int
-		heat float64
-	}
-	var deficits []deficit
-	for id, target := range factors {
-		if cur := p.ReplicaCount(id); cur < target {
-			deficits = append(deficits, deficit{id: id, need: target - cur, heat: p.PerReplicaPopularity(id)})
-		}
-	}
-	sort.Slice(deficits, func(a, b int) bool {
-		if deficits[a].heat != deficits[b].heat {
-			return deficits[a].heat > deficits[b].heat
-		}
-		return deficits[a].id < deficits[b].id
-	})
-	// Surplus candidates are collected once, coldest first; replication
-	// only raises counts toward targets, so the queue stays valid under
-	// lazy re-checks (same optimization as Aurora's optimizer — a full
-	// scan per eviction is quadratic at paper scale).
-	evictQueue := surplusQueue(p, factors)
-	for _, d := range deficits {
-		for c := 0; c < d.need; c++ {
-			// Enforce the global budget: stale surplus replicas from
-			// earlier epochs count against beta and are evicted lazily
-			// when their space is needed, exactly as in Aurora, so the
-			// two systems compete under the same storage allowance.
-			if p.TotalReplicas() >= s.Budget && !evictQueue.evictOne(p) {
-				return res, nil
-			}
-			m := leastLoadedEligible(p, d.id)
-			if m == topology.NoMachine {
-				break
-			}
-			if err := p.AddReplica(d.id, m); err != nil {
-				break
-			}
-			res.Replications++
-		}
-	}
+	res.Replications, res.Evictions = core.ReplicateToTargets(p, factors, core.OptimizerOptions{ReplicationBudget: s.Budget})
 	return res, nil
-}
-
-// evictionQueue holds surplus-eviction candidates, coldest first, with
-// lazy validity re-checks.
-type evictionQueue struct {
-	targets map[core.BlockID]int
-	order   []core.BlockID
-	pos     int
-}
-
-// surplusQueue snapshots blocks whose replica count exceeds their
-// target, ordered by ascending per-replica popularity (ties by ID).
-func surplusQueue(p *core.Placement, targets map[core.BlockID]int) *evictionQueue {
-	type cand struct {
-		id   core.BlockID
-		heat float64
-	}
-	var cands []cand
-	for id, target := range targets {
-		if p.ReplicaCount(id) > target {
-			cands = append(cands, cand{id: id, heat: p.PerReplicaPopularity(id)})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].heat != cands[b].heat {
-			return cands[a].heat < cands[b].heat
-		}
-		return cands[a].id < cands[b].id
-	})
-	q := &evictionQueue{targets: targets, order: make([]core.BlockID, len(cands))}
-	for i, c := range cands {
-		q.order[i] = c.id
-	}
-	return q
-}
-
-// evictOne drops the coldest queued surplus replica, never violating
-// MinReplicas or MinRacks. Reports whether an eviction happened.
-func (q *evictionQueue) evictOne(p *core.Placement) bool {
-	for ; q.pos < len(q.order); q.pos++ {
-		id := q.order[q.pos]
-		cur := p.ReplicaCount(id)
-		spec, err := p.Spec(id)
-		if err != nil || cur <= q.targets[id] || cur <= spec.MinReplicas {
-			continue
-		}
-		for _, m := range p.Replicas(id) {
-			if !p.RemovalKeepsSpread(id, m) {
-				continue
-			}
-			if p.RemoveReplica(id, m) == nil {
-				return true // block may still hold surplus: stay on it
-			}
-		}
-	}
-	return false
-}
-
-// leastLoadedEligible returns the least-loaded machine that can host a
-// new replica of block id, or NoMachine.
-func leastLoadedEligible(p *core.Placement, id core.BlockID) topology.MachineID {
-	best := topology.NoMachine
-	bestLoad := 0.0
-	for _, m := range p.Cluster().Machines() {
-		if p.HasReplica(id, m) || p.FreeCapacity(m) == 0 {
-			continue
-		}
-		if best == topology.NoMachine || p.Load(m) < bestLoad {
-			best, bestLoad = m, p.Load(m)
-		}
-	}
-	return best
 }

@@ -33,8 +33,8 @@ type OptimizerOptions struct {
 	// source machine, destination machine). Source is NoMachine when the
 	// block had no replicas.
 	OnReplicate func(BlockID, topology.MachineID, topology.MachineID)
-	// OnEvict, if non-nil, observes every lazy deletion performed to
-	// reclaim capacity.
+	// OnEvict, if non-nil, observes every lazy deletion of a surplus
+	// replica, made for the budget or for capacity.
 	OnEvict func(BlockID, topology.MachineID)
 	// OnOp, if non-nil, observes every local-search operation.
 	OnOp func(Op)
@@ -49,7 +49,7 @@ type OptimizeResult struct {
 	RepFactor RepFactorResult
 	// Replications is the number of replica copies performed.
 	Replications int
-	// Evictions is the number of lazy deletions performed for capacity.
+	// Evictions is the number of lazy deletions of surplus replicas.
 	Evictions int
 	// Search reports the local-search phase.
 	Search SearchResult
@@ -58,10 +58,10 @@ type OptimizeResult struct {
 // Optimize runs one period of Algorithm 5 against the placement:
 //
 //  1. If a replication budget is set, compute target factors with
-//     Algorithm 3 and copy replicas of under-replicated blocks (hottest
-//     first) onto least-loaded machines, up to K copies. Deletion of
-//     over-replicated blocks is lazy: surplus replicas are only evicted
-//     when a machine's capacity is needed.
+//     Algorithm 3 and apply them with ReplicateToTargets: replicas of
+//     under-replicated blocks are copied (hottest first) onto
+//     least-loaded machines, up to K copies, and surplus replicas are
+//     evicted only when the budget or a machine's capacity needs them.
 //  2. Run the admissible local search (Algorithm 2, or Algorithm 1 when
 //     RackAware is false) until no admissible operation remains.
 //
@@ -94,100 +94,90 @@ func replicatePhase(p *Placement, opts *OptimizerOptions, res *OptimizeResult) e
 	if maxPerBlock <= 0 {
 		maxPerBlock = p.Cluster().NumMachines()
 	}
-	specs := make([]BlockSpec, 0, p.NumBlocks())
-	for _, id := range p.Blocks() {
-		s, err := p.Spec(id)
-		if err != nil {
-			return err
-		}
-		specs = append(specs, s)
-	}
-	rf, err := ComputeReplicationFactors(specs, opts.ReplicationBudget, maxPerBlock, opts.MaxReplicationMoves)
+	rf, err := ComputeReplicationFactors(p.Specs(), opts.ReplicationBudget, maxPerBlock, opts.MaxReplicationMoves)
 	if err != nil {
 		return fmt.Errorf("core: rep-factor phase: %w", err)
 	}
 	res.Targets = rf.Factors
 	res.RepFactor = rf
-
-	// Under-replicated blocks, hottest per-replica popularity first, so
-	// the bounded copy budget goes where it matters most.
-	type deficit struct {
-		id   BlockID
-		need int
-		heat float64
-	}
-	// Collected in ID order: floatEq is not transitive, so the sort's
-	// result depends on its input order.
-	var deficits []deficit
-	for _, id := range sortedTargetIDs(rf.Factors) {
-		target := rf.Factors[id]
-		cur := p.ReplicaCount(id)
-		if cur < target {
-			deficits = append(deficits, deficit{id: id, need: target - cur, heat: p.PerReplicaPopularity(id)})
-		}
-	}
-	sort.Slice(deficits, func(a, b int) bool {
-		if !floatEq(deficits[a].heat, deficits[b].heat) {
-			return deficits[a].heat > deficits[b].heat
-		}
-		return deficits[a].id < deficits[b].id
-	})
-
-	// Surplus candidates (current count above the new target) are
-	// collected once, coldest first: dynamic replication only raises
-	// counts toward targets, so no new surplus appears during the phase
-	// and the queue stays valid under lazy re-checks.
-	eq := newEvictQueue(p, rf.Factors)
-
-	copies := 0
-	for _, d := range deficits {
-		for c := 0; c < d.need; c++ {
-			if opts.MaxReplicationMoves > 0 && copies >= opts.MaxReplicationMoves {
-				return nil
-			}
-			if !replicateOnce(p, d.id, eq, opts, res) {
-				break // no host available even after eviction attempts
-			}
-			copies++
-			res.Replications++
-		}
-	}
+	res.Replications, res.Evictions = ReplicateToTargets(p, rf.Factors, *opts)
 	return nil
 }
 
-// evictQueue holds lazy surplus-eviction candidates, coldest first.
-type evictQueue struct {
-	targets map[BlockID]int
-	order   []BlockID
-	pos     int
-	scratch []topology.MachineID // reused by holder scans in evictSurplus
+// ReplicateToTargets is Algorithm 5's replicate step, the one way a
+// placement is brought up to a set of replica targets: it copies
+// replicas of under-replicated blocks, hottest per-replica popularity
+// first, each onto ReplicaDestination's pick, up to
+// opts.MaxReplicationMoves (K) copies (zero: unbounded). Deletion is
+// lazy (Section V): a replica of a block above its target is evicted,
+// coldest block first, only when a copy needs its space — because
+// Σk_i has reached opts.ReplicationBudget (β, which must be positive)
+// or because no eligible machine has room. OnReplicate and OnEvict
+// observe each copy and eviction; the other options are ignored. The
+// Aurora optimizer runs it with Algorithm 3's factors, the Scarlett
+// baseline with its own. It reports the copies and evictions made.
+func ReplicateToTargets(p *Placement, targets map[BlockID]int, opts OptimizerOptions) (replications, evictions int) {
+	ids := sortedTargetIDs(targets)
+	// Surplus candidates (current count above the target) are collected
+	// once, coldest first: replication only raises counts toward
+	// targets, so no new surplus appears during the step and the queue
+	// stays valid under lazy re-checks.
+	eq := &evictQueue{targets: targets, opts: &opts, order: byHeat(p, ids, false, func(id BlockID) bool {
+		return p.ReplicaCount(id) > targets[id]
+	})}
+	// Under-replicated blocks, hottest per-replica popularity first, so
+	// the bounded copy budget goes where it matters most. A block's count
+	// moves only by its own copies: evictions take surplus blocks only.
+	for _, id := range byHeat(p, ids, true, func(id BlockID) bool { return p.ReplicaCount(id) < targets[id] }) {
+		for p.ReplicaCount(id) < targets[id] {
+			if opts.MaxReplicationMoves > 0 && replications >= opts.MaxReplicationMoves {
+				return replications, eq.evictions
+			}
+			if !replicateOnce(p, id, eq) {
+				break // no host available even after eviction attempts
+			}
+			replications++
+		}
+	}
+	return replications, eq.evictions
 }
 
-// newEvictQueue snapshots the blocks whose replica count exceeds their
-// target, ordered by ascending per-replica popularity.
-func newEvictQueue(p *Placement, targets map[BlockID]int) *evictQueue {
-	eq := &evictQueue{targets: targets}
+// byHeat returns the blocks among ids that keep admits, ordered by
+// per-replica popularity — hottest first if hottest, else coldest
+// first — with ties by ID. ids must be ascending: floatEq is not
+// transitive, so the sort's result depends on its input order.
+func byHeat(p *Placement, ids []BlockID, hottest bool, keep func(BlockID) bool) []BlockID {
 	type cand struct {
 		id   BlockID
 		heat float64
 	}
 	var cands []cand
-	for _, id := range sortedTargetIDs(targets) {
-		if p.ReplicaCount(id) > targets[id] {
+	for _, id := range ids {
+		if keep(id) {
 			cands = append(cands, cand{id: id, heat: p.PerReplicaPopularity(id)})
 		}
 	}
 	sort.Slice(cands, func(a, b int) bool {
 		if !floatEq(cands[a].heat, cands[b].heat) {
-			return cands[a].heat < cands[b].heat
+			return (cands[a].heat > cands[b].heat) == hottest
 		}
 		return cands[a].id < cands[b].id
 	})
-	eq.order = make([]BlockID, len(cands))
+	order := make([]BlockID, len(cands))
 	for i, c := range cands {
-		eq.order[i] = c.id
+		order[i] = c.id
 	}
-	return eq
+	return order
+}
+
+// evictQueue holds lazy surplus-eviction candidates, coldest first, and
+// counts the evictions taken from it.
+type evictQueue struct {
+	targets   map[BlockID]int
+	order     []BlockID
+	pos       int
+	opts      *OptimizerOptions
+	evictions int
 }
 
 // replicateOnce adds one replica of block id on the best destination,
@@ -195,9 +185,9 @@ func newEvictQueue(p *Placement, targets map[BlockID]int) *evictQueue {
 // the cluster's capacity is exhausted (Section V's lazy deletion: stale
 // replicas are reclaimed only when their space is needed). It reports
 // whether a replica was added.
-func replicateOnce(p *Placement, id BlockID, eq *evictQueue, opts *OptimizerOptions, res *OptimizeResult) bool {
-	if p.TotalReplicas() >= opts.ReplicationBudget {
-		if !evictSurplus(p, eq, id, opts, res) {
+func replicateOnce(p *Placement, id BlockID, eq *evictQueue) bool {
+	if p.TotalReplicas() >= eq.opts.ReplicationBudget {
+		if !eq.evictSurplus(p, id) {
 			return false
 		}
 	}
@@ -206,7 +196,7 @@ func replicateOnce(p *Placement, id BlockID, eq *evictQueue, opts *OptimizerOpti
 		// Lazy deletion (Section V): reclaim space by dropping the
 		// coldest surplus replica from a machine that could actually
 		// host this block, then retry once.
-		if !evictSurplus(p, eq, id, opts, res) {
+		if !eq.evictSurplus(p, id) {
 			return false
 		}
 		dest = p.ReplicaDestination(id, nil)
@@ -218,8 +208,8 @@ func replicateOnce(p *Placement, id BlockID, eq *evictQueue, opts *OptimizerOpti
 	if err := p.AddReplica(id, dest); err != nil {
 		return false
 	}
-	if opts.OnReplicate != nil {
-		opts.OnReplicate(id, src, dest)
+	if eq.opts.OnReplicate != nil {
+		eq.opts.OnReplicate(id, src, dest)
 	}
 	return true
 }
@@ -228,9 +218,9 @@ func replicateOnce(p *Placement, id BlockID, eq *evictQueue, opts *OptimizerOpti
 // among the machines eligible admits (nil admits every machine with
 // room): the least-loaded machine in the least-loaded rack, preferring
 // racks that widen the block's spread while it is below MinRacks. It is
-// the one destination scan the optimizer and the namenode's repair share;
-// callers that know more than the topology (liveness, draining) say so
-// through eligible.
+// the one destination scan the replicate step (so the optimizer and the
+// Scarlett baseline) and the namenode's repair share; callers that know
+// more than the topology (liveness, draining) say so through eligible.
 func (p *Placement) ReplicaDestination(id BlockID, eligible func(topology.MachineID) bool) topology.MachineID {
 	b, ok := p.block(id)
 	if !ok {
@@ -245,6 +235,33 @@ func (p *Placement) ReplicaDestination(id BlockID, eligible func(topology.Machin
 		}
 	}
 	return leastLoadedHost(p, id, racks, eligible, nil)
+}
+
+// SurplusVictim picks which replica of block id to drop when the block
+// holds more than it should, among the holders eligible admits (nil
+// admits every holder): the most-loaded holder whose removal keeps the
+// block's rack spread (RemovalKeepsSpread), ties to the lowest machine
+// ID. It is the one victim rule the replicate step's lazy eviction and
+// the namenode's heal share; keeping MinReplicas is the caller's part.
+// Returns NoMachine when no holder qualifies.
+func (p *Placement) SurplusVictim(id BlockID, eligible func(topology.MachineID) bool) topology.MachineID {
+	b, ok := p.block(id)
+	if !ok {
+		return topology.NoMachine
+	}
+	best := topology.NoMachine
+	bestLoad := 0.0
+	for _, m := range b.replicas {
+		if (eligible != nil && !eligible(m)) || !p.RemovalKeepsSpread(id, m) {
+			continue
+		}
+		// Holders are in ascending ID order, so only a clearly higher
+		// load displaces the incumbent.
+		if l := p.machines[m].load; best == topology.NoMachine || (l > bestLoad && !floatEq(l, bestLoad)) {
+			best, bestLoad = m, l
+		}
+	}
+	return best
 }
 
 // replicaSource picks which existing holder a copy would stream from:
@@ -262,10 +279,11 @@ func replicaSource(p *Placement, id BlockID) topology.MachineID {
 }
 
 // evictSurplus removes one replica of a block whose current count
-// exceeds its target, taking the coldest queued candidate whose removal
-// keeps rack spread intact and frees a slot forBlock can use, never
-// violating MinReplicas. Reports whether an eviction happened.
-func evictSurplus(p *Placement, eq *evictQueue, forBlock BlockID, opts *OptimizerOptions, res *OptimizeResult) bool {
+// exceeds its target, taking the coldest queued candidate that has a
+// SurplusVictim off forBlock's holders — so the freed slot is one
+// forBlock can use — never violating MinReplicas. Reports whether an
+// eviction happened.
+func (eq *evictQueue) evictSurplus(p *Placement, forBlock BlockID) bool {
 	for ; eq.pos < len(eq.order); eq.pos++ {
 		id := eq.order[eq.pos]
 		cur := p.ReplicaCount(id)
@@ -276,26 +294,16 @@ func evictSurplus(p *Placement, eq *evictQueue, forBlock BlockID, opts *Optimize
 		if cur <= eq.targets[id] || cur <= spec.MinReplicas {
 			continue
 		}
-		// Drop from the most-loaded holder whose removal keeps the rack
-		// spread intact and frees a slot the incoming block can use.
-		eq.scratch = appendReplicasByLoadDescending(p, id, eq.scratch[:0])
-		for _, m := range eq.scratch {
-			if p.HasReplica(forBlock, m) {
-				continue // freeing this slot would not help forBlock
-			}
-			if !p.RemovalKeepsSpread(id, m) {
-				continue
-			}
-			if err := p.RemoveReplica(id, m); err != nil {
-				continue
-			}
-			// Block may still hold more surplus: do not advance past it.
-			res.Evictions++
-			if opts.OnEvict != nil {
-				opts.OnEvict(id, m)
-			}
-			return true
+		m := p.SurplusVictim(id, func(m topology.MachineID) bool { return !p.HasReplica(forBlock, m) })
+		if m == topology.NoMachine || p.RemoveReplica(id, m) != nil {
+			continue
 		}
+		// Block may still hold more surplus: do not advance past it.
+		eq.evictions++
+		if eq.opts.OnEvict != nil {
+			eq.opts.OnEvict(id, m)
+		}
+		return true
 	}
 	return false
 }
@@ -309,20 +317,4 @@ func sortedTargetIDs(targets map[BlockID]int) []BlockID {
 	}
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	return ids
-}
-
-// appendReplicasByLoadDescending appends the holders of block id to buf
-// from most to least loaded and returns the extended slice.
-func appendReplicasByLoadDescending(p *Placement, id BlockID, buf []topology.MachineID) []topology.MachineID {
-	start := len(buf)
-	buf = p.AppendReplicas(id, buf)
-	ms := buf[start:]
-	sort.Slice(ms, func(a, b int) bool {
-		la, lb := p.Load(ms[a]), p.Load(ms[b])
-		if !floatEq(la, lb) {
-			return la > lb
-		}
-		return ms[a] < ms[b]
-	})
-	return buf
 }

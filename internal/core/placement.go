@@ -350,6 +350,16 @@ func (p *Placement) Spec(id BlockID) (BlockSpec, error) {
 	return b.spec, nil
 }
 
+// Specs returns every block's spec in ascending ID order.
+func (p *Placement) Specs() []BlockSpec {
+	ids := p.Blocks()
+	specs := make([]BlockSpec, len(ids))
+	for i, id := range ids {
+		specs[i] = p.states[p.blocks[id]].spec
+	}
+	return specs
+}
+
 // Blocks returns all block IDs in ascending order.
 func (p *Placement) Blocks() []BlockID {
 	return p.AppendBlocks(make([]BlockID, 0, len(p.blocks)))
@@ -497,41 +507,59 @@ func (p *Placement) RemoveReplica(id BlockID, m topology.MachineID) error {
 // machine `to` atomically: the replica count is unchanged and the rack
 // spread requirement is verified before anything is mutated.
 func (p *Placement) MoveReplica(id BlockID, from, to topology.MachineID) error {
-	b, ok := p.block(id)
-	if !ok {
-		return fmt.Errorf("%w: block %d", ErrUnknownBlock, id)
-	}
-	if !b.hasHolder(from) {
-		return fmt.Errorf("%w: block %d on machine %d", ErrNotPlaced, id, from)
-	}
-	if b.hasHolder(to) {
-		return fmt.Errorf("%w: block %d on machine %d", ErrAlreadyPlaced, id, to)
-	}
-	toMach, err := p.cluster.Machine(to)
+	b, err := p.checkMove(id, from, to)
 	if err != nil {
 		return err
 	}
-	if len(p.machines[to].sorted) >= toMach.Capacity {
-		return fmt.Errorf("%w: machine %d", ErrMachineFull, to)
-	}
-	if p.rackSpreadAfterMove(b, from, to) < b.spec.MinRacks && p.RackSpread(id) >= b.spec.MinRacks {
-		return fmt.Errorf("%w: block %d move %d->%d", ErrRackConstraint, id, from, to)
-	}
 	perReplica := b.perReplica()
-	fromMach := p.cluster.MustMachine(from)
+	fromRack, toRack := p.rackOf[from], p.rackOf[to]
 	p.markChanged(id, b)
 	p.removeHolder(b, from)
 	p.sortedRemove(from, id, perReplica)
 	p.addLoad(from, -perReplica)
-	p.rackLoad[fromMach.Rack] -= perReplica
-	p.rackUsed[fromMach.Rack]--
+	p.rackLoad[fromRack] -= perReplica
+	p.rackUsed[fromRack]--
 
 	p.addHolder(b, to)
 	p.sortedInsert(to, id, perReplica)
 	p.addLoad(to, perReplica)
-	p.rackLoad[toMach.Rack] += perReplica
-	p.rackUsed[toMach.Rack]++
+	p.rackLoad[toRack] += perReplica
+	p.rackUsed[toRack]++
 	return nil
+}
+
+// CanMove reports whether MoveReplica(id, from, to) would succeed.
+func (p *Placement) CanMove(id BlockID, from, to topology.MachineID) bool {
+	_, err := p.checkMove(id, from, to)
+	return err == nil
+}
+
+// checkMove is the one feasibility check of MoveReplica(id, from, to):
+// the block's replica on from may move to a machine that has room, does
+// not hold the block, and keeps the block's rack spread. It returns the
+// block's state when the move is feasible.
+func (p *Placement) checkMove(id BlockID, from, to topology.MachineID) (*blockState, error) {
+	b, ok := p.block(id)
+	if !ok {
+		return nil, fmt.Errorf("%w: block %d", ErrUnknownBlock, id)
+	}
+	if !b.hasHolder(from) {
+		return nil, fmt.Errorf("%w: block %d on machine %d", ErrNotPlaced, id, from)
+	}
+	if b.hasHolder(to) {
+		return nil, fmt.Errorf("%w: block %d on machine %d", ErrAlreadyPlaced, id, to)
+	}
+	toMach, err := p.cluster.Machine(to)
+	if err != nil {
+		return nil, err
+	}
+	if len(p.machines[to].sorted) >= toMach.Capacity {
+		return nil, fmt.Errorf("%w: machine %d", ErrMachineFull, to)
+	}
+	if p.rackSpreadAfterMove(b, from, to) < b.spec.MinRacks && p.RackSpread(id) >= b.spec.MinRacks {
+		return nil, fmt.Errorf("%w: block %d move %d->%d", ErrRackConstraint, id, from, to)
+	}
+	return b, nil
 }
 
 // rackSpreadAfterMove computes the number of distinct racks holding block
@@ -565,64 +593,14 @@ func (p *Placement) rackSpreadAfterMoveRacks(b *blockState, fromRack, toRack top
 	return spread
 }
 
-// CanMove reports whether MoveReplica(id, from, to) would succeed.
-func (p *Placement) CanMove(id BlockID, from, to topology.MachineID) bool {
-	b, ok := p.block(id)
-	if !ok {
-		return false
-	}
-	if !b.hasHolder(from) {
-		return false
-	}
-	if b.hasHolder(to) {
-		return false
-	}
-	toMach, err := p.cluster.Machine(to)
-	if err != nil || len(p.machines[to].sorted) >= toMach.Capacity {
-		return false
-	}
-	if p.rackSpreadAfterMove(b, from, to) < b.spec.MinRacks && p.RackSpread(id) >= b.spec.MinRacks {
-		return false
-	}
-	return true
-}
-
 // SwapReplicas exchanges a replica of block i on machine m with a replica
 // of block j on machine n, atomically. Capacities are unaffected (one
 // replica leaves and one arrives on each machine); rack spread is
 // verified for both blocks before mutation.
 func (p *Placement) SwapReplicas(i BlockID, m topology.MachineID, j BlockID, n topology.MachineID) error {
-	if i == j {
-		return fmt.Errorf("%w: cannot swap block %d with itself", ErrBadSpec, i)
-	}
-	if m == n {
-		return fmt.Errorf("%w: cannot swap on a single machine %d", ErrBadSpec, m)
-	}
-	bi, ok := p.block(i)
-	if !ok {
-		return fmt.Errorf("%w: block %d", ErrUnknownBlock, i)
-	}
-	bj, ok := p.block(j)
-	if !ok {
-		return fmt.Errorf("%w: block %d", ErrUnknownBlock, j)
-	}
-	if !bi.hasHolder(m) {
-		return fmt.Errorf("%w: block %d on machine %d", ErrNotPlaced, i, m)
-	}
-	if !bj.hasHolder(n) {
-		return fmt.Errorf("%w: block %d on machine %d", ErrNotPlaced, j, n)
-	}
-	if bi.hasHolder(n) {
-		return fmt.Errorf("%w: block %d on machine %d", ErrAlreadyPlaced, i, n)
-	}
-	if bj.hasHolder(m) {
-		return fmt.Errorf("%w: block %d on machine %d", ErrAlreadyPlaced, j, m)
-	}
-	if p.rackSpreadAfterMove(bi, m, n) < bi.spec.MinRacks && p.RackSpread(i) >= bi.spec.MinRacks {
-		return fmt.Errorf("%w: block %d swap %d<->%d", ErrRackConstraint, i, m, n)
-	}
-	if p.rackSpreadAfterMove(bj, n, m) < bj.spec.MinRacks && p.RackSpread(j) >= bj.spec.MinRacks {
-		return fmt.Errorf("%w: block %d swap %d<->%d", ErrRackConstraint, j, n, m)
+	bi, bj, err := p.checkSwap(i, m, j, n)
+	if err != nil {
+		return err
 	}
 
 	pi, pj := bi.perReplica(), bj.perReplica()
@@ -654,36 +632,48 @@ func (p *Placement) SwapReplicas(i BlockID, m topology.MachineID, j BlockID, n t
 
 // CanSwap reports whether SwapReplicas(i, m, j, n) would succeed.
 func (p *Placement) CanSwap(i BlockID, m topology.MachineID, j BlockID, n topology.MachineID) bool {
-	if i == j || m == n {
-		return false
+	_, _, err := p.checkSwap(i, m, j, n)
+	return err == nil
+}
+
+// checkSwap is the one feasibility check of SwapReplicas(i, m, j, n):
+// two distinct blocks on two distinct machines, each holding its own
+// block and not the other's, and neither block's rack spread broken. It
+// returns both blocks' states when the swap is feasible.
+func (p *Placement) checkSwap(i BlockID, m topology.MachineID, j BlockID, n topology.MachineID) (bi, bj *blockState, err error) {
+	if i == j {
+		return nil, nil, fmt.Errorf("%w: cannot swap block %d with itself", ErrBadSpec, i)
+	}
+	if m == n {
+		return nil, nil, fmt.Errorf("%w: cannot swap on a single machine %d", ErrBadSpec, m)
 	}
 	bi, ok := p.block(i)
 	if !ok {
-		return false
+		return nil, nil, fmt.Errorf("%w: block %d", ErrUnknownBlock, i)
 	}
-	bj, ok := p.block(j)
+	bj, ok = p.block(j)
 	if !ok {
-		return false
+		return nil, nil, fmt.Errorf("%w: block %d", ErrUnknownBlock, j)
 	}
 	if !bi.hasHolder(m) {
-		return false
+		return nil, nil, fmt.Errorf("%w: block %d on machine %d", ErrNotPlaced, i, m)
 	}
 	if !bj.hasHolder(n) {
-		return false
+		return nil, nil, fmt.Errorf("%w: block %d on machine %d", ErrNotPlaced, j, n)
 	}
 	if bi.hasHolder(n) {
-		return false
+		return nil, nil, fmt.Errorf("%w: block %d on machine %d", ErrAlreadyPlaced, i, n)
 	}
 	if bj.hasHolder(m) {
-		return false
+		return nil, nil, fmt.Errorf("%w: block %d on machine %d", ErrAlreadyPlaced, j, m)
 	}
 	if p.rackSpreadAfterMove(bi, m, n) < bi.spec.MinRacks && p.RackSpread(i) >= bi.spec.MinRacks {
-		return false
+		return nil, nil, fmt.Errorf("%w: block %d swap %d<->%d", ErrRackConstraint, i, m, n)
 	}
 	if p.rackSpreadAfterMove(bj, n, m) < bj.spec.MinRacks && p.RackSpread(j) >= bj.spec.MinRacks {
-		return false
+		return nil, nil, fmt.Errorf("%w: block %d swap %d<->%d", ErrRackConstraint, j, n, m)
 	}
-	return true
+	return bi, bj, nil
 }
 
 // HasReplica reports whether machine m holds a replica of block id.

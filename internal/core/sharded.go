@@ -367,24 +367,16 @@ func OptimizePartitioned(p *Placement, shards int, shares []int, opts ShardedOpt
 	if shards < 2 {
 		return OptimizeSharded(singleShard(p), opts)
 	}
-	ids := p.Blocks()
-	specs := make([]BlockSpec, 0, len(ids))
-	for _, id := range ids {
-		spec, err := p.Spec(id)
-		if err != nil {
-			return ShardedOptimizeResult{}, err
-		}
-		specs = append(specs, spec)
-	}
+	specs := p.Specs()
 	sp, err := NewShardedPlacement(p.Cluster(), shards, specs)
 	if err != nil {
 		return ShardedOptimizeResult{}, fmt.Errorf("core: partition: %w", err)
 	}
 	var holders []topology.MachineID
-	for _, id := range ids {
-		holders = p.AppendReplicas(id, holders[:0])
+	for _, s := range specs {
+		holders = p.AppendReplicas(s.ID, holders[:0])
 		for _, m := range holders {
-			if err := sp.AddReplica(id, m); err != nil {
+			if err := sp.AddReplica(s.ID, m); err != nil {
 				return ShardedOptimizeResult{}, fmt.Errorf("core: partition: seed replica: %w", err)
 			}
 		}
@@ -401,7 +393,8 @@ func OptimizePartitioned(p *Placement, shards int, shares []int, opts ShardedOpt
 	}
 	var adds []add
 	var before, after []topology.MachineID
-	for _, id := range ids {
+	for _, s := range specs {
+		id := s.ID
 		before = p.AppendReplicas(id, before[:0])
 		after = sp.For(id).AppendReplicas(id, after[:0]) // both ascending; set-diff by merge walk
 		i, j := 0, 0

@@ -186,7 +186,8 @@ const keepSize = 0
 //     room) while the block is short of k replicas or of MinRacks racks —
 //     when only racks are short, only in a rack it is not in yet;
 //   - while it has more than k, the most-loaded holder whose removal
-//     keeps the spread is dropped.
+//     keeps the spread is dropped (core's SurplusVictim, the optimizer's
+//     eviction rule).
 //
 // A copy a dropped replica leaves on a draining machine is then surplus
 // like any other, and the walk deletes it once the new set is safe
@@ -246,12 +247,7 @@ func (nn *NameNode) healLocked(id core.BlockID, k int) bool {
 		changed = true
 	}
 	for p.ReplicaCount(id) > k {
-		drop := topology.NoMachine
-		for _, m := range p.Replicas(id) {
-			if p.RemovalKeepsSpread(id, m) && (drop == topology.NoMachine || p.Load(m) > p.Load(drop)) {
-				drop = m
-			}
-		}
+		drop := p.SurplusVictim(id, nil)
 		if drop == topology.NoMachine {
 			break
 		}

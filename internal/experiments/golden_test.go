@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"flag"
 	"os"
 	"strings"
 	"testing"
@@ -14,6 +15,10 @@ import (
 // this one compares it with the recorded output, so a refactor of the
 // replay or a policy that moves any number fails here.
 const goldenPath = "testdata/sim_golden.txt"
+
+// update rewrites goldenPath from the current code instead of comparing
+// with it: go test ./internal/experiments -run TestSimulatorGolden -update
+var update = flag.Bool("update", false, "rewrite "+goldenPath+" from the current output")
 
 // renderGolden runs the pinned campaign and returns its rendering.
 func renderGolden(t *testing.T) string {
@@ -52,11 +57,17 @@ func renderGolden(t *testing.T) string {
 }
 
 func TestSimulatorGolden(t *testing.T) {
+	got := renderGolden(t)
+	if *update {
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := renderGolden(t)
 	if got == string(want) {
 		return
 	}

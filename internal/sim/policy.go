@@ -159,7 +159,7 @@ func (s *ScarlettPolicy) Reconfigure(p *core.Placement) (Reconfig, error) {
 	if err != nil {
 		return Reconfig{}, fmt.Errorf("sim: scarlett reconfigure: %w", err)
 	}
-	return Reconfig{Replications: res.Replications}, nil
+	return Reconfig{Replications: res.Replications, Evictions: res.Evictions}, nil
 }
 
 var (

@@ -162,6 +162,68 @@ func TestRunScarlettBetweenHDFSAndAurora(t *testing.T) {
 	}
 }
 
+// TestScarlettPolicyCountsEvictions shifts the heat between two blocks
+// under a budget Scarlett already spends in full: every copy of the
+// newly hot block must evict a surplus replica of the cooled one, and the
+// policy must report those evictions.
+func TestScarlettPolicyCountsEvictions(t *testing.T) {
+	cl, err := topology.Uniform(2, 4, 50, 1)
+	if err != nil {
+		t.Fatalf("Uniform: %v", err)
+	}
+	var specs []core.BlockSpec
+	for id := core.BlockID(1); id <= 4; id++ {
+		specs = append(specs, core.BlockSpec{ID: id, Popularity: 1, MinReplicas: 2, MinRacks: 2})
+	}
+	p, err := core.NewPlacement(cl, specs)
+	if err != nil {
+		t.Fatalf("NewPlacement: %v", err)
+	}
+	const budget = 12 // four blocks × 2 replicas + 4 extra
+	pol, err := NewScarlettPolicy(5, &baseline.Scarlett{Mode: baseline.Priority, Budget: budget})
+	if err != nil {
+		t.Fatalf("NewScarlettPolicy: %v", err)
+	}
+	for _, s := range specs {
+		if err := pol.PlaceInitial(p, s.ID, topology.NoMachine); err != nil {
+			t.Fatalf("PlaceInitial: %v", err)
+		}
+	}
+	epoch := func(hot core.BlockID) Reconfig {
+		t.Helper()
+		for _, s := range specs {
+			pop := 1.0
+			if s.ID == hot {
+				pop = 1000
+			}
+			if err := p.SetPopularity(s.ID, pop); err != nil {
+				t.Fatalf("SetPopularity: %v", err)
+			}
+		}
+		rc, err := pol.Reconfigure(p)
+		if err != nil {
+			t.Fatalf("Reconfigure: %v", err)
+		}
+		if got := p.TotalReplicas(); got > budget {
+			t.Fatalf("Σk_i = %d exceeds β = %d", got, budget)
+		}
+		return rc
+	}
+	if rc := epoch(1); rc.Replications != 4 || rc.Evictions != 0 {
+		t.Fatalf("first epoch = %+v, want 4 replications into free budget and no evictions", rc)
+	}
+	rc := epoch(2)
+	if rc.Evictions == 0 {
+		t.Fatalf("second epoch = %+v: budget-bound copies reported no evictions", rc)
+	}
+	if rc.Evictions != rc.Replications {
+		t.Errorf("second epoch = %+v, want one eviction per copy at a full budget", rc)
+	}
+	if got := p.ReplicaCount(2); got != 2+rc.Replications {
+		t.Errorf("newly hot block holds %d replicas, want %d", got, 2+rc.Replications)
+	}
+}
+
 func TestRunEpochAccounting(t *testing.T) {
 	cl := smallCluster(t)
 	tr := smallTrace(t, 4, 30, 4, 80)
