@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race bench bench-check chaos fuzz-smoke telemetry-smoke scenario-smoke bench-e2e bench-smoke-e2e loc ci
+.PHONY: all build test vet lint race bench bench-check chaos fuzz-smoke telemetry-smoke testbed-repro scenario-smoke bench-e2e bench-smoke-e2e loc ci
 
 # Hot-path benchmarks recorded by `make bench` (see README.md,
 # "Benchmark ledger"). BENCH_LABEL picks the ledger column. The metrics
@@ -72,6 +72,18 @@ fuzz-smoke:
 # latency histograms are exposed. See DESIGN.md §12.
 telemetry-smoke:
 	bash scripts/telemetry_smoke.sh
+
+# The documented fault run (EXPERIMENTS.md, "Recovery time vs. failure
+# rate") twice. Its clusters run on the replay's clock, so the two
+# stdouts must be byte-identical: rows, command counts, panels (b) and
+# (c), the fault log and the counters.
+TESTBED_REPRO = -nodes 6 -files 8 -jobs 2000 -fault-schedule random -fault-seed 7
+testbed-repro:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/testbed" ./cmd/aurora-testbed && \
+	"$$dir/testbed" $(TESTBED_REPRO) >"$$dir/1" && \
+	"$$dir/testbed" $(TESTBED_REPRO) >"$$dir/2" && \
+	diff "$$dir/1" "$$dir/2" && echo "testbed-repro: identical stdout"
 
 # Run the seeded predictor scenario matrix twice and assert byte-identical
 # output and metric dumps, nonzero aurora_predictor_* telemetry, and that the ewma

@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"aurora/internal/experiments"
@@ -82,9 +83,13 @@ func run(args []string) error {
 	}
 	if setup.FaultSchedule != nil {
 		fmt.Println("\nfault/retry counters:")
-		fmt.Print(metrics.Default.String())
+		for _, line := range strings.SplitAfter(metrics.Default.String(), "\n") {
+			if !strings.HasPrefix(line, "aurora_rpc_conns") { // pool events follow the wall clock
+				fmt.Print(line)
+			}
+		}
 	}
-	fmt.Printf("\n(completed in %v)\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "(completed in %v)\n", time.Since(start).Round(time.Millisecond))
 	if *telemAddr != "" && *linger > 0 {
 		// metrics.Default is process-global, so the final gauges and
 		// histograms stay scrapeable after the cluster shuts down.

@@ -6,6 +6,7 @@ package dfs
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"aurora/internal/dfs/datanode"
@@ -29,13 +30,24 @@ type Spec struct {
 	// injector as its node i, and registers the node with a corrupter
 	// that damages the named block, or any stored block for block 0.
 	Faults *faultinject.Injector
+	// Clock, when set, is every process's clock, and the cluster moves
+	// only when stepped (Step); nil means the wall clock and loops.
+	Clock *Clock
 }
+
+// Clock is the Unix epoch plus the offset a cluster was stepped to.
+type Clock struct{ now atomic.Int64 }
+
+// Now reads the clock.
+func (c *Clock) Now() time.Time { return time.Unix(0, c.now.Load()) }
 
 // Cluster is a running namenode and its datanodes; DataNodes[i]
 // registered as NodeID i.
 type Cluster struct {
 	NameNode  *namenode.NameNode
 	DataNodes []*datanode.DataNode
+	clock     *Clock
+	faults    *faultinject.Injector
 }
 
 // Start boots the namenode, then the datanodes one at a time so that
@@ -45,11 +57,14 @@ func Start(s Spec) (*Cluster, error) {
 	if s.NameNode.ExpectedNodes == 0 {
 		s.NameNode.ExpectedNodes = s.Nodes
 	}
+	if s.Clock != nil {
+		s.NameNode.Clock, s.DataNode.Clock = s.Clock.Now, s.Clock.Now
+	}
 	nn, err := namenode.Start(s.NameNode)
 	if err != nil {
 		return nil, fmt.Errorf("dfs: start namenode: %w", err)
 	}
-	c := &Cluster{NameNode: nn}
+	c := &Cluster{NameNode: nn, clock: s.Clock, faults: s.Faults}
 	for i := 0; i < s.Nodes && err == nil; i++ {
 		err = c.startDataNode(s, i)
 	}
@@ -94,6 +109,38 @@ func (c *Cluster) startDataNode(s Spec, i int) error {
 		})
 	}
 	return nil
+}
+
+// Step moves a stepped cluster to offset to, running each tick due by
+// then — datanode reports by ID, then the reconcile pass, per instant —
+// with the clock and the fault injector moved to its due time first.
+func (c *Cluster) Step(to time.Duration) {
+	end := time.Unix(0, int64(to))
+	for {
+		var next interface {
+			TickDue() time.Time
+			Tick()
+		} = c.NameNode
+		for i := len(c.DataNodes) - 1; i >= 0; i-- {
+			if !c.DataNodes[i].TickDue().After(next.TickDue()) {
+				next = c.DataNodes[i]
+			}
+		}
+		if next.TickDue().After(end) {
+			break
+		}
+		c.moveTo(next.TickDue())
+		next.Tick()
+	}
+	c.moveTo(end)
+}
+
+// moveTo moves the clock, and the fault injector with it, forward to t.
+func (c *Cluster) moveTo(t time.Time) {
+	c.clock.now.Store(max(c.clock.now.Load(), t.UnixNano()))
+	if c.faults != nil {
+		c.faults.Advance(time.Duration(c.clock.now.Load()))
+	}
 }
 
 // Close stops the datanodes, then the namenode.

@@ -49,6 +49,10 @@ type Config struct {
 	// WrapStore, when set, decorates the node's block store before use —
 	// a fault-injection hook for byzantine store behaviour.
 	WrapStore func(BlockStore) BlockStore
+	// Clock, when set, is the node's clock, and its owner calls Tick at
+	// each TickDue instead of a heartbeat loop; Retry is then one attempt,
+	// as backing off waits for nothing. nil means the wall clock.
+	Clock func() time.Time
 }
 
 // Errors returned by the datanode.
@@ -75,6 +79,7 @@ type DataNode struct {
 	// next tick. It has one slot, so a wake sent while one is pending
 	// folds into it.
 	wake chan struct{}
+	due  time.Time // the next report of a Config.Clock's owner
 
 	stop chan struct{}
 	done chan struct{}
@@ -103,6 +108,9 @@ func Start(cfg Config) (*DataNode, error) {
 	}
 	if cfg.OpenStream == nil {
 		cfg.OpenStream = proto.OpenStream
+	}
+	if cfg.Clock != nil {
+		cfg.Retry = retrypolicy.Policy{MaxAttempts: 1}
 	}
 	if cfg.Retry.MaxAttempts == 0 && cfg.Retry.BaseDelay == 0 {
 		cfg.Retry = retrypolicy.Default
@@ -174,7 +182,12 @@ func Start(cfg Config) (*DataNode, error) {
 	dn.id, dn.ns = resp.Node, resp.Namespace
 	dn.server = proto.ServeStreams(ln, dn.handle, dn.handleStream, cfg.Timeout)
 
-	go dn.heartbeatLoop()
+	if cfg.Clock != nil {
+		dn.due = cfg.Clock().Add(heartbeatPhase(dn.id, cfg.HeartbeatInterval))
+		close(dn.done)
+	} else {
+		go dn.heartbeatLoop()
+	}
 	return dn, nil
 }
 
@@ -229,7 +242,7 @@ func (dn *DataNode) CorruptBlock(id proto.BlockID) error {
 	return c.corrupt(id, data)
 }
 
-// Close stops the heartbeat loop and the data server.
+// Close stops the heartbeat loop, if it runs, and the data server.
 func (dn *DataNode) Close() error {
 	select {
 	case <-dn.stop:
@@ -296,6 +309,15 @@ func (dn *DataNode) heartbeatLoop() {
 			dn.heartbeatOnce(true)
 		}
 	}
+}
+
+// TickDue is when Config.Clock's owner next calls Tick.
+func (dn *DataNode) TickDue() time.Time { return dn.due }
+
+// Tick is the heartbeat loop's tick; a deletion's wake waits for it.
+func (dn *DataNode) Tick() {
+	dn.due = dn.due.Add(dn.cfg.HeartbeatInterval)
+	dn.heartbeatOnce(false)
 }
 
 // heartbeatPhase is when, in (0, interval], node id ticks first. The

@@ -54,19 +54,15 @@ func (nn *NameNode) Decommission(id proto.NodeID) error {
 // WaitDecommissioned polls until the node finished draining or the
 // timeout elapses.
 func (nn *NameNode) WaitDecommissioned(id proto.NodeID, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
+	var err error
+	if poll(timeout, 10*time.Millisecond, func() bool {
 		nn.mu.Lock()
-		node, err := nn.nodeLocked(id)
-		done := err == nil && node.decommissioned
-		nn.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		time.Sleep(10 * time.Millisecond)
+		defer nn.mu.Unlock()
+		var node *nodeState
+		node, err = nn.nodeLocked(id)
+		return err != nil || node.decommissioned
+	}) {
+		return err
 	}
 	return fmt.Errorf("namenode: node %d not decommissioned after %v", id, timeout)
 }

@@ -187,7 +187,7 @@ func (nn *NameNode) loadFsImage(path string) error {
 			addr:     n.Addr,
 			rack:     n.Rack,
 			capacity: n.Capacity,
-			lastSeen: nn.clock(),
+			lastSeen: nn.cfg.Clock(),
 			// Nodes revive on their first heartbeat; starting alive
 			// gives them one DeadTimeout of grace.
 			alive:    true,

@@ -10,9 +10,9 @@ import (
 	"aurora/internal/topology"
 )
 
-// healCluster is a 2-rack × 2-node namenode with fake datanodes, a parked
-// reconcile ticker and an injected clock, so liveness changes only when
-// the test says so. Nodes 0 and 2 sit in rack 0, nodes 1 and 3 in rack 1.
+// healCluster is a 2-rack × 2-node namenode with fake datanodes on a
+// test-owned clock, with no reconcile loop, so liveness changes only
+// when the test says so. Nodes 0 and 2 sit in rack 0, nodes 1 and 3 in rack 1.
 type healCluster struct {
 	t   *testing.T
 	nn  *NameNode
@@ -22,23 +22,21 @@ type healCluster struct {
 
 func startHealCluster(t *testing.T) *healCluster {
 	t.Helper()
+	hc := &healCluster{t: t, now: time.Unix(1_700_000_000, 0)}
 	nn, err := Start(Config{
 		ExpectedNodes:      4,
 		Racks:              2,
 		DefaultReplication: 2,
 		DefaultMinRacks:    2,
 		DeadTimeout:        time.Second,
-		ReconcileInterval:  time.Hour,
 		Seed:               1,
+		Clock:              func() time.Time { return hc.now },
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
 	t.Cleanup(func() { _ = nn.Close() })
-	hc := &healCluster{t: t, nn: nn, now: time.Unix(1_700_000_000, 0)}
-	nn.mu.Lock()
-	nn.clock = func() time.Time { return hc.now }
-	nn.mu.Unlock()
+	hc.nn = nn
 	for i, addr := range []string{"a:1", "b:1", "c:1", "d:1"} {
 		hc.dns = append(hc.dns, registerFake(t, nn, i%2, addr))
 	}

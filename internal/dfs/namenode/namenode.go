@@ -117,6 +117,10 @@ type Config struct {
 	// "reactive" for raw window counts. Per-period prediction-error
 	// series are exported as aurora_predictor_* metrics.
 	Predictor string
+	// Clock, when set, is the namenode's clock, and its owner calls Tick
+	// at each TickDue instead of a reconcile or checkpoint loop running.
+	// nil means the wall clock and the loop.
+	Clock func() time.Time
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -166,6 +170,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.CheckpointInterval <= 0 {
 		c.CheckpointInterval = 30 * time.Second
+	}
+	if c.Clock == nil {
+		c.Clock = time.Now
 	}
 	return c, nil
 }
@@ -314,7 +321,7 @@ type NameNode struct {
 	// optimizer reads would depend on scrape frequency. Only the
 	// consuming path, a period's snapshot, calls Snapshot.
 	monitor *popularity.Monitor[core.BlockID]
-	clock   func() time.Time
+	due     time.Time // the next reconcile pass of a Config.Clock's owner
 
 	stop chan struct{}
 	done chan struct{}
@@ -322,6 +329,7 @@ type NameNode struct {
 
 // Start launches the namenode.
 func Start(cfg Config) (*NameNode, error) {
+	stepped := cfg.Clock != nil
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -354,7 +362,6 @@ func Start(cfg Config) (*NameNode, error) {
 		commandsIssued: make(map[proto.CommandKind]int64),
 		monitor:        mon,
 		forecast:       forecast,
-		clock:          time.Now,
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
 	}
@@ -373,14 +380,19 @@ func Start(cfg Config) (*NameNode, error) {
 		return nil, fmt.Errorf("namenode: listen: %w", err)
 	}
 	nn.server = proto.Serve(ln, nn.handle, cfg.Timeout)
-	go nn.reconcileLoop()
+	if stepped {
+		nn.due = cfg.Clock().Add(cfg.ReconcileInterval)
+		close(nn.done)
+	} else {
+		go nn.reconcileLoop()
+	}
 	return nn, nil
 }
 
 // Addr returns the namenode's control address.
 func (nn *NameNode) Addr() string { return nn.server.Addr() }
 
-// Close stops the reconcile loop and the server.
+// Close stops the reconcile loop, if it runs, and the server.
 func (nn *NameNode) Close() error {
 	select {
 	case <-nn.stop:
@@ -428,14 +440,21 @@ func (nn *NameNode) Ready() bool {
 
 // WaitReady blocks until the cluster is ready or the timeout elapses.
 func (nn *NameNode) WaitReady(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if nn.Ready() {
-			return nil
-		}
-		time.Sleep(5 * time.Millisecond)
+	if poll(timeout, 5*time.Millisecond, nn.Ready) {
+		return nil
 	}
 	return fmt.Errorf("namenode: %w after %v", ErrNotReady, timeout)
+}
+
+// poll calls cond every period until it holds or timeout passes, on the
+// wall clock, and reports whether it held.
+func poll(timeout, period time.Duration, cond func() bool) bool {
+	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(period) {
+		if cond() {
+			return true
+		}
+	}
+	return false
 }
 
 // handle dispatches one control request.
@@ -517,7 +536,7 @@ func (nn *NameNode) handleRegister(req *proto.Message) (*proto.Message, error) {
 			return nil, fmt.Errorf("%w: cluster already formed", ErrBadRequest)
 		}
 		node.alive = true
-		node.lastSeen = nn.clock()
+		node.lastSeen = nn.cfg.Clock()
 		node.decommissioned = false
 		// Whatever the restarted node still holds must be re-established
 		// from a full baseline, not deltas.
@@ -537,7 +556,7 @@ func (nn *NameNode) handleRegister(req *proto.Message) (*proto.Message, error) {
 		addr:     req.DataAddr,
 		rack:     req.Rack,
 		capacity: req.Capacity,
-		lastSeen: nn.clock(),
+		lastSeen: nn.cfg.Clock(),
 		alive:    true,
 	})
 	if len(nn.nodes) == nn.cfg.ExpectedNodes {
@@ -611,7 +630,7 @@ func (nn *NameNode) handleReport(req *proto.Message) (*proto.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	node.lastSeen = nn.clock()
+	node.lastSeen = nn.cfg.Clock()
 	node.alive = true
 	if req.FullReport {
 		reported := make(map[proto.BlockID]bool, len(req.Received))
@@ -700,7 +719,7 @@ func (nn *NameNode) freshLocked(b proto.BlockID, node *nodeState) {
 func (nn *NameNode) confirmLocked(b proto.BlockID, n proto.NodeID) {
 	key := inflightKey{block: b, node: n}
 	if issued, ok := nn.inflight[key]; ok {
-		nn.moveDurations = append(nn.moveDurations, nn.clock().Sub(issued))
+		nn.moveDurations = append(nn.moveDurations, nn.cfg.Clock().Sub(issued))
 		delete(nn.inflight, key)
 	}
 	holders, ok := nn.confirmed[b]
@@ -874,7 +893,7 @@ func (nn *NameNode) handleAddBlock(req *proto.Message) (*proto.Message, error) {
 	nn.nextBlock++
 	f.blocks = append(f.blocks, proto.BlockID(id))
 	f.lengths = append(f.lengths, req.Length)
-	nn.writing[proto.BlockID(id)] = nn.clock()
+	nn.writing[proto.BlockID(id)] = nn.cfg.Clock()
 	nn.markDirtyLocked()
 	pipeline := nn.addrsLocked(nn.placement.Replicas(id))
 	return &proto.Message{Type: proto.MsgOK, Block: proto.BlockID(id), Pipeline: pipeline}, nil
@@ -904,7 +923,7 @@ func (nn *NameNode) handleGetLocations(req *proto.Message) (*proto.Message, erro
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrFileNotFound, req.Path)
 	}
-	now := nn.clock().UnixNano()
+	now := nn.cfg.Clock().UnixNano()
 	locs := make([]proto.BlockLocation, 0, len(f.blocks))
 	for i, b := range f.blocks {
 		nn.monitor.Record(core.BlockID(b), now)

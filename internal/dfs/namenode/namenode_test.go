@@ -544,25 +544,22 @@ func TestInflightEntriesExpire(t *testing.T) {
 // not even in the report's own response: fsck counts PendingCommands
 // against Healthy. The clock is pinned so neither
 // dead detection nor the in-flight TTL can fire however slowly the test
-// runs, and the reconcile ticker is parked so only the explicit passes
-// below run.
+// runs, and a namenode with a clock of its owner's runs no reconcile
+// loop, so only the explicit passes below run.
 func TestReportedDeletionDropsRequeuedDelete(t *testing.T) {
+	epoch := time.Unix(1_700_000_000, 0)
 	nn, err := Start(Config{
 		ExpectedNodes:      3,
 		Racks:              2,
 		DefaultReplication: 2,
 		DefaultMinRacks:    2,
-		ReconcileInterval:  time.Hour,
 		Seed:               1,
+		Clock:              func() time.Time { return epoch },
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
 	t.Cleanup(func() { _ = nn.Close() })
-	epoch := time.Unix(1_700_000_000, 0)
-	nn.mu.Lock()
-	nn.clock = func() time.Time { return epoch }
-	nn.mu.Unlock()
 
 	dns := []*fakeDN{
 		registerFake(t, nn, 0, "a:1"),

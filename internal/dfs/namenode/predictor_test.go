@@ -21,7 +21,7 @@ import (
 func TestTelemetryScrapesNeverChangeMonitorState(t *testing.T) {
 	nn := startNN(t, 1, 1)
 	registerFake(t, nn, 0, "127.0.0.1:19001")
-	now := nn.clock().UnixNano()
+	now := nn.cfg.Clock().UnixNano()
 	// Seed accesses, including one key already outside the window so a
 	// pruning pass would visibly shrink Len.
 	for b := core.BlockID(1); b <= 5; b++ {
@@ -53,9 +53,9 @@ func TestTelemetryScrapesNeverChangeMonitorState(t *testing.T) {
 	}
 }
 
-// forecastCluster is a 2-rack × 2-node namenode with fake datanodes, a
-// parked reconcile ticker and an injected clock, holding files /f0../fN
-// of one block each.
+// forecastCluster is a 2-rack × 2-node namenode with fake datanodes on
+// a test-owned clock, with no reconcile loop, holding files /f0../fN of
+// one block each.
 type forecastCluster struct {
 	t      *testing.T
 	nn     *NameNode
@@ -65,25 +65,23 @@ type forecastCluster struct {
 
 func startForecastCluster(t *testing.T, shards int, predictor string, files int) *forecastCluster {
 	t.Helper()
+	fc := &forecastCluster{t: t, now: time.Unix(1_700_000_000, 0)}
 	nn, err := Start(Config{
 		ExpectedNodes:      4,
 		Racks:              2,
 		DefaultReplication: 2,
 		DefaultMinRacks:    2,
 		DeadTimeout:        24 * time.Hour,
-		ReconcileInterval:  time.Hour,
 		Seed:               1,
 		Shards:             shards,
 		Predictor:          predictor,
+		Clock:              func() time.Time { return fc.now },
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
 	t.Cleanup(func() { _ = nn.Close() })
-	fc := &forecastCluster{t: t, nn: nn, now: time.Unix(1_700_000_000, 0)}
-	nn.mu.Lock()
-	nn.clock = func() time.Time { return fc.now }
-	nn.mu.Unlock()
+	fc.nn = nn
 	for i, addr := range []string{"a:1", "b:1", "c:1", "d:1"} {
 		registerFake(t, nn, i%2, addr)
 	}

@@ -47,6 +47,15 @@ func (nn *NameNode) reconcileLoop() {
 	}
 }
 
+// TickDue is when Config.Clock's owner next calls Tick.
+func (nn *NameNode) TickDue() time.Time { return nn.due }
+
+// Tick is the reconcile loop's tick for Config.Clock's owner.
+func (nn *NameNode) Tick() {
+	nn.due = nn.due.Add(nn.cfg.ReconcileInterval)
+	nn.ReconcileOnce()
+}
+
 // ReconcileOnce runs one reconciliation pass: one pass over the
 // datanodes (checkNodesLocked), then the pending walk. It is exported so
 // tests and the optimizer can force convergence checks without waiting
@@ -58,7 +67,7 @@ func (nn *NameNode) ReconcileOnce() {
 		return
 	}
 	nn.checkNodesLocked()
-	now := nn.clock()
+	now := nn.cfg.Clock()
 	// A write silent for inflightTTL is over: its writer stalled or is
 	// gone, so what exists is repaired. A replicate command no report
 	// completed in that time — its target died or its block was deleted —
@@ -97,7 +106,7 @@ func (nn *NameNode) ReconcileOnce() {
 // never perturbs the placement state the optimizer and reconcile
 // decisions read.
 func (nn *NameNode) windowLoadsLocked() ([]float64, map[core.BlockID]int64) {
-	snap := nn.monitor.Peek(nn.clock().UnixNano())
+	snap := nn.monitor.Peek(nn.cfg.Clock().UnixNano())
 	ids := make([]core.BlockID, 0, len(snap))
 	for id := range snap {
 		ids = append(ids, id)
@@ -130,7 +139,7 @@ func (nn *NameNode) windowLoadsLocked() ([]float64, map[core.BlockID]int64) {
 // constraints assume. A draining node is decommissioned once nothing is
 // desired on it and it holds nothing.
 func (nn *NameNode) checkNodesLocked() {
-	now := nn.clock()
+	now := nn.cfg.Clock()
 	for _, node := range nn.nodes {
 		if node.alive && now.Sub(node.lastSeen) >= nn.cfg.DeadTimeout {
 			nn.unsettleNodeLocked(node)
@@ -468,11 +477,11 @@ func (nn *NameNode) OptimizeNow(opts core.OptimizerOptions) (core.OptimizeResult
 		var err error
 		res, err = core.OptimizePartitioned(plan, nn.cfg.Shards, shares, core.ShardedOptimizerOptions{
 			Opts: opts,
-			// Per-shard wall timing uses the namenode's injected clock,
-			// so deterministic harnesses replay with their own time
-			// source. It runs off the lock: a test clock must not move
-			// mid-compute.
-			Now: func() int64 { return nn.clock().UnixNano() },
+			// Per-shard timing reads the namenode's clock
+			// (Config.Clock), so deterministic harnesses replay with
+			// their own time source. It runs off the lock: a driven
+			// clock must not move mid-compute.
+			Now: func() int64 { return nn.cfg.Clock().UnixNano() },
 		})
 		wall = time.Since(start)
 		if err != nil {
@@ -574,7 +583,7 @@ func (nn *NameNode) snapshotPeriod() (*core.Placement, map[core.BlockID]int64, e
 	held := time.Now()
 	nn.syncPendingLocked()
 	nn.touched = make(map[proto.BlockID]struct{})
-	window := nn.monitor.Snapshot(nn.clock().UnixNano())
+	window := nn.monitor.Snapshot(nn.cfg.Clock().UnixNano())
 	plan := nn.placement.Clone()
 	plan.TrackChanges()
 	hold := time.Since(held)
@@ -607,7 +616,7 @@ func (nn *NameNode) installPlan(plan *core.Placement) bool {
 	if installed {
 		nn.placement = plan
 		nn.syncPendingLocked()
-		nn.reconcileWalkLocked(nn.clock())
+		nn.reconcileWalkLocked(nn.cfg.Clock())
 		nn.markDirtyLocked()
 	} else {
 		metrics.Default.Counter("dfs.namenode.plan_dropped").Inc()
@@ -638,7 +647,7 @@ func observePeriodHold(phase string, hold time.Duration) {
 func (nn *NameNode) PopularitySnapshot() map[core.BlockID]int64 {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	return nn.monitor.Peek(nn.clock().UnixNano())
+	return nn.monitor.Peek(nn.cfg.Clock().UnixNano())
 }
 
 // PlacementClone returns a deep copy of the desired placement for
@@ -703,12 +712,8 @@ func (nn *NameNode) confirmedAsDesiredLocked(id core.BlockID) bool {
 
 // WaitConverged polls Converged until it holds or the timeout elapses.
 func (nn *NameNode) WaitConverged(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if nn.Converged() {
-			return nil
-		}
-		time.Sleep(10 * time.Millisecond)
+	if poll(timeout, 10*time.Millisecond, nn.Converged) {
+		return nil
 	}
 	return fmt.Errorf("namenode: not converged after %v", timeout)
 }

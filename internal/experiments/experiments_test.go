@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"maps"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -172,12 +173,15 @@ func TestFig6Testbed(t *testing.T) {
 	}
 }
 
-// Figure 6 replays from its seed: two runs of one setup schedule every
-// task on the same node and so agree on locality, bytes read, every
-// job's duration and the replicate and delete command counts. Movement
-// times are wall-clock by design and not compared. Under faults the
-// injector runs on the replay's clock, so both runs apply the same
-// events at the same ticks and print the same fault log.
+// Figure 6 replays from its seed: each system's cluster runs on the
+// replay's clock, so two runs of one setup schedule every task on the
+// same node and agree on locality, bytes read, every job's duration,
+// the replicate and delete command counts and every movement time.
+// Under faults the injector steps with the cluster, so both runs apply
+// the same events at the same ticks; the third setup's crash window
+// holds an epoch, whose convergence waits for the crash's detection.
+// A stepped cluster has no report racing an arrival report, so the
+// fault-free runs resync no report.
 func TestFig6Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("testbed spins up a real TCP cluster; skipped in -short")
@@ -186,9 +190,17 @@ func TestFig6Deterministic(t *testing.T) {
 	plain.Files = 12
 	plain.Jobs = 120
 	faulted := faultedTestbedSetup(t)
-	for _, setup := range []TestbedSetup{plain, faulted} {
+	spanning := faultedTestbedSetup(t)
+	spanning.EpochTicks = 100
+	sch, err := faultinject.ParseSchedule("crash:1@90s;recover:1@190s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spanning.FaultSchedule = sch
+	for _, setup := range []TestbedSetup{plain, faulted, spanning} {
 		var runs [2]*Fig6Result
 		var applied [2]map[faultinject.Kind]int64
+		resyncs := metrics.Default.CounterValues()["dfs.namenode.report_resync"]
 		for i := range runs {
 			before := faultCounts()
 			res, err := Fig6(setup)
@@ -196,6 +208,9 @@ func TestFig6Deterministic(t *testing.T) {
 				t.Fatalf("Fig6 run %d (%d fault events): %v", i, len(setup.FaultSchedule), err)
 			}
 			runs[i], applied[i] = res, faultCountsSince(before)
+		}
+		if got := metrics.Default.CounterValues()["dfs.namenode.report_resync"] - resyncs; setup.FaultSchedule == nil && got != 0 {
+			t.Errorf("fault-free runs resynced %d reports, want 0", got)
 		}
 		if !maps.Equal(applied[0], applied[1]) {
 			t.Errorf("fault events applied: %v then %v", applied[0], applied[1])
@@ -211,6 +226,10 @@ func TestFig6Deterministic(t *testing.T) {
 			}
 			if !maps.Equal(a.JobDurations, b.JobDurations) {
 				t.Errorf("%s: job durations differ between runs:\n%v\n%v", a.System, a.JobDurations, b.JobDurations)
+			}
+			if !slices.Equal(a.MoveDurations, b.MoveDurations) || a.MaxLead != b.MaxLead {
+				t.Errorf("%s: movement times or lead differ between runs:\n%v (lead %v)\n%v (lead %v)", a.System,
+					a.MoveDurations, a.MaxLead, b.MoveDurations, b.MaxLead)
 			}
 		}
 	}
@@ -263,9 +282,9 @@ func faultCountsSince(before map[faultinject.Kind]int64) map[faultinject.Kind]in
 	return now
 }
 
-// Every system's run plays the whole schedule: the replay advances the
-// injector past its last event, so each kind's counter rises by three
-// times that kind's events.
+// Every system's run plays the whole schedule: the replay steps the
+// cluster, and its injector with it, past the last event, so each
+// kind's counter rises by three times that kind's events.
 func TestFig6UnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("testbed spins up a real TCP cluster; skipped in -short")
